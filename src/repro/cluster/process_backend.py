@@ -658,6 +658,10 @@ class ProcessTransport(Transport):
             # room in the queue pipe.
             self._drain_fabric(fabric, close=False)
             self._join_all(procs)
+            for disk in disks:
+                # The ranks held the only up-to-date sizes and checksum
+                # catalogs; take what they left on disk.
+                disk.refresh()
             self._sweep_segments(messages, procs)
             self._drain_fabric(fabric, close=True)
 

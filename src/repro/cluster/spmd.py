@@ -126,7 +126,9 @@ def run_spmd(
         The run's :class:`~repro.disks.virtual_disk.VirtualDisk` list.
         Only needed by non-shared-memory backends, which use it to
         merge the ranks' per-disk I/O counter deltas back into these
-        (the caller's) stats objects after the join.
+        (the caller's) stats objects after the join and to refresh
+        their sizes and checksum catalogs from what the ranks left on
+        disk.
     restart_policy:
         Optional :class:`~repro.resilience.supervisor.RestartPolicy`.
         When set, the whole launch runs under a

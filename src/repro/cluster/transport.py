@@ -96,8 +96,10 @@ class Transport(ABC):
       structured :class:`~repro.errors.WatchdogTimeout`;
     * ``disks`` (the run's :class:`~repro.disks.virtual_disk.VirtualDisk`
       list) lets a non-shared-memory backend merge per-rank I/O counter
-      deltas back into the caller's stats objects — the thread backend
-      ignores it because the objects are already shared;
+      deltas back into the caller's stats objects and
+      :meth:`~repro.disks.virtual_disk.VirtualDisk.refresh` the caller's
+      sizes and checksum catalogs once the cohort has exited — the
+      thread backend ignores it because the objects are already shared;
     * **idempotent teardown** — before ``run`` raises, the cohort is
       fully torn down (ranks joined or abandoned-as-daemons, fabric
       drained and closed, crash-swept segments unlinked), leaving no

@@ -220,8 +220,11 @@ def scenario_checkpoint_prune(scratch: Path, quick: bool):
 
 def scenario_sidecar(scratch: Path, quick: bool):
     """Object writes with CRC sidecars, a ``sync()`` barrier, then an
-    unbarriered overwrite: verified reads must never false-pass, and
-    barriered extents must survive any crash bit-for-bit."""
+    overwrite and a new object taken through ``flush()`` and a second
+    ``sync()`` — so crashes land before the flush (data without its
+    sidecar), between flush and sync (sidecar renames still buffered),
+    and after: verified reads must never false-pass, and barriered
+    extents must survive any crash bit-for-bit."""
     from repro.disks.virtual_disk import VirtualDisk
 
     work = scratch / "work"
@@ -237,8 +240,17 @@ def scenario_sidecar(scratch: Path, quick: bool):
         put("obj.a", 1024, b"B" * 1024)
         put("obj.b", 0, b"C" * 700)
         disk.sync()
-        barrier = len(rec.ops)
-        put("obj.a", 0, b"D" * 1024)  # unbarriered overwrite
+        barriers = [(len(rec.ops), [("obj.b", 0, 700, b"C" * 700)])]
+        put("obj.a", 0, b"D" * 1024)  # overwrite under the old sidecar
+        put("obj.c", 0, b"E" * 600)  # no sidecar at all until the flush
+        disk.checksums.flush()
+        disk.sync()
+        barriers.append(
+            (
+                len(rec.ops),
+                [("obj.a", 0, 1024, b"D" * 1024), ("obj.c", 0, 600, b"E" * 600)],
+            )
+        )
     states = enumerate_crash_states(rec.ops)
     if quick:
         states = states[:: max(1, len(states) // 60)]
@@ -250,13 +262,11 @@ def scenario_sidecar(scratch: Path, quick: bool):
         violations += check_disk_reads(
             [recovered], written, scenario="sidecar", state=label
         )
-        if state.crash_index >= barrier:
-            violations += check_barriered_reads(
-                recovered,
-                [("obj.b", 0, 700, b"C" * 700)],
-                scenario="sidecar",
-                state=label,
-            )
+        for barrier, expectations in barriers:
+            if state.crash_index >= barrier:
+                violations += check_barriered_reads(
+                    recovered, expectations, scenario="sidecar", state=label
+                )
     return len(states), violations
 
 

@@ -3,8 +3,9 @@ workload runs.
 
 :func:`trace` patches the narrow waist every durability-critical write
 in this repo goes through — ``builtins.open``/``io.open`` (journal
-appends, atomic temp-file writes, :class:`VirtualDisk` extent I/O,
-parity row files), ``os.replace``/``os.rename`` (atomic publishes),
+appends, atomic temp-file writes, parity row files), ``os.open`` with
+``O_CREAT`` + ``os.pwrite`` (:class:`VirtualDisk` extent writes),
+``os.replace``/``os.rename`` (atomic publishes),
 ``os.unlink``/``os.remove``/``os.rmdir`` (checkpoint retirement),
 ``os.mkdir`` (sidecar/parity directories), and ``os.open``/``os.fsync``
 /``os.close`` (file and directory fsync barriers) — and records every
@@ -108,6 +109,14 @@ class Recorder:
             return
         with self.lock:
             self._append("write", inode=inode, offset=offset, data=bytes(data))
+
+    def on_pwrite(self, fd: int, offset: int, data) -> None:
+        """An ``os.pwrite`` through a descriptor :meth:`register_fd`
+        knows (anything else is outside the root)."""
+        with self.lock:
+            inode = self._fd_files.get(fd)
+        if inode is not None:
+            self.on_write(inode, offset, data)
 
     def on_truncate(self, inode: int, size: int) -> None:
         with self.lock:
@@ -264,6 +273,7 @@ def trace(root: str | Path):
             "open",
             "close",
             "fsync",
+            "pwrite",
         )
     }
 
@@ -308,13 +318,22 @@ def trace(root: str | Path):
             rec.on_rmdir(rel)
 
     def traced_os_open(path, flags, *args, **kwargs):
+        rel = rec.rel(path)
+        truncating = (
+            bool(flags & os.O_TRUNC)
+            and rel is not None
+            and (rec.root / rel).exists()
+        )
         fd = real_os["open"](path, flags, *args, **kwargs)
         try:
-            rel = rec.rel(path)
             if rel is not None:
                 target = rec.root / rel
                 if target.is_dir():
                     rec.register_dir_fd(fd, rel)
+                elif flags & os.O_CREAT:
+                    # A write-capable descriptor that may have made the
+                    # entry: same bookkeeping as a builtins.open for write.
+                    rec.register_fd(fd, rec.on_open_write(rel, truncating))
                 else:
                     inode = rec.namespace.get(rel)
                     if inode is not None:
@@ -322,6 +341,11 @@ def trace(root: str | Path):
         except Exception:  # bookkeeping must never break the workload
             pass
         return fd
+
+    def traced_pwrite(fd, data, offset):
+        done = real_os["pwrite"](fd, data, offset)
+        rec.on_pwrite(fd, offset, memoryview(data).cast("B")[:done])
+        return done
 
     def traced_os_close(fd):
         real_os["close"](fd)
@@ -341,6 +365,7 @@ def trace(root: str | Path):
         "open": traced_os_open,
         "close": traced_os_close,
         "fsync": traced_fsync,
+        "pwrite": traced_pwrite,
     }
     builtins.open = traced_open
     io.open = traced_open

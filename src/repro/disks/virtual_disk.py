@@ -13,9 +13,11 @@ and fault injection through an attached
 ``write_at`` retry transient faults with metered retry counts.
 
 Durability (always on): every write records a per-extent block CRC in a
-:class:`~repro.durability.checksums.BlockChecksums` sidecar catalog and
-every read verifies the extents tiling the range, raising
-:class:`~repro.errors.CorruptionError` on a mismatch. Durability
+:class:`~repro.durability.checksums.BlockChecksums` catalog (in memory;
+its sidecars are persisted at pass boundaries and made durable by
+:meth:`VirtualDisk.sync`) and every read verifies the extents tiling
+the range, raising :class:`~repro.errors.CorruptionError` on a
+mismatch. Durability
 (opt-in, via :func:`~repro.durability.parity.attach_durability`): a
 ``quarantine`` marks this disk dead after enough permanent faults, and
 a ``parity_layer`` then serves its reads by online reconstruction into
@@ -35,6 +37,16 @@ from repro.disks.iostats import IoStats
 from repro.durability.checksums import BlockChecksums
 from repro.durability.hashing import file_digest
 from repro.errors import CorruptionError, DiskError, DiskFullError
+
+
+def _pwrite_all(fd: int, data, offset: int) -> None:
+    """``os.pwrite`` all of ``data`` at ``offset`` (a short write —
+    signal, quota edge — resumes where it stopped)."""
+    view = memoryview(data).cast("B")
+    while view.nbytes:
+        done = os.pwrite(fd, view, offset)
+        view = view[done:]
+        offset += done
 
 
 def mmap_reads() -> bool:
@@ -98,18 +110,32 @@ class VirtualDisk:
         self.parity_layer = None
         self.scratch_governor = None
         self.cancel_token = None
-        self.checksums = BlockChecksums(self.root)
         # Re-entrant: a degraded write holds the lock while the parity
         # layer's ensure_spare calls back into reserve_spare.
         self._lock = threading.RLock()
         # Cached read-only mappings per object (REPRO_MMAP_READS path);
         # remapped when the file outgrows the mapping, closed on delete.
         self._mmaps: dict[str, mmap.mmap] = {}
-        self._sizes: dict[str, int] = {}
         self._spare_sizes: dict[str, int] = {}
-        for path in self.root.iterdir():
-            if path.is_file():
-                self._sizes[path.name] = path.stat().st_size
+        self.refresh()
+
+    def refresh(self) -> None:
+        """Take this disk's state from its directory: object sizes from
+        the files there, the checksum catalog from the persisted
+        sidecars (extents recorded but never flushed are forgotten).
+
+        For an owner whose copy went stale because another process
+        wrote the disk: the process transport calls it on the parent's
+        disks once the forked ranks — which held the only up-to-date
+        copies — have exited."""
+        with self._lock:
+            self.close_mmaps()
+            self._sizes = {
+                path.name: path.stat().st_size
+                for path in self.root.iterdir()
+                if path.is_file()
+            }
+            self.checksums = BlockChecksums(self.root)
 
     # ------------------------------------------------------------------
 
@@ -379,14 +405,14 @@ class VirtualDisk:
                     # their pre-write bytes), so this must precede the
                     # file write.
                     layer.on_write(self, name, offset, data, spare=degraded)
-                mode = "r+b" if target.exists() else "w+b"
-                with open(target, mode) as fh:
+                fd = os.open(target, os.O_RDWR | os.O_CREAT, 0o666)
+                try:
                     if offset > old_size:
                         # Explicitly zero-fill the gap so reads are defined.
-                        fh.seek(old_size)
-                        fh.write(b"\0" * (offset - old_size))
-                    fh.seek(offset)
-                    fh.write(data)
+                        _pwrite_all(fd, bytes(offset - old_size), old_size)
+                    _pwrite_all(fd, data, offset)
+                finally:
+                    os.close(fd)
                 self._sizes[name] = new_size
                 self.stats.record_hashed(self.checksums.record(name, offset, data))
             self.stats.record_write(nbytes)

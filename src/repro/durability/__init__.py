@@ -10,8 +10,8 @@ three defenses the resilience layer (PR 3) left open:
   layer and :class:`~repro.resilience.checkpoint.CheckpointStore` can
   never drift apart;
 * block checksums — every :class:`~repro.disks.virtual_disk.VirtualDisk`
-  write records a per-extent CRC (persisted in a ``.meta/`` sidecar),
-  every read verifies it, and a mismatch raises
+  write records a per-extent CRC (persisted in a ``.meta/`` sidecar at
+  the pass boundary), every read verifies it, and a mismatch raises
   :class:`~repro.errors.CorruptionError`;
 * :mod:`repro.durability.parity` — an opt-in RAID-5-style XOR parity
   layer across the D disks; any single lost or corrupt block is

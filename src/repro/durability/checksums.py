@@ -14,20 +14,34 @@ exactly. An extent only partially covered by a later write is dropped
 from the catalog (its old checksum no longer describes the file), which
 matches the raw-disk semantics the disk unit tests pin down.
 
-Sidecar durability is *barriered*, not per-write: each write rewrites
-the object's sidecar atomically (temp file + ``os.replace``, which a
-process crash cannot tear) but leaves the bytes and the rename in the
-page cache; :meth:`BlockChecksums.sync` fsyncs every dirty sidecar and
-the ``.meta/`` directory itself. The checkpoint layer calls it before a
-pass manifest becomes durable, so a durable manifest can never point at
-sidecars (or sidecar renames) that power loss would roll back — the
-crashsim harness enumerates exactly those states (DESIGN §14).
+Sidecar persistence is *batched*, sidecar durability *barriered* —
+neither is per-write. :meth:`BlockChecksums.record` only updates the
+in-memory catalog; :meth:`BlockChecksums.flush` rewrites the sidecar of
+every object recorded since the last flush (atomically: temp file +
+``os.replace``, which a process crash cannot tear), and the pass
+programs call it at every pass boundary
+(:meth:`~repro.oocs.base.PassMarker.mark`) and after the input load.
+:meth:`BlockChecksums.sync` flushes, then fsyncs every sidecar changed
+since the last barrier and the ``.meta/`` directory itself. The
+checkpoint layer calls it before a pass manifest becomes durable, so a
+durable manifest can never point at sidecars (or sidecar renames) that
+power loss would roll back — the crashsim harness enumerates exactly
+those states (DESIGN §14).
+
+What a crash leaves: a *process* crash mid-pass leaves the output that
+pass had written so far without sidecars (or, for an object an earlier
+pass also wrote, with that pass's sidecar — a stale CRC can only
+*refuse* bytes, never accept wrong ones). Resume never reads either: a
+resume point is a pass boundary behind the ``sync()`` barrier, and the
+store an in-flight pass was writing is re-run from its first write or
+deleted.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from bisect import bisect_left
 from pathlib import Path
 
 from repro.durability.atomic import atomic_write_json, fsync_dir, fsync_file
@@ -40,11 +54,22 @@ class BlockChecksums:
     def __init__(self, root: str | Path) -> None:
         self._dir = Path(root) / ".meta"
         self._lock = threading.Lock()
-        #: name -> list of [offset, length, crc], sorted by offset.
+        #: name -> list of [offset, length, crc], sorted by offset and
+        #: pairwise non-overlapping (:meth:`record` keeps it so).
         self._extents: dict[str, list[list[int]]] = {}
+        #: names recorded since the last :meth:`flush`.
+        self._unflushed: set[str] = set()
         #: names whose sidecar changed since the last :meth:`sync`.
         self._dirty: set[str] = set()
-        if self._dir.is_dir():
+        self._have_dir = self._dir.is_dir()
+        if self._have_dir:
+            # A kill between the temp write and os.replace strands the
+            # temp file; nothing ever loads it.
+            for stranded in self._dir.glob("*.json.tmp"):
+                try:
+                    stranded.unlink()
+                except OSError:
+                    pass
             for sidecar in self._dir.glob("*.json"):
                 try:
                     doc = json.loads(sidecar.read_text())
@@ -67,26 +92,32 @@ class BlockChecksums:
     def _sidecar(self, name: str) -> Path:
         return self._dir / f"{name}.json"
 
-    def _persist(self, name: str) -> None:
-        """Rewrite one sidecar atomically (buffered — see :meth:`sync`
-        for the durability barrier). Caller holds the lock."""
-        self._dirty.add(name)
-        extents = self._extents.get(name)
-        if extents is None:
-            try:
-                self._sidecar(name).unlink()
-            except OSError:
-                pass
-            return
-        self._dir.mkdir(exist_ok=True)
-        doc = {"algo": CHECKSUM_ALGO, "name": name, "extents": extents}
-        atomic_write_json(self._sidecar(name), doc, durable=False)
+    def flush(self) -> int:
+        """Rewrite the sidecar of every object recorded since the last
+        flush, atomically but buffered (see :meth:`sync` for the
+        durability barrier). Returns the number of sidecars written."""
+        with self._lock:
+            if self._unflushed and not self._have_dir:
+                self._dir.mkdir(exist_ok=True)
+                self._have_dir = True
+            # Sorted: a run's crashsim op log must not depend on set order.
+            for name in sorted(self._unflushed):
+                doc = {
+                    "algo": CHECKSUM_ALGO,
+                    "name": name,
+                    "extents": self._extents[name],
+                }
+                atomic_write_json(self._sidecar(name), doc, durable=False)
+                self._dirty.add(name)
+            flushed = len(self._unflushed)
+            self._unflushed.clear()
+            return flushed
 
     def sync(self) -> int:
-        """Durability barrier: fsync every sidecar dirtied since the
-        last barrier, then fsync ``.meta/`` itself (making the renames
-        — and any unlinks from :meth:`drop` — durable). Returns the
-        number of sidecars flushed.
+        """Durability barrier: :meth:`flush`, fsync every sidecar
+        changed since the last barrier, then fsync ``.meta/`` itself
+        (making the renames — and any unlinks from :meth:`drop` —
+        durable). Returns the number of sidecars fsynced.
 
         Between barriers a power loss may roll a sidecar back to an
         older generation (the rename was buffered); that is safe by
@@ -95,6 +126,7 @@ class BlockChecksums:
         persisting a manifest so resume points are never built on
         roll-backable metadata.
         """
+        self.flush()
         with self._lock:
             dirty, self._dirty = self._dirty, set()
             if not dirty:
@@ -112,31 +144,46 @@ class BlockChecksums:
     # ------------------------------------------------------------------
 
     def record(self, name: str, offset: int, data) -> int:
-        """Checksum one written extent and fold out any stale overlaps.
+        """Checksum one written extent and fold out any stale overlaps
+        — in memory only; :meth:`flush` persists it.
 
         Returns the number of bytes hashed (for ``IoStats`` metering).
         """
         view = memoryview(data)
         length = view.nbytes
-        crc = block_checksum(view)
+        new = [offset, length, block_checksum(view)]
         end = offset + length
         with self._lock:
-            kept = [
-                e
-                for e in self._extents.get(name, [])
-                if e[0] >= end or e[0] + e[1] <= offset
-            ]
-            kept.append([offset, length, crc])
-            kept.sort()
-            self._extents[name] = kept
-            self._persist(name)
+            extents = self._extents.setdefault(name, [])
+            i = bisect_left(extents, [offset])
+            before = extents[i - 1] if i else (0, 0)
+            if before[0] + before[1] <= offset and (
+                i == len(extents) or extents[i][0] >= end
+            ):
+                # Overlaps nothing (every deal-pass append): no rebuild.
+                extents.insert(i, new)
+            else:
+                kept = [
+                    e
+                    for e in extents
+                    if e[0] >= end or e[0] + e[1] <= offset
+                ]
+                kept.append(new)
+                kept.sort()
+                self._extents[name] = kept
+            self._unflushed.add(name)
         return length
 
     def drop(self, name: str) -> None:
-        """Forget an object (on delete)."""
+        """Forget an object (on delete); its sidecar goes at once."""
         with self._lock:
             self._extents.pop(name, None)
-            self._persist(name)
+            self._unflushed.discard(name)
+            self._dirty.add(name)
+            try:
+                self._sidecar(name).unlink()
+            except OSError:
+                pass
 
     def extents(self, name: str) -> list[tuple[int, int, int]]:
         """The cataloged ``(offset, length, crc)`` extents of an object."""

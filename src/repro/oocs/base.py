@@ -303,6 +303,10 @@ def make_workspace(
         store = ColumnStore.from_records(
             cluster, fmt, records, r, s, disks, name="input"
         )
+    for disk in disks:
+        # Persist the input's checksum sidecars: from here on only
+        # pass boundaries (PassMarker.mark) write sidecars.
+        disk.checksums.flush()
     ws = Workspace(disks=disks, input=store, workdir=Path(workdir))
     ws._tmp = tmp  # keep TemporaryDirectory alive with the workspace
     return ws
@@ -655,8 +659,9 @@ def run_spmd_metered(size: int, program, *args, **kwargs):
 class PassMarker:
     """Synchronized per-pass accounting inside a rank program.
 
-    Call :meth:`mark` at every pass boundary: it barriers, snapshots this
-    rank's communication counters and the aggregate disk I/O, then
+    Call :meth:`mark` at every pass boundary: it persists the
+    block-checksum sidecars of this rank's disks, barriers, snapshots
+    this rank's communication counters and the aggregate disk I/O, then
     barriers again so no rank races ahead into the next pass while the
     snapshot is taken.
 
@@ -691,6 +696,12 @@ class PassMarker:
         comm.barrier_oob()
 
     def mark(self) -> None:
+        # The one place a pass's block-checksum sidecars are written:
+        # each rank persists the catalogs of the disks it owns (the only
+        # ones it wrote) before the boundary, so behind the barrier every
+        # object of the finished pass has its sidecar on disk.
+        for disk in self.disks[self.comm.rank :: self.comm.size]:
+            disk.checksums.flush()
         self.comm.barrier()
         self.comm_marks.append(self.comm.stats.snapshot())
         if self.comm.rank == 0 or self._local_io:

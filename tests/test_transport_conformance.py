@@ -524,3 +524,58 @@ class TestResultSurface:
         del backend
         assert get_transport("thread").__class__ is ThreadTransport
         assert BACKENDS[0] == "thread"
+
+
+# ---------------------------------------------------------------------------
+# The caller's disks after a run
+# ---------------------------------------------------------------------------
+
+
+class TestCallerDiskState:
+    """The ranks of a non-shared-memory backend own the only up-to-date
+    disk sizes and checksum catalogs while they run; once ``run``
+    returns — or raises — the caller's disks must describe what is on
+    disk, as they do on the shared-memory backend."""
+
+    def test_output_read_back_is_fully_verified(self, backend):
+        from repro import ClusterConfig, RecordFormat, generate, sort_out_of_core
+
+        fmt = RecordFormat("u8", 64)
+        recs = generate("uniform", fmt, 8192, seed=1)
+        res = sort_out_of_core(
+            "threaded", recs, ClusterConfig(p=2, mem_per_proc=2**12), fmt,
+            buffer_records=512, backend=backend, verify=False,
+        )
+        disks = res.output.disks
+        for disk in disks:
+            for name in disk.files():
+                assert disk.size(name) > 0
+                assert disk.checksums.extents(name)
+        before = sum(d.stats.snapshot()["bytes_hashed"] for d in disks)
+        res.output_records()
+        after = sum(d.stats.snapshot()["bytes_hashed"] for d in disks)
+        # The same number on every backend: every byte read is hashed.
+        assert after - before == len(recs) * 64
+
+    def test_failed_cohort_still_leaves_current_disk_state(
+        self, backend, tmp_path
+    ):
+        from repro.disks.virtual_disk import make_disk_array
+
+        disks = make_disk_array(tmp_path, 2)
+
+        def program(comm, disks):
+            disk = disks[comm.rank]
+            disk.write_at("obj", 0, bytes([65 + comm.rank]) * 96)
+            disk.checksums.flush()
+            comm.barrier()
+            if comm.rank == 1:
+                raise ValueError("rank 1 gives up")
+
+        with pytest.raises(SpmdError):
+            run_spmd(2, program, disks, backend=backend, disks=disks)
+        for rank, disk in enumerate(disks):
+            assert disk.files() == ["obj"]
+            assert disk.size("obj") == 96
+            assert [e[:2] for e in disk.checksums.extents("obj")] == [(0, 96)]
+            assert disk.read_at("obj", 0, 96) == bytes([65 + rank]) * 96
