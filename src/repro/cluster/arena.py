@@ -23,10 +23,8 @@ the transport:
 
 Both sides meter into :class:`~repro.membuf.CopyStats`:
 ``arena_hits`` / ``arena_misses`` (slab reuse vs. creation) and
-``attach_count`` (first-time receiver mappings). The escape hatch
-``REPRO_SHM_ARENA=0`` restores the PR 6 one-segment-per-collective
-lifecycle (create, ack-counted unlink, per-slice attach) for A/B
-benchmarking; ``benchmarks/bench_backend.py`` gates on the arena
+``attach_count`` (first-time receiver mappings);
+``benchmarks/bench_backend.py`` gates on the arena
 reaching a ≥ 90 % hit rate with zero steady-state creates.
 
 Ownership rule (unchanged from PR 6): a slab belongs to the rank that
@@ -55,17 +53,6 @@ SHM_PREFIX = "repro-shm"
 #: Smallest slab the arena hands out. Collectives smaller than a page
 #: are not worth distinguishing by size.
 MIN_SLAB_BYTES = 4096
-
-
-def arena_enabled() -> bool:
-    """Whether the persistent arena backs ``alloc_packed``.
-
-    ``REPRO_SHM_ARENA=0`` selects the PR 6 per-collective
-    create/unlink lifecycle instead (the A/B escape hatch). Read per
-    call so tests and benchmarks can flip it without re-importing; the
-    flag crosses the fork like every other environment switch.
-    """
-    return os.environ.get("REPRO_SHM_ARENA", "1") not in ("", "0")
 
 
 def slab_class(nbytes: int) -> int:
@@ -126,18 +113,16 @@ def unlink_by_name(name: str) -> None:
 class _Slab:
     """One arena segment: the mapping, its address range (for outbound
     view detection), how many remote slices are still unacknowledged,
-    and whether it recycles (arena mode) or retires on full ack
-    (one-shot mode)."""
+    and whether it sits on its class's free list."""
 
-    __slots__ = ("name", "shm", "base", "nbytes", "pending", "recycle", "free")
+    __slots__ = ("name", "shm", "base", "nbytes", "pending", "free")
 
-    def __init__(self, name, shm, base, nbytes, recycle):
+    def __init__(self, name, shm, base, nbytes):
         self.name = name
         self.shm = shm
         self.base = base
         self.nbytes = nbytes
         self.pending = 0
-        self.recycle = recycle
         self.free = False
 
 
@@ -161,26 +146,21 @@ class ShmArena:
 
     # -- acquisition ---------------------------------------------------
 
-    def lease(self, nbytes: int, recycle: bool = True) -> _Slab:
+    def lease(self, nbytes: int) -> _Slab:
         """A slab with capacity ≥ ``nbytes``, exclusively the caller's
         until every slice cut from it has been acknowledged.
 
-        ``recycle=True`` (arena mode) serves from the size class's free
-        list when it can — an ``arena_hit`` — and otherwise creates a
-        slab that will be recycled, not unlinked, on full ack.
-        ``recycle=False`` (the ``REPRO_SHM_ARENA=0`` escape hatch)
-        always creates, and the slab retires permanently once acked —
-        the PR 6 lifecycle, metered as a miss either way so the A/B
-        benchmark sees creates-per-collective directly."""
+        Served from the size class's free list when it can be — an
+        ``arena_hit`` — and otherwise a newly created slab (a miss)
+        that will be recycled, not unlinked, on full ack."""
         cls = slab_class(nbytes)
-        if recycle:
-            stack = self._free.get(cls)
-            if stack:
-                slab = stack.pop()
-                slab.free = False
-                slab.pending = 0
-                copy_stats().record_arena(hit=True)
-                return slab
+        stack = self._free.get(cls)
+        if stack:
+            slab = stack.pop()
+            slab.free = False
+            slab.pending = 0
+            copy_stats().record_arena(hit=True)
+            return slab
         name = f"{SHM_PREFIX}-{os.getpid()}-{self._seq}"
         self._seq += 1
         shm = shared_memory.SharedMemory(create=True, size=cls, name=name)
@@ -188,7 +168,7 @@ class ShmArena:
         base = np.frombuffer(shm.buf, dtype=np.uint8).__array_interface__[
             "data"
         ][0]
-        slab = _Slab(name, shm, base, cls, recycle)
+        slab = _Slab(name, shm, base, cls)
         self._slabs[name] = slab
         insort(self._bases, base)
         self._by_base[base] = slab
@@ -225,21 +205,14 @@ class ShmArena:
 
     def ack(self, name: str) -> None:
         """One slice of ``name`` has been landed by its receiver. On
-        the last ack a recycling slab returns to its free list; a
-        one-shot slab is closed and unlinked."""
+        the last ack the slab returns to its free list."""
         slab = self._slabs.get(name)
         if slab is None or slab.free:
             return
         slab.pending -= 1
         if slab.pending <= 0:
-            self._release(slab)
-
-    def _release(self, slab: _Slab) -> None:
-        if slab.recycle:
             slab.free = True
             self._free.setdefault(slab.nbytes, []).append(slab)
-            return
-        self._retire(slab)
 
     def _retire(self, slab: _Slab) -> None:
         """Close and unlink one slab, dropping it from every index."""
@@ -291,10 +264,7 @@ class AttachCache:
     (``repro-shm-<pid>-<seq>``) and a recycled slab keeps its name and
     size — the cached mapping stays valid across reuse; only the slice
     descriptors (offset, count) change. Every cache miss is metered as
-    an ``attach_count``; in one-shot mode the transport bypasses the
-    cache entirely (a retired segment must not be pinned by a stale
-    mapping), so ``attach_count`` there counts every slice — exactly
-    the cost the arena exists to remove."""
+    an ``attach_count``."""
 
     def __init__(self) -> None:
         self._maps: dict[str, shared_memory.SharedMemory] = {}

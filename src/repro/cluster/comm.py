@@ -30,7 +30,7 @@ import numpy as np
 from repro.cluster.mailbox import MailboxRouter
 from repro.cluster.stats import CommStats
 from repro.errors import CommError
-from repro.membuf import copy_stats, get_pool, legacy_copies
+from repro.membuf import copy_stats, get_pool
 
 
 def _isolate(payload: object, fabric_isolates: bool = False) -> object:
@@ -38,7 +38,7 @@ def _isolate(payload: object, fabric_isolates: bool = False) -> object:
     simulated nodes). Non-array payloads are control-plane metadata and
     are passed through; senders must not mutate them after sending.
 
-    On the pooled path the copy lands in an *untracked* pool buffer
+    The copy of a 1-D array lands in an *untracked* pool buffer
     (``grab`` — ownership transfers to the receiver, which may keep it
     indefinitely); the bytes duplicated are metered either way.
 
@@ -53,7 +53,7 @@ def _isolate(payload: object, fabric_isolates: bool = False) -> object:
         copy_stats().record_copy(payload.nbytes)
         if fabric_isolates:
             return payload
-        if payload.ndim == 1 and payload.size and not legacy_copies():
+        if payload.ndim == 1 and payload.size:
             buf = get_pool().grab(payload.dtype, payload.shape[0])
             np.copyto(buf, payload)
             return buf
@@ -279,8 +279,8 @@ class Comm:
         but are not metered: the paper counts *messages carrying records*
         (§3 properties 1-3), so the stats must match that accounting.
 
-        Fast path (1-D arrays sharing one dtype, unless
-        ``REPRO_LEGACY_COPIES`` is set): all outgoing parts are packed
+        Fast path (1-D arrays sharing one dtype; anything else is sent
+        per destination): all outgoing parts are packed
         once into a single fresh contiguous buffer and each destination
         receives a disjoint *view* of it — one copy total instead of one
         ``_isolate`` copy per destination. The packed buffer is never
@@ -294,7 +294,7 @@ class Comm:
                 f"alltoallv needs exactly {self._size} arrays, got {len(arrays)}"
             )
         tag = self._coll_tag()
-        packable = not legacy_copies() and all(
+        packable = all(
             isinstance(a, np.ndarray)
             and a.ndim == 1
             and a.dtype == arrays[0].dtype

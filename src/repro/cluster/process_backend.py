@@ -26,8 +26,7 @@ every contract of :class:`~repro.cluster.transport.Transport`:
   copy is transport-internal — the analogue of a NIC landing bytes in a
   receive buffer — and therefore unmetered, which keeps
   ``CommStats``/``CopyStats`` byte meters identical to the thread
-  backend (where receivers hold views). ``REPRO_SHM_ARENA=0`` restores
-  the one-segment-per-collective lifecycle for A/B runs.
+  backend (where receivers hold views).
 * **Ownership rule** — a slab belongs to the rank that allocated it.
   Creators recycle on full acknowledgement and unlink at rank teardown
   (or — last resort — the parent unlinks whatever a dying rank
@@ -71,7 +70,7 @@ import signal
 import time
 import traceback
 from collections import defaultdict, deque
-from multiprocessing import connection, get_context, shared_memory
+from multiprocessing import connection, get_context
 
 import numpy as np
 
@@ -79,16 +78,14 @@ from repro.cluster.arena import (
     SHM_PREFIX,
     AttachCache,
     ShmArena,
-    arena_enabled,
     unlink_by_name,
-    untrack,
 )
 from repro.cluster.comm import Comm
 from repro.cluster.mailbox import DEFAULT_TIMEOUT, POLL_SLICE, SendAdmission
 from repro.cluster.stats import CommStats, stats_from_snapshot
 from repro.cluster.transport import Transport, raise_primary_failure
 from repro.errors import CommError
-from repro.membuf import copy_delta, copy_stats, get_pool, legacy_copies
+from repro.membuf import copy_delta, copy_stats, get_pool
 
 __all__ = [
     "ProcessTransport",
@@ -322,17 +319,12 @@ class ProcessRouter(SendAdmission):
         Pending acknowledgements are drained first, so slabs whose
         slices have all landed return to the free list before the lease
         — at steady state (every shape seen once, acks keeping up) this
-        is a freelist pop: no segment create, no unlink. With
-        ``REPRO_SHM_ARENA=0`` every lease creates a one-shot segment
-        that unlinks on full ack — the PR 6 lifecycle, kept as the A/B
-        escape hatch."""
+        is a freelist pop: no segment create, no unlink."""
         self._reap()
         dtype = np.dtype(dtype)
         if total == 0:
             return np.empty(0, dtype=dtype)
-        slab = self._arena.lease(
-            total * dtype.itemsize, recycle=arena_enabled()
-        )
+        slab = self._arena.lease(total * dtype.itemsize)
         return np.ndarray((total,), dtype=dtype, buffer=slab.shm.buf)
 
     def _slice_of(self, arr: np.ndarray) -> _ShmSlice | None:
@@ -366,7 +358,7 @@ class ProcessRouter(SendAdmission):
         private copy is also the buffer the pass body can recycle
         (``bytes_landed_zero_extra_copy``). Unmetered as a data-plane
         copy by design (see module doc)."""
-        if src.size and not legacy_copies():
+        if src.size:
             out = get_pool().land(src.dtype, src.shape[0])
             np.copyto(out, src)
             copy_stats().record_landed(src.nbytes)
@@ -391,41 +383,20 @@ class ProcessRouter(SendAdmission):
         With ``out=`` (a writable array of exactly ``desc.count``
         records) the bytes land directly in it; otherwise a pool-served
         landing buffer is used. Receiver mappings come from the attach
-        cache in arena mode — one attach per ``(creator, segment)`` per
-        run — and are attach/copy/close in one-shot mode, where the
-        segment is about to be unlinked and must not stay pinned."""
+        cache — one attach per ``(creator, segment)`` per run; a slice
+        of this rank's own slab needs no mapping and acks synchronously."""
         own = self._arena.owned(desc.segment)
+        shm = own.shm if own is not None else self._attached.get(desc.segment)
+        src = np.ndarray(
+            (desc.count,), dtype=desc.dtype, buffer=shm.buf,
+            offset=desc.offset,
+        )
+        out = self._copy_out(src, out)
+        del src
         if own is not None:
-            src = np.ndarray(
-                (desc.count,), dtype=desc.dtype, buffer=own.shm.buf,
-                offset=desc.offset,
-            )
-            out = self._copy_out(src, out)
-            del src
             self._arena.ack(desc.segment)
-            return out
-        if arena_enabled():
-            shm = self._attached.get(desc.segment)
-            src = np.ndarray(
-                (desc.count,), dtype=desc.dtype, buffer=shm.buf,
-                offset=desc.offset,
-            )
-            out = self._copy_out(src, out)
-            del src
         else:
-            shm = shared_memory.SharedMemory(name=desc.segment)
-            untrack(shm)
-            copy_stats().record_attach()
-            try:
-                src = np.ndarray(
-                    (desc.count,), dtype=desc.dtype, buffer=shm.buf,
-                    offset=desc.offset,
-                )
-                out = self._copy_out(src, out)
-                del src
-            finally:
-                shm.close()
-        self._fabric.acks[desc.creator].put(desc.segment)
+            self._fabric.acks[desc.creator].put(desc.segment)
         return out
 
     def _inbound(self, payload: object) -> object:
@@ -439,7 +410,7 @@ class ProcessRouter(SendAdmission):
 
     def _reap(self, force: bool = False) -> None:
         """Apply queued acknowledgements: fully-acked slabs recycle to
-        the arena free list (or unlink, in one-shot mode)."""
+        the arena free list."""
         acks = self._fabric.acks[self._rank]
         while True:
             try:

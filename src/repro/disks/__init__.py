@@ -21,7 +21,7 @@ the Parallel Disk Model (PDM).
 """
 
 from repro.disks.iostats import IoStats
-from repro.disks.virtual_disk import VirtualDisk, make_disk_array, mmap_reads
+from repro.disks.virtual_disk import VirtualDisk, make_disk_array
 from repro.disks.pdm import (
     pdm_disk_of,
     pdm_position,
@@ -34,7 +34,6 @@ __all__ = [
     "IoStats",
     "VirtualDisk",
     "make_disk_array",
-    "mmap_reads",
     "pdm_disk_of",
     "pdm_position",
     "split_range_by_disk",

@@ -29,7 +29,7 @@ from repro.cluster.config import ClusterConfig
 from repro.disks.pdm import split_range_by_disk, split_range_by_owner
 from repro.disks.virtual_disk import VirtualDisk
 from repro.errors import ConfigError, DiskError
-from repro.membuf import copy_stats, get_pool, legacy_copies
+from repro.membuf import copy_stats, get_pool
 from repro.records.format import RecordFormat
 
 
@@ -57,11 +57,6 @@ class _StoreBase:
         self.disks = disks
         self.name = name
 
-    # -- data-plane seams ------------------------------------------------
-    #
-    # All store reads and writes funnel through these two helpers so the
-    # REPRO_LEGACY_COPIES switch flips the entire disk seam at once.
-
     def _read_records(
         self,
         disk: VirtualDisk,
@@ -72,15 +67,12 @@ class _StoreBase:
     ) -> np.ndarray:
         """Read ``n`` records at record offset ``offset_records``.
 
-        Zero-copy path: bytes land via ``readinto`` in a fresh array, or
-        — with ``reuse=True`` — in a tracked :class:`BufferPool` lease
-        the caller must eventually :meth:`~BufferPool.recycle`. Legacy
-        path: ``bytes`` round-trip plus ``frombuffer(...).copy()``.
+        Bytes land via ``readinto`` in a fresh array, or — with
+        ``reuse=True`` — in a tracked :class:`BufferPool` lease the
+        caller must eventually :meth:`~BufferPool.recycle`.
         """
         nbytes = self.fmt.nbytes(n)
         offset = self.fmt.nbytes(offset_records)
-        if legacy_copies():
-            return self.fmt.from_bytes(disk.read_at(file, offset, nbytes))
         pool = get_pool() if reuse else None
         out = pool.lease(self.fmt.dtype, n) if pool else self.fmt.empty(n)
         try:
@@ -91,13 +83,6 @@ class _StoreBase:
             raise
         copy_stats().record_zero_copy(nbytes)
         return out
-
-    def _wire(self, records: np.ndarray) -> memoryview | bytes:
-        """On-disk bytes of ``records`` — a view of their memory on the
-        zero-copy path, a serialized copy on the legacy path."""
-        if legacy_copies():
-            return self.fmt.to_bytes(records)
-        return self.fmt.wire_view(records)
 
     def io_totals(self) -> dict:
         """Aggregate I/O across this store's disks (includes any other
@@ -167,7 +152,7 @@ class ColumnStore(_StoreBase):
             raise ConfigError(
                 f"column {j} must hold r={self.r} records, got {len(records)}"
             )
-        self.disk_for(j).write_at(self._file(j), 0, self._wire(records))
+        self.disk_for(j).write_at(self._file(j), 0, self.fmt.wire_view(records))
 
     def read_column(self, rank: int, j: int, reuse: bool = False) -> np.ndarray:
         """Read a full column. ``reuse=True`` returns a tracked
@@ -192,7 +177,7 @@ class ColumnStore(_StoreBase):
         self.disk_for(j).write_at(
             self._file(j),
             self.fmt.nbytes(row_offset),
-            self._wire(records),
+            self.fmt.wire_view(records),
         )
 
     def append_to_column(self, rank: int, j: int, records: np.ndarray) -> None:
@@ -303,7 +288,7 @@ class StripedColumnStore(_StoreBase):
                 f"portion must hold r/P={self.portion} records, got {len(records)}"
             )
         self._disk_for(j, rank).write_at(
-            self._file(j, rank), 0, self._wire(records)
+            self._file(j, rank), 0, self.fmt.wire_view(records)
         )
 
     def read_portion(self, rank: int, j: int, reuse: bool = False) -> np.ndarray:
@@ -329,7 +314,7 @@ class StripedColumnStore(_StoreBase):
         self._disk_for(j, rank).write_at(
             self._file(j, rank),
             self.fmt.nbytes(row_offset),
-            self._wire(records),
+            self.fmt.wire_view(records),
         )
 
     def append_to_portion(self, rank: int, j: int, records: np.ndarray) -> None:
@@ -493,7 +478,7 @@ class GroupColumnStore(_StoreBase):
                 f"portion must hold r/g={self.portion} records, got {len(records)}"
             )
         self._disk_for(j, rank).write_at(
-            self._file(j, member), 0, self._wire(records)
+            self._file(j, member), 0, self.fmt.wire_view(records)
         )
 
     def append_to_portion(self, rank: int, j: int, records: np.ndarray) -> None:
@@ -510,7 +495,7 @@ class GroupColumnStore(_StoreBase):
         self._disk_for(j, rank).write_at(
             self._file(j, member),
             self.fmt.nbytes(cursor),
-            self._wire(records),
+            self.fmt.wire_view(records),
         )
 
     def reset_cursors(self) -> None:
@@ -611,32 +596,25 @@ class PdmStore(_StoreBase):
             self.disks[disk].write_at(
                 self._file(disk),
                 self.fmt.nbytes(offset),
-                self._wire(records[rel : rel + n]),
+                self.fmt.wire_view(records[rel : rel + n]),
             )
 
     def read_global(self, start: int, count: int) -> np.ndarray:
         """Read ``[start, start+count)`` in global order (verification)."""
         self._check_range(start, count)
         out = self.fmt.empty(count)
-        legacy = legacy_copies()
         for disk, offset, rel, n in split_range_by_disk(
             start, count, self.block, self.cfg.virtual_disks
         ):
-            if legacy:
-                data = self.disks[disk].read_at(
-                    self._file(disk), self.fmt.nbytes(offset), self.fmt.nbytes(n)
-                )
-                out[rel : rel + n] = self.fmt.from_bytes(data)
-            else:
-                # A step-1 slice of a fresh array is C-contiguous, so the
-                # read lands in place — no staging buffer.
-                self.disks[disk].read_at(
-                    self._file(disk),
-                    self.fmt.nbytes(offset),
-                    self.fmt.nbytes(n),
-                    out=out[rel : rel + n],
-                )
-                copy_stats().record_zero_copy(self.fmt.nbytes(n))
+            # A step-1 slice of a fresh array is C-contiguous, so the
+            # read lands in place — no staging buffer.
+            self.disks[disk].read_at(
+                self._file(disk),
+                self.fmt.nbytes(offset),
+                self.fmt.nbytes(n),
+                out=out[rel : rel + n],
+            )
+            copy_stats().record_zero_copy(self.fmt.nbytes(n))
         return out
 
     def read_all(self) -> np.ndarray:

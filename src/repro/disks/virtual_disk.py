@@ -27,7 +27,6 @@ blocks in place — degraded-mode execution instead of an abort.
 
 from __future__ import annotations
 
-import mmap
 import os
 import threading
 import time
@@ -47,15 +46,6 @@ def _pwrite_all(fd: int, data, offset: int) -> None:
         done = os.pwrite(fd, view, offset)
         view = view[done:]
         offset += done
-
-
-def mmap_reads() -> bool:
-    """Whether ``REPRO_MMAP_READS=1`` selects the mmap-backed read path:
-    reads are served by copying out of a cached read-only mapping of the
-    extent file instead of ``seek``/``read`` syscalls per block. Off by
-    default (the classic path is the measured baseline); read per call
-    so tests and benchmarks can flip it without re-importing."""
-    return os.environ.get("REPRO_MMAP_READS", "0") not in ("", "0")
 
 
 class VirtualDisk:
@@ -113,9 +103,6 @@ class VirtualDisk:
         # Re-entrant: a degraded write holds the lock while the parity
         # layer's ensure_spare calls back into reserve_spare.
         self._lock = threading.RLock()
-        # Cached read-only mappings per object (REPRO_MMAP_READS path);
-        # remapped when the file outgrows the mapping, closed on delete.
-        self._mmaps: dict[str, mmap.mmap] = {}
         self._spare_sizes: dict[str, int] = {}
         self.refresh()
 
@@ -129,7 +116,6 @@ class VirtualDisk:
         disks once the forked ranks — which held the only up-to-date
         copies — have exited."""
         with self._lock:
-            self.close_mmaps()
             self._sizes = {
                 path.name: path.stat().st_size
                 for path in self.root.iterdir()
@@ -303,48 +289,6 @@ class VirtualDisk:
 
     # ------------------------------------------------------------------
 
-    def _mapped_view(self, path: Path, name: str, offset: int, nbytes: int):
-        """A memoryview over ``[offset, offset + nbytes)`` of the cached
-        read-only mapping of ``name``, or None when a mapping cannot
-        serve the range (empty file, or range past the file's current
-        end — the classic path then reports the proper short read).
-
-        The mapping is ``MAP_SHARED`` over the same inode ``write_at``
-        appends to, so in-place rewrites are coherent; only *growth*
-        past the mapped length forces a remap. Callers must release the
-        view promptly — a live view pins the mapping against remap and
-        close."""
-        with self._lock:
-            m = self._mmaps.get(name)
-            if m is None or offset + nbytes > len(m):
-                try:
-                    size = path.stat().st_size
-                except OSError:
-                    return None
-                if size == 0 or offset + nbytes > size:
-                    return None
-                if m is not None:
-                    try:
-                        m.close()
-                    except BufferError:
-                        pass  # a stale view pins it; GC reaps the mapping
-                    del self._mmaps[name]
-                with open(path, "rb") as fh:
-                    m = mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_READ)
-                self._mmaps[name] = m
-            return memoryview(m)[offset : offset + nbytes]
-
-    def close_mmaps(self) -> None:
-        """Drop every cached read mapping (end of run, or before the
-        backing directory is removed)."""
-        with self._lock:
-            for m in self._mmaps.values():
-                try:
-                    m.close()
-                except BufferError:
-                    pass
-            self._mmaps.clear()
-
     def _verify(self, name: str, offset: int, view) -> None:
         """Check the read bytes against the block-checksum catalog."""
         bad, hashed = self.checksums.verify(name, offset, view)
@@ -446,27 +390,6 @@ class VirtualDisk:
                 src = path
                 if not src.exists():
                     raise DiskError(f"no object {name!r} on disk {self.disk_id}")
-                if mmap_reads():
-                    view = self._mapped_view(src, name, offset, nbytes)
-                    if view is not None:
-                        try:
-                            # CRC verification is unchanged — it runs
-                            # over the mapped bytes before they are
-                            # handed out, exactly as over read() bytes.
-                            self._verify(name, offset, view)
-                            self.stats.record_read(nbytes)
-                            if out is not None:
-                                mv = memoryview(out).cast("B")
-                                if mv.nbytes != nbytes:
-                                    raise DiskError(
-                                        f"read buffer holds {mv.nbytes} "
-                                        f"bytes, wanted {nbytes}"
-                                    )
-                                mv[:] = view
-                                return out
-                            return bytes(view)
-                        finally:
-                            view.release()
             if out is not None:
                 mv = memoryview(out)
                 if mv.nbytes != nbytes:
@@ -504,12 +427,6 @@ class VirtualDisk:
             raise DiskError(f"disk {self.disk_id} is read-only")
         path = self._path(name)
         with self._lock:
-            m = self._mmaps.pop(name, None)
-            if m is not None:
-                try:
-                    m.close()
-                except BufferError:
-                    pass
             self._sizes.pop(name, None)
             self._spare_sizes.pop(name, None)
             layer = self.parity_layer

@@ -4,7 +4,7 @@
 package meters bytes crossing the (simulated) platters, this package
 pools the in-memory record buffers those bytes land in and meters how
 often the data plane duplicates them. See DESIGN §7 for the ownership
-rules at each seam and the ``REPRO_LEGACY_COPIES`` escape hatch.
+rules at each seam.
 """
 
 from repro.membuf.copystats import (
@@ -13,7 +13,6 @@ from repro.membuf.copystats import (
     CopyStats,
     copy_delta,
     copy_stats,
-    legacy_copies,
 )
 from repro.membuf.pool import MAX_FREE_PER_KEY, BufferPool, get_pool
 
@@ -26,5 +25,4 @@ __all__ = [
     "copy_delta",
     "copy_stats",
     "get_pool",
-    "legacy_copies",
 ]

@@ -24,8 +24,7 @@ the disks:
   (:mod:`repro.cluster.arena`); zero on the thread backend, which has
   no segments at all;
 * ``attach_count`` — first-time receiver-side segment attaches (cache
-  misses of the :class:`~repro.cluster.arena.AttachCache`; with the
-  arena disabled, every landed slice);
+  misses of the :class:`~repro.cluster.arena.AttachCache`);
 * ``bytes_landed_zero_extra_copy`` — inbound shared-memory slices that
   landed directly in a pool-served buffer with a single transport
   ``memcpy`` and no further private copy.
@@ -37,15 +36,11 @@ byte meters above stay identical across backends.
 
 One global instance (:func:`copy_stats`) serves the whole process; runs
 meter themselves with the same snapshot/delta pattern the disk and comm
-counters use. The ``REPRO_LEGACY_COPIES=1`` environment switch
-(:func:`legacy_copies`) selects the pre-pool copy-everything paths for
-A/B benchmarking; both paths are metered, so the benchmark can report
-the byte difference exactly.
+counters use.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
 
@@ -73,13 +68,6 @@ ARENA_KEYS = (
     "attach_count",
     "bytes_landed_zero_extra_copy",
 )
-
-
-def legacy_copies() -> bool:
-    """Whether ``REPRO_LEGACY_COPIES`` selects the pre-pool data plane
-    (every seam copies, nothing is pooled). Read per call so tests and
-    the A/B benchmark can flip it without re-importing."""
-    return os.environ.get("REPRO_LEGACY_COPIES", "0") not in ("", "0")
 
 
 @dataclass

@@ -50,7 +50,7 @@ from repro.disks.matrixfile import ColumnStore, PdmStore
 from repro.disks.virtual_disk import VirtualDisk, make_disk_array
 from repro.errors import ConfigError
 from repro.matrix.bits import is_power_of_two
-from repro.membuf import copy_delta, copy_stats, get_pool, legacy_copies
+from repro.membuf import copy_delta, copy_stats, get_pool
 from repro.pipeline import (
     COMM,
     COMPUTE,
@@ -324,13 +324,6 @@ def make_workspace(
 # default SYNCHRONOUS plan both pools degenerate to inline calls.
 
 
-def _recycle(buf: np.ndarray) -> None:
-    """Return a pass buffer to the global pool — a no-op under
-    ``REPRO_LEGACY_COPIES`` so the legacy path never touches the pool."""
-    if not legacy_copies():
-        get_pool().recycle(buf)
-
-
 def _task_then_recycle(task, buf: np.ndarray):
     """Wrap a write task so ``buf`` (a pool lease kept alive until the
     write retires) is recycled afterwards, even on error."""
@@ -338,7 +331,7 @@ def _task_then_recycle(task, buf: np.ndarray):
         try:
             task()
         finally:
-            _recycle(buf)
+            get_pool().recycle(buf)
     return run
 
 
@@ -347,17 +340,16 @@ def _column_prefetch(
 ) -> ReadAhead:
     """Read-ahead over whole owned columns (threaded/subblock layout).
 
-    On the pooled path every prefetched column is a tracked
+    Every prefetched column is a tracked
     :class:`~repro.membuf.BufferPool` lease; the pass body recycles it
     as soon as the sorted permutation is materialized, and the reader
     recycles anything prefetched but never consumed (``on_drop``).
     """
-    reuse = not legacy_copies()
     return ReadAhead(
-        [partial(src.read_column, rank, c, reuse=reuse) for c in cols],
+        [partial(src.read_column, rank, c, reuse=True) for c in cols],
         plan,
         clock,
-        on_drop=get_pool().recycle if reuse else None,
+        on_drop=get_pool().recycle,
     )
 
 
@@ -397,7 +389,7 @@ def pass_step2_deal(
             raw = reader.get()
             with clock.stage(COMPUTE):
                 col = raw[np.argsort(raw["key"], kind="stable")]
-                _recycle(raw)  # the unsorted lease is dead after the gather
+                get_pool().recycle(raw)  # the unsorted lease is dead after the gather
                 # Sorted row i goes to target column i mod s, rank i mod P.
                 parts = [col[q::p] for q in range(p)]
             with clock.stage(COMM):
@@ -456,7 +448,7 @@ def pass_step4_deal(
             raw = reader.get()
             with clock.stage(COMPUTE):
                 col = raw[np.argsort(raw["key"], kind="stable")]
-                _recycle(raw)
+                get_pool().recycle(raw)
                 chunks = col.reshape(s, chunk)
                 parts = [chunks[q::p].reshape(-1) for q in range(p)]
             with clock.stage(COMM):
@@ -555,7 +547,7 @@ def pass_final_windows(
             raw = reader.get()
             with clock.stage(COMPUTE):
                 col = raw[np.argsort(raw["key"], kind="stable")]  # step 5
-                _recycle(raw)
+                get_pool().recycle(raw)
             with clock.stage(COMM):
                 # First communicate: bottom half → owner of window c+1.
                 comm.send(col[half:], right, tag=WINDOW_TAG)
@@ -568,9 +560,9 @@ def pass_final_windows(
                 window = merged[np.argsort(merged["key"], kind="stable")]  # step 7
                 # col/upper/merged are dead; adopting them feeds the
                 # grabs of the next round's half-column sends.
-                _recycle(col)
-                _recycle(upper)
-                _recycle(merged)
+                get_pool().recycle(col)
+                get_pool().recycle(upper)
+                get_pool().recycle(merged)
                 if c == 0:
                     window = window[half:]  # drop the −∞ padding (step 8)
             route_and_write(t, window, extra=False)

@@ -32,12 +32,12 @@ from repro.cluster.comm import Comm
 from repro.disks.matrixfile import PdmStore, StripedColumnStore
 from repro.errors import ConfigError, DimensionError
 from repro.matrix.bits import is_power_of_four, sqrt_pow4
+from repro.membuf import get_pool
 from repro.oocs.base import (
     OocJob,
     OocResult,
     PassSpec,
     _finish_pass,
-    _recycle,
     run_pass_program,
 )
 from repro.oocs.incore.columnsort_dist import distributed_columnsort
@@ -108,7 +108,7 @@ def _pass_subblock_m(
             local = reader.get()
             with clock.stage(INCORE):
                 mine = distributed_columnsort(comm, local, fmt)  # step 3
-                _recycle(local)
+                get_pool().recycle(local)
             with clock.stage(COMPUTE):
                 c0 = c % t
                 base = comm.rank * portion

@@ -32,13 +32,12 @@ from pathlib import Path
 from repro.cluster.comm import Comm
 from repro.disks.matrixfile import PdmStore, StripedColumnStore
 from repro.errors import ConfigError, DimensionError
-from repro.membuf import get_pool, legacy_copies
+from repro.membuf import get_pool
 from repro.oocs.base import (
     OocJob,
     OocResult,
     PassSpec,
     _finish_pass,
-    _recycle,
     run_pass_program,
 )
 from repro.oocs.incore.columnsort_dist import distributed_columnsort
@@ -100,13 +99,12 @@ def _portion_prefetch(
     src: StripedColumnStore, rank: int, plan: PipelinePlan, clock: StageClock
 ) -> ReadAhead:
     """Read-ahead over this rank's portions of columns 0..s-1 (pooled
-    leases on the zero-copy path; see ``_column_prefetch``)."""
-    reuse = not legacy_copies()
+    leases; see ``_column_prefetch``)."""
     return ReadAhead(
-        [partial(src.read_portion, rank, c, reuse=reuse) for c in range(src.s)],
+        [partial(src.read_portion, rank, c, reuse=True) for c in range(src.s)],
         plan,
         clock,
-        on_drop=get_pool().recycle if reuse else None,
+        on_drop=get_pool().recycle,
     )
 
 
@@ -134,7 +132,7 @@ def _pass1_m(
             local = reader.get()
             with clock.stage(INCORE):
                 mine = distributed_columnsort(comm, local, fmt)
-                _recycle(local)  # the unsorted portion is dead
+                get_pool().recycle(local)  # the unsorted portion is dead
             with clock.stage(COMPUTE):
                 base = comm.rank * portion
                 cols = (base + np.arange(portion)) % s
@@ -189,7 +187,7 @@ def _pass2_m(
             local = reader.get()
             with clock.stage(INCORE):
                 mine = distributed_columnsort(comm, local, fmt, target_ranges=ranges)
-                _recycle(local)
+                get_pool().recycle(local)
             for m in range(s):
                 writer.put(
                     partial(
@@ -288,7 +286,7 @@ def _pass3_m(
             local = reader.get()
             with clock.stage(INCORE):
                 mine = distributed_columnsort(comm, local, fmt)  # step 5
-                _recycle(local)
+                get_pool().recycle(local)
             if c == 0:
                 # Window 0: −∞ padding + top(col 0) → its kept half is just
                 # the sorted top half, final ranks [0, M/2).

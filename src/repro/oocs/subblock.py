@@ -34,13 +34,13 @@ from repro.columnsort.validation import validate_subblock
 from repro.disks.matrixfile import ColumnStore, PdmStore
 from repro.errors import ConfigError
 from repro.matrix.bits import sqrt_pow4
+from repro.membuf import get_pool
 from repro.oocs.base import (
     OocJob,
     OocResult,
     PassSpec,
     _column_prefetch,
     _finish_pass,
-    _recycle,
     pass_final_windows,
     pass_step2_deal,
     pass_step4_deal,
@@ -129,7 +129,7 @@ def pass_subblock(
             raw = reader.get()
             with clock.stage(COMPUTE):
                 col = raw[np.argsort(raw["key"], kind="stable")]  # step 3
-                _recycle(raw)
+                get_pool().recycle(raw)
                 classes = col.reshape(group, t)  # col x = rows i ≡ x (mod √s)
                 routing = subblock_round_routing(c, r, s, p)
                 parts = []

@@ -319,31 +319,28 @@ class TestAlltoallvPacked:
 
         assert all(run_spmd(3, prog).returns)
 
-    def test_stats_parity_with_legacy_path(self, monkeypatch):
+    def test_stats_parity_with_legacy_path(self):
         """CommStats meters payload bytes identically whether the
-        collective packed or fell back to per-destination copies."""
+        collective packed or fell back to per-destination copies
+        (parts of two dtypes cannot share one packed buffer)."""
 
-        def prog(comm):
+        def prog(comm, dtypes):
             parts = [
-                np.full(d + 1, comm.rank, dtype=np.int64)
+                np.full(d + 1, comm.rank, dtype=dtypes[d % len(dtypes)])
                 for d in range(comm.size)
             ]
             comm.alltoallv(parts)
             return comm.stats.snapshot()
 
-        monkeypatch.delenv("REPRO_LEGACY_COPIES", raising=False)
-        packed = run_spmd(3, prog).returns
-        monkeypatch.setenv("REPRO_LEGACY_COPIES", "1")
-        legacy = run_spmd(3, prog).returns
-        for snap_p, snap_l in zip(packed, legacy):
+        packed = run_spmd(3, prog, (np.int64,)).returns
+        fallback = run_spmd(3, prog, (np.int64, np.uint64)).returns
+        for snap_p, snap_f in zip(packed, fallback):
             for key in ("messages", "bytes", "network_messages",
                         "network_bytes", "by_op"):
-                assert snap_p[key] == snap_l[key]
+                assert snap_p[key] == snap_f[key]
 
-    def test_packed_path_meters_pack_and_transit(self, monkeypatch):
+    def test_packed_path_meters_pack_and_transit(self):
         from repro.membuf import copy_stats
-
-        monkeypatch.delenv("REPRO_LEGACY_COPIES", raising=False)
 
         def prog(comm):
             parts = [

@@ -146,82 +146,66 @@ class TestCapacityAndFaults:
 
 
 class TestMmapReads:
-    """The opt-in ``REPRO_MMAP_READS`` read path: byte-equivalence with
-    the classic path, remap on growth, CRC verification over the mapped
-    view, and mapping lifecycle on delete."""
+    """``read_at`` beyond the basics: ``out=`` vs ``bytes`` equivalence,
+    reads after growth and in-place rewrite, CRC verification of the
+    bytes read, and delete → recreate."""
 
-    @pytest.fixture
-    def mdisk(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_MMAP_READS", "1")
-        d = VirtualDisk(tmp_path / "dm", disk_id=0)
-        yield d
-        d.close_mmaps()
-
-    def test_bytes_and_out_paths_equivalent(self, tmp_path, monkeypatch):
+    def test_bytes_and_out_paths_equivalent(self, disk):
         import numpy as np
 
         payload = bytes(range(256)) * 8
-        plain = VirtualDisk(tmp_path / "plain", disk_id=0)
-        mapped = VirtualDisk(tmp_path / "mapped", disk_id=0)
-        for d in (plain, mapped):
-            d.write_at("obj", 0, payload)
-        monkeypatch.setenv("REPRO_MMAP_READS", "1")
-        try:
-            for offset, nbytes in [(0, 2048), (0, 1), (100, 900), (2040, 8)]:
-                assert mapped.read_at("obj", offset, nbytes) == payload[
-                    offset : offset + nbytes
-                ]
-                out = np.zeros(nbytes, dtype=np.uint8)
-                assert mapped.read_at("obj", offset, nbytes, out=out) is out
-                assert out.tobytes() == payload[offset : offset + nbytes]
-            monkeypatch.delenv("REPRO_MMAP_READS")
-            assert plain.read_at("obj", 0, 2048) == payload
-        finally:
-            mapped.close_mmaps()
+        disk.write_at("obj", 0, payload)
+        for offset, nbytes in [(0, 2048), (0, 1), (100, 900), (2040, 8)]:
+            want = payload[offset : offset + nbytes]
+            assert disk.read_at("obj", offset, nbytes) == want
+            out = np.zeros(nbytes, dtype=np.uint8)
+            assert disk.read_at("obj", offset, nbytes, out=out) is out
+            assert out.tobytes() == want
+        with pytest.raises(DiskError, match="read buffer holds"):
+            disk.read_at("obj", 0, 8, out=np.zeros(7, dtype=np.uint8))
 
-    def test_io_accounting_identical(self, mdisk):
-        mdisk.write_at("obj", 0, b"x" * 4096)
-        mdisk.read_at("obj", 0, 4096)
-        mdisk.read_at("obj", 1024, 512)
-        snap = mdisk.stats.snapshot()
+    def test_io_accounting_identical(self, disk):
+        disk.write_at("obj", 0, b"x" * 4096)
+        disk.read_at("obj", 0, 4096)
+        disk.read_at("obj", 1024, 512)
+        snap = disk.stats.snapshot()
         assert snap["reads"] == 2 and snap["bytes_read"] == 4608
 
-    def test_growth_remaps(self, mdisk):
-        mdisk.write_at("obj", 0, b"a" * 100)
-        assert mdisk.read_at("obj", 0, 100) == b"a" * 100  # maps 100 B
-        mdisk.write_at("obj", 100, b"b" * 100)  # grows past the mapping
-        assert mdisk.read_at("obj", 0, 200) == b"a" * 100 + b"b" * 100
+    def test_growth_remaps(self, disk):
+        disk.write_at("obj", 0, b"a" * 100)
+        assert disk.read_at("obj", 0, 100) == b"a" * 100
+        disk.write_at("obj", 100, b"b" * 100)  # grows past the first read
+        assert disk.read_at("obj", 0, 200) == b"a" * 100 + b"b" * 100
 
-    def test_in_place_rewrite_is_coherent(self, mdisk):
-        mdisk.write_at("obj", 0, b"aaaa")
-        assert mdisk.read_at("obj", 0, 4) == b"aaaa"  # mapping cached
-        mdisk.write_at("obj", 1, b"BB")  # same inode, same size
-        assert mdisk.read_at("obj", 0, 4) == b"aBBa"
+    def test_in_place_rewrite_is_coherent(self, disk):
+        disk.write_at("obj", 0, b"aaaa")
+        assert disk.read_at("obj", 0, 4) == b"aaaa"
+        disk.write_at("obj", 1, b"BB")  # same inode, same size
+        assert disk.read_at("obj", 0, 4) == b"aBBa"
 
-    def test_crc_verification_unchanged(self, mdisk):
+    def test_crc_verification_unchanged(self, disk):
         from repro.errors import CorruptionError
 
-        mdisk.write_at("obj", 0, b"abcdefgh")
-        assert mdisk.read_at("obj", 0, 8) == b"abcdefgh"
-        blob = bytearray((mdisk.root / "obj").read_bytes())
+        disk.write_at("obj", 0, b"abcdefgh")
+        assert disk.read_at("obj", 0, 8) == b"abcdefgh"
+        blob = bytearray((disk.root / "obj").read_bytes())
         blob[0] ^= 0xFF
-        (mdisk.root / "obj").write_bytes(bytes(blob))
+        (disk.root / "obj").write_bytes(bytes(blob))
         with pytest.raises(CorruptionError):
-            mdisk.read_at("obj", 0, 8)
+            disk.read_at("obj", 0, 8)
 
-    def test_short_read_still_reported(self, mdisk):
-        mdisk.write_at("obj", 0, b"123")
+    def test_short_read_still_reported(self, disk):
+        disk.write_at("obj", 0, b"123")
         with pytest.raises(DiskError, match="short read"):
-            mdisk.read_at("obj", 0, 4)
+            disk.read_at("obj", 0, 4)
 
-    def test_delete_closes_mapping_and_recreate_serves_fresh(self, mdisk):
-        mdisk.write_at("obj", 0, b"old-bytes")
-        assert mdisk.read_at("obj", 0, 9) == b"old-bytes"
-        mdisk.delete("obj")
-        assert not mdisk._mmaps
-        mdisk.write_at("obj", 0, b"new")
-        assert mdisk.read_at("obj", 0, 3) == b"new"
+    def test_delete_closes_mapping_and_recreate_serves_fresh(self, disk):
+        disk.write_at("obj", 0, b"old-bytes")
+        assert disk.read_at("obj", 0, 9) == b"old-bytes"
+        disk.delete("obj")
+        disk.write_at("obj", 0, b"new")
+        assert disk.read_at("obj", 0, 3) == b"new"
 
-    def test_zero_length_read(self, mdisk):
-        mdisk.write_at("obj", 0, b"abc")
-        assert mdisk.read_at("obj", 0, 0) == b""
+    def test_zero_length_read(self, disk):
+        disk.write_at("obj", 0, b"abc")
+        assert disk.read_at("obj", 0, 0) == b""

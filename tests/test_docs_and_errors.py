@@ -70,6 +70,19 @@ def test_examples_run_clean(script, capsys, monkeypatch):
     assert "Traceback" not in out
 
 
+def test_src_reads_no_environment_variable():
+    """A behaviour switch has to be a reviewed parameter, not ambient
+    state that selects a second code path and crosses ``fork()`` unseen."""
+    src = Path(__file__).parent.parent / "src" / "repro"
+    readers = [
+        f"{path.relative_to(src)}:{lineno}"
+        for path in sorted(src.rglob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if "os.environ" in line or "getenv" in line
+    ]
+    assert readers == []
+
+
 class TestErrorHierarchy:
     def test_everything_is_repro_error(self):
         for exc in (

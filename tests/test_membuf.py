@@ -5,7 +5,6 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-import pytest
 
 from repro.membuf import (
     BufferPool,
@@ -13,7 +12,6 @@ from repro.membuf import (
     copy_delta,
     copy_stats,
     get_pool,
-    legacy_copies,
 )
 from repro.membuf.pool import MAX_FREE_PER_KEY
 from repro.records.format import RecordFormat
@@ -177,15 +175,3 @@ class TestCopyStats:
         stats.reset()
         assert all(v == 0 for v in stats.snapshot().values())
 
-
-class TestLegacySwitch:
-    def test_default_is_pooled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LEGACY_COPIES", raising=False)
-        assert not legacy_copies()
-
-    @pytest.mark.parametrize("value,expect", [
-        ("1", True), ("yes", True), ("0", False), ("", False),
-    ])
-    def test_env_values(self, monkeypatch, value, expect):
-        monkeypatch.setenv("REPRO_LEGACY_COPIES", value)
-        assert legacy_copies() is expect

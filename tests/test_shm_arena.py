@@ -24,7 +24,6 @@ from repro.cluster.arena import (
     SHM_PREFIX,
     AttachCache,
     ShmArena,
-    arena_enabled,
     slab_class,
 )
 from repro.cluster.process_backend import (
@@ -68,12 +67,6 @@ class TestSlabClass:
         for n in (5000, 70000, 1 << 20):
             cls = slab_class(n)
             assert cls >= n and cls & (cls - 1) == 0
-
-    def test_env_flag_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHM_ARENA", raising=False)
-        assert arena_enabled()
-        monkeypatch.setenv("REPRO_SHM_ARENA", "0")
-        assert not arena_enabled()
 
 
 # ---------------------------------------------------------------------------
@@ -119,15 +112,6 @@ class TestShmArena:
             assert c.name == a.name
         finally:
             arena.unlink_all()
-
-    def test_one_shot_mode_unlinks_on_full_ack(self):
-        arena = ShmArena()
-        slab = arena.lease(64, recycle=False)
-        arena.pin(slab.name)
-        assert os.path.exists(f"/dev/shm/{slab.name}")
-        arena.ack(slab.name)
-        assert not os.path.exists(f"/dev/shm/{slab.name}")
-        assert arena.slab_count() == 0 and arena.unlink_all() == []
 
     def test_locate_resolves_interior_addresses(self):
         arena = ShmArena()
@@ -325,29 +309,6 @@ class TestEndToEnd:
         # Attach caching: far fewer mappings than landed slices.
         assert delta["attach_count"] <= delta["arena_misses"] * (size - 1)
         assert delta["bytes_landed_zero_extra_copy"] > 0
-        assert _shm_entries() == []
-
-    def test_escape_hatch_restores_one_shot_lifecycle(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_ARENA", "0")
-        rounds, size = 6, 2
-        before = copy_stats().snapshot()
-        res = run_spmd(size, _alltoallv_rounds, rounds, backend="process")
-        assert res.returns == [True] * size
-        delta = _arena_delta(before)
-        # Every collective creates (and later unlinks) its own segment,
-        # and every landed remote slice attaches: the PR 6 lifecycle.
-        assert delta["arena_hits"] == 0
-        assert delta["arena_misses"] == rounds * size
-        assert delta["attach_count"] == rounds * size * (size - 1)
-        assert _shm_entries() == []
-
-    def test_legacy_copies_bypasses_packed_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LEGACY_COPIES", "1")
-        before = copy_stats().snapshot()
-        res = run_spmd(2, _alltoallv_rounds, 3, backend="process")
-        assert res.returns == [True, True]
-        delta = _arena_delta(before)
-        assert all(delta[k] == 0 for k in ARENA_KEYS)
         assert _shm_entries() == []
 
     def test_crashed_rank_slabs_swept_by_parent(self):
