@@ -121,6 +121,12 @@ class VirtualDisk:
                 for path in self.root.iterdir()
                 if path.is_file()
             }
+            # Running total of cataloged + spare bytes, kept by every
+            # site that changes either dict, so the capacity check of a
+            # write is O(1) rather than a sum over the disk's objects.
+            self._used = sum(self._sizes.values()) + sum(
+                self._spare_sizes.values()
+            )
             self.checksums = BlockChecksums(self.root)
 
     # ------------------------------------------------------------------
@@ -244,15 +250,12 @@ class VirtualDisk:
 
     # ------------------------------------------------------------------
 
-    def _used_locked(self) -> int:
-        return sum(self._sizes.values()) + sum(self._spare_sizes.values())
-
     def used_bytes(self) -> int:
         """Total bytes currently stored on this disk — cataloged objects
         plus degraded-mode ``.spare/`` materializations (a reconstructed
         copy occupies real capacity)."""
         with self._lock:
-            return self._used_locked()
+            return self._used
 
     def reserve_spare(self, name: str, new_size: int) -> None:
         """Account a ``.spare/`` materialization of ``name`` growing to
@@ -268,7 +271,7 @@ class VirtualDisk:
                 return
             if (
                 self.capacity_bytes is not None
-                and self._used_locked() + grow > self.capacity_bytes
+                and self._used + grow > self.capacity_bytes
             ):
                 raise DiskFullError(
                     f"disk {self.disk_id} full: cannot materialize spare copy "
@@ -276,6 +279,7 @@ class VirtualDisk:
                     f"{self.capacity_bytes})"
                 )
             self._spare_sizes[name] = new_size
+            self._used += grow
 
     def size(self, name: str) -> int:
         """Current size of an object (0 if absent)."""
@@ -327,7 +331,7 @@ class VirtualDisk:
                 new_size = max(old_size, offset + nbytes)
                 if self.capacity_bytes is not None:
                     grow = new_size - old_size
-                    if grow > 0 and self._used_locked() + grow > self.capacity_bytes:
+                    if grow > 0 and self._used + grow > self.capacity_bytes:
                         raise DiskFullError(
                             f"disk {self.disk_id} full: cannot grow {name!r} by "
                             f"{grow} bytes (capacity {self.capacity_bytes})"
@@ -358,6 +362,7 @@ class VirtualDisk:
                 finally:
                     os.close(fd)
                 self._sizes[name] = new_size
+                self._used += new_size - old_size
                 self.stats.record_hashed(self.checksums.record(name, offset, data))
             self.stats.record_write(nbytes)
 
@@ -427,8 +432,7 @@ class VirtualDisk:
             raise DiskError(f"disk {self.disk_id} is read-only")
         path = self._path(name)
         with self._lock:
-            self._sizes.pop(name, None)
-            self._spare_sizes.pop(name, None)
+            self._used -= self._sizes.pop(name, 0) + self._spare_sizes.pop(name, 0)
             layer = self.parity_layer
             if layer is not None:
                 # Fold the object's extents out of their parity rows

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import DimensionError
+from repro.records.format import RecordFormat
 
 
 def to_columns(flat: np.ndarray, r: int, s: int) -> np.ndarray:
@@ -42,7 +43,7 @@ def sort_values(a: np.ndarray) -> np.ndarray:
     """Stably sort a 1-D array — by ``key`` field for record arrays, by
     value otherwise."""
     if _is_record_array(a):
-        return a[np.argsort(a["key"], kind="stable")]
+        return RecordFormat.sort(a)
     return np.sort(a, kind="stable")
 
 
@@ -57,7 +58,10 @@ def sort_columns(matrix: np.ndarray) -> np.ndarray:
     if matrix.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got shape {matrix.shape}")
     if _is_record_array(matrix):
-        order = np.argsort(matrix["key"], axis=0, kind="stable")
+        order = np.stack(
+            [RecordFormat.argsort(matrix[:, j]) for j in range(matrix.shape[1])],
+            axis=1,
+        )
         return np.take_along_axis(matrix, order, axis=0)
     return np.sort(matrix, axis=0, kind="stable")
 

@@ -14,13 +14,14 @@ from repro.membuf.copystats import (
     copy_delta,
     copy_stats,
 )
-from repro.membuf.pool import MAX_FREE_PER_KEY, BufferPool, get_pool
+from repro.membuf.pool import MAX_FREE_PER_KEY, BufferPool, LeaseScope, get_pool
 
 __all__ = [
     "ARENA_KEYS",
     "BufferPool",
     "CopyStats",
     "COPY_KEYS",
+    "LeaseScope",
     "MAX_FREE_PER_KEY",
     "copy_delta",
     "copy_stats",

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import threading
 import time
+from functools import partial
 
 import numpy as np
 
@@ -320,6 +321,54 @@ class BufferPool:
             self._stalls = 0
             self._evictions = 0
             self._pressure_mark = 0
+
+
+def _recycle_each(pool: BufferPool, arrays) -> None:
+    for arr in arrays:
+        pool.recycle(arr)
+
+
+class LeaseScope:
+    """The pool leases one piece of work (a pass body) currently holds.
+
+    Arrays taken with :meth:`lease` or adopted with :meth:`hold` go back
+    to the pool at :meth:`close` — the ``finally`` of the work — unless
+    they were recycled earlier or their ownership moved on with
+    :meth:`hand_off`. A body that holds a lease across a call that may
+    raise (a collective, a disk write) registers it here and strands
+    nothing when the call does raise.
+    """
+
+    def __init__(self, pool: BufferPool | None = None) -> None:
+        self._pool = pool if pool is not None else get_pool()
+        self._held: dict[int, np.ndarray] = {}
+
+    def lease(self, dtype: np.dtype, rows: int) -> np.ndarray:
+        """A tracked pool lease owned by this scope."""
+        return self.hold(self._pool.lease(dtype, rows))
+
+    def hold(self, arr: np.ndarray) -> np.ndarray:
+        """Adopt ``arr`` (a lease taken elsewhere, e.g. by a reader)."""
+        self._held[id(arr)] = arr
+        return arr
+
+    def recycle(self, arr: np.ndarray) -> None:
+        """Return ``arr`` to the pool now; it need not be held here."""
+        self._held.pop(id(arr), None)
+        self._pool.recycle(arr)
+
+    def hand_off(self, *arrays: np.ndarray):
+        """Stop answering for ``arrays``; returns the zero-argument
+        callable that recycles them, for the new owner (a write-behind
+        item) to call when it is done with them."""
+        for arr in arrays:
+            self._held.pop(id(arr), None)
+        return partial(_recycle_each, self._pool, arrays)
+
+    def close(self) -> None:
+        """Recycle everything still held. Idempotent."""
+        while self._held:
+            self._pool.recycle(self._held.popitem()[1])
 
 
 _GLOBAL = BufferPool()

@@ -43,12 +43,16 @@ def job_demands(job: OocJob) -> tuple[int, int]:
     """Declared ``(mem_bytes, scratch_bytes)`` demand of a job, for
     admission control.
 
-    Memory: every rank pins one column buffer per pipeline slot
-    (``2·depth``) plus a handful of working copies (sorted column,
-    packed send, receive) — conservatively 4. Scratch: a pass program
-    keeps at most input + two generations of intermediates on disk at
-    once, ≈ ``3·N`` records (the paper's experiments were disk-space
-    limited at exactly this multiple — footnote 7).
+    Memory: per rank, ``depth`` column buffers prefetched plus the one
+    in the reader's hand, ``depth`` round buffers queued for writing
+    plus the one being written, and the pass body's own two (sorted
+    column and assembly buffer, or column and window): ``2·depth + 4``.
+    The measured peak (``OocResult.governor["peak_held_bytes"]``,
+    ``copy["peak_leases"]``) stays within it at every depth —
+    ``tests/test_governor_budget.py`` holds it there. Scratch: a pass
+    program keeps at most input + two generations of intermediates on
+    disk at once, ≈ ``3·N`` records (the paper's experiments were
+    disk-space limited at exactly this multiple — footnote 7).
     """
     mem = job.buffer_bytes * job.cluster.p * (2 * job.pipeline_depth + 4)
     scratch = 3 * job.n * job.fmt.record_size

@@ -35,6 +35,7 @@ columns. Only the final pass writes exact (PDM) positions.
 from __future__ import annotations
 
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -50,7 +51,7 @@ from repro.disks.matrixfile import ColumnStore, PdmStore
 from repro.disks.virtual_disk import VirtualDisk, make_disk_array
 from repro.errors import ConfigError
 from repro.matrix.bits import is_power_of_two
-from repro.membuf import copy_delta, copy_stats, get_pool
+from repro.membuf import LeaseScope, copy_delta, copy_stats, get_pool
 from repro.pipeline import (
     COMM,
     COMPUTE,
@@ -317,46 +318,128 @@ def make_workspace(
 # ---------------------------------------------------------------------------
 #
 # Every pass pulls its column buffers through a ReadAhead prefetcher and
-# retires its disk writes through a WriteBehind flusher (repro.pipeline):
-# with plan.depth >= 1 the NumPy compute and mailbox communication of
-# round t overlap the read of round t+depth and the writes of earlier
-# rounds, the same overlap structure [CC02] gets from pthreads. With the
-# default SYNCHRONOUS plan both pools degenerate to inline calls.
+# retires its disk writes through a WriteBehind flusher (repro.pipeline),
+# one item per *round* on both sides: with plan.depth >= 1 the NumPy
+# compute and mailbox communication of round t overlap the read of round
+# t+depth and the writes of rounds t-1 … t-depth, the same overlap
+# structure [CC02] gets from pthreads. With the default SYNCHRONOUS plan
+# both pools degenerate to inline calls.
 
 
-def _task_then_recycle(task, buf: np.ndarray):
-    """Wrap a write task so ``buf`` (a pool lease kept alive until the
-    write retires) is recycled afterwards, even on error."""
-    def run():
-        try:
-            task()
-        finally:
-            get_pool().recycle(buf)
-    return run
+@contextmanager
+def pass_pipeline(reads, plan: PipelinePlan | None, trace: PassTrace | None):
+    """What one rank's pass body runs inside: yields ``(reader, writer,
+    clock, leases)``.
 
-
-def _column_prefetch(
-    src: ColumnStore, rank: int, cols, plan: PipelinePlan, clock: StageClock
-) -> ReadAhead:
-    """Read-ahead over whole owned columns (threaded/subblock layout).
-
-    Every prefetched column is a tracked
-    :class:`~repro.membuf.BufferPool` lease; the pass body recycles it
-    as soon as the sorted permutation is materialized, and the reader
-    recycles anything prefetched but never consumed (``on_drop``).
+    ``reader`` prefetches ``reads`` (zero-argument callables returning
+    tracked :class:`~repro.membuf.BufferPool` leases — one round's
+    column or portion each) and recycles whatever was prefetched but
+    never consumed; ``writer`` retires one item per round; both report
+    to ``clock``, whose stage breakdown lands on ``trace`` (rank 0) when
+    the body completes; ``leases`` owns the pool leases the body holds,
+    so a body that raises mid-round — out of a collective, say — strands
+    none. A body that returns normally has its writes drained.
     """
-    return ReadAhead(
-        [partial(src.read_column, rank, c, reuse=True) for c in cols],
-        plan,
-        clock,
-        on_drop=get_pool().recycle,
-    )
-
-
-def _finish_pass(trace: PassTrace | None, clock: StageClock) -> None:
-    """Record the measured stage breakdown on the pass trace (rank 0)."""
+    plan = plan if plan is not None else SYNCHRONOUS
+    clock = StageClock()
+    reader = ReadAhead(reads, plan, clock, on_drop=get_pool().recycle)
+    writer = WriteBehind(plan, clock)
+    leases = LeaseScope()
+    try:
+        yield reader, writer, clock, leases
+        writer.drain()
+    finally:
+        reader.close()
+        writer.close()
+        leases.close()
     if trace is not None:
         clock.merge_into(trace.wall)
+
+
+def owned_column_reads(src: ColumnStore, comm: Comm) -> list:
+    """One pooled whole-column read per round: rank ``q`` owns columns
+    ``q, q+P, …`` (threaded/subblock layout)."""
+    return [
+        partial(src.read_column, comm.rank, c, reuse=True)
+        for c in range(comm.rank, src.s, comm.size)
+    ]
+
+
+def _deal_pass(
+    comm: Comm,
+    src: ColumnStore,
+    dst: ColumnStore,
+    fmt: RecordFormat,
+    trace: PassTrace | None,
+    plan: PipelinePlan | None,
+    step: int,
+) -> None:
+    """Sort one column per processor per round and deal it across all
+    columns — columnsort steps 1+2 (``step=2``) or 3+4 (``step=4``).
+
+    Either way each processor sends exactly ``r/P`` records to every
+    processor and assembles, per round, one ``P·r/s``-record segment for
+    each of the ``s/P`` target columns it owns: the rows of a single
+    leased ``r``-record buffer, filled with one strided copy per source
+    rank and retired by one write-behind item.
+    """
+    p, rank = comm.size, comm.rank
+    r, s = src.r, src.s
+    band = r // s  # records each source column contributes to each target
+    mine = s // p  # rounds, and target columns this rank owns
+    if step == 2:
+        # Sorted row i goes to target column i mod s, on rank i mod P. What
+        # arrives from a source is its rows i ≡ rank (mod P), ascending: as
+        # a (band, s/P) block, column l is bound for target rank + l·P.
+        def split(col):
+            return [col[q::p] for q in range(p)]
+
+        def bands(got):
+            return got.reshape(band, mine).T
+
+        def write(t, l, seg):
+            return partial(dst.write_segment, rank, rank + l * p, t * p * band, seg)
+    else:
+        # Sorted chunk m (r/s rows) goes to target column m, at rows
+        # ≡ c (mod s), strided — appended instead, since the next pass
+        # re-sorts each column.
+        def split(col):
+            chunks = col.reshape(s, band)
+            return [chunks[q::p].reshape(-1) for q in range(p)]
+
+        def bands(got):
+            return got.reshape(mine, band)
+
+        def write(t, l, seg):
+            return partial(dst.append_to_column, rank, rank + l * p, seg)
+
+    with pass_pipeline(owned_column_reads(src, comm), plan, trace) as (
+        reader, writer, clock, leases,
+    ):
+        for t in range(mine):
+            raw = leases.hold(reader.get())
+            with clock.stage(COMPUTE):
+                col = fmt.sort(raw, out=leases.lease(fmt.dtype, r))
+                leases.recycle(raw)  # the unsorted lease is dead after the gather
+                parts = split(col)
+            with clock.stage(COMM):
+                recv = comm.alltoallv(parts)
+            with clock.stage(COMPUTE):
+                leases.recycle(col)
+                out = leases.lease(fmt.dtype, r)
+                rows = out.reshape(mine, p, band)  # [l, q]: source q's band for target l
+                for q, got in enumerate(recv):
+                    rows[:, q, :] = bands(got)
+                    leases.recycle(got)  # a landed buffer (process backend); a view is ignored
+                segs = out.reshape(mine, p * band)
+            writer.put(
+                *[write(t, l, segs[l]) for l in range(mine)],
+                release=leases.hand_off(out),
+            )
+            if trace is not None:
+                trace.rounds.append(
+                    deal_round_work(fmt.record_size, r, (p - 1) / p, p - 1)
+                )
 
 
 def pass_step2_deal(
@@ -367,57 +450,14 @@ def pass_step2_deal(
     trace: PassTrace | None = None,
     plan: PipelinePlan | None = None,
 ) -> None:
-    """Pass = columnsort steps 1+2 (or 3+4's mirror — see
-    :func:`pass_step4_deal`): each round, sort one column per processor
-    and deal it across all columns.
+    """Pass = columnsort steps 1+2: each round, sort one column per
+    processor and deal it across all columns.
 
     Step 2 sends the record at sorted row ``i`` of column ``c`` to
-    column ``i mod s``, row ``c·r/s + i div s``; each processor sends
-    exactly ``r/P`` records to every processor, and each target column
+    column ``i mod s``, row ``c·r/s + i div s``; each target column
     receives one contiguous band segment per round.
     """
-    p = comm.size
-    r, s = src.r, src.s
-    band = r // s  # rows each source column contributes to each target
-    plan = plan if plan is not None else SYNCHRONOUS
-    clock = StageClock()
-    cols = [t * p + comm.rank for t in range(s // p)]
-    reader = _column_prefetch(src, comm.rank, cols, plan, clock)
-    writer = WriteBehind(plan, clock)
-    try:
-        for t in range(s // p):
-            raw = reader.get()
-            with clock.stage(COMPUTE):
-                col = raw[np.argsort(raw["key"], kind="stable")]
-                get_pool().recycle(raw)  # the unsorted lease is dead after the gather
-                # Sorted row i goes to target column i mod s, rank i mod P.
-                parts = [col[q::p] for q in range(p)]
-            with clock.stage(COMM):
-                recv = comm.alltoallv(parts)
-            with clock.stage(COMPUTE):
-                # recv[q] holds rows i ≡ rank (mod P) of source column t·P+q
-                # in ascending order; as a (band, s/P) block its column l is
-                # the slice bound for target column rank + l·P.
-                blocks = [a.reshape(band, s // p) for a in recv]
-                segs = []
-                for l in range(s // p):
-                    target = comm.rank + l * p
-                    segs.append(
-                        (target, np.concatenate([blocks[q][:, l] for q in range(p)]))
-                    )
-            for target, seg in segs:
-                writer.put(
-                    partial(dst.write_segment, comm.rank, target, t * p * band, seg)
-                )
-            if trace is not None:
-                trace.rounds.append(
-                    deal_round_work(fmt.record_size, r, (p - 1) / p, p - 1)
-                )
-        writer.drain()
-    finally:
-        reader.close()
-        writer.close()
-    _finish_pass(trace, clock)
+    _deal_pass(comm, src, dst, fmt, trace, plan, step=2)
 
 
 def pass_step4_deal(
@@ -432,46 +472,53 @@ def pass_step4_deal(
     round and apply the inverse deal.
 
     Step 4 sends the ``r/s``-record chunk ``m`` of sorted column ``c``
-    to target column ``m`` (at rows ``≡ c mod s``, strided — the records
-    are appended instead, since the next pass re-sorts each column).
+    to target column ``m`` (see :func:`_deal_pass`).
     """
+    _deal_pass(comm, src, dst, fmt, trace, plan, step=4)
+
+
+def route_to_pdm(
+    comm: Comm,
+    pdm: PdmStore,
+    fmt: RecordFormat,
+    my_piece: tuple[int, np.ndarray] | None,
+    piece_range_of,
+    writer: WriteBehind,
+    clock: StageClock,
+    leases: LeaseScope,
+) -> None:
+    """The last pass's second communicate + permute + write: each rank
+    splits its (globally positioned) sorted piece by PDM disk owner;
+    receivers reconstruct every sender's range from the deterministic
+    ``piece_range_of(q) -> (gstart, length) | None`` — no metadata
+    crosses the network — and retire what they received as one
+    write-behind item."""
     p = comm.size
-    r, s = src.r, src.s
-    chunk = r // s
-    plan = plan if plan is not None else SYNCHRONOUS
-    clock = StageClock()
-    cols = [t * p + comm.rank for t in range(s // p)]
-    reader = _column_prefetch(src, comm.rank, cols, plan, clock)
-    writer = WriteBehind(plan, clock)
-    try:
-        for t in range(s // p):
-            raw = reader.get()
-            with clock.stage(COMPUTE):
-                col = raw[np.argsort(raw["key"], kind="stable")]
-                get_pool().recycle(raw)
-                chunks = col.reshape(s, chunk)
-                parts = [chunks[q::p].reshape(-1) for q in range(p)]
-            with clock.stage(COMM):
-                recv = comm.alltoallv(parts)
-            with clock.stage(COMPUTE):
-                blocks = [a.reshape(s // p, chunk) for a in recv]
-                segs = []
-                for l in range(s // p):
-                    target = comm.rank + l * p
-                    segs.append(
-                        (target, np.concatenate([blocks[q][l] for q in range(p)]))
-                    )
-            for target, seg in segs:
-                writer.put(partial(dst.append_to_column, comm.rank, target, seg))
-            if trace is not None:
-                trace.rounds.append(
-                    deal_round_work(fmt.record_size, r, (p - 1) / p, p - 1)
+    with clock.stage(COMPUTE):
+        parts = [fmt.empty(0) for _ in range(p)]
+        if my_piece is not None:
+            gstart, arr = my_piece
+            for q, pieces in pdm.split_by_owner(gstart, len(arr)).items():
+                parts[q] = np.concatenate(
+                    [arr[rel : rel + nn] for (_d, _o, rel, nn) in pieces]
                 )
-        writer.drain()
-    finally:
-        reader.close()
-        writer.close()
-    _finish_pass(trace, clock)
+    with clock.stage(COMM):
+        recv = comm.alltoallv(parts)
+    writes = []
+    for q_src in range(p):
+        rng = piece_range_of(q_src)
+        if rng is None:
+            continue
+        gstart, length = rng
+        pieces = pdm.split_by_owner(gstart, length).get(comm.rank, [])
+        got = recv[q_src]
+        at = 0
+        for (_disk, _off, rel, nn) in pieces:
+            writes.append(
+                partial(pdm.write_global, comm.rank, gstart + rel, got[at : at + nn])
+            )
+            at += nn
+    writer.put(*writes, release=leases.hand_off(*recv))
 
 
 def pass_final_windows(
@@ -499,55 +546,22 @@ def pass_final_windows(
     right = (comm.rank + 1) % p
     left = (comm.rank - 1) % p
     rounds = s // p
-    plan = plan if plan is not None else SYNCHRONOUS
-    clock = StageClock()
-    cols = [t * p + comm.rank for t in range(rounds)]
-    reader = _column_prefetch(src, comm.rank, cols, plan, clock)
-    writer = WriteBehind(plan, clock)
 
     def window_range(w: int) -> tuple[int, int]:
-        """Final global range [start, stop) of sorted window w."""
-        return max(0, w * r - half), min(n, w * r + half)
+        """Final global (start, length) of sorted window w, ±∞ padding
+        dropped (step 8)."""
+        start, stop = max(0, w * r - half), min(n, w * r + half)
+        return start, stop - start
 
-    def route_and_write(t: int, window: np.ndarray | None, extra: bool) -> None:
-        """Second communicate + permute + write: every rank routes its
-        window (if any) to the PDM owners and writes what it receives.
-        Receivers reconstruct senders' window ranges deterministically
-        from the round number — no metadata crosses the network."""
-        with clock.stage(COMPUTE):
-            parts = [fmt.empty(0) for _ in range(p)]
-            if window is not None:
-                w = s if extra else t * p + comm.rank
-                start, _ = window_range(w)
-                for q, pieces in pdm.split_by_owner(start, len(window)).items():
-                    parts[q] = np.concatenate(
-                        [window[rel : rel + nn] for (_d, _o, rel, nn) in pieces]
-                    )
-        with clock.stage(COMM):
-            recv = comm.alltoallv(parts)
-        for q_src in range(p):
-            w = s if extra else t * p + q_src
-            if extra and q_src != 0:
-                continue
-            if w > s:
-                continue
-            start, stop = window_range(w)
-            pieces = pdm.split_by_owner(start, stop - start).get(comm.rank, [])
-            got = recv[q_src]
-            at = 0
-            for (_disk, _off, rel, nn) in pieces:
-                writer.put(
-                    partial(pdm.write_global, comm.rank, start + rel, got[at : at + nn])
-                )
-                at += nn
-
-    try:
+    with pass_pipeline(owned_column_reads(src, comm), plan, trace) as (
+        reader, writer, clock, leases,
+    ):
         for t in range(rounds):
             c = t * p + comm.rank
-            raw = reader.get()
+            raw = leases.hold(reader.get())
             with clock.stage(COMPUTE):
-                col = raw[np.argsort(raw["key"], kind="stable")]  # step 5
-                get_pool().recycle(raw)
+                col = fmt.sort(raw, out=leases.lease(fmt.dtype, r))  # step 5
+                leases.recycle(raw)
             with clock.stage(COMM):
                 # First communicate: bottom half → owner of window c+1.
                 comm.send(col[half:], right, tag=WINDOW_TAG)
@@ -556,32 +570,37 @@ def pass_final_windows(
                 else:
                     upper = comm.recv(left, tag=WINDOW_TAG)  # bottom of col c−1
             with clock.stage(COMPUTE):
-                merged = np.concatenate([upper, col[:half]])
-                window = merged[np.argsort(merged["key"], kind="stable")]  # step 7
-                # col/upper/merged are dead; adopting them feeds the
-                # grabs of the next round's half-column sends.
-                get_pool().recycle(col)
-                get_pool().recycle(upper)
-                get_pool().recycle(merged)
-                if c == 0:
-                    window = window[half:]  # drop the −∞ padding (step 8)
-            route_and_write(t, window, extra=False)
+                merged = leases.lease(fmt.dtype, r)
+                merged[:half] = upper
+                merged[half:] = col[:half]
+                # col/upper are dead; adopting upper feeds the grabs of
+                # the next round's half-column sends.
+                leases.recycle(col)
+                leases.recycle(upper)
+                window = fmt.merge_runs(merged, out=leases.lease(fmt.dtype, r))  # step 7
+                leases.recycle(merged)
+            # Rank q holds window t·P+q this round.
+            route_to_pdm(
+                comm, pdm, fmt,
+                (window_range(c)[0], window[half:] if c == 0 else window),
+                lambda q, t=t: window_range(t * p + q),
+                writer, clock, leases,
+            )
+            leases.recycle(window)
             if trace is not None:
                 trace.rounds.append(final_round_work(fmt.record_size, r, p))
 
         # Window s: the bottom half of the last column followed by +∞
         # padding — already sorted, so rank 0 (its owner) writes it directly.
+        tail = None
         if comm.rank == 0:
             with clock.stage(COMM):
-                tail = comm.recv(left, tag=WINDOW_TAG)
-            route_and_write(rounds, tail, extra=True)
-        else:
-            route_and_write(rounds, None, extra=True)
-        writer.drain()
-    finally:
-        reader.close()
-        writer.close()
-    _finish_pass(trace, clock)
+                tail = (window_range(s)[0], comm.recv(left, tag=WINDOW_TAG))
+        route_to_pdm(
+            comm, pdm, fmt, tail,
+            lambda q: window_range(s) if q == 0 else None,
+            writer, clock, leases,
+        )
 
 
 def pass_io_only(
@@ -594,31 +613,19 @@ def pass_io_only(
 ) -> None:
     """Read every owned column and write it back — one baseline I/O pass
     (paper §5's 'just the I/O portions' runs)."""
-    p = comm.size
-    r, s = src.r, src.s
-    plan = plan if plan is not None else SYNCHRONOUS
-    clock = StageClock()
-    cols = [t * p + comm.rank for t in range(s // p)]
-    reader = _column_prefetch(src, comm.rank, cols, plan, clock)
-    writer = WriteBehind(plan, clock)
-    try:
-        for t in range(s // p):
-            c = t * p + comm.rank
+    with pass_pipeline(owned_column_reads(src, comm), plan, trace) as (
+        reader, writer, _clock, leases,
+    ):
+        for c in range(comm.rank, src.s, comm.size):
             col = reader.get()
             # The lease stays with the write until it retires (ownership
             # rule: nobody may reuse a buffer with a write in flight).
             writer.put(
-                _task_then_recycle(
-                    partial(dst.write_column, comm.rank, c, col), col
-                )
+                partial(dst.write_column, comm.rank, c, col),
+                release=leases.hand_off(col),
             )
             if trace is not None:
-                trace.rounds.append(io_round_work(fmt.record_size, r))
-        writer.drain()
-    finally:
-        reader.close()
-        writer.close()
-    _finish_pass(trace, clock)
+                trace.rounds.append(io_round_work(fmt.record_size, src.r))
 
 
 # ---------------------------------------------------------------------------

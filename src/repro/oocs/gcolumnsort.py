@@ -266,8 +266,7 @@ def _final_pass_g(
             upper = (
                 fmt.pad_low(half) if first_window else comm.recv(prev_rank, tag=GW_TAG)
             )
-            merged = np.concatenate([upper, mine[:half]])
-            window = merged[np.argsort(merged["key"], kind="stable")]  # step 7
+            window = fmt.merge_runs(np.concatenate([upper, mine[:half]]))  # step 7
             piece = window[half:] if c == 0 else window
         else:
             if member >= half_members:

@@ -24,32 +24,22 @@ from __future__ import annotations
 
 from functools import partial
 
-import numpy as np
-
 from pathlib import Path
 
 from repro.cluster.comm import Comm
 from repro.disks.matrixfile import PdmStore, StripedColumnStore
 from repro.errors import ConfigError, DimensionError
 from repro.matrix.bits import is_power_of_four, sqrt_pow4
-from repro.membuf import get_pool
 from repro.oocs.base import (
     OocJob,
     OocResult,
     PassSpec,
-    _finish_pass,
+    pass_pipeline,
     run_pass_program,
 )
 from repro.oocs.incore.columnsort_dist import distributed_columnsort
-from repro.oocs.mcolumnsort import _pass1_m, _pass2_m, _pass3_m, _portion_prefetch
-from repro.pipeline import (
-    COMPUTE,
-    INCORE,
-    SYNCHRONOUS,
-    PipelinePlan,
-    StageClock,
-    WriteBehind,
-)
+from repro.oocs.mcolumnsort import _pass1_m, _pass2_m, _pass3_m, portion_reads
+from repro.pipeline import COMPUTE, INCORE, PipelinePlan
 from repro.records.format import RecordFormat
 from repro.simulate.trace import PassTrace
 from repro.simulate.traces import m_deal_round_work
@@ -99,40 +89,34 @@ def _pass_subblock_m(
     t = sqrt_pow4(s)
     portion = src.portion
     share = portion // t
-    plan = plan if plan is not None else SYNCHRONOUS
-    clock = StageClock()
-    reader = _portion_prefetch(src, comm.rank, plan, clock)
-    writer = WriteBehind(plan, clock)
-    try:
+    with pass_pipeline(portion_reads(src, comm.rank), plan, trace) as (
+        reader, writer, clock, leases,
+    ):
         for c in range(s):
-            local = reader.get()
+            local = leases.hold(reader.get())
             with clock.stage(INCORE):
                 mine = distributed_columnsort(comm, local, fmt)  # step 3
-                get_pool().recycle(local)
+                leases.recycle(local)
             with clock.stage(COMPUTE):
-                c0 = c % t
-                base = comm.rank * portion
-                x = (base + np.arange(portion)) % t
-                grouped = mine[np.argsort(x, kind="stable")]
-            for k in range(t):
-                target = c0 + k * t
-                writer.put(
+                # Row class x = sorted rank mod √s (√s | portion, so it is
+                # the local row mod √s); class k is bound for column
+                # (c mod √s) + k·√s. One transposing copy groups them.
+                grouped = leases.lease(fmt.dtype, portion)
+                by_class = grouped.reshape(t, share)
+                by_class[:] = mine.reshape(share, t).T
+            writer.put(
+                *[
                     partial(
-                        dst.append_to_portion,
-                        comm.rank,
-                        target,
-                        grouped[k * share : (k + 1) * share],
+                        dst.append_to_portion, comm.rank, c % t + k * t, by_class[k]
                     )
-                )
+                    for k in range(t)
+                ],
+                release=leases.hand_off(grouped),
+            )
             if trace is not None:
                 trace.rounds.append(
                     m_deal_round_work(fmt.record_size, portion, p, "balanced")
                 )
-        writer.drain()
-    finally:
-        reader.close()
-        writer.close()
-    _finish_pass(trace, clock)
 
 
 #: The 4-pass program, declaratively (see

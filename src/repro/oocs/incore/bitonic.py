@@ -19,7 +19,6 @@ from repro.oocs.incore.common import (
     Ranges,
     balanced_ranges,
     redistribute,
-    sort_records,
     validate_equal_lengths,
     validate_ranges,
 )
@@ -35,7 +34,7 @@ def _compare_split(
     """Exchange blocks with ``partner``; keep the low (or high) half of
     the merged pair. Both sides keep exactly ``len(local)`` records."""
     other = comm.sendrecv(local, partner, tag=BITONIC_TAG)
-    both = sort_records(np.concatenate([local, other]))
+    both = RecordFormat.merge_runs(np.concatenate([local, other]))
     n = len(local)
     return both[:n].copy() if keep_low else both[n:].copy()
 
@@ -56,7 +55,7 @@ def distributed_bitonic_sort(
         target_ranges = balanced_ranges(n_total, p)
     validate_ranges(target_ranges, n_total, p)
 
-    block = sort_records(local)
+    block = fmt.sort(local)
     d = ilog2(p)
     for i in range(1, d + 1):
         # After this phase, blocks form bitonic sequences of length 2^(i+1)

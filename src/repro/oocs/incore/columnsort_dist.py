@@ -30,7 +30,6 @@ from repro.oocs.incore.common import (
     Ranges,
     balanced_ranges,
     redistribute,
-    sort_records,
     validate_equal_lengths,
     validate_ranges,
 )
@@ -59,7 +58,7 @@ def distributed_columnsort(
     validate_ranges(target_ranges, n_total, p)
 
     if p == 1:
-        col = sort_records(local)
+        col = fmt.sort(local)
         return np.concatenate(
             [col[start:stop] for (start, stop) in target_ranges[0]]
         ) if target_ranges[0] else fmt.empty(0)
@@ -75,12 +74,12 @@ def distributed_columnsort(
     chunk = rr // p
 
     # Step 1: sort own column.
-    col = sort_records(local)
+    col = fmt.sort(local)
     # Step 2 (transpose & reshape): row i of column q → column i mod P.
     recv = comm.alltoallv([col[q::p] for q in range(p)])
     col = np.concatenate(recv)  # sources ascending == target rows ascending
-    # Step 3.
-    col = sort_records(col)
+    # Step 3: the P received slices are sorted runs.
+    col = fmt.merge_runs(col)
     # Step 4 (reshape & transpose): chunk m → column m, interleaved rows.
     recv = comm.alltoallv(
         [col[m * chunk : (m + 1) * chunk] for m in range(p)]
@@ -89,7 +88,7 @@ def distributed_columnsort(
     for q, piece in enumerate(recv):
         col[q::p] = piece
     # Step 5.
-    col = sort_records(col)
+    col = fmt.sort(col)
 
     # Steps 6-8: neighbor merge into windows.
     half = rr // 2
@@ -100,7 +99,7 @@ def distributed_columnsort(
         held.append((0, col[:half]))  # window 0 minus its −∞ padding
     else:
         upper = comm.recv(comm.rank - 1, tag=IC_TAG)
-        merged = sort_records(np.concatenate([upper, col[:half]]))
+        merged = fmt.merge_runs(np.concatenate([upper, col[:half]]))
         held.append((comm.rank * rr - half, merged))
     if comm.rank == p - 1:
         held.append((p * rr - half, col[half:]))  # window P minus +∞ padding

@@ -107,8 +107,3 @@ def redistribute(
     if not pieces:
         return fmt.empty(0)
     return np.concatenate([arr for _, arr in pieces])
-
-
-def sort_records(records: np.ndarray) -> np.ndarray:
-    """Stable sort by key (local building block of every sort here)."""
-    return records[np.argsort(records["key"], kind="stable")]

@@ -19,7 +19,6 @@ from repro.oocs.incore.common import (
     Ranges,
     balanced_ranges,
     redistribute,
-    sort_records,
     validate_equal_lengths,
     validate_ranges,
 )
@@ -48,7 +47,7 @@ def distributed_sample_sort(
     if oversample < 1:
         raise ConfigError(f"oversample must be ≥ 1, got {oversample}")
 
-    block = sort_records(local)
+    block = fmt.sort(local)
     if p == 1:
         return redistribute(comm, [(0, block)], target_ranges, fmt)
 
@@ -68,7 +67,7 @@ def distributed_sample_sort(
     bounds = np.concatenate([[0], cuts, [n_local]])
     parts = [block[bounds[q] : bounds[q + 1]] for q in range(p)]
     received = comm.alltoallv(parts)
-    merged = sort_records(np.concatenate(received))
+    merged = fmt.merge_runs(np.concatenate(received))
 
     # Ranks now hold variable-length sorted runs; global offsets follow
     # from an exclusive prefix sum of the run lengths.

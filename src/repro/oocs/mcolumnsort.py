@@ -32,26 +32,17 @@ from pathlib import Path
 from repro.cluster.comm import Comm
 from repro.disks.matrixfile import PdmStore, StripedColumnStore
 from repro.errors import ConfigError, DimensionError
-from repro.membuf import get_pool
 from repro.oocs.base import (
     OocJob,
     OocResult,
     PassSpec,
-    _finish_pass,
+    pass_pipeline,
+    route_to_pdm,
     run_pass_program,
 )
 from repro.oocs.incore.columnsort_dist import distributed_columnsort
 from repro.oocs.incore.common import Ranges
-from repro.pipeline import (
-    COMM,
-    COMPUTE,
-    INCORE,
-    SYNCHRONOUS,
-    PipelinePlan,
-    ReadAhead,
-    StageClock,
-    WriteBehind,
-)
+from repro.pipeline import COMPUTE, INCORE, PipelinePlan
 from repro.records.format import RecordFormat
 from repro.simulate.trace import PassTrace
 from repro.simulate.traces import m_deal_round_work, m_final_round_work
@@ -95,17 +86,10 @@ def derive_shape(job: OocJob) -> tuple[int, int]:
 # Pass bodies
 # ---------------------------------------------------------------------------
 
-def _portion_prefetch(
-    src: StripedColumnStore, rank: int, plan: PipelinePlan, clock: StageClock
-) -> ReadAhead:
-    """Read-ahead over this rank's portions of columns 0..s-1 (pooled
-    leases; see ``_column_prefetch``)."""
-    return ReadAhead(
-        [partial(src.read_portion, rank, c, reuse=True) for c in range(src.s)],
-        plan,
-        clock,
-        on_drop=get_pool().recycle,
-    )
+def portion_reads(src: StripedColumnStore, rank: int) -> list:
+    """One pooled read per round: this rank's portion of columns
+    ``0..s-1`` (see :func:`~repro.oocs.base.owned_column_reads`)."""
+    return [partial(src.read_portion, rank, c, reuse=True) for c in range(src.s)]
 
 
 def _pass1_m(
@@ -123,38 +107,32 @@ def _pass1_m(
     p, s = comm.size, src.s
     portion = src.portion
     share = portion // s
-    plan = plan if plan is not None else SYNCHRONOUS
-    clock = StageClock()
-    reader = _portion_prefetch(src, comm.rank, plan, clock)
-    writer = WriteBehind(plan, clock)
-    try:
+    with pass_pipeline(portion_reads(src, comm.rank), plan, trace) as (
+        reader, writer, clock, leases,
+    ):
         for c in range(s):
-            local = reader.get()
+            local = leases.hold(reader.get())
             with clock.stage(INCORE):
                 mine = distributed_columnsort(comm, local, fmt)
-                get_pool().recycle(local)  # the unsorted portion is dead
+                leases.recycle(local)  # the unsorted portion is dead
             with clock.stage(COMPUTE):
-                base = comm.rank * portion
-                cols = (base + np.arange(portion)) % s
-                grouped = mine[np.argsort(cols, kind="stable")]
-            for target in range(s):
-                writer.put(
-                    partial(
-                        dst.append_to_portion,
-                        comm.rank,
-                        target,
-                        grouped[target * share : (target + 1) * share],
-                    )
-                )
+                # This rank's sorted ranks start at a multiple of s (s |
+                # portion), so local row j·s + k is bound for column k:
+                # one transposing copy groups the round by target.
+                grouped = leases.lease(fmt.dtype, portion)
+                by_target = grouped.reshape(s, share)
+                by_target[:] = mine.reshape(share, s).T
+            writer.put(
+                *[
+                    partial(dst.append_to_portion, comm.rank, k, by_target[k])
+                    for k in range(s)
+                ],
+                release=leases.hand_off(grouped),
+            )
             if trace is not None:
                 trace.rounds.append(
                     m_deal_round_work(fmt.record_size, portion, p, "balanced")
                 )
-        writer.drain()
-    finally:
-        reader.close()
-        writer.close()
-    _finish_pass(trace, clock)
 
 
 def _pass2_m(
@@ -178,77 +156,27 @@ def _pass2_m(
         [(m * chunk + q * piece, m * chunk + (q + 1) * piece) for m in range(s)]
         for q in range(p)
     ]
-    plan = plan if plan is not None else SYNCHRONOUS
-    clock = StageClock()
-    reader = _portion_prefetch(src, comm.rank, plan, clock)
-    writer = WriteBehind(plan, clock)
-    try:
+    with pass_pipeline(portion_reads(src, comm.rank), plan, trace) as (
+        reader, writer, clock, leases,
+    ):
         for c in range(s):
-            local = reader.get()
+            local = leases.hold(reader.get())
             with clock.stage(INCORE):
                 mine = distributed_columnsort(comm, local, fmt, target_ranges=ranges)
-                get_pool().recycle(local)
-            for m in range(s):
-                writer.put(
+                leases.recycle(local)
+            writer.put(
+                *[
                     partial(
-                        dst.append_to_portion,
-                        comm.rank,
-                        m,
+                        dst.append_to_portion, comm.rank, m,
                         mine[m * piece : (m + 1) * piece],
                     )
-                )
+                    for m in range(s)
+                ]
+            )
             if trace is not None:
                 trace.rounds.append(
                     m_deal_round_work(fmt.record_size, portion, p, "scattered")
                 )
-        writer.drain()
-    finally:
-        reader.close()
-        writer.close()
-    _finish_pass(trace, clock)
-
-
-def _route_write(
-    comm: Comm,
-    pdm: PdmStore,
-    fmt: RecordFormat,
-    my_piece: tuple[int, np.ndarray] | None,
-    piece_range_of,
-    writer: WriteBehind | None = None,
-    clock: StageClock | None = None,
-) -> None:
-    """The remaining out-of-core communicate + permute + write: each
-    rank splits its (globally positioned) piece by PDM disk owner;
-    receivers reconstruct every sender's range from the deterministic
-    ``piece_range_of(q) -> (gstart, length) | None`` and write (through
-    the write-behind flusher when one is supplied)."""
-    p = comm.size
-    clock = clock if clock is not None else StageClock()
-    with clock.stage(COMPUTE):
-        parts = [fmt.empty(0) for _ in range(p)]
-        if my_piece is not None:
-            gstart, arr = my_piece
-            for q, pieces in pdm.split_by_owner(gstart, len(arr)).items():
-                parts[q] = np.concatenate(
-                    [arr[rel : rel + nn] for (_d, _o, rel, nn) in pieces]
-                )
-    with clock.stage(COMM):
-        recv = comm.alltoallv(parts)
-    for q_src in range(p):
-        rng = piece_range_of(q_src)
-        if rng is None:
-            continue
-        gstart, length = rng
-        pieces = pdm.split_by_owner(gstart, length).get(comm.rank, [])
-        got = recv[q_src]
-        at = 0
-        for (_disk, _off, rel, nn) in pieces:
-            task = partial(pdm.write_global, comm.rank, gstart + rel, got[at : at + nn])
-            if writer is not None:
-                writer.put(task)
-            else:
-                task()
-            at += nn
 
 
 def _pass3_m(
@@ -276,31 +204,24 @@ def _pass3_m(
     portion = src.portion
     half_ranks = p // 2
     retained: np.ndarray | None = None
-    plan = plan if plan is not None else SYNCHRONOUS
-    clock = StageClock()
-    reader = _portion_prefetch(src, comm.rank, plan, clock)
-    writer = WriteBehind(plan, clock)
-
-    try:
+    with pass_pipeline(portion_reads(src, comm.rank), plan, trace) as (
+        reader, writer, clock, leases,
+    ):
         for c in range(s):
-            local = reader.get()
+            local = leases.hold(reader.get())
             with clock.stage(INCORE):
                 mine = distributed_columnsort(comm, local, fmt)  # step 5
-                get_pool().recycle(local)
+                leases.recycle(local)
             if c == 0:
                 # Window 0: −∞ padding + top(col 0) → its kept half is just
                 # the sorted top half, final ranks [0, M/2).
                 piece = (
                     (comm.rank * portion, mine) if comm.rank < half_ranks else None
                 )
-                _route_write(
-                    comm,
-                    pdm,
-                    fmt,
-                    piece,
+                route_to_pdm(
+                    comm, pdm, fmt, piece,
                     lambda q: (q * portion, portion) if q < half_ranks else None,
-                    writer,
-                    clock,
+                    writer, clock, leases,
                 )
             else:
                 contribution = mine if comm.rank < half_ranks else retained
@@ -311,14 +232,9 @@ def _pass3_m(
                 def range_of(q: int, base=base) -> tuple[int, int]:
                     return (base + q * portion, portion)
 
-                _route_write(
-                    comm,
-                    pdm,
-                    fmt,
-                    (base + comm.rank * portion, wsorted),
-                    range_of,
-                    writer,
-                    clock,
+                route_to_pdm(
+                    comm, pdm, fmt, (base + comm.rank * portion, wsorted),
+                    range_of, writer, clock, leases,
                 )
             retained = mine if comm.rank >= half_ranks else None
             if trace is not None:
@@ -331,20 +247,11 @@ def _pass3_m(
             if comm.rank >= half_ranks
             else None
         )
-        _route_write(
-            comm,
-            pdm,
-            fmt,
-            piece,
+        route_to_pdm(
+            comm, pdm, fmt, piece,
             lambda q: ((s - 1) * r + q * portion, portion) if q >= half_ranks else None,
-            writer,
-            clock,
+            writer, clock, leases,
         )
-        writer.drain()
-    finally:
-        reader.close()
-        writer.close()
-    _finish_pass(trace, clock)
 
 
 #: The 3-pass program, declaratively (see

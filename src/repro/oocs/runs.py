@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.matrix.bits import sqrt_pow4
+from repro.records.format import RecordFormat
 
 
 def predict_runs(pass_name: str, r: int, s: int) -> tuple[int, int]:
@@ -100,7 +101,7 @@ def sort_column(records: np.ndarray, run_length: int | None = None) -> np.ndarra
         k = -(-len(records) // run_length)
         if k <= 4 and len(records) % run_length == 0:
             return merge_sorted_runs(records, run_length)
-    return records[np.argsort(records["key"], kind="stable")]
+    return RecordFormat.sort(records)
 
 
 def verify_run_structure(records: np.ndarray, run_length: int) -> bool:

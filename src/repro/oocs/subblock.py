@@ -34,19 +34,18 @@ from repro.columnsort.validation import validate_subblock
 from repro.disks.matrixfile import ColumnStore, PdmStore
 from repro.errors import ConfigError
 from repro.matrix.bits import sqrt_pow4
-from repro.membuf import get_pool
 from repro.oocs.base import (
     OocJob,
     OocResult,
     PassSpec,
-    _column_prefetch,
-    _finish_pass,
+    owned_column_reads,
     pass_final_windows,
+    pass_pipeline,
     pass_step2_deal,
     pass_step4_deal,
     run_pass_program,
 )
-from repro.pipeline import COMM, COMPUTE, SYNCHRONOUS, StageClock, WriteBehind
+from repro.pipeline import COMM, COMPUTE
 from repro.simulate.traces import subblock_round_work
 
 
@@ -118,18 +117,15 @@ def pass_subblock(
     r, s = src.r, src.s
     t = sqrt_pow4(s)
     group = r // t
-    plan = plan if plan is not None else SYNCHRONOUS
-    clock = StageClock()
-    cols = [rnd * p + comm.rank for rnd in range(s // p)]
-    reader = _column_prefetch(src, comm.rank, cols, plan, clock)
-    writer = WriteBehind(plan, clock)
-    try:
+    with pass_pipeline(owned_column_reads(src, comm), plan, trace) as (
+        reader, writer, clock, leases,
+    ):
         for rnd in range(s // p):
             c = rnd * p + comm.rank
-            raw = reader.get()
+            raw = leases.hold(reader.get())
             with clock.stage(COMPUTE):
-                col = raw[np.argsort(raw["key"], kind="stable")]  # step 3
-                get_pool().recycle(raw)
+                col = fmt.sort(raw, out=leases.lease(fmt.dtype, r))  # step 3
+                leases.recycle(raw)
                 classes = col.reshape(group, t)  # col x = rows i ≡ x (mod √s)
                 routing = subblock_round_routing(c, r, s, p)
                 parts = []
@@ -143,27 +139,24 @@ def pass_subblock(
                         parts.append(fmt.empty(0))
             with clock.stage(COMM):
                 recv = comm.alltoallv(parts)
+            leases.recycle(col)
+            writes = []
             for q_src in range(p):
                 c_src = rnd * p + q_src
                 xs = subblock_round_routing(c_src, r, s, p).get(comm.rank, [])
                 arr = recv[q_src]
                 for idx, x in enumerate(xs):
-                    target = x * t + (c_src % t)
-                    writer.put(
+                    writes.append(
                         partial(
                             dst.append_to_column,
                             comm.rank,
-                            target,
+                            x * t + (c_src % t),
                             arr[idx * group : (idx + 1) * group],
                         )
                     )
+            writer.put(*writes, release=leases.hand_off(*recv))
             if trace is not None:
                 trace.rounds.append(subblock_round_work(fmt.record_size, r, s, p))
-        writer.drain()
-    finally:
-        reader.close()
-        writer.close()
-    _finish_pass(trace, clock)
 
 
 #: The 4-pass program, declaratively (see

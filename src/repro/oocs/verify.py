@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.disks.matrixfile import PdmStore
 from repro.errors import VerificationError
+from repro.records.format import stable_argsort
 
 
 def verify_sorted(records: np.ndarray) -> None:
@@ -36,8 +37,8 @@ def verify_permutation(output: np.ndarray, reference: np.ndarray) -> None:
         raise VerificationError(
             f"output has {len(output)} records, input had {len(reference)}"
         )
-    out_order = np.argsort(output["uid"], kind="stable")
-    ref_order = np.argsort(reference["uid"], kind="stable")
+    out_order = stable_argsort(output["uid"])
+    ref_order = stable_argsort(reference["uid"])
     out_uid = output["uid"][out_order]
     ref_uid = reference["uid"][ref_order]
     if not np.array_equal(out_uid, ref_uid):

@@ -2,10 +2,13 @@
 
 One :class:`ReadAhead` / :class:`WriteBehind` pair serves one rank for
 one pass. Both are backed by a single thread and a bounded queue of
-``depth`` buffers, so a pass pins at most ``2·depth + O(1)`` column
-buffers beyond the synchronous baseline — the buffer-pool budget the
-prediction model (:func:`repro.simulate.predict.buffers_per_round`)
-already reasons about.
+``depth`` items, and on both sides one item is one round's column
+buffer: a prefetched column going in, a round's assembled output (with
+all the writes that retire it) going out. A pass therefore pins at most
+``2·depth + O(1)`` column buffers beyond the synchronous baseline — the
+buffer-pool budget the prediction model
+(:func:`repro.simulate.predict.buffers_per_round`) and admission control
+(:func:`repro.oocs.api.job_demands`) already reason about.
 
 Contracts, shared by both pools:
 
@@ -13,7 +16,8 @@ Contracts, shared by both pools:
   runs inline on the caller, byte-for-byte identical to the
   pre-pipeline code path;
 * **order is preserved** — reads are delivered and writes retired in
-  submission order (append cursors and PDM offsets depend on it);
+  submission order, across and within items (append cursors and PDM
+  offsets depend on it);
 * **first-error propagation** — an exception raised inside the worker
   thread is re-raised, as the *same exception object*, from the next
   consumer call (:meth:`ReadAhead.get`, :meth:`WriteBehind.put`, or
@@ -25,7 +29,10 @@ Contracts, shared by both pools:
 * **clean shutdown** — :meth:`close` is idempotent, never raises, and
   joins the worker so no threads outlive the pass (a worker stuck in a
   stalled disk call is left as a daemon and reaped when the call
-  returns — it cannot be interrupted from Python).
+  returns — it cannot be interrupted from Python);
+* **no stranded buffer** — a value prefetched but never consumed goes
+  to ``on_drop``; a write item's ``release`` runs exactly once whether
+  the item was written, skipped behind an error, or refused.
 """
 
 from __future__ import annotations
@@ -52,10 +59,10 @@ class PipelinePlan:
     Parameters
     ----------
     depth:
-        Buffers each pool may hold in flight. ``0`` disables the
+        Column buffers (rounds) each pool may queue. ``0`` disables the
         threads entirely (synchronous execution); ``1`` overlaps one
-        read and one write with compute; deeper pipelines hide more
-        latency at the cost of pinned buffer memory.
+        round's read and one round's writes with compute; deeper
+        pipelines hide more latency at the cost of pinned buffer memory.
     timeout:
         Seconds any blocking pool operation may wait before raising
         :class:`~repro.errors.PipelineError` (the pipeline's analogue
@@ -238,14 +245,24 @@ _STOP = _Stop()
 
 
 class WriteBehind:
-    """Retire write tasks on a background thread, in submission order.
+    """Retire write items on a background thread, in submission order.
 
-    :meth:`put` enqueues a zero-argument callable (blocking only when
-    ``depth`` writes are already in flight); :meth:`drain` blocks until
-    everything submitted has retired and re-raises the first worker
-    error. After an error, the worker skips the backlog so shutdown
-    stays prompt, and every subsequent :meth:`put` re-raises the error
-    immediately.
+    One item is one *round*: every write the round produced (the
+    ``s/P`` segment writes of a deal round, say) plus the release of the
+    column buffer those writes read from. :meth:`put` blocks only when
+    ``depth`` items are already queued behind the one being written, so
+    ``depth`` counts column buffers in flight — the unit
+    :class:`PipelinePlan`, DESIGN §6 and admission control reason in —
+    and the writes of round ``t`` overlap the read, sort and exchange of
+    rounds ``t+1 … t+depth``. (Queueing single segment writes instead
+    made a depth-2 writer wait for 30 of a round's 32 writes before the
+    next round could start: the deal passes ran serialised.)
+
+    :meth:`drain` blocks until everything submitted has retired and
+    re-raises the first worker error. After an error the worker skips
+    the writes of the backlog — but still releases each item's buffer —
+    so shutdown stays prompt, and every subsequent :meth:`put` re-raises
+    the error immediately.
     """
 
     def __init__(
@@ -269,16 +286,30 @@ class WriteBehind:
             )
             self._thread.start()
 
+    @staticmethod
+    def _retire(tasks: Sequence[Callable], release: Callable | None) -> None:
+        """Run one item's writes in order, then release its buffer —
+        also when a write raises (the rest of the item is abandoned)."""
+        try:
+            for task in tasks:
+                task()
+        finally:
+            if release is not None:
+                release()
+
     def _worker(self) -> None:
         while True:
-            task = self._queue.get()
-            if task is _STOP:
+            item = self._queue.get()
+            if item is _STOP:
                 return
-            if self._error is None and not self._stop.is_set():
-                try:
-                    task()
-                except BaseException as exc:  # noqa: BLE001 — crosses threads
-                    with self._cv:
+            tasks, release = item
+            if self._error is not None or self._stop.is_set():
+                tasks = ()  # skip the writes, keep the release
+            try:
+                self._retire(tasks, release)
+            except BaseException as exc:  # noqa: BLE001 — crosses threads
+                with self._cv:
+                    if self._error is None:
                         self._error = exc
             with self._cv:
                 self._pending -= 1
@@ -288,44 +319,59 @@ class WriteBehind:
         if self._error is not None:
             raise self._error
 
-    def put(self, task: Callable) -> None:
-        """Submit one write. Blocks while ``depth`` writes are in flight."""
-        if self._queue is None:
-            _check_cancel(self._plan.cancel)
-            with self._clock.stage(WRITE_WAIT):
-                task()
-            return
+    def put(self, *tasks: Callable, release: Callable | None = None) -> None:
+        """Submit one item: zero-argument write ``tasks`` retired in
+        order, then ``release()`` (typically recycling the pool lease
+        the writes read from). Blocks while ``depth`` items are queued.
+
+        ``release`` runs exactly once whatever happens to the item —
+        written, skipped behind an earlier error, or refused by this
+        call raising — so handing a buffer to ``put`` ends the caller's
+        responsibility for it.
+        """
+        accepted = False
+        try:
+            if self._queue is None:
+                _check_cancel(self._plan.cancel)
+                accepted = True
+                with self._clock.stage(WRITE_WAIT):
+                    self._retire(tasks, release)
+            else:
+                self._enqueue((tasks, release))
+                accepted = True
+        finally:
+            if not accepted and release is not None:
+                release()
+
+    def _enqueue(self, item: tuple) -> None:
         self._raise_pending_error()
         deadline = time.monotonic() + self._plan.timeout
         t0 = time.perf_counter()
+        with self._cv:
+            self._pending += 1
         try:
-            with self._cv:
-                self._pending += 1
             while True:
                 self._raise_pending_error()
+                _check_cancel(self._plan.cancel)
                 try:
-                    _check_cancel(self._plan.cancel)
-                except BaseException:
-                    with self._cv:
-                        self._pending -= 1
-                    raise
-                try:
-                    self._queue.put(task, timeout=_POLL)
+                    self._queue.put(item, timeout=_POLL)
                     return
                 except queue.Full:
                     if time.monotonic() >= deadline:
-                        with self._cv:
-                            self._pending -= 1
                         raise PipelineError(
                             f"write-behind timed out after {self._plan.timeout}s "
-                            f"with {self._pending} writes in flight — the "
+                            f"with {self._pending - 1} rounds in flight — the "
                             f"underlying write has stalled"
                         ) from None
+        except BaseException:
+            with self._cv:
+                self._pending -= 1  # never queued
+            raise
         finally:
             self._clock.add(WRITE_WAIT, time.perf_counter() - t0)
 
     def drain(self) -> None:
-        """Wait until every submitted write has retired; re-raise the
+        """Wait until every submitted item has retired; re-raise the
         first worker error (as the original exception object)."""
         if self._queue is not None:
             deadline = time.monotonic() + self._plan.timeout
@@ -337,7 +383,7 @@ class WriteBehind:
                             raise PipelineError(
                                 f"write-behind drain timed out after "
                                 f"{self._plan.timeout}s with {self._pending} "
-                                f"writes still in flight"
+                                f"rounds still in flight"
                             )
                         self._cv.wait(_POLL)
         else:
@@ -349,7 +395,7 @@ class WriteBehind:
         errors surface through :meth:`put`/:meth:`drain` only."""
         if self._thread is None:
             return
-        self._stop.set()  # worker skips tasks it has not started yet
+        self._stop.set()  # worker skips (but releases) items not yet started
         deadline = time.monotonic() + self._plan.timeout
         while True:
             try:

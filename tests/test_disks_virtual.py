@@ -112,6 +112,37 @@ class TestCapacityAndFaults:
         d.delete("a")
         d.write_at("b", 0, b"abcdefghij")
 
+    def test_used_bytes_total_tracks_every_mutation(self, tmp_path):
+        """`used_bytes` is a running total, not a sum over the catalog:
+        it must agree with the files after growth, in-place overwrite, a
+        gap write, a refused write, spare reservations, delete, and a
+        refresh from the directory."""
+        d = VirtualDisk(tmp_path / "d", capacity_bytes=64)
+
+        def on_disk() -> int:
+            return sum(p.stat().st_size for p in d.root.iterdir() if p.is_file())
+
+        d.write_at("a", 0, b"12345")
+        d.write_at("a", 2, b"xy")  # inside: no growth
+        d.write_at("a", 3, b"1234567")  # grows to 10
+        d.write_at("b", 4, b"zz")  # gap write: 6 bytes incl. the zero fill
+        assert d.used_bytes() == on_disk() == 16
+        with pytest.raises(DiskFullError):
+            d.write_at("c", 0, bytes(49))
+        assert d.used_bytes() == 16
+        d.reserve_spare("a", 12)
+        d.reserve_spare("a", 8)  # non-growing: idempotent
+        assert d.used_bytes() == 28
+        with pytest.raises(DiskFullError):
+            d.reserve_spare("b", 40)
+        d.refresh()
+        assert d.used_bytes() == 28
+        d.delete("a")  # drops the object and its spare copy
+        assert d.used_bytes() == on_disk() == 6
+        d.delete("missing")
+        d.write_at("c", 0, bytes(58))  # exactly full
+        assert d.used_bytes() == 64
+
     def test_read_only(self, disk):
         disk.write_at("obj", 0, b"x")
         disk.read_only = True

@@ -258,3 +258,29 @@ class TestBudgetedRun:
             res.output.delete()
         finally:
             get_pool().set_budget(None)
+
+    @pytest.mark.parametrize("algorithm,n,buf,p", [
+        ("threaded", 2**15, 2048, 2),
+        ("subblock", 2**14, 1024, 4),
+        ("m", 2**14, 1024, 4),
+    ])
+    @pytest.mark.parametrize("depth", [0, 1, 2, 4])
+    def test_peak_stays_within_the_admitted_demand(self, algorithm, n, buf, p, depth):
+        """What admission charges (`job_demands`: 2·depth + 4 buffers per
+        rank) bounds what a run pins, now that the write-behind queue
+        holds `depth` whole round buffers: `depth` prefetched + 1 in the
+        reader's hand, `depth` queued + 1 being written, 2 in the body."""
+        from repro.oocs.api import job_demands
+
+        get_pool().clear()  # freelists left by other tests count as held
+        records = generate("uniform", FMT, n, seed=3)
+        cluster = ClusterConfig(p=p, mem_per_proc=2**12)
+        res = sort_out_of_core(
+            algorithm, records, cluster, FMT, buffer_records=buf,
+            pipeline_depth=depth,
+        )
+        res.output.delete()
+        mem, _scratch = job_demands(res.job)
+        assert res.copy["peak_leases"] <= p * (2 * depth + 4)
+        assert 0 < res.governor["peak_held_bytes"] <= mem
+

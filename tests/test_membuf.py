@@ -9,6 +9,7 @@ import numpy as np
 from repro.membuf import (
     BufferPool,
     CopyStats,
+    LeaseScope,
     copy_delta,
     copy_stats,
     get_pool,
@@ -133,6 +134,45 @@ class TestBufferPool:
             t.join()
         assert not errors
         assert pool.outstanding() == 0
+        pool.clear()
+
+
+class TestLeaseScope:
+    def test_close_recycles_what_is_still_held(self):
+        pool = BufferPool()
+        leases = LeaseScope(pool)
+        a = leases.lease(np.int64, 8)
+        b = leases.hold(pool.lease(np.int64, 8))  # taken elsewhere, adopted
+        early = leases.lease(np.int64, 8)
+        leases.recycle(early)
+        assert pool.outstanding() == 2
+        leases.close()
+        leases.close()  # idempotent: nothing is recycled twice
+        assert pool.outstanding() == 0
+        assert pool.free_buffers() == 3
+        assert {id(a), id(b), id(early)} == {
+            id(pool.lease(np.int64, 8)) for _ in range(3)
+        }
+        pool.clear()
+
+    def test_hand_off_moves_ownership(self):
+        pool = BufferPool()
+        leases = LeaseScope(pool)
+        a, b = leases.lease(np.int64, 8), leases.lease(np.int64, 8)
+        release = leases.hand_off(a, b)
+        leases.close()
+        assert pool.outstanding() == 2  # the new owner's now
+        release()
+        assert pool.outstanding() == 0
+        pool.clear()
+
+    def test_recycle_and_hand_off_accept_arrays_never_held(self):
+        pool = BufferPool()
+        leases = LeaseScope(pool)
+        view = np.arange(8)[2:]
+        leases.recycle(view)  # a view: the pool ignores it
+        leases.hand_off(view, pool.grab(np.int64, 8))()
+        assert pool.outstanding() == 0 and pool.free_buffers() == 1
         pool.clear()
 
 

@@ -236,6 +236,142 @@ class TestWriteBehind:
         assert not pipeline_threads()
         writer.close()
 
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_depth_counts_rounds_not_writes(self, depth):
+        """With the writer stalled in round 0, `depth` further rounds of
+        k writes each queue without blocking and the next one blocks;
+        everything then retires in submission order."""
+        k = 5
+        gate = threading.Event()
+        retired: list[tuple[int, int]] = []
+
+        def round_of(t: int) -> list:
+            return [partial(retired.append, (t, i)) for i in range(k)]
+
+        writer = WriteBehind(PipelinePlan(depth=depth, timeout=30.0))
+        try:
+            writer.put(gate.wait, *round_of(0))
+            accepted = threading.Event()
+
+            def producer():
+                for t in range(1, depth + 1):
+                    writer.put(*round_of(t))
+                accepted.set()
+                writer.put(*round_of(depth + 1))
+
+            thread = threading.Thread(target=producer)
+            thread.start()
+            assert accepted.wait(10.0), "a round within depth blocked"
+            thread.join(0.3)
+            assert thread.is_alive(), "round depth+1 did not block"
+            assert retired == []
+            gate.set()
+            thread.join(10.0)
+            assert not thread.is_alive()
+            writer.drain()
+        finally:
+            gate.set()
+            writer.close()
+        assert retired == [(t, i) for t in range(depth + 2) for i in range(k)]
+        assert_no_pipeline_threads()
+
+    def test_failure_mid_round_keeps_object_and_releases_every_round(self):
+        """A write failing in the middle of a round abandons the rest of
+        that round, surfaces as the same exception object from the next
+        put/drain, skips the writes of the rounds queued behind it — and
+        still releases every round's buffer, exactly once."""
+        depth = 2
+        boom = DiskFullError("disk 3 full")
+        gate = threading.Event()
+        retired: list[str] = []
+        released: list[int] = []
+
+        def fail():
+            raise boom
+
+        writer = WriteBehind(PipelinePlan(depth=depth, timeout=30.0))
+        try:
+            writer.put(
+                gate.wait, partial(retired.append, "before"), fail,
+                partial(retired.append, "after"),
+                release=partial(released.append, 0),
+            )
+            for t in range(1, depth + 1):  # queued behind the failure
+                writer.put(
+                    partial(retired.append, f"round{t}"),
+                    release=partial(released.append, t),
+                )
+            gate.set()
+            with pytest.raises(DiskFullError) as from_drain:
+                writer.drain()
+            assert from_drain.value is boom
+            with pytest.raises(DiskFullError) as from_put:
+                writer.put(
+                    partial(retired.append, "late"),
+                    release=partial(released.append, 99),
+                )
+            assert from_put.value is boom
+        finally:
+            gate.set()
+            writer.close()
+        assert retired == ["before"]
+        assert released == [0, 1, 2, 99]
+        assert_no_pipeline_threads()
+
+    def test_inline_failure_mid_round_releases(self):
+        boom = DiskFullError("disk 4 full")
+        retired: list[str] = []
+        released: list[int] = []
+
+        def fail():
+            raise boom
+
+        writer = WriteBehind(SYNCHRONOUS)
+        with pytest.raises(DiskFullError) as exc_info:
+            writer.put(
+                partial(retired.append, "before"), fail,
+                partial(retired.append, "after"),
+                release=partial(released.append, 0),
+            )
+        assert exc_info.value is boom
+        assert (retired, released) == (["before"], [0])
+
+    def test_put_timeout_reports_rounds_in_flight(self):
+        gate = threading.Event()
+        released: list[int] = []
+        writer = WriteBehind(PipelinePlan(depth=1, timeout=0.3))
+        try:
+            writer.put(gate.wait)  # being written
+            writer.put(lambda: None)  # queued
+            with pytest.raises(PipelineError, match="with 2 rounds in flight"):
+                writer.put(lambda: None, release=partial(released.append, 1))
+            assert released == [1]  # refused, so released by put itself
+            gate.set()
+            writer.drain()  # the refused round is not waited for
+        finally:
+            gate.set()
+            writer.close()
+        assert_no_pipeline_threads()
+
+    def test_cancelled_put_releases_the_round(self):
+        class Token:
+            def cancelled(self):
+                return True
+
+            def exception(self):
+                return RuntimeError("cancelled")
+
+        released: list[int] = []
+        for depth in (0, 1):
+            writer = WriteBehind(PipelinePlan(depth=depth, cancel=Token()))
+            try:
+                with pytest.raises(RuntimeError, match="cancelled"):
+                    writer.put(lambda: None, release=partial(released.append, depth))
+            finally:
+                writer.close()
+        assert released == [0, 1]
+        assert_no_pipeline_threads()
+
 
 # -- stage clock -------------------------------------------------------------
 
@@ -477,4 +613,40 @@ def test_disk_full_through_flusher_thread(tmp_path):
             writer.drain()
     finally:
         writer.close()
+    assert_no_pipeline_threads()
+
+
+@pytest.mark.parametrize("depth", [0, 2])
+def test_write_failing_mid_round_strands_no_lease(tmp_path, depth):
+    """A deal pass whose k-th segment write fails — in the middle of a
+    round, with later rounds' buffers queued behind it — unwinds through
+    the SPMD error path with every pool lease returned (no crash-path
+    ``forget_leases`` here: the pass bodies themselves must release)."""
+    from repro.membuf import get_pool
+
+    cluster = ClusterConfig(p=2, mem_per_proc=2**10)
+    r, s = 128, 8
+    recs = generate("zipf", FMT, r * s, seed=4)
+    ws = make_workspace(cluster, FMT, recs, r, s, workdir=tmp_path)
+    dst = ColumnStore(cluster, FMT, r, s, ws.disks, name="fail-t1")
+    boom = DiskFullError("disk 0 full")
+    real_write = dst.write_segment
+    calls = {0: 0, 1: 0}
+
+    def failing_write(rank, j, row_offset, records):
+        calls[rank] += 1
+        if rank == 0 and calls[rank] == s // 2 + 2:  # second write of round 1
+            raise boom
+        real_write(rank, j, row_offset, records)
+
+    dst.write_segment = failing_write
+    plan = PipelinePlan(depth=depth, timeout=10.0)
+    with pytest.raises(SpmdError) as exc_info:
+        run_spmd(
+            cluster.p,
+            lambda comm: pass_step2_deal(comm, ws.input, dst, FMT, None, plan=plan),
+            timeout=10,
+        )
+    assert exc_info.value.cause is boom
+    assert get_pool().outstanding() == 0
     assert_no_pipeline_threads()

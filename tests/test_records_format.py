@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.records.format import RecordFormat
+from repro.membuf import get_pool
+from repro.records.format import RecordFormat, stable_argsort
+from repro.records.keys import KEY_DTYPES
 
 
 class TestLayout:
@@ -115,3 +117,88 @@ class TestSorting:
         assert not fmt.is_sorted(fmt.make(np.array([2, 1])))
         assert fmt.is_sorted(fmt.empty(0))
         assert fmt.is_sorted(fmt.make(np.array([5])))
+
+
+def _key_cases(dtype: np.dtype, n: int, seed: int) -> dict[str, np.ndarray]:
+    """Key arrays of every shape the order kernel must get exactly
+    right, as ``dtype``."""
+    rng = np.random.default_rng(seed)
+    if dtype.kind == "f":
+        uniform = rng.standard_normal(n) * 1e6
+    else:
+        info = np.iinfo(dtype)
+        uniform = rng.integers(info.min, info.max, n, dtype=dtype, endpoint=True)
+    uniform = uniform.astype(dtype)
+    return {
+        "uniform": uniform,
+        "all-equal": np.full(n, 7, dtype=dtype),
+        "zipf": np.minimum(rng.zipf(1.3, n), 1000).astype(dtype),
+        "sorted": np.sort(uniform),
+        "reversed": np.sort(uniform)[::-1].copy(),
+        "two-values": rng.integers(0, 2, n).astype(dtype),
+    }
+
+
+class TestStableOrderKernel:
+    """`stable_argsort` is the stable order itself, not an
+    approximation: element for element ``np.argsort(kind="stable")``."""
+
+    @pytest.mark.parametrize("key", sorted(KEY_DTYPES))
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 257, 4096])
+    def test_equals_numpy_stable_argsort(self, key, n):
+        for name, keys in _key_cases(KEY_DTYPES[key], n, seed=n).items():
+            want = np.argsort(keys, kind="stable")
+            got = stable_argsort(keys)
+            assert got.dtype == np.intp
+            assert np.array_equal(got, want), (key, n, name)
+            # The way pass bodies call it: the strided key field.
+            recs = RecordFormat(key, 32).make(keys)
+            assert np.array_equal(RecordFormat.argsort(recs), want), (key, n, name)
+            assert np.array_equal(stable_argsort(keys[::2]),
+                                  np.argsort(keys[::2], kind="stable"))
+
+    def test_float_nan_and_signed_zero(self):
+        rng = np.random.default_rng(5)
+        keys = rng.choice(
+            np.array([np.nan, 0.0, -0.0, 1.5, -np.inf, np.inf, -2.0]), 500
+        )
+        assert np.array_equal(stable_argsort(keys), np.argsort(keys, kind="stable"))
+        no_nan = keys[~np.isnan(keys)]  # ±0.0 tie: the repair path, not the fallback
+        assert np.array_equal(
+            stable_argsort(no_nan), np.argsort(no_nan, kind="stable")
+        )
+
+    def test_uid_field_and_other_dtypes(self):
+        uids = np.random.default_rng(6).permutation(1000).astype("<u8")
+        assert np.array_equal(stable_argsort(uids), np.argsort(uids, kind="stable"))
+        names = np.array(["b", "a", "b", "a"])
+        assert np.array_equal(stable_argsort(names), [1, 3, 0, 2])
+
+    @pytest.mark.parametrize("size", [16, 64, 128, 20])  # 20: not 8-byte words
+    @pytest.mark.parametrize("method", ["sort", "merge_runs"])
+    def test_sort_into_lease_is_byte_identical(self, size, method):
+        fmt = RecordFormat("u4" if size == 20 else "u8", size)
+        keys = _key_cases(fmt.key_dtype, 1024, seed=size)["zipf"]
+        # Random bytes in every field, so a gather that dropped or
+        # misplaced any byte of a record would show.
+        noise = np.random.default_rng(size).integers(
+            0, 256, len(keys) * size, dtype=np.uint8
+        )
+        recs = noise.view(fmt.dtype)
+        recs["key"] = keys
+        if method == "merge_runs":  # its contract: sorted runs end to end
+            recs = np.concatenate([fmt.sort(recs[:512]), fmt.sort(recs[512:])])
+        want = recs[np.argsort(recs["key"], kind="stable")].tobytes()
+        kernel = getattr(fmt, method)
+        assert kernel(recs).tobytes() == want
+        lease = get_pool().lease(fmt.dtype, len(recs))
+        try:
+            assert kernel(recs, out=lease) is lease
+            assert lease.tobytes() == want
+        finally:
+            get_pool().recycle(lease)
+        # A non-contiguous source takes the structured gather.
+        strided = np.concatenate([recs, recs])[::2]
+        assert fmt.sort(strided).tobytes() == (
+            strided[np.argsort(strided["key"], kind="stable")].tobytes()
+        )

@@ -17,6 +17,8 @@ must be exactly as invisible to the data as the thread backend's views.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from repro.cluster import available_backends
 from repro.cluster.config import ClusterConfig
 from repro.membuf import get_pool
 from repro.oocs.api import sort_out_of_core
+from repro.oocs.gcolumnsort import sort_with_group_size
 from repro.records.format import RecordFormat
 from repro.records.generators import generate
 
@@ -40,14 +43,34 @@ SHAPES = {
 FMT = RecordFormat("u8", 64)
 
 
-def _records(algorithm: str) -> np.ndarray:
-    return generate("uniform", FMT, SHAPES[algorithm][0], seed=7)
+#: SHA-256 of the sorted output for *zipf* keys (same shapes, seed 7),
+#: taken at the commit before the in-core sorts moved to the
+#: sort-then-repair-ties order kernel. Columnsort as a whole is not a
+#: stable sort, so with duplicate keys NumPy's stable sort is no oracle;
+#: but which of two equal-keyed records comes first is decided by the
+#: per-column stable sorts, so any kernel that is not *exactly* the
+#: stable order changes these bytes.
+ZIPF_DIGESTS = {
+    "threaded": "486e487de8e22ab1b885c1b409049328ad53e8707681c561b9bc1c16f04adfd5",
+    "subblock": "afcc6bfeae260ddf8a6b9a16657c11125362f2e25a94a9997e03eb57ea90eb62",
+    "m": "d38d1d314635d9dfc15dfbf11035870948bdeffde73800b8b102cfd660475229",
+    "hybrid": "eb8bb913df7f281033083295ab9b8f7e8de7511e17e1bdc6786407681983c7a7",
+    # g-columnsort, N = 8192, buffer 512, group size 2
+    "g2": "f667aba176874571b47fd3bde7648301784faaa611f974623c7b60938418941a",
+}
+
+CLUSTER = ClusterConfig(p=4, mem_per_proc=2**16)
 
 
-def _sort(algorithm: str, depth: int, backend: str = "thread"):
-    cluster = ClusterConfig(p=4, mem_per_proc=2**16)
+def _records(algorithm: str, keys: str = "uniform") -> np.ndarray:
+    return generate(keys, FMT, SHAPES[algorithm][0], seed=7)
+
+
+def _sort(
+    algorithm: str, depth: int, backend: str = "thread", keys: str = "uniform"
+):
     return sort_out_of_core(
-        algorithm, _records(algorithm), cluster, FMT,
+        algorithm, _records(algorithm, keys), CLUSTER, FMT,
         buffer_records=SHAPES[algorithm][1], pipeline_depth=depth,
         backend=backend,
     )
@@ -75,6 +98,46 @@ def test_legacy_and_pooled_outputs_byte_identical(algorithm, backend):
         assert got == reference, (
             f"{algorithm}: output differs at depth={depth} backend={backend}"
         )
+
+
+@pytest.mark.parametrize("algorithm", sorted(SHAPES))
+def test_duplicate_keys_keep_the_stable_order_end_to_end(algorithm):
+    # Zipf keys (thousands of ties per column) send every column sort
+    # through the tie repair; the process backend joins on the cheapest
+    # shape only.
+    points = [(0, "thread"), (2, "thread")]
+    if algorithm == "threaded":
+        points += [(2, backend) for backend in available_backends()
+                   if backend != "thread"]
+    n = SHAPES[algorithm][0]
+    for depth, backend in points:
+        result = _sort(algorithm, depth, backend, keys="zipf")
+        got = result.output.read_global(0, n).tobytes()
+        result.output.delete()
+        assert get_pool().outstanding() == 0, "pool lease leaked by the run"
+        assert hashlib.sha256(got).hexdigest() == ZIPF_DIGESTS[algorithm], (
+            f"{algorithm}: zipf output moved at depth={depth} backend={backend}"
+        )
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_gcolumnsort_outputs_byte_identical(backend):
+    # g-columnsort shares the order kernel and the window merge but not
+    # the pass pipeline; unique keys against NumPy's stable sort, zipf
+    # keys against the pinned digest.
+    uniform = generate("uniform", FMT, 8192, seed=7)
+    result = sort_with_group_size(
+        uniform, CLUSTER, FMT, 512, group_size=2, backend=backend
+    )
+    got = result.output.read_global(0, len(uniform)).tobytes()
+    assert got == uniform[np.argsort(uniform["key"], kind="stable")].tobytes()
+    zipf = generate("zipf", FMT, 8192, seed=7)
+    result = sort_with_group_size(
+        zipf, CLUSTER, FMT, 512, group_size=2, backend=backend
+    )
+    got = result.output.read_global(0, len(zipf)).tobytes()
+    assert hashlib.sha256(got).hexdigest() == ZIPF_DIGESTS["g2"]
+    assert get_pool().outstanding() == 0
 
 
 def test_pooled_plane_copies_at_least_2x_fewer_bytes():
