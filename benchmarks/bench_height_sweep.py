@@ -11,7 +11,8 @@ import pytest
 
 from repro.bounds.restrictions import max_pow2_n
 from repro.cluster.config import ClusterConfig
-from repro.oocs.gcolumnsort import g_bound, smallest_group_size, sort_with_group_size
+from repro.oocs.api import sort_out_of_core
+from repro.oocs.gcolumnsort import g_bound, smallest_group_size
 from repro.records.format import RecordFormat
 from repro.records.generators import generate
 
@@ -29,8 +30,8 @@ def test_g_sweep_timing(benchmark, g):
     benchmark.group = "g-columnsort"
     benchmark.extra_info["bound_records"] = g_bound(BUFFER, g)
     benchmark(
-        lambda: sort_with_group_size(
-            recs, cluster, FMT, BUFFER, group_size=g, verify=False
+        lambda: sort_out_of_core(
+            "g", recs, cluster, FMT, BUFFER, group_size=g, verify=False
         )
     )
 
@@ -43,8 +44,8 @@ def test_g_sweep_tradeoff(benchmark, show):
     def measure():
         rows = []
         for g in (1, 2, 4):
-            res = sort_with_group_size(
-                recs, cluster, FMT, BUFFER, group_size=g, verify=False
+            res = sort_out_of_core(
+                "g", recs, cluster, FMT, BUFFER, group_size=g, verify=False
             )
             rows.append(
                 {
@@ -86,15 +87,13 @@ def test_policy_picks_minimal_g(benchmark):
 def test_endpoints_match_published_algorithms(benchmark, show):
     """g=1 and g=P reproduce threaded and M-columnsort exactly —
     identical sorted output and identical disk I/O volume."""
-    from repro.oocs.api import sort_out_of_core
-
     cluster = ClusterConfig(p=P, mem_per_proc=BUFFER)
     recs = generate("uniform", FMT, N, seed=3)
 
     def run_all():
         thr = sort_out_of_core("threaded", recs, cluster, FMT, buffer_records=BUFFER)
-        g1 = sort_with_group_size(recs, cluster, FMT, BUFFER, group_size=1)
-        gp = sort_with_group_size(recs, cluster, FMT, BUFFER // P * P, group_size=P)
+        g1 = sort_out_of_core("g", recs, cluster, FMT, BUFFER, group_size=1)
+        gp = sort_out_of_core("g", recs, cluster, FMT, BUFFER, group_size=P)
         return thr, g1, gp
 
     thr, g1, gp = benchmark.pedantic(run_all, rounds=1, iterations=1)

@@ -12,9 +12,9 @@ smallest feasible g for a problem threaded columnsort cannot configure.
 Run:  python examples/adjustable_height.py
 """
 
-from repro import ClusterConfig, RecordFormat, generate
+from repro import ClusterConfig, RecordFormat, generate, sort_out_of_core
 from repro.bounds.restrictions import max_pow2_n
-from repro.oocs.gcolumnsort import g_bound, smallest_group_size, sort_with_group_size
+from repro.oocs.gcolumnsort import g_bound, smallest_group_size
 
 fmt = RecordFormat("u8", 64)
 P, buffer_records = 4, 512
@@ -29,8 +29,8 @@ print(f"{'g':>3} {'r = g·M/P':>10} {'bound (records)':>16} "
       f"{'network bytes':>14}  role")
 roles = {1: "= threaded columnsort", 2: "intermediate", 4: "= M-columnsort"}
 for g in (1, 2, 4):
-    result = sort_with_group_size(records, cluster, fmt, buffer_records,
-                                  group_size=g)
+    result = sort_out_of_core("g", records, cluster, fmt, buffer_records,
+                              group_size=g)
     print(f"{g:>3} {g * buffer_records:>10} "
           f"{max_pow2_n(g_bound(buffer_records, g)):>16,} "
           f"{result.comm_total['network_bytes']:>14,}  {roles[g]}")
@@ -40,6 +40,6 @@ print(f"\nnow N = {n_big:,} — too large for g ∈ {{1, 2}} at this buffer:")
 g_pick = smallest_group_size(n_big, P, buffer_records)
 print(f"policy picks the smallest feasible group size: g = {g_pick}")
 big = generate("uniform", fmt, n_big, seed=2)
-result = sort_with_group_size(big, cluster, fmt, buffer_records)  # auto
+result = sort_out_of_core("g", big, cluster, fmt, buffer_records)  # auto
 print(f"ran {result.algorithm}: {result.passes} passes, verified; "
       f"network {result.comm_total['network_bytes']:,} B")

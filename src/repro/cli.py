@@ -114,27 +114,6 @@ def _cmd_sort(args: argparse.Namespace) -> int:
     fmt = RecordFormat(args.key, args.record_size)
     cluster = ClusterConfig(p=args.processors, mem_per_proc=args.buffer * 2)
     records = generate(args.workload, fmt, args.records, seed=args.seed)
-    if getattr(args, "group_size", None) is not None:
-        from repro.oocs.gcolumnsort import sort_with_group_size
-
-        result = sort_with_group_size(
-            records, cluster, fmt, args.buffer, group_size=args.group_size,
-            workdir=args.workdir,
-        )
-        if args.json:
-            _print_json_summary(result)
-            return 0
-        print(
-            f"{result.algorithm}: sorted {len(records)} records on "
-            f"P={cluster.p} in {result.passes} passes — verified"
-        )
-        print(
-            f"  network: {result.comm_total['network_bytes']:,} B in "
-            f"{result.comm_total['network_messages']} messages"
-        )
-        if args.copy_stats:
-            _print_copy_stats(result)
-        return 0
     retry_policy = None
     if args.retries > 1:
         from repro.resilience import RetryPolicy
@@ -155,7 +134,8 @@ def _cmd_sort(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
     result = sort_out_of_core(
-        args.algorithm, records, cluster, fmt, buffer_records=args.buffer,
+        "g" if args.group_size is not None else args.algorithm,
+        records, cluster, fmt, buffer_records=args.buffer,
         workdir=args.workdir, pipeline_depth=args.pipeline_depth,
         checkpoint_dir=args.checkpoint_dir, resume=args.resume,
         keep_checkpoints=args.keep_checkpoints,
@@ -166,6 +146,7 @@ def _cmd_sort(args: argparse.Namespace) -> int:
         governor=governor,
         backend=args.backend,
         restart_policy=restart_policy,
+        group_size=args.group_size,
     )
     if args.json:
         _print_json_summary(result)
@@ -173,7 +154,7 @@ def _cmd_sort(args: argparse.Namespace) -> int:
         return 0
     io = result.io
     print(
-        f"{args.algorithm}: sorted {args.records} records on P={args.processors} "
+        f"{result.algorithm}: sorted {args.records} records on P={args.processors} "
         f"in {result.passes} passes (pipeline depth {args.pipeline_depth}) "
         f"— verified"
     )
@@ -344,6 +325,9 @@ def _cmd_client(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.oocs.api import ALGORITHMS
+    from repro.service.protocol import SPEC_DEFAULTS
+
     parser = argparse.ArgumentParser(
         prog="repro-columnsort",
         description="Out-of-core columnsort with relaxed problem-size bounds "
@@ -368,26 +352,26 @@ def build_parser() -> argparse.ArgumentParser:
         t.set_defaults(fn=_cmd_table)
 
     srt = sub.add_parser("sort", help="run and verify a real out-of-core sort")
-    srt.add_argument(
-        "--algorithm", choices=("threaded", "subblock", "m", "hybrid"),
-        default="threaded",
-    )
-    srt.add_argument("--records", type=int, default=8192)
-    srt.add_argument("--buffer", type=int, default=512,
+    # The daemon's job specs share these fields; their defaults live in
+    # SPEC_DEFAULTS alone.
+    srt.set_defaults(**{k: v for k, v in SPEC_DEFAULTS.items() if k != "verify"})
+    srt.add_argument("--algorithm", choices=tuple(ALGORITHMS))
+    srt.add_argument("--records", type=int)
+    srt.add_argument("--buffer", type=int,
                      help="per-processor buffer in records")
-    srt.add_argument("--processors", "-p", type=int, default=4)
-    srt.add_argument("--record-size", type=int, default=64)
-    srt.add_argument("--key", choices=("u8", "i8", "f8", "u4", "i4"), default="u8")
-    srt.add_argument("--workload", choices=workload_names(), default="uniform")
-    srt.add_argument("--seed", type=int, default=0)
+    srt.add_argument("--processors", "-p", type=int)
+    srt.add_argument("--record-size", type=int)
+    srt.add_argument("--key", choices=("u8", "i8", "f8", "u4", "i4"))
+    srt.add_argument("--workload", choices=workload_names())
+    srt.add_argument("--seed", type=int)
     srt.add_argument("--workdir", default=None)
     srt.add_argument(
-        "--pipeline-depth", type=int, default=2,
+        "--pipeline-depth", type=int,
         help="read-ahead/write-behind depth per pass (0 = synchronous); "
              "output is byte-identical at every depth",
     )
     srt.add_argument(
-        "--backend", choices=available_backends(), default="thread",
+        "--backend", choices=available_backends(),
         help="SPMD transport: 'thread' (one thread per rank, shared "
              "address space) or 'process' (one forked process per rank "
              "with shared-memory alltoallv buffers — rank compute escapes "
@@ -402,8 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srt.add_argument(
         "--group-size", "-g", type=int, default=None,
-        help="adjustable height interpretation: run g-columnsort with "
-             "r = g·buffer (overrides --algorithm)",
+        help="adjustable height interpretation: selects algorithm g "
+             "(g-columnsort) with column height r = g·buffer; with "
+             "--algorithm g alone, g is the smallest feasible",
     )
     srt.add_argument(
         "--checkpoint-dir", default=None,

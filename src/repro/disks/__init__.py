@@ -13,8 +13,9 @@ the Parallel Disk Model (PDM).
   stored column-contiguous, whole columns owned by ``j mod P``
   (threaded and subblock columnsort);
 * :class:`~repro.disks.matrixfile.StripedColumnStore` — columns of
-  height ``M`` each striped over all processors (M-columnsort's height
-  interpretation ``r = M``);
+  height ``g·M/P`` each striped over a group of ``g`` processors: the
+  one striped layout, M-columnsort's ``r = M`` at the default ``g = P``
+  and g-columnsort's adjustable interpretation below it;
 * :mod:`~repro.disks.pdm` + :class:`~repro.disks.matrixfile.PdmStore` —
   PDM striped ordering: the address arithmetic, ownership splitting for
   the final communicate stage, and verification readback.

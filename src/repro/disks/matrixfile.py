@@ -5,9 +5,11 @@ Three layouts, matching the paper's data placement (§2):
 * :class:`ColumnStore` — the ``r × s`` matrix with whole columns owned
   by processor ``j mod P``, each column contiguous on one of its owner's
   disks (threaded and subblock columnsort);
-* :class:`StripedColumnStore` — M-columnsort's height interpretation
-  ``r = M``: every column spans the entire cluster, processor ``p``
-  holding rows ``[p·r/P, (p+1)·r/P)`` of each column on its own disks;
+* :class:`StripedColumnStore` — columns striped over processor groups
+  of ``g``: M-columnsort's height interpretation ``r = M`` at the
+  default ``g = P`` (every column spans the entire cluster, processor
+  ``p`` holding rows ``[p·r/P, (p+1)·r/P)`` on its own disks), the §6
+  adjustable interpretation ``r = g·M/P`` below it;
 * :class:`PdmStore` — the final output in PDM striped ordering.
 
 Intermediate passes exploit a freedom the real implementation also
@@ -245,9 +247,17 @@ class ColumnStore(_StoreBase):
 
 
 class StripedColumnStore(_StoreBase):
-    """M-columnsort's layout: an ``r × s`` matrix with ``r = M``; every
-    column is shared by all processors, processor ``p`` holding rows
-    ``[p·r/P, (p+1)·r/P)`` of each column on its own disks."""
+    """An ``r × s`` matrix whose columns are striped over processor
+    groups — the adjustable height interpretation ``r = g·M/P``,
+    ``1 ≤ g ≤ P`` (§6, second future-work item).
+
+    Processors form ``G = P/g`` groups of ``g``; column ``j`` is owned
+    by group ``j mod G`` and striped over that group's members, ``r/g``
+    records (one *portion*) each, on the member's own disks. The default
+    ``g = P`` is M-columnsort's layout (paper §4): one group, every
+    column spanning the cluster. ``g = 1`` reduces to whole-column
+    ownership (:class:`ColumnStore`'s placement).
+    """
 
     def __init__(
         self,
@@ -258,202 +268,48 @@ class StripedColumnStore(_StoreBase):
         disks: list[VirtualDisk],
         name: str = "mmatrix",
         parity: bool = False,
+        group_size: int | None = None,
     ) -> None:
         super().__init__(cfg, fmt, disks, name, parity=parity)
-        if r % cfg.p:
-            raise ConfigError(f"P={cfg.p} must divide the column height r={r}")
+        g = cfg.p if group_size is None else group_size
+        if g < 1 or cfg.p % g:
+            raise ConfigError(f"group size g={g} must divide P={cfg.p}")
+        if r % g:
+            raise ConfigError(
+                f"group size g={g} must divide the column height r={r}"
+            )
+        if s % (cfg.p // g):
+            raise ConfigError(f"group count G={cfg.p // g} must divide s={s}")
+        self.g = g
+        self.groups = cfg.p // g
         self.r = r
         self.s = s
-        self.portion = r // cfg.p
-        self._cursors: dict[tuple[int, int], int] = {}
-        self._cursor_lock = threading.Lock()
-
-    def _file(self, j: int, rank: int) -> str:
-        return f"{self.name}.col{j:06d}.part{rank:03d}"
-
-    def _disk_for(self, j: int, rank: int) -> VirtualDisk:
-        owned = list(self.cfg.disks_of(rank))
-        return self.disks[owned[j % len(owned)]]
-
-    def _check(self, rank: int, j: int) -> None:
-        self.cfg.check_rank(rank)
-        if not 0 <= j < self.s:
-            raise ConfigError(f"column {j} out of range for s={self.s}")
-
-    def write_portion(self, rank: int, j: int, records: np.ndarray) -> None:
-        """Write rank's full portion (``r/P`` records) of column ``j``."""
-        self._check(rank, j)
-        if len(records) != self.portion:
-            raise ConfigError(
-                f"portion must hold r/P={self.portion} records, got {len(records)}"
-            )
-        self._disk_for(j, rank).write_at(
-            self._file(j, rank), 0, self.fmt.wire_view(records)
-        )
-
-    def read_portion(self, rank: int, j: int, reuse: bool = False) -> np.ndarray:
-        """Read rank's portion of column ``j``. ``reuse=True`` returns a
-        tracked pool lease the caller must recycle."""
-        self._check(rank, j)
-        return self._read_records(
-            self._disk_for(j, rank), self._file(j, rank), 0, self.portion,
-            reuse=reuse,
-        )
-
-    def write_portion_segment(
-        self, rank: int, j: int, row_offset: int, records: np.ndarray
-    ) -> None:
-        """Write ``records`` at offset ``row_offset`` *within the rank's
-        portion* of column ``j``."""
-        self._check(rank, j)
-        if row_offset < 0 or row_offset + len(records) > self.portion:
-            raise ConfigError(
-                f"segment [{row_offset}, {row_offset + len(records)}) exceeds "
-                f"portion height r/P={self.portion}"
-            )
-        self._disk_for(j, rank).write_at(
-            self._file(j, rank),
-            self.fmt.nbytes(row_offset),
-            self.fmt.wire_view(records),
-        )
-
-    def append_to_portion(self, rank: int, j: int, records: np.ndarray) -> None:
-        """Append ``records`` to the rank's portion of column ``j`` at its
-        current cursor (positions assigned by arrival; the next pass
-        sorts the column). Thread-safe: concurrent appenders reserve
-        disjoint cursor ranges."""
-        key = (j, rank)
-        with self._cursor_lock:
-            cursor = self._cursors.get(key, 0)
-            if cursor + len(records) <= self.portion:
-                self._cursors[key] = cursor + len(records)
-            # else: don't reserve — write_portion_segment raises
-        self.write_portion_segment(rank, j, cursor, records)
-
-    def reset_cursors(self) -> None:
-        with self._cursor_lock:
-            self._cursors.clear()
-
-    def cursor(self, rank: int, j: int) -> int:
-        with self._cursor_lock:
-            return self._cursors.get((j, rank), 0)
-
-    @classmethod
-    def from_records(
-        cls,
-        cfg: ClusterConfig,
-        fmt: RecordFormat,
-        records: np.ndarray,
-        r: int,
-        s: int,
-        disks: list[VirtualDisk],
-        name: str = "minput",
-        parity: bool = False,
-    ) -> "StripedColumnStore":
-        """Create a store holding ``records`` in column-major order."""
-        if len(records) != r * s:
-            raise ConfigError(f"need exactly r·s={r * s} records, got {len(records)}")
-        store = cls(cfg, fmt, r, s, disks, name, parity=parity)
-        for j in range(s):
-            col = records[j * r : (j + 1) * r]
-            for p in range(cfg.p):
-                store.write_portion(
-                    p, j, col[p * store.portion : (p + 1) * store.portion]
-                )
-        return store
-
-    def to_records(self) -> np.ndarray:
-        """Read the whole matrix back in column-major order."""
-        out = self.fmt.empty(self.r * self.s)
-        for j in range(self.s):
-            base = j * self.r
-            for p in range(self.cfg.p):
-                out[base + p * self.portion : base + (p + 1) * self.portion] = (
-                    self.read_portion(p, j)
-                )
-        return out
-
-    def delete(self) -> None:
-        for j in range(self.s):
-            for p in range(self.cfg.p):
-                self._disk_for(j, p).delete(self._file(j, p))
-
-
-class GroupColumnStore(_StoreBase):
-    """The adjustable height interpretation's layout (§6, second
-    future-work item): ``r = g·M/P`` with ``1 ≤ g ≤ P``.
-
-    Processors form ``G = P/g`` groups of ``g``; column ``j`` is owned
-    by group ``j mod G`` and striped over that group's members,
-    ``r/g`` records each. ``g = 1`` reduces to whole-column ownership
-    (:class:`ColumnStore`'s placement); ``g = P`` to M-columnsort's
-    (:class:`StripedColumnStore`).
-    """
-
-    def __init__(
-        self,
-        cfg: ClusterConfig,
-        fmt: RecordFormat,
-        r: int,
-        s: int,
-        disks: list[VirtualDisk],
-        group_size: int,
-        name: str = "gmatrix",
-        parity: bool = False,
-    ) -> None:
-        super().__init__(cfg, fmt, disks, name, parity=parity)
-        if group_size < 1 or cfg.p % group_size:
-            raise ConfigError(
-                f"group size g={group_size} must divide P={cfg.p}"
-            )
-        if r % group_size:
-            raise ConfigError(
-                f"group size g={group_size} must divide column height r={r}"
-            )
-        self.g = group_size
-        self.groups = cfg.p // group_size
-        if s % self.groups:
-            raise ConfigError(
-                f"group count G={self.groups} must divide s={s}"
-            )
-        self.r = r
-        self.s = s
-        self.portion = r // group_size
+        self.portion = r // g
         self._cursors: dict[tuple[int, int], int] = {}
         self._cursor_lock = threading.Lock()
 
     # -- placement ------------------------------------------------------
 
-    def group_of_rank(self, rank: int) -> int:
-        self.cfg.check_rank(rank)
-        return rank // self.g
-
-    def member_of_rank(self, rank: int) -> int:
-        self.cfg.check_rank(rank)
-        return rank % self.g
-
-    def owner_group(self, j: int) -> int:
-        self._check_col(j)
-        return j % self.groups
-
     def rank_of(self, j: int, member: int) -> int:
         """World rank of a member of column ``j``'s owning group."""
-        if not 0 <= member < self.g:
-            raise ConfigError(f"member {member} out of range for g={self.g}")
-        return self.owner_group(j) * self.g + member
-
-    def _check_col(self, j: int) -> None:
         if not 0 <= j < self.s:
             raise ConfigError(f"column {j} out of range for s={self.s}")
+        if not 0 <= member < self.g:
+            raise ConfigError(f"member {member} out of range for g={self.g}")
+        return (j % self.groups) * self.g + member
 
     def _check_access(self, rank: int, j: int) -> int:
         """Validate and return the rank's member index for column ``j``."""
-        if self.group_of_rank(rank) != self.owner_group(j):
+        self.cfg.check_rank(rank)
+        if not 0 <= j < self.s:
+            raise ConfigError(f"column {j} out of range for s={self.s}")
+        group, member = divmod(rank, self.g)
+        if group != j % self.groups:
             raise DiskError(
-                f"rank {rank} (group {self.group_of_rank(rank)}) cannot "
-                f"access column {j} (owned by group {self.owner_group(j)})"
+                f"rank {rank} (group {group}) cannot access column {j} "
+                f"(owned by group {j % self.groups})"
             )
-        return self.member_of_rank(rank)
+        return member
 
     def _file(self, j: int, member: int) -> str:
         return f"{self.name}.col{j:06d}.part{member:03d}"
@@ -465,6 +321,8 @@ class GroupColumnStore(_StoreBase):
     # -- portion I/O ------------------------------------------------------
 
     def read_portion(self, rank: int, j: int, reuse: bool = False) -> np.ndarray:
+        """Read rank's portion of column ``j``. ``reuse=True`` returns a
+        tracked pool lease the caller must recycle."""
         member = self._check_access(rank, j)
         return self._read_records(
             self._disk_for(j, rank), self._file(j, member), 0, self.portion,
@@ -472,6 +330,7 @@ class GroupColumnStore(_StoreBase):
         )
 
     def write_portion(self, rank: int, j: int, records: np.ndarray) -> None:
+        """Write rank's full portion (``r/g`` records) of column ``j``."""
         member = self._check_access(rank, j)
         if len(records) != self.portion:
             raise ConfigError(
@@ -482,8 +341,12 @@ class GroupColumnStore(_StoreBase):
         )
 
     def append_to_portion(self, rank: int, j: int, records: np.ndarray) -> None:
+        """Append ``records`` to the rank's portion of column ``j`` at its
+        current cursor (positions assigned by arrival; the next pass
+        sorts the column). Thread-safe: concurrent appenders reserve
+        disjoint cursor ranges."""
         member = self._check_access(rank, j)
-        key = (j, member)
+        key = (j, rank)
         with self._cursor_lock:
             cursor = self._cursors.get(key, 0)
             if cursor + len(records) > self.portion:
@@ -502,7 +365,20 @@ class GroupColumnStore(_StoreBase):
         with self._cursor_lock:
             self._cursors.clear()
 
+    def cursor(self, rank: int, j: int) -> int:
+        with self._cursor_lock:
+            return self._cursors.get((j, rank), 0)
+
     # -- bulk load/dump ----------------------------------------------------
+
+    def _portions(self):
+        """``(column, owning rank, row slice)`` of every portion."""
+        for j in range(self.s):
+            for member in range(self.g):
+                yield j, self.rank_of(j, member), slice(
+                    j * self.r + member * self.portion,
+                    j * self.r + (member + 1) * self.portion,
+                )
 
     @classmethod
     def from_records(
@@ -513,38 +389,28 @@ class GroupColumnStore(_StoreBase):
         r: int,
         s: int,
         disks: list[VirtualDisk],
-        group_size: int,
-        name: str = "ginput",
+        name: str = "minput",
         parity: bool = False,
-    ) -> "GroupColumnStore":
+        group_size: int | None = None,
+    ) -> "StripedColumnStore":
+        """Create a store holding ``records`` in column-major order."""
         if len(records) != r * s:
             raise ConfigError(f"need exactly r·s={r * s} records, got {len(records)}")
-        store = cls(cfg, fmt, r, s, disks, group_size, name, parity=parity)
-        for j in range(s):
-            col = records[j * r : (j + 1) * r]
-            for member in range(group_size):
-                store.write_portion(
-                    store.rank_of(j, member),
-                    j,
-                    col[member * store.portion : (member + 1) * store.portion],
-                )
+        store = cls(cfg, fmt, r, s, disks, name, parity=parity, group_size=group_size)
+        for j, rank, rows in store._portions():
+            store.write_portion(rank, j, records[rows])
         return store
 
     def to_records(self) -> np.ndarray:
+        """Read the whole matrix back in column-major order."""
         out = self.fmt.empty(self.r * self.s)
-        for j in range(self.s):
-            base = j * self.r
-            for member in range(self.g):
-                out[
-                    base + member * self.portion : base + (member + 1) * self.portion
-                ] = self.read_portion(self.rank_of(j, member), j)
+        for j, rank, rows in self._portions():
+            out[rows] = self.read_portion(rank, j)
         return out
 
     def delete(self) -> None:
-        for j in range(self.s):
-            for member in range(self.g):
-                rank = self.rank_of(j, member)
-                self._disk_for(j, rank).delete(self._file(j, member))
+        for j, rank, _rows in self._portions():
+            self._disk_for(j, rank).delete(self._file(j, rank % self.g))
 
 
 class PdmStore(_StoreBase):

@@ -146,25 +146,6 @@ class VirtualDisk:
         quarantine = self.quarantine
         return quarantine is not None and quarantine.is_dead(self.disk_id)
 
-    def inject_fault(self, op: str = "any") -> None:
-        """Make the next operation of kind ``op`` (``"read"``, ``"write"``
-        or ``"any"``) fail with :class:`DiskError`.
-
-        .. deprecated::
-            Thin shim over :class:`~repro.resilience.faults.FaultPlan`:
-            arms a one-shot *permanent* fault on this disk's plan
-            (creating one if absent). New code should build a
-            ``FaultPlan`` and assign it to ``disk.fault_plan`` directly.
-        """
-        if op not in ("read", "write", "any"):
-            raise DiskError(f"unknown fault kind {op!r}")
-        with self._lock:
-            if self.fault_plan is None:
-                from repro.resilience.faults import FaultPlan
-
-                self.fault_plan = FaultPlan()
-        self.fault_plan.arm_once(op)
-
     def _run_op(self, op: str, fn):
         """Run one read/write body under the fault plan, quarantine,
         parity repair, and retry policy.

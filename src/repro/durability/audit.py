@@ -95,13 +95,9 @@ class PassAuditor:
 
     def _audit_portions(self, store, ctx: str) -> None:
         want = store.fmt.nbytes(store.portion)
-        grouped = hasattr(store, "rank_of")  # GroupColumnStore
-        members = store.g if grouped else store.cfg.p
         for j in range(store.s):
-            for m in range(members):
-                rank = store.rank_of(j, m) if grouped else m
-                part = store._file(j, m)
-                have = store._disk_for(j, rank).size(part)
+            for m in range(store.g):
+                have = store._disk_for(j, store.rank_of(j, m)).size(store._file(j, m))
                 if have != want:
                     raise AuditError(
                         f"{ctx}: column {j} part {m} holds {have} bytes, "
@@ -109,9 +105,8 @@ class PassAuditor:
                     )
         bound = store.s * store.cfg.p
         for j in self._sample(store.s):
-            m = self._rng.randrange(members)
-            rank = store.rank_of(j, m) if grouped else m
-            part = store.read_portion(rank, j)
+            m = self._rng.randrange(store.g)
+            part = store.read_portion(store.rank_of(j, m), j)
             runs = count_sorted_runs(part)
             if runs > bound:
                 raise AuditError(

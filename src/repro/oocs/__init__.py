@@ -1,57 +1,54 @@
 """Out-of-core sorting programs.
 
-The three programs of the paper, each an SPMD rank program over the
-simulated cluster and disks:
+Every program is a :class:`~repro.oocs.base.PassProgram` record — a
+pass list, a shape resolver and a store layout — run by the one runner,
+:func:`~repro.oocs.base.run_pass_program`, over the simulated cluster
+and disks. :data:`ALGORITHMS` names the five sorts:
 
-* :func:`~repro.oocs.threaded.threaded_columnsort_ooc` — the 3-pass
-  baseline ("threaded columnsort", paper §2): pass 1 = steps 1+2,
-  pass 2 = steps 3+4, pass 3 = steps 5-8 combined;
-* :func:`~repro.oocs.subblock.subblock_columnsort_ooc` — 4 passes,
-  inserting the subblock pass (steps 3+3.1) after pass 1 (paper §3);
-* :func:`~repro.oocs.mcolumnsort.m_columnsort_ooc` — 3 passes with the
-  height interpretation ``r = M``: every column spans the cluster and
-  each sort stage is a distributed in-core sort (paper §4);
-* :func:`~repro.oocs.baseline_io.baseline_io_passes` — the I/O-only
-  baseline of §5;
-* :func:`~repro.oocs.hybrid.hybrid_columnsort_ooc` — the §6 future-work
+* ``"threaded"`` (:mod:`~repro.oocs.threaded`) — the 3-pass baseline
+  ("threaded columnsort", paper §2): pass 1 = steps 1+2, pass 2 =
+  steps 3+4, pass 3 = steps 5-8 combined;
+* ``"subblock"`` (:mod:`~repro.oocs.subblock`) — 4 passes, inserting
+  the subblock pass (steps 3+3.1) after pass 1 (paper §3);
+* ``"m"`` (:mod:`~repro.oocs.mcolumnsort`) — 3 passes with the height
+  interpretation ``r = M``: every column spans the cluster and each
+  sort stage is a distributed in-core sort (paper §4);
+* ``"hybrid"`` (:mod:`~repro.oocs.hybrid`) — the §6 future-work
   combination: subblock's relaxed height restriction with M-columnsort's
   height interpretation (4 passes, bound ``N ≤ M^(5/3)/4^(2/3)``);
-* :func:`~repro.oocs.gcolumnsort.sort_with_group_size` — the §6
-  adjustable height interpretation ``r = g·M/P``, interpolating between
-  threaded (g=1) and M-columnsort (g=P) with bound
-  ``N ≤ (g·M/P)^(3/2)/√2``.
+* ``"g"`` (:mod:`~repro.oocs.gcolumnsort`) — the §6 adjustable height
+  interpretation ``r = g·M/P``, interpolating between threaded (g=1)
+  and M-columnsort (g=P) with bound ``N ≤ (g·M/P)^(3/2)/√2``;
+  ``OocJob.group_size`` picks ``g`` (default: the smallest feasible).
 
-All programs produce output in PDM striped ordering and are verified by
-:mod:`~repro.oocs.verify`.
+:func:`~repro.oocs.baseline_io.baseline_program` builds the I/O-only
+baseline of §5 for the same runner. All sorts produce output in PDM
+striped ordering and are verified by :mod:`~repro.oocs.verify`;
+:func:`sort_out_of_core` is the one-call entry point.
 """
 
-from repro.oocs.base import OocJob, OocResult, make_workspace
-from repro.oocs.threaded import threaded_columnsort_ooc
-from repro.oocs.subblock import subblock_columnsort_ooc, subblock_round_routing
-from repro.oocs.mcolumnsort import m_columnsort_ooc
-from repro.oocs.hybrid import hybrid_columnsort_ooc
-from repro.oocs.baseline_io import baseline_io_passes
-from repro.oocs.gcolumnsort import (
-    g_columnsort_ooc,
-    smallest_group_size,
-    sort_with_group_size,
+from repro.oocs.base import (
+    OocJob,
+    OocResult,
+    PassProgram,
+    make_workspace,
+    run_pass_program,
 )
+from repro.oocs.subblock import subblock_round_routing
+from repro.oocs.baseline_io import baseline_program
+from repro.oocs.gcolumnsort import smallest_group_size
 from repro.oocs.verify import verify_output
 from repro.oocs.api import sort_out_of_core, ALGORITHMS
 
 __all__ = [
     "OocJob",
     "OocResult",
+    "PassProgram",
     "make_workspace",
-    "threaded_columnsort_ooc",
-    "subblock_columnsort_ooc",
+    "run_pass_program",
     "subblock_round_routing",
-    "m_columnsort_ooc",
-    "hybrid_columnsort_ooc",
-    "g_columnsort_ooc",
-    "sort_with_group_size",
     "smallest_group_size",
-    "baseline_io_passes",
+    "baseline_program",
     "verify_output",
     "sort_out_of_core",
     "ALGORITHMS",

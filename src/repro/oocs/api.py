@@ -4,7 +4,8 @@
 store) around an in-memory record array, runs the chosen algorithm, and
 optionally verifies the output — the entry point the examples and most
 tests use. For long-lived stores or repeated runs over the same data,
-drive :mod:`repro.oocs.base` and the algorithm modules directly.
+hand :func:`~repro.oocs.base.run_pass_program` a record of
+:data:`ALGORITHMS` and your own input store.
 """
 
 from __future__ import annotations
@@ -17,25 +18,25 @@ from repro.cluster.config import ClusterConfig
 from repro.errors import ConfigError
 from repro.governor import CancelToken, get_job_governor
 from repro.membuf import get_pool
-from repro.oocs.base import OocJob, OocResult, make_workspace
-from repro.oocs.baseline_io import baseline_io_passes
-from repro.oocs.hybrid import hybrid_columnsort_ooc
-from repro.oocs.hybrid import derive_shape as hybrid_shape
-from repro.oocs.mcolumnsort import m_columnsort_ooc
-from repro.oocs.mcolumnsort import derive_shape as m_shape
-from repro.oocs.subblock import subblock_columnsort_ooc
-from repro.oocs.subblock import derive_shape as subblock_shape
-from repro.oocs.threaded import threaded_columnsort_ooc
-from repro.oocs.threaded import derive_shape as threaded_shape
+from repro.oocs import gcolumnsort, hybrid, mcolumnsort, subblock, threaded
+from repro.oocs.base import (
+    OocJob,
+    OocResult,
+    PassProgram,
+    make_workspace,
+    run_pass_program,
+)
+from repro.oocs.baseline_io import baseline_program
 from repro.oocs.verify import verify_output
 from repro.records.format import RecordFormat
 
-#: algorithm name → (runner, shape resolver, striped input layout?)
-ALGORITHMS: dict[str, tuple] = {
-    "threaded": (threaded_columnsort_ooc, threaded_shape, False),
-    "subblock": (subblock_columnsort_ooc, subblock_shape, False),
-    "m": (m_columnsort_ooc, m_shape, True),
-    "hybrid": (hybrid_columnsort_ooc, hybrid_shape, True),
+#: algorithm name → the program record :func:`run_pass_program` runs
+ALGORITHMS: dict[str, PassProgram] = {
+    "threaded": threaded.PROGRAM,
+    "subblock": subblock.PROGRAM,
+    "m": mcolumnsort.PROGRAM,
+    "hybrid": hybrid.PROGRAM,
+    "g": gcolumnsort.PROGRAM,
 }
 
 
@@ -83,13 +84,15 @@ def sort_out_of_core(
     governor=None,
     backend: str = "thread",
     restart_policy=None,
+    group_size: int | None = None,
 ) -> OocResult:
     """Sort ``records`` out-of-core with the named algorithm
-    (``"threaded"``, ``"subblock"``, ``"m"``, or ``"hybrid"``).
+    (``"threaded"``, ``"subblock"``, ``"m"``, ``"hybrid"``, or ``"g"``).
 
     ``buffer_records`` is the per-processor buffer ``r`` in records:
     the column height for threaded/subblock, the per-processor portion
-    of an ``M``-high column for m/hybrid.
+    of an ``M``-high column for m/hybrid and of a ``g·buffer``-high one
+    for g, whose ``group_size`` ``g`` defaults to the smallest feasible.
 
     ``pipeline_depth`` enables overlapped I/O inside every pass: each
     rank prefetches up to that many columns ahead of the compute stage
@@ -165,7 +168,7 @@ def sort_out_of_core(
     3
     """
     try:
-        runner, shape_of, striped = ALGORITHMS[algorithm]
+        program = ALGORITHMS[algorithm]
     except KeyError:
         raise ConfigError(
             f"unknown algorithm {algorithm!r}; expected one of {sorted(ALGORITHMS)}"
@@ -203,6 +206,7 @@ def sort_out_of_core(
         cancel=cancel,
         backend=backend,
         restart_policy=restart_policy,
+        group_size=group_size,
     )
     if governor is None:
         governor = get_job_governor()
@@ -213,13 +217,14 @@ def sort_out_of_core(
             mem_bytes=mem_demand, scratch_bytes=scratch_demand, cancel=cancel
         )
     try:
-        r, s = shape_of(job)
+        r, s, g = program.layout(job)
         ws = make_workspace(
             cluster, fmt, records, r, s,
-            workdir=workdir, striped=striped, parity=parity,
+            workdir=workdir, group_size=g, parity=parity,
         )
         try:
-            result = runner(
+            result = run_pass_program(
+                program,
                 job,
                 ws.input,
                 collect_trace=collect_trace,
@@ -277,12 +282,13 @@ def run_baseline_io(
         fault_plan=fault_plan,
         backend=backend,
     )
-    r, s = threaded_shape(job)
+    program = baseline_program(passes)
+    r, s, _ = program.layout(job)
     ws = make_workspace(cluster, fmt, records, r, s, workdir=workdir)
-    result = baseline_io_passes(
+    result = run_pass_program(
+        program,
         job,
         ws.input,
-        passes=passes,
         collect_trace=collect_trace,
         checkpoint_dir=checkpoint_dir,
         resume=resume,

@@ -47,7 +47,7 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.spmd import run_spmd
 from repro.cluster.transport import available_backends
 from repro.disks.iostats import IoStats
-from repro.disks.matrixfile import ColumnStore, PdmStore
+from repro.disks.matrixfile import ColumnStore, PdmStore, StripedColumnStore
 from repro.disks.virtual_disk import VirtualDisk, make_disk_array
 from repro.errors import ConfigError
 from repro.matrix.bits import is_power_of_two
@@ -153,6 +153,10 @@ class OocJob:
         classes (cancellation, admission, budget, unrepairable
         corruption, config errors …) propagate unchanged; see
         :meth:`~repro.resilience.supervisor.RestartPolicy.restartable`.
+    group_size:
+        g-columnsort's group size ``g`` (column height ``r = g·buffer``);
+        ``None`` lets the program pick the smallest feasible one. A
+        program whose layout has another group size refuses the job.
     """
 
     cluster: ClusterConfig
@@ -170,6 +174,7 @@ class OocJob:
     cancel: object = None
     backend: str = "thread"
     restart_policy: object = None
+    group_size: int | None = None
 
     def __post_init__(self) -> None:
         if self.backend not in available_backends():
@@ -273,14 +278,15 @@ def make_workspace(
     r: int,
     s: int,
     workdir: str | Path | None = None,
-    striped: bool = False,
+    group_size: int | None = None,
     parity: bool = False,
 ) -> Workspace:
     """Create the virtual disks and load ``records`` as the input matrix
     (column-major: column ``j`` is ``records[j·r:(j+1)·r]``).
 
-    With ``striped=True`` the input uses M-columnsort's layout
-    (:class:`~repro.disks.matrixfile.StripedColumnStore`). With
+    ``group_size`` is the layout :meth:`PassProgram.layout` resolved:
+    ``None`` stores whole columns, ``g`` stripes each over a group of
+    ``g`` (:class:`~repro.disks.matrixfile.StripedColumnStore`). With
     ``parity=True`` a :class:`~repro.durability.parity.ParityLayer` is
     attached *before* the input is loaded, so every byte of the run —
     input included — is reconstructable from any D−1 disks.
@@ -294,15 +300,14 @@ def make_workspace(
         from repro.durability import attach_durability
 
         attach_durability(disks, parity=True)
-    if striped:
-        from repro.disks.matrixfile import StripedColumnStore
-
-        store = StripedColumnStore.from_records(
+    if group_size is None:
+        store = ColumnStore.from_records(
             cluster, fmt, records, r, s, disks, name="input"
         )
     else:
-        store = ColumnStore.from_records(
-            cluster, fmt, records, r, s, disks, name="input"
+        store = StripedColumnStore.from_records(
+            cluster, fmt, records, r, s, disks, name="input",
+            group_size=group_size,
         )
     for disk in disks:
         # Persist the input's checksum sidecars: from here on only
@@ -781,6 +786,72 @@ class PassSpec:
     dst: str
 
 
+@dataclass(frozen=True)
+class PassProgram:
+    """One out-of-core program, as :func:`run_pass_program` needs it.
+
+    ``name`` labels the result, the trace and the checkpoint manifests
+    (``{g}`` in it stands for the resolved group size);
+    ``derive_shape(job)`` resolves and validates the ``r × s`` matrix;
+    ``passes`` run in order over stores named by their ``src``/``dst``
+    keys — ``"input"``, the intermediates (on disk ``<scratch>-<key>``)
+    and ``"output"``. ``striped`` picks the layout of the column
+    stores: whole columns owned by ``j mod P``, or columns striped over
+    groups of ``g = r / buffer`` processors (``r = g·M/P``). The output
+    is PDM-ordered unless ``pdm_output`` is off (the I/O-only baseline
+    writes columns).
+    """
+
+    name: str
+    passes: list[PassSpec]
+    derive_shape: object
+    scratch: str
+    striped: bool = False
+    pdm_output: bool = True
+
+    def layout(self, job: OocJob) -> tuple[int, int, int | None]:
+        """``(r, s, group size)`` of the program's column stores for
+        ``job``; group size ``None`` means whole columns."""
+        r, s = self.derive_shape(job)
+        g = r // job.buffer_records if self.striped else None
+        if job.group_size not in (None, g):
+            raise ConfigError(
+                f"{self.name.format(g=g)} does not run at group size "
+                f"{job.group_size}"
+            )
+        return r, s, g
+
+    def stores(self, job: OocJob, input_store) -> dict:
+        """The run's store dict: ``input_store`` (checked against the
+        job's layout) plus one fresh store per pass output, on the
+        input's disks."""
+        r, s, g = self.layout(job)
+        have = (input_store.r, input_store.s, getattr(input_store, "g", None))
+        if have != (r, s, g):
+            raise ConfigError(
+                f"input store is {have[0]}×{have[1]} (group size {have[2]}), "
+                f"job wants {r}×{s} (group size {g})"
+            )
+        cluster, fmt, disks = job.cluster, job.fmt, input_store.disks
+        columns, striping = (
+            (ColumnStore, {}) if g is None
+            else (StripedColumnStore, {"group_size": g})
+        )
+        stores = {"input": input_store}
+        for spec in self.passes:
+            if spec.dst == "output" and self.pdm_output:
+                stores[spec.dst] = PdmStore(
+                    cluster, fmt, job.n, disks, job.pdm_block, name="output",
+                    parity=job.parity,
+                )
+            else:
+                stores[spec.dst] = columns(
+                    cluster, fmt, r, s, disks, name=f"{self.scratch}-{spec.dst}",
+                    parity=job.parity, **striping,
+                )
+        return stores
+
+
 def execute_passes(
     comm: Comm,
     job: OocJob,
@@ -899,22 +970,26 @@ def cleanup_failed_run(stores: dict, checkpoint=None) -> None:
 
 
 def run_pass_program(
-    algorithm: str,
+    program: PassProgram,
     job: OocJob,
-    stores: dict,
-    specs: list[PassSpec],
+    input_store,
     collect_trace: bool = True,
     keep_intermediates: bool = False,
     checkpoint_dir: str | Path | None = None,
     resume: bool = False,
     keep_checkpoints: bool = False,
-    trace_algorithm: str | None = None,
 ) -> OocResult:
-    """Shared orchestration of every multi-pass program: resolve the
-    resume point, run :func:`execute_passes` across the SPMD world with
-    the job's resilience settings, account I/O and communication, clean
-    up (differently for success and failure), and assemble the
-    :class:`OocResult`.
+    """The one way a pass program runs: check ``input_store`` (built by
+    :func:`make_workspace`) against the job's layout and create the
+    pass outputs beside it, resolve the resume point, run
+    :func:`execute_passes` across the SPMD world with the job's
+    resilience settings, account I/O and communication, clean up
+    (differently for success and failure), and assemble the
+    :class:`OocResult` — whose ``output`` is, for a sort, a PDM-ordered
+    :class:`~repro.disks.matrixfile.PdmStore` on the same disks.
+    Intermediate stores are deleted unless ``keep_intermediates`` (the
+    paper's disk budget was 3× the input size: input + temporary +
+    output, footnote 7).
 
     With ``checkpoint_dir`` set, a manifest is persisted after every
     completed pass; ``resume=True`` restarts after the last completed
@@ -933,7 +1008,10 @@ def run_pass_program(
     from repro.resilience.checkpoint import CheckpointStore
 
     cluster, fmt = job.cluster, job.fmt
-    disks = stores["input"].disks
+    stores = program.stores(job, input_store)
+    specs = program.passes
+    algorithm = program.name.format(g=getattr(input_store, "g", None))
+    disks = input_store.disks
     attach_resilience(disks, job)
     if job.parity:
         from repro.durability import attach_durability
@@ -1041,7 +1119,7 @@ def run_pass_program(
     run_trace = None
     if collect_trace:
         run_trace = RunTrace(
-            algorithm=trace_algorithm or algorithm,
+            algorithm=algorithm,
             n_records=job.n,
             record_size=fmt.record_size,
             p=cluster.p,

@@ -9,54 +9,22 @@ buffer 2^25 sat just barely above the 3-pass baseline.
 
 from __future__ import annotations
 
-from pathlib import Path
-
-from repro.disks.matrixfile import ColumnStore
 from repro.errors import ConfigError
-from repro.oocs.base import (
-    OocJob,
-    OocResult,
-    PassSpec,
-    pass_io_only,
-    run_pass_program,
-)
+from repro.oocs.base import PassProgram, PassSpec, pass_io_only
+from repro.oocs.threaded import derive_shape
 
 
-def baseline_io_passes(
-    job: OocJob,
-    input_store: ColumnStore,
-    passes: int = 3,
-    collect_trace: bool = True,
-    checkpoint_dir: str | Path | None = None,
-    resume: bool = False,
-    keep_checkpoints: bool = False,
-) -> OocResult:
-    """Run ``passes`` read+write-only passes over the data (3 for the
-    threaded/M baseline, 4 for the subblock baseline)."""
+def baseline_program(passes: int = 3) -> PassProgram:
+    """``passes`` read+write-only passes over a threaded-shaped matrix
+    (3 for the threaded/M baseline, 4 for the subblock baseline)."""
     if passes < 1:
         raise ConfigError(f"need at least one pass, got {passes}")
-    r, s = input_store.r, input_store.s
-    cluster, fmt = job.cluster, job.fmt
-    disks = input_store.disks
-    stores: dict = {"input": input_store}
-    keys = ["input"]
-    for k in range(passes):
-        key = "output" if k == passes - 1 else f"t{k + 1}"
-        stores[key] = ColumnStore(
-            cluster, fmt, r, s, disks, name=f"io-t{k}", parity=job.parity
-        )
-        keys.append(key)
+    keys = ["input", *(f"t{k}" for k in range(1, passes)), "output"]
     specs = [
         PassSpec(f"io-pass{k + 1}", "io", pass_io_only, keys[k], keys[k + 1])
         for k in range(passes)
     ]
-    return run_pass_program(
-        f"baseline-io-{passes}",
-        job,
-        stores,
-        specs,
-        collect_trace=collect_trace,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-        keep_checkpoints=keep_checkpoints,
+    return PassProgram(
+        f"baseline-io-{passes}", specs, derive_shape, scratch="io",
+        pdm_output=False,
     )

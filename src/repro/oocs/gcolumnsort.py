@@ -25,23 +25,37 @@ The problem-size restriction interpolates between (1) and (3):
   ``N`` (see :func:`smallest_group_size`).
 
 Pass structure mirrors threaded columnsort (3 passes); each round,
-every group processes one of its columns.
+every group processes one of its columns. It is ``ALGORITHMS["g"]``: a
+:class:`~repro.oocs.base.PassProgram` like the other four, run by
+:func:`~repro.oocs.base.run_pass_program` with ``OocJob.group_size``
+choosing ``g``.
 """
 
 from __future__ import annotations
+
+import math
+from functools import partial
 
 import numpy as np
 
 from repro.bounds.restrictions import max_pow2_n
 from repro.cluster.comm import Comm
-from repro.cluster.stats import combined
-from repro.disks.iostats import IoStats
-from repro.disks.matrixfile import GroupColumnStore, PdmStore
+from repro.disks.matrixfile import PdmStore, StripedColumnStore
 from repro.errors import ConfigError, DimensionError
 from repro.matrix.bits import is_power_of_two
-from repro.oocs.base import OocJob, OocResult, PassMarker, run_spmd_metered
+from repro.oocs.base import (
+    OocJob,
+    PassProgram,
+    PassSpec,
+    pass_pipeline,
+    route_to_pdm,
+)
 from repro.oocs.incore.columnsort_dist import distributed_columnsort
+from repro.oocs.mcolumnsort import portion_reads
+from repro.pipeline import COMM, COMPUTE, INCORE, PipelinePlan
 from repro.records.format import RecordFormat
+from repro.simulate.trace import PassTrace
+from repro.simulate.traces import m_deal_round_work, m_final_round_work
 
 #: Tag for the cross-group bottom-half exchange of the final pass.
 GW_TAG = 83
@@ -49,8 +63,6 @@ GW_TAG = 83
 
 def g_bound(mem_per_proc: int, g: int) -> int:
     """The interpolated problem-size bound ``(g·M/P)^(3/2)/√2``."""
-    import math
-
     if g < 1 or mem_per_proc < 1:
         raise ConfigError(f"need positive g and memory, got {g}, {mem_per_proc}")
     return math.isqrt((g * mem_per_proc) ** 3 // 2)
@@ -71,12 +83,11 @@ def smallest_group_size(n: int, p: int, mem_per_proc: int) -> int:
     )
 
 
-def derive_shape(job: OocJob, group_size: int) -> tuple[int, int]:
-    """Resolve and validate the ``r × s`` matrix for group size ``g``:
-    ``r = g·buffer``, with the height restriction ``r ≥ 2s²`` and the
-    divisibility conditions of the group-striped deal."""
+def _shape(job: OocJob, g: int) -> tuple[int, int]:
+    """The ``r × s`` matrix at group size ``g``: ``r = g·buffer``, with
+    the height restriction ``r ≥ 2s²`` and the divisibility conditions
+    of the group-striped deal."""
     p = job.cluster.p
-    g = group_size
     if not is_power_of_two(g) or g > p:
         raise ConfigError(f"group size g={g} must be a power of 2 with g ≤ P={p}")
     portion = job.buffer_records
@@ -103,16 +114,45 @@ def derive_shape(job: OocJob, group_size: int) -> tuple[int, int]:
     return r, s
 
 
+def derive_shape(job: OocJob) -> tuple[int, int]:
+    """Resolve and validate the ``r × s`` matrix of a g-columnsort job.
+    With ``job.group_size`` unset, ``g`` is the smallest feasible one
+    (the paper's intended policy): :func:`smallest_group_size`, walked
+    upward while a divisibility condition fails for this exact ``N``."""
+    if job.group_size is not None:
+        return _shape(job, job.group_size)
+    p = job.cluster.p
+    g = smallest_group_size(job.n, p, job.buffer_records)
+    while g <= p:
+        try:
+            return _shape(job, g)
+        except (ConfigError, DimensionError):
+            g <<= 1
+    raise DimensionError(
+        f"no group size can realize N={job.n} at buffer "
+        f"{job.buffer_records} on P={p}"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Pass bodies
 # ---------------------------------------------------------------------------
 
+
+def _group_comm(comm: Comm, g: int) -> Comm:
+    """The sub-communicator of this rank's group of ``g`` — where every
+    sort stage runs."""
+    return comm.split(color=comm.rank // g, key=comm.rank % g)
+
+
 def _deal_pass_g(
     comm: Comm,
-    gcomm: Comm,
-    src: GroupColumnStore,
-    dst: GroupColumnStore,
+    src: StripedColumnStore,
+    dst: StripedColumnStore,
     fmt: RecordFormat,
+    trace: PassTrace | None = None,
+    plan: PipelinePlan | None = None,
+    *,
     step: int,
 ) -> None:
     """Steps 1+2 (``step=2``) or 3+4 (``step=4``) under the group
@@ -127,64 +167,88 @@ def _deal_pass_g(
       ``(i mod (r/s)) div (r/(s·g))``.
 
     Receivers reconstruct every record's target column arithmetically
-    from the sender's identity — no metadata crosses the network.
+    from the sender's identity — no metadata crosses the network — and
+    the routing is the same every round, so it is worked out once.
     """
-    p = comm.size
+    p, rank = comm.size, comm.rank
     g, groups = src.g, src.groups
     r, s = src.r, src.s
     portion = src.portion
-    gid = comm.rank // g
-    member = comm.rank % g
     chunk = r // s
     sub = max(1, chunk // g)
+    gcomm = _group_comm(comm, g)
 
-    def targets(i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(target column, receiving member) of sorted ranks ``i``."""
-        if step == 2:
-            return i % s, (i // s) % g
-        return i // chunk, (i % chunk) // sub
-
-    for t in range(s // groups):
-        c = t * groups + gid
-        local = src.read_portion(comm.rank, c)
-        mine = distributed_columnsort(gcomm, local, fmt)
+    def route(member: int) -> tuple[np.ndarray, np.ndarray]:
+        """(destination rank, target column) of the sorted ranks group
+        member ``member`` holds after the sort stage."""
         i = member * portion + np.arange(portion)
-        cols, members = targets(i)
-        dest = (cols % groups) * g + members
-        order = np.argsort(dest, kind="stable")
-        dest_sorted = dest[order]
-        payload = mine[order]
-        bounds = np.searchsorted(dest_sorted, np.arange(p + 1))
-        parts = [payload[bounds[q] : bounds[q + 1]] for q in range(p)]
-        recv = comm.alltoallv(parts)
-        for q_src, arr in enumerate(recv):
-            sm = q_src % g
-            ivals = sm * portion + np.arange(portion)
-            src_cols, src_members = targets(ivals)
-            mask = (src_cols % groups == gid) & (src_members == member)
-            my_cols = src_cols[mask]
-            if len(my_cols) != len(arr):
-                raise ConfigError(
-                    f"deal reconstruction mismatch: expected {len(my_cols)} "
-                    f"records from rank {q_src}, got {len(arr)}"
+        if step == 2:
+            cols, members = i % s, (i // s) % g
+        else:
+            cols, members = i // chunk, (i % chunk) // sub
+        return (cols % groups) * g + members, cols
+
+    dest, _ = route(rank % g)
+    order = np.argsort(dest, kind="stable")
+    bounds = np.searchsorted(dest[order], np.arange(p + 1))
+    # What a source sends here depends only on its member index: per
+    # member, the gather that groups an arrival by target column and the
+    # (column, start, stop) runs of the result.
+    landing = []
+    for member in range(g):
+        src_dest, cols = route(member)
+        cols = cols[src_dest == rank]
+        by_col = np.argsort(cols, kind="stable")
+        cuts = [0, *(np.flatnonzero(np.diff(cols[by_col])) + 1), len(cols)]
+        runs = [
+            (int(cols[by_col[a]]), int(a), int(b))
+            for a, b in zip(cuts[:-1], cuts[1:])
+            if a < b
+        ]
+        landing.append((by_col, runs))
+
+    with pass_pipeline(portion_reads(src, rank), plan, trace) as (
+        reader, writer, clock, leases,
+    ):
+        for _ in range(s // groups):
+            local = leases.hold(reader.get())
+            with clock.stage(INCORE):
+                mine = distributed_columnsort(gcomm, local, fmt)
+                leases.recycle(local)  # the unsorted portion is dead
+            with clock.stage(COMPUTE):
+                payload = mine[order]
+                parts = [payload[bounds[q] : bounds[q + 1]] for q in range(p)]
+            with clock.stage(COMM):
+                recv = comm.alltoallv(parts)
+            writes = []
+            with clock.stage(COMPUTE):
+                for q_src, got in enumerate(recv):
+                    by_col, runs = landing[q_src % g]
+                    if len(got) != len(by_col):
+                        raise ConfigError(
+                            f"deal reconstruction mismatch: expected {len(by_col)} "
+                            f"records from rank {q_src}, got {len(got)}"
+                        )
+                    grouped = got[by_col]
+                    leases.recycle(got)  # a landed buffer (process backend); a view is ignored
+                    writes += [
+                        partial(dst.append_to_portion, rank, col, grouped[a:b])
+                        for col, a, b in runs
+                    ]
+            writer.put(*writes)
+            if trace is not None:
+                trace.rounds.append(
+                    m_deal_round_work(fmt.record_size, portion, g, "balanced")
                 )
-            if not len(arr):
-                continue
-            order2 = np.argsort(my_cols, kind="stable")
-            sorted_cols = my_cols[order2]
-            sorted_arr = arr[order2]
-            cuts = np.flatnonzero(np.diff(sorted_cols)) + 1
-            starts = np.concatenate([[0], cuts, [len(sorted_cols)]])
-            for a, b in zip(starts[:-1], starts[1:]):
-                dst.append_to_portion(comm.rank, int(sorted_cols[a]), sorted_arr[a:b])
 
 
 def _final_pass_g(
     comm: Comm,
-    gcomm: Comm,
-    src: GroupColumnStore,
+    src: StripedColumnStore,
     pdm: PdmStore,
     fmt: RecordFormat,
+    trace: PassTrace | None = None,
+    plan: PipelinePlan | None = None,
 ) -> None:
     """Steps 5-8 under the group interpretation, window-wise.
 
@@ -195,18 +259,17 @@ def _final_pass_g(
     Windows 0 and ``s`` carry ±∞ padding contributions whose slices are
     simply not written.
     """
-    p = comm.size
     g, groups = src.g, src.groups
     r, s = src.r, src.s
     portion = src.portion
-    gid = comm.rank // g
-    member = comm.rank % g
+    gid, member = divmod(comm.rank, g)
     half = r // 2
     half_members = g // 2  # 0 when g == 1 (handled separately)
     n = r * s
     rounds = s // groups
     next_rank = ((gid + 1) % groups) * g + member
     prev_rank = ((gid - 1) % groups) * g + member
+    gcomm = _group_comm(comm, g)
 
     def window_piece(w: int, sm: int) -> tuple[int, int] | None:
         """Global (start, length) of member ``sm``'s slice of sorted
@@ -227,228 +290,89 @@ def _final_pass_g(
             return n - half + sm * portion, portion
         return w * r - half + sm * portion, portion
 
-    def route_write(t: int, piece: np.ndarray | None, extra: bool) -> None:
-        parts = [fmt.empty(0) for _ in range(p)]
-        my_w = s if extra else t * groups + gid
-        rng = window_piece(my_w, member) if (not extra or gid == 0) else None
-        if rng is not None and piece is not None:
-            gstart, _length = rng
-            for q, pieces in pdm.split_by_owner(gstart, len(piece)).items():
-                parts[q] = np.concatenate(
-                    [piece[rel : rel + nn] for (_d, _o, rel, nn) in pieces]
-                )
-        recv = comm.alltoallv(parts)
-        for q_src in range(p):
-            sq, sm = q_src // g, q_src % g
-            if extra and sq != 0:
-                continue
-            w = s if extra else t * groups + sq
-            rng = window_piece(w, sm)
-            if rng is None:
-                continue
-            gstart, length = rng
-            got = recv[q_src]
-            at = 0
-            for (_disk, _off, rel, nn) in pdm.split_by_owner(gstart, length).get(
-                comm.rank, []
-            ):
-                pdm.write_global(comm.rank, gstart + rel, got[at : at + nn])
-                at += nn
+    def route(w: int, piece: np.ndarray | None, window_of) -> None:
+        """Route this rank's slice of window ``w`` (if it has one) to
+        its PDM owners; ``window_of(group)`` is the window each group
+        holds this round (None = none)."""
+        mine = window_piece(w, member) if piece is not None else None
 
-    for t in range(rounds):
-        c = t * groups + gid
-        local = src.read_portion(comm.rank, c)
-        mine = distributed_columnsort(gcomm, local, fmt)  # step 5
-        first_window = t == 0 and gid == 0
+        def range_of(q: int) -> tuple[int, int] | None:
+            held = window_of(q // g)
+            return None if held is None else window_piece(held, q % g)
 
-        if g == 1:
-            comm.send(mine[half:], next_rank, tag=GW_TAG)
-            upper = (
-                fmt.pad_low(half) if first_window else comm.recv(prev_rank, tag=GW_TAG)
-            )
-            window = fmt.merge_runs(np.concatenate([upper, mine[:half]]))  # step 7
-            piece = window[half:] if c == 0 else window
-        else:
-            if member >= half_members:
-                comm.send(mine, next_rank, tag=GW_TAG)
-                contribution = (
-                    fmt.pad_low(portion)
-                    if first_window
-                    else comm.recv(prev_rank, tag=GW_TAG)
-                )
-            else:
-                contribution = mine  # my piece lies in the top half
-            window_slice = distributed_columnsort(gcomm, contribution, fmt)  # step 7
-            piece = window_slice if window_piece(c, member) is not None else None
-
-        route_write(t, piece, extra=False)
-
-    # Window s: bottom of the last column (held, post-send, by group 0's
-    # receive queues) plus +∞ padding.
-    if gid == 0:
-        if g == 1:
-            tail = comm.recv(prev_rank, tag=GW_TAG)  # already sorted
-            route_write(rounds, tail, extra=True)
-        else:
-            contribution = (
-                comm.recv(prev_rank, tag=GW_TAG)
-                if member >= half_members
-                else fmt.pad_high(portion)
-            )
-            window_slice = distributed_columnsort(gcomm, contribution, fmt)
-            piece = window_slice if window_piece(s, member) is not None else None
-            route_write(rounds, piece, extra=True)
-    else:
-        route_write(rounds, None, extra=True)
-
-
-def _rank_program(
-    comm: Comm, job: OocJob, stores: dict, group_size: int
-) -> dict:
-    fmt = job.fmt
-    gcomm = comm.split(color=comm.rank // group_size, key=comm.rank % group_size)
-    marker = PassMarker(comm, stores["input"].disks)
-
-    _deal_pass_g(comm, gcomm, stores["input"], stores["t1"], fmt, step=2)
-    marker.mark()
-    _deal_pass_g(comm, gcomm, stores["t1"], stores["t2"], fmt, step=4)
-    marker.mark()
-    _final_pass_g(comm, gcomm, stores["t2"], stores["output"], fmt)
-    marker.mark()
-
-    return {
-        "comm_per_pass": marker.comm_deltas(),
-        "io_per_pass": marker.io_deltas(),
-    }
-
-
-def g_columnsort_ooc(
-    job: OocJob,
-    input_store: GroupColumnStore,
-    group_size: int | None = None,
-) -> OocResult:
-    """Run 3-pass g-columnsort on ``input_store`` (built by
-    :func:`make_g_workspace`). With ``group_size=None`` the store's own
-    group size is used."""
-    g = input_store.g if group_size is None else group_size
-    r, s = derive_shape(job, g)
-    if (input_store.r, input_store.s, input_store.g) != (r, s, g):
-        raise ConfigError(
-            f"input store is {input_store.r}×{input_store.s} (g={input_store.g}), "
-            f"job wants {r}×{s} (g={g})"
+        route_to_pdm(
+            comm, pdm, fmt,
+            None if mine is None else (mine[0], piece),
+            range_of, writer, clock, leases,
         )
-    cluster, fmt = job.cluster, job.fmt
-    disks = input_store.disks
-    stores = {
-        "input": input_store,
-        "t1": GroupColumnStore(
-            cluster, fmt, r, s, disks, g, name="g-t1", parity=job.parity
-        ),
-        "t2": GroupColumnStore(
-            cluster, fmt, r, s, disks, g, name="g-t2", parity=job.parity
-        ),
-        "output": PdmStore(
-            cluster, fmt, job.n, disks, job.pdm_block, name="output",
-            parity=job.parity,
-        ),
-    }
 
-    io_before = IoStats.combine([d.stats for d in disks])
-    res, copy = run_spmd_metered(
-        cluster.p, _rank_program, job, stores, g,
-        backend=job.backend, disks=disks,
-    )
-    io_after = IoStats.combine([d.stats for d in disks])
+    def window_sort(contribution: np.ndarray) -> np.ndarray:
+        with clock.stage(INCORE):
+            return distributed_columnsort(gcomm, contribution, fmt)  # step 7
 
-    stores["t1"].delete()
-    stores["t2"].delete()
-    rank0 = res.returns[0]
-    quarantine = getattr(disks[0], "quarantine", None)
-    durability = quarantine.snapshot() if quarantine is not None else {}
-    if durability:
-        durability["parity"] = getattr(disks[0], "parity_layer", None) is not None
-    return OocResult(
-        algorithm=f"g-columnsort(g={g})",
-        job=job,
-        output=stores["output"],
-        passes=3,
-        io={k: io_after[k] - io_before[k] for k in io_after},
-        io_per_pass=rank0["io_per_pass"],
-        comm_per_pass=rank0["comm_per_pass"],
-        comm_total=combined(res.stats),
-        copy=copy,
-        durability=durability,
-        trace=None,
-    )
+    with pass_pipeline(portion_reads(src, comm.rank), plan, trace) as (
+        reader, writer, clock, leases,
+    ):
+        for t in range(rounds):
+            c = t * groups + gid
+            local = leases.hold(reader.get())
+            with clock.stage(INCORE):
+                mine = distributed_columnsort(gcomm, local, fmt)  # step 5
+                leases.recycle(local)
+            if g == 1:
+                with clock.stage(COMM):
+                    comm.send(mine[half:], next_rank, tag=GW_TAG)
+                    upper = (
+                        fmt.pad_low(half) if c == 0
+                        else comm.recv(prev_rank, tag=GW_TAG)
+                    )
+                with clock.stage(COMPUTE):
+                    window = fmt.merge_runs(np.concatenate([upper, mine[:half]]))
+                piece = window[half:] if c == 0 else window
+            else:
+                contribution = mine  # a top-half member keeps its piece
+                if member >= half_members:
+                    with clock.stage(COMM):
+                        comm.send(mine, next_rank, tag=GW_TAG)
+                        contribution = (
+                            fmt.pad_low(portion) if c == 0
+                            else comm.recv(prev_rank, tag=GW_TAG)
+                        )
+                piece = window_sort(contribution)
+            route(c, piece, lambda group, t=t: t * groups + group)
+            if trace is not None:
+                trace.rounds.append(m_final_round_work(fmt.record_size, portion, g))
 
-
-def make_g_workspace(
-    cluster,
-    fmt: RecordFormat,
-    records: np.ndarray,
-    r: int,
-    s: int,
-    group_size: int,
-    workdir=None,
-):
-    """Disks + group-striped input store for a g-columnsort run."""
-    import tempfile
-    from pathlib import Path
-
-    from repro.disks.virtual_disk import make_disk_array
-    from repro.oocs.base import Workspace
-
-    tmp = None
-    if workdir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="repro-goocs-")
-        workdir = tmp.name
-    disks = make_disk_array(workdir, cluster.virtual_disks)
-    store = GroupColumnStore.from_records(
-        cluster, fmt, records, r, s, disks, group_size, name="input"
-    )
-    ws = Workspace(disks=disks, input=store, workdir=Path(workdir))
-    ws._tmp = tmp
-    return ws
+        # Window s: bottom of the last column (held, post-send, by group
+        # 0's receive queues) plus +∞ padding.
+        piece = None
+        if gid == 0:
+            with clock.stage(COMM):
+                piece = (
+                    comm.recv(prev_rank, tag=GW_TAG)
+                    if member >= half_members
+                    else fmt.pad_high(portion)
+                )
+            if g > 1:  # at g = 1 the received bottom half is already sorted
+                piece = window_sort(piece)
+        route(s, piece, lambda group: s if group == 0 else None)
 
 
-def sort_with_group_size(
-    records: np.ndarray,
-    cluster,
-    fmt: RecordFormat,
-    buffer_records: int,
-    group_size: int | None = None,
-    workdir=None,
-    verify: bool = True,
-    backend: str = "thread",
-) -> OocResult:
-    """One-call g-columnsort. With ``group_size=None``, picks the
-    smallest feasible ``g`` for this ``N`` (the paper's intended
-    policy)."""
-    from repro.oocs.verify import verify_output
+_pass1_g = partial(_deal_pass_g, step=2)
+_pass2_g = partial(_deal_pass_g, step=4)
 
-    job = OocJob(
-        cluster=cluster, fmt=fmt, n=len(records),
-        buffer_records=buffer_records, backend=backend,
-    )
-    if group_size is None:
-        group_size = smallest_group_size(len(records), cluster.p, buffer_records)
-        # The bound-feasible g may still fail a divisibility condition
-        # for this exact N; walk upward until the shape resolves.
-        while group_size <= cluster.p:
-            try:
-                derive_shape(job, group_size)
-                break
-            except (ConfigError, DimensionError):
-                group_size <<= 1
-        if group_size > cluster.p:
-            raise DimensionError(
-                f"no group size can realize N={len(records)} at buffer "
-                f"{buffer_records} on P={cluster.p}"
-            )
-    r, s = derive_shape(job, group_size)
-    ws = make_g_workspace(cluster, fmt, records, r, s, group_size, workdir)
-    result = g_columnsort_ooc(job, ws.input, group_size)
-    result.workspace = ws
-    if verify:
-        verify_output(result.output, records)
-    return result
+#: The 3-pass program, declaratively (see
+#: :class:`~repro.oocs.base.PassSpec`). The traces borrow M-columnsort's
+#: shapes with the group as the in-core cluster; the cross-group deal's
+#: alltoallv has no stage of its own in them.
+PASSES = [
+    PassSpec("pass1:steps1-2", "eleven", _pass1_g, "input", "t1"),
+    PassSpec("pass2:steps3-4", "eleven", _pass2_g, "t1", "t2"),
+    PassSpec("pass3:steps5-8", "twenty", _final_pass_g, "t2", "output"),
+]
+
+#: What :func:`~repro.oocs.base.run_pass_program` runs: columns striped
+#: over groups of ``g = r / buffer``.
+PROGRAM = PassProgram(
+    "g-columnsort(g={g})", PASSES, derive_shape, scratch="g", striped=True
+)

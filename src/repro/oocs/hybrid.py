@@ -24,19 +24,11 @@ from __future__ import annotations
 
 from functools import partial
 
-from pathlib import Path
-
 from repro.cluster.comm import Comm
-from repro.disks.matrixfile import PdmStore, StripedColumnStore
+from repro.disks.matrixfile import StripedColumnStore
 from repro.errors import ConfigError, DimensionError
 from repro.matrix.bits import is_power_of_four, sqrt_pow4
-from repro.oocs.base import (
-    OocJob,
-    OocResult,
-    PassSpec,
-    pass_pipeline,
-    run_pass_program,
-)
+from repro.oocs.base import OocJob, PassProgram, PassSpec, pass_pipeline
 from repro.oocs.incore.columnsort_dist import distributed_columnsort
 from repro.oocs.mcolumnsort import _pass1_m, _pass2_m, _pass3_m, portion_reads
 from repro.pipeline import COMPUTE, INCORE, PipelinePlan
@@ -128,51 +120,6 @@ PASSES = [
     PassSpec("pass4:steps5-8", "twenty", _pass3_m, "t3", "output"),
 ]
 
-
-def hybrid_columnsort_ooc(
-    job: OocJob,
-    input_store: StripedColumnStore,
-    collect_trace: bool = True,
-    keep_intermediates: bool = False,
-    checkpoint_dir: str | Path | None = None,
-    resume: bool = False,
-    keep_checkpoints: bool = False,
-) -> OocResult:
-    """Run the 4-pass hybrid (subblock + M) columnsort — the largest
-    problem-size bound of all the variants, ``N ≤ M^(5/3)/4^(2/3)``.
-    With ``checkpoint_dir``, a manifest is saved after every pass and
-    ``resume=True`` restarts after the last completed one."""
-    r, s = derive_shape(job)
-    if (input_store.r, input_store.s) != (r, s):
-        raise ConfigError(
-            f"input store is {input_store.r}×{input_store.s}, job wants {r}×{s}"
-        )
-    cluster, fmt = job.cluster, job.fmt
-    disks = input_store.disks
-    stores = {
-        "input": input_store,
-        "t1": StripedColumnStore(
-            cluster, fmt, r, s, disks, name="hy-t1", parity=job.parity
-        ),
-        "t2": StripedColumnStore(
-            cluster, fmt, r, s, disks, name="hy-t2", parity=job.parity
-        ),
-        "t3": StripedColumnStore(
-            cluster, fmt, r, s, disks, name="hy-t3", parity=job.parity
-        ),
-        "output": PdmStore(
-            cluster, fmt, job.n, disks, job.pdm_block, name="output",
-            parity=job.parity,
-        ),
-    }
-    return run_pass_program(
-        "hybrid",
-        job,
-        stores,
-        PASSES,
-        collect_trace=collect_trace,
-        keep_intermediates=keep_intermediates,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-        keep_checkpoints=keep_checkpoints,
-    )
+#: What :func:`~repro.oocs.base.run_pass_program` runs — the largest
+#: problem-size bound of all the variants, ``N ≤ M^(5/3)/4^(2/3)``.
+PROGRAM = PassProgram("hybrid", PASSES, derive_shape, scratch="hy", striped=True)

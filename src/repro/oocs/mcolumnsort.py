@@ -27,18 +27,15 @@ from functools import partial
 
 import numpy as np
 
-from pathlib import Path
-
 from repro.cluster.comm import Comm
 from repro.disks.matrixfile import PdmStore, StripedColumnStore
 from repro.errors import ConfigError, DimensionError
 from repro.oocs.base import (
     OocJob,
-    OocResult,
+    PassProgram,
     PassSpec,
     pass_pipeline,
     route_to_pdm,
-    run_pass_program,
 )
 from repro.oocs.incore.columnsort_dist import distributed_columnsort
 from repro.oocs.incore.common import Ranges
@@ -87,9 +84,13 @@ def derive_shape(job: OocJob) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 def portion_reads(src: StripedColumnStore, rank: int) -> list:
-    """One pooled read per round: this rank's portion of columns
-    ``0..s-1`` (see :func:`~repro.oocs.base.owned_column_reads`)."""
-    return [partial(src.read_portion, rank, c, reuse=True) for c in range(src.s)]
+    """One pooled read per round: this rank's portion of its group's
+    columns — all of ``0..s-1`` at group size ``P`` (see
+    :func:`~repro.oocs.base.owned_column_reads`)."""
+    return [
+        partial(src.read_portion, rank, c, reuse=True)
+        for c in range(rank // src.g, src.s, src.groups)
+    ]
 
 
 def _pass1_m(
@@ -262,49 +263,6 @@ PASSES = [
     PassSpec("pass3:steps5-8", "twenty", _pass3_m, "t2", "output"),
 ]
 
-
-def m_columnsort_ooc(
-    job: OocJob,
-    input_store: StripedColumnStore,
-    collect_trace: bool = True,
-    keep_intermediates: bool = False,
-    checkpoint_dir: str | Path | None = None,
-    resume: bool = False,
-    keep_checkpoints: bool = False,
-) -> OocResult:
-    """Run 3-pass M-columnsort on ``input_store`` (a striped column
-    store built by :func:`~repro.oocs.base.make_workspace` with
-    ``striped=True``). With ``checkpoint_dir``, a manifest is saved
-    after every pass and ``resume=True`` restarts after the last
-    completed one."""
-    r, s = derive_shape(job)
-    if (input_store.r, input_store.s) != (r, s):
-        raise ConfigError(
-            f"input store is {input_store.r}×{input_store.s}, job wants {r}×{s}"
-        )
-    cluster, fmt = job.cluster, job.fmt
-    disks = input_store.disks
-    stores = {
-        "input": input_store,
-        "t1": StripedColumnStore(
-            cluster, fmt, r, s, disks, name="m-t1", parity=job.parity
-        ),
-        "t2": StripedColumnStore(
-            cluster, fmt, r, s, disks, name="m-t2", parity=job.parity
-        ),
-        "output": PdmStore(
-            cluster, fmt, job.n, disks, job.pdm_block, name="output",
-            parity=job.parity,
-        ),
-    }
-    return run_pass_program(
-        "m-columnsort",
-        job,
-        stores,
-        PASSES,
-        collect_trace=collect_trace,
-        keep_intermediates=keep_intermediates,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-        keep_checkpoints=keep_checkpoints,
-    )
+#: What :func:`~repro.oocs.base.run_pass_program` runs: columns striped
+#: over the whole cluster (group size ``P``).
+PROGRAM = PassProgram("m-columnsort", PASSES, derive_shape, scratch="m", striped=True)

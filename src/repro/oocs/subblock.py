@@ -27,23 +27,20 @@ from functools import partial
 
 import numpy as np
 
-from pathlib import Path
-
 from repro.cluster.comm import Comm
 from repro.columnsort.validation import validate_subblock
-from repro.disks.matrixfile import ColumnStore, PdmStore
+from repro.disks.matrixfile import ColumnStore
 from repro.errors import ConfigError
 from repro.matrix.bits import sqrt_pow4
 from repro.oocs.base import (
     OocJob,
-    OocResult,
+    PassProgram,
     PassSpec,
     owned_column_reads,
     pass_final_windows,
     pass_pipeline,
     pass_step2_deal,
     pass_step4_deal,
-    run_pass_program,
 )
 from repro.pipeline import COMM, COMPUTE
 from repro.simulate.traces import subblock_round_work
@@ -168,50 +165,9 @@ PASSES = [
     PassSpec("pass4:steps5-8", "seven", pass_final_windows, "t3", "output"),
 ]
 
-
-def subblock_columnsort_ooc(
-    job: OocJob,
-    input_store: ColumnStore,
-    collect_trace: bool = True,
-    keep_intermediates: bool = False,
-    checkpoint_dir: str | Path | None = None,
-    resume: bool = False,
-    keep_checkpoints: bool = False,
-) -> OocResult:
-    """Run 4-pass subblock columnsort on ``input_store``.
-
-    Compared to threaded columnsort this handles matrices up to a factor
-    ``√s/2`` shorter (problem-size bound (2): ``N ≤ (M/P)^(5/3)/4^(2/3)``)
-    at the price of one extra pass of disk I/O — the paper measures it
-    at roughly 4/3 the time of threaded columnsort, I/O-bound either way.
-    With ``checkpoint_dir``, a manifest is saved after every pass and
-    ``resume=True`` restarts after the last completed one.
-    """
-    r, s = derive_shape(job)
-    if (input_store.r, input_store.s) != (r, s):
-        raise ConfigError(
-            f"input store is {input_store.r}×{input_store.s}, job wants {r}×{s}"
-        )
-    cluster, fmt = job.cluster, job.fmt
-    disks = input_store.disks
-    stores = {
-        "input": input_store,
-        "t1": ColumnStore(cluster, fmt, r, s, disks, name="sub-t1", parity=job.parity),
-        "t2": ColumnStore(cluster, fmt, r, s, disks, name="sub-t2", parity=job.parity),
-        "t3": ColumnStore(cluster, fmt, r, s, disks, name="sub-t3", parity=job.parity),
-        "output": PdmStore(
-            cluster, fmt, job.n, disks, job.pdm_block, name="output",
-            parity=job.parity,
-        ),
-    }
-    return run_pass_program(
-        "subblock",
-        job,
-        stores,
-        PASSES,
-        collect_trace=collect_trace,
-        keep_intermediates=keep_intermediates,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-        keep_checkpoints=keep_checkpoints,
-    )
+#: What :func:`~repro.oocs.base.run_pass_program` runs. Compared to
+#: threaded columnsort this handles matrices up to a factor ``√s/2``
+#: shorter (problem-size bound (2): ``N ≤ (M/P)^(5/3)/4^(2/3)``) at the
+#: price of one extra pass of disk I/O — the paper measures it at
+#: roughly 4/3 the time of threaded columnsort, I/O-bound either way.
+PROGRAM = PassProgram("subblock", PASSES, derive_shape, scratch="sub")

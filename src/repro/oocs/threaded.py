@@ -10,28 +10,16 @@ yields the problem-size restriction (1):
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from repro.columnsort.validation import validate_basic
-from repro.disks.matrixfile import ColumnStore, PdmStore
 from repro.errors import ConfigError
 from repro.oocs.base import (
     OocJob,
-    OocResult,
+    PassProgram,
     PassSpec,
     pass_final_windows,
     pass_step2_deal,
     pass_step4_deal,
-    run_pass_program,
 )
-
-#: The 3-pass program, declaratively (see
-#: :class:`~repro.oocs.base.PassSpec`).
-PASSES = [
-    PassSpec("pass1:steps1-2", "five", pass_step2_deal, "input", "t1"),
-    PassSpec("pass2:steps3-4", "five", pass_step4_deal, "t1", "t2"),
-    PassSpec("pass3:steps5-8", "seven", pass_final_windows, "t2", "output"),
-]
 
 
 def derive_shape(job: OocJob) -> tuple[int, int]:
@@ -54,51 +42,14 @@ def derive_shape(job: OocJob) -> tuple[int, int]:
     return r, s
 
 
-def threaded_columnsort_ooc(
-    job: OocJob,
-    input_store: ColumnStore,
-    collect_trace: bool = True,
-    keep_intermediates: bool = False,
-    checkpoint_dir: str | Path | None = None,
-    resume: bool = False,
-    keep_checkpoints: bool = False,
-) -> OocResult:
-    """Run 3-pass threaded columnsort on ``input_store`` (a column-major
-    ``r × s`` matrix store built by
-    :func:`~repro.oocs.base.make_workspace`).
+#: The 3-pass program, declaratively (see
+#: :class:`~repro.oocs.base.PassSpec`).
+PASSES = [
+    PassSpec("pass1:steps1-2", "five", pass_step2_deal, "input", "t1"),
+    PassSpec("pass2:steps3-4", "five", pass_step4_deal, "t1", "t2"),
+    PassSpec("pass3:steps5-8", "seven", pass_final_windows, "t2", "output"),
+]
 
-    Returns an :class:`~repro.oocs.base.OocResult` whose ``output`` is a
-    PDM-ordered :class:`~repro.disks.matrixfile.PdmStore` on the same
-    disks. Intermediate stores are deleted unless ``keep_intermediates``
-    (the paper's disk budget was 3× the input size: input + temporary +
-    output, footnote 7). With ``checkpoint_dir``, a manifest is saved
-    after every pass and ``resume=True`` restarts after the last
-    completed one.
-    """
-    r, s = derive_shape(job)
-    if (input_store.r, input_store.s) != (r, s):
-        raise ConfigError(
-            f"input store is {input_store.r}×{input_store.s}, job wants {r}×{s}"
-        )
-    cluster, fmt = job.cluster, job.fmt
-    disks = input_store.disks
-    stores = {
-        "input": input_store,
-        "t1": ColumnStore(cluster, fmt, r, s, disks, name="thr-t1", parity=job.parity),
-        "t2": ColumnStore(cluster, fmt, r, s, disks, name="thr-t2", parity=job.parity),
-        "output": PdmStore(
-            cluster, fmt, job.n, disks, job.pdm_block, name="output",
-            parity=job.parity,
-        ),
-    }
-    return run_pass_program(
-        "threaded",
-        job,
-        stores,
-        PASSES,
-        collect_trace=collect_trace,
-        keep_intermediates=keep_intermediates,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-        keep_checkpoints=keep_checkpoints,
-    )
+#: What :func:`~repro.oocs.base.run_pass_program` runs: whole columns,
+#: intermediates ``thr-t1`` / ``thr-t2``.
+PROGRAM = PassProgram("threaded", PASSES, derive_shape, scratch="thr")

@@ -1,8 +1,8 @@
 """Seeded fault plans: the chaos layer's one source of injected failure.
 
 A :class:`FaultPlan` decides, per operation, whether an injected fault
-fires. It generalizes the old one-shot ``VirtualDisk.inject_fault`` in
-three directions the chaos harness needs:
+fires. Beyond the one-shot fault of :meth:`FaultPlan.arm_once` it goes
+in three directions the chaos harness needs:
 
 * **probabilistic faults** — each matching op fails with probability
   ``p``, drawn from a seeded PRNG so a soak run is exactly
@@ -39,8 +39,7 @@ from repro.errors import (
 )
 
 #: Operation kinds a fault spec may target. ``"any"`` matches every
-#: disk op (read and write) but not comm — matching the legacy
-#: ``inject_fault`` contract.
+#: disk op (read and write) but not comm.
 FAULT_OPS = ("read", "write", "comm", "any")
 
 #: Failure kinds a spec may inject. ``"fault"`` is a medium error
@@ -195,8 +194,8 @@ class FaultPlan:
             self._register_kill_cells()
 
     def arm_once(self, op: str) -> None:
-        """The legacy ``inject_fault`` contract: the next matching op
-        fails, permanently (not retryable), exactly once."""
+        """The next matching op fails, permanently (not retryable),
+        exactly once."""
         self.add(FaultSpec(op=op, probability=1.0, count=1, transient=False))
 
     def _error(self, op: str, spec: FaultSpec, where: str):

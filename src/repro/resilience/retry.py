@@ -42,7 +42,6 @@ _FATAL_MARKERS = (
     "cannot write",
     "cannot reconstruct",
     "quarantined dead",
-    "unknown fault kind",
     "read buffer holds",
 )
 

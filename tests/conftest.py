@@ -200,5 +200,16 @@ def cluster4() -> ClusterConfig:
     return ClusterConfig(p=4, mem_per_proc=2**14)
 
 
+def arm_fault(disk, op: str) -> None:
+    """Make ``disk``'s next ``op`` (``"read"``, ``"write"`` or ``"any"``)
+    fail permanently, once: :meth:`FaultPlan.arm_once` on the disk's own
+    plan."""
+    from repro.resilience import FaultPlan
+
+    if disk.fault_plan is None:
+        disk.fault_plan = FaultPlan()
+    disk.fault_plan.arm_once(op)
+
+
 def make_cluster(p: int, mem: int = 2**14) -> ClusterConfig:
     return ClusterConfig(p=p, mem_per_proc=mem)

@@ -24,6 +24,19 @@ class TestParser:
         assert args.buffer == 512
 
 
+    def test_sort_defaults_are_the_service_spec_defaults(self):
+        """One default table: the ten fields a daemon job spec shares
+        with ``sort`` default to SPEC_DEFAULTS, not to a restatement."""
+        from repro.service.protocol import SPEC_DEFAULTS
+
+        args = vars(build_parser().parse_args(["sort"]))
+        shared = set(SPEC_DEFAULTS) & set(args)
+        assert shared == set(SPEC_DEFAULTS) - {"verify"}
+        assert {k: args[k] for k in shared} == {
+            k: SPEC_DEFAULTS[k] for k in shared
+        }
+
+
 class TestCommands:
     def test_figure2(self, capsys):
         assert main(["figure2"]) == 0
@@ -98,6 +111,36 @@ class TestJsonOutput:
             assert rc == 0
             digests.append(json.loads(capsys.readouterr().out)["output_digest"])
         assert digests[0] == digests[1]
+
+
+class TestGroupSize:
+    """``--group-size`` selects algorithm g and nothing else: every other
+    ``sort`` flag keeps its effect (the pre-runner special case dropped
+    them all silently)."""
+
+    ARGS = ["sort", "--records", "8192", "--buffer", "512", "-p", "4",
+            "--group-size", "2"]
+
+    def test_other_flags_take_effect(self, capsys, tmp_path):
+        import json
+
+        rc = main(self.ARGS + [
+            "--backend", "process", "--pipeline-depth", "2",
+            "--workdir", str(tmp_path), "--json",
+        ])
+        assert rc == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["algorithm"] == "g-columnsort(g=2)"
+        assert summary["backend"] == "process"
+        assert summary["pipeline_depth"] == 2
+        assert summary["stage_wall_s"]
+        assert summary["comm"]["retries"] == 0
+
+    def test_parity_on_the_process_backend_is_refused(self):
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="parity=True requires the thread"):
+            main(self.ARGS + ["--parity", "--backend", "process"])
 
 
 class TestCheckpointFlags:

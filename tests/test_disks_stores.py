@@ -123,8 +123,10 @@ class TestStripedColumnStore:
         store = StripedColumnStore(cfg, fmt, 64, 8, disks, name="sb")
         with pytest.raises(ConfigError):
             store.write_portion(0, 0, recs[:10])
-        with pytest.raises(ConfigError):
-            store.write_portion_segment(0, 0, 12, recs[:8])
+        store.append_to_portion(0, 0, recs[:12])
+        with pytest.raises(ConfigError, match="overflows"):
+            store.append_to_portion(0, 0, recs[:8])
+        assert store.cursor(0, 0) == 12  # a refused append reserves nothing
 
     def test_p_must_divide_r(self, env):
         cfg, fmt, disks, _ = env

@@ -4,7 +4,8 @@ import pytest
 
 from repro.disks.iostats import IoStats
 from repro.disks.virtual_disk import VirtualDisk, make_disk_array
-from repro.errors import DiskError, DiskFullError
+from repro.errors import DiskError, DiskFullError, ResilienceError
+from tests.conftest import arm_fault
 
 
 @pytest.fixture
@@ -154,26 +155,26 @@ class TestCapacityAndFaults:
 
     def test_fault_injection_one_shot(self, disk):
         disk.write_at("obj", 0, b"abc")
-        disk.inject_fault("read")
+        arm_fault(disk, "read")
         with pytest.raises(DiskError, match="injected read fault"):
             disk.read_at("obj", 0, 1)
         assert disk.read_at("obj", 0, 1) == b"a"  # fault consumed
 
     def test_fault_kind_filter(self, disk):
         disk.write_at("obj", 0, b"abc")
-        disk.inject_fault("write")
+        arm_fault(disk, "write")
         assert disk.read_at("obj", 0, 3) == b"abc"  # reads unaffected
         with pytest.raises(DiskError, match="injected write fault"):
             disk.write_at("obj", 0, b"x")
 
     def test_fault_any(self, disk):
-        disk.inject_fault("any")
+        arm_fault(disk, "any")
         with pytest.raises(DiskError, match="injected"):
             disk.write_at("obj", 0, b"x")
 
     def test_unknown_fault_kind(self, disk):
-        with pytest.raises(DiskError):
-            disk.inject_fault("explode")
+        with pytest.raises(ResilienceError):
+            arm_fault(disk, "explode")
 
 
 class TestMmapReads:

@@ -83,6 +83,41 @@ def test_src_reads_no_environment_variable():
     assert readers == []
 
 
+def test_one_runner_for_every_pass_program():
+    """One orchestration: under ``oocs/`` only ``base.run_pass_program``
+    launches a metered SPMD world and builds an ``OocResult``, and every
+    module that declares a ``PassSpec`` list has it in ``ALGORITHMS``
+    (``baseline_io`` builds its list per pass count for the same runner)."""
+    import ast
+    import importlib
+
+    from repro.oocs.api import ALGORITHMS
+
+    oocs = Path(__file__).parent.parent / "src" / "repro" / "oocs"
+    callers = {"run_spmd_metered": set(), "OocResult": set()}
+    declaring = set()
+    for path in sorted(oocs.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:  # nested helpers count for their top-level def
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    if node.func.id in callers:
+                        where = getattr(top, "name", "<module>")
+                        callers[node.func.id].add(f"{path.stem}.{where}")
+                    elif node.func.id == "PassSpec":
+                        declaring.add(path.stem)
+    assert callers == {
+        "run_spmd_metered": {"base.run_pass_program"},
+        "OocResult": {"base.run_pass_program"},
+    }
+    programs = [
+        importlib.import_module(f"repro.oocs.{stem}").PROGRAM
+        for stem in sorted(declaring - {"baseline_io"})
+    ]
+    assert len(programs) == len(ALGORITHMS)
+    assert all(program in ALGORITHMS.values() for program in programs)
+
+
 class TestErrorHierarchy:
     def test_everything_is_repro_error(self):
         for exc in (

@@ -284,7 +284,6 @@ class TestStoreLevel:
 def _run_sort(program, backend, workdir):
     from repro.cluster.config import ClusterConfig
     from repro.oocs import sort_out_of_core
-    from repro.oocs.gcolumnsort import sort_with_group_size
     from repro.records.format import RecordFormat
     from repro.records.generators import generate
 
@@ -292,8 +291,8 @@ def _run_sort(program, backend, workdir):
     if program == "gcolumnsort":
         recs = generate("uniform", fmt, 8192, seed=7)
         cluster = ClusterConfig(p=4, mem_per_proc=512)
-        return recs, sort_with_group_size(
-            recs, cluster, fmt, 512, group_size=2, workdir=workdir,
+        return recs, sort_out_of_core(
+            "g", recs, cluster, fmt, 512, group_size=2, workdir=workdir,
             backend=backend,
         )
     n, buffer = {

@@ -13,10 +13,11 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.spmd import run_spmd
 from repro.disks.matrixfile import ColumnStore
 from repro.errors import DiskError, DiskFullError, SpmdError
-from repro.oocs.base import OocJob, make_workspace
-from repro.oocs.threaded import threaded_columnsort_ooc
+from repro.oocs.api import ALGORITHMS
+from repro.oocs.base import OocJob, make_workspace, run_pass_program
 from repro.records.format import RecordFormat
 from repro.records.generators import generate
+from tests.conftest import arm_fault
 
 FMT = RecordFormat("u8", 64)
 
@@ -45,17 +46,17 @@ def assert_no_new_threads(before: set, deadline_s: float = 5.0) -> None:
 class TestDiskFaults:
     def test_read_fault_propagates_with_failing_rank(self, tmp_path):
         cluster, recs, ws, job = setup_run(tmp_path)
-        ws.disks[1].inject_fault("read")
+        arm_fault(ws.disks[1], "read")
         with pytest.raises(SpmdError) as exc_info:
-            threaded_columnsort_ooc(job, ws.input)
+            run_pass_program(ALGORITHMS["threaded"], job, ws.input)
         assert isinstance(exc_info.value.cause, DiskError)
         assert exc_info.value.rank == 1  # disk 1 belongs to rank 1
 
     def test_write_fault_propagates(self, tmp_path):
         cluster, recs, ws, job = setup_run(tmp_path)
-        ws.disks[0].inject_fault("write")
+        arm_fault(ws.disks[0], "write")
         with pytest.raises(SpmdError) as exc_info:
-            threaded_columnsort_ooc(job, ws.input)
+            run_pass_program(ALGORITHMS["threaded"], job, ws.input)
         assert isinstance(exc_info.value.cause, DiskError)
 
     def test_fault_mid_run_does_not_hang(self, tmp_path):
@@ -65,10 +66,10 @@ class TestDiskFaults:
         import time
 
         cluster, recs, ws, job = setup_run(tmp_path, p=4, r=128, s=8)
-        ws.disks[3].inject_fault("read")
+        arm_fault(ws.disks[3], "read")
         t0 = time.monotonic()
         with pytest.raises(SpmdError):
-            threaded_columnsort_ooc(job, ws.input)
+            run_pass_program(ALGORITHMS["threaded"], job, ws.input)
         assert time.monotonic() - t0 < 30
 
 
@@ -89,7 +90,7 @@ class TestDiskFull:
         store = ColumnStore.from_records(cluster, FMT, recs, r, s, disks)
         job = OocJob(cluster=cluster, fmt=FMT, n=r * s, buffer_records=r)
         with pytest.raises(SpmdError) as exc_info:
-            threaded_columnsort_ooc(job, store)
+            run_pass_program(ALGORITHMS["threaded"], job, store)
         assert isinstance(exc_info.value.cause, DiskFullError)
 
 
@@ -102,9 +103,9 @@ class TestFaultsThroughPipelineThreads:
     def test_read_fault_through_prefetcher(self, tmp_path, depth):
         before = set(threading.enumerate())
         cluster, recs, ws, job = setup_run(tmp_path, pipeline_depth=depth)
-        ws.disks[1].inject_fault("read")
+        arm_fault(ws.disks[1], "read")
         with pytest.raises(SpmdError) as exc_info:
-            threaded_columnsort_ooc(job, ws.input)
+            run_pass_program(ALGORITHMS["threaded"], job, ws.input)
         assert isinstance(exc_info.value.cause, DiskError)
         assert exc_info.value.rank == 1
         assert_no_new_threads(before)
@@ -113,9 +114,9 @@ class TestFaultsThroughPipelineThreads:
     def test_write_fault_through_flusher(self, tmp_path, depth):
         before = set(threading.enumerate())
         cluster, recs, ws, job = setup_run(tmp_path, pipeline_depth=depth)
-        ws.disks[0].inject_fault("write")
+        arm_fault(ws.disks[0], "write")
         with pytest.raises(SpmdError) as exc_info:
-            threaded_columnsort_ooc(job, ws.input)
+            run_pass_program(ALGORITHMS["threaded"], job, ws.input)
         assert isinstance(exc_info.value.cause, DiskError)
         assert_no_new_threads(before)
 
@@ -135,7 +136,7 @@ class TestFaultsThroughPipelineThreads:
         job = OocJob(cluster=cluster, fmt=FMT, n=r * s, buffer_records=r,
                      pipeline_depth=2)
         with pytest.raises(SpmdError) as exc_info:
-            threaded_columnsort_ooc(job, store)
+            run_pass_program(ALGORITHMS["threaded"], job, store)
         assert isinstance(exc_info.value.cause, DiskFullError)
         assert_no_new_threads(before)
 
@@ -143,9 +144,9 @@ class TestFaultsThroughPipelineThreads:
         import numpy as np
 
         cluster, recs, ws, job = setup_run(tmp_path, pipeline_depth=2)
-        ws.disks[0].inject_fault("write")
+        arm_fault(ws.disks[0], "write")
         with pytest.raises(SpmdError):
-            threaded_columnsort_ooc(job, ws.input)
+            run_pass_program(ALGORITHMS["threaded"], job, ws.input)
         assert np.array_equal(ws.input.to_records(), recs)
 
 
@@ -167,7 +168,7 @@ class TestRankMisbehavior:
         import numpy as np
 
         cluster, recs, ws, job = setup_run(tmp_path)
-        ws.disks[0].inject_fault("write")
+        arm_fault(ws.disks[0], "write")
         with pytest.raises(SpmdError):
-            threaded_columnsort_ooc(job, ws.input)
+            run_pass_program(ALGORITHMS["threaded"], job, ws.input)
         assert np.array_equal(ws.input.to_records(), recs)

@@ -53,7 +53,15 @@ class TestBaselineIo:
 
 class TestApi:
     def test_algorithm_registry(self):
-        assert set(ALGORITHMS) == {"threaded", "subblock", "m", "hybrid"}
+        assert set(ALGORITHMS) == {"threaded", "subblock", "m", "hybrid", "g"}
+
+    def test_group_size_is_refused_off_layout(self):
+        """``group_size`` is g-columnsort's knob: a program whose stores
+        have another group size (or none) must not silently ignore it."""
+        cluster = ClusterConfig(p=4, mem_per_proc=2**10)
+        recs = generate("uniform", FMT, 512 * 16, seed=1)
+        with pytest.raises(ConfigError, match="threaded does not run at group"):
+            sort_out_of_core("threaded", recs, cluster, FMT, 512, group_size=2)
 
     def test_unknown_algorithm(self):
         cluster = ClusterConfig(p=2, mem_per_proc=2**10)
@@ -96,10 +104,12 @@ class TestApi:
             "subblock": (generate("uniform", FMT, 256 * 16, seed=1), 256),
             "m": (generate("uniform", FMT, 4 * 256 * 16, seed=1), 256),
             "hybrid": (generate("uniform", FMT, 4 * 256 * 16, seed=1), 256),
+            "g": (generate("uniform", FMT, 4 * 256 * 16, seed=1), 256),
         }
+        assert set(cases) == set(ALGORITHMS)
         for algorithm, (recs, buf) in cases.items():
             res = sort_out_of_core(
                 algorithm, recs, cluster, FMT, buffer_records=buf
             )
-            assert res.algorithm in (algorithm, "m-columnsort", "threaded",
-                                     "subblock", "hybrid")
+            assert res.algorithm in (algorithm, "m-columnsort",
+                                     "g-columnsort(g=4)")

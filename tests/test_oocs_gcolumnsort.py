@@ -1,25 +1,29 @@
 """g-columnsort: the §6 adjustable height interpretation, plus the
 sub-communicators and group-striped store underneath it."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.spmd import run_spmd
-from repro.disks.matrixfile import GroupColumnStore
+from repro.disks.matrixfile import StripedColumnStore
 from repro.disks.virtual_disk import make_disk_array
 from repro.errors import CommError, ConfigError, DimensionError, DiskError
+from repro.oocs.api import sort_out_of_core
 from repro.oocs.base import OocJob
-from repro.oocs.gcolumnsort import (
-    derive_shape,
-    g_bound,
-    smallest_group_size,
-    sort_with_group_size,
-)
+from repro.oocs.gcolumnsort import derive_shape, g_bound, smallest_group_size
 from repro.records.format import RecordFormat
 from repro.records.generators import generate
 
 FMT = RecordFormat("u8", 64)
+
+
+def sort_g(recs, cluster, buffer, group_size=None, **kwargs):
+    return sort_out_of_core(
+        "g", recs, cluster, FMT, buffer, group_size=group_size, **kwargs
+    )
 
 
 class TestCommSplit:
@@ -99,20 +103,26 @@ class TestGroupColumnStore:
     @pytest.mark.parametrize("g", [1, 2, 4])
     def test_roundtrip(self, env, g):
         cfg, disks, recs = env
-        store = GroupColumnStore.from_records(cfg, FMT, recs, 64, 8, disks, g)
+        store = StripedColumnStore.from_records(
+            cfg, FMT, recs, 64, 8, disks, group_size=g
+        )
         assert np.array_equal(store.to_records(), recs)
         assert store.portion == 64 // g
 
     def test_g1_matches_whole_column_ownership(self, env):
         cfg, disks, recs = env
-        store = GroupColumnStore.from_records(cfg, FMT, recs, 64, 8, disks, 1)
+        store = StripedColumnStore.from_records(
+            cfg, FMT, recs, 64, 8, disks, group_size=1
+        )
         # group j mod 4 ≡ rank j mod 4, one member each
         assert store.rank_of(5, 0) == 1
         assert np.array_equal(store.read_portion(1, 5), recs[5 * 64 : 6 * 64])
 
     def test_group_access_control(self, env):
         cfg, disks, recs = env
-        store = GroupColumnStore.from_records(cfg, FMT, recs, 64, 8, disks, 2)
+        store = StripedColumnStore.from_records(
+            cfg, FMT, recs, 64, 8, disks, group_size=2
+        )
         # column 1 → group 1 (ranks 2, 3); rank 0 may not touch it.
         with pytest.raises(DiskError, match="owned by group"):
             store.read_portion(0, 1)
@@ -120,7 +130,7 @@ class TestGroupColumnStore:
 
     def test_append_overflow_guard(self, env):
         cfg, disks, recs = env
-        store = GroupColumnStore(cfg, FMT, 64, 8, disks, 2, name="ov")
+        store = StripedColumnStore(cfg, FMT, 64, 8, disks, name="ov", group_size=2)
         store.append_to_portion(0, 0, recs[:32])
         with pytest.raises(ConfigError, match="overflows"):
             store.append_to_portion(0, 0, recs[:1])
@@ -128,11 +138,11 @@ class TestGroupColumnStore:
     def test_shape_validation(self, env):
         cfg, disks, _ = env
         with pytest.raises(ConfigError):
-            GroupColumnStore(cfg, FMT, 64, 8, disks, 3)  # g ∤ P
+            StripedColumnStore(cfg, FMT, 64, 8, disks, group_size=3)  # g ∤ P
         with pytest.raises(ConfigError):
-            GroupColumnStore(cfg, FMT, 66, 8, disks, 4)  # g ∤ r
+            StripedColumnStore(cfg, FMT, 66, 8, disks, group_size=4)  # g ∤ r
         with pytest.raises(ConfigError):
-            GroupColumnStore(cfg, FMT, 64, 6, disks, 1)  # G=4 ∤ s=6
+            StripedColumnStore(cfg, FMT, 64, 6, disks, group_size=1)  # G=4 ∤ s=6
 
 
 class TestGColumnsort:
@@ -140,20 +150,44 @@ class TestGColumnsort:
     def test_sorts_at_every_group_size(self, g):
         cluster = ClusterConfig(p=4, mem_per_proc=512)
         recs = generate("duplicates", FMT, 8192, seed=2)
-        res = sort_with_group_size(recs, cluster, FMT, 512, group_size=g)
+        res = sort_g(recs, cluster, 512, group_size=g)
         assert res.passes == 3
         assert res.io["bytes_read"] == 3 * len(recs) * 64
+        assert res.io["bytes_written"] == 3 * len(recs) * 64
 
     @pytest.mark.parametrize("workload", ["uniform", "zipf", "all-equal"])
     def test_workloads(self, workload):
         cluster = ClusterConfig(p=4, mem_per_proc=512)
         recs = generate(workload, FMT, 8192, seed=3)
-        sort_with_group_size(recs, cluster, FMT, 512, group_size=2)
+        sort_g(recs, cluster, 512, group_size=2)
+
+    def test_audited_run_checks_group_striped_portions(self, tmp_path):
+        """audit=True drives the auditor's portion checks over g = 2
+        stores (passes 1-2) and the PDM output (pass 3)."""
+        from repro.durability.audit import PassAuditor
+        from repro.errors import AuditError
+
+        cluster = ClusterConfig(p=4, mem_per_proc=512)
+        recs = generate("uniform", FMT, 8192, seed=8)
+        res = sort_g(recs, cluster, 512, group_size=2, audit=True)
+        assert res.durability["audited_passes"] == 3
+        assert res.durability["audited_units"] >= 6  # 2 samples per pass
+        # Teeth: a portion that lost records fails the exhaustive size check.
+        store = StripedColumnStore.from_records(
+            cluster, FMT, recs, 1024, 8, make_disk_array(tmp_path, 4),
+            name="out", group_size=2,
+        )
+        rank = store.rank_of(3, 1)
+        disk = store._disk_for(3, rank)
+        disk.delete(store._file(3, 1))
+        disk.write_at(store._file(3, 1), 0, recs[:100].tobytes())
+        with pytest.raises(AuditError, match="column 3 part 1 .* lost or duplicated"):
+            PassAuditor().audit_pass("g", store, 1, 3)
 
     def test_p8_middle_group_size(self):
         cluster = ClusterConfig(p=8, mem_per_proc=256)
         recs = generate("uniform", FMT, 8 * 256 * 4, seed=4)
-        res = sort_with_group_size(recs, cluster, FMT, 256, group_size=4)
+        res = sort_g(recs, cluster, 256, group_size=4)
         assert res.passes == 3
 
     def test_sort_stage_traffic_grows_with_g(self):
@@ -162,9 +196,7 @@ class TestGColumnsort:
         cluster = ClusterConfig(p=4, mem_per_proc=512)
         recs = generate("uniform", FMT, 8192, seed=5)
         volumes = {
-            g: sort_with_group_size(
-                recs, cluster, FMT, 512, group_size=g
-            ).comm_total["network_bytes"]
+            g: sort_g(recs, cluster, 512, group_size=g).comm_total["network_bytes"]
             for g in (1, 2, 4)
         }
         assert volumes[1] < volumes[2] < volumes[4]
@@ -194,18 +226,21 @@ class TestGColumnsort:
         cluster = ClusterConfig(p=4, mem_per_proc=512)
         n = 32768  # > g_bound(512, 1) = 8192
         recs = generate("uniform", FMT, n, seed=6)
-        res = sort_with_group_size(recs, cluster, FMT, 512)
+        res = sort_g(recs, cluster, 512)
         assert "g=4" in res.algorithm or "g=2" in res.algorithm
 
     def test_shape_validation(self):
         cluster = ClusterConfig(p=4, mem_per_proc=512)
         job = OocJob(cluster=cluster, fmt=FMT, n=8192, buffer_records=512)
-        assert derive_shape(job, 1) == (512, 16)
-        assert derive_shape(job, 2) == (1024, 8)
+        assert derive_shape(replace(job, group_size=1)) == (512, 16)
+        assert derive_shape(replace(job, group_size=2)) == (1024, 8)
+        assert derive_shape(job) == (512, 16)  # the smallest feasible g
         with pytest.raises(ConfigError):
-            derive_shape(job, 3)  # not a power of 2
+            derive_shape(replace(job, group_size=3))  # not a power of 2
         with pytest.raises(ConfigError):
-            derive_shape(job, 8)  # g > P
-        big = OocJob(cluster=cluster, fmt=FMT, n=2**20, buffer_records=512)
+            derive_shape(replace(job, group_size=8))  # g > P
+        big = OocJob(
+            cluster=cluster, fmt=FMT, n=2**20, buffer_records=512, group_size=1
+        )
         with pytest.raises(DimensionError, match="larger group size"):
-            derive_shape(big, 1)
+            derive_shape(big)

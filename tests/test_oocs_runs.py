@@ -7,7 +7,8 @@ import pytest
 from repro.cluster.config import ClusterConfig
 from repro.disks.matrixfile import ColumnStore
 from repro.errors import ConfigError
-from repro.oocs.base import OocJob, make_workspace
+from repro.oocs.api import ALGORITHMS
+from repro.oocs.base import OocJob, make_workspace, run_pass_program
 from repro.oocs.runs import (
     merge_sorted_runs,
     merge_two,
@@ -15,8 +16,6 @@ from repro.oocs.runs import (
     sort_column,
     verify_run_structure,
 )
-from repro.oocs.subblock import subblock_columnsort_ooc
-from repro.oocs.threaded import threaded_columnsort_ooc
 from repro.records.format import RecordFormat
 from repro.records.generators import generate
 
@@ -108,7 +107,9 @@ class TestPredictions:
         recs = generate("uniform", FMT, r * s, seed=3)
         ws = make_workspace(cluster, FMT, recs, r, s, workdir=tmp_path)
         job = OocJob(cluster=cluster, fmt=FMT, n=r * s, buffer_records=r)
-        threaded_columnsort_ooc(job, ws.input, keep_intermediates=True)
+        run_pass_program(
+            ALGORITHMS["threaded"], job, ws.input, keep_intermediates=True
+        )
         t1 = ColumnStore(cluster, FMT, r, s, ws.disks, name="thr-t1")
         count, length = predict_runs("after-deal", r, s)
         for j in range(s):
@@ -123,7 +124,9 @@ class TestPredictions:
         recs = generate("uniform", FMT, r * s, seed=4)
         ws = make_workspace(cluster, FMT, recs, r, s, workdir=tmp_path)
         job = OocJob(cluster=cluster, fmt=FMT, n=r * s, buffer_records=r)
-        subblock_columnsort_ooc(job, ws.input, keep_intermediates=True)
+        run_pass_program(
+            ALGORITHMS["subblock"], job, ws.input, keep_intermediates=True
+        )
         t2 = ColumnStore(cluster, FMT, r, s, ws.disks, name="sub-t2")
         count, length = predict_runs("after-subblock", r, s)
         assert (count, length) == (4, 64)

@@ -9,8 +9,8 @@ from repro.errors import ConfigError, DimensionError
 from repro.matrix.layout import sort_columns, to_columns
 from repro.matrix.permutations import step2
 from repro.oocs.api import sort_out_of_core
-from repro.oocs.base import OocJob, make_workspace
-from repro.oocs.threaded import derive_shape, threaded_columnsort_ooc
+from repro.oocs.base import OocJob, make_workspace, run_pass_program
+from repro.oocs.threaded import PROGRAM, derive_shape
 from repro.oocs.verify import verify_output
 from repro.records.format import RecordFormat
 from repro.records.generators import generate
@@ -106,7 +106,7 @@ class TestIntermediateStates:
         recs = generate("uniform", FMT, r * s, seed=7)
         ws = make_workspace(cluster, FMT, recs, r, s, workdir=tmp_path)
         job = OocJob(cluster=cluster, fmt=FMT, n=r * s, buffer_records=r)
-        result = threaded_columnsort_ooc(job, ws.input, keep_intermediates=True)
+        result = run_pass_program(PROGRAM, job, ws.input, keep_intermediates=True)
         t1 = ColumnStore(cluster, FMT, r, s, ws.disks, name="thr-t1")
         got = to_columns(t1.to_records(), r, s)
         ref = step2(sort_columns(to_columns(recs, r, s)))
@@ -124,7 +124,7 @@ class TestIntermediateStates:
         recs = generate("uniform", FMT, r * s, seed=8)
         ws = make_workspace(cluster, FMT, recs, r, s, workdir=tmp_path)
         job = OocJob(cluster=cluster, fmt=FMT, n=r * s, buffer_records=r)
-        threaded_columnsort_ooc(job, ws.input, keep_intermediates=True)
+        run_pass_program(PROGRAM, job, ws.input, keep_intermediates=True)
         t2 = ColumnStore(cluster, FMT, r, s, ws.disks, name="thr-t2")
         got = to_columns(t2.to_records(), r, s)
         ref = step4(sort_columns(step2(sort_columns(to_columns(recs, r, s)))))
@@ -174,7 +174,7 @@ class TestValidation:
         ws = make_workspace(cluster, FMT, recs, 128, 4, workdir=tmp_path)
         job = OocJob(cluster=cluster, fmt=FMT, n=1024, buffer_records=128)
         with pytest.raises(ConfigError, match="input store"):
-            threaded_columnsort_ooc(job, ws.input)
+            run_pass_program(PROGRAM, job, ws.input)
 
 
 class TestOutputLayout:

@@ -23,12 +23,13 @@ from repro.resilience import CheckpointStore
 
 FMT = RecordFormat("u8", 16)
 
-#: algorithm → (p, buffer_records, s, total passes, striped input?)
+#: algorithm → (p, buffer_records, s, total passes, g: r = g·buffer)
 CONFIGS = {
-    "threaded": (2, 128, 4, 3, False),
-    "subblock": (2, 128, 4, 4, False),
-    "m": (2, 64, 4, 3, True),
-    "hybrid": (2, 64, 4, 4, True),
+    "threaded": (2, 128, 4, 3, 1),
+    "subblock": (2, 128, 4, 4, 1),
+    "m": (2, 64, 4, 3, 2),
+    "hybrid": (2, 64, 4, 4, 2),
+    "g": (4, 512, 8, 3, 2),
 }
 
 
@@ -37,13 +38,14 @@ class SimulatedKill(RuntimeError):
 
 
 def records_for(algorithm):
-    p, buf, s, _, striped = CONFIGS[algorithm]
-    n = p * buf * s if striped else buf * s
-    return generate("uniform", FMT, n, seed=7)
+    _, buf, s, _, g = CONFIGS[algorithm]
+    return generate("uniform", FMT, g * buf * s, seed=7)
 
 
 def run_sort(algorithm, recs, depth, workdir=None, **kwargs):
-    p, buf, _, _, _ = CONFIGS[algorithm]
+    p, buf, _, _, g = CONFIGS[algorithm]
+    if algorithm == "g":
+        kwargs["group_size"] = g
     cluster = ClusterConfig(p=p, mem_per_proc=2**10)
     return sort_out_of_core(
         algorithm, recs, cluster, FMT, buffer_records=buf,

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import CommError, DiskError, ResilienceError
 from repro.resilience import FaultPlan, FaultSpec, transient_plan
+from tests.conftest import arm_fault
 
 
 class TestFaultSpecValidation:
@@ -134,15 +135,16 @@ class TestTransientPlanFactory:
 
 
 class TestLegacyInjectFaultShim:
-    """`VirtualDisk.inject_fault` must keep its historical one-shot
-    semantics (tests/test_failure_injection.py depends on them)."""
+    """`FaultPlan.arm_once` on a disk's plan keeps the one-shot
+    semantics of the `VirtualDisk.inject_fault` shim it replaced
+    (tests/test_failure_injection.py depends on them)."""
 
     def test_one_shot_permanent(self, tmp_path):
         from repro.disks.virtual_disk import VirtualDisk
 
         disk = VirtualDisk(tmp_path)
         disk.write_at("obj", 0, b"abcd")
-        disk.inject_fault("read")
+        arm_fault(disk, "read")
         with pytest.raises(DiskError, match="injected read fault") as err:
             disk.read_at("obj", 0, 4)
         assert err.value.transient is False  # not retried away by a policy
@@ -152,7 +154,7 @@ class TestLegacyInjectFaultShim:
         from repro.disks.virtual_disk import VirtualDisk
 
         disk = VirtualDisk(tmp_path)
-        disk.inject_fault("any")
+        arm_fault(disk, "any")
         with pytest.raises(DiskError):
             disk.write_at("obj", 0, b"abcd")
 
@@ -160,8 +162,9 @@ class TestLegacyInjectFaultShim:
         from repro.disks.virtual_disk import VirtualDisk
 
         disk = VirtualDisk(tmp_path)
-        with pytest.raises(DiskError, match="unknown fault kind"):
-            disk.inject_fault("explode")
+        with pytest.raises(ResilienceError, match="unknown fault op"):
+            arm_fault(disk, "explode")
+        assert not disk.fault_plan.specs  # nothing was armed
 
     def test_shim_survives_a_retry_policy(self, tmp_path):
         """An armed one-shot fault is permanent: a retry policy must not
@@ -172,6 +175,6 @@ class TestLegacyInjectFaultShim:
         disk = VirtualDisk(tmp_path)
         disk.retry_policy = RetryPolicy(max_attempts=5, base_delay_s=0.0)
         disk.write_at("obj", 0, b"abcd")
-        disk.inject_fault("read")
+        arm_fault(disk, "read")
         with pytest.raises(DiskError, match="injected read fault"):
             disk.read_at("obj", 0, 4)

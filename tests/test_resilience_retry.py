@@ -33,7 +33,6 @@ class TestClassification:
             "no object 'gone' on disk 0",
             "invalid read range (-1, 4)",
             "read buffer holds 3 bytes, wanted 4",
-            "unknown fault kind 'explode'",
         ],
     )
     def test_structural_disk_errors_fatal(self, msg):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import JobNotFound, ServiceError
-from repro.service import ServiceClient, SortService, TenantPolicy
+from repro.service import ServiceClient, SortService, TenantPolicy, validate_spec
 from repro.service.journal import JobJournal
 
 #: A fast known-good job (~0.5 s on the thread backend).
@@ -89,6 +89,10 @@ def test_invalid_spec_rejected_and_not_journaled(service_root):
                 client.submit({"algorithm": "quicksort"})
             with pytest.raises(ServiceError, match="unknown job-spec field"):
                 client.submit({"nope": 1})
+            # "g" is in ALGORITHMS (smallest feasible g); its knob is no field
+            assert validate_spec({"algorithm": "g"})["algorithm"] == "g"
+            with pytest.raises(ServiceError, match="unknown job-spec field"):
+                client.submit({"algorithm": "g", "group_size": 2})
             assert client.health()["jobs"] == {}
     finally:
         service.stop()

@@ -51,19 +51,19 @@ from repro.records.generators import generate
 
 FMT = RecordFormat("u8", 16)
 
-#: algorithm → (p, buffer_records, s, total passes, striped input?)
+#: algorithm → (p, buffer_records, s, total passes, g: r = g·buffer)
 CONFIGS = {
-    "threaded": (2, 128, 4, 3, False),
-    "m": (2, 64, 4, 3, True),
+    "threaded": (2, 128, 4, 3, 1),
+    "m": (2, 64, 4, 3, 2),
+    "g": (4, 512, 8, 3, 2),
 }
 
 WATCHDOG = 15.0
 
 
 def records_for(algorithm):
-    p, buf, s, _, striped = CONFIGS[algorithm]
-    n = p * buf * s if striped else buf * s
-    return generate("uniform", FMT, n, seed=7)
+    _, buf, s, _, g = CONFIGS[algorithm]
+    return generate("uniform", FMT, g * buf * s, seed=7)
 
 
 def expected_bytes(recs):
@@ -71,7 +71,9 @@ def expected_bytes(recs):
 
 
 def run_sort(algorithm, recs, depth, **kwargs):
-    p, buf, _, _, _ = CONFIGS[algorithm]
+    p, buf, _, _, g = CONFIGS[algorithm]
+    if algorithm == "g":
+        kwargs["group_size"] = g
     cluster = ClusterConfig(p=p, mem_per_proc=2**10)
     return sort_out_of_core(
         algorithm, recs, cluster, FMT, buffer_records=buf,

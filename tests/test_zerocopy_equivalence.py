@@ -26,7 +26,6 @@ from repro.cluster import available_backends
 from repro.cluster.config import ClusterConfig
 from repro.membuf import get_pool
 from repro.oocs.api import sort_out_of_core
-from repro.oocs.gcolumnsort import sort_with_group_size
 from repro.records.format import RecordFormat
 from repro.records.generators import generate
 
@@ -37,6 +36,7 @@ SHAPES = {
     "subblock": (16384, 1024),
     "m": (32768, 2048),
     "hybrid": (32768, 2048),
+    "g": (8192, 512),  # at group size 2
 }
 
 
@@ -58,6 +58,7 @@ ZIPF_DIGESTS = {
     # g-columnsort, N = 8192, buffer 512, group size 2
     "g2": "f667aba176874571b47fd3bde7648301784faaa611f974623c7b60938418941a",
 }
+ZIPF_DIGESTS["g"] = ZIPF_DIGESTS["g2"]
 
 CLUSTER = ClusterConfig(p=4, mem_per_proc=2**16)
 
@@ -72,7 +73,7 @@ def _sort(
     return sort_out_of_core(
         algorithm, _records(algorithm, keys), CLUSTER, FMT,
         buffer_records=SHAPES[algorithm][1], pipeline_depth=depth,
-        backend=backend,
+        backend=backend, group_size=2 if algorithm == "g" else None,
     )
 
 
@@ -106,7 +107,9 @@ def test_duplicate_keys_keep_the_stable_order_end_to_end(algorithm):
     # through the tie repair; the process backend joins on the cheapest
     # shape only.
     points = [(0, "thread"), (2, "thread")]
-    if algorithm == "threaded":
+    if algorithm == "g":
+        points += [(0, "process")]
+    if algorithm in ("threaded", "g"):
         points += [(2, backend) for backend in available_backends()
                    if backend != "thread"]
     n = SHAPES[algorithm][0]
@@ -122,18 +125,18 @@ def test_duplicate_keys_keep_the_stable_order_end_to_end(algorithm):
 
 @pytest.mark.parametrize("backend", available_backends())
 def test_gcolumnsort_outputs_byte_identical(backend):
-    # g-columnsort shares the order kernel and the window merge but not
-    # the pass pipeline; unique keys against NumPy's stable sort, zipf
-    # keys against the pinned digest.
+    # The pre-runner spelling of the "g" points above, kept at depth 0:
+    # unique keys against NumPy's stable sort, zipf keys against the
+    # pinned digest.
     uniform = generate("uniform", FMT, 8192, seed=7)
-    result = sort_with_group_size(
-        uniform, CLUSTER, FMT, 512, group_size=2, backend=backend
+    result = sort_out_of_core(
+        "g", uniform, CLUSTER, FMT, 512, group_size=2, backend=backend
     )
     got = result.output.read_global(0, len(uniform)).tobytes()
     assert got == uniform[np.argsort(uniform["key"], kind="stable")].tobytes()
     zipf = generate("zipf", FMT, 8192, seed=7)
-    result = sort_with_group_size(
-        zipf, CLUSTER, FMT, 512, group_size=2, backend=backend
+    result = sort_out_of_core(
+        "g", zipf, CLUSTER, FMT, 512, group_size=2, backend=backend
     )
     got = result.output.read_global(0, len(zipf)).tobytes()
     assert hashlib.sha256(got).hexdigest() == ZIPF_DIGESTS["g2"]
