@@ -92,10 +92,6 @@ class ClusterConfig:
             )
         return disk % self.p
 
-    def owner_of_column(self, j: int) -> int:
-        """The processor owning matrix column ``j`` (``j mod P``, §2)."""
-        return j % self.p
-
     def check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.p:
             raise ConfigError(f"rank {rank} out of range for P={self.p}")

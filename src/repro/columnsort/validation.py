@@ -12,12 +12,14 @@ power of 4 (so that ``√s`` is an integer in the power-of-two world of the
 out-of-core setting).
 
 The out-of-core implementations additionally require ``r`` and ``s`` to be
-powers of 2 (paper §2).
+powers of 2 (paper §2); :func:`out_of_core_shape` resolves and checks
+the ``r × s`` matrix of every out-of-core program from its point on the
+grid *height interpretation* ``r = g·M/P`` × *height restriction*.
 """
 
 from __future__ import annotations
 
-from repro.errors import DimensionError
+from repro.errors import ConfigError, DimensionError
 from repro.matrix.bits import ilog2, is_power_of_four, is_power_of_two, sqrt_pow4
 
 
@@ -78,6 +80,71 @@ def validate_subblock(r: int, s: int, *, powers_of_two: bool = True) -> None:
             f"relaxed height restriction violated: r={r} < 4·s^(3/2)={4 * s * t} "
             f"(subblock columnsort requires r ≥ 4·s^(3/2))"
         )
+
+
+def column_layout(n: int, p: int, buffer_records: int, g: int = 1) -> tuple[int, int]:
+    """``(r, s)`` of ``N`` records under the height interpretation
+    ``r = g·buffer``: ``P/g`` groups of ``g`` processors, each column
+    owned by one group and striped over its members. Checks what the
+    layout alone needs — no height restriction (the I/O-only baseline's
+    analytic trace stops here)."""
+    for name, value in (("N", n), ("P", p), ("buffer", buffer_records)):
+        if not is_power_of_two(value):
+            raise ConfigError(f"{name} must be a power of 2, got {value}")
+    if not is_power_of_two(g) or g > p:
+        raise ConfigError(f"group size g={g} must be a power of 2 with g ≤ P={p}")
+    r = g * buffer_records
+    if n % r:
+        raise ConfigError(
+            f"column height r=g·buffer={r} (g={g}) must divide N={n}"
+        )
+    s = n // r
+    groups = p // g
+    if s < groups or s % groups:
+        raise ConfigError(
+            f"need at least P/g={groups} columns with P/g | s, got s={s} "
+            f"(N={n}, r={r})"
+        )
+    return r, s
+
+
+def out_of_core_shape(
+    n: int, p: int, buffer_records: int, g: int, relaxed: bool = False
+) -> tuple[int, int]:
+    """Resolve and validate the ``r × s`` matrix of an out-of-core job.
+
+    The five programs are points on a grid: the height interpretation
+    ``r = g·buffer`` (``g = 1`` threaded/subblock, ``g = P``
+    M-columnsort/hybrid §4, in between §6) × the height restriction
+    (``r ≥ 2s²``, or with ``relaxed`` subblock's ``r ≥ 4·s^(3/2)`` with
+    ``s`` a power of 4, §3). For ``g ≥ 2`` the sort stage is a
+    distributed in-core columnsort on a ``buffer × g`` matrix, so
+    ``buffer ≥ 2g²``, and ``s | buffer`` keeps every round's delivery
+    even. Layout violations raise :class:`ConfigError`, restrictions
+    :class:`DimensionError`.
+    """
+    r, s = column_layout(n, p, buffer_records, g)
+    try:
+        (validate_subblock if relaxed else validate_basic)(r, s)
+    except DimensionError as exc:
+        # Taller, fewer columns are the way out of either restriction.
+        hint = "; try a larger group size" if g < p else ""
+        raise DimensionError(
+            f"{exc} — N={n} under the height interpretation r=g·buffer, "
+            f"g={g}{hint}"
+        ) from None
+    if g >= 2:
+        if buffer_records < 2 * g * g:
+            raise DimensionError(
+                f"in-core height restriction violated: r/g={buffer_records} < "
+                f"2g²={2 * g * g} (the sort stage's distributed columnsort)"
+            )
+        if buffer_records % s:
+            raise ConfigError(
+                f"s={s} must divide the per-rank portion r/g={buffer_records} "
+                "for even per-round delivery"
+            )
+    return r, s
 
 
 def max_s_basic(r: int) -> int:

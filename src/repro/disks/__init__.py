@@ -9,13 +9,12 @@ the Parallel Disk Model (PDM).
   directory of files with byte-offset block I/O, byte-accurate
   accounting (:class:`~repro.disks.iostats.IoStats`), optional capacity
   limits, and fault injection;
-* :class:`~repro.disks.matrixfile.ColumnStore` — an ``r × s`` matrix
-  stored column-contiguous, whole columns owned by ``j mod P``
-  (threaded and subblock columnsort);
-* :class:`~repro.disks.matrixfile.StripedColumnStore` — columns of
-  height ``g·M/P`` each striped over a group of ``g`` processors: the
-  one striped layout, M-columnsort's ``r = M`` at the default ``g = P``
-  and g-columnsort's adjustable interpretation below it;
+* :class:`~repro.disks.matrixfile.ColumnStore` — the one ``r × s``
+  column store: columns of height ``g·M/P`` each striped over a group
+  of ``g`` processors — whole columns owned by ``j mod P`` at the
+  default ``g = 1`` (threaded and subblock columnsort), M-columnsort's
+  ``r = M`` at ``g = P``, g-columnsort's adjustable interpretation in
+  between;
 * :mod:`~repro.disks.pdm` + :class:`~repro.disks.matrixfile.PdmStore` —
   PDM striped ordering: the address arithmetic, ownership splitting for
   the final communicate stage, and verification readback.
@@ -29,7 +28,7 @@ from repro.disks.pdm import (
     split_range_by_disk,
     split_range_by_owner,
 )
-from repro.disks.matrixfile import ColumnStore, PdmStore, StripedColumnStore
+from repro.disks.matrixfile import ColumnStore, PdmStore
 
 __all__ = [
     "IoStats",
@@ -40,6 +39,5 @@ __all__ = [
     "split_range_by_disk",
     "split_range_by_owner",
     "ColumnStore",
-    "StripedColumnStore",
     "PdmStore",
 ]

@@ -1,15 +1,13 @@
 """Out-of-core matrix and output stores.
 
-Three layouts, matching the paper's data placement (§2):
+Two layouts, matching the paper's data placement (§2):
 
-* :class:`ColumnStore` — the ``r × s`` matrix with whole columns owned
-  by processor ``j mod P``, each column contiguous on one of its owner's
-  disks (threaded and subblock columnsort);
-* :class:`StripedColumnStore` — columns striped over processor groups
-  of ``g``: M-columnsort's height interpretation ``r = M`` at the
-  default ``g = P`` (every column spans the entire cluster, processor
-  ``p`` holding rows ``[p·r/P, (p+1)·r/P)`` on its own disks), the §6
-  adjustable interpretation ``r = g·M/P`` below it;
+* :class:`ColumnStore` — the ``r × s`` matrix, each column striped over
+  a group of ``g`` processors (``r = g·M/P``): whole columns owned by
+  processor ``j mod P`` at ``g = 1`` (threaded and subblock
+  columnsort), every column spanning the cluster at ``g = P``
+  (M-columnsort: processor ``p`` holds rows ``[p·r/P, (p+1)·r/P)`` on
+  its own disks), the §6 adjustable interpretation in between;
 * :class:`PdmStore` — the final output in PDM striped ordering.
 
 Intermediate passes exploit a freedom the real implementation also
@@ -95,9 +93,17 @@ class _StoreBase:
 
 
 class ColumnStore(_StoreBase):
-    """An ``r × s`` matrix stored as whole columns, column ``j`` owned by
-    processor ``j mod P`` and resident on one of its owner's disks
-    (cycling over the owner's ``D/P`` disks by column)."""
+    """An ``r × s`` matrix under the height interpretation
+    ``r = g·M/P``, ``1 ≤ g ≤ P`` (§2, §4, §6).
+
+    Processors form ``G = P/g`` groups of ``g``; column ``j`` is owned
+    by group ``j mod G`` and striped over that group's members, ``r/g``
+    records (one *portion*) each, on the member's own disks (cycling
+    over its ``D/P`` disks by column). At the default ``g = 1`` a
+    portion is the whole column, owned by processor ``j mod P``
+    (threaded and subblock columnsort); ``g = P`` is M-columnsort's
+    layout, one group and every column spanning the cluster.
+    """
 
     def __init__(
         self,
@@ -108,170 +114,10 @@ class ColumnStore(_StoreBase):
         disks: list[VirtualDisk],
         name: str = "matrix",
         parity: bool = False,
+        group_size: int = 1,
     ) -> None:
         super().__init__(cfg, fmt, disks, name, parity=parity)
-        if s % cfg.p:
-            raise ConfigError(
-                f"P={cfg.p} must divide the number of columns s={s}"
-            )
-        self.r = r
-        self.s = s
-        self._cursors: dict[int, int] = {}
-        self._cursor_lock = threading.Lock()
-
-    # -- placement ------------------------------------------------------
-
-    def owner(self, j: int) -> int:
-        """Processor owning column ``j``."""
-        self._check_col(j)
-        return self.cfg.owner_of_column(j)
-
-    def disk_for(self, j: int) -> VirtualDisk:
-        """The disk holding column ``j``."""
-        owned = list(self.cfg.disks_of(self.owner(j)))
-        return self.disks[owned[(j // self.cfg.p) % len(owned)]]
-
-    def _file(self, j: int) -> str:
-        return f"{self.name}.col{j:06d}"
-
-    def _check_col(self, j: int) -> None:
-        if not 0 <= j < self.s:
-            raise ConfigError(f"column {j} out of range for s={self.s}")
-
-    def _check_owner(self, rank: int, j: int) -> None:
-        owner = self.owner(j)
-        if rank != owner:
-            raise DiskError(
-                f"rank {rank} cannot access column {j}: owned by rank {owner}"
-            )
-
-    # -- whole-column I/O -------------------------------------------------
-
-    def write_column(self, rank: int, j: int, records: np.ndarray) -> None:
-        """Write a full column (must hold exactly ``r`` records)."""
-        self._check_owner(rank, j)
-        if len(records) != self.r:
-            raise ConfigError(
-                f"column {j} must hold r={self.r} records, got {len(records)}"
-            )
-        self.disk_for(j).write_at(self._file(j), 0, self.fmt.wire_view(records))
-
-    def read_column(self, rank: int, j: int, reuse: bool = False) -> np.ndarray:
-        """Read a full column. ``reuse=True`` returns a tracked
-        :class:`~repro.membuf.BufferPool` lease the caller must recycle
-        when the column's lifetime ends."""
-        self._check_owner(rank, j)
-        return self._read_records(
-            self.disk_for(j), self._file(j), 0, self.r, reuse=reuse
-        )
-
-    def write_segment(
-        self, rank: int, j: int, row_offset: int, records: np.ndarray
-    ) -> None:
-        """Write ``records`` at rows ``[row_offset, row_offset+len)`` of
-        column ``j``."""
-        self._check_owner(rank, j)
-        if row_offset < 0 or row_offset + len(records) > self.r:
-            raise ConfigError(
-                f"segment [{row_offset}, {row_offset + len(records)}) exceeds "
-                f"column height r={self.r}"
-            )
-        self.disk_for(j).write_at(
-            self._file(j),
-            self.fmt.nbytes(row_offset),
-            self.fmt.wire_view(records),
-        )
-
-    def append_to_column(self, rank: int, j: int, records: np.ndarray) -> None:
-        """Write ``records`` at the column's current append cursor.
-
-        Used by passes whose per-round contributions to a column are
-        unequal (the subblock pass); the next pass sorts the column, so
-        arrival order is immaterial. Thread-safe: the cursor range is
-        reserved under a lock, so concurrent appenders (the main rank
-        thread plus a write-behind flusher) land in disjoint rows.
-        """
-        with self._cursor_lock:
-            cursor = self._cursors.get(j, 0)
-            if cursor + len(records) <= self.r:
-                self._cursors[j] = cursor + len(records)
-            # else: don't reserve — write_segment raises, cursor unchanged
-        self.write_segment(rank, j, cursor, records)
-
-    def reset_cursors(self) -> None:
-        """Clear append cursors (call between passes)."""
-        with self._cursor_lock:
-            self._cursors.clear()
-
-    def cursor(self, j: int) -> int:
-        """Current append cursor of column ``j`` (rows already written)."""
-        with self._cursor_lock:
-            return self._cursors.get(j, 0)
-
-    # -- bulk load/dump (test and example harnesses; not metered passes) --
-
-    @classmethod
-    def from_records(
-        cls,
-        cfg: ClusterConfig,
-        fmt: RecordFormat,
-        records: np.ndarray,
-        r: int,
-        s: int,
-        disks: list[VirtualDisk],
-        name: str = "input",
-        parity: bool = False,
-    ) -> "ColumnStore":
-        """Create a store holding ``records`` in column-major order:
-        column ``j`` is ``records[j·r : (j+1)·r]``."""
-        if len(records) != r * s:
-            raise ConfigError(
-                f"need exactly r·s={r * s} records, got {len(records)}"
-            )
-        store = cls(cfg, fmt, r, s, disks, name, parity=parity)
-        for j in range(s):
-            store.write_column(store.owner(j), j, records[j * r : (j + 1) * r])
-        return store
-
-    def to_records(self) -> np.ndarray:
-        """Read the whole matrix back in column-major order."""
-        out = self.fmt.empty(self.r * self.s)
-        for j in range(self.s):
-            out[j * self.r : (j + 1) * self.r] = self.read_column(self.owner(j), j)
-        return out
-
-    def delete(self) -> None:
-        """Remove all column files (frees simulated disk space)."""
-        for j in range(self.s):
-            self.disk_for(j).delete(self._file(j))
-
-
-class StripedColumnStore(_StoreBase):
-    """An ``r × s`` matrix whose columns are striped over processor
-    groups — the adjustable height interpretation ``r = g·M/P``,
-    ``1 ≤ g ≤ P`` (§6, second future-work item).
-
-    Processors form ``G = P/g`` groups of ``g``; column ``j`` is owned
-    by group ``j mod G`` and striped over that group's members, ``r/g``
-    records (one *portion*) each, on the member's own disks. The default
-    ``g = P`` is M-columnsort's layout (paper §4): one group, every
-    column spanning the cluster. ``g = 1`` reduces to whole-column
-    ownership (:class:`ColumnStore`'s placement).
-    """
-
-    def __init__(
-        self,
-        cfg: ClusterConfig,
-        fmt: RecordFormat,
-        r: int,
-        s: int,
-        disks: list[VirtualDisk],
-        name: str = "mmatrix",
-        parity: bool = False,
-        group_size: int | None = None,
-    ) -> None:
-        super().__init__(cfg, fmt, disks, name, parity=parity)
-        g = cfg.p if group_size is None else group_size
+        g = group_size
         if g < 1 or cfg.p % g:
             raise ConfigError(f"group size g={g} must divide P={cfg.p}")
         if r % g:
@@ -343,8 +189,10 @@ class StripedColumnStore(_StoreBase):
     def append_to_portion(self, rank: int, j: int, records: np.ndarray) -> None:
         """Append ``records`` to the rank's portion of column ``j`` at its
         current cursor (positions assigned by arrival; the next pass
-        sorts the column). Thread-safe: concurrent appenders reserve
-        disjoint cursor ranges."""
+        sorts the column). Thread-safe: the cursor range is reserved
+        under a lock, so concurrent appenders (the rank thread plus a
+        write-behind flusher) land in disjoint rows, and a refused
+        append reserves nothing."""
         member = self._check_access(rank, j)
         key = (j, rank)
         with self._cursor_lock:
@@ -362,10 +210,12 @@ class StripedColumnStore(_StoreBase):
         )
 
     def reset_cursors(self) -> None:
+        """Clear append cursors (before re-running a pass that appends)."""
         with self._cursor_lock:
             self._cursors.clear()
 
     def cursor(self, rank: int, j: int) -> int:
+        """Records already appended to rank's portion of column ``j``."""
         with self._cursor_lock:
             return self._cursors.get((j, rank), 0)
 
@@ -389,10 +239,10 @@ class StripedColumnStore(_StoreBase):
         r: int,
         s: int,
         disks: list[VirtualDisk],
-        name: str = "minput",
+        name: str = "input",
         parity: bool = False,
-        group_size: int | None = None,
-    ) -> "StripedColumnStore":
+        group_size: int = 1,
+    ) -> "ColumnStore":
         """Create a store holding ``records`` in column-major order."""
         if len(records) != r * s:
             raise ConfigError(f"need exactly r·s={r * s} records, got {len(records)}")
@@ -409,6 +259,7 @@ class StripedColumnStore(_StoreBase):
         return out
 
     def delete(self) -> None:
+        """Remove all portion files (frees simulated disk space)."""
         for j, rank, _rows in self._portions():
             self._disk_for(j, rank).delete(self._file(j, rank % self.g))
 

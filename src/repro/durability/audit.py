@@ -11,8 +11,8 @@ written) and verifies, against the structural claims of
   duplicated a segment fails the size check immediately;
 * **sorted-run structure** — a sampled column of a deal pass's output
   is a bounded interleaving of sorted chunks, so its number of maximal
-  sorted runs is bounded (``s`` for whole columns, ``s·P`` for striped
-  portions — see the paper's §3 run-structure argument);
+  sorted runs is bounded (``s·g`` per portion: ``s`` for whole columns,
+  ``s·P`` at ``g = P`` — see the paper's §3 run-structure argument);
 * **output order** — sampled ranges of the PDM store, spanning block
   boundaries, must be globally nondecreasing.
 
@@ -58,15 +58,18 @@ class PassAuditor:
     def audit_pass(self, algorithm: str, store, index: int, total: int) -> None:
         """Verify the store pass ``index`` just wrote; raises
         :class:`AuditError` on any violation."""
+        from repro.disks.matrixfile import ColumnStore, PdmStore  # disks imports durability
+
         ctx = f"{algorithm} pass {index}/{total}, store {store.name!r}"
-        if hasattr(store, "read_global"):
+        if isinstance(store, PdmStore):
             self._audit_pdm(store, ctx)
-        elif hasattr(store, "read_column"):
+        elif isinstance(store, ColumnStore):
             self._audit_columns(store, ctx)
-        elif hasattr(store, "read_portion"):
-            self._audit_portions(store, ctx)
         else:
-            return
+            raise AuditError(
+                f"{ctx}: no audit for a {type(store).__name__} — an "
+                "unauditable store must not count as a clean pass"
+            )
         self.audited_passes += 1
 
     # ------------------------------------------------------------------
@@ -75,25 +78,6 @@ class PassAuditor:
         return self._rng.sample(range(n), min(self.samples, n))
 
     def _audit_columns(self, store, ctx: str) -> None:
-        want = store.fmt.nbytes(store.r)
-        for j in range(store.s):
-            have = store.disk_for(j).size(store._file(j))
-            if have != want:
-                raise AuditError(
-                    f"{ctx}: column {j} holds {have} bytes, expected {want} "
-                    f"(r={store.r} records) — records were lost or duplicated"
-                )
-        for j in self._sample(store.s):
-            col = store.read_column(store.owner(j), j)
-            runs = count_sorted_runs(col)
-            if runs > store.s:
-                raise AuditError(
-                    f"{ctx}: column {j} has {runs} sorted runs, legal bound "
-                    f"is s={store.s} — the deal structure is violated"
-                )
-            self.audited_units += 1
-
-    def _audit_portions(self, store, ctx: str) -> None:
         want = store.fmt.nbytes(store.portion)
         for j in range(store.s):
             for m in range(store.g):
@@ -101,9 +85,13 @@ class PassAuditor:
                 if have != want:
                     raise AuditError(
                         f"{ctx}: column {j} part {m} holds {have} bytes, "
-                        f"expected {want} — records were lost or duplicated"
+                        f"expected {want} (r/g={store.portion} records) — "
+                        "records were lost or duplicated"
                     )
-        bound = store.s * store.cfg.p
+        # A deal lands one sorted band per source column in a whole
+        # column (s runs); a portion of a striped one takes at most P
+        # runs in each of its group's s/G rounds.
+        bound = store.s * store.g
         for j in self._sample(store.s):
             m = self._rng.randrange(store.g)
             part = store.read_portion(store.rank_of(j, m), j)
@@ -111,7 +99,8 @@ class PassAuditor:
             if runs > bound:
                 raise AuditError(
                     f"{ctx}: column {j} part {m} has {runs} sorted runs, "
-                    f"legal bound is s·P={bound}"
+                    f"legal bound is s·g={bound} — the deal structure is "
+                    "violated"
                 )
             self.audited_units += 1
 

@@ -1,9 +1,13 @@
 """Out-of-core sorting programs.
 
 Every program is a :class:`~repro.oocs.base.PassProgram` record — a
-pass list, a shape resolver and a store layout — run by the one runner,
+pass list and a shape resolver — run by the one runner,
 :func:`~repro.oocs.base.run_pass_program`, over the simulated cluster
-and disks. :data:`ALGORITHMS` names the five sorts:
+and disks. Each resolver names its point on the grid of
+:func:`~repro.columnsort.validation.out_of_core_shape` — height
+interpretation ``r = g·M/P`` × height restriction — and the group size
+``g = r / buffer`` is the layout of its column stores.
+:data:`ALGORITHMS` names the five sorts:
 
 * ``"threaded"`` (:mod:`~repro.oocs.threaded`) — the 3-pass baseline
   ("threaded columnsort", paper §2): pass 1 = steps 1+2, pass 2 =

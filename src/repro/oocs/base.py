@@ -47,7 +47,7 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.spmd import run_spmd
 from repro.cluster.transport import available_backends
 from repro.disks.iostats import IoStats
-from repro.disks.matrixfile import ColumnStore, PdmStore, StripedColumnStore
+from repro.disks.matrixfile import ColumnStore, PdmStore
 from repro.disks.virtual_disk import VirtualDisk, make_disk_array
 from repro.errors import ConfigError
 from repro.matrix.bits import is_power_of_two
@@ -278,15 +278,15 @@ def make_workspace(
     r: int,
     s: int,
     workdir: str | Path | None = None,
-    group_size: int | None = None,
+    group_size: int = 1,
     parity: bool = False,
 ) -> Workspace:
     """Create the virtual disks and load ``records`` as the input matrix
     (column-major: column ``j`` is ``records[j·r:(j+1)·r]``).
 
     ``group_size`` is the layout :meth:`PassProgram.layout` resolved:
-    ``None`` stores whole columns, ``g`` stripes each over a group of
-    ``g`` (:class:`~repro.disks.matrixfile.StripedColumnStore`). With
+    each column striped over a group of ``g`` processors, whole columns
+    at the default ``g = 1``. With
     ``parity=True`` a :class:`~repro.durability.parity.ParityLayer` is
     attached *before* the input is loaded, so every byte of the run —
     input included — is reconstructable from any D−1 disks.
@@ -300,15 +300,9 @@ def make_workspace(
         from repro.durability import attach_durability
 
         attach_durability(disks, parity=True)
-    if group_size is None:
-        store = ColumnStore.from_records(
-            cluster, fmt, records, r, s, disks, name="input"
-        )
-    else:
-        store = StripedColumnStore.from_records(
-            cluster, fmt, records, r, s, disks, name="input",
-            group_size=group_size,
-        )
+    store = ColumnStore.from_records(
+        cluster, fmt, records, r, s, disks, name="input", group_size=group_size
+    )
     for disk in disks:
         # Persist the input's checksum sidecars: from here on only
         # pass boundaries (PassMarker.mark) write sidecars.
@@ -361,12 +355,13 @@ def pass_pipeline(reads, plan: PipelinePlan | None, trace: PassTrace | None):
         clock.merge_into(trace.wall)
 
 
-def owned_column_reads(src: ColumnStore, comm: Comm) -> list:
-    """One pooled whole-column read per round: rank ``q`` owns columns
-    ``q, q+P, …`` (threaded/subblock layout)."""
+def portion_reads(src: ColumnStore, rank: int) -> list:
+    """One pooled read per round: this rank's portion of each of its
+    group's columns — whole columns ``rank, rank+P, …`` at group size 1,
+    a slice of every column at group size ``P``."""
     return [
-        partial(src.read_column, comm.rank, c, reuse=True)
-        for c in range(comm.rank, src.s, comm.size)
+        partial(src.read_portion, rank, c, reuse=True)
+        for c in range(rank // src.g, src.s, src.groups)
     ]
 
 
@@ -386,7 +381,11 @@ def _deal_pass(
     processor and assembles, per round, one ``P·r/s``-record segment for
     each of the ``s/P`` target columns it owns: the rows of a single
     leased ``r``-record buffer, filled with one strided copy per source
-    rank and retired by one write-behind item.
+    rank and retired by one write-behind item. Segments are appended:
+    step 2's band of round ``t`` belongs at rows ``t·P·r/s`` on, which is
+    where the cursor stands (only the owner appends to a column, and one
+    flusher retires its rounds in order); step 4's strided rows may sit
+    anywhere, since the next pass re-sorts each column.
     """
     p, rank = comm.size, comm.rank
     r, s = src.r, src.s
@@ -401,13 +400,8 @@ def _deal_pass(
 
         def bands(got):
             return got.reshape(band, mine).T
-
-        def write(t, l, seg):
-            return partial(dst.write_segment, rank, rank + l * p, t * p * band, seg)
     else:
-        # Sorted chunk m (r/s rows) goes to target column m, at rows
-        # ≡ c (mod s), strided — appended instead, since the next pass
-        # re-sorts each column.
+        # Sorted chunk m (r/s rows) goes to target column m.
         def split(col):
             chunks = col.reshape(s, band)
             return [chunks[q::p].reshape(-1) for q in range(p)]
@@ -415,13 +409,10 @@ def _deal_pass(
         def bands(got):
             return got.reshape(mine, band)
 
-        def write(t, l, seg):
-            return partial(dst.append_to_column, rank, rank + l * p, seg)
-
-    with pass_pipeline(owned_column_reads(src, comm), plan, trace) as (
+    with pass_pipeline(portion_reads(src, rank), plan, trace) as (
         reader, writer, clock, leases,
     ):
-        for t in range(mine):
+        for _ in range(mine):
             raw = leases.hold(reader.get())
             with clock.stage(COMPUTE):
                 col = fmt.sort(raw, out=leases.lease(fmt.dtype, r))
@@ -438,7 +429,10 @@ def _deal_pass(
                     leases.recycle(got)  # a landed buffer (process backend); a view is ignored
                 segs = out.reshape(mine, p * band)
             writer.put(
-                *[write(t, l, segs[l]) for l in range(mine)],
+                *[
+                    partial(dst.append_to_portion, rank, rank + l * p, segs[l])
+                    for l in range(mine)
+                ],
                 release=leases.hand_off(out),
             )
             if trace is not None:
@@ -558,7 +552,7 @@ def pass_final_windows(
         start, stop = max(0, w * r - half), min(n, w * r + half)
         return start, stop - start
 
-    with pass_pipeline(owned_column_reads(src, comm), plan, trace) as (
+    with pass_pipeline(portion_reads(src, comm.rank), plan, trace) as (
         reader, writer, clock, leases,
     ):
         for t in range(rounds):
@@ -618,7 +612,7 @@ def pass_io_only(
 ) -> None:
     """Read every owned column and write it back — one baseline I/O pass
     (paper §5's 'just the I/O portions' runs)."""
-    with pass_pipeline(owned_column_reads(src, comm), plan, trace) as (
+    with pass_pipeline(portion_reads(src, comm.rank), plan, trace) as (
         reader, writer, _clock, leases,
     ):
         for c in range(comm.rank, src.s, comm.size):
@@ -626,7 +620,7 @@ def pass_io_only(
             # The lease stays with the write until it retires (ownership
             # rule: nobody may reuse a buffer with a write in flight).
             writer.put(
-                partial(dst.write_column, comm.rank, c, col),
+                partial(dst.write_portion, comm.rank, c, col),
                 release=leases.hand_off(col),
             )
             if trace is not None:
@@ -795,25 +789,23 @@ class PassProgram:
     ``derive_shape(job)`` resolves and validates the ``r × s`` matrix;
     ``passes`` run in order over stores named by their ``src``/``dst``
     keys — ``"input"``, the intermediates (on disk ``<scratch>-<key>``)
-    and ``"output"``. ``striped`` picks the layout of the column
-    stores: whole columns owned by ``j mod P``, or columns striped over
-    groups of ``g = r / buffer`` processors (``r = g·M/P``). The output
-    is PDM-ordered unless ``pdm_output`` is off (the I/O-only baseline
-    writes columns).
+    and ``"output"``. The column stores stripe each column over a group
+    of ``g = r / buffer`` processors (``r = g·M/P``; whole columns at
+    ``g = 1``). The output is PDM-ordered unless ``pdm_output`` is off
+    (the I/O-only baseline writes columns).
     """
 
     name: str
     passes: list[PassSpec]
     derive_shape: object
     scratch: str
-    striped: bool = False
     pdm_output: bool = True
 
-    def layout(self, job: OocJob) -> tuple[int, int, int | None]:
+    def layout(self, job: OocJob) -> tuple[int, int, int]:
         """``(r, s, group size)`` of the program's column stores for
-        ``job``; group size ``None`` means whole columns."""
+        ``job``."""
         r, s = self.derive_shape(job)
-        g = r // job.buffer_records if self.striped else None
+        g = r // job.buffer_records
         if job.group_size not in (None, g):
             raise ConfigError(
                 f"{self.name.format(g=g)} does not run at group size "
@@ -826,17 +818,13 @@ class PassProgram:
         job's layout) plus one fresh store per pass output, on the
         input's disks."""
         r, s, g = self.layout(job)
-        have = (input_store.r, input_store.s, getattr(input_store, "g", None))
+        have = (input_store.r, input_store.s, input_store.g)
         if have != (r, s, g):
             raise ConfigError(
                 f"input store is {have[0]}×{have[1]} (group size {have[2]}), "
                 f"job wants {r}×{s} (group size {g})"
             )
         cluster, fmt, disks = job.cluster, job.fmt, input_store.disks
-        columns, striping = (
-            (ColumnStore, {}) if g is None
-            else (StripedColumnStore, {"group_size": g})
-        )
         stores = {"input": input_store}
         for spec in self.passes:
             if spec.dst == "output" and self.pdm_output:
@@ -845,9 +833,9 @@ class PassProgram:
                     parity=job.parity,
                 )
             else:
-                stores[spec.dst] = columns(
+                stores[spec.dst] = ColumnStore(
                     cluster, fmt, r, s, disks, name=f"{self.scratch}-{spec.dst}",
-                    parity=job.parity, **striping,
+                    parity=job.parity, group_size=g,
                 )
         return stores
 
@@ -1010,7 +998,7 @@ def run_pass_program(
     cluster, fmt = job.cluster, job.fmt
     stores = program.stores(job, input_store)
     specs = program.passes
-    algorithm = program.name.format(g=getattr(input_store, "g", None))
+    algorithm = program.name.format(g=input_store.g)
     disks = input_store.disks
     attach_resilience(disks, job)
     if job.parity:
@@ -1086,9 +1074,8 @@ def run_pass_program(
             # Stale append cursors would corrupt a re-run of a dealing
             # pass (its writes append); the files they described were
             # just deleted.
-            reset = getattr(store, "reset_cursors", None)
-            if reset is not None:
-                reset()
+            if isinstance(store, ColumnStore):
+                store.reset_cursors()
         if quarantine is not None:
             # The relaunched cohort gets fresh (simulated) hardware:
             # dead-disk state must not be inherited across attempts.

@@ -40,18 +40,18 @@ import numpy as np
 
 from repro.bounds.restrictions import max_pow2_n
 from repro.cluster.comm import Comm
-from repro.disks.matrixfile import PdmStore, StripedColumnStore
+from repro.columnsort.validation import out_of_core_shape
+from repro.disks.matrixfile import ColumnStore, PdmStore
 from repro.errors import ConfigError, DimensionError
-from repro.matrix.bits import is_power_of_two
 from repro.oocs.base import (
     OocJob,
     PassProgram,
     PassSpec,
     pass_pipeline,
+    portion_reads,
     route_to_pdm,
 )
 from repro.oocs.incore.columnsort_dist import distributed_columnsort
-from repro.oocs.mcolumnsort import portion_reads
 from repro.pipeline import COMM, COMPUTE, INCORE, PipelinePlan
 from repro.records.format import RecordFormat
 from repro.simulate.trace import PassTrace
@@ -83,55 +83,26 @@ def smallest_group_size(n: int, p: int, mem_per_proc: int) -> int:
     )
 
 
-def _shape(job: OocJob, g: int) -> tuple[int, int]:
-    """The ``r × s`` matrix at group size ``g``: ``r = g·buffer``, with
-    the height restriction ``r ≥ 2s²`` and the divisibility conditions
-    of the group-striped deal."""
-    p = job.cluster.p
-    if not is_power_of_two(g) or g > p:
-        raise ConfigError(f"group size g={g} must be a power of 2 with g ≤ P={p}")
-    portion = job.buffer_records
-    r = g * portion
-    if job.n % r:
-        raise ConfigError(f"column height r=g·buffer={r} must divide N={job.n}")
-    s = job.n // r
-    groups = p // g
-    if s < groups or s % groups:
-        raise ConfigError(
-            f"need at least G={groups} columns with G | s, got s={s}"
-        )
-    if r < 2 * s * s:
-        raise DimensionError(
-            f"height restriction violated: r=g·M/P={r} < 2s²={2 * s * s} — "
-            f"N={job.n} exceeds the g={g} bound; try a larger group size"
-        )
-    if portion % s:
-        raise ConfigError(f"s={s} must divide the per-rank portion {portion}")
-    if g >= 2 and portion < 2 * g * g:
-        raise DimensionError(
-            f"in-core height restriction violated: r/g={portion} < 2g²={2 * g * g}"
-        )
-    return r, s
-
-
 def derive_shape(job: OocJob) -> tuple[int, int]:
-    """Resolve and validate the ``r × s`` matrix of a g-columnsort job.
-    With ``job.group_size`` unset, ``g`` is the smallest feasible one
-    (the paper's intended policy): :func:`smallest_group_size`, walked
-    upward while a divisibility condition fails for this exact ``N``."""
+    """The ``r × s`` matrix of a g-columnsort job — grid point
+    ``(g, r ≥ 2s²)``. With ``job.group_size`` unset, ``g`` is the
+    smallest feasible one (the paper's intended policy):
+    :func:`smallest_group_size`, walked upward while a divisibility
+    condition fails for this exact ``N``."""
+    n, p, buffer = job.n, job.cluster.p, job.buffer_records
     if job.group_size is not None:
-        return _shape(job, job.group_size)
-    p = job.cluster.p
-    g = smallest_group_size(job.n, p, job.buffer_records)
-    while g <= p:
+        return out_of_core_shape(n, p, buffer, job.group_size)
+    g = smallest_group_size(n, p, buffer)
+    while True:
         try:
-            return _shape(job, g)
-        except (ConfigError, DimensionError):
-            g <<= 1
-    raise DimensionError(
-        f"no group size can realize N={job.n} at buffer "
-        f"{job.buffer_records} on P={p}"
-    )
+            return out_of_core_shape(n, p, buffer, g)
+        except (ConfigError, DimensionError) as exc:
+            if g == p:
+                raise DimensionError(
+                    f"no group size can realize N={n} at buffer {buffer} on "
+                    f"P={p}; the last one tried, g={g}, was refused: {exc}"
+                ) from exc
+        g <<= 1
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +118,8 @@ def _group_comm(comm: Comm, g: int) -> Comm:
 
 def _deal_pass_g(
     comm: Comm,
-    src: StripedColumnStore,
-    dst: StripedColumnStore,
+    src: ColumnStore,
+    dst: ColumnStore,
     fmt: RecordFormat,
     trace: PassTrace | None = None,
     plan: PipelinePlan | None = None,
@@ -244,7 +215,7 @@ def _deal_pass_g(
 
 def _final_pass_g(
     comm: Comm,
-    src: StripedColumnStore,
+    src: ColumnStore,
     pdm: PdmStore,
     fmt: RecordFormat,
     trace: PassTrace | None = None,
@@ -373,6 +344,4 @@ PASSES = [
 
 #: What :func:`~repro.oocs.base.run_pass_program` runs: columns striped
 #: over groups of ``g = r / buffer``.
-PROGRAM = PassProgram(
-    "g-columnsort(g={g})", PASSES, derive_shape, scratch="g", striped=True
-)
+PROGRAM = PassProgram("g-columnsort(g={g})", PASSES, derive_shape, scratch="g")

@@ -25,12 +25,19 @@ from __future__ import annotations
 from functools import partial
 
 from repro.cluster.comm import Comm
-from repro.disks.matrixfile import StripedColumnStore
-from repro.errors import ConfigError, DimensionError
-from repro.matrix.bits import is_power_of_four, sqrt_pow4
-from repro.oocs.base import OocJob, PassProgram, PassSpec, pass_pipeline
+from repro.columnsort.validation import out_of_core_shape
+from repro.disks.matrixfile import ColumnStore
+from repro.errors import ConfigError
+from repro.matrix.bits import sqrt_pow4
+from repro.oocs.base import (
+    OocJob,
+    PassProgram,
+    PassSpec,
+    pass_pipeline,
+    portion_reads,
+)
 from repro.oocs.incore.columnsort_dist import distributed_columnsort
-from repro.oocs.mcolumnsort import _pass1_m, _pass2_m, _pass3_m, portion_reads
+from repro.oocs.mcolumnsort import _pass1_m, _pass2_m, _pass3_m
 from repro.pipeline import COMPUTE, INCORE, PipelinePlan
 from repro.records.format import RecordFormat
 from repro.simulate.trace import PassTrace
@@ -38,39 +45,19 @@ from repro.simulate.traces import m_deal_round_work
 
 
 def derive_shape(job: OocJob) -> tuple[int, int]:
-    """Resolve and validate the matrix of a hybrid job: ``r = M``,
-    ``s = N/M`` a power of 4, and the relaxed height restriction
-    ``M ≥ 4·s^(3/2)`` — giving bound ``N ≤ M^(5/3)/4^(2/3)``."""
+    """The ``r × s`` matrix of a hybrid job — grid point
+    ``(g = P, relaxed)``: ``r = M``, ``s = N/M`` a power of 4 and
+    ``M ≥ 4·s^(3/2)``, giving bound ``N ≤ M^(5/3)/4^(2/3)``."""
     p = job.cluster.p
     if p < 2:
         raise ConfigError("hybrid columnsort needs P ≥ 2")
-    portion = job.buffer_records
-    r = p * portion
-    if job.n % r:
-        raise ConfigError(f"column height r=M={r} must divide N={job.n}")
-    s = job.n // r
-    if not is_power_of_four(s):
-        raise DimensionError(
-            f"hybrid columnsort requires s to be a power of 4, got s={s}"
-        )
-    if r * r < 16 * s**3:
-        raise DimensionError(
-            f"relaxed height restriction violated: M={r} < 4·s^(3/2)="
-            f"{4 * s * sqrt_pow4(s)} — N={job.n} exceeds the hybrid bound"
-        )
-    if portion < 2 * p * p:
-        raise DimensionError(
-            f"in-core height restriction violated: M/P={portion} < 2P²={2 * p * p}"
-        )
-    if portion % s:
-        raise ConfigError(f"s={s} must divide M/P={portion}")
-    return r, s
+    return out_of_core_shape(job.n, p, job.buffer_records, g=p, relaxed=True)
 
 
 def _pass_subblock_m(
     comm: Comm,
-    src: StripedColumnStore,
-    dst: StripedColumnStore,
+    src: ColumnStore,
+    dst: ColumnStore,
     fmt: RecordFormat,
     trace: PassTrace | None,
     plan: PipelinePlan | None = None,
@@ -122,4 +109,4 @@ PASSES = [
 
 #: What :func:`~repro.oocs.base.run_pass_program` runs — the largest
 #: problem-size bound of all the variants, ``N ≤ M^(5/3)/4^(2/3)``.
-PROGRAM = PassProgram("hybrid", PASSES, derive_shape, scratch="hy", striped=True)
+PROGRAM = PassProgram("hybrid", PASSES, derive_shape, scratch="hy")

@@ -28,13 +28,15 @@ from functools import partial
 import numpy as np
 
 from repro.cluster.comm import Comm
-from repro.disks.matrixfile import PdmStore, StripedColumnStore
-from repro.errors import ConfigError, DimensionError
+from repro.columnsort.validation import out_of_core_shape
+from repro.disks.matrixfile import ColumnStore, PdmStore
+from repro.errors import ConfigError
 from repro.oocs.base import (
     OocJob,
     PassProgram,
     PassSpec,
     pass_pipeline,
+    portion_reads,
     route_to_pdm,
 )
 from repro.oocs.incore.columnsort_dist import distributed_columnsort
@@ -46,57 +48,27 @@ from repro.simulate.traces import m_deal_round_work, m_final_round_work
 
 
 def derive_shape(job: OocJob) -> tuple[int, int]:
-    """Resolve and validate the ``r × s`` matrix of an M-columnsort job:
-    ``r = M = P · buffer`` and ``s = N/M``, subject to the outer height
-    restriction ``M ≥ 2s²``, the inner one ``M/P ≥ 2P²`` (the sort
-    stage's in-core columnsort), and ``s | M/P`` (so each round's
-    delivery splits evenly)."""
+    """The ``r × s`` matrix of an M-columnsort job — grid point
+    ``(g = P, r ≥ 2s²)``: ``r = M = P · buffer``, subject to the outer
+    restriction ``M ≥ 2s²``, the inner one ``M/P ≥ 2P²`` and
+    ``s | M/P``."""
     p = job.cluster.p
     if p < 2:
         raise ConfigError(
             "M-columnsort needs P ≥ 2 (with one processor it degenerates "
             "to threaded columnsort)"
         )
-    portion = job.buffer_records
-    r = p * portion  # r = M
-    if job.n % r:
-        raise ConfigError(f"column height r=M={r} must divide N={job.n}")
-    s = job.n // r
-    if r < 2 * s * s:
-        raise DimensionError(
-            f"height restriction violated: M={r} < 2s²={2 * s * s} — "
-            f"N={job.n} exceeds M-columnsort's problem-size bound"
-        )
-    if portion < 2 * p * p:
-        raise DimensionError(
-            f"in-core height restriction violated: M/P={portion} < 2P²="
-            f"{2 * p * p} (the sort stage's distributed columnsort)"
-        )
-    if portion % s:
-        raise ConfigError(
-            f"s={s} must divide M/P={portion} for even per-round delivery"
-        )
-    return r, s
+    return out_of_core_shape(job.n, p, job.buffer_records, g=p)
 
 
 # ---------------------------------------------------------------------------
 # Pass bodies
 # ---------------------------------------------------------------------------
 
-def portion_reads(src: StripedColumnStore, rank: int) -> list:
-    """One pooled read per round: this rank's portion of its group's
-    columns — all of ``0..s-1`` at group size ``P`` (see
-    :func:`~repro.oocs.base.owned_column_reads`)."""
-    return [
-        partial(src.read_portion, rank, c, reuse=True)
-        for c in range(rank // src.g, src.s, src.groups)
-    ]
-
-
 def _pass1_m(
     comm: Comm,
-    src: StripedColumnStore,
-    dst: StripedColumnStore,
+    src: ColumnStore,
+    dst: ColumnStore,
     fmt: RecordFormat,
     trace: PassTrace | None,
     plan: PipelinePlan | None = None,
@@ -138,8 +110,8 @@ def _pass1_m(
 
 def _pass2_m(
     comm: Comm,
-    src: StripedColumnStore,
-    dst: StripedColumnStore,
+    src: ColumnStore,
+    dst: ColumnStore,
     fmt: RecordFormat,
     trace: PassTrace | None,
     plan: PipelinePlan | None = None,
@@ -182,7 +154,7 @@ def _pass2_m(
 
 def _pass3_m(
     comm: Comm,
-    src: StripedColumnStore,
+    src: ColumnStore,
     pdm: PdmStore,
     fmt: RecordFormat,
     trace: PassTrace | None,
@@ -265,4 +237,4 @@ PASSES = [
 
 #: What :func:`~repro.oocs.base.run_pass_program` runs: columns striped
 #: over the whole cluster (group size ``P``).
-PROGRAM = PassProgram("m-columnsort", PASSES, derive_shape, scratch="m", striped=True)
+PROGRAM = PassProgram("m-columnsort", PASSES, derive_shape, scratch="m")

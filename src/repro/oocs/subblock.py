@@ -28,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from repro.cluster.comm import Comm
-from repro.columnsort.validation import validate_subblock
+from repro.columnsort.validation import out_of_core_shape
 from repro.disks.matrixfile import ColumnStore
 from repro.errors import ConfigError
 from repro.matrix.bits import sqrt_pow4
@@ -36,9 +36,9 @@ from repro.oocs.base import (
     OocJob,
     PassProgram,
     PassSpec,
-    owned_column_reads,
     pass_final_windows,
     pass_pipeline,
+    portion_reads,
     pass_step2_deal,
     pass_step4_deal,
 )
@@ -47,20 +47,12 @@ from repro.simulate.traces import subblock_round_work
 
 
 def derive_shape(job: OocJob) -> tuple[int, int]:
-    """Resolve and validate the ``r × s`` matrix of a subblock-columnsort
-    job: ``s`` must be a power of 4 with ``P | s`` and ``r ≥ 4·s^(3/2)``
-    — the relaxed height restriction behind problem-size bound (2)."""
-    r = job.buffer_records
-    if job.n % r:
-        raise ConfigError(f"buffer r={r} must divide N={job.n}")
-    s = job.n // r
-    p = job.cluster.p
-    if s < p or s % p:
-        raise ConfigError(
-            f"need at least P={p} columns with P | s, got s={s} (N={job.n}, r={r})"
-        )
-    validate_subblock(r, s, powers_of_two=True)
-    return r, s
+    """The ``r × s`` matrix of a subblock-columnsort job — grid point
+    ``(g = 1, relaxed)``: ``s`` a power of 4 and ``r ≥ 4·s^(3/2)``, the
+    relaxed height restriction behind problem-size bound (2)."""
+    return out_of_core_shape(
+        job.n, job.cluster.p, job.buffer_records, g=1, relaxed=True
+    )
 
 
 def subblock_round_routing(c: int, r: int, s: int, p: int) -> dict[int, list[int]]:
@@ -114,7 +106,7 @@ def pass_subblock(
     r, s = src.r, src.s
     t = sqrt_pow4(s)
     group = r // t
-    with pass_pipeline(owned_column_reads(src, comm), plan, trace) as (
+    with pass_pipeline(portion_reads(src, comm.rank), plan, trace) as (
         reader, writer, clock, leases,
     ):
         for rnd in range(s // p):
@@ -145,7 +137,7 @@ def pass_subblock(
                 for idx, x in enumerate(xs):
                     writes.append(
                         partial(
-                            dst.append_to_column,
+                            dst.append_to_portion,
                             comm.rank,
                             x * t + (c_src % t),
                             arr[idx * group : (idx + 1) * group],

@@ -10,8 +10,7 @@ yields the problem-size restriction (1):
 
 from __future__ import annotations
 
-from repro.columnsort.validation import validate_basic
-from repro.errors import ConfigError
+from repro.columnsort.validation import out_of_core_shape
 from repro.oocs.base import (
     OocJob,
     PassProgram,
@@ -23,23 +22,11 @@ from repro.oocs.base import (
 
 
 def derive_shape(job: OocJob) -> tuple[int, int]:
-    """Resolve and validate the ``r × s`` matrix of a threaded-columnsort
-    job: ``r`` is the buffer, ``s = N/r``; requires ``P | s`` (the pass
-    structure processes ``P`` columns per round) and ``r ≥ 2s²`` — the
-    height restriction whose combination with ``r ≤ M/P`` is exactly the
-    problem-size restriction (1)."""
-    r = job.buffer_records
-    if job.n % r:
-        raise ConfigError(f"buffer r={r} must divide N={job.n}")
-    s = job.n // r
-    p = job.cluster.p
-    if s < p or s % p:
-        raise ConfigError(
-            f"need at least P={p} columns with P | s, got s={s} "
-            f"(N={job.n}, r={r})"
-        )
-    validate_basic(r, s, powers_of_two=True)
-    return r, s
+    """The ``r × s`` matrix of a threaded-columnsort job — grid point
+    ``(g = 1, r ≥ 2s²)`` of
+    :func:`~repro.columnsort.validation.out_of_core_shape`: ``r`` is the
+    buffer, and ``r ≥ 2s²`` with ``r ≤ M/P`` is exactly restriction (1)."""
+    return out_of_core_shape(job.n, job.cluster.p, job.buffer_records, g=1)
 
 
 #: The 3-pass program, declaratively (see

@@ -103,7 +103,7 @@ class ReadAhead:
     """Prefetch a fixed sequence of read tasks through a bounded queue.
 
     ``tasks`` are zero-argument callables (typically
-    ``partial(store.read_column, rank, c)``); :meth:`get` yields their
+    ``partial(store.read_portion, rank, c)``); :meth:`get` yields their
     results in order. With ``plan.depth == 0`` the task runs inline.
     """
 

@@ -32,8 +32,10 @@ from repro.durability.atomic import atomic_write_json, fsync_dir
 from repro.durability.hashing import block_checksum, hexdigest
 from repro.errors import CheckpointError
 
-#: Manifest schema version; bump on incompatible changes.
-MANIFEST_VERSION = 1
+#: Manifest schema version; bump on incompatible changes. Version 2:
+#: every column file is ``<store>.colNNNNNN.partMMM`` (one store class),
+#: and the manifest records the store's group size ``g``.
+MANIFEST_VERSION = 2
 
 
 def store_digest(store) -> str:
@@ -99,15 +101,19 @@ def corrupt_blocks(store) -> list[tuple[int, str, int, int]]:
 def pass_manifest(job, algorithm: str, pass_index: int, total_passes: int,
                   store) -> dict:
     """The manifest recording that ``pass_index`` completed, leaving its
-    output in ``store``."""
+    output in ``store`` (a PDM output has no ``r × s`` layout)."""
+    from repro.disks.matrixfile import ColumnStore  # disks imports resilience
+
+    columns = isinstance(store, ColumnStore)
     return {
         "version": MANIFEST_VERSION,
         "algorithm": algorithm,
         "pass_index": pass_index,
         "total_passes": total_passes,
         "n": job.n,
-        "r": store.r if hasattr(store, "r") else None,
-        "s": store.s if hasattr(store, "s") else None,
+        "r": store.r if columns else None,
+        "s": store.s if columns else None,
+        "g": store.g if columns else None,
         "buffer_records": job.buffer_records,
         "record_size": job.fmt.record_size,
         "key": job.fmt.key,
@@ -158,10 +164,8 @@ class CheckpointStore:
         cache silently rolled back.
         """
         manifest = pass_manifest(job, algorithm, pass_index, total_passes, store)
-        for disk in getattr(store, "disks", ()):
-            sync = getattr(disk, "sync", None)
-            if sync is not None:
-                sync()
+        for disk in store.disks:
+            disk.sync()
         self.save(manifest)
         return manifest
 

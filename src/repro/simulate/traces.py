@@ -16,8 +16,9 @@ symmetric).
 
 from __future__ import annotations
 
-from repro.errors import ConfigError, DimensionError
-from repro.matrix.bits import is_power_of_four, is_power_of_two, sqrt_pow4
+from repro.columnsort.validation import column_layout, out_of_core_shape
+from repro.errors import ConfigError
+from repro.matrix.bits import sqrt_pow4
 from repro.simulate.trace import (
     PassTrace,
     RoundWork,
@@ -155,74 +156,6 @@ def m_final_round_work(record_size: int, portion: int, p: int) -> RoundWork:
 
 
 # ---------------------------------------------------------------------------
-# Shape resolution (standalone mirrors of the oocs derive_shape checks)
-# ---------------------------------------------------------------------------
-
-def _check_pow2(**kwargs: int) -> None:
-    for name, value in kwargs.items():
-        if not is_power_of_two(value):
-            raise ConfigError(f"{name} must be a power of 2, got {value}")
-
-
-def shape_threaded(n: int, p: int, r: int) -> int:
-    """``s`` for threaded columnsort, enforcing ``P | s`` and ``r ≥ 2s²``."""
-    _check_pow2(n=n, p=p, r=r)
-    if n % r:
-        raise ConfigError(f"buffer r={r} must divide N={n}")
-    s = n // r
-    if s < p or s % p:
-        raise ConfigError(f"need at least P={p} columns with P | s, got s={s}")
-    if r < 2 * s * s:
-        raise DimensionError(
-            f"threaded columnsort: r={r} < 2s²={2 * s * s} (N={n} too large)"
-        )
-    return s
-
-
-def shape_subblock(n: int, p: int, r: int) -> int:
-    """``s`` for subblock columnsort: power of 4 and ``r ≥ 4·s^(3/2)``."""
-    _check_pow2(n=n, p=p, r=r)
-    if n % r:
-        raise ConfigError(f"buffer r={r} must divide N={n}")
-    s = n // r
-    if s < p or s % p:
-        raise ConfigError(f"need at least P={p} columns with P | s, got s={s}")
-    if not is_power_of_four(s):
-        raise DimensionError(f"subblock columnsort: s={s} is not a power of 4")
-    if r * r < 16 * s**3:
-        raise DimensionError(
-            f"subblock columnsort: r={r} < 4·s^(3/2)={4 * s * sqrt_pow4(s)}"
-        )
-    return s
-
-
-def shape_m(n: int, p: int, portion: int, relaxed: bool = False) -> int:
-    """``s`` for M-columnsort (or, with ``relaxed=True``, hybrid
-    columnsort): ``r = M = P·portion``."""
-    _check_pow2(n=n, p=p, portion=portion)
-    if p < 2:
-        raise ConfigError("M-columnsort needs P ≥ 2")
-    r = p * portion
-    if n % r:
-        raise ConfigError(f"column height M={r} must divide N={n}")
-    s = n // r
-    if relaxed:
-        if not is_power_of_four(s):
-            raise DimensionError(f"hybrid columnsort: s={s} is not a power of 4")
-        if r * r < 16 * s**3:
-            raise DimensionError(f"hybrid columnsort: M={r} < 4·s^(3/2)")
-    elif r < 2 * s * s:
-        raise DimensionError(
-            f"M-columnsort: M={r} < 2s²={2 * s * s} (N={n} too large)"
-        )
-    if portion < 2 * p * p:
-        raise DimensionError(f"in-core restriction: M/P={portion} < 2P²={2 * p * p}")
-    if portion % s:
-        raise ConfigError(f"s={s} must divide M/P={portion}")
-    return s
-
-
-# ---------------------------------------------------------------------------
 # Full-run trace builders
 # ---------------------------------------------------------------------------
 
@@ -230,8 +163,7 @@ def threaded_run_trace(
     n: int, p: int, buffer_records: int, record_size: int
 ) -> RunTrace:
     """Structural trace of a 3-pass threaded columnsort run."""
-    r = buffer_records
-    s = shape_threaded(n, p, r)
+    r, s = out_of_core_shape(n, p, buffer_records, g=1)
     rounds = s // p
     deal = [deal_round_work(record_size, r, (p - 1) / p, p - 1)] * rounds
     final = [final_round_work(record_size, r, p)] * rounds
@@ -253,8 +185,7 @@ def subblock_run_trace(
     n: int, p: int, buffer_records: int, record_size: int
 ) -> RunTrace:
     """Structural trace of a 4-pass subblock columnsort run."""
-    r = buffer_records
-    s = shape_subblock(n, p, r)
+    r, s = out_of_core_shape(n, p, buffer_records, g=1, relaxed=True)
     rounds = s // p
     deal = [deal_round_work(record_size, r, (p - 1) / p, p - 1)] * rounds
     sub = [subblock_round_work(record_size, r, s, p)] * rounds
@@ -274,10 +205,17 @@ def subblock_run_trace(
     )
 
 
+def _m_columns(n: int, p: int, portion: int, relaxed: bool = False) -> int:
+    """``s`` at the height interpretation ``r = M = P·portion``."""
+    if p < 2:
+        raise ConfigError("M-columnsort needs P ≥ 2")
+    return out_of_core_shape(n, p, portion, g=p, relaxed=relaxed)[1]
+
+
 def m_run_trace(n: int, p: int, buffer_records: int, record_size: int) -> RunTrace:
     """Structural trace of a 3-pass M-columnsort run (``M = P·buffer``)."""
     portion = buffer_records
-    s = shape_m(n, p, portion)
+    s = _m_columns(n, p, portion)
     deal_bal = [m_deal_round_work(record_size, portion, p, "balanced")] * s
     deal_scat = [m_deal_round_work(record_size, portion, p, "scattered")] * s
     final = [m_final_round_work(record_size, portion, p)] * s
@@ -300,7 +238,7 @@ def hybrid_run_trace(
 ) -> RunTrace:
     """Structural trace of a 4-pass hybrid (subblock+M) columnsort run."""
     portion = buffer_records
-    s = shape_m(n, p, portion, relaxed=True)
+    s = _m_columns(n, p, portion, relaxed=True)
     deal_bal = [m_deal_round_work(record_size, portion, p, "balanced")] * s
     deal_scat = [m_deal_round_work(record_size, portion, p, "scattered")] * s
     final = [m_final_round_work(record_size, portion, p)] * s
@@ -325,13 +263,7 @@ def baseline_run_trace(
     n: int, p: int, buffer_records: int, record_size: int, passes: int = 3
 ) -> RunTrace:
     """Structural trace of the ``passes``-pass I/O-only baseline."""
-    r = buffer_records
-    _check_pow2(n=n, p=p, r=r)
-    if n % r:
-        raise ConfigError(f"buffer r={r} must divide N={n}")
-    s = n // r
-    if s < p or s % p:
-        raise ConfigError(f"need at least P={p} columns with P | s, got s={s}")
+    r, s = column_layout(n, p, buffer_records)
     rounds = s // p
     io = [io_round_work(record_size, r)] * rounds
     return RunTrace(

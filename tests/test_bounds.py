@@ -125,7 +125,7 @@ class TestEligibility:
         runnable (cross-validation of two independent implementations)."""
         from repro.cluster.config import ClusterConfig
         from repro.oocs.base import OocJob
-        from repro.oocs import mcolumnsort, subblock, threaded
+        from repro.oocs import hybrid, mcolumnsort, subblock, threaded
         from repro.records.format import RecordFormat
 
         fmt = RecordFormat("u8", 64)
@@ -135,6 +135,7 @@ class TestEligibility:
             "threaded": threaded.derive_shape,
             "subblock": subblock.derive_shape,
             "m": mcolumnsort.derive_shape,
+            "hybrid": hybrid.derive_shape,
         }
         for algorithm, derive in shapes.items():
             expected = set(

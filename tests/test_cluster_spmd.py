@@ -133,7 +133,6 @@ class TestClusterConfig:
     def test_owners(self):
         cfg = ClusterConfig(p=4, d=4, mem_per_proc=2**10)
         assert cfg.owner_of_disk(3) == 3
-        assert cfg.owner_of_column(6) == 2
 
     def test_validation(self):
         with pytest.raises(ConfigError):

@@ -118,6 +118,35 @@ def test_one_runner_for_every_pass_program():
     assert all(program in ALGORITHMS.values() for program in programs)
 
 
+def test_one_column_store_and_one_shape_function():
+    """One height interpretation: ``repro.disks`` exports a single
+    column-store class, and the names of the second store, the second
+    read helper, the shape mirrors and the layout probes are gone from
+    ``src/`` for good."""
+    import inspect
+
+    import repro.disks
+
+    stores = [
+        name
+        for name in repro.disks.__all__
+        if inspect.isclass(getattr(repro.disks, name)) and "ColumnStore" in name
+    ]
+    assert stores == ["ColumnStore"]
+    gone = (
+        "StripedColumnStore", "owned_column_reads", "shape_threaded",
+        "shape_subblock", "shape_m", "striped=", "hasattr(store",
+    )
+    src = Path(__file__).parent.parent / "src"
+    hits = [
+        f"{path.relative_to(src)}: {name}"
+        for path in sorted(src.rglob("*.py"))
+        for name in gone
+        if name in path.read_text()
+    ]
+    assert hits == []
+
+
 class TestErrorHierarchy:
     def test_everything_is_repro_error(self):
         for exc in (

@@ -265,15 +265,15 @@ class TestStoreLevel:
         store = ColumnStore.from_records(
             cluster, small_fmt, recs, 64, 4, disks, name="input"
         )
-        col0 = store.read_column(store.owner(0), 0)
+        col0 = store.read_portion(0, 0)
         assert np.array_equal(col0, recs[:64])
         # flip one payload byte of column 0 on disk
-        victim = store.disk_for(0).root / store._file(0)
+        victim = store._disk_for(0, 0).root / store._file(0, 0)
         blob = bytearray(victim.read_bytes())
         blob[len(blob) // 2] ^= 0x01
         victim.write_bytes(bytes(blob))
         with pytest.raises(CorruptionError):
-            store.read_column(store.owner(0), 0)
+            store.read_portion(0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -135,9 +135,9 @@ class TestAudit:
             cluster, small_fmt, recs, 64, 4, disks, name="out"
         )
         # drop half of column 1: the exhaustive size check must fire
-        disk = store.disk_for(1)
-        disk.delete(store._file(1))
-        disk.write_at(store._file(1), 0, recs[:32].tobytes())
+        disk = store._disk_for(1, 1)
+        disk.delete(store._file(1, 0))
+        disk.write_at(store._file(1, 0), 0, recs[:32].tobytes())
         with pytest.raises(AuditError, match="lost or duplicated"):
             PassAuditor().audit_pass("threaded", store, 1, 3)
 
@@ -151,7 +151,7 @@ class TestAudit:
         # a sawtooth column has ~r/2 maximal runs, far beyond the s bound
         saw = np.sort(recs[:64], order="key")[::-1].copy()
         for j in range(4):
-            store.write_column(store.owner(j), j, saw)
+            store.write_portion(store.rank_of(j, 0), j, saw)
         with pytest.raises(AuditError, match="sorted runs"):
             PassAuditor().audit_pass("threaded", store, 1, 3)
 
@@ -166,3 +166,14 @@ class TestAudit:
         auditor.audit_pass("threaded", store, 1, 3)
         assert auditor.audited_passes == 1
         assert auditor.audited_units == 2
+
+    def test_auditor_refuses_a_store_it_cannot_audit(self):
+        """An unauditable store must not count as a clean pass."""
+
+        class Opaque:
+            name = "mystery"
+
+        auditor = PassAuditor()
+        with pytest.raises(AuditError, match="no audit for a Opaque"):
+            auditor.audit_pass("threaded", Opaque(), 1, 3)
+        assert auditor.audited_passes == 0

@@ -4,7 +4,6 @@ single-disk-loss recovery property."""
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,28 +168,30 @@ class TestSingleDiskLossProperty:
         key=st.sampled_from(["u8", "i8", "f8"]),
         record_size=st.sampled_from([16, 32, 48]),
         victim_seed=st.integers(min_value=0, max_value=10**6),
+        striped=st.booleans(),
     )
     def test_any_single_lost_disk_recovers_byte_identically(
-        self, p, d, r, s, key, record_size, victim_seed
+        self, p, d, r, s, key, record_size, victim_seed, striped
     ):
+        g = p if striped else 1  # whole columns, or each spanning the cluster
         fmt = RecordFormat(key, record_size)
         cluster = ClusterConfig(p=p, d=d, mem_per_proc=2**12)
         records = generate("uniform", fmt, r * s, seed=victim_seed)
         with tempfile.TemporaryDirectory(prefix="repro-parity-") as workdir:
             disks = make_disk_array(Path(workdir), cluster.virtual_disks)
             store = ColumnStore.from_records(
-                cluster, fmt, records, r, s, disks, name="m", parity=True
+                cluster, fmt, records, r, s, disks, name="m", parity=True,
+                group_size=g,
             )
             victim = disks[victim_seed % len(disks)]
             try:
                 held = any(
-                    store.disk_for(j) is victim for j in range(s)
+                    store._disk_for(j, store.rank_of(j, m)) is victim
+                    for j in range(s)
+                    for m in range(g)
                 )
                 kill_disk(victim)
-                got = np.concatenate(
-                    [store.read_column(store.owner(j), j) for j in range(s)]
-                )
-                assert got.tobytes() == records.tobytes()
+                assert store.to_records().tobytes() == records.tobytes()
                 if held:
                     snap = victim.quarantine.snapshot()
                     assert snap["reconstructed_blocks"] >= 1

@@ -156,7 +156,7 @@ class TestRankMisbehavior:
 
         def prog(comm):
             # Rank 0 tries to read rank 1's column.
-            ws.input.read_column(comm.rank, (comm.rank + 1) % 2)
+            ws.input.read_portion(comm.rank, (comm.rank + 1) % 2)
 
         with pytest.raises(SpmdError) as exc_info:
             run_spmd(2, prog, timeout=5)

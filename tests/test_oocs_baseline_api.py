@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.config import ClusterConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, DimensionError
 from repro.oocs.api import ALGORITHMS, run_baseline_io, sort_out_of_core
 from repro.records.format import RecordFormat
 from repro.records.generators import generate
@@ -49,6 +49,41 @@ class TestBaselineIo:
         for pt in res.trace.passes:
             assert [st.kind for st in pt.stages] == ["read", "write"]
             assert len(pt.rounds) == 2  # s/P = 4/2
+
+
+#: program → (P, buffer, group size): N = 128 is a 32 × 4 matrix at
+#: *equality* of each one's height restriction, 32 = 2s² = 4·s^(3/2)
+BOUNDARY = {
+    "threaded": (2, 32, None),
+    "subblock": (2, 32, None),
+    "m": (2, 16, None),
+    "hybrid": (2, 16, None),
+    "g": (4, 16, 2),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(BOUNDARY))
+class TestHeightBoundary:
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_sorts_at_equality(self, algorithm, backend):
+        p, buffer, g = BOUNDARY[algorithm]
+        cluster = ClusterConfig(p=p, mem_per_proc=buffer)
+        recs = generate("duplicates", FMT, 128, seed=7)
+        res = sort_out_of_core(
+            algorithm, recs, cluster, FMT, buffer, group_size=g, backend=backend
+        )  # verify=True: sorted, a permutation, keys intact
+        assert (res.workspace.input.r, res.workspace.input.s) == (32, 4)
+
+    def test_one_step_inside_is_refused_before_any_io(self, algorithm, tmp_path):
+        p, buffer, g = BOUNDARY[algorithm]
+        cluster = ClusterConfig(p=p, mem_per_proc=buffer)
+        recs = generate("duplicates", FMT, 256, seed=7)
+        with pytest.raises(DimensionError):
+            sort_out_of_core(
+                algorithm, recs, cluster, FMT, buffer, group_size=g,
+                workdir=tmp_path / "disks",
+            )
+        assert not (tmp_path / "disks").exists()
 
 
 class TestApi:

@@ -8,7 +8,7 @@ import pytest
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.spmd import run_spmd
-from repro.disks.matrixfile import StripedColumnStore
+from repro.disks.matrixfile import ColumnStore
 from repro.disks.virtual_disk import make_disk_array
 from repro.errors import CommError, ConfigError, DimensionError, DiskError
 from repro.oocs.api import sort_out_of_core
@@ -103,7 +103,7 @@ class TestGroupColumnStore:
     @pytest.mark.parametrize("g", [1, 2, 4])
     def test_roundtrip(self, env, g):
         cfg, disks, recs = env
-        store = StripedColumnStore.from_records(
+        store = ColumnStore.from_records(
             cfg, FMT, recs, 64, 8, disks, group_size=g
         )
         assert np.array_equal(store.to_records(), recs)
@@ -111,7 +111,7 @@ class TestGroupColumnStore:
 
     def test_g1_matches_whole_column_ownership(self, env):
         cfg, disks, recs = env
-        store = StripedColumnStore.from_records(
+        store = ColumnStore.from_records(
             cfg, FMT, recs, 64, 8, disks, group_size=1
         )
         # group j mod 4 ≡ rank j mod 4, one member each
@@ -120,7 +120,7 @@ class TestGroupColumnStore:
 
     def test_group_access_control(self, env):
         cfg, disks, recs = env
-        store = StripedColumnStore.from_records(
+        store = ColumnStore.from_records(
             cfg, FMT, recs, 64, 8, disks, group_size=2
         )
         # column 1 → group 1 (ranks 2, 3); rank 0 may not touch it.
@@ -130,7 +130,7 @@ class TestGroupColumnStore:
 
     def test_append_overflow_guard(self, env):
         cfg, disks, recs = env
-        store = StripedColumnStore(cfg, FMT, 64, 8, disks, name="ov", group_size=2)
+        store = ColumnStore(cfg, FMT, 64, 8, disks, name="ov", group_size=2)
         store.append_to_portion(0, 0, recs[:32])
         with pytest.raises(ConfigError, match="overflows"):
             store.append_to_portion(0, 0, recs[:1])
@@ -138,11 +138,11 @@ class TestGroupColumnStore:
     def test_shape_validation(self, env):
         cfg, disks, _ = env
         with pytest.raises(ConfigError):
-            StripedColumnStore(cfg, FMT, 64, 8, disks, group_size=3)  # g ∤ P
+            ColumnStore(cfg, FMT, 64, 8, disks, group_size=3)  # g ∤ P
         with pytest.raises(ConfigError):
-            StripedColumnStore(cfg, FMT, 66, 8, disks, group_size=4)  # g ∤ r
+            ColumnStore(cfg, FMT, 66, 8, disks, group_size=4)  # g ∤ r
         with pytest.raises(ConfigError):
-            StripedColumnStore(cfg, FMT, 64, 6, disks, group_size=1)  # G=4 ∤ s=6
+            ColumnStore(cfg, FMT, 64, 6, disks, group_size=1)  # G=4 ∤ s=6
 
 
 class TestGColumnsort:
@@ -173,7 +173,7 @@ class TestGColumnsort:
         assert res.durability["audited_passes"] == 3
         assert res.durability["audited_units"] >= 6  # 2 samples per pass
         # Teeth: a portion that lost records fails the exhaustive size check.
-        store = StripedColumnStore.from_records(
+        store = ColumnStore.from_records(
             cluster, FMT, recs, 1024, 8, make_disk_array(tmp_path, 4),
             name="out", group_size=2,
         )
@@ -244,3 +244,15 @@ class TestGColumnsort:
         )
         with pytest.raises(DimensionError, match="larger group size"):
             derive_shape(big)
+
+    def test_walk_names_the_last_refusal(self):
+        """N = 8 fits the g = 1 bound at buffer 8, but one column is
+        fewer than P = 2 and at g = 2 the column outgrows N: the refusal
+        names what stopped the last g tried and chains it."""
+        cluster = ClusterConfig(p=2, mem_per_proc=8)
+        job = OocJob(cluster=cluster, fmt=FMT, n=8, buffer_records=8)
+        with pytest.raises(
+            DimensionError, match="g=2, was refused: .*must divide N=8"
+        ) as err:
+            derive_shape(job)
+        assert isinstance(err.value.__cause__, ConfigError)

@@ -113,7 +113,7 @@ class TestPredictions:
         t1 = ColumnStore(cluster, FMT, r, s, ws.disks, name="thr-t1")
         count, length = predict_runs("after-deal", r, s)
         for j in range(s):
-            col = t1.read_column(t1.owner(j), j)
+            col = t1.read_portion(t1.rank_of(j, 0), j)
             assert verify_run_structure(col, length), f"column {j}"
 
     def test_live_subblock_pass_produces_predicted_runs(self, tmp_path):
@@ -131,5 +131,5 @@ class TestPredictions:
         count, length = predict_runs("after-subblock", r, s)
         assert (count, length) == (4, 64)
         for j in range(s):
-            col = t2.read_column(t2.owner(j), j)
+            col = t2.read_portion(t2.rank_of(j, 0), j)
             assert verify_run_structure(col, length), f"column {j}"

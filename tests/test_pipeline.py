@@ -21,7 +21,7 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.spmd import run_spmd
 from repro.cluster.stats import measured_wall
 from repro.disks.iostats import IoStats
-from repro.disks.matrixfile import ColumnStore, StripedColumnStore
+from repro.disks.matrixfile import ColumnStore
 from repro.disks.virtual_disk import make_disk_array
 from repro.errors import ConfigError, DiskFullError, PipelineError, SpmdError
 from repro.oocs.api import sort_out_of_core
@@ -465,14 +465,14 @@ def test_stalled_reader_raises_spmd_error_not_hang(tmp_path, hard_timeout):
     recs = generate("uniform", FMT, r * s, seed=3)
     ws = make_workspace(cluster, FMT, recs, r, s, workdir=tmp_path)
     release = threading.Event()
-    real_read = ws.input.read_column
+    real_read = ws.input.read_portion
 
     def stalling_read(rank, j, **kwargs):
         if rank == 1:
             release.wait()  # rank 1's prefetcher never comes back
         return real_read(rank, j, **kwargs)
 
-    ws.input.read_column = stalling_read
+    ws.input.read_portion = stalling_read
     dst = ColumnStore(cluster, FMT, r, s, ws.disks, name="stall-t1")
     plan = PipelinePlan(depth=1, timeout=1.0)
 
@@ -562,11 +562,11 @@ class TestConcurrencyStress:
         def work(k):
             for i in range(per_thread):
                 keys = np.full(chunk, k * per_thread + i, dtype=np.uint64)
-                store.append_to_column(0, 0, FMT.make(keys))
+                store.append_to_portion(0, 0, FMT.make(keys))
 
         _hammer(n_threads, work)
-        assert store.cursor(0) == r
-        got = np.sort(store.read_column(0, 0)["key"])
+        assert store.cursor(0, 0) == r
+        got = np.sort(store.read_portion(0, 0)["key"])
         want = np.sort(np.repeat(np.arange(n_threads * per_thread,
                                            dtype=np.uint64), chunk))
         assert np.array_equal(got, want)
@@ -576,8 +576,9 @@ class TestConcurrencyStress:
         disks = make_disk_array(tmp_path, cluster.virtual_disks)
         n_threads, per_thread, chunk = 4, 16, 2
         portion = n_threads * per_thread * chunk
-        store = StripedColumnStore(
-            cluster, FMT, portion * cluster.p, 1, disks, name="srace"
+        store = ColumnStore(
+            cluster, FMT, portion * cluster.p, 1, disks, name="srace",
+            group_size=cluster.p,
         )
 
         def work(k):
@@ -609,7 +610,7 @@ def test_disk_full_through_flusher_thread(tmp_path):
     try:
         with pytest.raises(DiskFullError):
             for _ in range(8):
-                writer.put(partial(store.append_to_column, 0, 0, recs))
+                writer.put(partial(store.append_to_portion, 0, 0, recs))
             writer.drain()
     finally:
         writer.close()
@@ -630,16 +631,16 @@ def test_write_failing_mid_round_strands_no_lease(tmp_path, depth):
     ws = make_workspace(cluster, FMT, recs, r, s, workdir=tmp_path)
     dst = ColumnStore(cluster, FMT, r, s, ws.disks, name="fail-t1")
     boom = DiskFullError("disk 0 full")
-    real_write = dst.write_segment
+    real_write = dst.append_to_portion
     calls = {0: 0, 1: 0}
 
-    def failing_write(rank, j, row_offset, records):
+    def failing_write(rank, j, records):
         calls[rank] += 1
         if rank == 0 and calls[rank] == s // 2 + 2:  # second write of round 1
             raise boom
-        real_write(rank, j, row_offset, records)
+        real_write(rank, j, records)
 
-    dst.write_segment = failing_write
+    dst.append_to_portion = failing_write
     plan = PipelinePlan(depth=depth, timeout=10.0)
     with pytest.raises(SpmdError) as exc_info:
         run_spmd(

@@ -248,6 +248,36 @@ class TestResumeValidation:
                 workdir=workdir, checkpoint_dir=ckdir, resume=True,
             )
 
+    def test_version_1_checkpoint_refused(self, tmp_path):
+        """A checkpoint from before the one column store names whole-column
+        files (``thr-t1.colNNNNNN``) that no run writes any more: the
+        version check must refuse it, not resume into missing files."""
+        recs = records_for("threaded")
+        ckdir = tmp_path / "ck"
+        ckdir.mkdir()
+        (ckdir / "pass_0001.json").write_text(json.dumps({
+            "version": 1, "algorithm": "threaded", "pass_index": 1,
+            "total_passes": 3, "n": len(recs), "r": 128, "s": 4,
+            "buffer_records": 128, "record_size": 16, "key": "u8",
+            "store": "thr-t1", "store_kind": "ColumnStore", "digest": "0" * 64,
+        }))
+        with pytest.raises(CheckpointError, match="version 1, expected 2"):
+            run_sort(
+                "threaded", recs, 0,
+                workdir=tmp_path / "w", checkpoint_dir=ckdir, resume=True,
+            )
+
+    def test_manifest_records_the_layout(self, tmp_path):
+        """Column stores record ``(r, s, g)``; the PDM output has none."""
+        recs = records_for("m")
+        ckdir = tmp_path / "ck"
+        run_sort(
+            "m", recs, 0, workdir=tmp_path / "w", checkpoint_dir=ckdir,
+            keep_checkpoints=True,
+        )
+        layouts = [(m["r"], m["s"], m["g"]) for m in CheckpointStore(ckdir).manifests()]
+        assert layouts == [(128, 4, 2), (128, 4, 2), (None, None, None)]
+
     def test_resume_needs_workdir(self, tmp_path):
         recs = records_for("threaded")
         with pytest.raises(ConfigError, match="workdir"):
