@@ -6,8 +6,7 @@ per-pass I/O and communication it actually performed, then feeds the
 run's own structural trace to the discrete-event pipeline model under
 two hardware profiles: the paper's 2003 Beowulf and a modern NVMe
 machine. The functional run and the Figure 2 numbers are connected by
-exactly this trace — the test suite asserts the functional and analytic
-traces are identical.
+exactly this trace — both derive it from the program's one pass list.
 
 Run:  python examples/cluster_trace.py
 """

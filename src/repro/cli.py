@@ -483,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     prd.add_argument(
         "--algorithm",
-        choices=("threaded", "subblock", "m", "hybrid", "baseline-io"),
+        choices=(*ALGORITHMS, "baseline-io"),
         default="threaded",
     )
     prd.add_argument("--gb", type=int, default=4, help="total data, GB")

@@ -236,9 +236,6 @@ class ShmArena:
     def slab_count(self) -> int:
         return len(self._slabs)
 
-    def free_count(self) -> int:
-        return sum(len(stack) for stack in self._free.values())
-
     def names(self) -> list[str]:
         return list(self._slabs)
 

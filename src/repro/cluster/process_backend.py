@@ -562,7 +562,6 @@ class ProcessTransport(Transport):
         watchdog_deadline=None,
         fault_plan=None,
         retry_policy=None,
-        quarantine=None,
         cancel=None,
         disks=None,
         **kwargs,
@@ -577,8 +576,8 @@ class ProcessTransport(Transport):
             return ThreadTransport().run(
                 size, program, *args, rank_args=rank_args, timeout=timeout,
                 watchdog_deadline=watchdog_deadline, fault_plan=fault_plan,
-                retry_policy=retry_policy, quarantine=quarantine,
-                cancel=cancel, disks=disks, **kwargs,
+                retry_policy=retry_policy, cancel=cancel, disks=disks,
+                **kwargs,
             )
 
         fabric = _Fabric(size, timeout)
@@ -663,15 +662,9 @@ class ProcessTransport(Transport):
             failures.append((watchdog.error.rank, watchdog.error))
         if failures:
             raise_primary_failure(failures)
-        result = SpmdResult(
+        return SpmdResult(
             returns=returns, stats=stats, comm_retries=fabric.retries.value
         )
-        if quarantine is not None:
-            snap = quarantine.snapshot()
-            result.degraded_disks = snap["degraded_disks"]
-            result.reconstructed_blocks = snap["reconstructed_blocks"]
-            result.checksum_failures = snap["checksum_failures"]
-        return result
 
     # -- internals -------------------------------------------------------
 

@@ -38,22 +38,11 @@ from repro.errors import ConfigError
 
 @dataclass
 class SpmdResult:
-    """Results of one SPMD run: per-rank return values and comm stats.
-
-    When the run was given a
-    :class:`~repro.resilience.quarantine.DiskQuarantine` the durability
-    counters are filled in: ``degraded_disks`` (disk ids declared dead
-    during or before the run), ``reconstructed_blocks`` (parity
-    reconstructions served), and ``checksum_failures`` (block CRC
-    mismatches detected).
-    """
+    """Results of one SPMD run: per-rank return values and comm stats."""
 
     returns: list
     stats: list[CommStats]
     comm_retries: int = field(default=0)
-    degraded_disks: list[int] = field(default_factory=list)
-    reconstructed_blocks: int = field(default=0)
-    checksum_failures: int = field(default=0)
     #: Supervision record (see
     #: :class:`~repro.resilience.supervisor.SupervisorStats.as_dict`)
     #: when the run was launched with a ``restart_policy``; empty dict
@@ -76,7 +65,6 @@ def run_spmd(
     watchdog_deadline: float | None = None,
     fault_plan=None,
     retry_policy=None,
-    quarantine=None,
     cancel=None,
     backend: str = "thread",
     disks=None,
@@ -108,10 +96,6 @@ def run_spmd(
         Optional :class:`~repro.resilience.retry.RetryPolicy` retrying
         transient comm faults; retry counts surface as
         ``SpmdResult.comm_retries``.
-    quarantine:
-        Optional :class:`~repro.resilience.quarantine.DiskQuarantine`
-        shared with the run's disks; its counters are snapshotted into
-        the result's durability fields.
     cancel:
         Optional :class:`~repro.governor.CancelToken` attached to the
         fabric, so every blocked send/receive is a cancellation
@@ -169,7 +153,6 @@ def run_spmd(
             watchdog_deadline=watchdog_deadline,
             fault_plan=fault_plan,
             retry_policy=retry_policy,
-            quarantine=quarantine,
             cancel=cancel,
             disks=disks,
             **kwargs,
@@ -179,16 +162,10 @@ def run_spmd(
         return launch()
     # Transport.run fully tears its cohort down before raising
     # (join/terminate every rank, sweep fabric and segments), so the
-    # bare seam needs no between-attempt hook beyond reviving any
-    # quarantine state the dead attempt left armed.
+    # bare seam needs no between-attempt hook.
     from repro.resilience.supervisor import RunSupervisor
 
     supervisor = RunSupervisor(restart_policy, cancel=cancel)
-
-    def on_restart(restart: int, exc: BaseException) -> None:
-        if quarantine is not None:
-            quarantine.revive()
-
-    result = supervisor.run(launch, on_restart=on_restart)
+    result = supervisor.run(launch)
     result.supervisor = supervisor.stats.as_dict()
     return result

@@ -105,23 +105,6 @@ def stats_from_snapshot(snap: dict | None, rank: int = 0) -> CommStats:
     return stats
 
 
-def measured_wall(passes: list) -> dict[str, float]:
-    """Aggregate measured per-stage wall time across passes.
-
-    Each pass is a :class:`~repro.simulate.trace.PassTrace` whose
-    ``wall`` dict was filled by the pipeline's
-    :class:`~repro.pipeline.StageClock` (categories ``read_wait``,
-    ``compute``, ``comm``, ``incore``, ``write_wait``). Returns the
-    category → seconds sum; empty when no pass carried measurements
-    (e.g. the run had ``collect_trace=False``).
-    """
-    total: dict[str, float] = {}
-    for pass_trace in passes:
-        for category, seconds in getattr(pass_trace, "wall", {}).items():
-            total[category] = total.get(category, 0.0) + seconds
-    return total
-
-
 def combined(stats: list[CommStats]) -> dict:
     """Aggregate counters across ranks (for whole-run assertions)."""
     total = {
@@ -135,17 +118,3 @@ def combined(stats: list[CommStats]) -> dict:
         for key in total:
             total[key] += snap[key]
     return total
-
-
-def copy_totals() -> dict:
-    """Process-wide data-plane copy counters (see :mod:`repro.membuf`).
-
-    Communication volume and memory-copy volume are the two halves of the
-    data-movement story: ``CommStats`` meters what crosses ranks, this
-    meters what crosses buffers. The counters are cumulative for the
-    process; callers who want per-run deltas should snapshot before and
-    after (``run_spmd_metered`` does this for every algorithm run).
-    """
-    from repro.membuf import copy_stats
-
-    return copy_stats().snapshot()

@@ -124,7 +124,6 @@ class Transport(ABC):
         watchdog_deadline: float | None = None,
         fault_plan=None,
         retry_policy=None,
-        quarantine=None,
         cancel=None,
         disks=None,
         **kwargs,
@@ -147,7 +146,6 @@ class ThreadTransport(Transport):
         watchdog_deadline: float | None = None,
         fault_plan=None,
         retry_policy=None,
-        quarantine=None,
         cancel=None,
         disks=None,
         **kwargs,
@@ -224,15 +222,9 @@ class ThreadTransport(Transport):
 
         if failures:
             raise_primary_failure(failures)
-        result = SpmdResult(
+        return SpmdResult(
             returns=returns, stats=stats, comm_retries=router.comm_retries
         )
-        if quarantine is not None:
-            snap = quarantine.snapshot()
-            result.degraded_disks = snap["degraded_disks"]
-            result.reconstructed_blocks = snap["reconstructed_blocks"]
-            result.checksum_failures = snap["checksum_failures"]
-        return result
 
 
 def available_backends() -> tuple[str, ...]:

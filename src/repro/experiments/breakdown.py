@@ -10,9 +10,9 @@ regenerates Figure 2.
 from __future__ import annotations
 
 from repro.durability.hashing import CHECKSUM_ALGO
+from repro.oocs.api import analytic_trace
 from repro.simulate.hardware import BEOWULF_2003, HardwareModel
-from repro.simulate.predict import max_inflight_for, predict_run
-from repro.simulate.traces import TRACE_BUILDERS
+from repro.simulate.predict import predict_run
 
 GB = 2**30
 
@@ -30,8 +30,8 @@ def breakdown_table(
     rows: list[dict] = []
     for algorithm in algorithms:
         try:
-            run = TRACE_BUILDERS[algorithm](n, p, buffer_bytes // record_size,
-                                            record_size)
+            run = analytic_trace(algorithm, n, p, buffer_bytes // record_size,
+                                 record_size)
         except Exception:
             continue  # not eligible at this size/buffer
         timing = predict_run(run, hw)
@@ -152,40 +152,6 @@ def copy_breakdown_table(result) -> list[dict]:
                 },
             ]
         )
-    for row in rows:
-        row["algorithm"] = result.algorithm
-    return rows
-
-
-def resilience_breakdown_table(result) -> list[dict]:
-    """Fault-recovery accounting for a functional run, as table rows.
-
-    ``result`` is an :class:`~repro.oocs.base.OocResult`; the rows pair
-    each retry counter with the operations it shadows, so the rendered
-    table answers "how much weather did this run survive": disk reads
-    and writes retried (from :class:`~repro.disks.iostats.IoStats`) and
-    mailbox sends retried (from the SPMD world's router). All-zero rows
-    mean a fault-free run, not a disabled layer.
-    """
-    io = getattr(result, "io", None) or {}
-    comm = getattr(result, "comm_total", None) or {}
-    rows = [
-        {
-            "metric": "read retries",
-            "value": io.get("read_retries", 0),
-            "note": f"over {io.get('reads', 0)} reads",
-        },
-        {
-            "metric": "write retries",
-            "value": io.get("write_retries", 0),
-            "note": f"over {io.get('writes', 0)} writes",
-        },
-        {
-            "metric": "comm retries",
-            "value": comm.get("retries", 0),
-            "note": f"over {comm.get('messages', 0)} messages",
-        },
-    ]
     for row in rows:
         row["algorithm"] = result.algorithm
     return rows

@@ -3,7 +3,13 @@
 Every program is a :class:`~repro.oocs.base.PassProgram` record — a
 pass list and a shape resolver — run by the one runner,
 :func:`~repro.oocs.base.run_pass_program`, over the simulated cluster
-and disks. Each resolver names its point on the grid of
+and disks. The pass list is stated once: each
+:class:`~repro.oocs.base.PassSpec` holds the pass's pipeline stages and
+per-round work beside the body that runs, so the trace a run reports
+and the trace Figure 2 is priced from
+(:func:`~repro.oocs.api.analytic_trace`) are both
+:meth:`PassProgram.trace <repro.oocs.base.PassProgram.trace>` of it.
+Each resolver names its point on the grid of
 :func:`~repro.columnsort.validation.out_of_core_shape` — height
 interpretation ``r = g·M/P`` × height restriction — and the group size
 ``g = r / buffer`` is the layout of its column stores.
@@ -26,9 +32,10 @@ interpretation ``r = g·M/P`` × height restriction — and the group size
   ``OocJob.group_size`` picks ``g`` (default: the smallest feasible).
 
 :func:`~repro.oocs.baseline_io.baseline_program` builds the I/O-only
-baseline of §5 for the same runner. All sorts produce output in PDM
-striped ordering and are verified by :mod:`~repro.oocs.verify`;
-:func:`sort_out_of_core` is the one-call entry point.
+baseline of §5 — any layout, no height restriction — for the same
+runner. All sorts produce output in PDM striped ordering and are
+verified by :mod:`~repro.oocs.verify`; :func:`sort_out_of_core` is the
+one-call entry point.
 """
 
 from repro.oocs.base import (

@@ -29,6 +29,7 @@ from repro.oocs.base import (
 from repro.oocs.baseline_io import baseline_program
 from repro.oocs.verify import verify_output
 from repro.records.format import RecordFormat
+from repro.simulate.trace import RunTrace
 
 #: algorithm name → the program record :func:`run_pass_program` runs
 ALGORITHMS: dict[str, PassProgram] = {
@@ -38,6 +39,36 @@ ALGORITHMS: dict[str, PassProgram] = {
     "hybrid": hybrid.PROGRAM,
     "g": gcolumnsort.PROGRAM,
 }
+
+
+def analytic_trace(
+    algorithm: str,
+    n: int,
+    p: int,
+    buffer_records: int,
+    record_size: int,
+    passes: int = 3,
+    group_size: int | None = None,
+) -> RunTrace:
+    """The structural trace of a configuration, at any scale and
+    without touching data: what a live run of the same job reports as
+    ``OocResult.trace``, minus the measured walls. ``algorithm`` is a
+    key of :data:`ALGORITHMS`, or ``"baseline-io"`` for the
+    ``passes``-pass I/O-only baseline. Configurations the program would
+    refuse to run are refused here, with the same exception."""
+    program = (
+        baseline_program(passes)
+        if algorithm == "baseline-io"
+        else ALGORITHMS[algorithm]
+    )
+    job = OocJob(
+        cluster=ClusterConfig(p=p, mem_per_proc=buffer_records),
+        fmt=RecordFormat("u8", record_size),
+        n=n,
+        buffer_records=buffer_records,
+        group_size=group_size,
+    )
+    return program.trace(job)
 
 
 def job_demands(job: OocJob) -> tuple[int, int]:

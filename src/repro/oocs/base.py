@@ -14,9 +14,12 @@ stages are, functionally, the bodies of the helpers here:
   pass of every program);
 * :func:`pass_io_only` — the baseline that only reads and writes.
 
-The helpers run inside SPMD rank programs. Rank 0 additionally emits a
-:class:`~repro.simulate.trace.PassTrace` (the processors are symmetric,
-so one rank's trace describes them all).
+The helpers run inside SPMD rank programs. A program states each pass
+once, as a :class:`PassSpec`: the body that runs, and beside it the
+paper's pipeline stages and per-round work of the pass, from which
+:meth:`PassProgram.trace` derives the structural trace — of a live run
+(rank 0 adds its measured stage walls; the processors are symmetric, so
+one rank describes them all) and of a configuration that is only priced.
 
 Each pass overlaps its disk I/O with compute and communication through
 the :mod:`repro.pipeline` buffer pools: column reads are prefetched by a
@@ -62,20 +65,7 @@ from repro.pipeline import (
     WriteBehind,
 )
 from repro.records.format import RecordFormat
-from repro.simulate.trace import (
-    PassTrace,
-    RunTrace,
-    eleven_stage_pipeline,
-    five_stage_pipeline,
-    io_only_pipeline,
-    seven_stage_pipeline,
-    twenty_stage_pipeline,
-)
-from repro.simulate.traces import (
-    deal_round_work,
-    final_round_work,
-    io_round_work,
-)
+from repro.simulate.trace import PassTrace, RunTrace
 
 #: Point-to-point tag used for the half-column exchange of the final pass.
 WINDOW_TAG = 77
@@ -100,10 +90,6 @@ class OocJob:
         per-processor *portion* of an ``r = M``-high column.
     workdir:
         Directory for the virtual disks.
-    pdm_block:
-        Output PDM block size in records (defaults to
-        ``buffer_records / P``, so one buffer's worth of output stripes
-        across all processors' disks).
     pipeline_depth:
         Buffers the read-ahead and write-behind pools may each keep in
         flight per pass (see :mod:`repro.pipeline`); ``0`` runs every
@@ -164,7 +150,6 @@ class OocJob:
     n: int
     buffer_records: int
     workdir: str | Path | None = None
-    pdm_block: int | None = None
     pipeline_depth: int = 0
     retry_policy: object = None
     fault_plan: object = None
@@ -203,8 +188,6 @@ class OocJob:
                 f"buffer of {self.buffer_records} records exceeds per-processor "
                 f"memory of {self.cluster.mem_per_proc} records"
             )
-        if self.pdm_block is None:
-            self.pdm_block = max(1, self.buffer_records // self.cluster.p)
 
     @property
     def buffer_bytes(self) -> int:
@@ -435,10 +418,6 @@ def _deal_pass(
                 ],
                 release=leases.hand_off(out),
             )
-            if trace is not None:
-                trace.rounds.append(
-                    deal_round_work(fmt.record_size, r, (p - 1) / p, p - 1)
-                )
 
 
 def pass_step2_deal(
@@ -586,8 +565,6 @@ def pass_final_windows(
                 writer, clock, leases,
             )
             leases.recycle(window)
-            if trace is not None:
-                trace.rounds.append(final_round_work(fmt.record_size, r, p))
 
         # Window s: the bottom half of the last column followed by +∞
         # padding — already sorted, so rank 0 (its owner) writes it directly.
@@ -623,8 +600,6 @@ def pass_io_only(
                 partial(dst.write_portion, comm.rank, c, col),
                 release=leases.hand_off(col),
             )
-            if trace is not None:
-                trace.rounds.append(io_round_work(fmt.record_size, src.r))
 
 
 # ---------------------------------------------------------------------------
@@ -744,19 +719,6 @@ class PassMarker:
         ]
 
 
-def new_pass_trace(name: str, shape: str) -> PassTrace:
-    """Create a :class:`PassTrace` with the named pipeline shape
-    (``"five"``, ``"seven"``, ``"eleven"``, ``"twenty"``, or ``"io"``)."""
-    stages = {
-        "five": five_stage_pipeline,
-        "seven": seven_stage_pipeline,
-        "eleven": eleven_stage_pipeline,
-        "twenty": twenty_stage_pipeline,
-        "io": io_only_pipeline,
-    }[shape]()
-    return PassTrace(name=name, stages=stages)
-
-
 # ---------------------------------------------------------------------------
 # Pass programs: declarative pass lists, checkpointing, failure cleanup
 # ---------------------------------------------------------------------------
@@ -764,17 +726,24 @@ def new_pass_trace(name: str, shape: str) -> PassTrace:
 
 @dataclass(frozen=True)
 class PassSpec:
-    """One pass of an out-of-core program, declaratively.
+    """One pass of an out-of-core program — the one statement of it,
+    for running and for pricing alike.
 
-    ``body`` is any pass function with the shared signature
-    ``body(comm, src_store, dst_store, fmt, trace, plan=...)``; ``src``
-    and ``dst`` are keys into the run's store dict; ``shape`` names the
-    simulated pipeline shape for the pass trace (see
-    :func:`new_pass_trace`).
+    ``stages`` is the paper's pipeline shape of the pass (a stage-list
+    constructor of :mod:`repro.simulate.trace`) and ``work`` what one
+    round pushes through those stages (a ``(record_size, r, s, p, g)``
+    builder of :mod:`repro.simulate.traces`) — together the pass's
+    structural trace, see :meth:`PassProgram.trace`. ``body`` is the
+    pass function that runs, with the shared signature
+    ``body(comm, src_store, dst_store, fmt, trace, plan=...)`` (rank 0
+    gets the :class:`PassTrace` its measured stage walls land on, the
+    others ``None``); ``src`` and ``dst`` are keys into the run's store
+    dict.
     """
 
     name: str
-    shape: str
+    stages: object
+    work: object
     body: object
     src: str
     dst: str
@@ -828,8 +797,11 @@ class PassProgram:
         stores = {"input": input_store}
         for spec in self.passes:
             if spec.dst == "output" and self.pdm_output:
+                # One buffer's worth of output stripes across all
+                # processors' disks.
                 stores[spec.dst] = PdmStore(
-                    cluster, fmt, job.n, disks, job.pdm_block, name="output",
+                    cluster, fmt, job.n, disks,
+                    max(1, job.buffer_records // cluster.p), name="output",
                     parity=job.parity,
                 )
             else:
@@ -839,21 +811,46 @@ class PassProgram:
                 )
         return stores
 
+    def trace(self, job: OocJob) -> RunTrace:
+        """The structural trace of ``job`` — the only source of traces:
+        every pass has ``s / (P/g)`` rounds (each group takes one of its
+        columns per round) of its spec's per-round work. A live run adds
+        the measured stage walls; pricing a configuration
+        (:func:`repro.oocs.api.analytic_trace`) needs nothing else."""
+        r, s, g = self.layout(job)
+        p, record_size = job.cluster.p, job.fmt.record_size
+        rounds = s // (p // g)
+        return RunTrace(
+            algorithm=self.name.format(g=g),
+            n_records=job.n,
+            record_size=record_size,
+            p=p,
+            buffer_bytes=job.buffer_bytes,
+            passes=[
+                PassTrace(
+                    spec.name, spec.stages(),
+                    [spec.work(record_size, r, s, p, g)] * rounds,
+                )
+                for spec in self.passes
+            ],
+        )
+
 
 def execute_passes(
     comm: Comm,
     job: OocJob,
     stores: dict,
-    specs: list[PassSpec],
+    program: PassProgram,
     collect_trace: bool = True,
     checkpoint=None,
-    algorithm: str = "",
     start_pass: int = 0,
     governor=None,
 ) -> dict:
-    """The shared SPMD rank program: run ``specs`` in order over
-    ``stores``, with per-pass accounting and optional pass-boundary
-    checkpoints.
+    """The shared SPMD rank program: run ``program``'s passes in order
+    over ``stores``, with per-pass accounting and optional pass-boundary
+    checkpoints. Rank 0 returns the run's trace (``None`` without
+    ``collect_trace``): :meth:`PassProgram.trace` cut down to the passes
+    executed here, each carrying its measured stage walls.
 
     ``start_pass`` passes are skipped at the front (their output already
     sits on disk — the resume path, validated by
@@ -882,14 +879,15 @@ def execute_passes(
     """
     fmt = job.fmt
     plan = job.pipeline_plan()
-    want_trace = comm.rank == 0 and collect_trace
+    specs = program.passes
+    algorithm = program.name.format(g=stores["input"].g)
+    run_trace = program.trace(job) if comm.rank == 0 and collect_trace else None
     marker = PassMarker(comm, stores["input"].disks)
     auditor = None
     if job.audit and comm.rank == 0:
         from repro.durability import PassAuditor
 
         auditor = PassAuditor()
-    traces = []
     total = len(specs)
     for index, spec in enumerate(specs, start=1):
         if index <= start_pass:
@@ -900,13 +898,11 @@ def execute_passes(
         if governor is not None:
             governor.begin_pass(index)
             effective = governor.effective_plan(plan)
-        trace = new_pass_trace(spec.name, spec.shape) if want_trace else None
+        trace = run_trace.passes[index - 1] if run_trace is not None else None
         spec.body(
             comm, stores[spec.src], stores[spec.dst], fmt, trace, plan=effective
         )
         marker.mark()
-        if trace is not None:
-            traces.append(trace)
         if job.audit:
             if auditor is not None:
                 auditor.audit_pass(algorithm, stores[spec.dst], index, total)
@@ -920,8 +916,10 @@ def execute_passes(
             # durable, so a cancelled run resumes from this pass.
             job.cancel.pass_boundary(index)
             job.cancel.check()
+    if run_trace is not None:
+        del run_trace.passes[:start_pass]
     return {
-        "traces": traces,
+        "trace": run_trace,
         "comm_per_pass": marker.comm_deltas(),
         "io_per_pass": marker.io_deltas(),
         "audited_passes": auditor.audited_passes if auditor is not None else 0,
@@ -995,9 +993,7 @@ def run_pass_program(
     from repro.governor import RunGovernor, attach_governor
     from repro.resilience.checkpoint import CheckpointStore
 
-    cluster, fmt = job.cluster, job.fmt
     stores = program.stores(job, input_store)
-    specs = program.passes
     algorithm = program.name.format(g=input_store.g)
     disks = input_store.disks
     attach_resilience(disks, job)
@@ -1017,7 +1013,7 @@ def run_pass_program(
         else:
             ckpt.clear()
 
-    run_governor = RunGovernor(stores, specs, cancel=job.cancel)
+    run_governor = RunGovernor(stores, program.passes, cancel=job.cancel)
     attach_governor(disks, run_governor)
     pool = get_pool()
     pool.reset_budget_accounting()
@@ -1045,20 +1041,18 @@ def run_pass_program(
             )
             supervisor.stats.attempts[-1]["resumed_from_pass"] = start_pass
         return run_spmd_metered(
-            cluster.p,
+            job.cluster.p,
             execute_passes,
             job,
             stores,
-            specs,
+            program,
             collect_trace=collect_trace,
             checkpoint=ckpt,
-            algorithm=algorithm,
             start_pass=start_pass,
             governor=run_governor,
             watchdog_deadline=job.watchdog_deadline,
             fault_plan=job.fault_plan,
             retry_policy=job.retry_policy,
-            quarantine=quarantine,
             cancel=job.cancel,
             backend=job.backend,
             disks=disks,
@@ -1103,16 +1097,6 @@ def run_pass_program(
     io_after = IoStats.combine([d.stats for d in disks])
 
     rank0 = res.returns[0]
-    run_trace = None
-    if collect_trace:
-        run_trace = RunTrace(
-            algorithm=algorithm,
-            n_records=job.n,
-            record_size=fmt.record_size,
-            p=cluster.p,
-            buffer_bytes=job.buffer_bytes,
-            passes=rank0["traces"],
-        )
     if not keep_intermediates:
         for key, store in stores.items():
             if key not in ("input", "output"):
@@ -1145,7 +1129,7 @@ def run_pass_program(
         algorithm=algorithm,
         job=job,
         output=stores["output"],
-        passes=len(specs),
+        passes=len(program.passes),
         io={k: io_after[k] - io_before[k] for k in io_after},
         io_per_pass=rank0["io_per_pass"],
         comm_per_pass=rank0["comm_per_pass"],
@@ -1154,6 +1138,6 @@ def run_pass_program(
         durability=durability,
         governor=governance,
         supervisor=supervisor.stats.as_dict() if supervisor is not None else {},
-        trace=run_trace,
+        trace=rank0["trace"],
     )
 

@@ -9,19 +9,29 @@ buffer 2^25 sat just barely above the 3-pass baseline.
 
 from __future__ import annotations
 
+from repro.columnsort.validation import column_layout
 from repro.errors import ConfigError
-from repro.oocs.base import PassProgram, PassSpec, pass_io_only
-from repro.oocs.threaded import derive_shape
+from repro.oocs.base import OocJob, PassProgram, PassSpec, pass_io_only
+from repro.simulate.trace import io_only_pipeline
+from repro.simulate.traces import io_round_work
+
+
+def derive_shape(job: OocJob) -> tuple[int, int]:
+    """The ``r × s`` matrix of a baseline job: whole ``buffer``-high
+    columns, at least one per processor — and no height restriction,
+    since nothing is sorted."""
+    return column_layout(job.n, job.cluster.p, job.buffer_records)
 
 
 def baseline_program(passes: int = 3) -> PassProgram:
-    """``passes`` read+write-only passes over a threaded-shaped matrix
-    (3 for the threaded/M baseline, 4 for the subblock baseline)."""
+    """``passes`` read+write-only passes over the matrix (3 for the
+    threaded/M baseline, 4 for the subblock baseline)."""
     if passes < 1:
         raise ConfigError(f"need at least one pass, got {passes}")
     keys = ["input", *(f"t{k}" for k in range(1, passes)), "output"]
     specs = [
-        PassSpec(f"io-pass{k + 1}", "io", pass_io_only, keys[k], keys[k + 1])
+        PassSpec(f"io-pass{k + 1}", io_only_pipeline, io_round_work,
+                 pass_io_only, keys[k], keys[k + 1])
         for k in range(passes)
     ]
     return PassProgram(

@@ -54,8 +54,12 @@ from repro.oocs.base import (
 from repro.oocs.incore.columnsort_dist import distributed_columnsort
 from repro.pipeline import COMM, COMPUTE, INCORE, PipelinePlan
 from repro.records.format import RecordFormat
-from repro.simulate.trace import PassTrace
-from repro.simulate.traces import m_deal_round_work, m_final_round_work
+from repro.simulate.trace import (
+    PassTrace,
+    eleven_stage_pipeline,
+    twenty_stage_pipeline,
+)
+from repro.simulate.traces import m_balanced_round_work, m_final_round_work
 
 #: Tag for the cross-group bottom-half exchange of the final pass.
 GW_TAG = 83
@@ -207,10 +211,6 @@ def _deal_pass_g(
                         for col, a, b in runs
                     ]
             writer.put(*writes)
-            if trace is not None:
-                trace.rounds.append(
-                    m_deal_round_work(fmt.record_size, portion, g, "balanced")
-                )
 
 
 def _final_pass_g(
@@ -311,8 +311,6 @@ def _final_pass_g(
                         )
                 piece = window_sort(contribution)
             route(c, piece, lambda group, t=t: t * groups + group)
-            if trace is not None:
-                trace.rounds.append(m_final_round_work(fmt.record_size, portion, g))
 
         # Window s: bottom of the last column (held, post-send, by group
         # 0's receive queues) plus +∞ padding.
@@ -337,9 +335,12 @@ _pass2_g = partial(_deal_pass_g, step=4)
 #: shapes with the group as the in-core cluster; the cross-group deal's
 #: alltoallv has no stage of its own in them.
 PASSES = [
-    PassSpec("pass1:steps1-2", "eleven", _pass1_g, "input", "t1"),
-    PassSpec("pass2:steps3-4", "eleven", _pass2_g, "t1", "t2"),
-    PassSpec("pass3:steps5-8", "twenty", _final_pass_g, "t2", "output"),
+    PassSpec("pass1:steps1-2", eleven_stage_pipeline, m_balanced_round_work,
+             _pass1_g, "input", "t1"),
+    PassSpec("pass2:steps3-4", eleven_stage_pipeline, m_balanced_round_work,
+             _pass2_g, "t1", "t2"),
+    PassSpec("pass3:steps5-8", twenty_stage_pipeline, m_final_round_work,
+             _final_pass_g, "t2", "output"),
 ]
 
 #: What :func:`~repro.oocs.base.run_pass_program` runs: columns striped

@@ -40,8 +40,16 @@ from repro.oocs.incore.columnsort_dist import distributed_columnsort
 from repro.oocs.mcolumnsort import _pass1_m, _pass2_m, _pass3_m
 from repro.pipeline import COMPUTE, INCORE, PipelinePlan
 from repro.records.format import RecordFormat
-from repro.simulate.trace import PassTrace
-from repro.simulate.traces import m_deal_round_work
+from repro.simulate.trace import (
+    PassTrace,
+    eleven_stage_pipeline,
+    twenty_stage_pipeline,
+)
+from repro.simulate.traces import (
+    m_balanced_round_work,
+    m_final_round_work,
+    m_scattered_round_work,
+)
 
 
 def derive_shape(job: OocJob) -> tuple[int, int]:
@@ -64,7 +72,7 @@ def _pass_subblock_m(
 ) -> None:
     """The subblock pass under ``r = M``: distributed sort (step 3) then
     the subblock permutation (step 3.1) applied by sorted rank."""
-    p, s = comm.size, src.s
+    s = src.s
     t = sqrt_pow4(s)
     portion = src.portion
     share = portion // t
@@ -92,19 +100,19 @@ def _pass_subblock_m(
                 ],
                 release=leases.hand_off(grouped),
             )
-            if trace is not None:
-                trace.rounds.append(
-                    m_deal_round_work(fmt.record_size, portion, p, "balanced")
-                )
 
 
 #: The 4-pass program, declaratively (see
 #: :class:`~repro.oocs.base.PassSpec`).
 PASSES = [
-    PassSpec("pass1:steps1-2", "eleven", _pass1_m, "input", "t1"),
-    PassSpec("pass2:steps3+3.1(subblock)", "eleven", _pass_subblock_m, "t1", "t2"),
-    PassSpec("pass3:steps3.2+4", "eleven", _pass2_m, "t2", "t3"),
-    PassSpec("pass4:steps5-8", "twenty", _pass3_m, "t3", "output"),
+    PassSpec("pass1:steps1-2", eleven_stage_pipeline, m_balanced_round_work,
+             _pass1_m, "input", "t1"),
+    PassSpec("pass2:steps3+3.1(subblock)", eleven_stage_pipeline,
+             m_balanced_round_work, _pass_subblock_m, "t1", "t2"),
+    PassSpec("pass3:steps3.2+4", eleven_stage_pipeline, m_scattered_round_work,
+             _pass2_m, "t2", "t3"),
+    PassSpec("pass4:steps5-8", twenty_stage_pipeline, m_final_round_work,
+             _pass3_m, "t3", "output"),
 ]
 
 #: What :func:`~repro.oocs.base.run_pass_program` runs — the largest

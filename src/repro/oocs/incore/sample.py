@@ -74,11 +74,3 @@ def distributed_sample_sort(
     my_start = comm.exscan(len(merged))
     held = [(my_start, merged)]
     return redistribute(comm, held, target_ranges, fmt)
-
-
-def imbalance_ratio(comm: Comm, n_held: int) -> float:
-    """Max/mean ratio of per-rank held counts after partitioning — the
-    skew metric the T-incore benchmark reports for sample sort."""
-    counts = comm.allgather(n_held)
-    mean = sum(counts) / len(counts)
-    return max(counts) / mean if mean else 0.0

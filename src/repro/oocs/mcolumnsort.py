@@ -43,8 +43,16 @@ from repro.oocs.incore.columnsort_dist import distributed_columnsort
 from repro.oocs.incore.common import Ranges
 from repro.pipeline import COMPUTE, INCORE, PipelinePlan
 from repro.records.format import RecordFormat
-from repro.simulate.trace import PassTrace
-from repro.simulate.traces import m_deal_round_work, m_final_round_work
+from repro.simulate.trace import (
+    PassTrace,
+    eleven_stage_pipeline,
+    twenty_stage_pipeline,
+)
+from repro.simulate.traces import (
+    m_balanced_round_work,
+    m_final_round_work,
+    m_scattered_round_work,
+)
 
 
 def derive_shape(job: OocJob) -> tuple[int, int]:
@@ -77,7 +85,7 @@ def _pass1_m(
     sort delivers balanced contiguous sorted ranges, whose records each
     rank deals into its own portions of the ``s`` target columns
     (sorted rank ``i`` → target column ``i mod s``)."""
-    p, s = comm.size, src.s
+    s = src.s
     portion = src.portion
     share = portion // s
     with pass_pipeline(portion_reads(src, comm.rank), plan, trace) as (
@@ -102,10 +110,6 @@ def _pass1_m(
                 ],
                 release=leases.hand_off(grouped),
             )
-            if trace is not None:
-                trace.rounds.append(
-                    m_deal_round_work(fmt.record_size, portion, p, "balanced")
-                )
 
 
 def _pass2_m(
@@ -122,7 +126,6 @@ def _pass2_m(
     which it appends to its own portion of the corresponding column —
     keeping all portions balanced at ``M/P`` records."""
     p, r, s = comm.size, src.r, src.s
-    portion = src.portion
     chunk = r // s
     piece = chunk // p
     ranges: Ranges = [
@@ -146,10 +149,6 @@ def _pass2_m(
                     for m in range(s)
                 ]
             )
-            if trace is not None:
-                trace.rounds.append(
-                    m_deal_round_work(fmt.record_size, portion, p, "scattered")
-                )
 
 
 def _pass3_m(
@@ -210,8 +209,6 @@ def _pass3_m(
                     range_of, writer, clock, leases,
                 )
             retained = mine if comm.rank >= half_ranks else None
-            if trace is not None:
-                trace.rounds.append(m_final_round_work(fmt.record_size, portion, p))
 
         # Window s: bottom(col s−1) + +∞ padding — already sorted; final
         # ranks [(s−1)·M + q·M/P, …) for the bottom-half ranks.
@@ -230,9 +227,12 @@ def _pass3_m(
 #: The 3-pass program, declaratively (see
 #: :class:`~repro.oocs.base.PassSpec`).
 PASSES = [
-    PassSpec("pass1:steps1-2", "eleven", _pass1_m, "input", "t1"),
-    PassSpec("pass2:steps3-4", "eleven", _pass2_m, "t1", "t2"),
-    PassSpec("pass3:steps5-8", "twenty", _pass3_m, "t2", "output"),
+    PassSpec("pass1:steps1-2", eleven_stage_pipeline, m_balanced_round_work,
+             _pass1_m, "input", "t1"),
+    PassSpec("pass2:steps3-4", eleven_stage_pipeline, m_scattered_round_work,
+             _pass2_m, "t1", "t2"),
+    PassSpec("pass3:steps5-8", twenty_stage_pipeline, m_final_round_work,
+             _pass3_m, "t2", "output"),
 ]
 
 #: What :func:`~repro.oocs.base.run_pass_program` runs: columns striped

@@ -43,7 +43,12 @@ from repro.oocs.base import (
     pass_step4_deal,
 )
 from repro.pipeline import COMM, COMPUTE
-from repro.simulate.traces import subblock_round_work
+from repro.simulate.trace import five_stage_pipeline, seven_stage_pipeline
+from repro.simulate.traces import (
+    deal_round_work,
+    final_round_work,
+    subblock_round_work,
+)
 
 
 def derive_shape(job: OocJob) -> tuple[int, int]:
@@ -144,17 +149,19 @@ def pass_subblock(
                         )
                     )
             writer.put(*writes, release=leases.hand_off(*recv))
-            if trace is not None:
-                trace.rounds.append(subblock_round_work(fmt.record_size, r, s, p))
 
 
 #: The 4-pass program, declaratively (see
 #: :class:`~repro.oocs.base.PassSpec`).
 PASSES = [
-    PassSpec("pass1:steps1-2", "five", pass_step2_deal, "input", "t1"),
-    PassSpec("pass2:steps3+3.1(subblock)", "five", pass_subblock, "t1", "t2"),
-    PassSpec("pass3:steps3.2+4", "five", pass_step4_deal, "t2", "t3"),
-    PassSpec("pass4:steps5-8", "seven", pass_final_windows, "t3", "output"),
+    PassSpec("pass1:steps1-2", five_stage_pipeline, deal_round_work,
+             pass_step2_deal, "input", "t1"),
+    PassSpec("pass2:steps3+3.1(subblock)", five_stage_pipeline,
+             subblock_round_work, pass_subblock, "t1", "t2"),
+    PassSpec("pass3:steps3.2+4", five_stage_pipeline, deal_round_work,
+             pass_step4_deal, "t2", "t3"),
+    PassSpec("pass4:steps5-8", seven_stage_pipeline, final_round_work,
+             pass_final_windows, "t3", "output"),
 ]
 
 #: What :func:`~repro.oocs.base.run_pass_program` runs. Compared to

@@ -19,6 +19,8 @@ from repro.oocs.base import (
     pass_step2_deal,
     pass_step4_deal,
 )
+from repro.simulate.trace import five_stage_pipeline, seven_stage_pipeline
+from repro.simulate.traces import deal_round_work, final_round_work
 
 
 def derive_shape(job: OocJob) -> tuple[int, int]:
@@ -32,9 +34,12 @@ def derive_shape(job: OocJob) -> tuple[int, int]:
 #: The 3-pass program, declaratively (see
 #: :class:`~repro.oocs.base.PassSpec`).
 PASSES = [
-    PassSpec("pass1:steps1-2", "five", pass_step2_deal, "input", "t1"),
-    PassSpec("pass2:steps3-4", "five", pass_step4_deal, "t1", "t2"),
-    PassSpec("pass3:steps5-8", "seven", pass_final_windows, "t2", "output"),
+    PassSpec("pass1:steps1-2", five_stage_pipeline, deal_round_work,
+             pass_step2_deal, "input", "t1"),
+    PassSpec("pass2:steps3-4", five_stage_pipeline, deal_round_work,
+             pass_step4_deal, "t1", "t2"),
+    PassSpec("pass3:steps5-8", seven_stage_pipeline, final_round_work,
+             pass_final_windows, "t2", "output"),
 ]
 
 #: What :func:`~repro.oocs.base.run_pass_program` runs: whole columns,

@@ -156,14 +156,6 @@ class RecordFormat:
         copy_stats().record_copy(out.nbytes)
         return out
 
-    def from_buffer(self, data: bytes | bytearray | memoryview) -> np.ndarray:
-        """Deserialize records as a read-only *view* of ``data`` — no
-        copy. The caller must not need to outlive or mutate the backing
-        buffer; use :meth:`from_bytes` for an owned array."""
-        out = np.frombuffer(data, dtype=self._dtype)
-        copy_stats().record_zero_copy(out.nbytes)
-        return out
-
     def wire_view(self, records: np.ndarray) -> memoryview | bytes:
         """The on-disk byte representation of ``records`` as a
         memoryview of their existing memory when possible (the zero-copy
@@ -177,13 +169,6 @@ class RecordFormat:
             copy_stats().record_zero_copy(records.nbytes)
             return records.data
         return self.to_bytes(records)
-
-    def into_buffer(self, records: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Copy ``records`` into the caller-owned array ``out`` (e.g. a
-        pool lease) and return ``out``. One metered copy; no temporary."""
-        np.copyto(out[: len(records)], records.astype(self._dtype, copy=False))
-        copy_stats().record_copy(self.nbytes(len(records)))
-        return out
 
     # -- sorting helpers ---------------------------------------------------
     #

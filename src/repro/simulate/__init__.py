@@ -6,11 +6,12 @@ those volumes into *time*, reproducing the paper's Figure 2 at full
 experimental scale (4-32 GB, P ∈ {4, 8, 16}) without moving real data:
 
 * :mod:`~repro.simulate.trace` — structural traces: per pass, per
-  round, per stage, how many bytes each pipeline stage moves. Functional
-  runs emit them; :mod:`~repro.simulate.traces` generates them
-  analytically for arbitrary problem sizes (legal because the
-  algorithms' I/O and communication patterns are oblivious to key
-  values, paper §2);
+  round, per stage, how many bytes each pipeline stage moves, and the
+  paper's pipeline shapes; :mod:`~repro.simulate.traces` — what one
+  round pushes through each shape. The pass programs pair the two and
+  derive a trace for any problem size (legal because the algorithms'
+  I/O and communication patterns are oblivious to key values, paper
+  §2); live runs add measured walls. Nothing here knows an algorithm;
 * :mod:`~repro.simulate.hardware` — hardware cost models, including the
   calibrated ``BEOWULF_2003`` preset matching the paper's testbed;
 * :mod:`~repro.simulate.des` — an event-driven simulator of the

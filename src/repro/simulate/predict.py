@@ -1,8 +1,9 @@
 """End-to-end runtime prediction.
 
 Glues the pieces together: a :class:`~repro.simulate.trace.RunTrace`
-(analytic or emitted by a functional run), a hardware model, and the
-pipeline simulator. The headline quantity is the paper's y-axis:
+(derived from a pass program, for a priced configuration or a live
+run alike), a hardware model, and the pipeline simulator. The headline
+quantity is the paper's y-axis:
 **seconds per (GB of data per processor)** — the normalization under
 which Figure 2's lines are nearly flat, because execution time is
 dominated by per-processor data volume (§5).
@@ -126,15 +127,13 @@ def predict_seconds_per_gb(
 ) -> float:
     """One-call prediction of the Figure 2 y-value for a configuration.
 
-    ``algorithm`` is ``"threaded"``, ``"subblock"``, ``"m"``,
-    ``"hybrid"``, or ``"baseline-io"`` (which also uses ``passes``).
-    ``buffer_bytes`` is the paper's buffer size (2^24 or 2^25 in §5).
+    ``algorithm`` is a key of :data:`repro.oocs.api.ALGORITHMS` or
+    ``"baseline-io"`` (which also uses ``passes``). ``buffer_bytes`` is
+    the paper's buffer size (2^24 or 2^25 in §5).
     """
-    from repro.simulate.traces import TRACE_BUILDERS, baseline_run_trace
+    from repro.oocs.api import analytic_trace
 
-    buffer_records = buffer_bytes // record_size
-    if algorithm == "baseline-io":
-        run = baseline_run_trace(n, p, buffer_records, record_size, passes=passes)
-    else:
-        run = TRACE_BUILDERS[algorithm](n, p, buffer_records, record_size)
+    run = analytic_trace(
+        algorithm, n, p, buffer_bytes // record_size, record_size, passes=passes
+    )
     return predict_run(run, hw).seconds_per_gb_per_proc

@@ -63,7 +63,8 @@ class PassTrace:
     ``wall`` holds *measured* seconds per stage category (``read_wait``
     / ``compute`` / ``comm`` / ``incore`` / ``write_wait`` — see
     :mod:`repro.pipeline.timing`) when the pass was executed by a live
-    rank program; analytic traces leave it empty.
+    rank program; the trace of a merely priced configuration leaves it
+    empty.
     """
 
     name: str
@@ -111,8 +112,8 @@ class RunTrace:
         return sum(p.total(kind) for p in self.passes)
 
     def measured_wall(self) -> dict[str, float]:
-        """Measured per-stage wall seconds summed over passes (empty for
-        analytic traces — only live runs populate ``PassTrace.wall``)."""
+        """Measured per-stage wall seconds summed over passes (empty
+        unless a live run populated ``PassTrace.wall``)."""
         total: dict[str, float] = {}
         for pass_trace in self.passes:
             for category, seconds in pass_trace.wall.items():

@@ -147,6 +147,46 @@ def test_one_column_store_and_one_shape_function():
     assert hits == []
 
 
+def test_one_statement_of_each_pass_program():
+    """The pass list that runs is the pass list Figure 2 is priced from:
+    no second builder of run traces, no shape-name table and no pass
+    body restating its per-round work survive under ``src/``;
+    ``repro.simulate`` knows no algorithm (it imports neither
+    ``repro.oocs`` nor ``repro.columnsort`` at module level); and every
+    ``PassSpec`` pairs a stage constructor with a work builder naming
+    exactly its stages — the check a future pass cannot dodge."""
+    import ast
+
+    from repro.oocs.api import ALGORITHMS
+    from repro.oocs.baseline_io import baseline_program
+
+    src = Path(__file__).parent.parent / "src"
+    gone = {"_run_trace(": src, "TRACE_BUILDERS": src, "new_pass_trace": src,
+            "rounds.append": src / "repro" / "oocs"}
+    hits = [
+        f"{path.relative_to(src)}: {name}"
+        for name, root in gone.items()
+        for path in sorted(root.rglob("*.py"))
+        if name in path.read_text()
+    ]
+    assert hits == []
+    for path in sorted((src / "repro" / "simulate").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else [
+                    alias.name for alias in node.names
+                ]
+                assert not any(
+                    m.startswith(("repro.oocs", "repro.columnsort")) for m in modules
+                ), f"{path.name} imports {modules}"
+    r, s, p, g = 2**12, 16, 4, 2
+    for program in (*ALGORITHMS.values(), baseline_program(3)):
+        for spec in program.passes:
+            assert set(spec.work(64, r, s, p, g).work) == {
+                st.name for st in spec.stages()
+            }, f"{program.name}: {spec.name}"
+
+
 class TestErrorHierarchy:
     def test_everything_is_repro_error(self):
         for exc in (

@@ -59,6 +59,43 @@ class TestFigure2:
                 assert 250 < y < 600
 
 
+    def test_values_pinned(self, series):
+        """Every plotted point to 6 decimals, as the tree priced them
+        before the traces were derived from the pass lists (PR 23) — a
+        change to a pass list, a work builder or the hardware model that
+        moves a number has to move it here too."""
+        assert {
+            s.label: [(gb, round(y, 6)) for gb, y in s.points] for s in series
+        } == {
+            "Threaded columnsort, buffer size = 2^24": [(4, 320.14655)],
+            "Threaded columnsort, buffer size = 2^25": [
+                (4, 306.509192), (8, 306.860617), (16, 306.961365),
+            ],
+            "Subblock columnsort, buffer size = 2^24": [
+                (4, 426.463443), (16, 425.650344),
+            ],
+            "Subblock columnsort, buffer size = 2^25": [
+                (8, 408.82551), (32, 409.015392),
+            ],
+            "M-columnsort, buffer size = 2^24": [
+                (4, 325.753821), (8, 332.204802), (16, 347.504244),
+                (32, 352.946271),
+            ],
+            "M-columnsort, buffer size = 2^25": [
+                (4, 334.051601), (8, 344.65639), (16, 366.040542),
+                (32, 368.947868),
+            ],
+            "Baseline I/O time, 4 passes": [
+                (4, 407.859572), (8, 407.859572), (16, 407.859572),
+                (32, 407.859572),
+            ],
+            "Baseline I/O time, 3 passes": [
+                (4, 305.894679), (8, 305.894679), (16, 305.894679),
+                (32, 305.894679),
+            ],
+        }
+
+
 class TestTables:
     def test_bounds_rows(self):
         rows = bounds_table()

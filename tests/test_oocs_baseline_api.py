@@ -41,6 +41,18 @@ class TestBaselineIo:
         with pytest.raises(ConfigError):
             run_baseline_io(recs, cluster, FMT, buffer_records=128, passes=0)
 
+    def test_no_height_restriction(self):
+        """§5 runs "just the I/O portions": the baseline must accept the
+        geometries subblock exists for (here r=256 < 2s²=512) and still
+        refuse a layout with fewer columns than processors."""
+        cluster = ClusterConfig(p=2, mem_per_proc=2**10)
+        recs = generate("uniform", FMT, 4096, seed=3)
+        sort_out_of_core("subblock", recs, cluster, FMT, buffer_records=256)
+        res = run_baseline_io(recs, cluster, FMT, buffer_records=256, passes=4)
+        assert res.io["bytes_read"] == res.io["bytes_written"] == 4 * 4096 * 64
+        with pytest.raises(ConfigError):
+            run_baseline_io(recs[:256], cluster, FMT, buffer_records=256, passes=4)
+
     def test_trace_shape(self):
         cluster = ClusterConfig(p=2, mem_per_proc=2**10)
         recs = generate("uniform", FMT, 128 * 4, seed=2)

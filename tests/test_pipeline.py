@@ -19,7 +19,6 @@ import pytest
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.spmd import run_spmd
-from repro.cluster.stats import measured_wall
 from repro.disks.iostats import IoStats
 from repro.disks.matrixfile import ColumnStore
 from repro.disks.virtual_disk import make_disk_array
@@ -38,6 +37,7 @@ from repro.pipeline import (
 )
 from repro.records.format import RecordFormat
 from repro.records.generators import generate
+from repro.simulate.trace import PassTrace, RunTrace
 
 FMT = RecordFormat("u8", 16)
 
@@ -394,13 +394,11 @@ class TestStageClock:
         assert wall[COMPUTE] == pytest.approx(2.5)
 
     def test_measured_wall_aggregates_passes(self):
-        class FakePass:
-            def __init__(self, wall):
-                self.wall = wall
-
-        total = measured_wall([FakePass({"compute": 1.0, "comm": 2.0}),
-                               FakePass({"compute": 0.5})])
-        assert total == {"compute": 1.5, "comm": 2.0}
+        run = RunTrace("t", 0, 64, 1, 0, passes=[
+            PassTrace("a", [], wall={"compute": 1.0, "comm": 2.0}),
+            PassTrace("b", [], wall={"compute": 0.5}),
+        ])
+        assert run.measured_wall() == {"compute": 1.5, "comm": 2.0}
 
 
 # -- depth equivalence -------------------------------------------------------

@@ -2,18 +2,13 @@
 
 import pytest
 
+from repro.oocs.api import analytic_trace
 from repro.simulate.hardware import BEOWULF_2003, MODERN_NVME
 from repro.simulate.predict import (
     buffers_per_round,
     max_inflight_for,
     predict_run,
     predict_seconds_per_gb,
-)
-from repro.simulate.traces import (
-    baseline_run_trace,
-    m_run_trace,
-    subblock_run_trace,
-    threaded_run_trace,
 )
 
 GB = 2**30
@@ -82,7 +77,7 @@ class TestCalibration:
 
 class TestMechanics:
     def test_predict_run_totals_passes(self):
-        run = threaded_run_trace(n_for(4), 4, 2**25 // REC, REC)
+        run = analytic_trace("threaded", n_for(4), 4, 2**25 // REC, REC)
         timing = predict_run(run, BEOWULF_2003)
         assert timing.total_seconds == pytest.approx(
             sum(p.makespan for p in timing.per_pass)
@@ -91,29 +86,29 @@ class TestMechanics:
         assert timing.gb_per_proc == pytest.approx(1.0)
 
     def test_seconds_per_gb_normalization(self):
-        run = threaded_run_trace(n_for(8), 8, 2**25 // REC, REC)
+        run = analytic_trace("threaded", n_for(8), 8, 2**25 // REC, REC)
         timing = predict_run(run, BEOWULF_2003)
         assert timing.seconds_per_gb_per_proc == pytest.approx(
             timing.total_seconds / 1.0
         )
 
     def test_buffers_per_round_shapes(self):
-        thr = threaded_run_trace(n_for(4), 4, 2**25 // REC, REC)
-        m = m_run_trace(n_for(4), 4, 2**19, REC)
+        thr = analytic_trace("threaded", n_for(4), 4, 2**25 // REC, REC)
+        m = analytic_trace("m", n_for(4), 4, 2**19, REC)
         # 5-stage: 4 threads; 11-stage: 4 threads + in-core surcharge.
         assert buffers_per_round(thr.passes[0]) == 4
         assert buffers_per_round(m.passes[0]) == 5
         assert buffers_per_round(m.passes[2]) == 8  # 7 threads + 1
 
     def test_max_inflight_floors_at_one(self):
-        sub = subblock_run_trace(n_for(4) * 4, 16, 2**24 // REC, REC)
+        sub = analytic_trace("subblock", n_for(4) * 4, 16, 2**24 // REC, REC)
         tiny_ram = BEOWULF_2003.__class__(
             **{**BEOWULF_2003.__dict__, "ram_bytes": 2**20}
         )
         assert max_inflight_for(sub.passes[0], tiny_ram, 2**24) == 1
 
     def test_io_bound_passes_report_io_bottleneck(self):
-        run = baseline_run_trace(n_for(4), 4, 2**25 // REC, REC, passes=3)
+        run = analytic_trace("baseline-io", n_for(4), 4, 2**25 // REC, REC, passes=3)
         timing = predict_run(run, BEOWULF_2003)
         for pt in timing.per_pass:
             assert pt.bottleneck_thread == "io"
