@@ -243,7 +243,7 @@ def scenario_sidecar(scratch: Path, quick: bool):
         barriers = [(len(rec.ops), [("obj.b", 0, 700, b"C" * 700)])]
         put("obj.a", 0, b"D" * 1024)  # overwrite under the old sidecar
         put("obj.c", 0, b"E" * 600)  # no sidecar at all until the flush
-        disk.checksums.flush()
+        disk.flush()
         disk.sync()
         barriers.append(
             (

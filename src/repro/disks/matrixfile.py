@@ -133,6 +133,12 @@ class ColumnStore(_StoreBase):
         self.portion = r // g
         self._cursors: dict[tuple[int, int], int] = {}
         self._cursor_lock = threading.Lock()
+        # (rank, column) -> (disk, file name) of every portion: fixed by
+        # r, s, g and the name, so resolved here and not per access.
+        self._where = {
+            (rank, j): (self._disk_for(j, rank), self._file(j, rank % g))
+            for j, rank, _rows in self._portions()
+        }
 
     # -- placement ------------------------------------------------------
 
@@ -144,18 +150,19 @@ class ColumnStore(_StoreBase):
             raise ConfigError(f"member {member} out of range for g={self.g}")
         return (j % self.groups) * self.g + member
 
-    def _check_access(self, rank: int, j: int) -> int:
-        """Validate and return the rank's member index for column ``j``."""
+    def _check_access(self, rank: int, j: int) -> tuple[VirtualDisk, str]:
+        """Refuse a rank outside column ``j``'s owning group; return the
+        ``(disk, file name)`` of the rank's portion."""
         self.cfg.check_rank(rank)
         if not 0 <= j < self.s:
             raise ConfigError(f"column {j} out of range for s={self.s}")
-        group, member = divmod(rank, self.g)
+        group = rank // self.g
         if group != j % self.groups:
             raise DiskError(
                 f"rank {rank} (group {group}) cannot access column {j} "
                 f"(owned by group {j % self.groups})"
             )
-        return member
+        return self._where[rank, j]
 
     def _file(self, j: int, member: int) -> str:
         return f"{self.name}.col{j:06d}.part{member:03d}"
@@ -169,22 +176,17 @@ class ColumnStore(_StoreBase):
     def read_portion(self, rank: int, j: int, reuse: bool = False) -> np.ndarray:
         """Read rank's portion of column ``j``. ``reuse=True`` returns a
         tracked pool lease the caller must recycle."""
-        member = self._check_access(rank, j)
-        return self._read_records(
-            self._disk_for(j, rank), self._file(j, member), 0, self.portion,
-            reuse=reuse,
-        )
+        disk, file = self._check_access(rank, j)
+        return self._read_records(disk, file, 0, self.portion, reuse=reuse)
 
     def write_portion(self, rank: int, j: int, records: np.ndarray) -> None:
         """Write rank's full portion (``r/g`` records) of column ``j``."""
-        member = self._check_access(rank, j)
+        disk, file = self._check_access(rank, j)
         if len(records) != self.portion:
             raise ConfigError(
                 f"portion must hold r/g={self.portion} records, got {len(records)}"
             )
-        self._disk_for(j, rank).write_at(
-            self._file(j, member), 0, self.fmt.wire_view(records)
-        )
+        disk.write_at(file, 0, self.fmt.wire_view(records))
 
     def append_to_portion(self, rank: int, j: int, records: np.ndarray) -> None:
         """Append ``records`` to the rank's portion of column ``j`` at its
@@ -193,7 +195,7 @@ class ColumnStore(_StoreBase):
         under a lock, so concurrent appenders (the rank thread plus a
         write-behind flusher) land in disjoint rows, and a refused
         append reserves nothing."""
-        member = self._check_access(rank, j)
+        disk, file = self._check_access(rank, j)
         key = (j, rank)
         with self._cursor_lock:
             cursor = self._cursors.get(key, 0)
@@ -203,11 +205,7 @@ class ColumnStore(_StoreBase):
                     f"column {j} (cursor {cursor}, portion {self.portion})"
                 )
             self._cursors[key] = cursor + len(records)
-        self._disk_for(j, rank).write_at(
-            self._file(j, member),
-            self.fmt.nbytes(cursor),
-            self.fmt.wire_view(records),
-        )
+        disk.write_at(file, self.fmt.nbytes(cursor), self.fmt.wire_view(records))
 
     def reset_cursors(self) -> None:
         """Clear append cursors (before re-running a pass that appends)."""
@@ -260,8 +258,8 @@ class ColumnStore(_StoreBase):
 
     def delete(self) -> None:
         """Remove all portion files (frees simulated disk space)."""
-        for j, rank, _rows in self._portions():
-            self._disk_for(j, rank).delete(self._file(j, rank % self.g))
+        for disk, file in self._where.values():
+            disk.delete(file)
 
 
 class PdmStore(_StoreBase):

@@ -23,13 +23,22 @@ mismatch. Durability
 a ``parity_layer`` then serves its reads by online reconstruction into
 a ``.spare/`` region, reroutes its writes there, and repairs corrupt
 blocks in place — degraded-mode execution instead of an abort.
+
+Descriptors: ``write_at`` opens an object's file on its first write and
+keeps the descriptor until :meth:`VirtualDisk.flush` — the pass
+boundary — closes it, the way the paper's files stay open for a pass.
+Writes go straight through ``pwrite`` (no user-space buffer), so what a
+crash leaves on disk does not depend on which descriptors were open.
 """
 
 from __future__ import annotations
 
+import errno
 import os
+import resource
 import threading
 import time
+from collections import OrderedDict
 from pathlib import Path
 
 from repro.disks.iostats import IoStats
@@ -46,6 +55,15 @@ def _pwrite_all(fd: int, data, offset: int) -> None:
         done = os.pwrite(fd, view, offset)
         view = view[done:]
         offset += done
+
+
+def _fd_budget() -> int:
+    """Descriptors one disk array may keep open between pass boundaries:
+    a quarter of the soft ``RLIMIT_NOFILE`` (two arrays may be live in
+    one process — the service daemon's workers — beside sockets, shared
+    memory and the interpreter's own files)."""
+    soft, _hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    return 4096 if soft == resource.RLIM_INFINITY else max(1, soft // 4)
 
 
 class VirtualDisk:
@@ -104,7 +122,18 @@ class VirtualDisk:
         # layer's ensure_spare calls back into reserve_spare.
         self._lock = threading.RLock()
         self._spare_sizes: dict[str, int] = {}
+        # Kept write descriptors, name -> fd, least recently used first,
+        # at most handle_budget (make_disk_array shares one budget out).
+        self._handles: OrderedDict[str, int] = OrderedDict()
+        self.handle_budget = _fd_budget()
         self.refresh()
+
+    def __del__(self) -> None:
+        # Raw descriptors are not closed by garbage collection.
+        try:
+            self.close_handles()
+        except Exception:  # interpreter shutdown
+            pass
 
     def refresh(self) -> None:
         """Take this disk's state from its directory: object sizes from
@@ -116,6 +145,7 @@ class VirtualDisk:
         disks once the forked ranks — which held the only up-to-date
         copies — have exited."""
         with self._lock:
+            self.close_handles()
             self._sizes = {
                 path.name: path.stat().st_size
                 for path in self.root.iterdir()
@@ -135,6 +165,41 @@ class VirtualDisk:
         if "/" in name or name.startswith("."):
             raise DiskError(f"invalid object name {name!r}")
         return self.root / name
+
+    def _handle(self, name: str) -> int:
+        """The kept write descriptor of ``name``, opened (the file
+        created, the name validated) on its first use since the last
+        :meth:`flush`. Caller holds the lock."""
+        fd = self._handles.get(name)
+        if fd is not None:
+            self._handles.move_to_end(name)
+            return fd
+        while len(self._handles) >= self.handle_budget:
+            os.close(self._handles.popitem(last=False)[1])
+        path = self._path(name)
+        for last_try in (False, True):
+            try:
+                fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o666)
+                break
+            except OSError as exc:
+                # Out of descriptors process-wide: give ours back, retry.
+                if last_try or exc.errno not in (errno.EMFILE, errno.ENFILE):
+                    raise
+                self.close_handles()
+        self._handles[name] = fd
+        return fd
+
+    def close_handles(self) -> None:
+        """Close every kept descriptor (the next write reopens its own)."""
+        with self._lock:
+            while self._handles:
+                os.close(self._handles.popitem()[1])
+
+    def flush(self) -> None:
+        """The pass boundary: close the kept descriptors and persist
+        the block-checksum sidecars of everything written so far."""
+        self.close_handles()
+        self.checksums.flush()
 
     def _consume_fault(self, op: str) -> None:
         plan = self.fault_plan
@@ -299,7 +364,6 @@ class VirtualDisk:
             raise DiskError(f"disk {self.disk_id} is read-only")
         if offset < 0:
             raise DiskError(f"negative write offset {offset}")
-        path = self._path(name)
         # memoryview(data).nbytes, not len(data): len() of a structured-
         # array view counts records, not bytes.
         nbytes = memoryview(data).nbytes
@@ -324,24 +388,31 @@ class VirtualDisk:
                     # (reserve_spare), so a reconstruction near the
                     # limit raises DiskFullError instead of silently
                     # exceeding it.
+                    self._path(name)  # validates the name
+                    self.close_handles()
                     target = layer.ensure_spare(self, name, old_size)
                     self.reserve_spare(name, new_size)
                     self.quarantine.record_spare_write()
-                else:
-                    target = path
                 if layer is not None:
                     # Parity folds stale overlapped extents out (it reads
                     # their pre-write bytes), so this must precede the
                     # file write.
                     layer.on_write(self, name, offset, data, spare=degraded)
-                fd = os.open(target, os.O_RDWR | os.O_CREAT, 0o666)
+                # The spare region keeps open/close per write: a dead
+                # disk's handful of rerouted writes is not a hot path.
+                fd = (
+                    os.open(target, os.O_RDWR | os.O_CREAT, 0o666)
+                    if degraded
+                    else self._handle(name)
+                )
                 try:
                     if offset > old_size:
                         # Explicitly zero-fill the gap so reads are defined.
                         _pwrite_all(fd, bytes(offset - old_size), old_size)
                     _pwrite_all(fd, data, offset)
                 finally:
-                    os.close(fd)
+                    if degraded:
+                        os.close(fd)
                 self._sizes[name] = new_size
                 self._used += new_size - old_size
                 self.stats.record_hashed(self.checksums.record(name, offset, data))
@@ -413,6 +484,11 @@ class VirtualDisk:
             raise DiskError(f"disk {self.disk_id} is read-only")
         path = self._path(name)
         with self._lock:
+            fd = self._handles.pop(name, None)
+            if fd is not None:
+                # A later write must recreate the file, not land in the
+                # unlinked inode.
+                os.close(fd)
             self._used -= self._sizes.pop(name, 0) + self._spare_sizes.pop(name, 0)
             layer = self.parity_layer
             if layer is not None:
@@ -490,7 +566,11 @@ def make_disk_array(
 ) -> list[VirtualDisk]:
     """Create ``count`` disks under ``root`` (one subdirectory each)."""
     root = Path(root)
-    return [
+    disks = [
         VirtualDisk(root / f"disk{d:03d}", disk_id=d, capacity_bytes=capacity_bytes)
         for d in range(count)
     ]
+    share = max(1, _fd_budget() // count)
+    for disk in disks:
+        disk.handle_budget = share
+    return disks

@@ -283,13 +283,19 @@ def make_workspace(
         from repro.durability import attach_durability
 
         attach_durability(disks, parity=True)
-    store = ColumnStore.from_records(
-        cluster, fmt, records, r, s, disks, name="input", group_size=group_size
-    )
+    try:
+        store = ColumnStore.from_records(
+            cluster, fmt, records, r, s, disks, name="input", group_size=group_size
+        )
+    except BaseException:
+        for disk in disks:
+            disk.close_handles()  # a load that died opened some already
+        raise
     for disk in disks:
-        # Persist the input's checksum sidecars: from here on only
-        # pass boundaries (PassMarker.mark) write sidecars.
-        disk.checksums.flush()
+        # The load is a pass of its own: close its descriptors and
+        # persist the input's checksum sidecars. From here on only pass
+        # boundaries (PassMarker.mark) do either.
+        disk.flush()
     ws = Workspace(disks=disks, input=store, workdir=Path(workdir))
     ws._tmp = tmp  # keep TemporaryDirectory alive with the workspace
     return ws
@@ -669,12 +675,13 @@ class PassMarker:
         comm.barrier_oob()
 
     def mark(self) -> None:
-        # The one place a pass's block-checksum sidecars are written:
-        # each rank persists the catalogs of the disks it owns (the only
-        # ones it wrote) before the boundary, so behind the barrier every
-        # object of the finished pass has its sidecar on disk.
+        # The one place a pass's descriptors are closed and its
+        # block-checksum sidecars written: each rank flushes the disks
+        # it owns (the only ones it wrote) before the boundary, so
+        # behind the barrier every object of the finished pass has its
+        # sidecar on disk.
         for disk in self.disks[self.comm.rank :: self.comm.size]:
-            disk.checksums.flush()
+            disk.flush()
         self.comm.barrier()
         self.comm_marks.append(self.comm.stats.snapshot())
         if self.comm.rank == 0 or self._local_io:
@@ -1094,6 +1101,9 @@ def run_pass_program(
         raise
     finally:
         attach_governor(disks, None)
+        for disk in disks:
+            # A pass that died mid-way never reached its boundary.
+            disk.close_handles()
     io_after = IoStats.combine([d.stats for d in disks])
 
     rank0 = res.returns[0]

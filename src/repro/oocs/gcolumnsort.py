@@ -51,7 +51,7 @@ from repro.oocs.base import (
     portion_reads,
     route_to_pdm,
 )
-from repro.oocs.incore.columnsort_dist import distributed_columnsort
+from repro.oocs.incore.columnsort_dist import ColumnsortPlan
 from repro.pipeline import COMM, COMPUTE, INCORE, PipelinePlan
 from repro.records.format import RecordFormat
 from repro.simulate.trace import (
@@ -151,7 +151,7 @@ def _deal_pass_g(
     portion = src.portion
     chunk = r // s
     sub = max(1, chunk // g)
-    gcomm = _group_comm(comm, g)
+    incore = ColumnsortPlan(_group_comm(comm, g), portion)
 
     def route(member: int) -> tuple[np.ndarray, np.ndarray]:
         """(destination rank, target column) of the sorted ranks group
@@ -188,7 +188,7 @@ def _deal_pass_g(
         for _ in range(s // groups):
             local = leases.hold(reader.get())
             with clock.stage(INCORE):
-                mine = distributed_columnsort(gcomm, local, fmt)
+                mine = incore.sort(local, fmt)
                 leases.recycle(local)  # the unsorted portion is dead
             with clock.stage(COMPUTE):
                 payload = mine[order]
@@ -240,7 +240,7 @@ def _final_pass_g(
     rounds = s // groups
     next_rank = ((gid + 1) % groups) * g + member
     prev_rank = ((gid - 1) % groups) * g + member
-    gcomm = _group_comm(comm, g)
+    incore = ColumnsortPlan(_group_comm(comm, g), portion)  # steps 5 and 7 alike
 
     def window_piece(w: int, sm: int) -> tuple[int, int] | None:
         """Global (start, length) of member ``sm``'s slice of sorted
@@ -279,7 +279,7 @@ def _final_pass_g(
 
     def window_sort(contribution: np.ndarray) -> np.ndarray:
         with clock.stage(INCORE):
-            return distributed_columnsort(gcomm, contribution, fmt)  # step 7
+            return incore.sort(contribution, fmt)  # step 7
 
     with pass_pipeline(portion_reads(src, comm.rank), plan, trace) as (
         reader, writer, clock, leases,
@@ -288,7 +288,7 @@ def _final_pass_g(
             c = t * groups + gid
             local = leases.hold(reader.get())
             with clock.stage(INCORE):
-                mine = distributed_columnsort(gcomm, local, fmt)  # step 5
+                mine = incore.sort(local, fmt)  # step 5
                 leases.recycle(local)
             if g == 1:
                 with clock.stage(COMM):

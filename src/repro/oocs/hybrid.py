@@ -36,7 +36,7 @@ from repro.oocs.base import (
     pass_pipeline,
     portion_reads,
 )
-from repro.oocs.incore.columnsort_dist import distributed_columnsort
+from repro.oocs.incore.columnsort_dist import ColumnsortPlan
 from repro.oocs.mcolumnsort import _pass1_m, _pass2_m, _pass3_m
 from repro.pipeline import COMPUTE, INCORE, PipelinePlan
 from repro.records.format import RecordFormat
@@ -76,13 +76,14 @@ def _pass_subblock_m(
     t = sqrt_pow4(s)
     portion = src.portion
     share = portion // t
+    incore = ColumnsortPlan(comm, portion)
     with pass_pipeline(portion_reads(src, comm.rank), plan, trace) as (
         reader, writer, clock, leases,
     ):
         for c in range(s):
             local = leases.hold(reader.get())
             with clock.stage(INCORE):
-                mine = distributed_columnsort(comm, local, fmt)  # step 3
+                mine = incore.sort(local, fmt)  # step 3
                 leases.recycle(local)
             with clock.stage(COMPUTE):
                 # Row class x = sorted rank mod √s (√s | portion, so it is

@@ -29,7 +29,7 @@ from repro.oocs.incore.common import (
     redistribute,
     validate_equal_lengths,
 )
-from repro.oocs.incore.columnsort_dist import distributed_columnsort
+from repro.oocs.incore.columnsort_dist import ColumnsortPlan, distributed_columnsort
 from repro.oocs.incore.bitonic import distributed_bitonic_sort
 from repro.oocs.incore.radix import distributed_radix_sort
 from repro.oocs.incore.sample import distributed_sample_sort
@@ -38,6 +38,7 @@ __all__ = [
     "balanced_ranges",
     "redistribute",
     "validate_equal_lengths",
+    "ColumnsortPlan",
     "distributed_columnsort",
     "distributed_bitonic_sort",
     "distributed_radix_sort",

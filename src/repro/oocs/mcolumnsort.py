@@ -39,7 +39,7 @@ from repro.oocs.base import (
     portion_reads,
     route_to_pdm,
 )
-from repro.oocs.incore.columnsort_dist import distributed_columnsort
+from repro.oocs.incore.columnsort_dist import ColumnsortPlan
 from repro.oocs.incore.common import Ranges
 from repro.pipeline import COMPUTE, INCORE, PipelinePlan
 from repro.records.format import RecordFormat
@@ -88,13 +88,14 @@ def _pass1_m(
     s = src.s
     portion = src.portion
     share = portion // s
+    incore = ColumnsortPlan(comm, portion)
     with pass_pipeline(portion_reads(src, comm.rank), plan, trace) as (
         reader, writer, clock, leases,
     ):
         for c in range(s):
             local = leases.hold(reader.get())
             with clock.stage(INCORE):
-                mine = distributed_columnsort(comm, local, fmt)
+                mine = incore.sort(local, fmt)
                 leases.recycle(local)  # the unsorted portion is dead
             with clock.stage(COMPUTE):
                 # This rank's sorted ranks start at a multiple of s (s |
@@ -132,13 +133,14 @@ def _pass2_m(
         [(m * chunk + q * piece, m * chunk + (q + 1) * piece) for m in range(s)]
         for q in range(p)
     ]
+    incore = ColumnsortPlan(comm, src.portion, ranges)
     with pass_pipeline(portion_reads(src, comm.rank), plan, trace) as (
         reader, writer, clock, leases,
     ):
         for c in range(s):
             local = leases.hold(reader.get())
             with clock.stage(INCORE):
-                mine = distributed_columnsort(comm, local, fmt, target_ranges=ranges)
+                mine = incore.sort(local, fmt)
                 leases.recycle(local)
             writer.put(
                 *[
@@ -176,13 +178,14 @@ def _pass3_m(
     portion = src.portion
     half_ranks = p // 2
     retained: np.ndarray | None = None
+    incore = ColumnsortPlan(comm, portion)  # steps 5 and 7 alike
     with pass_pipeline(portion_reads(src, comm.rank), plan, trace) as (
         reader, writer, clock, leases,
     ):
         for c in range(s):
             local = leases.hold(reader.get())
             with clock.stage(INCORE):
-                mine = distributed_columnsort(comm, local, fmt)  # step 5
+                mine = incore.sort(local, fmt)  # step 5
                 leases.recycle(local)
             if c == 0:
                 # Window 0: −∞ padding + top(col 0) → its kept half is just
@@ -198,7 +201,7 @@ def _pass3_m(
             else:
                 contribution = mine if comm.rank < half_ranks else retained
                 with clock.stage(INCORE):
-                    wsorted = distributed_columnsort(comm, contribution, fmt)  # step 7
+                    wsorted = incore.sort(contribution, fmt)  # step 7
                 base = c * r - r // 2
 
                 def range_of(q: int, base=base) -> tuple[int, int]:

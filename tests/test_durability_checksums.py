@@ -223,7 +223,7 @@ class TestDiskIntegration:
         disk.write_at("mine", 0, b"abcd")
         other = VirtualDisk(disk.root, disk_id=0)  # stands in for a forked rank
         other.write_at("theirs", 0, b"efghij")
-        other.checksums.flush()
+        other.flush()
         assert disk.size("theirs") == 0 and disk.checksums.extents("theirs") == []
         disk.refresh()
         assert disk.files() == ["mine", "theirs"]
@@ -236,7 +236,7 @@ class TestDiskIntegration:
 
     def test_delete_drops_checksums(self, disk):
         disk.write_at("obj", 0, b"abcd")
-        disk.checksums.flush()
+        disk.flush()
         assert (disk.root / ".meta" / "obj.json").exists()
         disk.delete("obj")
         assert disk.checksums.extents("obj") == []

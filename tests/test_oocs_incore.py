@@ -7,7 +7,7 @@ import pytest
 from repro.cluster.spmd import run_spmd
 from repro.errors import ConfigError, DimensionError, SpmdError
 from repro.oocs.incore.bitonic import bitonic_exchange_count, distributed_bitonic_sort
-from repro.oocs.incore.columnsort_dist import distributed_columnsort
+from repro.oocs.incore.columnsort_dist import ColumnsortPlan, distributed_columnsort
 from repro.oocs.incore.common import balanced_ranges, validate_ranges
 from repro.oocs.incore.radix import distributed_radix_sort, sortable_uint_keys
 from repro.oocs.incore.sample import distributed_sample_sort
@@ -84,12 +84,6 @@ class TestTargetRanges:
         p, n_local = 4, 64
         recs = generate("uniform", FMT, p * n_local, seed=5)
         expected = FMT.sort(recs)
-        chunk = 64
-        ranges = [
-            [(m * chunk * p // p + q * 16, m * chunk + (q + 1) * 16)
-             for m in range(0)]  # replaced below
-            for q in range(p)
-        ]
         # Interleaved 16-record pieces: rank q gets piece q of each 64-chunk.
         ranges = [
             [(m * 64 + q * 16, m * 64 + (q + 1) * 16) for m in range(4)]
@@ -131,6 +125,141 @@ class TestTargetRanges:
         assert balanced_ranges(12, 3) == [[(0, 4)], [(4, 8)], [(8, 12)]]
         with pytest.raises(ConfigError):
             balanced_ranges(10, 3)
+
+
+def m_pass2_ranges(p, rr, s):
+    """M-columnsort's pass-2 delivery: rank q gets the q-th 1/P slice of
+    each of the s chunks of the sorted column."""
+    chunk = p * rr // s
+    piece = chunk // p
+    return [
+        [(m * chunk + q * piece, m * chunk + (q + 1) * piece) for m in range(s)]
+        for q in range(p)
+    ]
+
+
+#: name -> (P, group size, r', target_ranges or None for balanced)
+PLAN_CASES = {
+    "balanced": (4, 4, 64, None),
+    "m-pass2-scattered": (4, 4, 64, m_pass2_ranges(4, 64, 8)),
+    "empty-share": (2, 2, 32, [[(0, 64)], []]),
+    "unordered-slices": (2, 2, 32, [[(40, 64), (0, 8)], [(8, 40)]]),
+    "single-rank": (1, 1, 64, [[(0, 16), (16, 64)]]),
+    "subcomm-g2-on-p4": (4, 2, 32, m_pass2_ranges(2, 32, 4)),
+}
+
+
+class TestColumnsortPlan:
+    ROUNDS = 3
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("case", sorted(PLAN_CASES))
+    def test_reused_plan_matches_one_shot_and_reference(self, case, backend):
+        """One plan over three rounds returns what three one-shot calls
+        return — the ``fmt.sort`` slices of ``target_ranges`` — and a
+        round costs three alltoallv and at most one send per rank."""
+        p, g, rr, ranges = PLAN_CASES[case]
+        rounds = [
+            generate("zipf", FMT, p * rr, seed=40 + t) for t in range(self.ROUNDS)
+        ]
+
+        def prog(comm):
+            gcomm = comm.split(color=comm.rank // g, key=comm.rank % g)
+            mine = slice(comm.rank * rr, (comm.rank + 1) * rr)
+            plan = ColumnsortPlan(gcomm, rr, ranges)
+            planned, ops = [], []
+            for recs in rounds:
+                before = comm.stats.snapshot()["by_op"]
+                planned.append(plan.sort(recs[mine], FMT))
+                after = comm.stats.snapshot()["by_op"]
+                ops.append({op: n - before.get(op, 0) for op, n in after.items()})
+            one_shot = [
+                distributed_columnsort(gcomm, recs[mine], FMT, target_ranges=ranges)
+                for recs in rounds
+            ]
+            return planned, one_shot, ops
+
+        res = run_spmd(p, prog, backend=backend)
+        want_ranges = ranges if ranges is not None else balanced_ranges(g * rr, g)
+        for rank, (planned, one_shot, ops) in enumerate(res.returns):
+            group, member = divmod(rank, g)
+            for t, recs in enumerate(rounds):
+                column = FMT.sort(recs[group * g * rr : (group + 1) * g * rr])
+                want = np.concatenate(
+                    [column[a:b] for a, b in sorted(want_ranges[member])]
+                    + [FMT.empty(0)]
+                )
+                # Keys against the reference (columnsort is not stable, and
+                # zipf keys repeat); bytes against the one-shot.
+                assert np.array_equal(planned[t]["key"], want["key"])
+                assert planned[t].tobytes() == one_shot[t].tobytes()
+                moved = {op: n for op, n in ops[t].items() if n}
+                assert set(moved) <= {"alltoallv", "send"}, moved
+                assert moved.get("send", 0) <= 1
+                # one message per non-empty part; never more than g per round
+                assert moved.get("alltoallv", 0) <= 3 * g
+                if g > 1:
+                    assert moved["alltoallv"] >= 2 * g
+
+    def test_round_is_three_alltoallv_rounds(self):
+        """Collective *rounds* per sort, counted at the communicator:
+        three alltoallv, no allgather, no object alltoall."""
+        p, rr = 4, 64
+        recs = generate("uniform", FMT, p * rr, seed=7)
+        calls = []
+
+        def prog(comm):
+            plan = ColumnsortPlan(comm, rr)
+            for op in ("alltoallv", "allgather", "alltoall"):
+                real = getattr(comm, op)
+                setattr(
+                    comm, op,
+                    lambda *a, _real=real, _op=op: (
+                        calls.append((comm.rank, _op)), _real(*a)
+                    )[1],
+                )
+            plan.sort(recs[comm.rank * rr : (comm.rank + 1) * rr], FMT)
+
+        run_spmd(p, prog)
+        for rank in range(p):
+            assert [op for q, op in calls if q == rank] == ["alltoallv"] * 3
+
+    def test_wrong_length_names_the_planned_height(self, hard_timeout):
+        """A rank whose ``local`` is not the planned r' fails on its own,
+        before any communication — the world aborts instead of hanging."""
+        def prog(comm):
+            plan = ColumnsortPlan(comm, 32)
+            n = 32 if comm.rank else 24
+            return plan.sort(FMT.make(np.arange(n, dtype=np.uint64)), FMT)
+
+        with hard_timeout(30, "a mis-sized round hung the world"):
+            with pytest.raises(SpmdError) as exc_info:
+                run_spmd(2, prog, timeout=5)
+        assert isinstance(exc_info.value.cause, ConfigError)
+        assert "r'=32" in str(exc_info.value.cause)
+        assert "rank 0" in str(exc_info.value.cause)
+
+    def test_construction_checks_once(self):
+        def unequal(comm):
+            ColumnsortPlan(comm, 32 + comm.rank)
+
+        with pytest.raises(SpmdError) as exc_info:
+            run_spmd(2, unequal, timeout=5)
+        assert isinstance(exc_info.value.cause, ConfigError)
+
+        def gap(comm):
+            ColumnsortPlan(comm, 32, [[(0, 30)], [(32, 64)]])
+
+        with pytest.raises(SpmdError) as exc_info:
+            run_spmd(2, gap, timeout=5)
+        assert isinstance(exc_info.value.cause, ConfigError)
+
+        def short(comm):
+            ColumnsortPlan(comm, 8)
+
+        with pytest.raises(SpmdError) as exc_info:
+            run_spmd(4, short, timeout=5)
+        assert isinstance(exc_info.value.cause, DimensionError)
 
 
 class TestColumnsortSpecifics:

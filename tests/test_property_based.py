@@ -16,7 +16,7 @@ from repro.columnsort.basic import columnsort
 from repro.columnsort.subblock import subblock_columnsort
 from repro.matrix.layout import from_columns, is_sorted_column_major, to_columns
 from repro.oocs.api import sort_out_of_core
-from repro.oocs.incore.columnsort_dist import distributed_columnsort
+from repro.oocs.incore.columnsort_dist import ColumnsortPlan, distributed_columnsort
 from repro.records.format import RecordFormat
 
 FMT = RecordFormat("u8", 16)
@@ -153,6 +153,54 @@ def test_distributed_columnsort_arbitrary_target_ranges(backend):
                 [expected[a:b] for (a, b) in ranges[q]]
             ) if ranges[q] else np.empty(0, dtype=np.uint64)
             assert np.array_equal(arr["key"], want)
+
+    prop()
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_columnsort_plan_reused_over_rounds(backend):
+    """One plan, three rounds of unrelated data, any tiling (slices
+    dealt to ranks round-robin and listed in descending order): every
+    round returns the ascending slices, and byte for byte what a fresh
+    one-shot call returns."""
+
+    @given(
+        p=st.sampled_from([1, 2, 4]),
+        splits=st.lists(st.integers(0, 127), min_size=0, max_size=9),
+        params=key_params,
+    )
+    @settings(max_examples=_spmd_examples(backend), deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def prop(p, splits, params):
+        total = 128
+        n_local = total // p
+        seed, space = params
+        rounds = [FMT.make(make_keys(total, (seed + t, space))) for t in range(3)]
+        cuts = sorted(set(splits) | {0, total})
+        ranges = [[] for _ in range(p)]
+        for idx, piece in enumerate(zip(cuts, cuts[1:])):
+            ranges[idx % p].insert(0, piece)
+
+        def prog(comm):
+            mine = slice(comm.rank * n_local, (comm.rank + 1) * n_local)
+            plan = ColumnsortPlan(comm, n_local, ranges)
+            planned = [plan.sort(recs[mine], FMT) for recs in rounds]
+            one_shot = [
+                distributed_columnsort(comm, recs[mine], FMT, target_ranges=ranges)
+                for recs in rounds
+            ]
+            return planned, one_shot
+
+        res = run_spmd(p, prog, backend=backend)
+        for q, (planned, one_shot) in enumerate(res.returns):
+            for t, recs in enumerate(rounds):
+                expected = np.sort(recs["key"])
+                want = np.concatenate(
+                    [expected[a:b] for (a, b) in sorted(ranges[q])]
+                    + [np.empty(0, dtype=np.uint64)]
+                )
+                assert np.array_equal(planned[t]["key"], want)
+                assert planned[t].tobytes() == one_shot[t].tobytes()
 
     prop()
 

@@ -567,7 +567,7 @@ class TestCallerDiskState:
         def program(comm, disks):
             disk = disks[comm.rank]
             disk.write_at("obj", 0, bytes([65 + comm.rank]) * 96)
-            disk.checksums.flush()
+            disk.flush()
             comm.barrier()
             if comm.rank == 1:
                 raise ValueError("rank 1 gives up")
