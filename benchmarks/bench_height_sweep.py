@@ -9,10 +9,10 @@ picking the smallest feasible ``g`` for a given ``N``.
 
 import pytest
 
-from repro.bounds.restrictions import max_pow2_n
+from repro.bounds.restrictions import max_n_threaded, max_pow2_n
 from repro.cluster.config import ClusterConfig
-from repro.oocs.api import sort_out_of_core
-from repro.oocs.gcolumnsort import g_bound, smallest_group_size
+from repro.oocs.api import ALGORITHMS, sort_out_of_core
+from repro.oocs.base import OocJob
 from repro.records.format import RecordFormat
 from repro.records.generators import generate
 
@@ -28,7 +28,7 @@ def test_g_sweep_timing(benchmark, g):
     cluster = ClusterConfig(p=P, mem_per_proc=BUFFER)
     recs = generate("uniform", FMT, N, seed=1)
     benchmark.group = "g-columnsort"
-    benchmark.extra_info["bound_records"] = g_bound(BUFFER, g)
+    benchmark.extra_info["bound_records"] = max_n_threaded(g * BUFFER)
     benchmark(
         lambda: sort_out_of_core(
             "g", recs, cluster, FMT, BUFFER, group_size=g, verify=False
@@ -51,7 +51,7 @@ def test_g_sweep_tradeoff(benchmark, show):
                 {
                     "g": g,
                     "net_bytes": res.comm_total["network_bytes"],
-                    "bound": max_pow2_n(g_bound(BUFFER, g)),
+                    "bound": max_pow2_n(max_n_threaded(g * BUFFER)),
                 }
             )
         return rows
@@ -74,9 +74,13 @@ def test_g_sweep_tradeoff(benchmark, show):
 def test_policy_picks_minimal_g(benchmark):
     """The run-time policy: smallest feasible g per problem size."""
 
+    cluster = ClusterConfig(p=P, mem_per_proc=BUFFER)
+
     def policy_sweep():
         return {
-            n: smallest_group_size(n, P, BUFFER)
+            n: ALGORITHMS["g"].layout(
+                OocJob(cluster=cluster, fmt=FMT, n=n, buffer_records=BUFFER)
+            )[2]
             for n in (4096, 8192, 16384, 32768, 65536)
         }
 

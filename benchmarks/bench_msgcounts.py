@@ -75,7 +75,7 @@ def test_optimality_lower_bound(benchmark):
                     continue  # more processors than columns: not a shape
                 bound = -(-p // t)
                 for c in range(s):
-                    routing = subblock_round_routing(c, 16 * s, s, p)
+                    routing = subblock_round_routing(c, s, p)
                     assert len(routing) == bound
         return True
 

@@ -13,8 +13,8 @@ Run:  python examples/adjustable_height.py
 """
 
 from repro import ClusterConfig, RecordFormat, generate, sort_out_of_core
-from repro.bounds.restrictions import max_pow2_n
-from repro.oocs.gcolumnsort import g_bound, smallest_group_size
+from repro.bounds.restrictions import max_n_threaded, max_pow2_n
+from repro.oocs import ALGORITHMS, OocJob
 
 fmt = RecordFormat("u8", 64)
 P, buffer_records = 4, 512
@@ -32,12 +32,13 @@ for g in (1, 2, 4):
     result = sort_out_of_core("g", records, cluster, fmt, buffer_records,
                               group_size=g)
     print(f"{g:>3} {g * buffer_records:>10} "
-          f"{max_pow2_n(g_bound(buffer_records, g)):>16,} "
+          f"{max_pow2_n(max_n_threaded(g * buffer_records)):>16,} "
           f"{result.comm_total['network_bytes']:>14,}  {roles[g]}")
 
 n_big = 32768  # beyond g=1's bound of 8192 and g=2's 16384
 print(f"\nnow N = {n_big:,} — too large for g ∈ {{1, 2}} at this buffer:")
-g_pick = smallest_group_size(n_big, P, buffer_records)
+job = OocJob(cluster=cluster, fmt=fmt, n=n_big, buffer_records=buffer_records)
+_, _, g_pick = ALGORITHMS["g"].layout(job)
 print(f"policy picks the smallest feasible group size: g = {g_pick}")
 big = generate("uniform", fmt, n_big, seed=2)
 result = sort_out_of_core("g", big, cluster, fmt, buffer_records)  # auto

@@ -18,7 +18,6 @@ from repro.cluster.config import ClusterConfig
 from repro.errors import ConfigError
 from repro.governor import CancelToken, get_job_governor
 from repro.membuf import get_pool
-from repro.oocs import gcolumnsort, hybrid, mcolumnsort, subblock, threaded
 from repro.oocs.base import (
     OocJob,
     OocResult,
@@ -27,17 +26,21 @@ from repro.oocs.base import (
     run_pass_program,
 )
 from repro.oocs.baseline_io import baseline_program
+from repro.oocs.grid import WHOLE_CLUSTER, columnsort_program
 from repro.oocs.verify import verify_output
 from repro.records.format import RecordFormat
 from repro.simulate.trace import RunTrace
 
-#: algorithm name → the program record :func:`run_pass_program` runs
+#: algorithm name → the program record :func:`run_pass_program` runs:
+#: five points (group size, relaxed) of :mod:`repro.oocs.grid`. Scratch
+#: stores are ``<scratch>-t1`` …; ``{g}`` stands for the resolved group
+#: size.
 ALGORITHMS: dict[str, PassProgram] = {
-    "threaded": threaded.PROGRAM,
-    "subblock": subblock.PROGRAM,
-    "m": mcolumnsort.PROGRAM,
-    "hybrid": hybrid.PROGRAM,
-    "g": gcolumnsort.PROGRAM,
+    "threaded": columnsort_program("threaded", "thr", 1, relaxed=False),
+    "subblock": columnsort_program("subblock", "sub", 1, relaxed=True),
+    "m": columnsort_program("m-columnsort", "m", WHOLE_CLUSTER, relaxed=False),
+    "hybrid": columnsort_program("hybrid", "hy", WHOLE_CLUSTER, relaxed=True),
+    "g": columnsort_program("g-columnsort(g={g})", "g", None, relaxed=False),
 }
 
 

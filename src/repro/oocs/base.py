@@ -5,14 +5,23 @@ decomposed into rounds; every round flows through a pipeline whose
 stages are, functionally, the bodies of the helpers here:
 
 * :func:`pass_step2_deal` — sort each column and apply step 2's
-  transpose-and-reshape (pass 1 of all programs);
+  transpose-and-reshape (pass 1 of every program);
 * :func:`pass_step4_deal` — sort each column and apply step 4's
-  reshape-and-transpose (pass 2 of threaded/M; pass 3 of subblock);
+  reshape-and-transpose (the pass before the last);
 * :func:`pass_final_windows` — steps 5-8 realized window-wise: sort
   each column, exchange halves with the neighboring column's owner,
   merge the window, and write it at its final PDM position (the last
   pass of every program);
 * :func:`pass_io_only` — the baseline that only reads and writes.
+
+Together with :func:`repro.oocs.subblock.pass_subblock` these are the
+bodies of every columnsort program, whatever its group size ``g``: each
+reads ``g`` from its store. The sort stage is local at ``g = 1`` and a
+distributed in-core columnsort over the group otherwise
+(:func:`sort_stage`); the out-of-core exchange uses *same-member
+routing* — member ``m`` of a group sends only to member ``m`` of the
+other groups (:func:`group_comms`) — and disappears at ``g = P``, where
+one group owns every column.
 
 The helpers run inside SPMD rank programs. A program states each pass
 once, as a :class:`PassSpec`: the body that runs, and beside it the
@@ -55,9 +64,11 @@ from repro.disks.virtual_disk import VirtualDisk, make_disk_array
 from repro.errors import ConfigError
 from repro.matrix.bits import is_power_of_two
 from repro.membuf import LeaseScope, copy_delta, copy_stats, get_pool
+from repro.oocs.incore.columnsort_dist import ColumnsortPlan
 from repro.pipeline import (
     COMM,
     COMPUTE,
+    INCORE,
     SYNCHRONOUS,
     PipelinePlan,
     ReadAhead,
@@ -354,6 +365,49 @@ def portion_reads(src: ColumnStore, rank: int) -> list:
     ]
 
 
+def group_comms(comm: Comm, g: int) -> tuple[Comm | None, Comm | None]:
+    """``(group, member)``: the communicators of a pass at group size
+    ``g``. ``group`` holds the ``g`` ranks striping this rank's columns —
+    where the sort stage runs; ``member`` holds the ``P/g`` ranks with
+    this rank's member index, one per group — where the out-of-core
+    exchange runs (*same-member routing*: member ``m`` sends only to
+    member ``m``). ``None`` stands for a communicator of one: at
+    ``g = 1`` the sort is local, at ``g = P`` nothing is exchanged, and
+    neither extreme splits. In between, each pass splits twice."""
+    if g == 1:
+        return None, comm
+    if g == comm.size:
+        return comm, None
+    return (
+        comm.split(color=comm.rank // g, key=comm.rank % g),
+        comm.split(color=comm.rank % g, key=comm.rank // g),
+    )
+
+
+def sort_stage(
+    incore: ColumnsortPlan | None,
+    raw: np.ndarray,
+    fmt: RecordFormat,
+    leases: LeaseScope,
+    clock: StageClock,
+) -> np.ndarray:
+    """A pass's column sort of one round's ``raw`` portion (a held lease,
+    recycled here). Without an ``incore`` plan (``g = 1``) it is a local
+    sort into a pool lease, charged to COMPUTE; otherwise the pass's
+    distributed in-core columnsort over the group, charged to INCORE,
+    whose result — the plan's slices of the sorted column — is a plain
+    array, not a lease."""
+    if incore is None:
+        with clock.stage(COMPUTE):
+            col = fmt.sort(raw, out=leases.lease(fmt.dtype, len(raw)))
+            leases.recycle(raw)
+        return col
+    with clock.stage(INCORE):
+        col = incore.sort(raw, fmt)
+        leases.recycle(raw)  # the unsorted portion is dead
+    return col
+
+
 def _deal_pass(
     comm: Comm,
     src: ColumnStore,
@@ -363,66 +417,93 @@ def _deal_pass(
     plan: PipelinePlan | None,
     step: int,
 ) -> None:
-    """Sort one column per processor per round and deal it across all
+    """Sort one column per group per round and deal it across all
     columns — columnsort steps 1+2 (``step=2``) or 3+4 (``step=4``).
 
-    Either way each processor sends exactly ``r/P`` records to every
-    processor and assembles, per round, one ``P·r/s``-record segment for
-    each of the ``s/P`` target columns it owns: the rows of a single
-    leased ``r``-record buffer, filled with one strided copy per source
-    rank and retired by one write-behind item. Segments are appended:
-    step 2's band of round ``t`` belongs at rows ``t·P·r/s`` on, which is
-    where the cursor stands (only the owner appends to a column, and one
-    flusher retires its rounds in order); step 4's strided rows may sit
-    anywhere, since the next pass re-sorts each column.
+    After the sort stage each member holds ``portion = r/g`` records of
+    the column, ``band = portion/s`` of them bound for each target
+    column; same-member routing sends them to the member of the same
+    index in the target's group. Per round a member assembles one
+    ``G·band``-record segment for each of the ``s/G`` target columns its
+    group owns: the rows of a single leased portion-sized buffer, filled
+    with one strided copy per source group and retired by one
+    write-behind item. Segments are appended: at ``g = 1`` step 2's band
+    of round ``t`` belongs at rows ``t·P·r/s`` on, which is where the
+    cursor stands (only the owner appends to a portion, and one flusher
+    retires its rounds in order); anywhere else the rows may sit
+    anywhere, since the next pass re-sorts each column. At ``g = P``
+    (one group) nothing is exchanged.
     """
-    p, rank = comm.size, comm.rank
-    r, s = src.r, src.s
-    band = r // s  # records each source column contributes to each target
-    mine = s // p  # rounds, and target columns this rank owns
+    g, groups = src.g, src.groups
+    r, s, portion = src.r, src.s, src.portion
+    rank = comm.rank
+    gid = rank // g
+    band = portion // s  # records a source portion sends each target column
+    mine = s // groups  # rounds, and target columns this group owns
+    group, member = group_comms(comm, g)
     if step == 2:
-        # Sorted row i goes to target column i mod s, on rank i mod P. What
-        # arrives from a source is its rows i ≡ rank (mod P), ascending: as
-        # a (band, s/P) block, column l is bound for target rank + l·P.
-        def split(col):
-            return [col[q::p] for q in range(p)]
+        # Sorted row i goes to column i mod s; s | portion, so a member's
+        # local row j goes to column j mod s, owned by group j mod G. What
+        # arrives from a group is its rows j ≡ gid (mod G), ascending: as
+        # a (band, s/G) block, column l is bound for target gid + l·G.
+        ranges = None  # the balanced delivery
 
-        def bands(got):
+        def split(col):
+            return [col[q::groups] for q in range(groups)]
+
+        def land(got):
             return got.reshape(band, mine).T
     else:
-        # Sorted chunk m (r/s rows) goes to target column m.
+        # Sorted chunk k (r/s rows) goes to target column k; the in-core
+        # sort delivers member m the m-th 1/g slice of every chunk.
+        chunk = r // s
+        ranges = [
+            [(k * chunk + m * band, k * chunk + (m + 1) * band) for k in range(s)]
+            for m in range(g)
+        ]
+
         def split(col):
             chunks = col.reshape(s, band)
-            return [chunks[q::p].reshape(-1) for q in range(p)]
+            return [chunks[q::groups].reshape(-1) for q in range(groups)]
 
-        def bands(got):
+        def land(got):
             return got.reshape(mine, band)
 
+    incore = None if group is None else ColumnsortPlan(group, portion, ranges)
     with pass_pipeline(portion_reads(src, rank), plan, trace) as (
         reader, writer, clock, leases,
     ):
         for _ in range(mine):
-            raw = leases.hold(reader.get())
+            col = sort_stage(incore, leases.hold(reader.get()), fmt, leases, clock)
+            if member is not None:
+                with clock.stage(COMPUTE):
+                    parts = split(col)
+                with clock.stage(COMM):
+                    recv = member.alltoallv(parts)
+                if incore is None:
+                    leases.recycle(col)  # the sorted lease is dead after the send
+            out = None
             with clock.stage(COMPUTE):
-                col = fmt.sort(raw, out=leases.lease(fmt.dtype, r))
-                leases.recycle(raw)  # the unsorted lease is dead after the gather
-                parts = split(col)
-            with clock.stage(COMM):
-                recv = comm.alltoallv(parts)
-            with clock.stage(COMPUTE):
-                leases.recycle(col)
-                out = leases.lease(fmt.dtype, r)
-                rows = out.reshape(mine, p, band)  # [l, q]: source q's band for target l
-                for q, got in enumerate(recv):
-                    rows[:, q, :] = bands(got)
-                    leases.recycle(got)  # a landed buffer (process backend); a view is ignored
-                segs = out.reshape(mine, p * band)
+                if member is None and step == 4:
+                    # The slices already stand in target order: write row
+                    # views of the sorted portion.
+                    segs = col.reshape(mine, band)
+                else:
+                    out = leases.lease(fmt.dtype, portion)
+                    rows = out.reshape(mine, groups, band)  # [l, q]: group q's band for target l
+                    if member is None:
+                        rows[:, 0, :] = land(col)  # one transposing copy
+                    else:
+                        for q, got in enumerate(recv):
+                            rows[:, q, :] = land(got)
+                            leases.recycle(got)  # a landed buffer (process backend); a view is ignored
+                    segs = out.reshape(mine, groups * band)
             writer.put(
                 *[
-                    partial(dst.append_to_portion, rank, rank + l * p, segs[l])
+                    partial(dst.append_to_portion, rank, gid + l * groups, segs[l])
                     for l in range(mine)
                 ],
-                release=leases.hand_off(out),
+                release=None if out is None else leases.hand_off(out),
             )
 
 
@@ -517,12 +598,17 @@ def pass_final_windows(
 
     Steps 6-8 are realized window-wise: window ``w`` is the bottom half
     of column ``w-1`` followed by the top half of column ``w`` (±∞
-    padding at the ends); once sorted (step 7 — a two-run merge), window
-    ``w`` *is* the final output at global ranks
-    ``[w·r − r/2, w·r + r/2)``, so the pass writes it straight into PDM
-    position. Pipeline: read, sort, communicate (half exchange), sort,
-    communicate (PDM routing), permute, write — the paper's 7 stages.
+    padding at the ends); once sorted (step 7), window ``w`` *is* the
+    final output at global ranks ``[w·r − r/2, w·r + r/2)``, so the pass
+    writes it straight into PDM position. At ``g = 1`` the step-7 sort
+    is a two-run merge after a half-column exchange — the paper's 7
+    stages: read, sort, communicate (half exchange), sort, communicate
+    (PDM routing), permute, write. At ``g ≥ 2`` see
+    :func:`_final_windows_grouped`.
     """
+    if src.g > 1:
+        _final_windows_grouped(comm, src, pdm, fmt, trace, plan)
+        return
     p = comm.size
     r, s = src.r, src.s
     half = r // 2
@@ -583,6 +669,89 @@ def pass_final_windows(
             lambda q: window_range(s) if q == 0 else None,
             writer, clock, leases,
         )
+
+
+def _final_windows_grouped(
+    comm: Comm,
+    src: ColumnStore,
+    pdm: PdmStore,
+    fmt: RecordFormat,
+    trace: PassTrace | None,
+    plan: PipelinePlan | None,
+) -> None:
+    """Steps 5-8 with columns striped over groups of ``g ≥ 2``.
+
+    Per round each group distributed-sorts its column ``c`` (step 5).
+    A column's top half lies with members ``m < g/2`` and its bottom
+    half with the rest, so the first out-of-core communicate stage
+    shrinks to bottom-half members sending their slice to member ``m``
+    of the next group (kept locally when one group owns every column,
+    ``g = P``). Window ``c`` is sorted by a second distributed
+    columnsort within the group (step 7) over the top-half members' own
+    slices and the bottom-half members' received ones, and routed to
+    the PDM disk owners. Window 0 is column 0's top half and window
+    ``s`` the last column's bottom half: both are sorted already and are
+    routed as they stand.
+    """
+    g, groups = src.g, src.groups
+    r, s, portion = src.r, src.s, src.portion
+    gid, m = divmod(comm.rank, g)
+    bottom = m >= g // 2
+    next_rank = ((gid + 1) % groups) * g + m
+    prev_rank = ((gid - 1) % groups) * g + m
+    incore = ColumnsortPlan(group_comms(comm, g)[0], portion)  # steps 5 and 7 alike
+
+    def piece_range(w: int, q: int) -> tuple[int, int] | None:
+        """Final global (start, length) of rank ``q``'s slice of window
+        ``w`` (held by ``q``'s group); None where the slice is padding.
+        The end windows' halves keep their column's own ranks."""
+        mq = q % g
+        if w == 0:
+            return (mq * portion, portion) if mq < g // 2 else None
+        if w == s:
+            return ((s - 1) * r + mq * portion, portion) if mq >= g // 2 else None
+        return w * r - r // 2 + mq * portion, portion
+
+    def route(w: int, piece: np.ndarray | None, held) -> None:
+        """Route this rank's ``piece`` of window ``w``; ``held(k)`` is
+        the window group ``k`` holds (None: none)."""
+        rng = piece_range(w, comm.rank) if piece is not None else None
+
+        def range_of(q: int) -> tuple[int, int] | None:
+            w_q = held(q // g)
+            return None if w_q is None else piece_range(w_q, q)
+
+        route_to_pdm(
+            comm, pdm, fmt, None if rng is None else (rng[0], piece),
+            range_of, writer, clock, leases,
+        )
+
+    kept = None  # a bottom-half slice this member holds over to a later window
+    with pass_pipeline(portion_reads(src, comm.rank), plan, trace) as (
+        reader, writer, clock, leases,
+    ):
+        for t in range(s // groups):
+            c = t * groups + gid
+            mine = sort_stage(incore, leases.hold(reader.get()), fmt, leases, clock)
+            contribution = mine  # a top half stays with its member
+            if bottom and groups == 1:
+                contribution, kept = kept, mine
+            elif bottom:
+                with clock.stage(COMM):
+                    if c + 1 < s:
+                        comm.send(mine, next_rank, tag=WINDOW_TAG)
+                    else:
+                        kept = mine
+                    contribution = (
+                        comm.recv(prev_rank, tag=WINDOW_TAG) if c else None
+                    )
+            if c == 0:
+                window = contribution
+            else:
+                with clock.stage(INCORE):
+                    window = incore.sort(contribution, fmt)  # step 7
+            route(c, window, lambda k, t=t: t * groups + k)
+        route(s, kept, lambda k: s if k == groups - 1 else None)
 
 
 def pass_io_only(

@@ -125,17 +125,15 @@ class TestEligibility:
         runnable (cross-validation of two independent implementations)."""
         from repro.cluster.config import ClusterConfig
         from repro.oocs.base import OocJob
-        from repro.oocs import hybrid, mcolumnsort, subblock, threaded
+        from repro.oocs.api import ALGORITHMS
         from repro.records.format import RecordFormat
 
         fmt = RecordFormat("u8", 64)
         p, buf = 4, 256
         cluster = ClusterConfig(p=p, mem_per_proc=buf)
         shapes = {
-            "threaded": threaded.derive_shape,
-            "subblock": subblock.derive_shape,
-            "m": mcolumnsort.derive_shape,
-            "hybrid": hybrid.derive_shape,
+            name: ALGORITHMS[name].derive_shape
+            for name in ("threaded", "subblock", "m", "hybrid")
         }
         for algorithm, derive in shapes.items():
             expected = set(

@@ -85,12 +85,13 @@ def test_src_reads_no_environment_variable():
 
 def test_one_runner_for_every_pass_program():
     """One orchestration: under ``oocs/`` only ``base.run_pass_program``
-    launches a metered SPMD world and builds an ``OocResult``, and every
-    module that declares a ``PassSpec`` list has it in ``ALGORITHMS``
-    (``baseline_io`` builds its list per pass count for the same runner)."""
+    launches a metered SPMD world and builds an ``OocResult``, and one
+    module, ``grid``, builds the pass list of every program in
+    ``ALGORITHMS`` (``baseline_io`` builds the I/O-only baseline's per
+    pass count for the same runner)."""
     import ast
-    import importlib
 
+    from repro.oocs import grid
     from repro.oocs.api import ALGORITHMS
 
     oocs = Path(__file__).parent.parent / "src" / "repro" / "oocs"
@@ -110,12 +111,11 @@ def test_one_runner_for_every_pass_program():
         "run_spmd_metered": {"base.run_pass_program"},
         "OocResult": {"base.run_pass_program"},
     }
-    programs = [
-        importlib.import_module(f"repro.oocs.{stem}").PROGRAM
-        for stem in sorted(declaring - {"baseline_io"})
-    ]
-    assert len(programs) == len(ALGORITHMS)
-    assert all(program in ALGORITHMS.values() for program in programs)
+    assert declaring == {"grid", "baseline_io"}
+    bodies = {body for body, _local, _distributed in grid.KINDS.values()}
+    for program in ALGORITHMS.values():
+        assert {spec.body for spec in program.passes} <= bodies
+        assert program.derive_shape.func is grid.derive_shape
 
 
 def test_one_column_store_and_one_shape_function():

@@ -102,6 +102,21 @@ class TestApi:
     def test_algorithm_registry(self):
         assert set(ALGORITHMS) == {"threaded", "subblock", "m", "hybrid", "g"}
 
+    def test_every_program_runs_the_same_four_bodies(self):
+        from repro.oocs.base import (
+            pass_final_windows,
+            pass_step2_deal,
+            pass_step4_deal,
+        )
+        from repro.oocs.subblock import pass_subblock
+
+        bodies = {
+            spec.body for program in ALGORITHMS.values() for spec in program.passes
+        }
+        assert bodies == {
+            pass_step2_deal, pass_subblock, pass_step4_deal, pass_final_windows
+        }
+
     def test_group_size_is_refused_off_layout(self):
         """``group_size`` is g-columnsort's knob: a program whose stores
         have another group size (or none) must not silently ignore it."""

@@ -1,5 +1,6 @@
 """g-columnsort: the §6 adjustable height interpretation, plus the
-sub-communicators and group-striped store underneath it."""
+sub-communicators and group-striped store underneath it, and its two
+ends, which are threaded columnsort and M-columnsort."""
 
 from dataclasses import replace
 
@@ -11,13 +12,13 @@ from repro.cluster.spmd import run_spmd
 from repro.disks.matrixfile import ColumnStore
 from repro.disks.virtual_disk import make_disk_array
 from repro.errors import CommError, ConfigError, DimensionError, DiskError
-from repro.oocs.api import sort_out_of_core
-from repro.oocs.base import OocJob
-from repro.oocs.gcolumnsort import derive_shape, g_bound, smallest_group_size
+from repro.oocs.api import ALGORITHMS, sort_out_of_core
+from repro.oocs.base import OocJob, make_workspace, run_pass_program
 from repro.records.format import RecordFormat
 from repro.records.generators import generate
 
 FMT = RecordFormat("u8", 64)
+derive_shape = ALGORITHMS["g"].derive_shape
 
 
 def sort_g(recs, cluster, buffer, group_size=None, **kwargs):
@@ -202,29 +203,46 @@ class TestGColumnsort:
         assert volumes[1] < volumes[2] < volumes[4]
 
     def test_bound_interpolates(self):
-        """g=1 gives restriction (1), g=P gives restriction (3), and the
-        bound is monotone in g."""
-        from repro.bounds.restrictions import max_n_m_columnsort, max_n_threaded
+        """The bound at group size g is restriction (1) at height g·M/P:
+        g=1 gives restriction (1), g=P gives restriction (3), it is
+        monotone in g, and the program admits exactly that N."""
+        from repro.bounds.restrictions import (
+            max_n_m_columnsort,
+            max_n_threaded,
+            max_pow2_n,
+        )
 
         mem = 2**14
-        assert g_bound(mem, 1) == max_n_threaded(mem)
-        assert g_bound(mem, 16) == max_n_m_columnsort(16 * mem)
-        bounds = [g_bound(mem, 1 << k) for k in range(5)]
+        assert max_n_threaded(16 * mem) == max_n_m_columnsort(16 * mem)
+        bounds = [max_n_threaded((1 << k) * mem) for k in range(5)]
         assert bounds == sorted(bounds)
+        cluster = ClusterConfig(p=4, mem_per_proc=512)
+        for g in (1, 2, 4):
+            n = max_pow2_n(max_n_threaded(g * 512))
+            job = OocJob(cluster=cluster, fmt=FMT, n=n, buffer_records=512)
+            derive_shape(replace(job, group_size=g))
+            with pytest.raises(DimensionError):
+                derive_shape(replace(job, n=2 * n, group_size=g))
 
     def test_smallest_group_size_policy(self):
         # N = 65536 needs g=4 at buffer 512 (bounds 8192 / 23170 / 65536).
-        assert smallest_group_size(8192, 4, 512) == 1
-        assert smallest_group_size(16384, 4, 512) == 2
-        assert smallest_group_size(65536, 4, 512) == 4
+        cluster = ClusterConfig(p=4, mem_per_proc=512)
+
+        def picked(n):
+            job = OocJob(cluster=cluster, fmt=FMT, n=n, buffer_records=512)
+            return ALGORITHMS["g"].layout(job)[2]
+
+        assert picked(8192) == 1
+        assert picked(16384) == 2
+        assert picked(65536) == 4
         with pytest.raises(DimensionError):
-            smallest_group_size(2**20, 4, 512)
+            picked(2**20)
 
     def test_auto_policy_runs_beyond_threaded_bound(self):
         """A problem size threaded columnsort cannot configure at this
         buffer; the auto policy escalates g and the sort verifies."""
         cluster = ClusterConfig(p=4, mem_per_proc=512)
-        n = 32768  # > g_bound(512, 1) = 8192
+        n = 32768  # > max_n_threaded(512) = 8192
         recs = generate("uniform", FMT, n, seed=6)
         res = sort_g(recs, cluster, 512)
         assert "g=4" in res.algorithm or "g=2" in res.algorithm
@@ -256,3 +274,48 @@ class TestGColumnsort:
         ) as err:
             derive_shape(job)
         assert isinstance(err.value.__cause__, ConfigError)
+
+
+def _run_keeping_files(algorithm, n, buffer, backend, workdir, group_size=None):
+    """Zipf keys through ``ALGORITHMS[algorithm]`` with every
+    intermediate kept: the run, and its data files by name (checksum
+    sidecars left out, the program's scratch prefix normalised)."""
+    cluster = ClusterConfig(p=4, mem_per_proc=2**16)
+    recs = generate("zipf", FMT, n, seed=7)
+    job = OocJob(
+        cluster=cluster, fmt=FMT, n=n, buffer_records=buffer,
+        backend=backend, group_size=group_size,
+    )
+    program = ALGORITHMS[algorithm]
+    r, s, g = program.layout(job)
+    ws = make_workspace(cluster, FMT, recs, r, s, workdir=workdir, group_size=g)
+    res = run_pass_program(program, job, ws.input, keep_intermediates=True)
+    files = {}
+    for path in sorted(workdir.rglob("*")):
+        if path.is_file() and ".meta" not in path.parts:
+            name = path.name
+            if name.startswith(f"{program.scratch}-"):
+                name = "scratch-" + name[len(program.scratch) + 1 :]
+            files[f"{path.parent.name}/{name}"] = path.read_bytes()
+    return res, files
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize(
+    "named,n,buffer,g",
+    [("threaded", 8192, 512, 1), ("m", 32768, 2048, 4)],
+)
+def test_group_size_ends_are_threaded_and_m(tmp_path, backend, named, n, buffer, g):
+    """g = 1 is threaded columnsort and g = P is M-columnsort, operation
+    for operation: the same data files after every pass, the same
+    output, and the same messages, network bytes, copies and writes."""
+    want, want_files = _run_keeping_files(named, n, buffer, backend, tmp_path / "named")
+    got, got_files = _run_keeping_files("g", n, buffer, backend, tmp_path / "g", g)
+    assert got_files.keys() == want_files.keys()
+    for name, data in want_files.items():
+        assert got_files[name] == data, name
+    assert got.output.read_all().tobytes() == want.output.read_all().tobytes()
+    for key in ("messages", "network_bytes"):
+        assert got.comm_total[key] == want.comm_total[key], key
+    assert got.copy["bytes_copied"] == want.copy["bytes_copied"]
+    assert got.io["writes"] == want.io["writes"]

@@ -5,13 +5,13 @@ import pytest
 
 from repro.cluster.config import ClusterConfig
 from repro.errors import ConfigError, DimensionError
-from repro.oocs.api import sort_out_of_core
+from repro.oocs.api import ALGORITHMS, sort_out_of_core
 from repro.oocs.base import OocJob
-from repro.oocs.mcolumnsort import derive_shape
 from repro.records.format import RecordFormat
 from repro.records.generators import generate
 
 FMT = RecordFormat("u8", 64)
+derive_shape = ALGORITHMS["m"].derive_shape
 
 
 def run(p, portion, s, workload="uniform", fmt=FMT, seed=0):

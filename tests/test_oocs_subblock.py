@@ -9,10 +9,9 @@ from repro.cluster.spmd import run_spmd
 from repro.disks.matrixfile import ColumnStore
 from repro.errors import ConfigError, DimensionError
 from repro.matrix.bits import sqrt_pow4
-from repro.oocs.api import sort_out_of_core
+from repro.oocs.api import ALGORITHMS, sort_out_of_core
 from repro.oocs.base import OocJob, make_workspace
 from repro.oocs.subblock import (
-    derive_shape,
     expected_messages_per_round,
     pass_subblock,
     subblock_round_routing,
@@ -21,6 +20,7 @@ from repro.records.format import RecordFormat
 from repro.records.generators import generate
 
 FMT = RecordFormat("u8", 64)
+derive_shape = ALGORITHMS["subblock"].derive_shape
 
 
 def run(p, r, s, workload="uniform", fmt=FMT, seed=0):
@@ -112,9 +112,8 @@ class TestMessageCounts:
 
     @pytest.mark.parametrize("p,s", [(2, 16), (8, 16), (16, 16), (16, 64)])
     def test_routing_table_has_exactly_that_many_destinations(self, p, s):
-        r = 16 * s
         for c in range(s):
-            routing = subblock_round_routing(c, r, s, p)
+            routing = subblock_round_routing(c, s, p)
             assert len(routing) == expected_messages_per_round(s, p)
             # Every subblock row class appears exactly once.
             xs = sorted(x for lst in routing.values() for x in lst)
@@ -125,7 +124,7 @@ class TestMessageCounts:
         destinations (so ⌈P/√s⌉ = 1 means zero network messages)."""
         for p in (2, 4, 8, 16):
             for c in range(16):
-                routing = subblock_round_routing(c, 256, 16, p)
+                routing = subblock_round_routing(c, 16, p)
                 assert (c % p) in routing
 
 

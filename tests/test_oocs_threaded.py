@@ -8,14 +8,15 @@ from repro.disks.matrixfile import ColumnStore
 from repro.errors import ConfigError, DimensionError
 from repro.matrix.layout import sort_columns, to_columns
 from repro.matrix.permutations import step2
-from repro.oocs.api import sort_out_of_core
+from repro.oocs.api import ALGORITHMS, sort_out_of_core
 from repro.oocs.base import OocJob, make_workspace, run_pass_program
-from repro.oocs.threaded import PROGRAM, derive_shape
 from repro.oocs.verify import verify_output
 from repro.records.format import RecordFormat
 from repro.records.generators import generate
 
 FMT = RecordFormat("u8", 64)
+PROGRAM = ALGORITHMS["threaded"]
+derive_shape = PROGRAM.derive_shape
 
 
 def run(p, r, s, workload="uniform", fmt=FMT, seed=0, **kw):
