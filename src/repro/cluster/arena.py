@@ -24,8 +24,8 @@ the transport:
 Both sides meter into :class:`~repro.membuf.CopyStats`:
 ``arena_hits`` / ``arena_misses`` (slab reuse vs. creation) and
 ``attach_count`` (first-time receiver mappings);
-``benchmarks/bench_backend.py`` gates on the arena
-reaching a ≥ 90 % hit rate with zero steady-state creates.
+``tests/test_shm_arena.py`` holds the arena to a ≥ 90 % hit rate with
+zero steady-state creates.
 
 Ownership rule (unchanged from PR 6): a slab belongs to the rank that
 created it. Receivers never unlink; the creator recycles on full

@@ -15,8 +15,9 @@ Our pass bodies produce exactly the run structures the paper exploits:
 
 :func:`predict_runs` states this; the tests verify it against live
 intermediate files. :func:`merge_sorted_runs` is the merging sort the
-paper's C implementation used. An honest engineering note, quantified
-in ``benchmarks/bench_merge.py``: in NumPy, ``np.sort`` runs in
+paper's C implementation used. An honest engineering note, timed by
+the benchmark's ``oocs.runs.merge_mrps`` and ``records.sort_mrps``
+probes: in NumPy, ``np.sort`` runs in
 optimized C while the k-way merge tree pays Python-level iteration per
 level, so merging only wins for few, long runs — the opposite economics
 of the paper's hand-written C merger. :func:`sort_column` picks

@@ -53,7 +53,11 @@ class ServiceClient:
     def _connect(self) -> None:
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         sock.settimeout(self.connect_timeout_s)
-        sock.connect(self.socket_path)
+        try:
+            sock.connect(self.socket_path)
+        except OSError:
+            sock.close()
+            raise
         sock.settimeout(self.request_timeout_s)
         self._sock = sock
         self._fh = sock.makefile("rb")

@@ -336,6 +336,12 @@ class SortService:
             self._stopping = True
             self._cv.notify_all()
         if self._server is not None:
+            # close() alone does not wake a thread blocked in accept()
+            # on Linux; shutdown() does (accept raises EINVAL).
+            try:
+                self._server.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._server.close()
             except OSError:

@@ -74,6 +74,8 @@ class TestPaperNumbers:
     def test_improvement_grows_as_sixth_root(self):
         f12, f18 = improvement_factor(2**12), improvement_factor(2**18)
         assert f18 / f12 == pytest.approx(2.0, rel=0.01)  # (2^6)^(1/6)
+        sweep = [improvement_factor(1 << a) for a in range(10, 31, 4)]
+        assert sweep == sorted(sweep)
 
     def test_crossover_p8_is_2_35(self):
         """§5: with P = 8, M-columnsort wins while total memory holds
@@ -93,8 +95,9 @@ class TestPaperNumbers:
             assert not m_beats_subblock(m, p)
 
     def test_restriction_table_ordering(self):
-        row = restriction_table(2**19, 16)
-        assert row["threaded"] < row["subblock"] < row["m"] < row["hybrid"]
+        for log_mem in (14, 16, 18, 19, 20, 22, 24):
+            row = restriction_table(1 << log_mem, 16)
+            assert row["threaded"] < row["subblock"] < row["m"] < row["hybrid"]
 
     def test_m_scales_with_total_memory(self):
         """§4: adding processors at fixed M/P grows M-columnsort's bound
@@ -151,6 +154,13 @@ class TestEligibility:
 
     def test_max_n_for_buffer(self):
         assert max_n_for_buffer("threaded", 512, 4) == 512 * 16
+        maxima = {
+            alg: max_n_for_buffer(alg, 2**19, 16)
+            for alg in ("threaded", "subblock", "m", "hybrid")
+        }
+        # §6: the hybrid configures the largest problem at fixed memory.
+        assert maxima["hybrid"] >= maxima["m"] >= maxima["threaded"]
+        assert maxima["hybrid"] > maxima["subblock"]
         with pytest.raises(ConfigError):
             max_n_for_buffer("threaded", 2, 4)
 

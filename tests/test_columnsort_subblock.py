@@ -98,7 +98,7 @@ class TestSteps:
 
 
 class TestSubblockProperty:
-    @pytest.mark.parametrize("r,s", SHAPES)
+    @pytest.mark.parametrize("r,s", SHAPES + [(1024, 64)])
     def test_paper_permutation_has_property(self, r, s):
         assert has_subblock_property(subblock_target, r, s)
 

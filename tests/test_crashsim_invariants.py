@@ -35,7 +35,7 @@ def _violations(summary: dict) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# the sweeps (the fast scenarios; resume_e2e runs in the bench and CI smoke)
+# the sweeps
 # ---------------------------------------------------------------------------
 
 
@@ -66,6 +66,15 @@ def test_resume_e2e_quick_sweep(tmp_path):
     summary = run_sweep(tmp_path, scenarios=["resume_e2e"], quick=True)
     assert summary["violations_total"] == 0, _violations(summary)
     assert summary["states_total"] > 0
+
+
+def test_quick_sweep_covers_the_state_floor(tmp_path):
+    """All scenarios together, sampled: at least 200 enumerated
+    power-loss states, every one recovered."""
+    summary = run_sweep(tmp_path, quick=True)
+    assert list(summary["scenarios"]) == list(SCENARIOS)
+    assert summary["violations_total"] == 0, _violations(summary)
+    assert summary["states_total"] >= 200
 
 
 def test_sweep_summary_shape(tmp_path):

@@ -79,20 +79,29 @@ class TestDiskKill:
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_no_parity_fails_structurally(self, algorithm, tmp_path):
+        """Without parity a dead disk fails the run with a structured
+        error, well inside the watchdog deadline, at either depth."""
+        import time
+
         from repro.resilience import release_all_quarantines
 
         fmt, records = records_for(algorithm)
-        try:
-            with pytest.raises(SpmdError) as err:
-                run_sort(
-                    algorithm, fmt, records, depth=2, workdir=tmp_path,
-                    fault_plan=disk_kill_plan(),
-                    retry_policy=RetryPolicy(max_attempts=4, base_delay_s=0.0),
-                    watchdog_deadline=10.0,
-                )
-            assert err.value.rank is not None
-        finally:
-            release_all_quarantines()
+        for depth in (0, 2):
+            started = time.monotonic()
+            try:
+                with pytest.raises(SpmdError) as err:
+                    run_sort(
+                        algorithm, fmt, records, depth=depth,
+                        workdir=tmp_path / f"d{depth}",
+                        fault_plan=disk_kill_plan(),
+                        retry_policy=RetryPolicy(max_attempts=4,
+                                                 base_delay_s=0.0),
+                        watchdog_deadline=10.0,
+                    )
+                assert err.value.rank is not None
+                assert time.monotonic() - started < 15.0
+            finally:
+                release_all_quarantines()
 
     def test_clean_parity_run_reports_overhead(self, tmp_path):
         fmt, records = records_for("threaded")

@@ -99,8 +99,10 @@ class TestFigure2:
 class TestTables:
     def test_bounds_rows(self):
         rows = bounds_table()
+        assert rows[0]["subblock/threaded"] > 2  # §1 at M/P = 2^12
         assert all(
             row["threaded (1)"] < row["subblock (2)"] < row["M-columnsort (3)"]
+            < row["hybrid (§6)"]
             for row in rows
         )
 
@@ -119,6 +121,10 @@ class TestTables:
         assert all(
             r["messages/round (⌈P/√s⌉)"] <= r["deal pass sends"] for r in rows
         )
+        for r in rows:
+            t = r["sqrt_s"]
+            assert r["messages/round (⌈P/√s⌉)"] == -(-r["P"] // t)
+            assert r["network-free"] == (t >= r["P"])
 
     def test_coverage_rows(self):
         rows = coverage_table()

@@ -54,6 +54,7 @@ class PollCancelToken(CancelToken):
         super().__init__()
         self.nth = nth
         self.polls = 0
+        self.fired_at = None
         self._poll_lock = threading.Lock()
 
     def cancelled(self):
@@ -61,6 +62,7 @@ class PollCancelToken(CancelToken):
             self.polls += 1
             hit = self.nth is not None and self.polls == self.nth
         if hit:
+            self.fired_at = time.monotonic()
             self.cancel(f"poll #{self.nth}")
         return super().cancelled()
 
@@ -257,6 +259,8 @@ class TestCancelThenResume:
                 cancel=token, workdir=workdir, checkpoint_dir=ckdir,
             )
         assert time.monotonic() - t0 < 30.0  # prompt, not a hang
+        # every rank unwinds within a few poll intervals of the cancel
+        assert time.monotonic() - token.fired_at < 5.0
         resumed = run_program(
             program, records, depth,
             workdir=workdir, checkpoint_dir=ckdir, resume=True,

@@ -232,8 +232,10 @@ class TestGColumnsort:
             job = OocJob(cluster=cluster, fmt=FMT, n=n, buffer_records=512)
             return ALGORITHMS["g"].layout(job)[2]
 
+        assert picked(4096) == 1
         assert picked(8192) == 1
         assert picked(16384) == 2
+        assert picked(32768) == 4
         assert picked(65536) == 4
         with pytest.raises(DimensionError):
             picked(2**20)

@@ -339,6 +339,46 @@ class TestBitonicSpecifics:
         )
 
 
+def network_bytes(fn, recs, p=8):
+    """Total network bytes of one distributed sort of ``recs``."""
+    n_local = len(recs) // p
+
+    def prog(comm):
+        local = recs[comm.rank * n_local : (comm.rank + 1) * n_local]
+        fn(comm, local, FMT)
+        return comm.stats.snapshot()["network_bytes"]
+
+    return sum(run_spmd(p, prog).returns)
+
+
+class TestKeyDependence:
+    """§4's reason for in-core columnsort: its communication does not
+    depend on the keys; sample sort's and radix sort's do."""
+
+    N = 8 * 4096
+
+    def test_columnsort_traffic_is_oblivious_to_skew(self):
+        uniform = generate("uniform", FMT, self.N, seed=3)
+        skewed = generate("zipf", FMT, self.N, seed=3)
+        assert network_bytes(distributed_columnsort, uniform) == network_bytes(
+            distributed_columnsort, skewed
+        )
+        assert network_bytes(distributed_sample_sort, uniform) != network_bytes(
+            distributed_sample_sort, skewed
+        )
+
+    def test_radix_traffic_grows_with_key_width(self):
+        rng = np.random.default_rng(4)
+        narrow = FMT.make(rng.integers(0, 2**16, size=self.N, dtype=np.uint64))
+        wide = FMT.make(rng.integers(0, 2**63, size=self.N, dtype=np.uint64))
+        assert network_bytes(distributed_radix_sort, wide) > 2 * network_bytes(
+            distributed_radix_sort, narrow
+        )
+        assert network_bytes(distributed_columnsort, narrow) == network_bytes(
+            distributed_columnsort, wide
+        )
+
+
 class TestSampleSpecifics:
     def test_skewed_input_still_sorts(self):
         recs = generate("zipf", FMT, 4 * 128, seed=10)

@@ -110,7 +110,8 @@ class TestMessageCounts:
         t = sqrt_pow4(s)
         assert expected_messages_per_round(s, p) == -(-p // t)
 
-    @pytest.mark.parametrize("p,s", [(2, 16), (8, 16), (16, 16), (16, 64)])
+    @pytest.mark.parametrize("p,s", [(2, 16), (8, 16), (16, 16), (16, 64),
+                                     (32, 64), (4, 256), (32, 256)])
     def test_routing_table_has_exactly_that_many_destinations(self, p, s):
         for c in range(s):
             routing = subblock_round_routing(c, s, p)

@@ -1,7 +1,10 @@
 """RetryPolicy: classification, backoff determinism, and disk wiring."""
 
+import time
+
 import pytest
 
+from repro.cluster.config import ClusterConfig
 from repro.disks.virtual_disk import VirtualDisk
 from repro.errors import (
     CommError,
@@ -10,7 +13,10 @@ from repro.errors import (
     ResilienceError,
     SpmdError,
 )
-from repro.resilience import FaultPlan, FaultSpec, RetryPolicy
+from repro.oocs.api import sort_out_of_core
+from repro.records.format import RecordFormat
+from repro.records.generators import generate
+from repro.resilience import FaultPlan, FaultSpec, RetryPolicy, transient_plan
 
 
 class TestClassification:
@@ -208,4 +214,77 @@ class TestEndToEndRetry:
                 retry_policy=RetryPolicy(max_attempts=2, base_delay_s=0.0),
                 fault_plan=plan,
             )
+        assert isinstance(err.value.cause, DiskError)
+
+
+#: program → (buffer_records, N) on P = 2: s = 4 columns, the input
+#: striped across both ranks for the programs whose r is P × buffer.
+PROGRAMS = {
+    "threaded": (256, 1024),
+    "subblock": (256, 1024),
+    "m": (128, 1024),
+    "hybrid": (128, 1024),
+}
+
+WATCHDOG_DEADLINE = 10.0
+
+
+def sort_program(program, recs, depth, workdir, **kwargs):
+    buf, _ = PROGRAMS[program]
+    return sort_out_of_core(
+        program, recs, ClusterConfig(p=2, mem_per_proc=2**12),
+        RecordFormat("u8", 64), buffer_records=buf, pipeline_depth=depth,
+        workdir=workdir, watchdog_deadline=WATCHDOG_DEADLINE, **kwargs,
+    )
+
+
+def program_records(program, seed=1):
+    return generate("uniform", RecordFormat("u8", 64), PROGRAMS[program][1],
+                    seed=seed)
+
+
+@pytest.mark.parametrize("depth", [0, 2])
+@pytest.mark.parametrize("program", sorted(PROGRAMS))
+class TestEveryProgramUnderFaults:
+    def test_transient_faults_are_retried_byte_identically(
+        self, program, depth, tmp_path
+    ):
+        """The sort survives a burst of transient faults byte-identically,
+        with the retries visible in the result's accounting."""
+        recs = program_records(program)
+        clean = sort_program(program, recs, depth, tmp_path / "clean")
+        expected = clean.output_records().tobytes()
+        clean.output.delete()
+        plan = transient_plan(read_p=0.05, write_p=0.05, seed=11)
+        res = sort_program(
+            program, recs, depth, tmp_path / "w", fault_plan=plan,
+            retry_policy=RetryPolicy(max_attempts=6, base_delay_s=0.0),
+        )
+        assert res.output_records().tobytes() == expected
+        assert plan.snapshot()["fired_total"] > 0
+        assert (
+            res.io["read_retries"] + res.io["write_retries"]
+            + res.comm_total["retries"]
+        ) > 0
+        res.output.delete()
+
+    def test_permanent_fault_fails_within_the_deadline(
+        self, program, depth, tmp_path
+    ):
+        """A read that fails for good from its nth attempt on ends the
+        run with a structured error naming a rank, well inside the
+        watchdog deadline: no hang, no retry loop."""
+        plan = FaultPlan(
+            [FaultSpec(op="read", probability=1.0, nth=4, count=None,
+                       transient=False)]
+        )
+        started = time.monotonic()
+        with pytest.raises(SpmdError) as err:
+            sort_program(
+                program, program_records(program), depth, tmp_path / "w",
+                fault_plan=plan,
+                retry_policy=RetryPolicy(max_attempts=6, base_delay_s=0.0),
+            )
+        assert time.monotonic() - started < WATCHDOG_DEADLINE + 5.0
+        assert err.value.rank is not None
         assert isinstance(err.value.cause, DiskError)

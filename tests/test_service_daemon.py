@@ -3,11 +3,13 @@ scheduling, and graceful drain (including a real SIGTERM)."""
 
 from __future__ import annotations
 
+import gc
 import os
 import signal
 import tempfile
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -301,3 +303,31 @@ def test_client_reconnects_after_daemon_restart(service_root):
     finally:
         client.close()
         service.stop()
+
+
+def test_stop_returns_promptly(service_root):
+    """stop() wakes the acceptor blocked in accept(): closing the
+    listening socket alone does not, and the join would wait out its
+    timeout."""
+    started = time.monotonic()
+    service = _start(service_root)
+    service.stop()
+    assert time.monotonic() - started < 5.0
+
+
+def test_failed_connect_closes_its_socket(service_root):
+    """Every failed connect attempt closes the socket it opened."""
+    client = ServiceClient(service_root / "absent.sock", retries=2,
+                           backoff_s=0.001)
+    gc.collect()  # earlier tests' garbage warns outside the block
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ServiceError, match="unreachable"):
+            client.health()
+        gc.collect()
+    client.close()
+    assert not [
+        w for w in caught
+        if issubclass(w.category, ResourceWarning)
+        and "socket" in str(w.message)
+    ]

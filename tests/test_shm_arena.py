@@ -290,6 +290,14 @@ def _alltoallv_rounds(comm, rounds):
     return True
 
 
+def _same_alltoallv_rounds(comm, rounds):
+    """``rounds`` identical collectives: one slab size class."""
+    payload = np.arange(1024, dtype=np.uint64)
+    for _ in range(rounds):
+        comm.alltoallv([payload for _ in range(comm.size)])
+    return True
+
+
 class TestEndToEnd:
     def test_slabs_recycle_across_collectives(self):
         """≥3 collectives of differing shapes: segment creates stay
@@ -309,6 +317,20 @@ class TestEndToEnd:
         # Attach caching: far fewer mappings than landed slices.
         assert delta["attach_count"] <= delta["arena_misses"] * (size - 1)
         assert delta["bytes_landed_zero_extra_copy"] > 0
+        assert _shm_entries() == []
+
+    def test_steady_state_creates_no_slabs(self):
+        """Many identical collectives on 4 ranks: past a warm-up of a
+        few slabs per rank every lease is a free-list pop, so creates
+        plateau instead of growing with the round count."""
+        rounds, size, warmup_per_rank = 80, 4, 4
+        before = copy_stats().snapshot()
+        run_spmd(size, _same_alltoallv_rounds, rounds, backend="process")
+        delta = _arena_delta(before)
+        leases = delta["arena_hits"] + delta["arena_misses"]
+        assert leases == rounds * size
+        assert delta["arena_misses"] <= warmup_per_rank * size
+        assert delta["arena_hits"] / leases >= 0.90
         assert _shm_entries() == []
 
     def test_crashed_rank_slabs_swept_by_parent(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import DimensionError
 from repro.oocs.api import analytic_trace
 from repro.simulate.hardware import BEOWULF_2003, MODERN_NVME
 from repro.simulate.predict import (
@@ -73,6 +74,69 @@ class TestCalibration:
         old = predict_seconds_per_gb("threaded", n_for(4), 4, 2**25, REC, BEOWULF_2003)
         new = predict_seconds_per_gb("threaded", n_for(4), 4, 2**25, REC, MODERN_NVME)
         assert new < old / 50
+
+    @pytest.mark.parametrize("buf,gb", [(2**24, 4), (2**25, 8)])
+    def test_pass_counts_order_the_programs(self, buf, gb):
+        """§5 at P = 4, where every program is eligible: subblock ≈ 4/3
+        × threaded, each is within 5 % of its baseline, and M-columnsort
+        sits above the 3-pass baseline but not above the 4-pass one."""
+        n, p = n_for(gb), 4
+
+        def t(algorithm, **kw):
+            return predict_seconds_per_gb(algorithm, n, p, buf, REC,
+                                          BEOWULF_2003, **kw)
+
+        b3, b4 = t("baseline-io", passes=3), t("baseline-io", passes=4)
+        thr, sub, m = t("threaded"), t("subblock"), t("m")
+        assert abs(sub / thr - 4 / 3) < 0.05
+        assert thr <= 1.05 * b3
+        assert sub <= 1.05 * b4
+        assert 1.01 * b3 < m <= 1.01 * b4
+
+    def test_hybrid_pays_about_one_extra_pass_over_m(self):
+        """§6: the hybrid costs M-columnsort's time plus its fourth pass
+        (16 GB, P = 16, buffer 2^24, where s is a power of 4)."""
+        n, p, buf = n_for(16), 16, 2**24
+        m = predict_seconds_per_gb("m", n, p, buf, REC, BEOWULF_2003)
+        hybrid = predict_seconds_per_gb("hybrid", n, p, buf, REC, BEOWULF_2003)
+        assert 1.2 < hybrid / m < 1.45
+
+
+class TestBufferSweep:
+    """§5's buffer-size effect swept beyond the paper's 2^24 and 2^25."""
+
+    @staticmethod
+    def sweep(algorithm, n, p, exps=range(21, 28), **kw):
+        out = {}
+        for exp in exps:
+            try:
+                out[exp] = predict_seconds_per_gb(
+                    algorithm, n, p, 2**exp, REC, BEOWULF_2003, **kw
+                )
+            except DimensionError:
+                continue
+        return out
+
+    def test_threaded_needs_big_buffers(self):
+        """At 4 GB on P = 4, r ≥ 2s² admits only buffers of 2^24 bytes
+        and up, and the bigger buffer is faster."""
+        values = self.sweep("threaded", n_for(4), 4)
+        assert sorted(values) == [24, 25, 26, 27]
+        assert values[24] > values[25]
+
+    def test_m_stays_in_band(self):
+        values = self.sweep("m", n_for(32), 16)
+        assert len(values) >= 4
+        assert values[min(values)] < values[max(values)] * 1.3
+
+    def test_overhead_halves_with_each_doubling(self):
+        """Halving the buffer doubles the round count: the per-round
+        overhead doubles while the transfer time stays, so each doubling
+        of the buffer saves about half what the previous one did."""
+        values = self.sweep("baseline-io", n_for(4), 4, range(22, 26),
+                            passes=3)
+        gaps = [values[e] - values[e + 1] for e in (22, 23, 24)]
+        assert gaps[0] > gaps[1] > gaps[2] > 0
 
 
 class TestMechanics:

@@ -395,9 +395,9 @@ class TestKillAndAutoRecover:
             res.release_durability()
 
     def test_midpass_sigkill_recovers(self, algorithm, depth, backend, tmp_path):
-        """A rank really dies mid-pass (SIGKILL on the process backend)
-        on its nth disk write; the run must still complete
-        byte-identically within the same call."""
+        """A rank really dies mid-pass on its nth disk write (SIGKILL,
+        then ``os._exit``, on the process backend); the run must still
+        complete byte-identically within the same call."""
         recs = records_for(algorithm)
         expected = expected_bytes(recs)
         p = CONFIGS[algorithm][0]
@@ -410,14 +410,14 @@ class TestKillAndAutoRecover:
         )
         res.release_durability()
         writes = counting.snapshot()["ops"]["write"]
-        for frac in (0.35, 0.85):
+        for frac, kind in ((0.35, "rank_kill"), (0.85, "rank_exit")):
             nth = max(1, int(writes * frac))
             if backend == "process":
                 # forked ranks count their own ops; scale to one rank's
                 # share of the run
                 nth = max(1, nth // p)
             plan = FaultPlan(
-                [FaultSpec(op="write", nth=nth, count=1, kind="rank_kill")]
+                [FaultSpec(op="write", nth=nth, count=1, kind=kind)]
             )
             res = run_sort(
                 algorithm, recs, depth, backend=backend,
