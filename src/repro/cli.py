@@ -119,11 +119,15 @@ def _cmd_sort(args: argparse.Namespace) -> int:
         from repro.resilience import RetryPolicy
 
         retry_policy = RetryPolicy(max_attempts=args.retries, seed=args.seed)
-    governor = None
-    if args.max_queue is not None:
-        from repro.governor import JobGovernor
+    cancel = None
+    if args.deadline is not None:
+        from repro.governor import CancelToken
 
-        governor = JobGovernor(max_queue=args.max_queue)
+        cancel = CancelToken(deadline_s=args.deadline)
+    if args.mem_budget is not None:
+        from repro.membuf import get_pool
+
+        get_pool().set_budget(args.mem_budget)
     restart_policy = None
     if args.max_restarts > 0:
         from repro.resilience import RestartPolicy
@@ -141,9 +145,7 @@ def _cmd_sort(args: argparse.Namespace) -> int:
         keep_checkpoints=args.keep_checkpoints,
         retry_policy=retry_policy,
         parity=args.parity, audit=args.audit,
-        deadline_s=args.deadline,
-        mem_budget_bytes=args.mem_budget,
-        governor=governor,
+        cancel=cancel,
         backend=args.backend,
         restart_policy=restart_policy,
         group_size=args.group_size,
@@ -448,16 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
              "pressure persists",
     )
     srt.add_argument(
-        "--max-queue", type=int, default=None, metavar="JOBS",
-        help="run through admission control with this queue bound "
-             "(mostly useful for drills: a single CLI job is always "
-             "admitted immediately)",
-    )
-    srt.add_argument(
         "--governance-report", action="store_true",
         help="print the governance breakdown (cancel checks, budget "
-             "stalls/evictions, disk-full reclaims, depth downshifts, "
-             "admission wait)",
+             "stalls/evictions, disk-full reclaims, depth downshifts)",
     )
     srt.add_argument(
         "--max-restarts", type=int, default=0, metavar="N",
@@ -564,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from repro.errors import AdmissionRejected, Cancellation, ServiceError
+    from repro.errors import Cancellation, ServiceError
 
     args = build_parser().parse_args(argv)
     try:
@@ -573,9 +568,6 @@ def main(argv: list[str] | None = None) -> int:
         # A cancelled/deadlined run is an orderly outcome, not a crash:
         # the last pass-boundary checkpoint is valid for --resume.
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except AdmissionRejected as exc:
-        print(f"error: admission rejected ({exc.reason}): {exc}", file=sys.stderr)
         return 1
     except ServiceError as exc:
         print(f"error: {exc}", file=sys.stderr)

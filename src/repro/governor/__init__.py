@@ -9,16 +9,14 @@ that engineering external sorts is dominated by resource management):
   scratch accounting, disk-full degradation ladder, and adaptive
   pipeline-depth downshift under buffer-pool backpressure;
 * :mod:`repro.governor.admission` — :class:`JobGovernor`, the
-  process-wide admission gate (quotas, bounded FIFO queueing, queue
-  timeouts, structured shedding).
+  admission gate shared by concurrent jobs (quotas, bounded FIFO
+  queueing, queue timeouts, structured shedding).
 """
 
 from repro.governor.admission import (
     ADMISSION_KEYS,
     AdmissionTicket,
     JobGovernor,
-    get_job_governor,
-    set_job_governor,
 )
 from repro.governor.cancel import CancelToken, maybe_check, maybe_sleep
 from repro.governor.runtime import (
@@ -37,8 +35,6 @@ __all__ = [
     "PRESSURE_STALLS",
     "RunGovernor",
     "attach_governor",
-    "get_job_governor",
     "maybe_check",
     "maybe_sleep",
-    "set_job_governor",
 ]

@@ -3,8 +3,8 @@
 Two concurrent :func:`~repro.oocs.api.sort_out_of_core` calls in one
 process share one buffer pool, one thread scheduler, and (often) the
 same scratch disks; unbounded, they thrash each other rather than
-queue. A :class:`JobGovernor` is the process-wide gate that serializes
-that contention:
+queue. A :class:`JobGovernor`, handed to every such call as
+``governor=``, is the gate that serializes that contention:
 
 * **quotas** — at most ``max_concurrent`` jobs run at once, and the
   sum of admitted jobs' declared memory / scratch demands stays within
@@ -275,22 +275,3 @@ class JobGovernor:
             out["scratch_in_use"] = self._scratch_in_use
             return out
 
-
-_default_lock = threading.Lock()
-_default_governor: JobGovernor | None = None
-
-
-def get_job_governor() -> JobGovernor | None:
-    """The process-wide governor (None = admission control off)."""
-    with _default_lock:
-        return _default_governor
-
-
-def set_job_governor(governor: JobGovernor | None) -> JobGovernor | None:
-    """Install (or clear, with None) the process-wide governor; returns
-    the previous one so callers can restore it."""
-    global _default_governor
-    with _default_lock:
-        previous = _default_governor
-        _default_governor = governor
-        return previous

@@ -3,7 +3,9 @@
 :func:`sort_out_of_core` builds a workspace (virtual disks + input
 store) around an in-memory record array, runs the chosen algorithm, and
 optionally verifies the output — the entry point the examples and most
-tests use. For long-lived stores or repeated runs over the same data,
+tests use. It and :func:`run_baseline_io` name a program and build its
+:class:`~repro.oocs.base.OocJob`; :func:`run_job` runs a job over
+records. For long-lived stores or repeated runs over the same data,
 hand :func:`~repro.oocs.base.run_pass_program` a record of
 :data:`ALGORITHMS` and your own input store.
 """
@@ -16,8 +18,6 @@ import numpy as np
 
 from repro.cluster.config import ClusterConfig
 from repro.errors import ConfigError
-from repro.governor import CancelToken, get_job_governor
-from repro.membuf import get_pool
 from repro.oocs.base import (
     OocJob,
     OocResult,
@@ -94,177 +94,44 @@ def job_demands(job: OocJob) -> tuple[int, int]:
     return mem, scratch
 
 
-def sort_out_of_core(
-    algorithm: str,
+def run_job(
+    program: PassProgram,
+    job: OocJob,
     records: np.ndarray,
-    cluster: ClusterConfig,
-    fmt: RecordFormat,
-    buffer_records: int,
     workdir: str | Path | None = None,
     verify: bool = True,
     collect_trace: bool = True,
-    pipeline_depth: int = 0,
-    checkpoint_dir: str | Path | None = None,
-    resume: bool = False,
-    keep_checkpoints: bool = False,
-    retry_policy=None,
-    fault_plan=None,
-    watchdog_deadline: float | None = None,
-    parity: bool = False,
-    audit: bool = False,
-    cancel: CancelToken | None = None,
-    deadline_s: float | None = None,
-    mem_budget_bytes: int | None = None,
     governor=None,
-    backend: str = "thread",
-    restart_policy=None,
-    group_size: int | None = None,
 ) -> OocResult:
-    """Sort ``records`` out-of-core with the named algorithm
-    (``"threaded"``, ``"subblock"``, ``"m"``, ``"hybrid"``, or ``"g"``).
-
-    ``buffer_records`` is the per-processor buffer ``r`` in records:
-    the column height for threaded/subblock, the per-processor portion
-    of an ``M``-high column for m/hybrid and of a ``g·buffer``-high one
-    for g, whose ``group_size`` ``g`` defaults to the smallest feasible.
-
-    ``pipeline_depth`` enables overlapped I/O inside every pass: each
-    rank prefetches up to that many columns ahead of the compute stage
-    and retires writes through a write-behind flusher. Depth 0 (the
-    default) runs every pass synchronously; any depth produces
-    byte-identical output.
-
-    With ``verify=True`` (default) the PDM output is read back and
-    checked to be a sorted permutation of the input with intact keys.
-
-    Resilience knobs: ``checkpoint_dir`` persists a manifest after
-    every completed pass; with ``resume=True`` a killed run restarts
-    after the last completed pass (requires an explicit ``workdir`` so
-    the scratch files survive the kill) and produces byte-identical
-    output. A successful run prunes its checkpoint directory (the
-    manifests and, when empty, the directory itself) — pass
-    ``keep_checkpoints=True`` to keep it for inspection.
-    ``retry_policy`` / ``fault_plan`` /
-    ``watchdog_deadline`` are forwarded to the disks and the SPMD
-    world — see :mod:`repro.resilience`. If the run fails with a
-    temporary workdir, the scratch directory is removed.
-
-    Durability knobs (see :mod:`repro.durability`): ``parity=True``
-    maintains an XOR parity stripe across the disk array, letting the
-    run repair corrupt blocks in place and complete byte-identically in
-    degraded mode if a disk is lost to permanent faults mid-run;
-    ``audit=True`` verifies sampled columnsort invariants of every
-    pass's output before its checkpoint is declared good. Counters for
-    both land in ``OocResult.durability``. A degraded run should call
-    ``OocResult.release_durability()`` once its output has been read.
-
-    Governance knobs (see :mod:`repro.governor`): ``cancel`` threads a
-    :class:`~repro.governor.CancelToken` through every blocking seam —
-    cancelling it (or passing ``deadline_s``, which builds a
-    deadline-armed token) unwinds all ranks within one poll interval
-    into a structured :class:`~repro.errors.Cancellation`, leaking no
-    leases/threads/quarantines and leaving the last checkpoint valid
-    for ``resume``. ``mem_budget_bytes`` installs a hard byte budget on
-    the (process-wide) buffer pool: leases block under backpressure and
-    the run downshifts its pipeline depth when pressure persists.
-    ``governor`` (or a process-wide one installed via
-    :func:`repro.governor.set_job_governor`) gates the run through
-    admission control — it may queue FIFO and can be shed with
-    :class:`~repro.errors.AdmissionRejected`. Counters land in
-    ``OocResult.governor``.
-
-    ``backend`` selects the SPMD transport: ``"thread"`` (default) or
-    ``"process"`` — one forked OS process per rank with shared-memory
-    alltoallv buffers, so rank-local compute escapes the GIL. Output
-    and accounting are byte-identical across backends; ``parity=True``
-    requires the thread backend (the parity layer's state lives in one
-    address space).
-
-    ``restart_policy`` arms in-run supervised recovery (see
-    :mod:`repro.resilience.supervisor`): a rank that dies mid-run
-    (SIGKILL, ``os._exit``, an unhandled exception, a watchdog timeout)
-    no longer aborts the call — the cohort is torn down, stale state
-    swept, and the pass program relaunched from the last pass-boundary
-    checkpoint (from scratch without a ``checkpoint_dir``), up to
-    ``max_restarts`` times with seeded backoff. Restart attempts run
-    under the *same* cancel token and admission ticket: a deadline
-    expiring during recovery still cancels the run, and a supervised
-    job is admitted (and charged) exactly once however many attempts
-    it takes. The supervision record lands in ``OocResult.supervisor``.
-
-    >>> from repro.records import RecordFormat, generate
-    >>> from repro.cluster import ClusterConfig
-    >>> fmt = RecordFormat("u8", 64)
-    >>> recs = generate("uniform", fmt, 8192, seed=1)
-    >>> cfg = ClusterConfig(p=4, mem_per_proc=2**12)
-    >>> res = sort_out_of_core("threaded", recs, cfg, fmt, buffer_records=512)
-    >>> res.passes
-    3
-    """
-    try:
-        program = ALGORITHMS[algorithm]
-    except KeyError:
-        raise ConfigError(
-            f"unknown algorithm {algorithm!r}; expected one of {sorted(ALGORITHMS)}"
-        ) from None
-    if resume and workdir is None:
+    """Run ``program`` over the in-memory ``records``: admit ``job``
+    through ``governor`` (a :class:`~repro.governor.JobGovernor`, which
+    may queue the run or shed it with
+    :class:`~repro.errors.AdmissionRejected`; admission facts land in
+    ``OocResult.governor``), load the records as the input matrix on
+    virtual disks under ``workdir`` (a temporary directory when None,
+    removed if the run fails), run :func:`run_pass_program` and, with
+    ``verify``, check the output is a sorted permutation of the input
+    with intact keys."""
+    if job.resume and workdir is None:
         raise ConfigError(
             "resume=True needs an explicit workdir (a temporary workspace "
             "does not survive the run being resumed)"
         )
-    if checkpoint_dir is None and resume:
-        raise ConfigError("resume=True needs a checkpoint_dir")
-    if deadline_s is not None:
-        if cancel is not None:
-            raise ConfigError(
-                "pass either cancel= or deadline_s=, not both (arm the "
-                "deadline on your own CancelToken instead)"
-            )
-        cancel = CancelToken(deadline_s=deadline_s)
-    if mem_budget_bytes is not None:
-        # The buffer pool is process-wide, so the budget outlives this
-        # call; the last caller to set it wins.
-        get_pool().set_budget(mem_budget_bytes)
-    job = OocJob(
-        cluster=cluster,
-        fmt=fmt,
-        n=len(records),
-        buffer_records=buffer_records,
-        workdir=workdir,
-        pipeline_depth=pipeline_depth,
-        retry_policy=retry_policy,
-        fault_plan=fault_plan,
-        watchdog_deadline=watchdog_deadline,
-        parity=parity,
-        audit=audit,
-        cancel=cancel,
-        backend=backend,
-        restart_policy=restart_policy,
-        group_size=group_size,
-    )
-    if governor is None:
-        governor = get_job_governor()
     ticket = None
     if governor is not None:
         mem_demand, scratch_demand = job_demands(job)
         ticket = governor.admit(
-            mem_bytes=mem_demand, scratch_bytes=scratch_demand, cancel=cancel
+            mem_bytes=mem_demand, scratch_bytes=scratch_demand, cancel=job.cancel
         )
     try:
         r, s, g = program.layout(job)
         ws = make_workspace(
-            cluster, fmt, records, r, s,
-            workdir=workdir, group_size=g, parity=parity,
+            job.cluster, job.fmt, records, r, s,
+            workdir=workdir, group_size=g, parity=job.parity,
         )
         try:
             result = run_pass_program(
-                program,
-                job,
-                ws.input,
-                collect_trace=collect_trace,
-                checkpoint_dir=checkpoint_dir,
-                resume=resume,
-                keep_checkpoints=keep_checkpoints,
+                program, job, ws.input, collect_trace=collect_trace
             )
         except BaseException:
             if ws._tmp is not None:
@@ -281,6 +148,52 @@ def sort_out_of_core(
     return result
 
 
+def sort_out_of_core(
+    algorithm: str,
+    records: np.ndarray,
+    cluster: ClusterConfig,
+    fmt: RecordFormat,
+    buffer_records: int,
+    workdir: str | Path | None = None,
+    verify: bool = True,
+    collect_trace: bool = True,
+    governor=None,
+    **job,
+) -> OocResult:
+    """Sort ``records`` out-of-core with the named algorithm
+    (``"threaded"``, ``"subblock"``, ``"m"``, ``"hybrid"``, or ``"g"``).
+
+    ``**job`` is any further field of :class:`~repro.oocs.base.OocJob`
+    (its Parameters say what each does); ``workdir``, ``verify``,
+    ``collect_trace`` and ``governor`` are :func:`run_job`'s. A run
+    with ``parity=True`` should call ``OocResult.release_durability()``
+    once its output has been read.
+
+    >>> from repro.records import RecordFormat, generate
+    >>> from repro.cluster import ClusterConfig
+    >>> fmt = RecordFormat("u8", 64)
+    >>> recs = generate("uniform", fmt, 8192, seed=1)
+    >>> cfg = ClusterConfig(p=4, mem_per_proc=2**12)
+    >>> res = sort_out_of_core("threaded", recs, cfg, fmt, buffer_records=512)
+    >>> res.passes
+    3
+    """
+    try:
+        program = ALGORITHMS[algorithm]
+    except KeyError:
+        raise ConfigError(
+            f"unknown algorithm {algorithm!r}; expected one of {sorted(ALGORITHMS)}"
+        ) from None
+    spec = OocJob(
+        cluster=cluster, fmt=fmt, n=len(records),
+        buffer_records=buffer_records, **job,
+    )
+    return run_job(
+        program, spec, records, workdir=workdir, verify=verify,
+        collect_trace=collect_trace, governor=governor,
+    )
+
+
 def run_baseline_io(
     records: np.ndarray,
     cluster: ClusterConfig,
@@ -288,44 +201,19 @@ def run_baseline_io(
     buffer_records: int,
     passes: int = 3,
     workdir: str | Path | None = None,
-    pipeline_depth: int = 0,
-    cancel: CancelToken | None = None,
     collect_trace: bool = True,
-    checkpoint_dir: str | Path | None = None,
-    resume: bool = False,
-    retry_policy=None,
-    fault_plan=None,
-    backend: str = "thread",
+    **job,
 ) -> OocResult:
-    """Run the §5 I/O-only baseline over ``records``.
-
-    ``cancel`` / ``checkpoint_dir`` / ``resume`` / ``retry_policy`` /
-    ``fault_plan`` behave exactly as in :func:`sort_out_of_core`, so the
-    baseline participates in the same cancel-then-resume and chaos
-    drills as the real algorithms.
-    """
-    job = OocJob(
-        cluster=cluster,
-        fmt=fmt,
-        n=len(records),
-        buffer_records=buffer_records,
-        workdir=workdir,
-        pipeline_depth=pipeline_depth,
-        cancel=cancel,
-        retry_policy=retry_policy,
-        fault_plan=fault_plan,
-        backend=backend,
+    """Run the §5 I/O-only baseline over ``records``: ``passes``
+    read+write-only passes. ``**job`` is any further
+    :class:`~repro.oocs.base.OocJob` field, exactly as in
+    :func:`sort_out_of_core`, so the baseline takes part in the same
+    cancel-then-resume and chaos drills as the real algorithms."""
+    spec = OocJob(
+        cluster=cluster, fmt=fmt, n=len(records),
+        buffer_records=buffer_records, **job,
     )
-    program = baseline_program(passes)
-    r, s, _ = program.layout(job)
-    ws = make_workspace(cluster, fmt, records, r, s, workdir=workdir)
-    result = run_pass_program(
-        program,
-        job,
-        ws.input,
-        collect_trace=collect_trace,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
+    return run_job(
+        baseline_program(passes), spec, records, workdir=workdir,
+        verify=False, collect_trace=collect_trace,
     )
-    result.workspace = ws
-    return result

@@ -82,9 +82,13 @@ from repro.simulate.trace import PassTrace, RunTrace
 WINDOW_TAG = 77
 
 
-@dataclass
+@dataclass(frozen=True)
 class OocJob:
-    """A fully specified out-of-core sort problem.
+    """A fully specified out-of-core sort problem: the one declaration
+    of every run knob. The entry points (:func:`run_pass_program`,
+    :func:`repro.oocs.api.sort_out_of_core`,
+    :func:`repro.oocs.api.run_baseline_io`) forward these fields and
+    restate none of them.
 
     Parameters
     ----------
@@ -99,8 +103,6 @@ class OocJob:
         size", there quoted in bytes). For threaded/subblock columnsort
         this is the column height; for M-columnsort it is the
         per-processor *portion* of an ``r = M``-high column.
-    workdir:
-        Directory for the virtual disks.
     pipeline_depth:
         Buffers the read-ahead and write-behind pools may each keep in
         flight per pass (see :mod:`repro.pipeline`); ``0`` runs every
@@ -131,7 +133,8 @@ class OocJob:
         and the pass-boundary loop, so a cancel (or expired deadline)
         unwinds every rank within one poll interval into a structured
         :class:`~repro.errors.Cancellation` — with the last
-        pass-boundary checkpoint still valid for a later resume.
+        pass-boundary checkpoint still valid for a later resume. A
+        deadline is armed on the token: ``CancelToken(deadline_s=…)``.
     backend:
         SPMD transport running the rank programs: ``"thread"`` (one
         thread per rank, shared address space) or ``"process"`` (one
@@ -154,13 +157,23 @@ class OocJob:
         g-columnsort's group size ``g`` (column height ``r = g·buffer``);
         ``None`` lets the program pick the smallest feasible one. A
         program whose layout has another group size refuses the job.
+    checkpoint_dir:
+        Persist a manifest here after every completed pass.
+    resume:
+        Restart after the last completed pass recorded in
+        ``checkpoint_dir`` (validated against the job and the on-disk
+        store digests); the output is byte-identical to an
+        uninterrupted run. Needs a ``checkpoint_dir``.
+    keep_checkpoints:
+        Keep the manifests after a successful run, which otherwise
+        prunes ``checkpoint_dir`` away: checkpoints exist to survive
+        *failed* runs.
     """
 
     cluster: ClusterConfig
     fmt: RecordFormat
     n: int
     buffer_records: int
-    workdir: str | Path | None = None
     pipeline_depth: int = 0
     retry_policy: object = None
     fault_plan: object = None
@@ -171,8 +184,13 @@ class OocJob:
     backend: str = "thread"
     restart_policy: object = None
     group_size: int | None = None
+    checkpoint_dir: str | Path | None = None
+    resume: bool = False
+    keep_checkpoints: bool = False
 
     def __post_init__(self) -> None:
+        if self.resume and self.checkpoint_dir is None:
+            raise ConfigError("resume=True needs a checkpoint_dir")
         if self.backend not in available_backends():
             raise ConfigError(
                 f"unknown transport backend {self.backend!r}; expected one "
@@ -1137,9 +1155,6 @@ def run_pass_program(
     input_store,
     collect_trace: bool = True,
     keep_intermediates: bool = False,
-    checkpoint_dir: str | Path | None = None,
-    resume: bool = False,
-    keep_checkpoints: bool = False,
 ) -> OocResult:
     """The one way a pass program runs: check ``input_store`` (built by
     :func:`make_workspace`) against the job's layout and create the
@@ -1153,16 +1168,13 @@ def run_pass_program(
     paper's disk budget was 3× the input size: input + temporary +
     output, footnote 7).
 
-    With ``checkpoint_dir`` set, a manifest is persisted after every
-    completed pass; ``resume=True`` restarts after the last completed
-    pass recorded there (validated against the job and the on-disk
-    store digest). On failure, scratch stores not referenced by a
-    manifest are deleted; on success the intermediates are deleted
+    Checkpointing follows the job's ``checkpoint_dir`` / ``resume`` /
+    ``keep_checkpoints``. On failure, scratch stores not referenced by
+    a manifest are deleted; on success the intermediates are deleted
     (unless ``keep_intermediates``) and the checkpoint directory is
-    pruned away entirely (unless ``keep_checkpoints`` — the two
-    lifecycles are independent: checkpoints exist to survive *failed*
-    runs, so a successful one retires them no matter what it keeps for
-    debugging).
+    pruned (unless ``job.keep_checkpoints`` — the two lifecycles are
+    independent: a successful run retires its checkpoints no matter
+    what it keeps for debugging).
     """
     from repro.cluster.stats import combined
     from repro.errors import Cancellation
@@ -1181,10 +1193,14 @@ def run_pass_program(
         quarantine = getattr(disks[0], "quarantine", None)
         layer = getattr(disks[0], "parity_layer", None)
     parity_before = layer.counters_snapshot() if layer is not None else None
-    ckpt = CheckpointStore(checkpoint_dir) if checkpoint_dir is not None else None
+    ckpt = (
+        CheckpointStore(job.checkpoint_dir)
+        if job.checkpoint_dir is not None
+        else None
+    )
     start_pass = 0
     if ckpt is not None:
-        if resume:
+        if job.resume:
             start_pass = ckpt.resume_index(job, algorithm, stores)
         else:
             ckpt.clear()
@@ -1280,7 +1296,7 @@ def run_pass_program(
         for key, store in stores.items():
             if key not in ("input", "output"):
                 store.delete()
-    if ckpt is not None and not keep_checkpoints:
+    if ckpt is not None and not job.keep_checkpoints:
         ckpt.prune()  # a finished run's checkpoints are garbage
 
     durability: dict = {}

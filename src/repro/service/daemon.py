@@ -673,7 +673,7 @@ class SortService:
 
     def _execute(self, job_id: str, token: _ProgressToken, resume: bool) -> None:
         from repro.cluster.config import ClusterConfig
-        from repro.oocs.api import job_demands, sort_out_of_core
+        from repro.oocs.api import ALGORITHMS, job_demands, run_job
         from repro.oocs.base import OocJob
         from repro.oocs.report import output_digest, result_summary
         from repro.records.format import RecordFormat
@@ -704,9 +704,12 @@ class SortService:
                 fmt=fmt,
                 n=spec["records"],
                 buffer_records=spec["buffer"],
-                workdir=workdir,
                 pipeline_depth=spec["pipeline_depth"],
+                cancel=token,
                 backend=spec["backend"],
+                restart_policy=self.restart_policy,
+                checkpoint_dir=ckptdir,
+                resume=resume,
             )
             mem, scratch = job_demands(job)
             policy = self._policy(record.tenant)
@@ -714,20 +717,9 @@ class SortService:
                 mem_bytes=mem, scratch_bytes=scratch,
                 priority=policy.priority, cancel=token,
             )
-            result = sort_out_of_core(
-                spec["algorithm"],
-                records,
-                cluster,
-                fmt,
-                buffer_records=spec["buffer"],
-                workdir=workdir,
-                verify=spec["verify"],
-                pipeline_depth=spec["pipeline_depth"],
-                checkpoint_dir=ckptdir,
-                resume=resume,
-                cancel=token,
-                backend=spec["backend"],
-                restart_policy=self.restart_policy,
+            result = run_job(
+                ALGORITHMS[spec["algorithm"]], job, records,
+                workdir=workdir, verify=spec["verify"],
             )
             digest = output_digest(result)
             summary = result_summary(

@@ -164,6 +164,30 @@ class TestCheckpointFlags:
         assert list(ckdir.glob("pass_*.json"))
 
 
+class TestGovernanceFlags:
+    """``--deadline`` arms the run's cancel token and ``--mem-budget``
+    sets the buffer pool's budget: the one way each is set."""
+
+    ARGS = ["sort", "--records", "2048", "--buffer", "256", "-p", "2"]
+
+    def test_expired_deadline_exits_1(self, capsys, tmp_path):
+        rc = main(self.ARGS + ["--workdir", str(tmp_path), "--deadline", "1e-6"])
+        assert rc == 1
+        assert "deadline" in capsys.readouterr().err
+
+    def test_mem_budget_reaches_the_governance_report(self, capsys, tmp_path):
+        from repro.membuf import get_pool
+
+        try:
+            rc = main(self.ARGS + [
+                "--workdir", str(tmp_path), "--mem-budget", "268435456",
+                "--governance-report",
+            ])
+        finally:
+            get_pool().set_budget(None)
+        assert rc == 0
+        assert "budget 268,435,456 B" in capsys.readouterr().out
+
 class TestServiceCommands:
     def test_serve_parser(self):
         args = build_parser().parse_args([

@@ -187,6 +187,27 @@ def test_one_statement_of_each_pass_program():
             }, f"{program.name}: {spec.name}"
 
 
+def test_one_declaration_of_each_run_knob():
+    """``OocJob`` is the only place a run knob is declared: the entry
+    points take the job (or forward ``**job`` to it) and restate only
+    the machine, record format and buffer they build it from; the job
+    is frozen, so no caller can reset a knob after it was validated."""
+    import dataclasses
+    import inspect
+
+    from repro.oocs.api import run_baseline_io, run_job, sort_out_of_core
+    from repro.oocs.base import OocJob, run_pass_program
+
+    knobs = {f.name for f in dataclasses.fields(OocJob)}
+    for entry in (sort_out_of_core, run_baseline_io, run_pass_program, run_job):
+        params = set(inspect.signature(entry).parameters)
+        assert params & knobs <= {"cluster", "fmt", "buffer_records"}, entry
+    job = OocJob(cluster=repro.cluster.config.ClusterConfig(p=2, mem_per_proc=64),
+                 fmt=repro.records.format.RecordFormat("u8", 16), n=256,
+                 buffer_records=64)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        job.pipeline_depth = 2
+
 class TestErrorHierarchy:
     def test_everything_is_repro_error(self):
         for exc in (

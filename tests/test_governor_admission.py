@@ -14,12 +14,7 @@ import pytest
 
 from repro.cluster.config import ClusterConfig
 from repro.errors import AdmissionRejected, CancelledError, ConfigError
-from repro.governor import (
-    CancelToken,
-    JobGovernor,
-    get_job_governor,
-    set_job_governor,
-)
+from repro.governor import CancelToken, JobGovernor
 from repro.oocs.api import job_demands, sort_out_of_core
 from repro.oocs.base import OocJob
 from repro.records.format import RecordFormat
@@ -159,32 +154,17 @@ class TestGovernorBasics:
 
 
 class TestProcessGovernor:
-    def test_default_is_off(self):
-        assert get_job_governor() is None
-
-    def test_set_returns_previous(self):
-        gov = JobGovernor()
-        try:
-            assert set_job_governor(gov) is None
-            assert get_job_governor() is gov
-        finally:
-            assert set_job_governor(None) is gov
-        assert get_job_governor() is None
-
     def test_installed_governor_gates_api_runs(self):
         records = generate("uniform", FMT, 8192, seed=3)
         cluster = ClusterConfig(p=4, mem_per_proc=2**12)
         gov = JobGovernor(max_concurrent=2)
-        set_job_governor(gov)
-        try:
-            res = sort_out_of_core(
-                "threaded", records, cluster, FMT, buffer_records=512,
-            )
-            assert res.governor["admission_wait_s"] == 0.0
-            assert res.governor["admitted_mem_bytes"] > 0
-            res.output.delete()
-        finally:
-            set_job_governor(None)
+        res = sort_out_of_core(
+            "threaded", records, cluster, FMT, buffer_records=512,
+            governor=gov,
+        )
+        assert res.governor["admission_wait_s"] == 0.0
+        assert res.governor["admitted_mem_bytes"] > 0
+        res.output.delete()
         snap = gov.snapshot()
         assert snap["admitted"] == snap["completed"] == 1
         assert snap["running"] == 0

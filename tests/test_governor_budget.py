@@ -234,10 +234,11 @@ class TestBudgetedRun:
         records = generate("uniform", FMT, 8192, seed=3)
         cluster = ClusterConfig(p=4, mem_per_proc=2**12)
         budget = 2**26
+        get_pool().set_budget(budget)
         try:
             res = sort_out_of_core(
                 "threaded", records, cluster, FMT, buffer_records=512,
-                pipeline_depth=2, mem_budget_bytes=budget,
+                pipeline_depth=2,
             )
             gov = res.governor
             assert gov["budget_bytes"] == budget
@@ -249,10 +250,10 @@ class TestBudgetedRun:
     def test_budget_is_surfaced_even_without_stalls(self):
         records = generate("uniform", FMT, 8192, seed=3)
         cluster = ClusterConfig(p=4, mem_per_proc=2**12)
+        get_pool().set_budget(2**28)
         try:
             res = sort_out_of_core(
                 "threaded", records, cluster, FMT, buffer_records=512,
-                mem_budget_bytes=2**28,
             )
             assert res.governor["budget_stalls"] == 0
             res.output.delete()

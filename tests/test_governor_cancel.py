@@ -21,7 +21,6 @@ from repro.cluster.config import ClusterConfig
 from repro.errors import (
     Cancellation,
     CancelledError,
-    ConfigError,
     DeadlineExceeded,
     SpmdError,
 )
@@ -163,22 +162,13 @@ class TestCancelToken:
 
 
 class TestApiValidation:
-    def test_cancel_and_deadline_are_exclusive(self):
-        records = records_for("threaded")
-        cluster = ClusterConfig(p=2, mem_per_proc=2**10)
-        with pytest.raises(ConfigError, match="not both"):
-            sort_out_of_core(
-                "threaded", records, cluster, FMT, buffer_records=128,
-                cancel=CancelToken(), deadline_s=5.0,
-            )
-
     def test_expired_deadline_raises_structured(self):
         records = records_for("threaded")
         cluster = ClusterConfig(p=2, mem_per_proc=2**10)
         with pytest.raises(DeadlineExceeded):
             sort_out_of_core(
                 "threaded", records, cluster, FMT, buffer_records=128,
-                deadline_s=1e-6,
+                cancel=CancelToken(deadline_s=1e-6),
             )
 
 

@@ -16,7 +16,7 @@ import pytest
 from repro.cluster import available_backends
 from repro.cluster.config import ClusterConfig
 from repro.errors import CheckpointError, ConfigError, SpmdError
-from repro.oocs.api import sort_out_of_core
+from repro.oocs.api import run_baseline_io, sort_out_of_core
 from repro.records.format import RecordFormat
 from repro.records.generators import generate
 from repro.resilience import CheckpointStore
@@ -51,6 +51,16 @@ def run_sort(algorithm, recs, depth, workdir=None, **kwargs):
         algorithm, recs, cluster, FMT, buffer_records=buf,
         pipeline_depth=depth, workdir=workdir, **kwargs,
     )
+
+
+#: both entry points that take ``resume=``, on the threaded shape
+RESUMABLE = (
+    lambda recs, **kw: run_sort("threaded", recs, 0, **kw),
+    lambda recs, **kw: run_baseline_io(
+        recs, ClusterConfig(p=2, mem_per_proc=2**10), FMT, buffer_records=128,
+        **kw,
+    ),
+)
 
 
 def kill_after_pass(kill_at):
@@ -280,14 +290,15 @@ class TestResumeValidation:
 
     def test_resume_needs_workdir(self, tmp_path):
         recs = records_for("threaded")
-        with pytest.raises(ConfigError, match="workdir"):
-            run_sort("threaded", recs, 0, checkpoint_dir=tmp_path / "ck",
-                     resume=True)
+        for run in RESUMABLE:
+            with pytest.raises(ConfigError, match="workdir"):
+                run(recs, checkpoint_dir=tmp_path / "ck", resume=True)
 
     def test_resume_needs_checkpoint_dir(self, tmp_path):
         recs = records_for("threaded")
-        with pytest.raises(ConfigError, match="checkpoint_dir"):
-            run_sort("threaded", recs, 0, workdir=tmp_path / "w", resume=True)
+        for run in RESUMABLE:
+            with pytest.raises(ConfigError, match="checkpoint_dir"):
+                run(recs, workdir=tmp_path / "w", resume=True)
 
     def test_resume_from_empty_checkpoint_dir_runs_fresh(self, tmp_path):
         recs = records_for("threaded")

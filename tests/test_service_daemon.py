@@ -21,8 +21,10 @@ from repro.service.journal import JobJournal
 #: A fast known-good job (~0.5 s on the thread backend).
 SPEC = {"records": 4096, "buffer": 512, "processors": 4}
 
-#: A longer valid job (s = n/r must keep r >= 2s²) for cancel/drain races.
-SPEC_LONG = {"records": 16384, "buffer": 2048, "processors": 4}
+#: A longer valid job (s = n/r must keep r >= 2s²) for cancel/drain races:
+#: ~0.4 s on 2 vCPUs, so it is still running when a 0.05 s drain
+#: deadline expires (16384 records finished in ~0.1 s, inside the race).
+SPEC_LONG = {"records": 131072, "buffer": 4096, "processors": 4}
 
 
 @pytest.fixture
@@ -147,7 +149,13 @@ def test_tenant_queue_quota_sheds_submits(service_root):
     )
     try:
         with ServiceClient(service.socket_path) as client:
-            first = client.submit(SPEC, tenant="small")["job"]
+            first = client.submit(SPEC_LONG, tenant="small")["job"]
+            # The quota counts waiting jobs: let the executor claim the
+            # first (it then runs long enough for the next submits).
+            claimed_by = time.monotonic() + 30
+            while (client.status(first)["state"] == "admitted"
+                   and time.monotonic() < claimed_by):
+                time.sleep(0.01)
             client.submit(SPEC, tenant="small")  # fills the queue slot
             with pytest.raises(ServiceError, match="queue full"):
                 client.submit(SPEC, tenant="small")
@@ -239,6 +247,12 @@ def test_sigterm_drains_and_stops(service_root):
         service.install_signal_handlers()
         with ServiceClient(service.socket_path) as client:
             job = client.submit(SPEC)["job"]
+            # A drain starts nothing new: the job must be in flight
+            # (claimed by the executor) before the signal lands.
+            claimed_by = time.monotonic() + 30
+            while (client.status(job)["state"] == "admitted"
+                   and time.monotonic() < claimed_by):
+                time.sleep(0.01)
         os.kill(os.getpid(), signal.SIGTERM)
         assert service.stopped.wait(timeout=120)
     finally:
