@@ -31,6 +31,7 @@ from repro.cluster.mailbox import MailboxRouter
 from repro.cluster.stats import CommStats
 from repro.errors import CommError
 from repro.membuf import copy_stats, get_pool
+from repro.records.format import RecordFormat
 
 
 def _isolate(payload: object, fabric_isolates: bool = False) -> object:
@@ -55,7 +56,7 @@ def _isolate(payload: object, fabric_isolates: bool = False) -> object:
             return payload
         if payload.ndim == 1 and payload.size:
             buf = get_pool().grab(payload.dtype, payload.shape[0])
-            np.copyto(buf, payload)
+            np.copyto(RecordFormat.items(buf), RecordFormat.items(payload))
             return buf
         return payload.copy()
     if isinstance(payload, (list, tuple)):
@@ -333,7 +334,7 @@ class Comm:
                 self._coll_put_unmetered(dest, tag, "alltoallv", arr.copy())
                 continue
             part = packed[offset : offset + n]
-            np.copyto(part, arr)
+            np.copyto(RecordFormat.items(part), RecordFormat.items(arr))
             offset += n
             copy_stats().record_copy(part.nbytes)
             copy_stats().record_zero_copy(part.nbytes)

@@ -4,7 +4,9 @@ One FIFO queue per ``(source, dest, tag)`` triple. MPI guarantees
 non-overtaking order between a fixed (source, dest, tag) pair; a queue
 per triple gives exactly that, while messages on different tags may be
 consumed in any order — matching the semantics the rank programs rely
-on.
+on. A queue lives only while it holds messages or a receiver waits on
+it: every collective uses a fresh tag, so a table that kept drained
+queues would grow by P² entries per collective.
 
 The router is also where the resilience layer instruments the fabric:
 an attached :class:`~repro.resilience.faults.FaultPlan` injects comm
@@ -139,13 +141,14 @@ class MailboxRouter(SendAdmission):
 
     # ------------------------------------------------------------------
 
-    def _queue_for(self, source: int, dest: int, tag: object) -> queue.SimpleQueue:
-        key = (source, dest, tag)
-        with self._lock:
-            q = self._queues.get(key)
-            if q is None:
-                q = self._queues[key] = queue.SimpleQueue()
-            return q
+    def _queue_for(self, key: tuple[int, int, object]) -> queue.SimpleQueue:
+        """The live queue of ``key``, created if absent. Call under
+        ``self._lock``: a put must not land in a queue a receiver has
+        just dropped from the table."""
+        q = self._queues.get(key)
+        if q is None:
+            q = self._queues[key] = queue.SimpleQueue()
+        return q
 
     # -- watchdog support ----------------------------------------------
 
@@ -189,18 +192,22 @@ class MailboxRouter(SendAdmission):
 
     def put(self, source: int, dest: int, tag: object, payload: object) -> None:
         self._admit_send(source, dest, tag)
-        self._queue_for(source, dest, tag).put(payload)
+        with self._lock:
+            self._queue_for((source, dest, tag)).put(payload)
         self.touch(source)
 
     def get(self, source: int, dest: int, tag: object) -> object:
         # Poll in short slices so that a world shutdown (another rank
         # failed) interrupts blocked receivers promptly instead of after
-        # the full deadlock timeout.
-        q = self._queue_for(source, dest, tag)
+        # the full deadlock timeout. The queue is looked up again every
+        # slice, in case another receiver of the same key dropped it.
+        key = (source, dest, tag)
         waited = 0.0
         while True:
             self._check_closed()
             self._check_cancel()
+            with self._lock:
+                q = self._queue_for(key)
             try:
                 payload = q.get(timeout=POLL_SLICE)
             except queue.Empty:
@@ -212,6 +219,9 @@ class MailboxRouter(SendAdmission):
                         f"likely mismatched sends/receives or a collective mismatch"
                     ) from None
             else:
+                with self._lock:
+                    if q.empty() and self._queues.get(key) is q:
+                        del self._queues[key]
                 self.touch(dest)
                 return payload
 

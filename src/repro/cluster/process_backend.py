@@ -86,6 +86,7 @@ from repro.cluster.stats import CommStats, stats_from_snapshot
 from repro.cluster.transport import Transport, raise_primary_failure
 from repro.errors import CommError
 from repro.membuf import copy_delta, copy_stats, get_pool
+from repro.records.format import RecordFormat
 
 __all__ = [
     "ProcessTransport",
@@ -360,7 +361,7 @@ class ProcessRouter(SendAdmission):
         copy by design (see module doc)."""
         if src.size:
             out = get_pool().land(src.dtype, src.shape[0])
-            np.copyto(out, src)
+            np.copyto(RecordFormat.items(out), RecordFormat.items(src))
             copy_stats().record_landed(src.nbytes)
             return out
         return src.copy()
@@ -370,7 +371,7 @@ class ProcessRouter(SendAdmission):
         ``out=`` array when given (zero extra copies downstream), else
         into a pool-served landing buffer (:meth:`_land`)."""
         if out is not None:
-            np.copyto(out, src)
+            np.copyto(RecordFormat.items(out), RecordFormat.items(src))
             copy_stats().record_landed(src.nbytes)
             return out
         return self._land(src)
@@ -459,8 +460,11 @@ class ProcessRouter(SendAdmission):
             self._check_cancel()
             ready = self._local.get(key)
             if ready:
+                payload = ready.popleft()
+                if not ready:
+                    del self._local[key]  # every collective has a fresh tag
                 self.touch(dest)
-                return ready.popleft()
+                return payload
             try:
                 wire = inbox.get(timeout=POLL_SLICE)
             except _queue.Empty:

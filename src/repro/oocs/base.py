@@ -75,7 +75,7 @@ from repro.pipeline import (
     StageClock,
     WriteBehind,
 )
-from repro.records.format import RecordFormat
+from repro.records.format import RecordFormat, concat_records
 from repro.simulate.trace import PassTrace, RunTrace
 
 #: Point-to-point tag used for the half-column exchange of the final pass.
@@ -481,8 +481,8 @@ def _deal_pass(
         ]
 
         def split(col):
-            chunks = col.reshape(s, band)
-            return [chunks[q::groups].reshape(-1) for q in range(groups)]
+            chunks = fmt.items(col).reshape(s, band)
+            return [chunks[q::groups].reshape(-1).view(col.dtype) for q in range(groups)]
 
         def land(got):
             return got.reshape(mine, band)
@@ -508,12 +508,12 @@ def _deal_pass(
                     segs = col.reshape(mine, band)
                 else:
                     out = leases.lease(fmt.dtype, portion)
-                    rows = out.reshape(mine, groups, band)  # [l, q]: group q's band for target l
+                    rows = fmt.items(out).reshape(mine, groups, band)  # [l, q]: group q's band for target l
                     if member is None:
-                        rows[:, 0, :] = land(col)  # one transposing copy
+                        rows[:, 0, :] = fmt.items(land(col))  # one transposing copy
                     else:
                         for q, got in enumerate(recv):
-                            rows[:, q, :] = land(got)
+                            rows[:, q, :] = fmt.items(land(got))
                             leases.recycle(got)  # a landed buffer (process backend); a view is ignored
                     segs = out.reshape(mine, groups * band)
             writer.put(
@@ -582,7 +582,7 @@ def route_to_pdm(
         if my_piece is not None:
             gstart, arr = my_piece
             for q, pieces in pdm.split_by_owner(gstart, len(arr)).items():
-                parts[q] = np.concatenate(
+                parts[q] = concat_records(
                     [arr[rel : rel + nn] for (_d, _o, rel, nn) in pieces]
                 )
     with clock.stage(COMM):
@@ -659,8 +659,9 @@ def pass_final_windows(
                     upper = comm.recv(left, tag=WINDOW_TAG)  # bottom of col c−1
             with clock.stage(COMPUTE):
                 merged = leases.lease(fmt.dtype, r)
-                merged[:half] = upper
-                merged[half:] = col[:half]
+                halves = fmt.items(merged)
+                halves[:half] = fmt.items(upper)
+                halves[half:] = fmt.items(col[:half])
                 # col/upper are dead; adopting upper feeds the grabs of
                 # the next round's half-column sends.
                 leases.recycle(col)

@@ -43,7 +43,7 @@ from repro.oocs.incore.common import (
     validate_equal_lengths,
     validate_ranges,
 )
-from repro.records.format import RecordFormat
+from repro.records.format import RecordFormat, concat_records
 
 
 def _overlap(slices: list[tuple[int, int]], lo: int, hi: int) -> list[tuple[int, int]]:
@@ -134,7 +134,7 @@ class ColumnsortPlan:
         chunk = rr // p
         # Step 2 (transpose & reshape): row i of column q → column i mod P.
         recv = comm.alltoallv([col[q::p] for q in range(p)])
-        col = np.concatenate(recv)  # sources ascending == target rows ascending
+        col = concat_records(recv)  # sources ascending == target rows ascending
         # Step 3: the P received slices are sorted runs.
         col = fmt.merge_runs(col)
         # Step 4 (reshape & transpose): chunk m → column m, interleaved rows.
@@ -142,8 +142,9 @@ class ColumnsortPlan:
             [col[m * chunk : (m + 1) * chunk] for m in range(p)]
         )
         col = fmt.empty(rr)
+        rows = fmt.items(col)
         for q, piece in enumerate(recv):
-            col[q::p] = piece
+            rows[q::p] = fmt.items(piece)
         # Step 5.
         col = fmt.sort(col)
 
@@ -155,13 +156,16 @@ class ColumnsortPlan:
             held = col[:half]  # window 0 minus its −∞ padding
         else:
             upper = comm.recv(comm.rank - 1, tag=IC_TAG)
-            held = fmt.merge_runs(np.concatenate([upper, col[:half]]))
+            held = fmt.merge_runs(concat_records([upper, col[:half]]))
             if comm.rank == p - 1:
                 # Window P minus its +∞ padding starts where window P−1 stops.
-                held = np.concatenate([held, col[half:]])
+                held = concat_records([held, col[half:]])
 
         # Final communication step: deliver the requested slices.
-        recv = comm.alltoallv([held[take] for take in self._take])
+        items = fmt.items(held)
+        recv = comm.alltoallv(
+            [items[take].view(held.dtype) for take in self._take]
+        )
         for q, (got, owed) in enumerate(zip(recv, self._owed)):
             if len(got) != owed:
                 raise CommError(
@@ -169,7 +173,7 @@ class ColumnsortPlan:
                     f"the delivery, got {len(got)} — held ranges and target "
                     f"ranges disagree"
                 )
-        return np.concatenate(recv)
+        return concat_records(recv)
 
 
 def distributed_columnsort(

@@ -22,6 +22,12 @@ optimized C while the k-way merge tree pays Python-level iteration per
 level, so merging only wins for few, long runs — the opposite economics
 of the paper's hand-written C merger. :func:`sort_column` picks
 whichever is predicted cheaper.
+
+No pass calls :func:`merge_sorted_runs` or :func:`sort_column`: the pass
+bodies merge runs through :meth:`RecordFormat.merge_runs
+<repro.records.format.RecordFormat.merge_runs>` (timsort finds and
+merges them). The ``oocs.runs.merge_mrps`` probe therefore prices no
+pass; the kernel the passes run is ``merge_runs``.
 """
 
 from __future__ import annotations

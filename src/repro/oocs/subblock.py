@@ -98,12 +98,14 @@ def pass_subblock(
                 classes = col.reshape(share, t)  # col x = rows i ≡ x (mod √s)
                 if member is None:
                     grouped = leases.lease(fmt.dtype, portion)
-                    grouped.reshape(t, share)[:] = classes.T
+                    fmt.items(grouped).reshape(t, share)[:] = fmt.items(classes).T
                     recv = [grouped]
                 else:
                     routing = tables[c % t]
                     parts = [
-                        np.ascontiguousarray(classes[:, routing[q]].T).reshape(-1)
+                        np.ascontiguousarray(fmt.items(classes)[:, routing[q]].T)
+                        .reshape(-1)
+                        .view(fmt.dtype)
                         if q in routing
                         else fmt.empty(0)
                         for q in range(groups)

@@ -11,13 +11,15 @@ A record is ``key | uid | padding``:
 * ``padding`` — opaque filler bringing the record up to ``record_size``
   bytes (the paper used 64- to 128-byte records).
 
-Records are represented as NumPy structured arrays so that whole-record
-permutations are single vectorized gathers and disk I/O is a straight
-``tobytes``/``frombuffer`` of the underlying buffer.
+Records are represented as NumPy structured arrays so that disk I/O is a
+straight ``tobytes``/``frombuffer`` of the underlying buffer. A record is
+moved as one opaque item (:meth:`RecordFormat.items`); only the sort
+kernels look inside it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,6 +172,24 @@ class RecordFormat:
             return records.data
         return self.to_bytes(records)
 
+    # -- moving records ----------------------------------------------------
+
+    @staticmethod
+    def items(arr: np.ndarray) -> np.ndarray:
+        """``arr`` with each record as one opaque item: a
+        ``np.dtype((np.void, record_size))`` view of the same memory, at
+        the same shape and strides. Arrays that do not hold records (no
+        fields) pass through unchanged.
+
+        Every record copy on the data plane goes through this view:
+        NumPy copies a structured record field by field, but an opaque
+        item as one block (1.5–5× faster for 64-byte records), and the
+        bytes that land are the same.
+        """
+        if arr.dtype.names is None:
+            return arr
+        return arr.view(_item_dtype(arr.dtype.itemsize))
+
     # -- sorting helpers ---------------------------------------------------
     #
     # Static: the kernels read only the array they are given (its ``key``
@@ -212,6 +232,13 @@ class RecordFormat:
         return bool(np.all(keys[:-1] <= keys[1:]))
 
 
+@functools.cache
+def _item_dtype(record_size: int) -> np.dtype:
+    """The opaque item of :meth:`RecordFormat.items` (built once: a
+    dtype costs more to construct than the view it serves)."""
+    return np.dtype((np.void, record_size))
+
+
 def stable_argsort(values: np.ndarray) -> np.ndarray:
     """Element for element ``np.argsort(values, kind="stable")``, faster.
 
@@ -246,26 +273,29 @@ def stable_argsort(values: np.ndarray) -> np.ndarray:
     return packed.view(np.intp)
 
 
+def concat_records(arrays: list[np.ndarray]) -> np.ndarray:
+    """``np.concatenate(arrays)`` for arrays of one record dtype, each
+    record moved as one item (:meth:`RecordFormat.items`)."""
+    out = np.concatenate([RecordFormat.items(a) for a in arrays])
+    return out.view(arrays[0].dtype)
+
+
 def take_records(
     records: np.ndarray, order: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """``records[order]`` for a permutation ``order``, written into
     ``out`` when given.
 
-    Whole records move as rows of 8-byte words where the layout allows
-    (a structured gather copies field by field). ``mode="clip"`` skips
-    the bounds pass and the buffered copy ``np.take`` otherwise makes for
-    ``out=``; ``order`` comes from an argsort, so nothing is clipped.
+    One ``np.take`` of opaque items (:meth:`RecordFormat.items`), so
+    whole records move as blocks at any record size. ``mode="clip"``
+    skips the bounds pass and the buffered copy ``np.take`` otherwise
+    makes for ``out=``; ``order`` comes from an argsort, so nothing is
+    clipped.
     """
-    n = len(records)
     if out is None:
-        out = np.empty(n, dtype=records.dtype)
-    words, rest = divmod(records.dtype.itemsize, 8)
-    if rest == 0 and records.flags.c_contiguous and out.flags.c_contiguous:
-        np.take(
-            records.view(np.uint64).reshape(n, words), order, axis=0,
-            out=out.view(np.uint64).reshape(n, words), mode="clip",
-        )
-    else:
-        np.take(records, order, out=out, mode="clip")
+        out = np.empty(len(records), dtype=records.dtype)
+    np.take(
+        RecordFormat.items(records), order,
+        out=RecordFormat.items(out), mode="clip",
+    )
     return out

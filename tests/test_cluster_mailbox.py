@@ -1,5 +1,6 @@
 """The mailbox fabric: ordering, drainage, shutdown."""
 
+import sys
 import threading
 import time
 
@@ -58,6 +59,41 @@ class TestRouting:
         for t in threads:
             t.join()
         assert router.pending() == {}
+
+    def test_reused_tag_loses_no_message_while_queues_are_dropped(self):
+        """A drained queue leaves the table; a put racing that drop must
+        land in a queue the receiver will read, never in an orphan."""
+        ranks, messages = 4, 300
+        router = MailboxRouter(timeout=10)
+        received = {}
+
+        def sender(source):
+            for k in range(messages):
+                for dest in range(ranks):
+                    router.put(source, dest, "reused", (source, k))
+
+        def receiver(dest):
+            received[dest] = [
+                router.get(source, dest, "reused")
+                for k in range(messages)
+                for source in range(ranks)
+            ]
+
+        threads = [threading.Thread(target=sender, args=(q,)) for q in range(ranks)]
+        threads += [threading.Thread(target=receiver, args=(q,)) for q in range(ranks)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        want = [(source, k) for k in range(messages) for source in range(ranks)]
+        assert received == {dest: want for dest in range(ranks)}
+        assert router._queues == {}
 
 
 class TestTimeoutsAndShutdown:

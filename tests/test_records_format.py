@@ -3,10 +3,20 @@
 import numpy as np
 import pytest
 
+from repro.cluster import available_backends
+from repro.cluster.config import ClusterConfig
 from repro.errors import ConfigError
 from repro.membuf import get_pool
-from repro.records.format import RecordFormat, stable_argsort
+from repro.oocs.api import sort_out_of_core
+from repro.records.format import (
+    RecordFormat,
+    concat_records,
+    stable_argsort,
+    take_records,
+)
+from repro.records.generators import generate
 from repro.records.keys import KEY_DTYPES
+from tests.test_zerocopy_equivalence import SHAPES
 
 
 class TestLayout:
@@ -197,8 +207,107 @@ class TestStableOrderKernel:
             assert lease.tobytes() == want
         finally:
             get_pool().recycle(lease)
-        # A non-contiguous source takes the structured gather.
+        # A non-contiguous source moves through the same item view.
         strided = np.concatenate([recs, recs])[::2]
         assert fmt.sort(strided).tobytes() == (
             strided[np.argsort(strided["key"], kind="stable")].tobytes()
         )
+
+
+#: 12 bytes (a ``u4`` key and the uid, no pad), 20 and 100 (not whole
+#: 8-byte words) and 64 (the benchmark's records).
+ITEM_FORMATS = {
+    12: RecordFormat("u4", 12),
+    20: RecordFormat("u4", 20),
+    64: RecordFormat("u8", 64),
+    100: RecordFormat("u8", 100),
+}
+
+#: Every shape in which the data plane copies records, over 64 records.
+COPY_SHAPES = {
+    "contiguous": lambda a: a[3:35],
+    "strided": lambda a: a[1::4],  # col[q::p]
+    "transposed": lambda a: a.reshape(8, 8).T,  # reshape(b, m).T
+    "class_gather": lambda a: a.reshape(16, 4)[:, [3, 0]].T,  # subblock class
+    "empty": lambda a: a[:0],
+}
+
+
+def _noise_records(fmt: RecordFormat, n: int, seed: int) -> np.ndarray:
+    """``n`` records with random bytes in every field, so a copy that
+    dropped or misplaced any byte of a record would show."""
+    noise = np.random.default_rng(seed).integers(
+        0, 256, n * fmt.record_size, dtype=np.uint8
+    )
+    return noise.view(fmt.dtype)
+
+
+@pytest.mark.parametrize("size", sorted(ITEM_FORMATS))
+@pytest.mark.parametrize("shape", sorted(COPY_SHAPES))
+class TestItemCopies:
+    """A record moved as one opaque item (``RecordFormat.items``) lands
+    the bytes NumPy's structured copy lands, in every copy shape."""
+
+    def _source(self, size, shape):
+        fmt = ITEM_FORMATS[size]
+        return fmt, COPY_SHAPES[shape](_noise_records(fmt, 64, seed=size))
+
+    def test_item_copy(self, size, shape):
+        fmt, src = self._source(size, shape)
+        want = np.empty(src.shape, fmt.dtype)
+        want[...] = src
+        got = np.empty(src.shape, fmt.dtype)
+        fmt.items(got)[...] = fmt.items(src)
+        assert got.tobytes() == want.tobytes()
+        packed = np.ascontiguousarray(fmt.items(src)).view(fmt.dtype)
+        assert packed.dtype == fmt.dtype
+        assert packed.tobytes() == np.ascontiguousarray(src).tobytes()
+
+    def test_concat_records(self, size, shape):
+        fmt, src = self._source(size, shape)
+        parts = [src, fmt.items(src)[::-1].view(fmt.dtype)]
+        got = concat_records(parts)
+        want = np.concatenate(parts)
+        assert got.dtype == fmt.dtype
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_take_records(self, size, shape):
+        fmt, src = self._source(size, shape)
+        flat = src.reshape(-1)
+        order = np.random.default_rng(size).permutation(len(flat))
+        want = flat[order].tobytes()
+        assert take_records(flat, order).tobytes() == want
+        # Into a strided ``out=`` too.
+        out = fmt.empty(2 * len(flat))[::2]
+        assert take_records(flat, order, out) is out
+        assert out.tobytes() == want
+
+
+def test_items_passes_non_record_arrays_through():
+    words = np.arange(6, dtype=np.uint64)
+    assert RecordFormat.items(words) is words
+    assert concat_records([words, words]).tolist() == words.tolist() * 2
+
+
+@pytest.mark.parametrize(
+    "algorithm, backend",
+    [(algorithm, "thread") for algorithm in sorted(SHAPES)]
+    + [("threaded", b) for b in available_backends() if b != "thread"],
+)
+def test_sort_of_records_not_a_multiple_of_8_bytes(algorithm, backend):
+    # 100-byte records: no row of 8-byte words holds one, so every copy
+    # and gather of the sort moves them as opaque items.
+    fmt = RecordFormat("u8", 100)
+    n, buffer = SHAPES[algorithm]
+    records = generate("uniform", fmt, n, seed=7)
+    keys = records["key"]
+    assert len(np.unique(keys)) == len(keys)  # so the oracle is exact
+    result = sort_out_of_core(
+        algorithm, records, ClusterConfig(p=4, mem_per_proc=2**16), fmt,
+        buffer_records=buffer, backend=backend,
+        group_size=2 if algorithm == "g" else None,
+    )
+    got = result.output.read_global(0, n).tobytes()
+    result.output.delete()
+    assert got == records[np.argsort(keys, kind="stable")].tobytes()

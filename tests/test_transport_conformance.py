@@ -204,6 +204,24 @@ class TestSemantics:
         assert isinstance(err.value.cause, CommError)
         assert "timed out" in str(err.value.cause)
 
+    def test_message_tables_stay_bounded(self, backend):
+        """Every collective sends on a fresh tag, so a router that kept
+        its drained queues would hold P² more entries per collective."""
+        p = 4
+
+        def program(comm):
+            parts = [np.arange(3) for _ in range(comm.size)]
+            for _ in range(500):
+                comm.alltoallv(parts)
+                comm.barrier()
+            router = comm._router
+            if isinstance(router, MailboxRouter):
+                return len(router._queues)
+            return len(router._local)
+
+        res = run_spmd(p, program, backend=backend)
+        assert max(res.returns) <= 2 * p * p
+
     def test_subcommunicator_split(self, backend):
         def program(comm):
             sub = comm.split(color=comm.rank % 2)
