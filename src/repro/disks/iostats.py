@@ -51,10 +51,14 @@ class IoStats:
             self.reads += 1
             self.bytes_read += nbytes
 
-    def record_write(self, nbytes: int) -> None:
+    def record_write(self, nbytes: int, count: int = 1, hashed: int = 0) -> None:
+        """Count ``count`` written extents of ``nbytes`` in all, ``hashed``
+        of those bytes run through the block checksum (one update for a
+        whole batch write)."""
         with self._lock:
-            self.writes += 1
+            self.writes += count
             self.bytes_written += nbytes
+            self.bytes_hashed += hashed
 
     def record_retry(self, op: str) -> None:
         """Count one retried operation. Retries are metered separately —

@@ -84,6 +84,26 @@ class _StoreBase:
         copy_stats().record_zero_copy(nbytes)
         return out
 
+    def _write(self, extents) -> None:
+        """Write ``(disk, file, record offset, records)`` extents in
+        list order: one :meth:`VirtualDisk.write_extents` call per run
+        of consecutive extents on one disk — one per round at one disk
+        per processor, the paper's testbed — and one zero-copy meter
+        update. Splitting only at disk changes keeps the ``pwrite`` and
+        fault-plan order of the list."""
+        size = self.fmt.record_size
+        views = self.fmt.wire_views([extent[3] for extent in extents])
+        run: list = []
+        run_disk = None
+        for (disk, file, at, _records), view in zip(extents, views):
+            if disk is not run_disk:
+                if run:
+                    run_disk.write_extents(run)
+                run, run_disk = [], disk
+            run.append((file, at * size, view))
+        if run:
+            run_disk.write_extents(run)
+
     def io_totals(self) -> dict:
         """Aggregate I/O across this store's disks (includes any other
         stores sharing the same disks)."""
@@ -186,26 +206,46 @@ class ColumnStore(_StoreBase):
             raise ConfigError(
                 f"portion must hold r/g={self.portion} records, got {len(records)}"
             )
-        disk.write_at(file, 0, self.fmt.wire_view(records))
+        disk.write_at(file, 0, self.fmt.wire_views([records])[0])
 
     def append_to_portion(self, rank: int, j: int, records: np.ndarray) -> None:
-        """Append ``records`` to the rank's portion of column ``j`` at its
-        current cursor (positions assigned by arrival; the next pass
-        sorts the column). Thread-safe: the cursor range is reserved
-        under a lock, so concurrent appenders (the rank thread plus a
-        write-behind flusher) land in disjoint rows, and a refused
-        append reserves nothing."""
-        disk, file = self._check_access(rank, j)
-        key = (j, rank)
+        """Append ``records`` to the rank's portion of column ``j``: the
+        one-segment spelling of :meth:`append_segments`."""
+        self.append_segments(rank, [(j, records)])
+
+    def append_segments(self, rank: int, segments) -> None:
+        """Append each ``(j, records)`` of ``segments`` to the rank's
+        portion of column ``j`` at its cursor (positions assigned by
+        arrival; the next pass sorts the column) — a round's appends as
+        one store call, written in list order.
+
+        Thread-safe: every cursor range is reserved under one lock hold,
+        so concurrent appenders (the rank thread plus a write-behind
+        flusher) land in disjoint rows; a list with an overflowing
+        segment reserves nothing."""
+        try:
+            where = [self._where[rank, j] for j, _records in segments]
+        except KeyError:
+            for j, _records in segments:
+                self._check_access(rank, j)  # names the refused access
+            raise
+        extents = []
         with self._cursor_lock:
-            cursor = self._cursors.get(key, 0)
-            if cursor + len(records) > self.portion:
-                raise ConfigError(
-                    f"append of {len(records)} records overflows portion of "
-                    f"column {j} (cursor {cursor}, portion {self.portion})"
-                )
-            self._cursors[key] = cursor + len(records)
-        disk.write_at(file, self.fmt.nbytes(cursor), self.fmt.wire_view(records))
+            reserved: dict[tuple[int, int], int] = {}
+            for (disk, file), (j, records) in zip(where, segments):
+                key = (j, rank)
+                cursor = reserved.get(key)
+                if cursor is None:
+                    cursor = self._cursors.get(key, 0)
+                if cursor + len(records) > self.portion:
+                    raise ConfigError(
+                        f"append of {len(records)} records overflows portion of "
+                        f"column {j} (cursor {cursor}, portion {self.portion})"
+                    )
+                extents.append((disk, file, cursor, records))
+                reserved[key] = cursor + len(records)
+            self._cursors.update(reserved)
+        self._write(extents)
 
     def reset_cursors(self) -> None:
         """Clear append cursors (before re-running a pass that appends)."""
@@ -297,22 +337,30 @@ class PdmStore(_StoreBase):
         )
 
     def write_global(self, rank: int, start: int, records: np.ndarray) -> None:
-        """Write ``records`` at global positions ``[start, start+len)``.
-        Every touched block must live on one of ``rank``'s disks."""
-        self._check_range(start, len(records))
-        for disk, offset, rel, n in split_range_by_disk(
-            start, len(records), self.block, self.cfg.virtual_disks
-        ):
-            if self.cfg.owner_of_disk(disk) != rank:
-                raise DiskError(
-                    f"rank {rank} cannot write global records at disk {disk} "
-                    f"(owned by rank {self.cfg.owner_of_disk(disk)})"
+        """Write ``records`` at global positions ``[start, start+len)``:
+        the one-piece spelling of :meth:`write_pieces`."""
+        self.write_pieces(rank, [(start, records)])
+
+    def write_pieces(self, rank: int, pieces) -> None:
+        """Write each ``(start, records)`` of ``pieces`` at global
+        positions ``[start, start+len)`` — a round's output as one store
+        call, written in list order. Every touched block must live on
+        one of ``rank``'s disks; a refused piece list writes nothing."""
+        extents = []
+        for start, records in pieces:
+            self._check_range(start, len(records))
+            for disk, offset, rel, n in split_range_by_disk(
+                start, len(records), self.block, self.cfg.virtual_disks
+            ):
+                if self.cfg.owner_of_disk(disk) != rank:
+                    raise DiskError(
+                        f"rank {rank} cannot write global records at disk {disk} "
+                        f"(owned by rank {self.cfg.owner_of_disk(disk)})"
+                    )
+                extents.append(
+                    (self.disks[disk], self._file(disk), offset, records[rel : rel + n])
                 )
-            self.disks[disk].write_at(
-                self._file(disk),
-                self.fmt.nbytes(offset),
-                self.fmt.wire_view(records[rel : rel + n]),
-            )
+        self._write(extents)
 
     def read_global(self, start: int, count: int) -> np.ndarray:
         """Read ``[start, start+count)`` in global order (verification)."""

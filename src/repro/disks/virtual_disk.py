@@ -10,7 +10,7 @@ tests need: an optional capacity limit
 and fault injection through an attached
 :class:`~repro.resilience.faults.FaultPlan`. An attached
 :class:`~repro.resilience.retry.RetryPolicy` makes ``read_at`` /
-``write_at`` retry transient faults with metered retry counts.
+``write_extents`` retry transient faults with metered retry counts.
 
 Durability (always on): every write records a per-extent block CRC in a
 :class:`~repro.durability.checksums.BlockChecksums` catalog (in memory;
@@ -24,7 +24,12 @@ a ``parity_layer`` then serves its reads by online reconstruction into
 a ``.spare/`` region, reroutes its writes there, and repairs corrupt
 blocks in place — degraded-mode execution instead of an abort.
 
-Descriptors: ``write_at`` opens an object's file on its first write and
+Writes: :meth:`VirtualDisk.write_extents` is the one write path — a
+list of ``(name, offset, data)`` extents, one disk operation per call
+(a round's segments for this disk); ``write_at`` is its one-extent
+call.
+
+Descriptors: a write opens an object's file on its first extent and
 keeps the descriptor until :meth:`VirtualDisk.flush` — the pass
 boundary — closes it, the way the paper's files stay open for a pass.
 Writes go straight through ``pwrite`` (no user-space buffer), so what a
@@ -43,18 +48,30 @@ from pathlib import Path
 
 from repro.disks.iostats import IoStats
 from repro.durability.checksums import BlockChecksums
-from repro.durability.hashing import file_digest
+from repro.durability.hashing import block_checksum, file_digest
 from repro.errors import CorruptionError, DiskError, DiskFullError
 
 
-def _pwrite_all(fd: int, data, offset: int) -> None:
-    """``os.pwrite`` all of ``data`` at ``offset`` (a short write —
-    signal, quota edge — resumes where it stopped)."""
-    view = memoryview(data).cast("B")
+def _pwrite_all(fd: int, data, offset: int, nbytes: int) -> None:
+    """``os.pwrite`` all ``nbytes`` of ``data`` at ``offset`` (a short
+    write — signal, quota edge — resumes where it stopped)."""
+    done = os.pwrite(fd, data, offset)
+    if done == nbytes:
+        return
+    view = memoryview(data).cast("B")[done:]
     while view.nbytes:
+        offset += done
         done = os.pwrite(fd, view, offset)
         view = view[done:]
-        offset += done
+
+
+def _nbytes(data) -> int:
+    """Byte length of a buffer — ``nbytes``, not ``len()``: ``len()`` of
+    a record array counts records. An array's own ``nbytes`` is read
+    without exporting its buffer (a ``memoryview`` of a record array
+    costs about a microsecond)."""
+    nbytes = getattr(data, "nbytes", None)
+    return memoryview(data).nbytes if nbytes is None else nbytes
 
 
 def _fd_budget() -> int:
@@ -90,8 +107,9 @@ class VirtualDisk:
     retry, or degrade and fail), ``cancel_token`` (a
     :class:`~repro.governor.CancelToken` making every op attempt a
     cancellation point), ``fault_plan`` (a
-    :class:`~repro.resilience.faults.FaultPlan` consulted at the top of
-    every read/write, before side effects), ``retry_policy`` (a
+    :class:`~repro.resilience.faults.FaultPlan` consulted before each
+    read and each written extent, ahead of its side effects),
+    ``retry_policy`` (a
     :class:`~repro.resilience.retry.RetryPolicy` that retries transient
     failures, metering each retry into :attr:`stats`), ``quarantine``
     (a :class:`~repro.resilience.quarantine.DiskQuarantine` shared by
@@ -166,14 +184,11 @@ class VirtualDisk:
             raise DiskError(f"invalid object name {name!r}")
         return self.root / name
 
-    def _handle(self, name: str) -> int:
-        """The kept write descriptor of ``name``, opened (the file
-        created, the name validated) on its first use since the last
-        :meth:`flush`. Caller holds the lock."""
-        fd = self._handles.get(name)
-        if fd is not None:
-            self._handles.move_to_end(name)
-            return fd
+    def _open_handle(self, name: str) -> int:
+        """Open (create, validate the name of) the kept write descriptor
+        of ``name`` on its first use since the last :meth:`flush`,
+        evicting the least recently used one at the budget. Caller holds
+        the lock and has found no descriptor for ``name``."""
         while len(self._handles) >= self.handle_budget:
             os.close(self._handles.popitem(last=False)[1])
         path = self._path(name)
@@ -211,15 +226,24 @@ class VirtualDisk:
         quarantine = self.quarantine
         return quarantine is not None and quarantine.is_dead(self.disk_id)
 
-    def _run_op(self, op: str, fn):
+    def _run_op(self, op: str, fn, position=None):
         """Run one read/write body under the fault plan, quarantine,
         parity repair, and retry policy.
 
-        The fault check happens *before* ``fn`` on every attempt, so an
-        injected fault never leaves a half-applied operation behind and
-        a retried op is indistinguishable from a fresh one. A dead disk
-        skips the fault plan entirely (its medium is gone; the op is
-        served from parity/spare, or fails fast without one).
+        ``fn(degraded)`` runs once per attempt; the quarantine is asked
+        once per attempt whether the disk is dead. A live disk's body
+        consults the fault plan (:meth:`_consume_fault`) *before* each
+        extent's side effects, so an injected fault never leaves a
+        half-applied extent behind and a retried extent is
+        indistinguishable from a fresh one. A dead disk skips the fault
+        plan entirely (its medium is gone; the op is served from
+        parity/spare, or fails fast without one).
+
+        A batch body reports through ``position()`` the extent it has
+        reached, and its next attempt resumes there. A failure at a
+        later extent than the last failure starts that extent's retry
+        budget afresh, so every extent is retried, rerouted and
+        reclaimed for exactly as a one-extent op would be.
 
         :class:`~repro.errors.DiskFullError` never reaches the retry
         policy (backoff cannot free space); instead an attached
@@ -233,21 +257,23 @@ class VirtualDisk:
         attempt = 1
         repaired = False
         rerouted = False
+        failed_at = 0
         while True:
             token = self.cancel_token
             if token is not None and token.cancelled():
                 raise token.exception()
             try:
-                if self._degraded():
-                    if self.parity_layer is None:
-                        raise DiskError(
-                            f"disk {self.disk_id} is quarantined dead and no "
-                            "parity layer is attached to serve it"
-                        )
-                else:
-                    self._consume_fault(op)
-                return fn()
+                degraded = self._degraded()
+                if degraded and self.parity_layer is None:
+                    raise DiskError(
+                        f"disk {self.disk_id} is quarantined dead and no "
+                        "parity layer is attached to serve it"
+                    )
+                return fn(degraded)
             except BaseException as exc:
+                if position is not None and position() != failed_at:
+                    failed_at = position()
+                    attempt, repaired, rerouted = 1, False, False
                 # A permanent disk fault feeds the quarantine; if this
                 # disk just crossed the death threshold and parity can
                 # serve it, re-run the op once in degraded mode.
@@ -357,68 +383,103 @@ class VirtualDisk:
     def write_at(
         self, name: str, offset: int, data: bytes | bytearray | memoryview
     ) -> None:
-        """Write ``data`` (any C-contiguous buffer — bytes, a memoryview
-        of a record array, ...) at byte ``offset``, growing the file if
-        needed."""
+        """Write ``data`` (any C-contiguous buffer — bytes, a record
+        array, a memoryview, ...) at byte ``offset``, growing the file if
+        needed: the one-extent spelling of :meth:`write_extents`."""
+        self.write_extents([(name, offset, data)])
+
+    def write_extents(self, extents) -> None:
+        """Write each ``(name, offset, data)`` extent, in order, as one
+        disk operation — a round's segments bound for this disk.
+
+        Once per call: the cancel check, the quarantine check, the disk
+        lock, the :class:`IoStats` update and the checksum-catalog
+        insert. Per extent, in list order: the fault-plan check, the
+        descriptor lookup, the capacity check, the parity update, the
+        gap zero-fill, the ``pwrite``, the size update and the CRC. So
+        ``IoStats.writes`` counts extents, the fault plan counts extent
+        attempts, and a retried, reclaimed or rerouted call resumes at
+        the extent that failed (:meth:`_run_op`); the extents before it
+        have landed and are counted."""
         if self.read_only:
             raise DiskError(f"disk {self.disk_id} is read-only")
-        if offset < 0:
-            raise DiskError(f"negative write offset {offset}")
-        # memoryview(data).nbytes, not len(data): len() of a structured-
-        # array view counts records, not bytes.
-        nbytes = memoryview(data).nbytes
+        batch = []
+        for name, offset, data in extents:
+            if offset < 0:
+                raise DiskError(f"negative write offset {offset}")
+            batch.append((name, offset, data, _nbytes(data)))
+        done = 0  # extents landed; the next attempt starts at batch[done]
 
-        def body() -> None:
-            layer = self.parity_layer
-            degraded = self._degraded()
+        def body(degraded: bool) -> None:
+            nonlocal done
+            landed = []  # (name, offset, length, crc), for the catalog
             with self._lock:
-                old_size = self._sizes.get(name, 0)
-                new_size = max(old_size, offset + nbytes)
-                if self.capacity_bytes is not None:
-                    grow = new_size - old_size
-                    if grow > 0 and self._used + grow > self.capacity_bytes:
-                        raise DiskFullError(
-                            f"disk {self.disk_id} full: cannot grow {name!r} by "
-                            f"{grow} bytes (capacity {self.capacity_bytes})"
-                        )
-                if degraded:
-                    # The medium is gone: surviving content is faulted
-                    # into the spare region first, then the write lands
-                    # there too. Both steps are capacity-accounted
-                    # (reserve_spare), so a reconstruction near the
-                    # limit raises DiskFullError instead of silently
-                    # exceeding it.
-                    self._path(name)  # validates the name
-                    self.close_handles()
-                    target = layer.ensure_spare(self, name, old_size)
-                    self.reserve_spare(name, new_size)
-                    self.quarantine.record_spare_write()
-                if layer is not None:
-                    # Parity folds stale overlapped extents out (it reads
-                    # their pre-write bytes), so this must precede the
-                    # file write.
-                    layer.on_write(self, name, offset, data, spare=degraded)
-                # The spare region keeps open/close per write: a dead
-                # disk's handful of rerouted writes is not a hot path.
-                fd = (
-                    os.open(target, os.O_RDWR | os.O_CREAT, 0o666)
-                    if degraded
-                    else self._handle(name)
-                )
                 try:
-                    if offset > old_size:
-                        # Explicitly zero-fill the gap so reads are defined.
-                        _pwrite_all(fd, bytes(offset - old_size), old_size)
-                    _pwrite_all(fd, data, offset)
+                    for i in range(done, len(batch)):
+                        name, offset, data, nbytes = batch[i]
+                        if not degraded:
+                            self._consume_fault("write")
+                        self._write_extent(name, offset, data, nbytes, degraded)
+                        landed.append((name, offset, nbytes, block_checksum(data)))
+                        done = i + 1
                 finally:
-                    if degraded:
-                        os.close(fd)
-                self._sizes[name] = new_size
-                self._used += new_size - old_size
-                self.stats.record_hashed(self.checksums.record(name, offset, data))
-            self.stats.record_write(nbytes)
+                    if landed:
+                        self.checksums.insert(landed)
+                        nbytes = sum(extent[2] for extent in landed)
+                        self.stats.record_write(nbytes, len(landed), hashed=nbytes)
 
-        self._run_op("write", body)
+        self._run_op("write", body, position=lambda: done)
+
+    def _write_extent(
+        self, name: str, offset: int, data, nbytes: int, degraded: bool
+    ) -> None:
+        """Land one extent of :meth:`write_extents`. Caller holds the
+        lock."""
+        layer = self.parity_layer
+        old_size = self._sizes.get(name, 0)
+        new_size = max(old_size, offset + nbytes)
+        if self.capacity_bytes is not None:
+            grow = new_size - old_size
+            if grow > 0 and self._used + grow > self.capacity_bytes:
+                raise DiskFullError(
+                    f"disk {self.disk_id} full: cannot grow {name!r} by "
+                    f"{grow} bytes (capacity {self.capacity_bytes})"
+                )
+        if degraded:
+            # The medium is gone: surviving content is faulted into the
+            # spare region first, then the write lands there too. Both
+            # steps are capacity-accounted (reserve_spare), so a
+            # reconstruction near the limit raises DiskFullError instead
+            # of silently exceeding it.
+            self._path(name)  # validates the name
+            self.close_handles()
+            target = layer.ensure_spare(self, name, old_size)
+            self.reserve_spare(name, new_size)
+            self.quarantine.record_spare_write()
+        if layer is not None:
+            # Parity folds stale overlapped extents out (it reads their
+            # pre-write bytes), so this must precede the file write.
+            layer.on_write(self, name, offset, data, spare=degraded)
+        # The spare region keeps open/close per write: a dead disk's
+        # handful of rerouted writes is not a hot path.
+        if degraded:
+            fd = os.open(target, os.O_RDWR | os.O_CREAT, 0o666)
+        else:
+            fd = self._handles.get(name)
+            if fd is None:
+                fd = self._open_handle(name)
+            else:
+                self._handles.move_to_end(name)
+        try:
+            if offset > old_size:
+                # Explicitly zero-fill the gap so reads are defined.
+                _pwrite_all(fd, bytes(offset - old_size), old_size, offset - old_size)
+            _pwrite_all(fd, data, offset, nbytes)
+        finally:
+            if degraded:
+                os.close(fd)
+        self._sizes[name] = new_size
+        self._used += new_size - old_size
 
     def read_at(
         self, name: str, offset: int, nbytes: int, out: "object | None" = None
@@ -434,8 +495,8 @@ class VirtualDisk:
             raise DiskError(f"invalid read range ({offset}, {nbytes})")
         path = self._path(name)
 
-        def body() -> object:
-            if self._degraded():
+        def body(degraded: bool) -> object:
+            if degraded:
                 with self._lock:
                     if name not in self._sizes:
                         raise DiskError(
@@ -444,6 +505,7 @@ class VirtualDisk:
                     logical = self._sizes[name]
                 src = self.parity_layer.ensure_spare(self, name, logical)
             else:
+                self._consume_fault("read")
                 src = path
                 if not src.exists():
                     raise DiskError(f"no object {name!r} on disk {self.disk_id}")

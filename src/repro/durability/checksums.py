@@ -1,7 +1,7 @@
 """Per-extent block-checksum catalog for one virtual disk.
 
-Every :meth:`~repro.disks.virtual_disk.VirtualDisk.write_at` records a
-CRC of the written extent here; every ``read_at`` verifies the extents
+Every extent :meth:`~repro.disks.virtual_disk.VirtualDisk.write_extents`
+writes gets a CRC recorded here; every ``read_at`` verifies the extents
 that tile the read range. The catalog is persisted as one JSON sidecar
 per object under ``<disk root>/.meta/`` (a dot-directory, invisible to
 the disk's object namespace), so checksums survive process restarts and
@@ -15,7 +15,7 @@ from the catalog (its old checksum no longer describes the file), which
 matches the raw-disk semantics the disk unit tests pin down.
 
 Sidecar persistence is *batched*, sidecar durability *barriered* —
-neither is per-write. :meth:`BlockChecksums.record` only updates the
+neither is per-write. :meth:`BlockChecksums.insert` only updates the
 in-memory catalog; :meth:`BlockChecksums.flush` rewrites the sidecar of
 every object recorded since the last flush (atomically: temp file +
 ``os.replace``, which a process crash cannot tear), and the pass
@@ -144,35 +144,46 @@ class BlockChecksums:
     # ------------------------------------------------------------------
 
     def record(self, name: str, offset: int, data) -> int:
-        """Checksum one written extent and fold out any stale overlaps
-        — in memory only; :meth:`flush` persists it.
+        """Checksum one written extent and catalog it (:meth:`insert`).
 
         Returns the number of bytes hashed (for ``IoStats`` metering).
         """
         view = memoryview(data)
-        length = view.nbytes
-        new = [offset, length, block_checksum(view)]
-        end = offset + length
+        self.insert([(name, offset, view.nbytes, block_checksum(view))])
+        return view.nbytes
+
+    def insert(self, extents) -> None:
+        """Catalog written ``(name, offset, length, crc)`` extents, in
+        order, under one lock hold, folding out any stale overlaps — in
+        memory only; :meth:`flush` persists them."""
         with self._lock:
-            extents = self._extents.setdefault(name, [])
-            i = bisect_left(extents, [offset])
-            before = extents[i - 1] if i else (0, 0)
-            if before[0] + before[1] <= offset and (
-                i == len(extents) or extents[i][0] >= end
-            ):
-                # Overlaps nothing (every deal-pass append): no rebuild.
-                extents.insert(i, new)
-            else:
-                kept = [
-                    e
-                    for e in extents
-                    if e[0] >= end or e[0] + e[1] <= offset
-                ]
-                kept.append(new)
-                kept.sort()
-                self._extents[name] = kept
-            self._unflushed.add(name)
-        return length
+            for name, offset, length, crc in extents:
+                end = offset + length
+                new = [offset, length, crc]
+                extents_of = self._extents.setdefault(name, [])
+                last = extents_of[-1] if extents_of else None
+                if last is None or last[0] < offset >= last[0] + last[1]:
+                    # Past every cataloged extent (a cursor append): where
+                    # bisection would put it, without the search.
+                    extents_of.append(new)
+                else:
+                    i = bisect_left(extents_of, [offset])
+                    before = extents_of[i - 1] if i else (0, 0)
+                    if before[0] + before[1] <= offset and (
+                        i == len(extents_of) or extents_of[i][0] >= end
+                    ):
+                        # Overlaps nothing: no rebuild.
+                        extents_of.insert(i, new)
+                    else:
+                        kept = [
+                            e
+                            for e in extents_of
+                            if e[0] >= end or e[0] + e[1] <= offset
+                        ]
+                        kept.append(new)
+                        kept.sort()
+                        self._extents[name] = kept
+                self._unflushed.add(name)
 
     def drop(self, name: str) -> None:
         """Forget an object (on delete); its sidecar goes at once."""

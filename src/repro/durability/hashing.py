@@ -25,23 +25,22 @@ from pathlib import Path
 try:  # pragma: no cover - depends on the environment
     import crc32c as _crc32c_mod
 
-    def _crc(view) -> int:
-        return _crc32c_mod.crc32c(bytes(view))
+    def block_checksum(data) -> int:
+        """32-bit checksum of one block (any C-contiguous buffer)."""
+        return _crc32c_mod.crc32c(bytes(data))
 
     CHECKSUM_ALGO = "crc32c"
 except ImportError:  # pragma: no cover - the baked-in toolchain path
-    def _crc(view) -> int:
-        return zlib.crc32(view) & 0xFFFFFFFF
+    def block_checksum(data) -> int:
+        """32-bit checksum of one block (any C-contiguous buffer, read
+        in place: a ``memoryview`` of a record array would cost more
+        than hashing a 4 KB segment)."""
+        return zlib.crc32(data) & 0xFFFFFFFF
 
     CHECKSUM_ALGO = "crc32"
 
 #: Digest used for whole-file fingerprints and checkpoint digests.
 DIGEST_ALGO = "sha256"
-
-
-def block_checksum(data) -> int:
-    """32-bit checksum of one block (any C-contiguous buffer)."""
-    return _crc(memoryview(data))
 
 
 def file_digest(path: str | Path) -> str:

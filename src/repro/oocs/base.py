@@ -517,10 +517,11 @@ def _deal_pass(
                             leases.recycle(got)  # a landed buffer (process backend); a view is ignored
                     segs = out.reshape(mine, groups * band)
             writer.put(
-                *[
-                    partial(dst.append_to_portion, rank, gid + l * groups, segs[l])
-                    for l in range(mine)
-                ],
+                partial(
+                    dst.append_segments,
+                    rank,
+                    [(gid + l * groups, segs[l]) for l in range(mine)],
+                ),
                 release=None if out is None else leases.hand_off(out),
             )
 
@@ -597,11 +598,11 @@ def route_to_pdm(
         got = recv[q_src]
         at = 0
         for (_disk, _off, rel, nn) in pieces:
-            writes.append(
-                partial(pdm.write_global, comm.rank, gstart + rel, got[at : at + nn])
-            )
+            writes.append((gstart + rel, got[at : at + nn]))
             at += nn
-    writer.put(*writes, release=leases.hand_off(*recv))
+    writer.put(
+        partial(pdm.write_pieces, comm.rank, writes), release=leases.hand_off(*recv)
+    )
 
 
 def pass_final_windows(

@@ -115,16 +115,14 @@ def pass_subblock(
                     recv = member.alltoallv(parts)
                 if incore is None:
                     leases.recycle(col)
-            writes = []
+            segments = []
             for q_src, got in enumerate(recv):
                 c_src = rnd * groups + q_src
                 for idx, x in enumerate(tables[c_src % t].get(gid, [])):
-                    writes.append(
-                        partial(
-                            dst.append_to_portion,
-                            comm.rank,
-                            x * t + c_src % t,
-                            got[idx * share : (idx + 1) * share],
-                        )
+                    segments.append(
+                        (x * t + c_src % t, got[idx * share : (idx + 1) * share])
                     )
-            writer.put(*writes, release=leases.hand_off(*recv))
+            writer.put(
+                partial(dst.append_segments, comm.rank, segments),
+                release=leases.hand_off(*recv),
+            )

@@ -247,9 +247,10 @@ _STOP = _Stop()
 class WriteBehind:
     """Retire write items on a background thread, in submission order.
 
-    One item is one *round*: every write the round produced (the
-    ``s/P`` segment writes of a deal round, say) plus the release of the
-    column buffer those writes read from. :meth:`put` blocks only when
+    One item is one *round*: the store call writing every segment the
+    round produced (the ``s/P`` segments of a deal round, say, one disk
+    operation per disk) plus the release of the column buffer those
+    writes read from. :meth:`put` blocks only when
     ``depth`` items are already queued behind the one being written, so
     ``depth`` counts column buffers in flight — the unit
     :class:`PipelinePlan`, DESIGN §6 and admission control reason in —

@@ -158,19 +158,28 @@ class RecordFormat:
         copy_stats().record_copy(out.nbytes)
         return out
 
-    def wire_view(self, records: np.ndarray) -> memoryview | bytes:
-        """The on-disk byte representation of ``records`` as a
-        memoryview of their existing memory when possible (the zero-copy
-        write path); falls back to a serialized copy for non-contiguous
-        or foreign-dtype inputs."""
-        if (
-            isinstance(records, np.ndarray)
-            and records.dtype == self._dtype
-            and records.flags.c_contiguous
-        ):
-            copy_stats().record_zero_copy(records.nbytes)
-            return records.data
-        return self.to_bytes(records)
+    def wire_views(self, arrays) -> list[np.ndarray | bytes]:
+        """The on-disk byte representation of each record array: the
+        array itself when it is C-contiguous in this format's dtype (the
+        zero-copy write path, metered once for the whole list — a
+        buffer ``pwrite`` and the CRC read in place), else a serialized
+        copy."""
+        views = []
+        zero_copy = 0
+        dtype = self._dtype
+        for records in arrays:
+            if (
+                isinstance(records, np.ndarray)
+                and records.dtype == dtype
+                and records.flags.c_contiguous
+            ):
+                zero_copy += records.nbytes
+                views.append(records)
+            else:
+                views.append(self.to_bytes(records))
+        if zero_copy:
+            copy_stats().record_zero_copy(zero_copy)
+        return views
 
     # -- moving records ----------------------------------------------------
 

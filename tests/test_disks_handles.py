@@ -17,6 +17,7 @@ import pytest
 from repro.cluster.config import ClusterConfig
 from repro.disks import virtual_disk
 from repro.disks.virtual_disk import VirtualDisk, make_disk_array
+from repro.durability.hashing import block_checksum
 from repro.durability.parity import attach_durability
 from repro.errors import Cancellation, DiskError, SpmdError
 from repro.governor import CancelToken
@@ -193,6 +194,61 @@ class TestHandleTable:
         assert open_under(tmp_path)
         del disk
         gc.collect()
+        assert open_under(tmp_path) == []
+
+    def test_one_batch_over_three_budgets_of_objects(self, tmp_path, monkeypatch):
+        """A single ``write_extents`` call touching 3 × budget objects,
+        each twice (so evicted descriptors reopen mid-batch): the table
+        never exceeds its budget, no open runs out of descriptors, every
+        ``pwrite`` goes through a live descriptor of its own object, and
+        every byte and catalog CRC lands and reads back verified."""
+        disk = VirtualDisk(tmp_path, disk_id=0)
+        disk.handle_budget = 16
+        names = [f"obj{i:03d}" for i in range(3 * disk.handle_budget)]
+        extents = [
+            (name, half * 64, bytes([i % 251 + 1, half + 1]) * 32)
+            for half in (0, 1)
+            for i, name in enumerate(names)
+        ]
+        real_open, real_pwrite = os.open, os.pwrite
+        emfile, landed = [], []
+
+        def watched_open(path, flags, *args, **kwargs):
+            try:
+                return real_open(path, flags, *args, **kwargs)
+            except OSError as exc:
+                if exc.errno in (errno.EMFILE, errno.ENFILE):
+                    emfile.append(path)
+                raise
+
+        def watched_pwrite(fd, data, offset):
+            assert len(disk._handles) <= disk.handle_budget
+            # The descriptor is open, kept, and names this extent's file.
+            target = os.path.basename(os.readlink(f"/proc/self/fd/{fd}"))
+            assert disk._handles.get(target) == fd
+            landed.append((target, offset))
+            return real_pwrite(fd, data, offset)
+
+        monkeypatch.setattr(os, "open", watched_open)
+        monkeypatch.setattr(os, "pwrite", watched_pwrite)
+        disk.write_extents(extents)
+        monkeypatch.undo()
+
+        assert landed == [(name, offset) for name, offset, _data in extents]
+        assert emfile == []
+        assert len(disk._handles) == disk.handle_budget
+        snap = disk.stats.snapshot()
+        assert (snap["writes"], snap["bytes_written"]) == (len(extents), 64 * len(extents))
+        for name in names:
+            want = b"".join(data for n, _o, data in extents if n == name)
+            assert disk.checksums.extents(name) == [
+                (offset, 64, block_checksum(data))
+                for n, offset, data in extents
+                if n == name
+            ]
+            assert disk.read_at(name, 0, 128) == want  # verified against the CRCs
+        assert disk.stats.snapshot()["checksum_failures"] == 0
+        disk.flush()
         assert open_under(tmp_path) == []
 
     def test_an_array_shares_one_budget(self, tmp_path, monkeypatch):

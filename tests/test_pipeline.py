@@ -629,16 +629,17 @@ def test_write_failing_mid_round_strands_no_lease(tmp_path, depth):
     ws = make_workspace(cluster, FMT, recs, r, s, workdir=tmp_path)
     dst = ColumnStore(cluster, FMT, r, s, ws.disks, name="fail-t1")
     boom = DiskFullError("disk 0 full")
-    real_write = dst.append_to_portion
-    calls = {0: 0, 1: 0}
+    real_write = dst.append_segments
+    rounds = {0: 0, 1: 0}
 
-    def failing_write(rank, j, records):
-        calls[rank] += 1
-        if rank == 0 and calls[rank] == s // 2 + 2:  # second write of round 1
+    def failing_write(rank, segments):
+        rounds[rank] += 1
+        if rank == 0 and rounds[rank] == 2:  # second segment write of round 1
+            real_write(rank, segments[:1])  # the first segment lands
             raise boom
-        real_write(rank, j, records)
+        real_write(rank, segments)
 
-    dst.append_to_portion = failing_write
+    dst.append_segments = failing_write
     plan = PipelinePlan(depth=depth, timeout=10.0)
     with pytest.raises(SpmdError) as exc_info:
         run_spmd(

@@ -5,15 +5,23 @@ import time
 import pytest
 
 from repro.cluster.config import ClusterConfig
+from repro.cluster.spmd import run_spmd
+from repro.disks.iostats import IoStats
+from repro.disks.matrixfile import ColumnStore
 from repro.disks.virtual_disk import VirtualDisk
 from repro.errors import (
     CommError,
     DiskError,
     DiskFullError,
+    RankKilled,
     ResilienceError,
     SpmdError,
 )
+from repro.membuf import get_pool
 from repro.oocs.api import sort_out_of_core
+from repro.oocs.base import make_workspace, pass_step2_deal
+from repro.oocs.subblock import pass_subblock
+from repro.pipeline import PipelinePlan
 from repro.records.format import RecordFormat
 from repro.records.generators import generate
 from repro.resilience import FaultPlan, FaultSpec, RetryPolicy, transient_plan
@@ -288,3 +296,116 @@ class TestEveryProgramUnderFaults:
         assert time.monotonic() - started < WATCHDOG_DEADLINE + 5.0
         assert err.value.rank is not None
         assert isinstance(err.value.cause, DiskError)
+
+
+# -- fault counting inside a round -------------------------------------------
+
+ROUND_FMT = RecordFormat("u8", 16)
+
+#: pass → (body, r, s) on P = 2 with one disk per rank, so rank 0's
+#: segment writes are disk 0's writes. Either pass appends 4 segments
+#: per round (the deal: s/P targets; the subblock pass: the √s classes
+#: of the one source column per round whose classes rank 0 owns).
+ROUND_PASSES = {
+    "deal": (pass_step2_deal, 128, 8),
+    "subblock": (pass_subblock, 256, 16),
+}
+
+#: The first, a middle and the last segment write of rank 0's second
+#: round, counted from the pass's first write.
+ROUND_ONE = (5, 6, 8)
+
+
+def round_pass(name, depth, workdir, spec=None):
+    """Run one pass on fresh disks with ``spec`` armed on disk 0 and a
+    3-attempt retry policy; return ``(disks, dst, error or None)``."""
+    body, r, s = ROUND_PASSES[name]
+    cluster = ClusterConfig(p=2, mem_per_proc=2**10)
+    ws = make_workspace(
+        cluster, ROUND_FMT, generate("zipf", ROUND_FMT, r * s, seed=7), r, s,
+        workdir=workdir,
+    )
+    dst = ColumnStore(cluster, ROUND_FMT, r, s, ws.disks, name="out")
+    plan = FaultPlan([] if spec is None else [spec])
+    for disk in ws.disks:
+        disk.stats.reset()
+        disk.fault_plan = plan
+        disk.retry_policy = RetryPolicy(max_attempts=3, base_delay_s=0.0)
+    pipeline = PipelinePlan(depth=depth, timeout=10.0)
+    error = None
+    try:
+        run_spmd(
+            cluster.p,
+            lambda comm: body(comm, ws.input, dst, ROUND_FMT, None, plan=pipeline),
+            timeout=10,
+        )
+    except SpmdError as exc:
+        error = exc
+    finally:
+        for disk in ws.disks:
+            disk.close_handles()
+    return ws.disks, dst, error
+
+
+def landed_on_disk0(disks, dst) -> tuple[int, int]:
+    """``(writes, output bytes)`` on rank 0's disk."""
+    disk = disks[0]
+    out = sum(disk.size(f) for f in disk.files() if f.startswith(f"{dst.name}."))
+    return disk.stats.snapshot()["writes"], out
+
+
+@pytest.mark.parametrize("k", ROUND_ONE)
+@pytest.mark.parametrize("depth", [0, 2])
+@pytest.mark.parametrize("name", sorted(ROUND_PASSES))
+class TestFaultCountingInsideARound:
+    """A round's segments are one disk operation, but the fault plan
+    still counts one op per segment: a fault armed at the kth write
+    lands on the kth segment, and a retry resumes there."""
+
+    def segment_bytes(self, name):
+        _body, r, s = ROUND_PASSES[name]
+        # The deal's segment gathers P bands of r/s records; the
+        # subblock pass's is one class of r/√s records.
+        records = 2 * r // s if name == "deal" else r // 4
+        return ROUND_FMT.nbytes(records)
+
+    def test_transient_fault_is_retried_at_its_segment(
+        self, name, depth, k, tmp_path
+    ):
+        disks, clean, error = round_pass(name, depth, tmp_path / "clean")
+        assert error is None
+        want = IoStats.combine([d.stats for d in disks])
+        _body, r, s = ROUND_PASSES[name]
+        half = ROUND_FMT.nbytes(r * s // 2)  # rank 0's columns
+        assert landed_on_disk0(disks, clean) == (half // self.segment_bytes(name), half)
+        disks, dst, error = round_pass(
+            name, depth, tmp_path / "w",
+            FaultSpec(op="write", nth=k, disk=0, transient=True),
+        )
+        assert error is None
+        got = IoStats.combine([d.stats for d in disks])
+        assert (got["writes"], got["bytes_written"]) == (
+            want["writes"], want["bytes_written"],
+        )
+        assert got["write_retries"] == 1
+        assert dst.to_records().tobytes() == clean.to_records().tobytes()
+
+    def test_permanent_fault_lands_on_its_segment(self, name, depth, k, tmp_path):
+        disks, dst, error = round_pass(
+            name, depth, tmp_path,
+            FaultSpec(op="write", nth=k, disk=0, transient=False),
+        )
+        assert isinstance(error, SpmdError)
+        assert error.rank == 0 and isinstance(error.cause, DiskError)
+        assert get_pool().outstanding() == 0
+        assert landed_on_disk0(disks, dst) == (k - 1, (k - 1) * self.segment_bytes(name))
+
+    def test_rank_kill_lands_on_its_segment(self, name, depth, k, tmp_path):
+        disks, dst, error = round_pass(
+            name, depth, tmp_path,
+            FaultSpec(op="write", nth=k, disk=0, kind="rank_kill"),
+        )
+        assert isinstance(error, SpmdError)
+        assert error.rank == 0 and isinstance(error.cause, RankKilled)
+        assert get_pool().outstanding() == 0
+        assert landed_on_disk0(disks, dst) == (k - 1, (k - 1) * self.segment_bytes(name))
