@@ -40,7 +40,6 @@ from repro.errors import (
     ConfigError,
     DimensionError,
     DiskError,
-    ProblemSizeError,
     ReproError,
     VerificationError,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "ReproError",
     "ConfigError",
     "DimensionError",
-    "ProblemSizeError",
     "CommError",
     "DiskError",
     "VerificationError",

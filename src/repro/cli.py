@@ -21,6 +21,7 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.transport import available_backends
 from repro.records.format import RecordFormat
 from repro.records.generators import generate, workload_names
+from repro.records.keys import KEY_DTYPES
 
 
 def _cmd_figure2(args: argparse.Namespace) -> int:
@@ -74,6 +75,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _print_copy_stats(result) -> None:
+    from repro.membuf import ARENA_KEYS
+
     copy = result.copy or {}
     moved = copy.get("bytes_copied", 0) + copy.get("bytes_zero_copy", 0)
     frac = 100 * copy.get("bytes_copied", 0) / moved if moved else 0.0
@@ -87,15 +90,15 @@ def _print_copy_stats(result) -> None:
         f"{copy.get('pool_misses', 0)} misses, "
         f"peak {copy.get('peak_leases', 0)} leases outstanding"
     )
-    arena_ops = copy.get("arena_hits", 0) + copy.get("arena_misses", 0)
-    if arena_ops:
+    # Only the process backend has shared-memory segments; all-zero
+    # arena counters on the thread backend would read as a disabled
+    # feature, not a fact.
+    hits, misses, attaches, landed = (copy.get(k, 0) for k in ARENA_KEYS)
+    if hits + misses:
         print(
-            f"  arena: {copy.get('arena_hits', 0)} slab reuses / "
-            f"{copy.get('arena_misses', 0)} creates "
-            f"({100 * copy.get('arena_hits', 0) / arena_ops:.1f}% hit), "
-            f"{copy.get('attach_count', 0)} attaches, "
-            f"{copy.get('bytes_landed_zero_extra_copy', 0):,} B landed "
-            f"zero-extra-copy"
+            f"  arena: {hits} slab reuses / {misses} creates "
+            f"({100 * hits / (hits + misses):.1f}% hit), "
+            f"{attaches} attaches, {landed:,} B landed zero-extra-copy"
         )
 
 
@@ -182,11 +185,11 @@ def _cmd_sort(args: argparse.Namespace) -> int:
         )
     wall = result.stage_wall()
     if wall:
+        from repro.pipeline.timing import CATEGORIES
+
         total = sum(wall.values())
         breakdown = "  ".join(
-            f"{cat} {wall[cat] * 1000:.1f} ms"
-            for cat in ("read_wait", "compute", "comm", "incore", "write_wait")
-            if cat in wall
+            f"{cat} {wall[cat] * 1000:.1f} ms" for cat in CATEGORIES if cat in wall
         )
         print(f"  stage wall (rank 0, {total * 1000:.1f} ms): {breakdown}")
     if args.copy_stats:
@@ -234,6 +237,13 @@ def _cmd_sort(args: argparse.Namespace) -> int:
             )
     result.release_durability()
     return 0
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type for ``--seed``: NumPy rejects a negative seed."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _parse_tenant(spec: str):
@@ -328,7 +338,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.oocs.api import ALGORITHMS
-    from repro.service.protocol import SPEC_DEFAULTS
+    from repro.service.protocol import OPS, SPEC_DEFAULTS
 
     parser = argparse.ArgumentParser(
         prog="repro-columnsort",
@@ -363,9 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="per-processor buffer in records")
     srt.add_argument("--processors", "-p", type=int)
     srt.add_argument("--record-size", type=int)
-    srt.add_argument("--key", choices=("u8", "i8", "f8", "u4", "i4"))
+    srt.add_argument("--key", choices=tuple(KEY_DTYPES))
     srt.add_argument("--workload", choices=workload_names())
-    srt.add_argument("--seed", type=int)
+    srt.add_argument("--seed", type=_non_negative_int)
     srt.add_argument("--workdir", default=None)
     srt.add_argument(
         "--pipeline-depth", type=int,
@@ -535,8 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     cli = sub.add_parser(
         "client", help="talk to a running serve daemon (JSON in, JSON out)"
     )
-    cli.add_argument("op", choices=("submit", "status", "result", "cancel",
-                                    "health", "drain"))
+    cli.add_argument("op", choices=OPS)
     cli.add_argument("--socket", required=True, help="daemon socket path")
     cli.add_argument("--job", default=None, help="job id (status/result/cancel)")
     cli.add_argument("--spec", default=None,

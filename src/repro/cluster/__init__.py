@@ -8,9 +8,8 @@ subpackage provides the synthetic equivalent: an in-process SPMD engine.
 * :class:`~repro.cluster.config.ClusterConfig` — the machine shape:
   ``P`` processors, ``D`` disks, memory per processor;
 * :class:`~repro.cluster.comm.Comm` — an MPI-like communicator (``send``
-  / ``recv`` / ``sendrecv`` / ``barrier`` / ``bcast`` / ``gather`` /
-  ``allgather`` / ``scatter`` / ``alltoall`` / ``alltoallv`` /
-  ``allreduce``), with mpi4py-style copy-on-send buffer semantics;
+  / ``recv`` / ``sendrecv`` / ``barrier`` / ``bcast`` / ``allgather`` /
+  ``alltoall`` / ``alltoallv`` / ``allreduce``), with mpi4py-style copy-on-send buffer semantics;
 * :func:`~repro.cluster.spmd.run_spmd` — launch ``P`` ranks of a program
   (one Python thread each; NumPy releases the GIL, so local sorts
   genuinely overlap) and gather their results;

@@ -1,9 +1,9 @@
 """MPI-like communicator for the in-process SPMD engine.
 
 The interface follows mpi4py's lowercase (object) methods: ``send`` /
-``recv`` / ``bcast`` / ``scatter`` / ``gather`` / ``allgather`` /
-``alltoall`` / ``allreduce`` — plus ``alltoallv`` taking one array per
-destination (the shape every columnsort communicate stage uses).
+``recv`` / ``bcast`` / ``allgather`` / ``alltoall`` / ``allreduce`` —
+plus ``alltoallv`` taking one array per destination (the shape every
+columnsort communicate stage uses).
 
 Semantics intentionally modeled on MPI:
 
@@ -194,29 +194,6 @@ class Comm:
                 self._coll_send(dest, tag, "bcast", payload)
         return self._coll_recv(root, tag, "bcast")
 
-    def scatter(self, payloads: Sequence[object] | None, root: int = 0) -> object:
-        """Rank ``root`` provides one payload per rank; each rank returns
-        its own."""
-        self._check_rank(root)
-        tag = self._coll_tag()
-        if self._rank == root:
-            if payloads is None or len(payloads) != self._size:
-                raise CommError(
-                    f"scatter root must supply exactly {self._size} payloads"
-                )
-            for dest in range(self._size):
-                self._coll_send(dest, tag, "scatter", payloads[dest])
-        return self._coll_recv(root, tag, "scatter")
-
-    def gather(self, payload: object, root: int = 0) -> list | None:
-        """Gather one payload per rank at ``root`` (others return None)."""
-        self._check_rank(root)
-        tag = self._coll_tag()
-        self._coll_send(root, tag, "gather", payload)
-        if self._rank != root:
-            return None
-        return [self._coll_recv(source, tag, "gather") for source in range(self._size)]
-
     def allgather(self, payload: object) -> list:
         """Gather one payload per rank at every rank."""
         tag = self._coll_tag()
@@ -227,7 +204,8 @@ class Comm:
         ]
 
     def gather_oob(self, payload: object, root: int = 0) -> list | None:
-        """Out-of-band gather: like :meth:`gather` but *unmetered*.
+        """Out-of-band gather: one payload per rank at ``root`` (others
+        get None), *unmetered*.
 
         For accounting metadata that must cross ranks without becoming
         part of the communication accounting itself (e.g. the per-rank
@@ -463,4 +441,3 @@ class _SubComm(Comm):
                 f"{op!r} from sub-rank {source}, found {got_op!r}"
             )
         return payload
-

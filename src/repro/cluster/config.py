@@ -37,8 +37,8 @@ class ClusterConfig:
     >>> cfg = ClusterConfig(p=4, d=4, mem_per_proc=2**16)
     >>> cfg.m
     262144
-    >>> cfg.disks_per_proc
-    1
+    >>> cfg.virtual_disks
+    4
     """
 
     p: int
@@ -67,12 +67,6 @@ class ClusterConfig:
         """Number of disks after virtualization — always ``max(d, p)``,
         so that every processor owns at least one (virtual) disk."""
         return max(self.d, self.p)
-
-    @property
-    def disks_per_proc(self) -> int:
-        """Virtual disks owned by each processor (``D/P`` after
-        virtualization)."""
-        return self.virtual_disks // self.p
 
     def disks_of(self, rank: int) -> range:
         """The virtual-disk indices owned by processor ``rank``.

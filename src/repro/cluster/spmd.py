@@ -32,7 +32,6 @@ from typing import Callable, Sequence
 
 from repro.cluster.mailbox import DEFAULT_TIMEOUT
 from repro.cluster.stats import CommStats
-from repro.cluster.transport import is_collateral as _is_collateral  # noqa: F401
 from repro.errors import ConfigError
 
 
@@ -48,12 +47,6 @@ class SpmdResult:
     #: when the run was launched with a ``restart_policy``; empty dict
     #: otherwise.
     supervisor: dict = field(default_factory=dict)
-
-    def total_network_bytes(self) -> int:
-        return sum(s.snapshot()["network_bytes"] for s in self.stats)
-
-    def total_network_messages(self) -> int:
-        return sum(s.snapshot()["network_messages"] for s in self.stats)
 
 
 def run_spmd(

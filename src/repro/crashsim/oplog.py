@@ -61,19 +61,6 @@ class Op:
     size: int = 0
     parent: str | None = None
 
-    def describe(self) -> str:
-        if self.kind == "write":
-            return f"write(ino{self.inode}, @{self.offset}, {len(self.data)}B)"
-        if self.kind == "truncate":
-            return f"truncate(ino{self.inode}, {self.size})"
-        if self.kind == "rename":
-            return f"rename({self.src!r} -> {self.path!r})"
-        if self.kind == "fsync":
-            return f"fsync(ino{self.inode})"
-        if self.kind == "fsync_dir":
-            return f"fsync_dir({self.path!r})"
-        return f"{self.kind}({self.path!r})"
-
 
 @dataclass
 class Snapshot:

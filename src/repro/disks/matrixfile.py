@@ -104,13 +104,6 @@ class _StoreBase:
         if run:
             run_disk.write_extents(run)
 
-    def io_totals(self) -> dict:
-        """Aggregate I/O across this store's disks (includes any other
-        stores sharing the same disks)."""
-        from repro.disks.iostats import IoStats
-
-        return IoStats.combine([d.stats for d in self.disks])
-
 
 class ColumnStore(_StoreBase):
     """An ``r × s`` matrix under the height interpretation
@@ -207,11 +200,6 @@ class ColumnStore(_StoreBase):
                 f"portion must hold r/g={self.portion} records, got {len(records)}"
             )
         disk.write_at(file, 0, self.fmt.wire_views([records])[0])
-
-    def append_to_portion(self, rank: int, j: int, records: np.ndarray) -> None:
-        """Append ``records`` to the rank's portion of column ``j``: the
-        one-segment spelling of :meth:`append_segments`."""
-        self.append_segments(rank, [(j, records)])
 
     def append_segments(self, rank: int, segments) -> None:
         """Append each ``(j, records)`` of ``segments`` to the rank's
@@ -335,11 +323,6 @@ class PdmStore(_StoreBase):
         return split_range_by_owner(
             start, count, self.block, self.cfg.virtual_disks, self.cfg.p
         )
-
-    def write_global(self, rank: int, start: int, records: np.ndarray) -> None:
-        """Write ``records`` at global positions ``[start, start+len)``:
-        the one-piece spelling of :meth:`write_pieces`."""
-        self.write_pieces(rank, [(start, records)])
 
     def write_pieces(self, rank: int, pieces) -> None:
         """Write each ``(start, records)`` of ``pieces`` at global

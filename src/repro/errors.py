@@ -40,21 +40,6 @@ class ConfigError(ReproError, ValueError):
     """
 
 
-class ProblemSizeError(ConfigError):
-    """The requested ``N`` exceeds the algorithm's problem-size bound."""
-
-    def __init__(self, n: int, bound: int, algorithm: str) -> None:
-        self.n = n
-        self.bound = bound
-        self.algorithm = algorithm
-        super().__init__(
-            f"N={n} exceeds the {algorithm} problem-size bound of {bound} records"
-        )
-
-    def __reduce__(self):
-        return (type(self), (self.n, self.bound, self.algorithm))
-
-
 class CommError(ReproError, RuntimeError):
     """A communication operation was misused or failed.
 

@@ -54,109 +54,6 @@ def breakdown_table(
     return rows
 
 
-def measured_breakdown_table(result) -> list[dict]:
-    """Per-pass rows of *measured* stage wall time for a functional run.
-
-    ``result`` is an :class:`~repro.oocs.base.OocResult` from a traced
-    run; each row reports the rank-0 seconds the pass pipeline spent in
-    every stage category, mirroring :func:`breakdown_table`'s predicted
-    rows so before/after (synchronous vs pipelined) comparisons line up
-    column-for-column.
-    """
-    if result.trace is None:
-        return []
-    categories = ("read_wait", "compute", "comm", "incore", "write_wait")
-    rows: list[dict] = []
-    for pass_trace in result.trace.passes:
-        wall = pass_trace.wall
-        row = {
-            "algorithm": result.algorithm,
-            "pass": pass_trace.name,
-            "depth": result.job.pipeline_depth,
-        }
-        for cat in categories:
-            row[f"{cat} (s)"] = wall.get(cat, 0.0)
-        row["total (s)"] = sum(wall.values())
-        rows.append(row)
-    return rows
-
-
-def copy_breakdown_table(result) -> list[dict]:
-    """Data-plane copy accounting for a functional run, as table rows.
-
-    ``result`` is an :class:`~repro.oocs.base.OocResult`; its ``copy``
-    dict is the per-run delta of the :mod:`repro.membuf` counters. Rows
-    pair each counter with a short gloss so the rendered table reads as
-    a narrative: how many bytes were physically copied, how many moved
-    as views, and how well the buffer pool recycled.
-    """
-    copy = getattr(result, "copy", None) or {}
-    if not copy:
-        return []
-    moved = copy.get("bytes_copied", 0) + copy.get("bytes_zero_copy", 0)
-    pool_ops = copy.get("pool_hits", 0) + copy.get("pool_misses", 0)
-    rows = [
-        {
-            "metric": "bytes copied",
-            "value": copy.get("bytes_copied", 0),
-            "note": "physical memcpy traffic",
-        },
-        {
-            "metric": "bytes zero-copy",
-            "value": copy.get("bytes_zero_copy", 0),
-            "note": "moved as views / readinto",
-        },
-        {
-            "metric": "copy fraction %",
-            "value": round(100 * copy.get("bytes_copied", 0) / moved, 1)
-            if moved
-            else 0.0,
-            "note": "copied share of all bytes moved",
-        },
-        {
-            "metric": "pool hit rate %",
-            "value": round(100 * copy.get("pool_hits", 0) / pool_ops, 1)
-            if pool_ops
-            else 0.0,
-            "note": f"{copy.get('pool_hits', 0)} hits / "
-            f"{copy.get('pool_misses', 0)} misses",
-        },
-        {
-            "metric": "peak leases",
-            "value": copy.get("peak_leases", 0),
-            "note": "high-water outstanding buffers",
-        },
-    ]
-    # Shared-memory arena rows only when the transport produced arena
-    # activity (process backend); the thread backend has no segments and
-    # all-zero rows there would read as a disabled feature, not a fact.
-    arena_ops = copy.get("arena_hits", 0) + copy.get("arena_misses", 0)
-    if arena_ops:
-        rows.extend(
-            [
-                {
-                    "metric": "arena hit rate %",
-                    "value": round(100 * copy.get("arena_hits", 0) / arena_ops, 1),
-                    "note": f"{copy.get('arena_hits', 0)} slab reuses / "
-                    f"{copy.get('arena_misses', 0)} segment creates",
-                },
-                {
-                    "metric": "segment attaches",
-                    "value": copy.get("attach_count", 0),
-                    "note": "first-time receiver mappings",
-                },
-                {
-                    "metric": "bytes landed zero-extra-copy",
-                    "value": copy.get("bytes_landed_zero_extra_copy", 0),
-                    "note": "inbound slices landed in pooled buffers",
-                },
-            ]
-        )
-    for row in rows:
-        row["algorithm"] = result.algorithm
-    return rows
-
-
 def durability_breakdown_table(result) -> list[dict]:
     """Durability accounting for a functional run, as table rows.
 

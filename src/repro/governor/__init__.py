@@ -18,7 +18,7 @@ from repro.governor.admission import (
     AdmissionTicket,
     JobGovernor,
 )
-from repro.governor.cancel import CancelToken, maybe_check, maybe_sleep
+from repro.governor.cancel import CancelToken, maybe_sleep
 from repro.governor.runtime import (
     GOVERNOR_KEYS,
     PRESSURE_STALLS,
@@ -35,6 +35,5 @@ __all__ = [
     "PRESSURE_STALLS",
     "RunGovernor",
     "attach_governor",
-    "maybe_check",
     "maybe_sleep",
 ]

@@ -136,12 +136,6 @@ class CancelToken:
             or self._deadline_passed()
         )
 
-    def remaining_s(self) -> float | None:
-        """Seconds until the deadline (None without one; never < 0)."""
-        if self._deadline_at is None:
-            return None
-        return max(0.0, self._deadline_at - time.monotonic())
-
     def exception(self) -> Cancellation:
         """The structured exception this token stops a run with."""
         if self._event.is_set() or self._shared_set():
@@ -176,12 +170,6 @@ class CancelToken:
             if left <= 0:
                 return
             self._event.wait(min(slice_s, left))
-
-
-def maybe_check(token: "CancelToken | None") -> None:
-    """``token.check()`` when a token is present; cheap no-op otherwise."""
-    if token is not None:
-        token.check()
 
 
 def maybe_sleep(token: "CancelToken | None", seconds: float) -> None:

@@ -67,29 +67,3 @@ def extract_bits(value: np.ndarray | int, lo: int, width: int) -> np.ndarray | i
         return value & 0 if isinstance(value, np.ndarray) else 0
     mask = (1 << width) - 1
     return (value >> lo) & mask
-
-
-def deposit_bits(
-    field: np.ndarray | int, lo: int
-) -> np.ndarray | int:
-    """Place a bit field at position ``lo`` (the inverse of extraction).
-
-    >>> deposit_bits(0b11, 2)
-    12
-    """
-    return field << lo
-
-
-def interleave_fields(*fields_and_widths: tuple[np.ndarray | int, int]):
-    """Concatenate bit fields, most significant first.
-
-    Each argument is ``(field, width)``; the result packs them so the
-    first field occupies the most significant bits.
-
-    >>> interleave_fields((0b10, 2), (0b1, 1))
-    5
-    """
-    out: np.ndarray | int = 0
-    for field, width in fields_and_widths:
-        out = (out << width) | field
-    return out

@@ -39,14 +39,6 @@ def _is_record_array(a: np.ndarray) -> bool:
     return a.dtype.names is not None and "key" in a.dtype.names
 
 
-def sort_values(a: np.ndarray) -> np.ndarray:
-    """Stably sort a 1-D array — by ``key`` field for record arrays, by
-    value otherwise."""
-    if _is_record_array(a):
-        return RecordFormat.sort(a)
-    return np.sort(a, kind="stable")
-
-
 def sort_columns(matrix: np.ndarray) -> np.ndarray:
     """Stably sort every column of an ``(r, s)`` matrix (columnsort steps
     1, 3, 3.2, 5, and 7).

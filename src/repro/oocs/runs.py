@@ -20,11 +20,10 @@ the benchmark's ``oocs.runs.merge_mrps`` and ``records.sort_mrps``
 probes: in NumPy, ``np.sort`` runs in
 optimized C while the k-way merge tree pays Python-level iteration per
 level, so merging only wins for few, long runs — the opposite economics
-of the paper's hand-written C merger. :func:`sort_column` picks
-whichever is predicted cheaper.
+of the paper's hand-written C merger.
 
-No pass calls :func:`merge_sorted_runs` or :func:`sort_column`: the pass
-bodies merge runs through :meth:`RecordFormat.merge_runs
+No pass calls :func:`merge_sorted_runs`: the pass bodies merge runs
+through :meth:`RecordFormat.merge_runs
 <repro.records.format.RecordFormat.merge_runs>` (timsort finds and
 merges them). The ``oocs.runs.merge_mrps`` probe therefore prices no
 pass; the kernel the passes run is ``merge_runs``.
@@ -36,7 +35,6 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.matrix.bits import sqrt_pow4
-from repro.records.format import RecordFormat
 
 
 def predict_runs(pass_name: str, r: int, s: int) -> tuple[int, int]:
@@ -94,21 +92,6 @@ def merge_sorted_runs(records: np.ndarray, run_length: int) -> np.ndarray:
         ]
         runs = merged
     return runs[0] if runs else records.copy()
-
-
-def sort_column(records: np.ndarray, run_length: int | None = None) -> np.ndarray:
-    """Sort a column, exploiting known run structure when it is
-    predicted to pay off.
-
-    The crossover in this NumPy setting: merging beats ``np.sort`` only
-    when there are very few runs (k ≤ 4) of substantial length; below
-    that we fall through to the stable full sort.
-    """
-    if run_length is not None and run_length >= 1 and len(records):
-        k = -(-len(records) // run_length)
-        if k <= 4 and len(records) % run_length == 0:
-            return merge_sorted_runs(records, run_length)
-    return RecordFormat.sort(records)
 
 
 def verify_run_structure(records: np.ndarray, run_length: int) -> bool:

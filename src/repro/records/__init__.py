@@ -19,8 +19,6 @@ from repro.records.format import RecordFormat
 from repro.records.keys import (
     KEY_DTYPES,
     key_info,
-    max_key,
-    min_key,
 )
 from repro.records.generators import (
     WORKLOADS,
@@ -32,8 +30,6 @@ __all__ = [
     "RecordFormat",
     "KEY_DTYPES",
     "key_info",
-    "min_key",
-    "max_key",
     "WORKLOADS",
     "generate",
     "workload_names",

@@ -146,18 +146,6 @@ class RecordFormat:
         copy_stats().record_copy(len(out))
         return out
 
-    def from_bytes(self, data: bytes | bytearray | memoryview) -> np.ndarray:
-        """Deserialize records from their on-disk byte representation.
-
-        The result always owns its memory (callers mutate it freely), so
-        exactly one copy happens here — ``frombuffer`` reads ``bytes``,
-        ``bytearray`` and ``memoryview`` alike without materializing an
-        intermediate ``bytes``.
-        """
-        out = np.frombuffer(data, dtype=self._dtype).copy()
-        copy_stats().record_copy(out.nbytes)
-        return out
-
     def wire_views(self, arrays) -> list[np.ndarray | bytes]:
         """The on-disk byte representation of each record array: the
         array itself when it is C-contiguous in this format's dtype (the
@@ -203,8 +191,8 @@ class RecordFormat:
     #
     # Static: the kernels read only the array they are given (its ``key``
     # field and item size), so helpers that hold records but no format
-    # (``runs.sort_column``, ``matrix.layout.sort_values``) call the same
-    # code as ``fmt.sort(col)``.
+    # (``matrix.layout.sort_columns``, the bitonic merge in
+    # ``oocs.incore.bitonic``) call the same code as ``fmt.sort(col)``.
 
     @staticmethod
     def argsort(records: np.ndarray) -> np.ndarray:
@@ -232,13 +220,6 @@ class RecordFormat:
         and merges them in one pass, which beats sorting from scratch."""
         order = np.argsort(np.ascontiguousarray(records["key"]), kind="stable")
         return take_records(records, order, out)
-
-    def is_sorted(self, records: np.ndarray) -> bool:
-        """Whether records are in nondecreasing key order."""
-        keys = records["key"]
-        if len(keys) < 2:
-            return True
-        return bool(np.all(keys[:-1] <= keys[1:]))
 
 
 @functools.cache

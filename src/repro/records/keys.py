@@ -72,13 +72,3 @@ def key_info(name_or_dtype: str | np.dtype) -> KeyInfo:
             raise TypeError(f"unsupported key dtype: {dtype}")
     lo, hi = _extremes(dtype)
     return KeyInfo(name=name, dtype=dtype, min_value=lo, max_value=hi)
-
-
-def min_key(name_or_dtype: str | np.dtype) -> object:
-    """The ``-inf`` sentinel for a key dtype."""
-    return key_info(name_or_dtype).min_value
-
-
-def max_key(name_or_dtype: str | np.dtype) -> object:
-    """The ``+inf`` sentinel for a key dtype."""
-    return key_info(name_or_dtype).max_value

@@ -36,7 +36,6 @@ from repro.resilience.faults import (
     RANK_EXIT_CODE,
     FaultPlan,
     FaultSpec,
-    transient_plan,
 )
 from repro.resilience.quarantine import (
     DiskQuarantine,
@@ -71,5 +70,4 @@ __all__ = [
     "pass_manifest",
     "release_all_quarantines",
     "store_digest",
-    "transient_plan",
 ]

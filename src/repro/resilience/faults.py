@@ -295,33 +295,3 @@ class FaultPlan:
                 "fired_total": sum(self._fired.values()) + kills,
                 "rank_kills": kills,
             }
-
-    def reset_counters(self) -> None:
-        """Clear op/fired counters and re-seed the PRNG (rules stay)."""
-        with self._lock:
-            self._fired.clear()
-            self._ops.clear()
-            self._ops_by_disk.clear()
-            self._faults.clear()
-            self._rng = random.Random(self.seed)
-            for cell in self._kill_cells.values():
-                with cell.get_lock():
-                    cell.value = 0
-
-
-def transient_plan(
-    read_p: float = 0.0,
-    write_p: float = 0.0,
-    comm_p: float = 0.0,
-    seed: int = 0,
-    count: int | None = None,
-) -> FaultPlan:
-    """A plan of independent transient faults at the given per-op rates
-    — the chaos harness's 'survivable weather' preset."""
-    specs = []
-    for op, p in (("read", read_p), ("write", write_p), ("comm", comm_p)):
-        if p > 0:
-            specs.append(
-                FaultSpec(op=op, probability=p, count=count, transient=True)
-            )
-    return FaultPlan(specs, seed=seed)

@@ -48,7 +48,6 @@ from repro.errors import ReproError, Cancellation, JobNotFound, ServiceError
 from repro.governor import CancelToken, JobGovernor
 from repro.service import protocol
 from repro.service.jobs import (
-    TERMINAL_STATES,
     JobRecord,
     apply_event,
     compaction_events,

@@ -31,7 +31,7 @@ journal yields the honest state as of the last durable event.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import JournalError
 

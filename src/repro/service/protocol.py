@@ -52,8 +52,10 @@ def validate_spec(spec: dict) -> dict:
     values. Full shape/bound validation happens when the job runs (the
     algorithms own those rules); this rejects what can be rejected
     before a journal record exists."""
+    from repro.cluster.transport import available_backends
     from repro.oocs.api import ALGORITHMS
     from repro.records.generators import workload_names
+    from repro.records.keys import KEY_DTYPES
 
     if not isinstance(spec, dict):
         raise ServiceError(f"job spec must be an object, got {type(spec).__name__}")
@@ -62,13 +64,16 @@ def validate_spec(spec: dict) -> dict:
         raise ServiceError(f"unknown job-spec field(s): {sorted(unknown)}")
     out = dict(SPEC_DEFAULTS)
     out.update(spec)
-    if out["algorithm"] not in ALGORITHMS:
-        raise ServiceError(
-            f"unknown algorithm {out['algorithm']!r}; expected one of "
-            f"{sorted(ALGORITHMS)}"
-        )
-    if out["workload"] not in workload_names():
-        raise ServiceError(f"unknown workload {out['workload']!r}")
+    for name, choices in (
+        ("algorithm", ALGORITHMS),
+        ("workload", workload_names()),
+        ("key", KEY_DTYPES),
+        ("backend", available_backends()),
+    ):
+        if not isinstance(out[name], str) or out[name] not in choices:
+            raise ServiceError(
+                f"unknown {name} {out[name]!r}; expected one of {sorted(choices)}"
+            )
     for name in ("records", "buffer", "processors", "record_size", "seed",
                  "pipeline_depth"):
         if not isinstance(out[name], int) or isinstance(out[name], bool):
@@ -76,8 +81,9 @@ def validate_spec(spec: dict) -> dict:
     for name in ("records", "buffer", "processors", "record_size"):
         if out[name] < 1:
             raise ServiceError(f"spec field {name!r} must be >= 1")
-    if out["pipeline_depth"] < 0:
-        raise ServiceError("spec field 'pipeline_depth' must be >= 0")
+    for name in ("seed", "pipeline_depth"):
+        if out[name] < 0:
+            raise ServiceError(f"spec field {name!r} must be >= 0")
     if not isinstance(out["verify"], bool):
         raise ServiceError("spec field 'verify' must be a boolean")
     return out

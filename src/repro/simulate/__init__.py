@@ -23,7 +23,7 @@ experimental scale (4-32 GB, P ∈ {4, 8, 16}) without moving real data:
 
 from repro.simulate.trace import PassTrace, RoundWork, RunTrace
 from repro.simulate.hardware import BEOWULF_2003, HardwareModel
-from repro.simulate.des import PipelineSimulator, simulate_pass
+from repro.simulate.des import PipelineSimulator
 from repro.simulate.predict import predict_run, predict_seconds_per_gb
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "HardwareModel",
     "BEOWULF_2003",
     "PipelineSimulator",
-    "simulate_pass",
     "predict_run",
     "predict_seconds_per_gb",
 ]

@@ -127,10 +127,3 @@ class PipelineSimulator:
             start_idle_threads()
         timing.makespan = now
         return timing
-
-
-def simulate_pass(
-    trace: PassTrace, hw: HardwareModel, max_inflight: int = 4
-) -> PassTiming:
-    """Convenience wrapper: simulate one pass trace."""
-    return PipelineSimulator(hw, max_inflight=max_inflight).run(trace)

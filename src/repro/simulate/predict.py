@@ -90,32 +90,6 @@ def predict_run(run: RunTrace, hw: HardwareModel) -> RunTiming:
     )
 
 
-def measured_overlap(run: RunTrace) -> dict[str, float]:
-    """Overlap summary of a *measured* run (the functional counterpart
-    of the DES's utilization numbers).
-
-    Reads the per-stage wall times that the pass pipeline recorded into
-    each :class:`PassTrace` and reports, in seconds, the rank-0 time
-    spent busy (``compute`` + ``comm`` + ``incore``) versus stalled on
-    disk (``read_wait`` + ``write_wait``), plus ``io_wait_fraction`` —
-    the share of measured wall time lost to I/O stalls. A deeper
-    pipeline shows up as a smaller fraction: the waits shrink while the
-    busy time stays put. Empty dict when the run carries no
-    measurements.
-    """
-    wall = run.measured_wall()
-    if not wall:
-        return {}
-    busy = wall.get("compute", 0.0) + wall.get("comm", 0.0) + wall.get("incore", 0.0)
-    wait = wall.get("read_wait", 0.0) + wall.get("write_wait", 0.0)
-    total = busy + wait
-    return {
-        "busy_seconds": busy,
-        "io_wait_seconds": wait,
-        "io_wait_fraction": wait / total if total else 0.0,
-    }
-
-
 def predict_seconds_per_gb(
     algorithm: str,
     n: int,

@@ -1,5 +1,7 @@
 """The command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -23,6 +25,10 @@ class TestParser:
         assert args.records == 8192
         assert args.buffer == 512
 
+    def test_negative_seed_is_a_usage_error(self):
+        """NumPy refuses a negative seed; the parser says so first."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sort", "--seed", "-1"])
 
     def test_sort_defaults_are_the_service_spec_defaults(self):
         """One default table: the ten fields a daemon job spec shares
@@ -80,6 +86,35 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "3 passes" in out and "network" in out
+
+
+class TestCopyStats:
+    """``sort --copy-stats`` is the one rendering of ``OocResult.copy``
+    (the README's example run)."""
+
+    ARGS = ["sort", "--algorithm", "subblock", "--records", "4096",
+            "--buffer", "256", "-p", "2", "--copy-stats"]
+    COPIES = r"  copies: [\d,]+ B copied / [\d,]+ B zero-copy \(\d+\.\d% copied\)"
+    POOL = r"  pool: \d+ hits, \d+ misses, peak \d+ leases outstanding"
+    ARENA = (r"  arena: \d+ slab reuses / \d+ creates \(\d+\.\d% hit\), "
+             r"\d+ attaches, [\d,]+ B landed zero-extra-copy")
+
+    def _report(self, capsys, tmp_path, backend):
+        rc = main(self.ARGS + ["--backend", backend, "--workdir", str(tmp_path)])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        return {line.split(":")[0].strip(): line for line in lines[1:]}
+
+    def test_thread_backend_prints_copies_and_pool(self, capsys, tmp_path):
+        lines = self._report(capsys, tmp_path, "thread")
+        assert re.fullmatch(self.COPIES, lines["copies"])
+        assert re.fullmatch(self.POOL, lines["pool"])
+        assert "arena" not in lines  # no shared-memory segments
+
+    def test_process_backend_adds_the_arena_line(self, capsys, tmp_path):
+        lines = self._report(capsys, tmp_path, "process")
+        assert re.fullmatch(self.COPIES, lines["copies"])
+        assert re.fullmatch(self.ARENA, lines["arena"])
 
 
 class TestJsonOutput:

@@ -74,25 +74,6 @@ class TestCollectives:
 
         assert run_spmd(3, prog).returns == ["truth"] * 3
 
-    def test_gather_and_scatter(self):
-        def prog(comm):
-            got = comm.gather(comm.rank * 2, root=0)
-            back = comm.scatter(
-                [x + 1 for x in got] if comm.rank == 0 else None, root=0
-            )
-            return back
-
-        assert run_spmd(4, prog).returns == [1, 3, 5, 7]
-
-    def test_scatter_wrong_count(self):
-        def prog(comm):
-            comm.scatter([1], root=0)
-
-        from repro.errors import SpmdError
-
-        with pytest.raises(SpmdError):
-            run_spmd(2, prog, timeout=5)
-
     def test_allgather(self):
         def prog(comm):
             return comm.allgather(chr(ord("a") + comm.rank))

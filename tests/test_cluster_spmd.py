@@ -7,6 +7,7 @@ import pytest
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.spmd import run_spmd
+from repro.cluster.stats import combined
 from repro.errors import CommError, ConfigError, SpmdError
 
 
@@ -110,8 +111,9 @@ class TestStatsAggregation:
             comm.recv(source=(comm.rank - 1) % comm.size)
 
         res = run_spmd(4, prog)
-        assert res.total_network_messages() == 4
-        assert res.total_network_bytes() == 4 * 64
+        totals = combined(res.stats)
+        assert totals["network_messages"] == 4
+        assert totals["network_bytes"] == 4 * 64
 
 
 class TestClusterConfig:
@@ -123,7 +125,6 @@ class TestClusterConfig:
     def test_virtual_disks_when_fewer_physical(self):
         cfg = ClusterConfig(p=8, d=2, mem_per_proc=2**10)
         assert cfg.virtual_disks == 8
-        assert cfg.disks_per_proc == 1
 
     def test_disks_of_round_robin(self):
         cfg = ClusterConfig(p=2, d=8, mem_per_proc=2**10)

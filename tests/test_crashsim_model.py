@@ -113,8 +113,7 @@ def test_every_enumerated_state_is_legal(ops):
     reachable under the POSIX rules the legality checker re-derives."""
     for state in enumerate_crash_states(ops):
         assert is_legal_state(ops, state), (
-            f"illegal state {state} for ops "
-            f"{[op.describe() for op in ops]}"
+            f"illegal state {state} for ops {ops}"
         )
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.config import ClusterConfig
+from repro.disks.iostats import IoStats
 from repro.disks.matrixfile import ColumnStore, PdmStore
 from repro.disks.virtual_disk import make_disk_array
 from repro.errors import ConfigError, DiskError
@@ -54,23 +55,23 @@ class TestColumnStore:
         is the row offset the step-2 deal used to pass explicitly."""
         cfg, fmt, disks, recs = env
         store = ColumnStore(cfg, fmt, 64, 8, disks, name="seg")
-        store.append_to_portion(1, 1, recs[:32])
-        store.append_to_portion(1, 1, recs[32:64])
+        store.append_segments(1, [(1, recs[:32])])
+        store.append_segments(1, [(1, recs[32:64])])
         assert np.array_equal(store.read_portion(1, 1), recs[:64])
 
     def test_segment_bounds_checked(self, env):
         cfg, fmt, disks, recs = env
         store = ColumnStore(cfg, fmt, 64, 8, disks, name="seg2")
-        store.append_to_portion(1, 1, recs[:60])
+        store.append_segments(1, [(1, recs[:60])])
         with pytest.raises(ConfigError, match="overflows"):
-            store.append_to_portion(1, 1, recs[:8])
+            store.append_segments(1, [(1, recs[:8])])
 
     def test_append_cursors(self, env):
         cfg, fmt, disks, recs = env
         store = ColumnStore(cfg, fmt, 64, 8, disks, name="app")
-        store.append_to_portion(2, 2, recs[:40])
+        store.append_segments(2, [(2, recs[:40])])
         assert store.cursor(2, 2) == 40
-        store.append_to_portion(2, 2, recs[40:64])
+        store.append_segments(2, [(2, recs[40:64])])
         assert np.array_equal(store.read_portion(2, 2), recs[:64])
         store.reset_cursors()
         assert store.cursor(2, 2) == 0
@@ -158,11 +159,11 @@ class TestStripedColumnStore:
     def test_append_cursors_per_rank_and_column(self, env):
         cfg, fmt, disks, recs = env
         store = ColumnStore(cfg, fmt, 64, 8, disks, name="sapp", group_size=4)
-        store.append_to_portion(0, 0, recs[:8])
-        store.append_to_portion(1, 0, recs[8:10])
+        store.append_segments(0, [(0, recs[:8])])
+        store.append_segments(1, [(0, recs[8:10])])
         assert store.cursor(0, 0) == 8
         assert store.cursor(1, 0) == 2
-        store.append_to_portion(0, 0, recs[8:16])
+        store.append_segments(0, [(0, recs[8:16])])
         assert np.array_equal(store.read_portion(0, 0), recs[:16])
 
     def test_portion_bounds(self, env):
@@ -170,9 +171,9 @@ class TestStripedColumnStore:
         store = ColumnStore(cfg, fmt, 64, 8, disks, name="sb", group_size=4)
         with pytest.raises(ConfigError):
             store.write_portion(0, 0, recs[:10])
-        store.append_to_portion(0, 0, recs[:12])
+        store.append_segments(0, [(0, recs[:12])])
         with pytest.raises(ConfigError, match="overflows"):
-            store.append_to_portion(0, 0, recs[:8])
+            store.append_segments(0, [(0, recs[:8])])
         assert store.cursor(0, 0) == 12  # a refused append reserves nothing
 
     def test_p_must_divide_r(self, env):
@@ -188,7 +189,7 @@ class TestPdmStore:
         sorted_recs = fmt.sort(recs)
         for rank, pieces in pdm.split_by_owner(0, len(recs)).items():
             for _disk, _off, rel, n in pieces:
-                pdm.write_global(rank, rel, sorted_recs[rel : rel + n])
+                pdm.write_pieces(rank, [(rel, sorted_recs[rel : rel + n])])
         assert np.array_equal(pdm.read_all(), sorted_recs)
         assert np.array_equal(pdm.read_global(100, 50), sorted_recs[100:150])
 
@@ -197,13 +198,13 @@ class TestPdmStore:
         pdm = PdmStore(cfg, fmt, len(recs), disks, block_records=16)
         # global 0 lives on disk 0 owned by rank 0; rank 1 may not write it.
         with pytest.raises(DiskError):
-            pdm.write_global(1, 0, recs[:4])
+            pdm.write_pieces(1, [(0, recs[:4])])
 
     def test_unaligned_partial_block_writes(self, env):
         cfg, fmt, disks, recs = env
         pdm = PdmStore(cfg, fmt, len(recs), disks, block_records=16)
         # Range [3, 9) sits inside block 0 (disk 0, rank 0).
-        pdm.write_global(0, 3, recs[:6])
+        pdm.write_pieces(0, [(3, recs[:6])])
         assert np.array_equal(pdm.read_global(3, 6), recs[:6])
 
     def test_range_checked(self, env):
@@ -222,5 +223,5 @@ class TestPdmStore:
     def test_io_totals_exposed(self, env):
         cfg, fmt, disks, recs = env
         store = ColumnStore.from_records(cfg, fmt, recs, 64, 8, disks, name="io")
-        totals = store.io_totals()
+        totals = IoStats.combine([d.stats for d in store.disks])
         assert totals["bytes_written"] == len(recs) * 32

@@ -1,7 +1,9 @@
 """Documentation executability (doctests, examples) and the error
 hierarchy contract."""
 
+import ast
 import doctest
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -24,7 +26,6 @@ from repro.errors import (
     DimensionError,
     DiskError,
     DiskFullError,
-    ProblemSizeError,
     ReproError,
     SpmdError,
     VerificationError,
@@ -208,10 +209,159 @@ def test_one_declaration_of_each_run_knob():
     with pytest.raises(dataclasses.FrozenInstanceError):
         job.pipeline_depth = 2
 
+
+#: Public ``src/`` definitions that nothing in ``src/``, ``bench/`` or
+#: ``examples/`` calls, kept on purpose. Each reason is a DESIGN.md
+#: claim id or section — the paper oracle or harness the tests compare
+#: the system against — or ``seam: tests/<file>``, a fault-injection or
+#: leak-check hook that file uses.
+UNCALLED_ON_PURPOSE = {
+    "repro.bounds.analysis.log2_improvement_summary": "T-bounds",
+    "repro.bounds.analysis.max_n_for_buffer": "T-bounds",
+    "repro.columnsort.validation.max_s_basic": "T-bounds",
+    "repro.columnsort.validation.max_s_subblock": "T-bounds",
+    "repro.columnsort.subblock.subblock_columnsort": "Figure 1",
+    "repro.columnsort.checks.runs_after_subblock_ok": "Figure 1",
+    "repro.columnsort.zero_one.empirical_min_height": "T-boundary",
+    "repro.matrix.layout.from_columns": "§5",
+    "repro.matrix.permutations.apply_index_map": "§5",
+    "repro.matrix.permutations.column_major_rank": "§5",
+    "repro.matrix.permutations.shift_down_target": "§5",
+    "repro.matrix.permutations.step4_target": "§5",
+    "repro.oocs.incore.bitonic.bitonic_exchange_count": "T-incore",
+    "repro.oocs.incore.bitonic.distributed_bitonic_sort": "T-incore",
+    "repro.oocs.incore.radix.distributed_radix_sort": "T-incore",
+    "repro.oocs.incore.sample.distributed_sample_sort": "T-incore",
+    "repro.oocs.runs.verify_run_structure": "T-merge",
+    "repro.crashsim.cache.is_legal_state": "§14",
+    "repro.crashsim.harness.run_sweep": "§14",
+    # The interposer records every write path a traced program can take.
+    "repro.crashsim.interpose.TracedFile.writelines": "§14",
+    "repro.resilience.faults.FaultPlan": "seam: tests/test_resilience_faultplan.py",
+    "repro.resilience.faults.FaultPlan.arm_once": "seam: tests/conftest.py",
+    "repro.resilience.quarantine.DiskQuarantine.mark_dead": "seam: tests/test_supervisor.py",
+    "repro.resilience.quarantine.release_all_quarantines": "seam: tests/conftest.py",
+    "repro.membuf.pool.BufferPool.free_buffers": "seam: tests/test_membuf.py",
+    "repro.cluster.arena.ShmArena.slab_count": "seam: tests/test_shm_arena.py",
+}
+
+
+def _definitions(tree, module):
+    """``(qualified name, bare name, node)`` of each public module-level
+    function, class and UPPER_CASE constant, and each public method of
+    a class, in one parsed ``src/`` module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                yield f"{module}.{node.name}", node.name, node
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                    yield f"{module}.{node.name}.{method.name}", method.name, method
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                name = getattr(target, "id", "")
+                if name.isupper() and not name.startswith("_"):
+                    yield f"{module}.{name}", name, node
+
+
+def _appearances(tree, is_init):
+    """``(name, line)`` of every identifier a module mentions: names,
+    attributes, import aliases and identifier strings — except an
+    ``__init__`` module's re-exports and any ``__all__`` list. A
+    function under a decorator other than ``property``,
+    ``staticmethod`` or ``classmethod`` (a registry) counts as
+    mentioned, at line 0."""
+    plain = {"property", "staticmethod", "classmethod", "setter", "deleter"}
+    skip = set()
+    for node in ast.walk(tree):
+        if is_init and isinstance(node, (ast.Import, ast.ImportFrom)):
+            skip.update(map(id, node.names))
+        if isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "__all__" for t in node.targets
+        ):
+            skip.update(map(id, ast.walk(node.value)))
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            for name in (*node.name.split("."), node.asname):
+                if name:
+                    yield name, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                yield node.value, node.lineno
+        elif isinstance(node, ast.FunctionDef):
+            if any(
+                getattr(d, "id", getattr(d, "attr", None)) not in plain
+                for d in node.decorator_list
+            ):
+                yield node.name, 0
+
+
+def test_every_public_definition_has_a_caller():
+    """Dead code stays deleted: every public function, class,
+    UPPER_CASE constant and method under ``src/`` is named somewhere in
+    ``src/``, ``bench/`` or ``examples/`` outside its own definition
+    (``tests/`` does not count), or is in ``UNCALLED_ON_PURPOSE`` with
+    a reason that holds. An entry that no longer exists or has since
+    found a caller is stale and fails too."""
+    root = Path(__file__).parent.parent
+    subjects, seen = [], {}
+    for tree_name in ("src", "bench", "examples"):
+        for path in sorted((root / tree_name).rglob("*.py")):
+            rel = path.relative_to(root)
+            tree = ast.parse(path.read_text())
+            for name, line in _appearances(tree, path.name == "__init__.py"):
+                seen.setdefault(name, []).append((rel, line))
+            if tree_name == "src":
+                module = ".".join(rel.with_suffix("").parts[1:])
+                module = module.removesuffix(".__init__")
+                subjects += [(rel, *d) for d in _definitions(tree, module)]
+    uncalled = {}
+    for rel, qualified, name, node in subjects:
+        decorators = getattr(node, "decorator_list", [])
+        first = min([node.lineno] + [d.lineno for d in decorators])
+        if all(
+            where == rel and first <= line <= node.end_lineno
+            for where, line in seen.get(name, [])
+        ):
+            uncalled[qualified] = f"{rel}:{node.lineno} {qualified}"
+    offenders = [uncalled[q] for q in sorted(uncalled.keys() - UNCALLED_ON_PURPOSE.keys())]
+    assert not offenders, "public and called by nothing:\n" + "\n".join(offenders)
+    stale = sorted(UNCALLED_ON_PURPOSE.keys() - uncalled.keys())
+    assert not stale, f"UNCALLED_ON_PURPOSE entries gone or now called: {stale}"
+
+    design = (root / "DESIGN.md").read_text()
+    unfounded = [
+        f"{qualified}: {reason}"
+        for qualified, reason in UNCALLED_ON_PURPOSE.items()
+        if not _reason_holds(reason, qualified.rsplit(".", 1)[1], root, design)
+    ]
+    assert not unfounded, "reasons that do not hold:\n" + "\n".join(unfounded)
+
+
+def _reason_holds(reason, name, root, design):
+    """A ``seam: tests/<file>`` reason holds when that file uses
+    ``name``; a DESIGN reason when DESIGN.md has that section (``§N``)
+    or that bold claim id."""
+    if reason.startswith("seam: tests/"):
+        seam = root / reason.removeprefix("seam: ")
+        return seam.is_file() and re.search(rf"\b{name}\b", seam.read_text())
+    if reason.startswith("§"):
+        return re.search(rf"^## {reason[1:]}\. ", design, re.M)
+    return f"**{reason}**" in design
+
+
 class TestErrorHierarchy:
     def test_everything_is_repro_error(self):
         for exc in (
-            ConfigError, DimensionError, ProblemSizeError, CommError,
+            ConfigError, DimensionError, CommError,
             DiskError, DiskFullError, VerificationError,
         ):
             assert issubclass(exc, ReproError)
@@ -223,12 +373,6 @@ class TestErrorHierarchy:
         assert issubclass(DiskError, IOError)
         assert issubclass(CommError, RuntimeError)
         assert issubclass(VerificationError, AssertionError)
-
-    def test_problem_size_error_payload(self):
-        err = ProblemSizeError(n=100, bound=50, algorithm="threaded")
-        assert err.n == 100 and err.bound == 50
-        assert "threaded" in str(err)
-        assert isinstance(err, ConfigError)
 
     def test_spmd_error_payload(self):
         cause = ValueError("inner")

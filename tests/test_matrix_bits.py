@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from repro.errors import DimensionError
 from repro.matrix.bits import (
-    deposit_bits,
     extract_bits,
     ilog2,
-    interleave_fields,
     is_power_of_four,
     is_power_of_two,
     sqrt_pow4,
@@ -59,13 +57,6 @@ class TestBitFields:
         vals = np.array([0b1010, 0b0101])
         assert list(extract_bits(vals, 1, 2)) == [0b01, 0b10]
 
-    def test_deposit(self):
-        assert deposit_bits(0b11, 2) == 0b1100
-
-    def test_interleave(self):
-        assert interleave_fields((0b10, 2), (0b1, 1)) == 0b101
-        assert interleave_fields((1, 1), (0, 2), (3, 2)) == 0b10011
-
     @given(
         st.integers(min_value=0, max_value=2**30 - 1),
         st.integers(min_value=0, max_value=24),
@@ -75,11 +66,11 @@ class TestBitFields:
         field = extract_bits(value, lo, width)
         assert 0 <= field < (1 << width)
         # Depositing back and re-extracting is the identity on the field.
-        assert extract_bits(deposit_bits(field, lo), lo, width) == field
+        assert extract_bits(field << lo, lo, width) == field
 
     @given(st.integers(min_value=0, max_value=2**20 - 1))
     def test_full_decomposition(self, value):
         """Splitting into 4 fields of 5 bits and re-interleaving is the
         identity — the exact structure of the Figure 1 permutation."""
-        fields = [(extract_bits(value, lo, 5), 5) for lo in (15, 10, 5, 0)]
-        assert interleave_fields(*fields) == value
+        fields = {lo: extract_bits(value, lo, 5) for lo in (15, 10, 5, 0)}
+        assert sum(field << lo for lo, field in fields.items()) == value

@@ -9,7 +9,6 @@ from repro.matrix.layout import (
     is_sorted_column_major,
     is_sorted_columnwise,
     sort_columns,
-    sort_values,
     to_columns,
 )
 from repro.records.format import RecordFormat
@@ -91,9 +90,3 @@ class TestSortedness:
         fmt = RecordFormat("u8", 32)
         recs = fmt.make(np.arange(8, dtype=np.uint64))
         assert is_sorted_column_major(to_columns(recs, 4, 2))
-
-    def test_sort_values_plain_and_records(self):
-        assert list(sort_values(np.array([3, 1, 2]))) == [1, 2, 3]
-        fmt = RecordFormat("u8", 32)
-        out = sort_values(fmt.make(np.array([3, 1], dtype=np.uint64)))
-        assert list(out["key"]) == [1, 3]

@@ -132,9 +132,9 @@ class TestGroupColumnStore:
     def test_append_overflow_guard(self, env):
         cfg, disks, recs = env
         store = ColumnStore(cfg, FMT, 64, 8, disks, name="ov", group_size=2)
-        store.append_to_portion(0, 0, recs[:32])
+        store.append_segments(0, [(0, recs[:32])])
         with pytest.raises(ConfigError, match="overflows"):
-            store.append_to_portion(0, 0, recs[:1])
+            store.append_segments(0, [(0, recs[:1])])
 
     def test_shape_validation(self, env):
         cfg, disks, _ = env

@@ -13,7 +13,6 @@ from repro.oocs.runs import (
     merge_sorted_runs,
     merge_two,
     predict_runs,
-    sort_column,
     verify_run_structure,
 )
 from repro.records.format import RecordFormat
@@ -75,15 +74,6 @@ class TestMergeRuns:
             merge_sorted_runs(FMT.empty(10), 3)
         with pytest.raises(ConfigError):
             merge_sorted_runs(FMT.empty(10), 0)
-
-    def test_sort_column_dispatch(self, rng):
-        keys = np.concatenate(
-            [np.sort(rng.integers(0, 100, size=64)) for _ in range(2)]
-        ).astype(np.uint64)
-        recs = FMT.make(keys)
-        merged = sort_column(recs, run_length=64)
-        plain = sort_column(recs)
-        assert np.array_equal(merged["key"], plain["key"])
 
 
 class TestPredictions:

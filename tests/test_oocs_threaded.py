@@ -196,5 +196,5 @@ class TestOutputLayout:
             raw = pdm.disks[disk].read_at(
                 f"output.pdm{disk:03d}", FMT.nbytes(offset), FMT.record_size
             )
-            got = FMT.from_bytes(raw)
+            got = np.frombuffer(raw, dtype=FMT.dtype)
             assert got["key"][0] == expected["key"][g]

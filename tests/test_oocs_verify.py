@@ -88,5 +88,5 @@ class TestFullVerify:
         pdm = PdmStore(cfg, FMT, 64, disks, block_records=8)
         for rank, pieces in pdm.split_by_owner(0, 64).items():
             for _d, _o, rel, n in pieces:
-                pdm.write_global(rank, rel, out[rel : rel + n])
+                pdm.write_pieces(rank, [(rel, out[rel : rel + n])])
         verify_output(pdm, recs)

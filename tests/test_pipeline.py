@@ -560,7 +560,7 @@ class TestConcurrencyStress:
         def work(k):
             for i in range(per_thread):
                 keys = np.full(chunk, k * per_thread + i, dtype=np.uint64)
-                store.append_to_portion(0, 0, FMT.make(keys))
+                store.append_segments(0, [(0, FMT.make(keys))])
 
         _hammer(n_threads, work)
         assert store.cursor(0, 0) == r
@@ -582,7 +582,7 @@ class TestConcurrencyStress:
         def work(k):
             for i in range(per_thread):
                 keys = np.full(chunk, k * per_thread + i, dtype=np.uint64)
-                store.append_to_portion(0, 0, FMT.make(keys))
+                store.append_segments(0, [(0, FMT.make(keys))])
 
         _hammer(n_threads, work)
         assert store.cursor(0, 0) == portion
@@ -608,7 +608,7 @@ def test_disk_full_through_flusher_thread(tmp_path):
     try:
         with pytest.raises(DiskFullError):
             for _ in range(8):
-                writer.put(partial(store.append_to_portion, 0, 0, recs))
+                writer.put(partial(store.append_segments, 0, [(0, recs)]))
             writer.drain()
     finally:
         writer.close()

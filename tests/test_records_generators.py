@@ -58,8 +58,8 @@ class TestCommonProperties:
 
 class TestShapes:
     def test_sorted_is_sorted(self, fmt):
-        recs = generate("sorted", fmt, 500, seed=1)
-        assert fmt.is_sorted(recs)
+        keys = generate("sorted", fmt, 500, seed=1)["key"]
+        assert np.all(keys[:-1] <= keys[1:])
 
     def test_reverse_is_reverse_sorted(self, fmt):
         keys = generate("reverse", fmt, 500, seed=1)["key"]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.records.keys import KEY_DTYPES, key_info, max_key, min_key
+from repro.records.keys import KEY_DTYPES, key_info
 
 
 class TestKeyInfo:
@@ -29,18 +29,18 @@ class TestKeyInfo:
 
 class TestSentinels:
     def test_integer_extremes(self):
-        assert min_key("u8") == 0
-        assert max_key("u8") == np.iinfo(np.uint64).max
-        assert min_key("i8") == np.iinfo(np.int64).min
-        assert max_key("i4") == np.iinfo(np.int32).max
+        assert key_info("u8").min_value == 0
+        assert key_info("u8").max_value == np.iinfo(np.uint64).max
+        assert key_info("i8").min_value == np.iinfo(np.int64).min
+        assert key_info("i4").max_value == np.iinfo(np.int32).max
 
     def test_float_infinities(self):
-        assert min_key("f8") == -np.inf
-        assert max_key("f8") == np.inf
+        assert key_info("f8").min_value == -np.inf
+        assert key_info("f8").max_value == np.inf
 
     @pytest.mark.parametrize("name", sorted(KEY_DTYPES))
     def test_sentinels_bracket_all_values(self, name):
-        """Every drawable key lies in [min_key, max_key] — the property
+        """Every drawable key lies in [min_value, max_value] — the property
         the step-6/8 padding relies on."""
         info = key_info(name)
         rng = np.random.default_rng(0)

@@ -105,13 +105,13 @@ class TestLowestRankProperty:
             (1, CommError("communicator has been shut down")),
         ]
         # mirror of run_spmd's ranking
-        from repro.cluster.spmd import _is_collateral
+        from repro.cluster.transport import is_collateral
 
         ranked = sorted(
             failures,
             key=lambda f: (
                 0
-                if not (_is_collateral(f[1]) or isinstance(f[1], WatchdogTimeout))
+                if not (is_collateral(f[1]) or isinstance(f[1], WatchdogTimeout))
                 else 1
                 if isinstance(f[1], WatchdogTimeout)
                 else 2,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import CommError, DiskError, ResilienceError
-from repro.resilience import FaultPlan, FaultSpec, transient_plan
+from repro.resilience import FaultPlan, FaultSpec
 from tests.conftest import arm_fault
 
 
@@ -109,7 +109,7 @@ class TestTriggering:
         with pytest.raises(DiskError, match="on disk 3"):
             plan.check("read", where="on disk 3")
 
-    def test_snapshot_and_reset(self):
+    def test_snapshot_counts_ops_and_fires(self):
         plan = FaultPlan([FaultSpec(op="read", count=1)])
         with pytest.raises(DiskError):
             plan.check("read")
@@ -118,20 +118,6 @@ class TestTriggering:
         assert snap["fired_total"] == 1
         assert snap["ops"]["read"] == 1
         assert snap["ops"]["write"] == 1
-        plan.reset_counters()
-        assert plan.snapshot()["fired_total"] == 0
-
-
-class TestTransientPlanFactory:
-    def test_builds_specs_for_requested_ops(self):
-        plan = transient_plan(read_p=0.1, write_p=0.2, comm_p=0.3, seed=9)
-        ops = sorted(spec.op for spec in plan.specs)
-        assert ops == ["comm", "read", "write"]
-        assert all(spec.transient for spec in plan.specs)
-
-    def test_zero_probability_ops_omitted(self):
-        plan = transient_plan(read_p=0.5)
-        assert [spec.op for spec in plan.specs] == ["read"]
 
 
 class TestLegacyInjectFaultShim:

@@ -24,7 +24,7 @@ from repro.oocs.subblock import pass_subblock
 from repro.pipeline import PipelinePlan
 from repro.records.format import RecordFormat
 from repro.records.generators import generate
-from repro.resilience import FaultPlan, FaultSpec, RetryPolicy, transient_plan
+from repro.resilience import FaultPlan, FaultSpec, RetryPolicy
 
 
 class TestClassification:
@@ -186,12 +186,15 @@ class TestEndToEndRetry:
         from repro.oocs.api import sort_out_of_core
         from repro.records.format import RecordFormat
         from repro.records.generators import generate
-        from repro.resilience import transient_plan
 
         fmt = RecordFormat("u8", 16)
         cluster = ClusterConfig(p=2, mem_per_proc=2**10)
         recs = generate("uniform", fmt, 128 * 4, seed=5)
-        plan = transient_plan(read_p=0.05, write_p=0.05, seed=11)
+        plan = FaultPlan(
+            [FaultSpec(op=op, probability=0.05, count=None)
+             for op in ("read", "write")],
+            seed=11,
+        )
         res = sort_out_of_core(
             "threaded", recs, cluster, fmt, buffer_records=128,
             workdir=tmp_path / "w", retry_policy=RetryPolicy(base_delay_s=0.0),
@@ -263,7 +266,11 @@ class TestEveryProgramUnderFaults:
         clean = sort_program(program, recs, depth, tmp_path / "clean")
         expected = clean.output_records().tobytes()
         clean.output.delete()
-        plan = transient_plan(read_p=0.05, write_p=0.05, seed=11)
+        plan = FaultPlan(
+            [FaultSpec(op=op, probability=0.05, count=None)
+             for op in ("read", "write")],
+            seed=11,
+        )
         res = sort_program(
             program, recs, depth, tmp_path / "w", fault_plan=plan,
             retry_policy=RetryPolicy(max_attempts=6, base_delay_s=0.0),

@@ -97,6 +97,14 @@ def test_invalid_spec_rejected_and_not_journaled(service_root):
             assert validate_spec({"algorithm": "g"})["algorithm"] == "g"
             with pytest.raises(ServiceError, match="unknown job-spec field"):
                 client.submit({"algorithm": "g", "group_size": 2})
+            # Values the run would only fail on later are refused here.
+            for spec, message in (
+                ({"backend": "gpu"}, "unknown backend"),
+                ({"key": "u16"}, "unknown key"),
+                ({"seed": -1}, "'seed' must be >= 0"),
+            ):
+                with pytest.raises(ServiceError, match=message):
+                    client.submit(spec)
             assert client.health()["jobs"] == {}
     finally:
         service.stop()

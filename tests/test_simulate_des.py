@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.simulate.des import PipelineSimulator, simulate_pass
+from repro.simulate.des import PipelineSimulator
 from repro.simulate.hardware import HardwareModel
 from repro.simulate.trace import PassTrace, RoundWork, StageSpec
 
@@ -36,7 +36,7 @@ def trace(stages, works):
 class TestHandSchedules:
     def test_single_stage_serializes(self):
         t = trace([("r", "read", "io")], [{"r": 5}] * 3)
-        res = simulate_pass(t, UNIT, max_inflight=4)
+        res = PipelineSimulator(UNIT, max_inflight=4).run(t)
         assert res.makespan == 15
         assert res.thread_busy["io"] == 15
 
@@ -47,7 +47,7 @@ class TestHandSchedules:
             [("r", "read", "io"), ("p", "permute", "mem")],
             [{"r": 4, "p": 4}] * 3,
         )
-        res = simulate_pass(t, UNIT, max_inflight=4)
+        res = PipelineSimulator(UNIT, max_inflight=4).run(t)
         assert res.makespan == 16
 
     def test_same_thread_no_overlap(self):
@@ -56,7 +56,7 @@ class TestHandSchedules:
             [("r", "read", "io"), ("w", "write", "io")],
             [{"r": 4, "w": 4}] * 3,
         )
-        res = simulate_pass(t, UNIT, max_inflight=4)
+        res = PipelineSimulator(UNIT, max_inflight=4).run(t)
         assert res.makespan == 24
 
     def test_bottleneck_thread_dominates(self):
@@ -65,7 +65,7 @@ class TestHandSchedules:
             [("r", "read", "io"), ("s", "permute", "mem"), ("w", "write", "io")],
             [{"r": 1, "s": 10, "w": 1}] * 4,
         )
-        res = simulate_pass(t, UNIT, max_inflight=8)
+        res = PipelineSimulator(UNIT, max_inflight=8).run(t)
         # fill 1 + 4×10 + drain 1 = 42.
         assert res.makespan == 42
         assert res.bottleneck_thread == "mem"
@@ -75,7 +75,7 @@ class TestHandSchedules:
             [("r", "read", "io"), ("p", "permute", "mem")],
             [{"r": 4, "p": 4}] * 3,
         )
-        res = simulate_pass(t, UNIT, max_inflight=1)
+        res = PipelineSimulator(UNIT, max_inflight=1).run(t)
         assert res.makespan == 24  # no overlap at all
 
     def test_io_thread_interleaves_read_and_write(self):
@@ -85,14 +85,14 @@ class TestHandSchedules:
             [("r", "read", "io"), ("s", "permute", "mem"), ("w", "write", "io")],
             [{"r": 2, "s": 100, "w": 2}] * 2,
         )
-        res = simulate_pass(t, UNIT, max_inflight=4)
+        res = PipelineSimulator(UNIT, max_inflight=4).run(t)
         # reads at 0-2 and 2-4; s(0) 2-102; w(0) 102-104; s(1) 102-202;
         # w(1) 202-204. Without interleaving it would be 206+.
         assert res.makespan == 204
 
     def test_empty_trace(self):
         t = trace([("r", "read", "io")], [])
-        assert simulate_pass(t, UNIT).makespan == 0
+        assert PipelineSimulator(UNIT).run(t).makespan == 0
 
 
 class TestInvariants:
@@ -107,30 +107,30 @@ class TestInvariants:
         )
 
     def test_makespan_at_least_busiest_thread(self):
-        res = simulate_pass(self._any_trace(), UNIT, max_inflight=8)
+        res = PipelineSimulator(UNIT, max_inflight=8).run(self._any_trace())
         assert res.makespan >= max(res.thread_busy.values())
 
     def test_makespan_at_most_serial_time(self):
         t = self._any_trace()
-        res = simulate_pass(t, UNIT, max_inflight=8)
+        res = PipelineSimulator(UNIT, max_inflight=8).run(t)
         serial = sum(sum(rw.work.values()) for rw in t.rounds)
         assert res.makespan <= serial
 
     def test_more_inflight_never_slower(self):
         t = self._any_trace()
         times = [
-            simulate_pass(t, UNIT, max_inflight=k).makespan for k in (1, 2, 4, 8)
+            PipelineSimulator(UNIT, max_inflight=k).run(t).makespan for k in (1, 2, 4, 8)
         ]
         assert times == sorted(times, reverse=True)
 
     def test_stage_totals_sum_to_thread_busy(self):
-        res = simulate_pass(self._any_trace(), UNIT, max_inflight=4)
+        res = PipelineSimulator(UNIT, max_inflight=4).run(self._any_trace())
         assert res.thread_busy["io"] == pytest.approx(
             res.stage_total["r"] + res.stage_total["w"]
         )
 
     def test_utilization_bounded(self):
-        res = simulate_pass(self._any_trace(), UNIT, max_inflight=4)
+        res = PipelineSimulator(UNIT, max_inflight=4).run(self._any_trace())
         for thread in res.thread_busy:
             assert 0 < res.utilization(thread) <= 1
 

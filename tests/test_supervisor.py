@@ -540,15 +540,6 @@ class TestRankKillFaultSpecs:
         assert snap["rank_kills"] == 1
         assert snap["fired_total"] == 1
 
-    def test_reset_counters_rearms_kill_cells(self):
-        plan = FaultPlan([FaultSpec(op="read", nth=1, count=1, kind="rank_kill")])
-        with pytest.raises(RankKilled):
-            plan.check("read")
-        plan.reset_counters()
-        assert plan.snapshot()["rank_kills"] == 0
-        with pytest.raises(RankKilled):
-            plan.check("read")
-
     def test_add_registers_kill_cell(self):
         plan = FaultPlan()
         plan.check("write")

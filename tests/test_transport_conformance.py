@@ -19,6 +19,7 @@ import pytest
 from repro.cluster import available_backends, get_transport, run_spmd
 from repro.cluster.mailbox import MailboxRouter
 from repro.cluster.process_backend import ProcessRouter, RemoteRankError, _Fabric
+from repro.cluster.stats import combined
 from repro.cluster.transport import ThreadTransport
 from repro.errors import (
     AdmissionRejected,
@@ -28,7 +29,6 @@ from repro.errors import (
     ConfigError,
     CorruptionError,
     DeadlineExceeded,
-    ProblemSizeError,
     SpmdError,
     WatchdogTimeout,
 )
@@ -162,23 +162,17 @@ class TestSemantics:
         def program(comm):
             comm.barrier()
             word = comm.bcast("hello" if comm.rank == 0 else None)
-            mine = comm.scatter(
-                [f"s{d}" for d in range(comm.size)] if comm.rank == 0 else None
-            )
-            gathered = comm.gather(comm.rank * 2)
             everyone = comm.allgather(comm.rank)
             total = comm.allreduce(comm.rank)
             prefix = comm.exscan(1)
-            return (word, mine, gathered, everyone, total, prefix)
+            return (word, everyone, total, prefix)
 
         res = run_spmd(3, program, backend=backend)
         for p, r in enumerate(res.returns):
             assert r[0] == "hello"
-            assert r[1] == f"s{p}"
-            assert r[2] == ([0, 2, 4] if p == 0 else None)
-            assert r[3] == [0, 1, 2]
-            assert r[4] == 3
-            assert r[5] == p
+            assert r[1] == [0, 1, 2]
+            assert r[2] == 3
+            assert r[3] == p
 
     def test_collective_mismatch_is_commerror_not_deadlock(self, backend):
         def program(comm):
@@ -440,7 +434,6 @@ class TestFailures:
 
 
 ERROR_SAMPLES = [
-    ProblemSizeError(1 << 30, 1 << 20, "threaded"),
     CorruptionError(2, "col-3", [(0, 4096), (8192, 4096)], repairable=True),
     SpmdError(3, ValueError("inner")),
     WatchdogTimeout(1, 12.5, 10.0),
@@ -531,8 +524,9 @@ class TestResultSurface:
         )
         assert res.returns == [10, 21, 32]
         assert [s.rank for s in res.stats] == [0, 1, 2]
-        assert res.total_network_messages() == 3
-        assert res.total_network_bytes() == 3 * 32
+        totals = combined(res.stats)
+        assert totals["network_messages"] == 3
+        assert totals["network_bytes"] == 3 * 32
 
     def test_rank_args_length_validated(self, backend):
         with pytest.raises(ConfigError, match="rank_args"):
