@@ -568,17 +568,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from repro.errors import Cancellation, ServiceError
+    from repro.errors import Cancellation, ConfigError, DimensionError, ServiceError
 
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except Cancellation as exc:
-        # A cancelled/deadlined run is an orderly outcome, not a crash:
-        # the last pass-boundary checkpoint is valid for --resume.
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ServiceError as exc:
+    except (Cancellation, ServiceError, ConfigError, DimensionError) as exc:
+        # An orderly outcome, not a crash: a bad shape or setting, a
+        # refused service call, or a cancelled/deadlined run (whose
+        # last pass-boundary checkpoint is valid for --resume).
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

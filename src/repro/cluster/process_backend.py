@@ -45,10 +45,11 @@ every contract of :class:`~repro.cluster.transport.Transport`:
   :class:`~repro.resilience.watchdog.RankWatchdog` polls it through a
   router facade exactly as it polls the thread router.
 * **Accounting** — every rank snapshots its (fork-copied) disk
-  ``IoStats``, the data-plane ``CopyStats``, and its ``CommStats``
-  around the program and ships the deltas home over a result pipe; the
-  parent merges them into the caller's stats objects, so
-  ``run_spmd_metered`` and the pass programs stay backend-agnostic.
+  ``IoStats``, the data-plane ``CopyStats`` and the pool's budget
+  counters around the program and ships their deltas, with its
+  ``CommStats``, home over a result pipe; the parent merges them
+  (:meth:`~repro.telemetry.Counters.merge`) into the caller's meters,
+  so ``run_spmd_metered`` and the pass programs stay backend-agnostic.
 * **Failures** — a rank's exception is pickled home when it round-trips
   (so ``SpmdError.cause`` keeps its type across the boundary) and
   replaced by a :class:`RemoteRankError` surrogate carrying the type
@@ -82,10 +83,10 @@ from repro.cluster.arena import (
 )
 from repro.cluster.comm import Comm
 from repro.cluster.mailbox import DEFAULT_TIMEOUT, POLL_SLICE, SendAdmission
-from repro.cluster.stats import CommStats, stats_from_snapshot
+from repro.cluster.stats import CommStats
 from repro.cluster.transport import Transport, raise_primary_failure
 from repro.errors import CommError
-from repro.membuf import copy_delta, copy_stats, get_pool
+from repro.membuf import copy_stats, get_pool
 from repro.records.format import RecordFormat
 
 __all__ = [
@@ -487,6 +488,14 @@ class ProcessRouter(SendAdmission):
         }
 
 
+def _rank_meters(disks: list) -> list:
+    """The process-wide meters a rank's work moves: the data plane, the
+    pool's budget and each disk. A forked rank moves its own copies, so
+    it ships one delta per meter home and the parent merges each into
+    the same meter on its side."""
+    return [copy_stats(), get_pool().budget_counters, *(d.stats for d in disks)]
+
+
 def _child_main(fabric, rank, program, args, extra, kwargs, hooks, conns, disks):
     """Rank body in the forked child: run the program, ship results and
     accounting deltas home, always tear the shared segments down."""
@@ -505,11 +514,9 @@ def _child_main(fabric, rank, program, args, extra, kwargs, hooks, conns, disks)
     router.cancel_token = cancel
     comm = Comm(rank, fabric.size, router, CommStats(rank=rank))
 
-    pool = get_pool()
-    cstats = copy_stats()
-    cstats.rebase_peak(pool.outstanding())
-    copy_before = cstats.snapshot()
-    io_before = [d.stats.snapshot() for d in (disks or [])]
+    copy_stats().rebase_peak(get_pool().outstanding())
+    meters = _rank_meters(disks)
+    before = [meter.snapshot() for meter in meters]
 
     message: dict = {"rank": rank}
     try:
@@ -523,12 +530,9 @@ def _child_main(fabric, rank, program, args, extra, kwargs, hooks, conns, disks)
     finally:
         message["segments"] = router.teardown()
 
-    message["copy"] = copy_delta(copy_before, cstats.snapshot())
     message["comm"] = comm.stats.snapshot()
-    io_after = [d.stats.snapshot() for d in (disks or [])]
-    message["io"] = [
-        {k: after[k] - before[k] for k in before}
-        for before, after in zip(io_before, io_after)
+    message["deltas"] = [
+        meter.delta(snap, meter.snapshot()) for meter, snap in zip(meters, before)
     ]
     try:
         own.send(message)
@@ -642,7 +646,7 @@ class ProcessTransport(Transport):
         failures: list[tuple[int, BaseException]] = []
         stats: list[CommStats] = []
         returns: list = [None] * size
-        meter = copy_stats()
+        meters = _rank_meters(disks)
         for p, msg in enumerate(messages):
             if msg is None:
                 msg = {
@@ -656,11 +660,11 @@ class ProcessTransport(Transport):
                 returns[p] = msg.get("value")
             else:
                 failures.append((p, msg["error"]))
-            stats.append(stats_from_snapshot(msg.get("comm"), rank=p))
-            if msg.get("copy"):
-                meter.merge_delta(msg["copy"])
-            for disk, delta in zip(disks, msg.get("io", ())):
-                disk.stats.merge_delta(delta)
+            # A rank that died before reporting leaves zeroed counters.
+            stats.append(CommStats(rank=p))
+            stats[-1].merge(msg.get("comm", {}))
+            for meter, delta in zip(meters, msg.get("deltas", ())):
+                meter.merge(delta)
 
         if watchdog is not None and watchdog.error is not None:
             failures.append((watchdog.error.rank, watchdog.error))

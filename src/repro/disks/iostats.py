@@ -16,35 +16,22 @@ invariants stay exact with checksums on.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
-
-#: Every counter key in a snapshot/combine, in display order.
-IO_KEYS = (
-    "reads",
-    "writes",
-    "bytes_read",
-    "bytes_written",
-    "read_retries",
-    "write_retries",
-    "bytes_hashed",
-    "checksum_failures",
-)
+from repro.telemetry import Counters
 
 
-@dataclass
-class IoStats:
-    """Running I/O totals for one disk (or an aggregate of disks)."""
+class IoStats(Counters):
+    """Running I/O totals for one disk (or several sharing the meter)."""
 
-    reads: int = 0
-    writes: int = 0
-    bytes_read: int = 0
-    bytes_written: int = 0
-    read_retries: int = 0
-    write_retries: int = 0
-    bytes_hashed: int = 0
-    checksum_failures: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    KEYS = (
+        "reads",
+        "writes",
+        "bytes_read",
+        "bytes_written",
+        "read_retries",
+        "write_retries",
+        "bytes_hashed",
+        "checksum_failures",
+    )
 
     def record_read(self, nbytes: int) -> None:
         with self._lock:
@@ -80,49 +67,3 @@ class IoStats:
     def record_checksum_failure(self, n: int = 1) -> None:
         with self._lock:
             self.checksum_failures += n
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "reads": self.reads,
-                "writes": self.writes,
-                "bytes_read": self.bytes_read,
-                "bytes_written": self.bytes_written,
-                "read_retries": self.read_retries,
-                "write_retries": self.write_retries,
-                "bytes_hashed": self.bytes_hashed,
-                "checksum_failures": self.checksum_failures,
-            }
-
-    def reset(self) -> None:
-        with self._lock:
-            self.reads = 0
-            self.writes = 0
-            self.bytes_read = 0
-            self.bytes_written = 0
-            self.read_retries = 0
-            self.write_retries = 0
-            self.bytes_hashed = 0
-            self.checksum_failures = 0
-
-    def merge_delta(self, delta: dict) -> None:
-        """Fold a counter delta from another process into this meter.
-
-        The process transport's ranks operate on fork-copied disk
-        objects; after the join each rank's per-disk snapshot delta is
-        merged back here so the parent's disks carry the run's true
-        totals, exactly as they would on the thread backend where the
-        stats objects are shared."""
-        with self._lock:
-            for key in IO_KEYS:
-                setattr(self, key, getattr(self, key) + delta.get(key, 0))
-
-    @staticmethod
-    def combine(stats: list["IoStats"]) -> dict:
-        """Aggregate totals across disks."""
-        total = {key: 0 for key in IO_KEYS}
-        for s in stats:
-            snap = s.snapshot()
-            for key in total:
-                total[key] += snap[key]
-        return total

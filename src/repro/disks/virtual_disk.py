@@ -372,8 +372,6 @@ class VirtualDisk:
             self.stats.record_hashed(hashed)
         if bad:
             self.stats.record_checksum_failure(len(bad))
-            if self.quarantine is not None:
-                self.quarantine.record_checksum_failure(self.disk_id, len(bad))
             layer = self.parity_layer
             repairable = layer is not None and layer.can_repair(
                 self.disk_id, name, bad

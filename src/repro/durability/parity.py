@@ -47,17 +47,22 @@ from repro.durability.hashing import block_checksum
 from repro.errors import ConfigError, CorruptionError, DiskError
 from repro.membuf import get_pool
 from repro.resilience.quarantine import DiskQuarantine
+from repro.telemetry import Counters
 
 _U1 = np.dtype("u1")
 
-#: Counter keys exposed by :attr:`ParityLayer.counters`.
-PARITY_KEYS = (
-    "parity_bytes_read",
-    "parity_bytes_written",
-    "reconstructed_blocks",
-    "repaired_blocks",
-    "folds",
-)
+
+class ParityCounters(Counters):
+    """Parity upkeep (bytes read and written, extents folded out) and
+    recovery (blocks reconstructed, blocks repaired in place)."""
+
+    KEYS = (
+        "parity_bytes_read",
+        "parity_bytes_written",
+        "reconstructed_blocks",
+        "repaired_blocks",
+        "folds",
+    )
 
 
 @dataclass
@@ -92,7 +97,7 @@ class ParityLayer:
         self._row_len: dict[int, int] = {}
         self._next_slot = [0] * self.d
         self.maintenance_enabled = True
-        self.counters = {key: 0 for key in PARITY_KEYS}
+        self.counters = ParityCounters(lock=self._lock)
         for disk in self._order:
             for sub in (".parity", ".spare"):
                 stale = disk.root / sub
@@ -101,10 +106,6 @@ class ParityLayer:
                         os.unlink(path)
 
     # -- bookkeeping -----------------------------------------------------
-
-    def counters_snapshot(self) -> dict:
-        with self._lock:
-            return dict(self.counters)
 
     def disable_maintenance(self) -> None:
         """Stop maintaining parity for *new* writes (the run governor's
@@ -149,7 +150,7 @@ class ParityLayer:
                 f"cannot reconstruct: parity row {row} is "
                 f"{got} bytes, expected {nbytes}"
             )
-        self.counters["parity_bytes_read"] += nbytes
+        self.counters.parity_bytes_read += nbytes
         return arr
 
     def _write_parity(self, row: int, arr: np.ndarray, nbytes: int) -> None:
@@ -158,7 +159,7 @@ class ParityLayer:
         with open(path, "wb") as fh:
             fh.write(memoryview(arr)[:nbytes])
         self._row_len[row] = nbytes
-        self.counters["parity_bytes_written"] += nbytes
+        self.counters.parity_bytes_written += nbytes
 
     def _extent_file(self, ext: _Extent) -> Path:
         disk = self._by_id[ext.disk]
@@ -190,7 +191,7 @@ class ParityLayer:
                 f"cannot reconstruct: member extent {ext.name!r}@{ext.offset} "
                 f"on disk {ext.disk} is short ({got} < {ext.length} bytes)"
             )
-        self.counters["parity_bytes_read"] += ext.length
+        self.counters.parity_bytes_read += ext.length
         return arr
 
     # -- parity maintenance ----------------------------------------------
@@ -216,7 +217,7 @@ class ParityLayer:
             self._write_parity(row, par, keep)
             get_pool().recycle(par)
         get_pool().recycle(old)
-        self.counters["folds"] += 1
+        self.counters.folds += 1
 
     def on_write(self, disk, name: str, offset: int, data, spare: bool) -> None:
         """Hook called by the disk *before* the file write lands, under
@@ -298,8 +299,7 @@ class ParityLayer:
                     ext.disk, ext.name, [(ext.offset, ext.length)],
                     repairable=False,
                 )
-        self.counters["reconstructed_blocks"] += 1
-        self.quarantine.record_reconstruction()
+        self.counters.reconstructed_blocks += 1
         return data
 
     def ensure_spare(self, disk, name: str, logical_size: int) -> Path:
@@ -379,8 +379,7 @@ class ParityLayer:
                     fh.seek(ext.offset)
                     fh.write(data)
                 repaired += 1
-        self.counters["repaired_blocks"] += repaired
-        self.quarantine.record_repair(repaired)
+        self.counters.repaired_blocks += repaired
         return repaired
 
 

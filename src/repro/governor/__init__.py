@@ -20,7 +20,6 @@ from repro.governor.admission import (
 )
 from repro.governor.cancel import CancelToken, maybe_sleep
 from repro.governor.runtime import (
-    GOVERNOR_KEYS,
     PRESSURE_STALLS,
     RunGovernor,
     attach_governor,
@@ -30,7 +29,6 @@ __all__ = [
     "ADMISSION_KEYS",
     "AdmissionTicket",
     "CancelToken",
-    "GOVERNOR_KEYS",
     "JobGovernor",
     "PRESSURE_STALLS",
     "RunGovernor",

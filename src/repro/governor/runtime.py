@@ -26,28 +26,19 @@ byte-identical at any depth — so the downshift needs no coordination
 beyond the shared counter.
 
 Everything the ladder and downshift do is counted and surfaced on
-``OocResult.governor`` (see :data:`GOVERNOR_KEYS`).
+``OocResult.governor`` (see :attr:`RunGovernor.KEYS`).
 """
 
 from __future__ import annotations
 
-import threading
-
 from repro.pipeline import SYNCHRONOUS, PipelinePlan
-
-#: Counter keys exposed by :meth:`RunGovernor.snapshot`.
-GOVERNOR_KEYS = (
-    "disk_full_events",
-    "scratch_reclaims",
-    "reclaimed_bytes",
-    "depth_downshifts",
-)
+from repro.telemetry import Counters
 
 #: Pool allocation stalls within one pass that trigger a depth downshift.
 PRESSURE_STALLS = 2
 
 
-class RunGovernor:
+class RunGovernor(Counters):
     """Scratch-space and pipeline-depth governance for one run.
 
     Parameters
@@ -65,17 +56,23 @@ class RunGovernor:
         drives the depth downshift (the global pool by default).
     """
 
+    KEYS = (
+        "disk_full_events",
+        "scratch_reclaims",
+        "reclaimed_bytes",
+        "depth_downshifts",
+    )
+
     def __init__(self, stores: dict, specs: list, cancel=None, pool=None) -> None:
+        super().__init__()
         self.stores = stores
         self.specs = list(specs)
         self.cancel = cancel
         self._pool = pool
-        self._lock = threading.Lock()
         self._pass_index = 0  # 1-based index of the pass in flight
         self._reclaimed = False
         self.degraded = False
         self._depth_penalty = 0
-        self._counters = {key: 0 for key in GOVERNOR_KEYS}
 
     # -- pass-boundary bookkeeping ---------------------------------------
 
@@ -91,7 +88,7 @@ class RunGovernor:
                 pool = self._effective_pool()
                 if pool is not None and pool.consume_pressure() >= PRESSURE_STALLS:
                     self._depth_penalty += 1
-                    self._counters["depth_downshifts"] += 1
+                    self.depth_downshifts += 1
 
     def _effective_pool(self):
         if self._pool is not None:
@@ -134,13 +131,13 @@ class RunGovernor:
         reclaimed), False when the error must propagate — after
         degrading the run so the remaining passes need less space."""
         with self._lock:
-            self._counters["disk_full_events"] += 1
+            self.disk_full_events += 1
             if not self._reclaimed:
                 self._reclaimed = True
                 freed = self._reclaim_locked()
                 if freed > 0:
-                    self._counters["scratch_reclaims"] += 1
-                    self._counters["reclaimed_bytes"] += freed
+                    self.scratch_reclaims += 1
+                    self.reclaimed_bytes += freed
                     return True
             self._degrade_locked()
             return False
@@ -169,13 +166,9 @@ class RunGovernor:
 
     # -- observation -----------------------------------------------------
 
-    def snapshot(self) -> dict:
-        """Counters plus the degradation flags, for ``OocResult.governor``."""
-        with self._lock:
-            out = dict(self._counters)
-            out["degraded"] = self.degraded
-            out["depth_penalty"] = self._depth_penalty
-            return out
+    def _state(self) -> dict:
+        # The degradation flags, beside the counters in ``OocResult.governor``.
+        return {"degraded": self.degraded, "depth_penalty": self._depth_penalty}
 
 
 def attach_governor(disks: list, governor: "RunGovernor | None") -> None:

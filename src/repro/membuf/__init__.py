@@ -7,23 +7,15 @@ often the data plane duplicates them. See DESIGN §7 for the ownership
 rules at each seam.
 """
 
-from repro.membuf.copystats import (
-    ARENA_KEYS,
-    COPY_KEYS,
-    CopyStats,
-    copy_delta,
-    copy_stats,
-)
+from repro.membuf.copystats import ARENA_KEYS, CopyStats, copy_stats
 from repro.membuf.pool import MAX_FREE_PER_KEY, BufferPool, LeaseScope, get_pool
 
 __all__ = [
     "ARENA_KEYS",
     "BufferPool",
     "CopyStats",
-    "COPY_KEYS",
     "LeaseScope",
     "MAX_FREE_PER_KEY",
-    "copy_delta",
     "copy_stats",
     "get_pool",
 ]

@@ -36,31 +36,14 @@ byte meters above stay identical across backends.
 
 One global instance (:func:`copy_stats`) serves the whole process; runs
 meter themselves with the same snapshot/delta pattern the disk and comm
-counters use.
+counters use (:class:`~repro.telemetry.Counters`).
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from repro.telemetry import Counters
 
-#: Snapshot keys, in report order. ``peak_leases`` is a high-water mark,
-#: not a counter — see :func:`copy_delta`.
-COPY_KEYS = (
-    "bytes_copied",
-    "bytes_zero_copy",
-    "pool_hits",
-    "pool_misses",
-    "leases",
-    "lease_returns",
-    "peak_leases",
-    "arena_hits",
-    "arena_misses",
-    "attach_count",
-    "bytes_landed_zero_extra_copy",
-)
-
-#: The subset of :data:`COPY_KEYS` describing the shared-memory arena
+#: The subset of :attr:`CopyStats.KEYS` describing the shared-memory arena
 #: (transport-operational; zero on the thread backend by construction).
 ARENA_KEYS = (
     "arena_hits",
@@ -70,24 +53,24 @@ ARENA_KEYS = (
 )
 
 
-@dataclass
-class CopyStats:
+class CopyStats(Counters):
     """Running data-plane totals for the whole process (all ranks — the
     simulated cluster shares one address space, so one meter sees every
-    seam)."""
+    seam). ``peak_leases`` is a high-water mark: a process-backend merge
+    keeps the maximum of the per-rank peaks (a lower bound on the
+    would-be global peak)."""
 
-    bytes_copied: int = 0
-    bytes_zero_copy: int = 0
-    pool_hits: int = 0
-    pool_misses: int = 0
-    leases: int = 0
-    lease_returns: int = 0
-    peak_leases: int = 0
-    arena_hits: int = 0
-    arena_misses: int = 0
-    attach_count: int = 0
-    bytes_landed_zero_extra_copy: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    KEYS = (
+        "bytes_copied",
+        "bytes_zero_copy",
+        "pool_hits",
+        "pool_misses",
+        "leases",
+        "lease_returns",
+        "peak_leases",
+        *ARENA_KEYS,
+    )
+    PEAKS = ("peak_leases",)
 
     def record_copy(self, nbytes: int) -> None:
         with self._lock:
@@ -137,49 +120,12 @@ class CopyStats:
         with self._lock:
             self.bytes_landed_zero_extra_copy += int(nbytes)
 
-    def merge_delta(self, delta: dict) -> None:
-        """Fold another process's per-run counter delta into this meter.
-
-        The process transport's ranks each meter their own data plane;
-        after the join their deltas are merged here so the caller's
-        snapshot/delta arithmetic (``run_spmd_metered``) works unchanged.
-        Counters add; ``peak_leases`` — a high-water mark that cannot be
-        summed across address spaces — takes the maximum of the per-rank
-        peaks (a lower bound on the would-be global peak).
-        """
-        with self._lock:
-            for key in COPY_KEYS:
-                if key == "peak_leases":
-                    if delta.get(key, 0) > self.peak_leases:
-                        self.peak_leases = delta[key]
-                else:
-                    setattr(self, key, getattr(self, key) + delta.get(key, 0))
-
     def rebase_peak(self, outstanding: int = 0) -> None:
         """Reset the high-water mark to the current outstanding count so
-        a following :func:`copy_delta` reports this run's peak, not the
+        a following :meth:`CopyStats.delta` reports this run's peak, not the
         process's."""
         with self._lock:
             self.peak_leases = outstanding
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {key: getattr(self, key) for key in COPY_KEYS}
-
-    def reset(self) -> None:
-        with self._lock:
-            for key in COPY_KEYS:
-                setattr(self, key, 0)
-
-
-def copy_delta(before: dict, after: dict) -> dict:
-    """Per-run view of two :meth:`CopyStats.snapshot` dicts: counters are
-    differenced; ``peak_leases`` (a high-water mark) is taken from
-    ``after`` — pair with :meth:`CopyStats.rebase_peak` for a per-run
-    peak."""
-    out = {key: after[key] - before[key] for key in COPY_KEYS}
-    out["peak_leases"] = after["peak_leases"]
-    return out
 
 
 _GLOBAL = CopyStats()

@@ -48,6 +48,7 @@ import numpy as np
 
 from repro.errors import BudgetExceeded
 from repro.membuf.copystats import copy_stats
+from repro.telemetry import Counters
 
 #: Freelist depth per (dtype, rows) key. Deep enough for one in-flight
 #: buffer per pipeline slot at the depths we benchmark; beyond that the
@@ -57,6 +58,15 @@ MAX_FREE_PER_KEY = 8
 #: Seconds between wakeups of a budget-blocked lease (matches the
 #: pipeline pools' poll interval, so cancellation latency is uniform).
 _BUDGET_POLL = 0.05
+
+
+class BudgetCounters(Counters):
+    """A pool's budget accounting since its last
+    :meth:`BufferPool.reset_budget_accounting`: the high-water mark of
+    held bytes, backpressure stalls and evicted freelist arrays."""
+
+    KEYS = ("peak_held_bytes", "budget_stalls", "budget_evictions")
+    PEAKS = ("peak_held_bytes",)
 
 
 class BufferPool:
@@ -79,9 +89,7 @@ class BufferPool:
         self._budget = budget_bytes
         self._budget_timeout = budget_timeout_s
         self._held = 0
-        self._peak_held = 0
-        self._stalls = 0
-        self._evictions = 0
+        self.budget_counters = BudgetCounters(lock=self._cv)
         self._pressure_mark = 0
 
     # -- budget ---------------------------------------------------------
@@ -99,8 +107,8 @@ class BufferPool:
     def _bump_held(self, delta: int) -> None:
         """Adjust held bytes (call with ``self._cv`` held)."""
         self._held += delta
-        if self._held > self._peak_held:
-            self._peak_held = self._held
+        if self._held > self.budget_counters.peak_held_bytes:
+            self.budget_counters.peak_held_bytes = self._held
         if delta < 0:
             self._cv.notify_all()
 
@@ -112,7 +120,7 @@ class BufferPool:
             while stack and self._held > target:
                 arr = stack.pop()
                 self._bump_held(-arr.nbytes)
-                self._evictions += 1
+                self.budget_counters.budget_evictions += 1
             if not stack:
                 del self._free[key]
             if self._held <= target:
@@ -133,7 +141,7 @@ class BufferPool:
         self._evict_until(budget - need)
         if self._held + need <= budget:
             return
-        self._stalls += 1
+        self.budget_counters.budget_stalls += 1
         deadline = time.monotonic() + self._budget_timeout
         while self._held + need > self._budget:
             left = deadline - time.monotonic()
@@ -298,8 +306,9 @@ class BufferPool:
         """Backpressure stalls since the previous call (the run
         governor's downshift signal)."""
         with self._cv:
-            since = self._stalls - self._pressure_mark
-            self._pressure_mark = self._stalls
+            stalls = self.budget_counters.budget_stalls
+            since = stalls - self._pressure_mark
+            self._pressure_mark = stalls
             return since
 
     def budget_snapshot(self) -> dict:
@@ -308,18 +317,16 @@ class BufferPool:
             return {
                 "budget_bytes": self._budget,
                 "held_bytes": self._held,
-                "peak_held_bytes": self._peak_held,
-                "budget_stalls": self._stalls,
-                "budget_evictions": self._evictions,
+                **self.budget_counters.snapshot(),
             }
 
     def reset_budget_accounting(self) -> None:
         """Rebase the peak/stall counters to the current state (between
         runs sharing the global pool)."""
         with self._cv:
-            self._peak_held = self._held
-            self._stalls = 0
-            self._evictions = 0
+            counters = self.budget_counters
+            counters.peak_held_bytes = self._held
+            counters.budget_stalls = counters.budget_evictions = 0
             self._pressure_mark = 0
 
 

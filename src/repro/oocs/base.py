@@ -57,13 +57,14 @@ import numpy as np
 from repro.cluster.comm import Comm
 from repro.cluster.config import ClusterConfig
 from repro.cluster.spmd import run_spmd
+from repro.cluster.stats import CommStats
 from repro.cluster.transport import available_backends
 from repro.disks.iostats import IoStats
 from repro.disks.matrixfile import ColumnStore, PdmStore
 from repro.disks.virtual_disk import VirtualDisk, make_disk_array
 from repro.errors import ConfigError
 from repro.matrix.bits import is_power_of_two
-from repro.membuf import LeaseScope, copy_delta, copy_stats, get_pool
+from repro.membuf import CopyStats, LeaseScope, copy_stats, get_pool
 from repro.oocs.incore.columnsort_dist import ColumnsortPlan
 from repro.pipeline import (
     COMM,
@@ -806,7 +807,7 @@ def run_spmd_metered(size: int, program, *args, **kwargs):
     """:func:`run_spmd` plus this run's data-plane copy accounting.
 
     Returns ``(SpmdResult, copy)`` where ``copy`` is a
-    :data:`~repro.membuf.COPY_KEYS` delta dict covering exactly the SPMD
+    :class:`~repro.membuf.CopyStats` delta dict covering exactly the SPMD
     section (``peak_leases`` is rebased, so it is this run's high-water
     mark). If the world dies mid-pass, buffers leased by the failed
     ranks can never be recycled by their pass bodies — the leases are
@@ -821,7 +822,12 @@ def run_spmd_metered(size: int, program, *args, **kwargs):
     except BaseException:
         pool.forget_leases()
         raise
-    return res, copy_delta(before, stats.snapshot())
+    return res, CopyStats.delta(before, stats.snapshot())
+
+
+def _disk_io(disks: list[VirtualDisk]) -> dict:
+    """The disks' I/O counters, summed."""
+    return IoStats.total(d.stats.snapshot() for d in disks)
 
 
 class PassMarker:
@@ -844,17 +850,12 @@ class PassMarker:
     """
 
     def __init__(self, comm: Comm, disks: list[VirtualDisk]) -> None:
-        from repro.disks.iostats import IoStats
-
-        self._iostats = IoStats
         self.comm = comm
         self.disks = disks
         self.comm_marks = [comm.stats.snapshot()]
         self._local_io = not comm.shared_fabric
         self.io_marks = (
-            [IoStats.combine([d.stats for d in disks])]
-            if comm.rank == 0 or self._local_io
-            else []
+            [_disk_io(disks)] if comm.rank == 0 or self._local_io else []
         )
         # Hold every rank here until the baseline snapshots are taken —
         # on the shared fabric a rank that started pass 1 early would
@@ -874,23 +875,11 @@ class PassMarker:
         self.comm.barrier()
         self.comm_marks.append(self.comm.stats.snapshot())
         if self.comm.rank == 0 or self._local_io:
-            self.io_marks.append(
-                self._iostats.combine([d.stats for d in self.disks])
-            )
+            self.io_marks.append(_disk_io(self.disks))
         self.comm.barrier()
 
-    @staticmethod
-    def _deltas(marks: list[dict], keys: tuple) -> list[dict]:
-        return [
-            {k: marks[i + 1][k] - marks[i][k] for k in keys}
-            for i in range(len(marks) - 1)
-        ]
-
     def comm_deltas(self) -> list[dict]:
-        return self._deltas(
-            self.comm_marks,
-            ("messages", "bytes", "network_messages", "network_bytes"),
-        )
+        return list(map(CommStats.delta, self.comm_marks, self.comm_marks[1:]))
 
     def io_deltas(self) -> list[dict]:
         """Per-pass disk-I/O deltas (rank 0; other ranks get ``[]``).
@@ -901,18 +890,13 @@ class PassMarker:
         (the rank program returns it in its result dict), so the
         collective ordering is symmetric by construction.
         """
-        from repro.disks.iostats import IO_KEYS
-
-        local = self._deltas(self.io_marks, IO_KEYS)
+        local = list(map(IoStats.delta, self.io_marks, self.io_marks[1:]))
         if not self._local_io:
             return local
         gathered = self.comm.gather_oob(local, root=0)
         if gathered is None:
             return []
-        return [
-            {k: sum(per_rank[i][k] for per_rank in gathered) for k in IO_KEYS}
-            for i in range(len(local))
-        ]
+        return [IoStats.total(per_pass) for per_pass in zip(*gathered)]
 
 
 # ---------------------------------------------------------------------------
@@ -1178,7 +1162,6 @@ def run_pass_program(
     independent: a successful run retires its checkpoints no matter
     what it keeps for debugging).
     """
-    from repro.cluster.stats import combined
     from repro.errors import Cancellation
     from repro.governor import RunGovernor, attach_governor
     from repro.resilience.checkpoint import CheckpointStore
@@ -1194,7 +1177,6 @@ def run_pass_program(
     else:
         quarantine = getattr(disks[0], "quarantine", None)
         layer = getattr(disks[0], "parity_layer", None)
-    parity_before = layer.counters_snapshot() if layer is not None else None
     ckpt = (
         CheckpointStore(job.checkpoint_dir)
         if job.checkpoint_dir is not None
@@ -1211,10 +1193,12 @@ def run_pass_program(
     attach_governor(disks, run_governor)
     pool = get_pool()
     pool.reset_budget_accounting()
-    # One snapshot before *all* attempts: the run's reported I/O
-    # includes traffic a crashed attempt wasted, which is the honest
-    # cost of the recovery.
-    io_before = IoStats.combine([d.stats for d in disks])
+    # One snapshot before *all* attempts: the run's reported I/O and
+    # durability counts include what a crashed attempt wasted, which is
+    # the honest cost of the recovery.
+    io_before = _disk_io(disks)
+    quarantine_before = quarantine.snapshot() if quarantine is not None else None
+    parity_before = layer.counters.snapshot() if layer is not None else None
 
     supervisor = None
     if job.restart_policy is not None:
@@ -1291,7 +1275,7 @@ def run_pass_program(
         for disk in disks:
             # A pass that died mid-way never reached its boundary.
             disk.close_handles()
-    io_after = IoStats.combine([d.stats for d in disks])
+    io = IoStats.delta(io_before, _disk_io(disks))
 
     rank0 = res.returns[0]
     if not keep_intermediates:
@@ -1303,13 +1287,22 @@ def run_pass_program(
 
     durability: dict = {}
     if quarantine is not None:
-        durability = quarantine.snapshot()
-        durability["parity"] = layer is not None
+        # Every count is this run's (the quarantine and the layer may
+        # outlive several runs), and each comes from its one meter.
+        after = quarantine.snapshot()
+        durability = {
+            "degraded_disks": after["degraded_disks"],
+            "permanent_faults": after["permanent_faults"],
+            "checksum_failures": io["checksum_failures"],
+            "reconstructed_blocks": 0,
+            "repaired_blocks": 0,
+            **quarantine.delta(quarantine_before, after),
+            "parity": layer is not None,
+        }
         if layer is not None:
-            parity_after = layer.counters_snapshot()
-            for key, value in parity_after.items():
-                # Per-run deltas: the layer may outlive several runs.
-                durability[key] = value - parity_before[key]
+            durability.update(
+                layer.counters.delta(parity_before, layer.counters.snapshot())
+            )
     if job.audit:
         durability["audited_passes"] = rank0["audited_passes"]
         durability["audited_units"] = rank0["audited_units"]
@@ -1320,14 +1313,14 @@ def run_pass_program(
         governance["cancel_checks"] = job.cancel.checks
         governance["deadline_s"] = job.cancel.deadline_s
 
-    comm_total = combined(res.stats)
+    comm_total = CommStats.total(s.snapshot() for s in res.stats)
     comm_total["retries"] = res.comm_retries
     return OocResult(
         algorithm=algorithm,
         job=job,
         output=stores["output"],
         passes=len(program.passes),
-        io={k: io_after[k] - io_before[k] for k in io_after},
+        io=io,
         io_per_pass=rank0["io_per_pass"],
         comm_per_pass=rank0["comm_per_pass"],
         comm_total=comm_total,

@@ -15,10 +15,10 @@ What happens next depends on whether a
   aborts promptly instead of burning its retry budget against a disk
   that cannot answer.
 
-The quarantine also aggregates the durability counters surfaced in
-:class:`~repro.cluster.spmd.SpmdResult` and the breakdown tables:
-checksum failures observed, blocks reconstructed, repairs, and spare
-writes.
+The quarantine also counts writes rerouted to a dead disk's spare
+region. Each other durability fact has one meter: checksum failures
+are :class:`~repro.disks.iostats.IoStats` counters, reconstructions and
+repairs the parity layer's.
 
 A process-global registry tracks quarantines that currently hold dead
 disks; the test suite's leak check asserts it is empty between tests so
@@ -28,6 +28,8 @@ a degraded run can never silently bleed state into the next one.
 from __future__ import annotations
 
 import threading
+
+from repro.telemetry import Counters
 
 _active_lock = threading.Lock()
 _active: set["DiskQuarantine"] = set()
@@ -51,7 +53,7 @@ def release_all_quarantines() -> int:
     return len(leaked)
 
 
-class DiskQuarantine:
+class DiskQuarantine(Counters):
     """Permanent-fault bookkeeping for one disk array.
 
     Parameters
@@ -62,18 +64,16 @@ class DiskQuarantine:
         node, and a permanent error means the disk is gone.
     """
 
+    KEYS = ("spare_writes",)
+
     def __init__(self, dead_after: int = 1) -> None:
         if dead_after < 1:
             raise ValueError(f"dead_after must be >= 1, got {dead_after}")
+        super().__init__()
         self.dead_after = dead_after
-        self._lock = threading.Lock()
         self._permanent: dict[int, int] = {}
         self._dead: set[int] = set()
         self._released = False
-        self.checksum_failures = 0
-        self.reconstructed_blocks = 0
-        self.repaired_blocks = 0
-        self.spare_writes = 0
 
     # -- fault accounting ----------------------------------------------
 
@@ -107,34 +107,17 @@ class DiskQuarantine:
         with self._lock:
             return sorted(self._dead)
 
-    # -- durability counters -------------------------------------------
-
-    def record_checksum_failure(self, disk_id: int, n: int = 1) -> None:
-        with self._lock:
-            self.checksum_failures += n
-
-    def record_reconstruction(self, blocks: int = 1) -> None:
-        with self._lock:
-            self.reconstructed_blocks += blocks
-
-    def record_repair(self, blocks: int = 1) -> None:
-        with self._lock:
-            self.repaired_blocks += blocks
+    # -- counters -------------------------------------------------------
 
     def record_spare_write(self) -> None:
         with self._lock:
             self.spare_writes += 1
 
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "degraded_disks": sorted(self._dead),
-                "permanent_faults": dict(self._permanent),
-                "checksum_failures": self.checksum_failures,
-                "reconstructed_blocks": self.reconstructed_blocks,
-                "repaired_blocks": self.repaired_blocks,
-                "spare_writes": self.spare_writes,
-            }
+    def _state(self) -> dict:
+        return {
+            "degraded_disks": sorted(self._dead),
+            "permanent_faults": dict(self._permanent),
+        }
 
     # -- lifecycle ------------------------------------------------------
 
@@ -155,10 +138,9 @@ class DiskQuarantine:
         Clears the dead set and permanent-fault counts and drops the
         quarantine from the global registry, but — unlike
         :meth:`release` — leaves it *armed*: a disk that dies again in
-        the next attempt re-registers normally. The cumulative
-        durability counters (checksums, reconstructions, repairs,
-        spare writes) are kept: they describe the whole run, wasted
-        attempts included. Returns the disk ids that were dead.
+        the next attempt re-registers normally. ``spare_writes`` is
+        kept: a run's count covers its wasted attempts too. Returns the
+        disk ids that were dead.
         """
         with self._lock:
             revived = sorted(self._dead)

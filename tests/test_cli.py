@@ -88,6 +88,23 @@ class TestCommands:
         assert "3 passes" in out and "network" in out
 
 
+class TestBadShape:
+    """An illegal shape is the user's mistake, not a crash: one
+    ``error:`` line on stderr and exit status 1, no traceback."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--records", "1000"], "N must be a power of 2"),
+        (["--buffer", "0"], "must be a power of 2"),
+        (["--algorithm", "subblock", "--records", "4096", "--buffer", "64"],
+         "relaxed height restriction violated"),
+    ])
+    def test_sort_reports_a_bad_shape_in_one_line(self, capsys, argv, message):
+        assert main(["sort", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+
+
 class TestCopyStats:
     """``sort --copy-stats`` is the one rendering of ``OocResult.copy``
     (the README's example run)."""
@@ -171,11 +188,10 @@ class TestGroupSize:
         assert summary["stage_wall_s"]
         assert summary["comm"]["retries"] == 0
 
-    def test_parity_on_the_process_backend_is_refused(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError, match="parity=True requires the thread"):
-            main(self.ARGS + ["--parity", "--backend", "process"])
+    def test_parity_on_the_process_backend_is_refused(self, capsys):
+        rc = main(self.ARGS + ["--parity", "--backend", "process"])
+        assert rc == 1
+        assert "parity=True requires the thread" in capsys.readouterr().err
 
 
 class TestCheckpointFlags:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.spmd import run_spmd
-from repro.cluster.stats import combined
+from repro.cluster.stats import CommStats
 from repro.errors import CommError, ConfigError, SpmdError
 
 
@@ -111,7 +111,7 @@ class TestStatsAggregation:
             comm.recv(source=(comm.rank - 1) % comm.size)
 
         res = run_spmd(4, prog)
-        totals = combined(res.stats)
+        totals = CommStats.total(s.snapshot() for s in res.stats)
         assert totals["network_messages"] == 4
         assert totals["network_bytes"] == 4 * 64
 

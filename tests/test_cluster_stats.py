@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.cluster.stats import CommStats, combined, payload_nbytes
+from repro.cluster.stats import CommStats, payload_nbytes
 
 
 class TestPayloadSizing:
@@ -49,18 +49,11 @@ class TestCommStats:
         stats.record_send(1, b"", "send")
         assert stats.snapshot()["by_op"] == {"alltoallv": 3, "send": 1}
 
-    def test_reset(self):
-        stats = CommStats(rank=0)
-        stats.record_send(1, b"xyz", "send")
-        stats.reset()
-        snap = stats.snapshot()
-        assert snap["messages"] == 0 and snap["by_op"] == {}
-
     def test_combined(self):
         a, b = CommStats(rank=0), CommStats(rank=1)
         a.record_send(1, b"1234", "send")
         b.record_send(1, b"12", "send")  # self for rank 1
-        total = combined([a, b])
+        total = CommStats.total([a.snapshot(), b.snapshot()])
         assert total["messages"] == 2
         assert total["bytes"] == 6
         assert total["network_messages"] == 1

@@ -223,5 +223,5 @@ class TestPdmStore:
     def test_io_totals_exposed(self, env):
         cfg, fmt, disks, recs = env
         store = ColumnStore.from_records(cfg, fmt, recs, 64, 8, disks, name="io")
-        totals = IoStats.combine([d.stats for d in store.disks])
+        totals = IoStats.total(d.stats.snapshot() for d in store.disks)
         assert totals["bytes_written"] == len(recs) * 32

@@ -89,13 +89,9 @@ class TestAccounting:
         disks = make_disk_array(tmp_path, 3)
         for d in disks:
             d.write_at("x", 0, b"ab")
-        total = IoStats.combine([d.stats for d in disks])
+        total = IoStats.total(d.stats.snapshot() for d in disks)
         assert total["writes"] == 3 and total["bytes_written"] == 6
 
-    def test_reset(self, disk):
-        disk.write_at("obj", 0, b"x")
-        disk.stats.reset()
-        assert disk.stats.snapshot()["writes"] == 0
 
 
 class TestCapacityAndFaults:

@@ -117,6 +117,48 @@ class TestDiskKill:
             res.release_durability()
 
 
+    def test_a_repair_before_the_run_is_not_counted_by_it(self, tmp_path):
+        """Durability counts are the run's and each fact has one meter:
+        a corrupt input block that a read repaired *before* the run
+        shows up in neither ``io`` nor ``durability``."""
+        from repro.oocs.api import ALGORITHMS
+        from repro.oocs.base import OocJob, make_workspace, run_pass_program
+        from repro.oocs.verify import verify_output
+
+        fmt, records = records_for("threaded")
+        p, buf, _, _, _ = CONFIGS["threaded"]
+        job = OocJob(
+            cluster=ClusterConfig(p=p, mem_per_proc=2**12), fmt=fmt,
+            n=len(records), buffer_records=buf, parity=True,
+        )
+        program = ALGORITHMS["threaded"]
+        r, s, g = program.layout(job)
+        ws = make_workspace(
+            job.cluster, fmt, records, r, s, workdir=tmp_path, group_size=g,
+            parity=True,
+        )
+        disk = ws.disks[0]
+        victim = disk.root / disk.files()[0]
+        payload = victim.read_bytes()
+        blob = bytearray(payload)
+        blob[7] ^= 0xFF
+        victim.write_bytes(bytes(blob))
+        disk.retry_policy = RetryPolicy(max_attempts=3, base_delay_s=0.0)
+        assert disk.read_at(victim.name, 0, len(payload)) == payload
+        assert disk.stats.snapshot()["checksum_failures"] == 1
+
+        res = run_pass_program(program, job, ws.input)
+        try:
+            assert res.io["checksum_failures"] == 0
+            assert res.durability["checksum_failures"] == 0
+            assert res.durability["repaired_blocks"] == 0
+            assert res.durability["reconstructed_blocks"] == 0
+            verify_output(res.output, records)
+            res.output.delete()
+        finally:
+            res.release_durability()
+
+
 class TestAudit:
     def test_clean_run_audits_every_pass(self, tmp_path):
         fmt, records = records_for("threaded")

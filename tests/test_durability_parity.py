@@ -56,13 +56,13 @@ class TestLayerBasics:
         disks[0].write_at("obj", 0, b"x" * 64)
         snap = disks[0].stats.snapshot()
         assert (snap["writes"], snap["bytes_written"]) == (1, 64)
-        assert layer.counters_snapshot()["parity_bytes_written"] >= 64
+        assert layer.counters.snapshot()["parity_bytes_written"] >= 64
 
     def test_delete_folds_parity_rows_away(self, array):
         disks, _, layer = array
         disks[0].write_at("obj", 0, b"x" * 32)
         disks[0].delete("obj")
-        assert layer.counters_snapshot()["folds"] == 1
+        assert layer.counters.snapshot()["folds"] == 1
         for disk in disks:
             pdir = disk.root / ".parity"
             assert not pdir.is_dir() or not list(pdir.iterdir())
@@ -70,7 +70,7 @@ class TestLayerBasics:
 
 class TestRepairInPlace:
     def test_corrupt_block_repaired_and_read_retried(self, array):
-        disks, quarantine, _ = array
+        disks, _, layer = array
         payload = bytes(range(256))
         disks[1].write_at("obj", 0, payload)
         victim = disks[1].root / "obj"
@@ -82,7 +82,7 @@ class TestRepairInPlace:
         snap = disks[1].stats.snapshot()
         assert snap["checksum_failures"] == 1
         assert snap["read_retries"] == 1  # the post-repair re-read
-        assert quarantine.snapshot()["repaired_blocks"] == 1
+        assert layer.counters.snapshot()["repaired_blocks"] == 1
         # the medium itself was healed, not just the returned bytes
         assert victim.read_bytes() == payload
 
@@ -120,12 +120,12 @@ class TestRepairInPlace:
 
 class TestDegradedMode:
     def test_dead_disk_reads_served_from_spare(self, array):
-        disks, quarantine, _ = array
+        disks, quarantine, layer = array
         payload = b"columnsort" * 10
         disks[3].write_at("obj", 0, payload)
         kill_disk(disks[3])
         assert disks[3].read_at("obj", 0, len(payload)) == payload
-        assert quarantine.snapshot()["reconstructed_blocks"] >= 1
+        assert layer.counters.snapshot()["reconstructed_blocks"] >= 1
         assert (disks[3].root / ".spare" / "obj").exists()
         quarantine.release()
 
@@ -193,7 +193,7 @@ class TestSingleDiskLossProperty:
                 kill_disk(victim)
                 assert store.to_records().tobytes() == records.tobytes()
                 if held:
-                    snap = victim.quarantine.snapshot()
+                    snap = victim.parity_layer.counters.snapshot()
                     assert snap["reconstructed_blocks"] >= 1
             finally:
                 victim.quarantine.release()

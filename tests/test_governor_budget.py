@@ -271,6 +271,16 @@ class TestBudgetedRun:
         rank) bounds what a run pins, now that the write-behind queue
         holds `depth` whole round buffers: `depth` prefetched + 1 in the
         reader's hand, `depth` queued + 1 being written, 2 in the body."""
+        self._check_peak(algorithm, n, buf, p, depth, "thread")
+
+    def test_peak_stays_within_the_admitted_demand_on_process_ranks(self):
+        """Forked ranks lease from their own copies of the pool; each
+        ships its budget counters home, and the run reports the largest
+        per-rank peak (the rule ``peak_leases`` follows)."""
+        self._check_peak("threaded", 2**13, 512, 4, 2, "process")
+
+    @staticmethod
+    def _check_peak(algorithm, n, buf, p, depth, backend):
         from repro.oocs.api import job_demands
 
         get_pool().clear()  # freelists left by other tests count as held
@@ -278,7 +288,7 @@ class TestBudgetedRun:
         cluster = ClusterConfig(p=p, mem_per_proc=2**12)
         res = sort_out_of_core(
             algorithm, records, cluster, FMT, buffer_records=buf,
-            pipeline_depth=depth,
+            pipeline_depth=depth, backend=backend,
         )
         res.output.delete()
         mem, _scratch = job_demands(res.job)

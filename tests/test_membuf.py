@@ -10,7 +10,6 @@ from repro.membuf import (
     BufferPool,
     CopyStats,
     LeaseScope,
-    copy_delta,
     copy_stats,
     get_pool,
 )
@@ -204,14 +203,9 @@ class TestCopyStats:
         before = stats.snapshot()
         stats.record_copy(30)
         stats.record_lease(5)
-        delta = copy_delta(before, stats.snapshot())
+        delta = CopyStats.delta(before, stats.snapshot())
         assert delta["bytes_copied"] == 30
         assert delta["leases"] == 1
         assert delta["peak_leases"] == 5  # absolute, not differenced
 
-    def test_reset(self):
-        stats = CopyStats()
-        stats.record_copy(1)
-        stats.reset()
-        assert all(v == 0 for v in stats.snapshot().values())
 

@@ -32,7 +32,7 @@ from repro.cluster.process_backend import (
     _Fabric,
 )
 from repro.errors import SpmdError
-from repro.membuf import ARENA_KEYS, copy_delta, copy_stats
+from repro.membuf import ARENA_KEYS, CopyStats, copy_stats
 
 pytestmark = pytest.mark.skipif(
     not os.path.isdir("/dev/shm"), reason="POSIX shared memory required"
@@ -40,7 +40,7 @@ pytestmark = pytest.mark.skipif(
 
 
 def _arena_delta(before):
-    delta = copy_delta(before, copy_stats().snapshot())
+    delta = CopyStats.delta(before, copy_stats().snapshot())
     return {k: delta[k] for k in ARENA_KEYS}
 
 

@@ -498,14 +498,14 @@ class TestQuarantineRevive:
     def test_revive_clears_dead_state_but_stays_armed(self):
         q = DiskQuarantine()
         q.mark_dead(1)
-        q.record_checksum_failure(0, 3)
+        q.record_spare_write()
         assert q in active_quarantines()
         assert q.revive() == [1]
         assert not q.is_dead(1)
         assert q.degraded_disks() == []
         assert q not in active_quarantines()
-        # cumulative durability counters describe the whole run
-        assert q.snapshot()["checksum_failures"] == 3
+        # the spare-write count covers the whole run
+        assert q.snapshot()["spare_writes"] == 1
         # unlike release(), revive leaves the registry armed
         q.mark_dead(2)
         assert q in active_quarantines()

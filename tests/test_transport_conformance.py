@@ -19,7 +19,7 @@ import pytest
 from repro.cluster import available_backends, get_transport, run_spmd
 from repro.cluster.mailbox import MailboxRouter
 from repro.cluster.process_backend import ProcessRouter, RemoteRankError, _Fabric
-from repro.cluster.stats import combined
+from repro.cluster.stats import CommStats
 from repro.cluster.transport import ThreadTransport
 from repro.errors import (
     AdmissionRejected,
@@ -278,13 +278,13 @@ class TestAccounting:
         process backend for packed alltoallv traffic — while the
         data-plane *byte* meters stay identical across backends."""
         del backend  # cross-backend by construction
-        from repro.membuf import ARENA_KEYS, copy_delta, copy_stats
+        from repro.membuf import ARENA_KEYS, CopyStats, copy_stats
 
         deltas = {}
         for b in BACKENDS:
             before = copy_stats().snapshot()
             run_spmd(3, _mixed_traffic_program, backend=b)
-            deltas[b] = copy_delta(before, copy_stats().snapshot())
+            deltas[b] = CopyStats.delta(before, copy_stats().snapshot())
         reference = deltas[BACKENDS[0]]
         for b in BACKENDS[1:]:
             for key in ("bytes_copied", "bytes_zero_copy"):
@@ -524,7 +524,7 @@ class TestResultSurface:
         )
         assert res.returns == [10, 21, 32]
         assert [s.rank for s in res.stats] == [0, 1, 2]
-        totals = combined(res.stats)
+        totals = CommStats.total(s.snapshot() for s in res.stats)
         assert totals["network_messages"] == 3
         assert totals["network_bytes"] == 3 * 32
 

@@ -24,6 +24,7 @@ import pytest
 
 from repro.cluster import available_backends
 from repro.cluster.config import ClusterConfig
+from repro.disks.iostats import IoStats
 from repro.membuf import get_pool
 from repro.oocs.api import sort_out_of_core
 from repro.records.format import RecordFormat
@@ -142,3 +143,31 @@ def test_copy_accounting_surfaces_in_result():
     assert copy["leases"] == copy["lease_returns"] > 0
     assert copy["pool_hits"] + copy["pool_misses"] >= copy["leases"]
     assert copy["peak_leases"] >= 1
+
+
+#: The copy meters that count data-plane work, not transport operations.
+COPY_BYTE_METERS = ("bytes_copied", "bytes_zero_copy", "leases", "lease_returns")
+
+
+@pytest.mark.skipif(
+    "process" not in available_backends(), reason="needs the process backend"
+)
+@pytest.mark.parametrize("algorithm", sorted(SHAPES))
+def test_both_backends_report_identical_accounting(algorithm):
+    """A forked rank meters its own copies of the disks and the data
+    plane and ships the deltas home; merged, they must equal what the
+    shared meters of the thread backend count, pass by pass."""
+    seen = {}
+    for backend in ("thread", "process"):
+        result = _sort(algorithm, 2, backend)
+        result.output.delete()
+        total = IoStats.total(result.io_per_pass)
+        assert total == result.io, f"{algorithm}/{backend}: passes ≠ run"
+        seen[backend] = (
+            result.io,
+            result.io_per_pass,
+            result.comm_per_pass,
+            result.comm_total,
+            {key: result.copy[key] for key in COPY_BYTE_METERS},
+        )
+    assert seen["process"] == seen["thread"]
