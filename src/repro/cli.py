@@ -19,6 +19,8 @@ import sys
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.transport import available_backends
+from repro.errors import ConfigError
+from repro.matrix.bits import is_power_of_two
 from repro.records.format import RecordFormat
 from repro.records.generators import generate, workload_names
 from repro.records.keys import KEY_DTYPES
@@ -115,6 +117,12 @@ def _cmd_sort(args: argparse.Namespace) -> int:
     from repro.oocs.api import sort_out_of_core
 
     fmt = RecordFormat(args.key, args.record_size)
+    if not is_power_of_two(args.buffer):
+        # Checked here: the cluster's mem_per_proc is twice the buffer,
+        # and its own error would name a value the user never gave.
+        raise ConfigError(
+            f"--buffer must be a power of 2 records, got {args.buffer}"
+        )
     cluster = ClusterConfig(p=args.processors, mem_per_proc=args.buffer * 2)
     records = generate(args.workload, fmt, args.records, seed=args.seed)
     retry_policy = None
@@ -568,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from repro.errors import Cancellation, ConfigError, DimensionError, ServiceError
+    from repro.errors import Cancellation, DimensionError, ServiceError
 
     args = build_parser().parse_args(argv)
     try:

@@ -32,6 +32,10 @@ from repro.errors import ConfigError, DiskError
 from repro.membuf import copy_stats, get_pool
 from repro.records.format import RecordFormat
 
+#: Bytes of output a whole-output pass (:meth:`PdmStore.chunks`) holds
+#: at once, rounded down to whole PDM stripes.
+CHUNK_BYTES = 4 << 20
+
 
 class _StoreBase:
     def __init__(
@@ -345,10 +349,14 @@ class PdmStore(_StoreBase):
                 )
         self._write(extents)
 
-    def read_global(self, start: int, count: int) -> np.ndarray:
-        """Read ``[start, start+count)`` in global order (verification)."""
+    def read_global(
+        self, start: int, count: int, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Read ``[start, start+count)`` in global order, into ``out``
+        (``count`` C-contiguous records) when given."""
         self._check_range(start, count)
-        out = self.fmt.empty(count)
+        if out is None:
+            out = self.fmt.empty(count)
         for disk, offset, rel, n in split_range_by_disk(
             start, count, self.block, self.cfg.virtual_disks
         ):
@@ -366,6 +374,20 @@ class PdmStore(_StoreBase):
     def read_all(self) -> np.ndarray:
         """The full output in global order."""
         return self.read_global(0, self.n)
+
+    def chunks(self):
+        """Yield ``(start, records)`` over the whole output in global
+        order, whole stripes at a time (about :data:`CHUNK_BYTES`, never
+        less than one stripe) — how a whole-output pass (verification,
+        the output digest) touches N records in bounded memory. Every
+        chunk lands in one reused buffer: it is valid until the next
+        one is read."""
+        stripe = self.block * self.cfg.virtual_disks
+        step = max(1, CHUNK_BYTES // self.fmt.nbytes(stripe)) * stripe
+        buf = self.fmt.empty(min(step, self.n))
+        for start in range(0, self.n, step):
+            count = min(step, self.n - start)
+            yield start, self.read_global(start, count, out=buf[:count])
 
     def _check_range(self, start: int, count: int) -> None:
         if start < 0 or count < 0 or start + count > self.n:

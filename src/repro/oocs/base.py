@@ -251,7 +251,7 @@ class OocResult:
     workspace: object = None  # set by the convenience API to pin disks alive
 
     def output_records(self) -> np.ndarray:
-        """Read the sorted output back (verification convenience)."""
+        """Read the whole sorted output back into memory."""
         return self.output.read_all()
 
     def release_durability(self) -> None:

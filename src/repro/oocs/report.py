@@ -9,6 +9,9 @@ parses one parses the other — and the service's crash-recovery proof
 
 from __future__ import annotations
 
+import hashlib
+
+from repro.disks.matrixfile import PdmStore
 from repro.durability.hashing import DIGEST_ALGO, hexdigest
 
 #: Bump on incompatible changes to the summary shape.
@@ -17,10 +20,16 @@ RESULT_SCHEMA = "repro.sort-result/1"
 
 def output_digest(result) -> str:
     """Content digest (:data:`DIGEST_ALGO`) of the sorted output bytes —
-    the identity two runs of one job spec are compared by."""
+    the identity two runs of one job spec are compared by. A
+    :class:`~repro.disks.matrixfile.PdmStore` is hashed chunk by chunk;
+    the I/O baseline's column store is read whole."""
     out = result.output
-    records = out.read_all() if hasattr(out, "read_all") else out.to_records()
-    return hexdigest(records.tobytes())
+    if not isinstance(out, PdmStore):
+        return hexdigest(out.to_records().tobytes())
+    h = hashlib.new(DIGEST_ALGO)
+    for _start, chunk in out.chunks():
+        h.update(chunk)
+    return h.hexdigest()
 
 
 def result_summary(result, verified: bool | None = None,

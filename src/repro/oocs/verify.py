@@ -9,13 +9,17 @@ by the workload generators:
    record lost, duplicated, or fabricated);
 3. **integrity** — each record's key still matches the key its uid had
    in the input (no record body was corrupted in flight).
+
+A stored output is checked in one streamed pass over its chunks, so
+verification needs no more memory than the input plus one chunk plus
+about 9 bytes per record.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.disks.matrixfile import PdmStore
+from repro.disks.matrixfile import CHUNK_BYTES, PdmStore
 from repro.errors import VerificationError
 from repro.records.format import stable_argsort
 
@@ -73,17 +77,96 @@ def verify_pdm_balance(store: PdmStore) -> None:
             )
 
 
+def _key_by_uid(reference: np.ndarray) -> np.ndarray:
+    """Each reference key at its uid's index. Raise unless the uids are
+    a permutation of ``0..N-1`` — the stamp of every generator and of
+    :meth:`~repro.records.format.RecordFormat.make`."""
+    n = len(reference)
+    key_by_uid = np.empty(n, dtype=reference.dtype["key"])
+    seen = np.zeros(n, dtype=bool)
+    step = max(1, CHUNK_BYTES // reference.dtype.itemsize)
+    for start in range(0, n, step):
+        part = reference[start : start + step]
+        uids = part["uid"]
+        if uids.max() >= n:
+            raise VerificationError(
+                f"reference uids are not a permutation of 0..N-1: uid "
+                f"{int(uids.max())} ≥ N={n}"
+            )
+        key_by_uid[uids] = part["key"]
+        seen[uids] = True
+    if not seen.all():
+        raise VerificationError(
+            f"reference uids are not a permutation of 0..N-1: uid "
+            f"{int(np.argmin(seen))} is missing"
+        )
+    return key_by_uid
+
+
+def _verify_store(store: PdmStore, reference: np.ndarray) -> None:
+    """Order, permutation and integrity of a stored output, streamed:
+    one :meth:`PdmStore.chunks` chunk plus a key-by-uid column and a
+    seen flag (about 9 bytes per record) at a time."""
+    n = store.n
+    if n != len(reference):
+        raise VerificationError(
+            f"output has {n} records, input had {len(reference)}"
+        )
+    key_by_uid = _key_by_uid(reference)
+    seen = np.zeros(n, dtype=bool)
+    last = None
+    for start, chunk in store.chunks():
+        keys, uids = chunk["key"], chunk["uid"]
+        # order, carrying the previous chunk's last key across the seam
+        if last is not None and last > keys[0]:
+            bad = start - 1
+            raise VerificationError(
+                f"output not sorted: key[{bad}]={last} > key[{start}]={keys[0]}"
+            )
+        down = keys[:-1] > keys[1:]
+        if down.any():
+            i = int(np.argmax(down))
+            raise VerificationError(
+                f"output not sorted: key[{start + i}]={keys[i]} > "
+                f"key[{start + i + 1}]={keys[i + 1]}"
+            )
+        last = keys[-1]
+        top = int(uids.max())
+        if top >= n:
+            raise VerificationError(
+                f"output uids are not a permutation of input uids: "
+                f"uid {top} ≥ N={n}"
+            )
+        changed = key_by_uid[uids] != keys
+        if changed.any():
+            i = int(np.argmax(changed))
+            raise VerificationError(
+                f"some record's key changed between input and output: "
+                f"key[{start + i}] (uid {uids[i]})"
+            )
+        seen[uids] = True
+    # n uids all below n: every one seen means none was lost or doubled
+    if not seen.all():
+        raise VerificationError(
+            f"output uids are not a permutation of input uids: uid "
+            f"{int(np.argmin(seen))} is missing"
+        )
+
+
 def verify_output(
     output: PdmStore | np.ndarray, reference: np.ndarray
-) -> np.ndarray:
-    """Full verification of a sort run: read the output (if given as a
-    store), check order, permutation, integrity, and — for stores — the
-    PDM balance property. Returns the output records for inspection."""
+) -> np.ndarray | None:
+    """Full verification of a sort run: order, permutation and
+    integrity, and — for stores — the PDM balance property.
+
+    A store is streamed (:func:`_verify_store`) and returns None; its
+    ``reference`` must carry uids that are a permutation of ``0..N-1``.
+    An in-memory output is checked whole and returned for inspection.
+    """
     if isinstance(output, PdmStore):
-        records = output.read_all()
+        _verify_store(output, reference)
         verify_pdm_balance(output)
-    else:
-        records = output
-    verify_sorted(records)
-    verify_permutation(records, reference)
-    return records
+        return None
+    verify_sorted(output)
+    verify_permutation(output, reference)
+    return output

@@ -111,13 +111,20 @@ class RecordFormat:
         """An uninitialized array of ``n`` records."""
         return np.empty(n, dtype=self._dtype)
 
-    def make(self, keys: np.ndarray, uids: np.ndarray | None = None) -> np.ndarray:
-        """Build records from an array of keys (and optional uids).
+    def make(
+        self,
+        keys: np.ndarray,
+        uids: np.ndarray | None = None,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Build records from an array of keys (and optional uids), in
+        ``out`` (zeroed records of the same length) when given.
 
         When ``uids`` is omitted, records are stamped ``0..n-1``.
         """
         keys = np.asarray(keys)
-        out = np.zeros(len(keys), dtype=self._dtype)
+        if out is None:
+            out = np.zeros(len(keys), dtype=self._dtype)
         out["key"] = keys.astype(self._info.dtype, copy=False)
         out["uid"] = (
             np.arange(len(keys), dtype=_UID_DTYPE)

@@ -8,20 +8,32 @@ covering the usual sorting stress cases.
 
 Every generator stamps record ``uid`` fields with ``0..n-1`` so the
 verification layer can prove outputs are permutations of inputs.
+Records are filled :data:`CHUNK_RECORDS` at a time: beyond the record
+array itself, only the generators that sort their keys hold an N-long
+(key) array.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.records.format import RecordFormat
 
-GeneratorFn = Callable[[RecordFormat, int, np.random.Generator], np.ndarray]
+#: A workload's ``n`` keys in order, in pieces of at most
+#: :data:`CHUNK_RECORDS` (:func:`generate` stamps them into records).
+Keys = Iterator[np.ndarray]
+GeneratorFn = Callable[[RecordFormat, int, np.random.Generator], Keys]
 
 WORKLOADS: dict[str, GeneratorFn] = {}
+
+#: Records :func:`generate` fills per step. Draws are taken in this
+#: order and size; every draw kind used here (full-range integers,
+#: small bounded integers, normals, Zipf ranks) gives the same stream
+#: whether taken whole or in pieces, so the records do not depend on it.
+CHUNK_RECORDS = 1 << 15
 
 
 def _register(name: str) -> Callable[[GeneratorFn], GeneratorFn]:
@@ -30,6 +42,18 @@ def _register(name: str) -> Callable[[GeneratorFn], GeneratorFn]:
         return fn
 
     return deco
+
+
+def _spans(n: int) -> Iterator[tuple[int, int]]:
+    """``[start, stop)`` of each :data:`CHUNK_RECORDS` piece of ``n``."""
+    for start in range(0, n, CHUNK_RECORDS):
+        yield start, min(n, start + CHUNK_RECORDS)
+
+
+def _pieces(keys: np.ndarray) -> Keys:
+    """An N-long key array in :data:`CHUNK_RECORDS` views."""
+    for start, stop in _spans(len(keys)):
+        yield keys[start:stop]
 
 
 def _key_span(fmt: RecordFormat) -> tuple[float, float]:
@@ -43,103 +67,116 @@ def _key_span(fmt: RecordFormat) -> tuple[float, float]:
 
 def _random_keys(fmt: RecordFormat, n: int, rng: np.random.Generator) -> np.ndarray:
     if fmt.key_dtype.kind == "f":
-        return rng.standard_normal(n) * 1e6
+        keys = rng.standard_normal(n)
+        keys *= 1e6
+        return keys
     info = np.iinfo(fmt.key_dtype)
     return rng.integers(info.min, info.max, size=n, endpoint=True, dtype=fmt.key_dtype)
 
 
+def _sorted_keys(fmt: RecordFormat, n: int, rng: np.random.Generator) -> np.ndarray:
+    keys = _random_keys(fmt, n, rng)
+    keys.sort()
+    return keys
+
+
+def _scaled(base: np.ndarray, scale: float, fmt: RecordFormat) -> np.ndarray:
+    """Integer ramp values mapped into the middle half of the key range."""
+    lo, _hi = _key_span(fmt)
+    return (base * scale + lo / 4).astype(fmt.key_dtype)
+
+
 @_register("uniform")
-def uniform(fmt: RecordFormat, n: int, rng: np.random.Generator) -> np.ndarray:
+def uniform(fmt: RecordFormat, n: int, rng: np.random.Generator) -> Keys:
     """Keys drawn uniformly over the full key range."""
-    return fmt.make(_random_keys(fmt, n, rng))
+    for start, stop in _spans(n):
+        yield _random_keys(fmt, stop - start, rng)
 
 
 @_register("sorted")
-def already_sorted(fmt: RecordFormat, n: int, rng: np.random.Generator) -> np.ndarray:
+def already_sorted(fmt: RecordFormat, n: int, rng: np.random.Generator) -> Keys:
     """Keys already in nondecreasing order (best case for merging sorts)."""
-    keys = np.sort(_random_keys(fmt, n, rng))
-    return fmt.make(keys)
+    yield from _pieces(_sorted_keys(fmt, n, rng))
 
 
 @_register("reverse")
-def reverse_sorted(fmt: RecordFormat, n: int, rng: np.random.Generator) -> np.ndarray:
+def reverse_sorted(fmt: RecordFormat, n: int, rng: np.random.Generator) -> Keys:
     """Keys in nonincreasing order."""
-    keys = np.sort(_random_keys(fmt, n, rng))[::-1].copy()
-    return fmt.make(keys)
+    yield from _pieces(_sorted_keys(fmt, n, rng)[::-1])
 
 
 @_register("nearly-sorted")
-def nearly_sorted(fmt: RecordFormat, n: int, rng: np.random.Generator) -> np.ndarray:
+def nearly_sorted(fmt: RecordFormat, n: int, rng: np.random.Generator) -> Keys:
     """Sorted keys with ~1% of positions perturbed by random swaps."""
-    keys = np.sort(_random_keys(fmt, n, rng))
+    keys = _sorted_keys(fmt, n, rng)
     swaps = max(1, n // 100)
     a = rng.integers(0, n, size=swaps)
     b = rng.integers(0, n, size=swaps)
     keys[a], keys[b] = keys[b].copy(), keys[a].copy()
-    return fmt.make(keys)
+    yield from _pieces(keys)
 
 
 @_register("duplicates")
-def duplicate_heavy(fmt: RecordFormat, n: int, rng: np.random.Generator) -> np.ndarray:
+def duplicate_heavy(fmt: RecordFormat, n: int, rng: np.random.Generator) -> Keys:
     """Only ~16 distinct key values — stresses stability and tie handling."""
     distinct = _random_keys(fmt, 16, rng)
-    keys = distinct[rng.integers(0, len(distinct), size=n)]
-    return fmt.make(keys)
+    for start, stop in _spans(n):
+        yield distinct[rng.integers(0, len(distinct), size=stop - start)]
 
 
 @_register("all-equal")
-def all_equal(fmt: RecordFormat, n: int, rng: np.random.Generator) -> np.ndarray:
+def all_equal(fmt: RecordFormat, n: int, rng: np.random.Generator) -> Keys:
     """Every key identical — a degenerate tie-only input."""
-    keys = np.broadcast_to(_random_keys(fmt, 1, rng), (n,)).copy()
-    return fmt.make(keys)
+    key = _random_keys(fmt, 1, rng)
+    for start, stop in _spans(n):
+        yield np.broadcast_to(key, (stop - start,))
 
 
 @_register("gaussian")
-def gaussian(fmt: RecordFormat, n: int, rng: np.random.Generator) -> np.ndarray:
+def gaussian(fmt: RecordFormat, n: int, rng: np.random.Generator) -> Keys:
     """Keys clustered around the middle of the key range."""
     lo, hi = _key_span(fmt)
     mid = (lo + hi) / 2.0
     spread = (hi - lo) / 64.0
-    vals = rng.standard_normal(n) * spread + mid
-    vals = np.clip(vals, lo, hi)
-    return fmt.make(vals.astype(fmt.key_dtype))
+    for start, stop in _spans(n):
+        vals = rng.standard_normal(stop - start) * spread + mid
+        yield np.clip(vals, lo, hi).astype(fmt.key_dtype)
 
 
 @_register("zipf")
-def zipf(fmt: RecordFormat, n: int, rng: np.random.Generator) -> np.ndarray:
+def zipf(fmt: RecordFormat, n: int, rng: np.random.Generator) -> Keys:
     """Zipf-distributed keys — a heavily skewed value histogram, the shape
     that breaks naive distribution sorts (relevant to the §6 future-work
     distribution-based sort stage)."""
-    ranks = rng.zipf(1.3, size=n).astype(np.float64)
     lo, hi = _key_span(fmt)
-    vals = np.minimum(ranks, 1e6) / 1e6 * (hi - lo) / 2 + lo
-    return fmt.make(vals.astype(fmt.key_dtype))
+    for start, stop in _spans(n):
+        ranks = rng.zipf(1.3, size=stop - start).astype(np.float64)
+        vals = np.minimum(ranks, 1e6) / 1e6 * (hi - lo) / 2 + lo
+        yield vals.astype(fmt.key_dtype)
 
 
 @_register("sawtooth")
-def sawtooth(fmt: RecordFormat, n: int, rng: np.random.Generator) -> np.ndarray:
+def sawtooth(fmt: RecordFormat, n: int, rng: np.random.Generator) -> Keys:
     """Repeating ascending runs — adversarial for run-detecting merges."""
     period = max(2, n // 64)
-    base = np.arange(n, dtype=np.int64) % period
     lo, hi = _key_span(fmt)
     # Stay well inside the dtype range: casting a float equal to the
     # integer maximum overflows (floats round up at 2^64).
     scale = (hi - lo) / 4 / max(period - 1, 1)
-    vals = base * scale + lo / 4
-    return fmt.make(vals.astype(fmt.key_dtype))
+    for start, stop in _spans(n):
+        yield _scaled(np.arange(start, stop, dtype=np.int64) % period, scale, fmt)
 
 
 @_register("organ-pipe")
-def organ_pipe(fmt: RecordFormat, n: int, rng: np.random.Generator) -> np.ndarray:
+def organ_pipe(fmt: RecordFormat, n: int, rng: np.random.Generator) -> Keys:
     """Ascending then descending — every element far from its final home."""
     half = n // 2
-    up = np.arange(half, dtype=np.int64)
-    down = np.arange(n - half, dtype=np.int64)[::-1]
-    base = np.concatenate([up, down])
     lo, hi = _key_span(fmt)
     scale = (hi - lo) / 4 / max(n, 1)
-    vals = base * scale + lo / 4
-    return fmt.make(vals.astype(fmt.key_dtype))
+    for start, stop in _spans(n):
+        index = np.arange(start, stop, dtype=np.int64)
+        # 0, 1, …, half-1, then n-half-1, …, 1, 0
+        yield _scaled(np.where(index < half, index, n - 1 - index), scale, fmt)
 
 
 def workload_names() -> list[str]:
@@ -173,4 +210,10 @@ def generate(
     )
     if n < 0:
         raise ConfigError(f"cannot generate {n} records")
-    return fn(fmt, n, rng)
+    out = np.zeros(n, dtype=fmt.dtype)
+    at = 0
+    for keys in fn(fmt, n, rng):
+        stop = at + len(keys)
+        fmt.make(keys, np.arange(at, stop, dtype=np.uint64), out=out[at:stop])
+        at = stop
+    return out

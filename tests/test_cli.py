@@ -97,6 +97,10 @@ class TestBadShape:
         (["--buffer", "0"], "must be a power of 2"),
         (["--algorithm", "subblock", "--records", "4096", "--buffer", "64"],
          "relaxed height restriction violated"),
+        # --buffer sets mem_per_proc to twice its value; a bad one is
+        # still named as --buffer, with the value the user gave.
+        (["--buffer", "3"], "error: --buffer must be a power of 2 records, got 3"),
+        (["--buffer", "96"], "error: --buffer must be a power of 2 records, got 96"),
     ])
     def test_sort_reports_a_bad_shape_in_one_line(self, capsys, argv, message):
         assert main(["sort", *argv]) == 1
@@ -163,6 +167,27 @@ class TestJsonOutput:
             assert rc == 0
             digests.append(json.loads(capsys.readouterr().out)["output_digest"])
         assert digests[0] == digests[1]
+
+    def test_streamed_digest_is_the_whole_output_digest(self, tmp_path):
+        """``output_digest`` hashes a PDM output chunk by chunk; the
+        digest is the one of the whole output's bytes (16 MiB here,
+        four chunks)."""
+        from repro.cluster.config import ClusterConfig
+        from repro.durability.hashing import hexdigest
+        from repro.oocs.api import sort_out_of_core
+        from repro.oocs.report import output_digest
+        from repro.records import RecordFormat, generate
+
+        fmt = RecordFormat("u8", 64)
+        records = generate("uniform", fmt, 1 << 18, seed=9)
+        result = sort_out_of_core(
+            "threaded", records, ClusterConfig(p=2, mem_per_proc=2**14), fmt,
+            buffer_records=8192, workdir=tmp_path, verify=False,
+        )
+        chunks = list(result.output.chunks())
+        assert len(chunks) >= 3
+        whole = hexdigest(result.output.read_all().tobytes())
+        assert output_digest(result) == whole
 
 
 class TestGroupSize:

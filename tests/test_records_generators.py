@@ -1,5 +1,8 @@
 """Workload generators: shape properties, determinism, uid stamping."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -107,3 +110,50 @@ def test_workload_names_sorted_and_complete():
     assert names == sorted(names)
     assert set(names) == set(WORKLOADS)
     assert len(names) >= 10
+
+
+class TestByteIdentity:
+    """Generation is chunked (``CHUNK_RECORDS`` at a time); the records
+    are pinned byte for byte to what the unchunked generators drew."""
+
+    #: SHA-256 over the records of (key u8, i4, f8) × (seed 0, 7), in
+    #: that order, at N = 100,003 (not a multiple of the chunk) and
+    #: 32-byte records.
+    DIGESTS = {
+        "all-equal": "703ffa09a474d32fa0cc4f1605c7aa6ada644293c892cdd7151c459120918f57",
+        "duplicates": "e1f64d0d0449d93207597bf7f00ba4fa41e76a16046a55b9e861b57f0d14a823",
+        "gaussian": "7cf7fded3d24f67f9b866d007ccef8b35515057aeb7c31bf5a2dc0e4a214da8b",
+        "nearly-sorted": "cc2318777cd8baad127212bdf6ba10745be6c9e8baf2ae67175326fa01716703",
+        "organ-pipe": "2d36e6da7f743bf759a2ca3490eda6742232c8161aaea020505cfe853a1c20f4",
+        "reverse": "f28bc8374e70ec6ad49d77d06bdf57516ffb0f80402ee06ca2881ad3a8e6e0d2",
+        "sawtooth": "74d1cebe5f5809e32393e24af093790171b39ef11987e4bc561efb428c3103de",
+        "sorted": "f22e5dfaa89712424f4fb19bd28b002f36b7252cedf4dc731571e5bbe9af9426",
+        "uniform": "7e1f789d193a27fc53beb7d66c810b60ed0964d3c82f750bd527718a066dbf17",
+        "zipf": "568a07499bb7caf6345557be985e543701e103f1b6c641e452c5a76cfcdb90d4",
+    }
+
+    def test_every_workload_is_pinned(self):
+        assert sorted(self.DIGESTS) == workload_names()
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_records_match_the_pinned_digest(self, name):
+        h = hashlib.sha256()
+        for key in ("u8", "i4", "f8"):
+            for seed in (0, 7):
+                recs = generate(name, RecordFormat(key, 32), 100_003, seed=seed)
+                h.update(recs.tobytes())
+        assert h.hexdigest() == self.DIGESTS[name]
+
+    def test_memory_is_the_record_array_and_one_chunk(self):
+        """2^19 64-byte records are 32 MiB; generating them may hold
+        at most 2 MiB more at any moment."""
+        n = 1 << 19
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            recs = generate("uniform", RecordFormat("u8", 64), n, seed=5)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert recs.nbytes == 32 << 20
+        assert peak <= recs.nbytes + (2 << 20), peak
