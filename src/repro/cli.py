@@ -17,11 +17,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.cluster.config import ClusterConfig
 from repro.cluster.transport import available_backends
 from repro.errors import ConfigError
-from repro.matrix.bits import is_power_of_two
-from repro.records.format import RecordFormat
 from repro.records.generators import generate, workload_names
 from repro.records.keys import KEY_DTYPES
 
@@ -114,17 +111,8 @@ def _print_json_summary(result) -> None:
 
 
 def _cmd_sort(args: argparse.Namespace) -> int:
-    from repro.oocs.api import sort_out_of_core
+    from repro.oocs.api import job_from_spec, run_job
 
-    fmt = RecordFormat(args.key, args.record_size)
-    if not is_power_of_two(args.buffer):
-        # Checked here: the cluster's mem_per_proc is twice the buffer,
-        # and its own error would name a value the user never gave.
-        raise ConfigError(
-            f"--buffer must be a power of 2 records, got {args.buffer}"
-        )
-    cluster = ClusterConfig(p=args.processors, mem_per_proc=args.buffer * 2)
-    records = generate(args.workload, fmt, args.records, seed=args.seed)
     retry_policy = None
     if args.retries > 1:
         from repro.resilience import RetryPolicy
@@ -135,10 +123,6 @@ def _cmd_sort(args: argparse.Namespace) -> int:
         from repro.governor import CancelToken
 
         cancel = CancelToken(deadline_s=args.deadline)
-    if args.mem_budget is not None:
-        from repro.membuf import get_pool
-
-        get_pool().set_budget(args.mem_budget)
     restart_policy = None
     if args.max_restarts > 0:
         from repro.resilience import RestartPolicy
@@ -148,22 +132,34 @@ def _cmd_sort(args: argparse.Namespace) -> int:
             base_backoff_s=args.restart_backoff,
             seed=args.seed,
         )
-    result = sort_out_of_core(
-        "g" if args.group_size is not None else args.algorithm,
-        records, cluster, fmt, buffer_records=args.buffer,
-        workdir=args.workdir, pipeline_depth=args.pipeline_depth,
+    spec = {
+        "algorithm": "g" if args.group_size is not None else args.algorithm,
+        "records": args.records,
+        "buffer": args.buffer,
+        "processors": args.processors,
+        "record_size": args.record_size,
+        "key": args.key,
+        "pipeline_depth": args.pipeline_depth,
+        "backend": args.backend,
+    }
+    program, job = job_from_spec(
+        spec,
         checkpoint_dir=args.checkpoint_dir, resume=args.resume,
         keep_checkpoints=args.keep_checkpoints,
         retry_policy=retry_policy,
-        parity=args.parity, audit=args.audit,
+        audit=args.audit,
         cancel=cancel,
-        backend=args.backend,
         restart_policy=restart_policy,
         group_size=args.group_size,
     )
+    if args.mem_budget is not None:
+        from repro.membuf import get_pool
+
+        get_pool().set_budget(args.mem_budget)
+    records = generate(args.workload, job.fmt, job.n, seed=args.seed)
+    result = run_job(program, job, records, workdir=args.workdir)
     if args.json:
         _print_json_summary(result)
-        result.release_durability()
         return 0
     io = result.io
     print(
@@ -206,14 +202,7 @@ def _cmd_sort(args: argparse.Namespace) -> int:
         from repro.experiments.breakdown import durability_breakdown_table
         from repro.experiments.tables import render_table
 
-        rows = durability_breakdown_table(result)
-        if rows:
-            print(render_table(rows))
-        else:
-            print(
-                "  durability: no layer attached "
-                "(run with --parity and/or --audit)"
-            )
+        print(render_table(durability_breakdown_table(result)))
     if args.governance_report:
         from repro.experiments.breakdown import governance_breakdown_table
         from repro.experiments.tables import render_table
@@ -243,7 +232,6 @@ def _cmd_sort(args: argparse.Namespace) -> int:
                 "  supervision: no restart policy armed "
                 "(run with --max-restarts)"
             )
-    result.release_durability()
     return 0
 
 
@@ -440,20 +428,14 @@ def build_parser() -> argparse.ArgumentParser:
              "transient faults are retried with seeded exponential backoff",
     )
     srt.add_argument(
-        "--parity", action="store_true",
-        help="maintain an XOR parity stripe across the disk array: corrupt "
-             "blocks are repaired in place, and a disk lost to permanent "
-             "faults is served in degraded mode from the surviving D-1 disks",
-    )
-    srt.add_argument(
         "--audit", action="store_true",
         help="verify sampled columnsort invariants of every pass's output "
              "at the pass boundary, before its checkpoint is trusted",
     )
     srt.add_argument(
         "--durability-report", action="store_true",
-        help="print the durability breakdown (bytes hashed, corruption "
-             "caught/repaired, degraded-mode service, parity overhead)",
+        help="print the durability breakdown (bytes hashed, checksum "
+             "failures, and audited passes with --audit)",
     )
     srt.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
@@ -477,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="supervised recovery: automatically relaunch the run up to N "
              "times from its last pass-boundary checkpoint when a rank "
              "dies or hangs (0 = off); fatal classes — cancellation, "
-             "admission, budget, unrepairable corruption — never restart",
+             "admission, budget, corruption — never restart",
     )
     srt.add_argument(
         "--restart-backoff", type=float, default=0.05, metavar="SECONDS",

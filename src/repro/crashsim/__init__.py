@@ -3,9 +3,9 @@
 ``kill -9`` can never lose fsynced data, reorder buffered writes, or
 tear a sector — the page cache belongs to the kernel and survives the
 process. Real power loss can do all three, and the durability claims
-of the journal, checkpoint, and parity planes are only credible if
-recovery is exercised against the *full space of legal post-crash disk
-states*, not just process death.
+of the journal, checkpoint, and block-checksum planes are only
+credible if recovery is exercised against the *full space of legal
+post-crash disk states*, not just process death.
 
 This package provides that harness in four layers:
 
@@ -28,8 +28,7 @@ This package provides that harness in four layers:
   checkers that run the *real* recovery paths
   (:meth:`~repro.service.journal.JobJournal.repair` + replay,
   :class:`~repro.resilience.checkpoint.CheckpointStore` resume,
-  :class:`~repro.durability.parity.ParityLayer` repair, daemon
-  ``_recover``) against each materialized state and assert the repo's
+  verified disk reads, daemon ``_recover``) against each materialized state and assert the repo's
   claims: no acknowledged job lost or duplicated, no torn or stale
   manifest accepted as a resume point, recovered output byte-identical
   to an uncrashed run.

@@ -17,9 +17,6 @@ Each scenario is one durability claim exercised end to end:
   reordered data, and a :meth:`VirtualDisk.sync
   <repro.disks.virtual_disk.VirtualDisk.sync>` barrier makes extents
   crash-proof;
-* ``parity`` — a crash mid-parity-maintenance leaves a tree a fresh
-  process attaches to cleanly (stale rows cleared, protection
-  restarts), with data reads still verify-or-detect;
 * ``daemon_restart`` — :meth:`SortService._recover
   <repro.service.daemon.SortService._recover>` on the materialized
   root loses no acknowledged job, duplicates none, resurrects none;
@@ -270,73 +267,6 @@ def scenario_sidecar(scratch: Path, quick: bool):
     return len(states), violations
 
 
-def scenario_parity(scratch: Path, quick: bool):
-    """Parity-maintained writes across a 3-disk array; any crash state
-    must re-attach cleanly in a fresh process (stale parity cleared)
-    with data reads still verify-or-detect."""
-    from repro.disks.virtual_disk import VirtualDisk
-    from repro.durability.parity import attach_durability
-
-    work = scratch / "work"
-    written: dict[tuple[int, str, int, int], list[bytes]] = {}
-    with trace(work) as rec:
-        disks = [VirtualDisk(work / f"d{i}", disk_id=i) for i in range(3)]
-        attach_durability(disks, parity=True)
-        for i, disk in enumerate(disks):
-            data = bytes([65 + i]) * 600
-            disk.write_at(f"obj.{i}", 0, data)
-            written.setdefault((i, f"obj.{i}", 0, 600), []).append(data)
-        data = b"Z" * 600
-        disks[0].write_at("obj.0", 0, data)  # fold + rewrite a row member
-        written[(0, "obj.0", 0, 600)].append(data)
-        for disk in disks:
-            disk.sync()
-    states = enumerate_crash_states(rec.ops)
-    if quick:
-        states = states[:: max(1, len(states) // 60)]
-    violations: list[Violation] = []
-    for i, state in enumerate(states):
-        dest = materialize(rec.ops, state, rec.initial, scratch / f"s{i:04d}")
-        label = state.label or f"s{i}"
-        recovered = [VirtualDisk(dest / f"d{k}", disk_id=k) for k in range(3)]
-        try:
-            attach_durability(recovered, parity=True)
-        except Exception as exc:  # noqa: BLE001 - any escape is the finding
-            violations.append(
-                Violation(
-                    scenario="parity",
-                    state=label,
-                    message=(
-                        f"re-attaching parity to the crashed tree raised "
-                        f"{type(exc).__name__}: {exc}"
-                    ),
-                )
-            )
-            continue
-        for k in range(3):
-            stale = [
-                p
-                for sub in (".parity", ".spare")
-                if (dest / f"d{k}" / sub).is_dir()
-                for p in (dest / f"d{k}" / sub).iterdir()
-            ]
-            if stale:
-                violations.append(
-                    Violation(
-                        scenario="parity",
-                        state=label,
-                        message=(
-                            f"stale parity/spare files survived re-attach "
-                            f"on disk {k}: {[p.name for p in stale]}"
-                        ),
-                    )
-                )
-        violations += check_disk_reads(
-            recovered, written, scenario="parity", state=label
-        )
-    return len(states), violations
-
-
 def scenario_daemon_restart(scratch: Path, quick: bool):
     """A daemon's journaled lifetime (one job to completion, one left
     queued) crashed at every legal point; ``SortService._recover`` on
@@ -457,7 +387,6 @@ SCENARIOS = {
     "checkpoint_save": scenario_checkpoint_save,
     "checkpoint_prune": scenario_checkpoint_prune,
     "sidecar": scenario_sidecar,
-    "parity": scenario_parity,
     "daemon_restart": scenario_daemon_restart,
     "resume_e2e": scenario_resume_e2e,
 }

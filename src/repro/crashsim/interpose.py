@@ -3,11 +3,11 @@ workload runs.
 
 :func:`trace` patches the narrow waist every durability-critical write
 in this repo goes through — ``builtins.open``/``io.open`` (journal
-appends, atomic temp-file writes, parity row files), ``os.open`` with
+appends, atomic temp-file writes), ``os.open`` with
 ``O_CREAT`` + ``os.pwrite`` (:class:`VirtualDisk` extent writes),
 ``os.replace``/``os.rename`` (atomic publishes),
 ``os.unlink``/``os.remove``/``os.rmdir`` (checkpoint retirement),
-``os.mkdir`` (sidecar/parity directories), and ``os.open``/``os.fsync``
+``os.mkdir`` (sidecar directories), and ``os.open``/``os.fsync``
 /``os.close`` (file and directory fsync barriers) — and records every
 operation touching paths under the traced root into an
 :class:`~repro.crashsim.oplog.Op` list. Operations outside the root

@@ -44,18 +44,11 @@ class _StoreBase:
         fmt: RecordFormat,
         disks: list[VirtualDisk],
         name: str,
-        parity: bool = False,
     ) -> None:
         if len(disks) != cfg.virtual_disks:
             raise ConfigError(
                 f"store needs {cfg.virtual_disks} disks, got {len(disks)}"
             )
-        if parity:
-            # Opt-in durability: one XOR parity domain shared by the
-            # whole disk array (idempotent across stores on it).
-            from repro.durability import attach_durability
-
-            attach_durability(disks, parity=True)
         self.cfg = cfg
         self.fmt = fmt
         self.disks = disks
@@ -130,10 +123,9 @@ class ColumnStore(_StoreBase):
         s: int,
         disks: list[VirtualDisk],
         name: str = "matrix",
-        parity: bool = False,
         group_size: int = 1,
     ) -> None:
-        super().__init__(cfg, fmt, disks, name, parity=parity)
+        super().__init__(cfg, fmt, disks, name)
         g = group_size
         if g < 1 or cfg.p % g:
             raise ConfigError(f"group size g={g} must divide P={cfg.p}")
@@ -270,13 +262,12 @@ class ColumnStore(_StoreBase):
         s: int,
         disks: list[VirtualDisk],
         name: str = "input",
-        parity: bool = False,
         group_size: int = 1,
     ) -> "ColumnStore":
         """Create a store holding ``records`` in column-major order."""
         if len(records) != r * s:
             raise ConfigError(f"need exactly r·s={r * s} records, got {len(records)}")
-        store = cls(cfg, fmt, r, s, disks, name, parity=parity, group_size=group_size)
+        store = cls(cfg, fmt, r, s, disks, name, group_size=group_size)
         for j, rank, rows in store._portions():
             store.write_portion(rank, j, records[rows])
         return store
@@ -309,9 +300,8 @@ class PdmStore(_StoreBase):
         disks: list[VirtualDisk],
         block_records: int,
         name: str = "output",
-        parity: bool = False,
     ) -> None:
-        super().__init__(cfg, fmt, disks, name, parity=parity)
+        super().__init__(cfg, fmt, disks, name)
         if block_records <= 0:
             raise ConfigError(f"block size must be positive, got {block_records}")
         self.n = n

@@ -17,12 +17,8 @@ Durability (always on): every write records a per-extent block CRC in a
 its sidecars are persisted at pass boundaries and made durable by
 :meth:`VirtualDisk.sync`) and every read verifies the extents tiling
 the range, raising :class:`~repro.errors.CorruptionError` on a
-mismatch. Durability
-(opt-in, via :func:`~repro.durability.parity.attach_durability`): a
-``quarantine`` marks this disk dead after enough permanent faults, and
-a ``parity_layer`` then serves its reads by online reconstruction into
-a ``.spare/`` region, reroutes its writes there, and repairs corrupt
-blocks in place — degraded-mode execution instead of an abort.
+mismatch. A permanent fault (a dead disk) is never retried: it fails
+the op with an error that names the disk.
 
 Writes: :meth:`VirtualDisk.write_extents` is the one write path — a
 list of ``(name, offset, data)`` extents, one disk operation per call
@@ -109,12 +105,9 @@ class VirtualDisk:
     cancellation point), ``fault_plan`` (a
     :class:`~repro.resilience.faults.FaultPlan` consulted before each
     read and each written extent, ahead of its side effects),
-    ``retry_policy`` (a
+    and ``retry_policy`` (a
     :class:`~repro.resilience.retry.RetryPolicy` that retries transient
-    failures, metering each retry into :attr:`stats`), ``quarantine``
-    (a :class:`~repro.resilience.quarantine.DiskQuarantine` shared by
-    the array) and ``parity_layer`` (a
-    :class:`~repro.durability.parity.ParityLayer`).
+    failures, metering each retry into :attr:`stats`).
     """
 
     def __init__(
@@ -132,14 +125,11 @@ class VirtualDisk:
         self.read_only = False
         self.fault_plan = None
         self.retry_policy = None
-        self.quarantine = None
-        self.parity_layer = None
         self.scratch_governor = None
         self.cancel_token = None
-        # Re-entrant: a degraded write holds the lock while the parity
-        # layer's ensure_spare calls back into reserve_spare.
+        # Re-entrant: refresh and _open_handle call close_handles with
+        # the lock held.
         self._lock = threading.RLock()
-        self._spare_sizes: dict[str, int] = {}
         # Kept write descriptors, name -> fd, least recently used first,
         # at most handle_budget (make_disk_array shares one budget out).
         self._handles: OrderedDict[str, int] = OrderedDict()
@@ -169,12 +159,10 @@ class VirtualDisk:
                 for path in self.root.iterdir()
                 if path.is_file()
             }
-            # Running total of cataloged + spare bytes, kept by every
-            # site that changes either dict, so the capacity check of a
-            # write is O(1) rather than a sum over the disk's objects.
-            self._used = sum(self._sizes.values()) + sum(
-                self._spare_sizes.values()
-            )
+            # Running total of the object sizes, kept by every site
+            # that changes them, so the capacity check of a write is
+            # O(1) rather than a sum over the disk's objects.
+            self._used = sum(self._sizes.values())
             self.checksums = BlockChecksums(self.root)
 
     # ------------------------------------------------------------------
@@ -221,29 +209,21 @@ class VirtualDisk:
         if plan is not None:
             plan.check(op, where=f"on disk {self.disk_id}", disk_id=self.disk_id)
 
-    def _degraded(self) -> bool:
-        """True when this disk has been declared dead by the quarantine."""
-        quarantine = self.quarantine
-        return quarantine is not None and quarantine.is_dead(self.disk_id)
-
     def _run_op(self, op: str, fn, position=None):
-        """Run one read/write body under the fault plan, quarantine,
-        parity repair, and retry policy.
+        """Run one read/write body under the fault plan and retry
+        policy.
 
-        ``fn(degraded)`` runs once per attempt; the quarantine is asked
-        once per attempt whether the disk is dead. A live disk's body
-        consults the fault plan (:meth:`_consume_fault`) *before* each
-        extent's side effects, so an injected fault never leaves a
-        half-applied extent behind and a retried extent is
-        indistinguishable from a fresh one. A dead disk skips the fault
-        plan entirely (its medium is gone; the op is served from
-        parity/spare, or fails fast without one).
+        ``fn()`` runs once per attempt. Its body consults the fault
+        plan (:meth:`_consume_fault`) *before* each extent's side
+        effects, so an injected fault never leaves a half-applied
+        extent behind and a retried extent is indistinguishable from a
+        fresh one.
 
         A batch body reports through ``position()`` the extent it has
         reached, and its next attempt resumes there. A failure at a
         later extent than the last failure starts that extent's retry
-        budget afresh, so every extent is retried, rerouted and
-        reclaimed for exactly as a one-extent op would be.
+        budget afresh, so every extent is retried and reclaimed for
+        exactly as a one-extent op would be.
 
         :class:`~repro.errors.DiskFullError` never reaches the retry
         policy (backoff cannot free space); instead an attached
@@ -255,50 +235,17 @@ class VirtualDisk:
         """
         policy = self.retry_policy
         attempt = 1
-        repaired = False
-        rerouted = False
         failed_at = 0
         while True:
             token = self.cancel_token
             if token is not None and token.cancelled():
                 raise token.exception()
             try:
-                degraded = self._degraded()
-                if degraded and self.parity_layer is None:
-                    raise DiskError(
-                        f"disk {self.disk_id} is quarantined dead and no "
-                        "parity layer is attached to serve it"
-                    )
-                return fn(degraded)
+                return fn()
             except BaseException as exc:
                 if position is not None and position() != failed_at:
                     failed_at = position()
-                    attempt, repaired, rerouted = 1, False, False
-                # A permanent disk fault feeds the quarantine; if this
-                # disk just crossed the death threshold and parity can
-                # serve it, re-run the op once in degraded mode.
-                if (
-                    isinstance(exc, DiskError)
-                    and getattr(exc, "transient", None) is False
-                    and self.quarantine is not None
-                    and not rerouted
-                ):
-                    self.quarantine.record_permanent(self.disk_id)
-                    if self.parity_layer is not None and self._degraded():
-                        rerouted = True
-                        continue
-                # A repairable corruption is rebuilt from parity once,
-                # then the read retried ("retryable-with-repair").
-                if (
-                    isinstance(exc, CorruptionError)
-                    and exc.repairable
-                    and not repaired
-                    and self.parity_layer is not None
-                ):
-                    repaired = True
-                    self.parity_layer.repair(self, exc.name, exc.extents)
-                    self.stats.record_retry(op)
-                    continue
+                    attempt = 1
                 # ENOSPC: hand the run governor one shot at its ladder
                 # (reclaim dead scratch → retry; else degrade → raise).
                 if isinstance(exc, DiskFullError):
@@ -323,35 +270,9 @@ class VirtualDisk:
     # ------------------------------------------------------------------
 
     def used_bytes(self) -> int:
-        """Total bytes currently stored on this disk — cataloged objects
-        plus degraded-mode ``.spare/`` materializations (a reconstructed
-        copy occupies real capacity)."""
+        """Total bytes currently stored on this disk."""
         with self._lock:
             return self._used
-
-    def reserve_spare(self, name: str, new_size: int) -> None:
-        """Account a ``.spare/`` materialization of ``name`` growing to
-        ``new_size`` bytes against this disk's capacity. Raises
-        :class:`DiskFullError` *before* any spare bytes land, so a
-        reconstruction near capacity fails structurally instead of
-        silently exceeding the limit. Idempotent for non-growing calls.
-        """
-        with self._lock:
-            old = self._spare_sizes.get(name, 0)
-            grow = new_size - old
-            if grow <= 0:
-                return
-            if (
-                self.capacity_bytes is not None
-                and self._used + grow > self.capacity_bytes
-            ):
-                raise DiskFullError(
-                    f"disk {self.disk_id} full: cannot materialize spare copy "
-                    f"of {name!r} ({grow} more bytes, capacity "
-                    f"{self.capacity_bytes})"
-                )
-            self._spare_sizes[name] = new_size
-            self._used += grow
 
     def size(self, name: str) -> int:
         """Current size of an object (0 if absent)."""
@@ -372,11 +293,7 @@ class VirtualDisk:
             self.stats.record_hashed(hashed)
         if bad:
             self.stats.record_checksum_failure(len(bad))
-            layer = self.parity_layer
-            repairable = layer is not None and layer.can_repair(
-                self.disk_id, name, bad
-            )
-            raise CorruptionError(self.disk_id, name, bad, repairable=repairable)
+            raise CorruptionError(self.disk_id, name, bad)
 
     def write_at(
         self, name: str, offset: int, data: bytes | bytearray | memoryview
@@ -390,14 +307,13 @@ class VirtualDisk:
         """Write each ``(name, offset, data)`` extent, in order, as one
         disk operation — a round's segments bound for this disk.
 
-        Once per call: the cancel check, the quarantine check, the disk
-        lock, the :class:`IoStats` update and the checksum-catalog
-        insert. Per extent, in list order: the fault-plan check, the
-        descriptor lookup, the capacity check, the parity update, the
-        gap zero-fill, the ``pwrite``, the size update and the CRC. So
-        ``IoStats.writes`` counts extents, the fault plan counts extent
-        attempts, and a retried, reclaimed or rerouted call resumes at
-        the extent that failed (:meth:`_run_op`); the extents before it
+        Once per call: the cancel check, the disk lock, the
+        :class:`IoStats` update and the checksum-catalog insert. Per
+        extent, in list order: the fault-plan check, the descriptor
+        lookup, the capacity check, the gap zero-fill, the ``pwrite``,
+        the size update and the CRC. So ``IoStats.writes`` counts
+        extents, the fault plan counts extent attempts, and a retried
+        or reclaimed call resumes at the extent that failed (:meth:`_run_op`); the extents before it
         have landed and are counted."""
         if self.read_only:
             raise DiskError(f"disk {self.disk_id} is read-only")
@@ -408,16 +324,15 @@ class VirtualDisk:
             batch.append((name, offset, data, _nbytes(data)))
         done = 0  # extents landed; the next attempt starts at batch[done]
 
-        def body(degraded: bool) -> None:
+        def body() -> None:
             nonlocal done
             landed = []  # (name, offset, length, crc), for the catalog
             with self._lock:
                 try:
                     for i in range(done, len(batch)):
                         name, offset, data, nbytes = batch[i]
-                        if not degraded:
-                            self._consume_fault("write")
-                        self._write_extent(name, offset, data, nbytes, degraded)
+                        self._consume_fault("write")
+                        self._write_extent(name, offset, data, nbytes)
                         landed.append((name, offset, nbytes, block_checksum(data)))
                         done = i + 1
                 finally:
@@ -428,12 +343,9 @@ class VirtualDisk:
 
         self._run_op("write", body, position=lambda: done)
 
-    def _write_extent(
-        self, name: str, offset: int, data, nbytes: int, degraded: bool
-    ) -> None:
+    def _write_extent(self, name: str, offset: int, data, nbytes: int) -> None:
         """Land one extent of :meth:`write_extents`. Caller holds the
         lock."""
-        layer = self.parity_layer
         old_size = self._sizes.get(name, 0)
         new_size = max(old_size, offset + nbytes)
         if self.capacity_bytes is not None:
@@ -443,39 +355,15 @@ class VirtualDisk:
                     f"disk {self.disk_id} full: cannot grow {name!r} by "
                     f"{grow} bytes (capacity {self.capacity_bytes})"
                 )
-        if degraded:
-            # The medium is gone: surviving content is faulted into the
-            # spare region first, then the write lands there too. Both
-            # steps are capacity-accounted (reserve_spare), so a
-            # reconstruction near the limit raises DiskFullError instead
-            # of silently exceeding it.
-            self._path(name)  # validates the name
-            self.close_handles()
-            target = layer.ensure_spare(self, name, old_size)
-            self.reserve_spare(name, new_size)
-            self.quarantine.record_spare_write()
-        if layer is not None:
-            # Parity folds stale overlapped extents out (it reads their
-            # pre-write bytes), so this must precede the file write.
-            layer.on_write(self, name, offset, data, spare=degraded)
-        # The spare region keeps open/close per write: a dead disk's
-        # handful of rerouted writes is not a hot path.
-        if degraded:
-            fd = os.open(target, os.O_RDWR | os.O_CREAT, 0o666)
+        fd = self._handles.get(name)
+        if fd is None:
+            fd = self._open_handle(name)
         else:
-            fd = self._handles.get(name)
-            if fd is None:
-                fd = self._open_handle(name)
-            else:
-                self._handles.move_to_end(name)
-        try:
-            if offset > old_size:
-                # Explicitly zero-fill the gap so reads are defined.
-                _pwrite_all(fd, bytes(offset - old_size), old_size, offset - old_size)
-            _pwrite_all(fd, data, offset, nbytes)
-        finally:
-            if degraded:
-                os.close(fd)
+            self._handles.move_to_end(name)
+        if offset > old_size:
+            # Explicitly zero-fill the gap so reads are defined.
+            _pwrite_all(fd, bytes(offset - old_size), old_size, offset - old_size)
+        _pwrite_all(fd, data, offset, nbytes)
         self._sizes[name] = new_size
         self._used += new_size - old_size
 
@@ -493,27 +381,17 @@ class VirtualDisk:
             raise DiskError(f"invalid read range ({offset}, {nbytes})")
         path = self._path(name)
 
-        def body(degraded: bool) -> object:
-            if degraded:
-                with self._lock:
-                    if name not in self._sizes:
-                        raise DiskError(
-                            f"no object {name!r} on disk {self.disk_id}"
-                        )
-                    logical = self._sizes[name]
-                src = self.parity_layer.ensure_spare(self, name, logical)
-            else:
-                self._consume_fault("read")
-                src = path
-                if not src.exists():
-                    raise DiskError(f"no object {name!r} on disk {self.disk_id}")
+        def body() -> object:
+            self._consume_fault("read")
+            if not path.exists():
+                raise DiskError(f"no object {name!r} on disk {self.disk_id}")
             if out is not None:
                 mv = memoryview(out)
                 if mv.nbytes != nbytes:
                     raise DiskError(
                         f"read buffer holds {mv.nbytes} bytes, wanted {nbytes}"
                     )
-                with open(src, "rb") as fh:
+                with open(path, "rb") as fh:
                     fh.seek(offset)
                     got = fh.readinto(mv)
                 if got != nbytes:
@@ -524,7 +402,7 @@ class VirtualDisk:
                 self._verify(name, offset, mv)
                 self.stats.record_read(nbytes)
                 return out
-            with open(src, "rb") as fh:
+            with open(path, "rb") as fh:
                 fh.seek(offset)
                 data = fh.read(nbytes)
             if len(data) != nbytes:
@@ -549,15 +427,7 @@ class VirtualDisk:
                 # A later write must recreate the file, not land in the
                 # unlinked inode.
                 os.close(fd)
-            self._used -= self._sizes.pop(name, 0) + self._spare_sizes.pop(name, 0)
-            layer = self.parity_layer
-            if layer is not None:
-                # Fold the object's extents out of their parity rows
-                # before the bytes disappear.
-                layer.on_delete(self, name)
-                spare = layer.spare_path(self) / name
-                if spare.exists():
-                    os.unlink(spare)
+            self._used -= self._sizes.pop(name, 0)
             self.checksums.drop(name)
             if path.exists():
                 os.unlink(path)
@@ -581,7 +451,10 @@ class VirtualDisk:
         for name in names:
             path = self._path(name)
             if not path.exists():
-                continue  # degraded object served from parity/spare
+                # Deleted through another process's copy of this disk (a
+                # process-backend rank's, by a scratch reclaim): this
+                # size table is stale, and nothing is left to flush.
+                continue
             fd = os.open(path, os.O_RDONLY)
             try:
                 os.fsync(fd)
@@ -603,16 +476,8 @@ class VirtualDisk:
 
         Unmetered and exempt from fault injection: checkpoint digests
         are bookkeeping, not data movement, and must not perturb the
-        byte-exact pass accounting the integration tests assert. On a
-        dead disk the digest is taken over the reconstructed spare
-        content — the logical object, not the lost medium.
+        byte-exact pass accounting the integration tests assert.
         """
-        if self._degraded() and self.parity_layer is not None:
-            with self._lock:
-                if name not in self._sizes:
-                    raise DiskError(f"no object {name!r} on disk {self.disk_id}")
-                logical = self._sizes[name]
-            return file_digest(self.parity_layer.ensure_spare(self, name, logical))
         path = self._path(name)
         if not path.exists():
             raise DiskError(f"no object {name!r} on disk {self.disk_id}")

@@ -21,8 +21,7 @@ surfaces as a structured SPMD failure *before* ``save_pass`` runs — a
 corrupted pass can never become a resume point.
 
 Audit reads go through the normal store read path, so they are metered
-I/O and get block-checksum verification (and degraded-mode
-reconstruction) for free. Audits are opt-in (``OocJob.audit``) because
+I/O and get block-checksum verification for free. Audits are opt-in (``OocJob.audit``) because
 the extra reads perturb the byte-exact pass accounting the integration
 tests assert.
 """

@@ -201,14 +201,6 @@ class BlockChecksums:
         with self._lock:
             return [tuple(e) for e in self._extents.get(name, [])]
 
-    def expected_crc(self, name: str, offset: int, length: int) -> int | None:
-        """The recorded CRC of one exact extent, or ``None``."""
-        with self._lock:
-            for off, ln, crc in self._extents.get(name, []):
-                if off == offset and ln == length:
-                    return crc
-        return None
-
     def verify(
         self, name: str, offset: int, view
     ) -> tuple[list[tuple[int, int]], int]:

@@ -67,37 +67,24 @@ class CorruptionError(DiskError):
     """A block read back from disk failed its checksum (bit rot, a torn
     write, or a hostile test flipping bytes).
 
-    Carries the failing location (``disk_id``, ``name``, and the
-    ``(offset, length)`` extents that mismatched) plus ``repairable`` —
-    True when a parity layer is attached and the corrupt extents can be
-    reconstructed from the surviving disks, in which case the retry
-    loop repairs the block in place and retries the read.
+    Carries the failing location: ``disk_id``, ``name``, and the
+    ``(offset, length)`` extents that mismatched. Never retried: a
+    re-read returns the same bytes.
     """
 
-    def __init__(
-        self,
-        disk_id: int,
-        name: str,
-        extents: list,
-        repairable: bool = False,
-    ) -> None:
+    def __init__(self, disk_id: int, name: str, extents: list) -> None:
         self.disk_id = disk_id
         self.name = name
         self.extents = list(extents)
-        self.repairable = repairable
         first = self.extents[0] if self.extents else (0, 0)
         super().__init__(
             f"checksum mismatch on disk {disk_id}, object {name!r}, block "
             f"(offset={first[0]}, length={first[1]})"
             + (f" and {len(self.extents) - 1} more" if len(self.extents) > 1 else "")
-            + (" [repairable from parity]" if repairable else "")
         )
 
     def __reduce__(self):
-        return (
-            type(self),
-            (self.disk_id, self.name, self.extents, self.repairable),
-        )
+        return (type(self), (self.disk_id, self.name, self.extents))
 
 
 class SpmdError(ReproError, RuntimeError):

@@ -57,71 +57,32 @@ def breakdown_table(
 def durability_breakdown_table(result) -> list[dict]:
     """Durability accounting for a functional run, as table rows.
 
-    ``result`` is an :class:`~repro.oocs.base.OocResult`; the rows
-    render its ``durability`` dict (checksums verified, corruption
-    caught and repaired, parity maintenance traffic, degraded-mode
-    service) next to the run's data I/O, so the table answers both "did
-    the bytes survive" and "what did the insurance cost". Empty when
-    the run attached no durability layer.
+    ``result`` is an :class:`~repro.oocs.base.OocResult`. Every run
+    hashes what it writes and verifies what it reads, so the bytes
+    hashed and the checksum failures — read from ``io``, their one
+    meter — are rows of every run; the audited passes are a row of an
+    audited one.
     """
-    dur = getattr(result, "durability", None) or {}
-    io = getattr(result, "io", None) or {}
-    if not dur:
-        return []
-    degraded = dur.get("degraded_disks", [])
+    dur = result.durability
+    io = result.io
     rows = [
         {
             "metric": "bytes hashed",
-            "value": io.get("bytes_hashed", 0),
+            "value": io["bytes_hashed"],
             "note": f"CRC ({CHECKSUM_ALGO}) over writes + read verification",
         },
         {
             "metric": "checksum failures",
-            "value": dur.get("checksum_failures", 0),
+            "value": io["checksum_failures"],
             "note": "corrupt blocks detected on read",
         },
-        {
-            "metric": "blocks repaired",
-            "value": dur.get("repaired_blocks", 0),
-            "note": "rebuilt in place from parity",
-        },
-        {
-            "metric": "degraded disks",
-            "value": len(degraded),
-            "note": "ids " + ", ".join(map(str, degraded)) if degraded
-            else "no disk declared dead",
-        },
-        {
-            "metric": "blocks reconstructed",
-            "value": dur.get("reconstructed_blocks", 0),
-            "note": "served from surviving D-1 disks",
-        },
-        {
-            "metric": "spare writes",
-            "value": dur.get("spare_writes", 0),
-            "note": "writes rerouted off dead disks",
-        },
     ]
-    if dur.get("parity"):
-        overhead = dur.get("parity_bytes_read", 0) + dur.get(
-            "parity_bytes_written", 0
-        )
-        data = io.get("bytes_read", 0) + io.get("bytes_written", 0)
-        rows.append(
-            {
-                "metric": "parity I/O bytes",
-                "value": overhead,
-                "note": f"{100 * overhead / data:.1f}% of data I/O"
-                if data
-                else "no data I/O",
-            }
-        )
     if "audited_passes" in dur:
         rows.append(
             {
                 "metric": "audited passes",
-                "value": dur.get("audited_passes", 0),
-                "note": f"{dur.get('audited_units', 0)} sampled units verified",
+                "value": dur["audited_passes"],
+                "note": f"{dur['audited_units']} sampled units verified",
             }
         )
     for row in rows:
@@ -179,7 +140,7 @@ def governance_breakdown_table(result) -> list[dict]:
             "metric": "depth downshifts",
             "value": gov.get("depth_downshifts", 0)
             + (1 if gov.get("degraded") else 0),
-            "note": "degraded: read-ahead + parity maintenance off"
+            "note": "degraded: read-ahead off"
             if gov.get("degraded")
             else "pipeline depth reduced under pool pressure",
         },

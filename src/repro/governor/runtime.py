@@ -10,12 +10,10 @@ ladder instead of aborting outright:
    touches, excluding the input, the output, and the previous pass's
    output — the live resume point) and, if that freed any bytes, let the
    disk retry the failed operation once;
-2. **degrade** — with nothing left to reclaim, shed the run's optional
-   space consumers for the remaining passes: read-ahead is disabled
-   (effective pipeline depth 0 — fewer buffers in flight) and parity
-   maintenance is suspended (no new parity rows to grow ``.parity/``),
-   then the error propagates with the failing disk named — degraded
-   mode bounds the *next* attempt, it does not rescue this one.
+2. **degrade** — with nothing left to reclaim, disable read-ahead for
+   the remaining passes (effective pipeline depth 0 — fewer buffers in
+   flight), then the error propagates with the failing disk named — the
+   degraded mode bounds the *next* attempt, it does not rescue this one.
 
 The governor also owns the run's adaptive **depth downshift**: when the
 :class:`~repro.membuf.BufferPool` reports sustained budget backpressure
@@ -139,7 +137,8 @@ class RunGovernor(Counters):
                     self.scratch_reclaims += 1
                     self.reclaimed_bytes += freed
                     return True
-            self._degrade_locked()
+            # Degrade: the remaining passes run without read-ahead.
+            self.degraded = True
             return False
 
     def _reclaim_locked(self) -> int:
@@ -153,16 +152,6 @@ class RunGovernor(Counters):
             except Exception:
                 pass  # reclaim is best-effort; the retry will re-check
         return before - sum(d.used_bytes() for d in disks)
-
-    def _degrade_locked(self) -> None:
-        """Shed the optional space consumers for the remaining passes:
-        no read-ahead (depth 0) and no parity maintenance."""
-        if self.degraded:
-            return
-        self.degraded = True
-        layer = getattr(self.stores["input"].disks[0], "parity_layer", None)
-        if layer is not None:
-            layer.disable_maintenance()
 
     # -- observation -----------------------------------------------------
 

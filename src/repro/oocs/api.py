@@ -5,8 +5,10 @@ store) around an in-memory record array, runs the chosen algorithm, and
 optionally verifies the output — the entry point the examples and most
 tests use. It and :func:`run_baseline_io` name a program and build its
 :class:`~repro.oocs.base.OocJob`; :func:`run_job` runs a job over
-records. For long-lived stores or repeated runs over the same data,
-hand :func:`~repro.oocs.base.run_pass_program` a record of
+records, and :func:`job_from_spec` builds the program and job a
+``sort`` spec names (the CLI's and the service's). For long-lived
+stores or repeated runs over the same data, hand
+:func:`~repro.oocs.base.run_pass_program` a record of
 :data:`ALGORITHMS` and your own input store.
 """
 
@@ -18,6 +20,7 @@ import numpy as np
 
 from repro.cluster.config import ClusterConfig
 from repro.errors import ConfigError
+from repro.matrix.bits import is_power_of_two
 from repro.oocs.base import (
     OocJob,
     OocResult,
@@ -94,6 +97,35 @@ def job_demands(job: OocJob) -> tuple[int, int]:
     return mem, scratch
 
 
+def job_from_spec(spec: dict, **run_fields) -> tuple[PassProgram, OocJob]:
+    """The program and job a sort spec names, in the ``sort`` CLI's and
+    the service's vocabulary (``algorithm``, ``records``, ``buffer``,
+    ``processors``, ``record_size``, ``key``, ``pipeline_depth``,
+    ``backend``); ``run_fields`` are further :class:`OocJob` fields.
+    The cluster gets twice the buffer as per-processor memory.
+
+    Touches no disk: the program's layout is resolved here, so a shape
+    it refuses raises :class:`~repro.errors.ConfigError` or
+    :class:`~repro.errors.DimensionError` before any record exists."""
+    buffer = spec["buffer"]
+    if not is_power_of_two(buffer):
+        # Checked here: mem_per_proc is twice the buffer, and its own
+        # error would name a value the spec never gave.
+        raise ConfigError(f"buffer must be a power of 2 records, got {buffer}")
+    program = ALGORITHMS[spec["algorithm"]]
+    job = OocJob(
+        cluster=ClusterConfig(p=spec["processors"], mem_per_proc=buffer * 2),
+        fmt=RecordFormat(spec["key"], spec["record_size"]),
+        n=spec["records"],
+        buffer_records=buffer,
+        pipeline_depth=spec["pipeline_depth"],
+        backend=spec["backend"],
+        **run_fields,
+    )
+    program.layout(job)
+    return program, job
+
+
 def run_job(
     program: PassProgram,
     job: OocJob,
@@ -127,7 +159,7 @@ def run_job(
         r, s, g = program.layout(job)
         ws = make_workspace(
             job.cluster, job.fmt, records, r, s,
-            workdir=workdir, group_size=g, parity=job.parity,
+            workdir=workdir, group_size=g,
         )
         try:
             result = run_pass_program(
@@ -165,9 +197,7 @@ def sort_out_of_core(
 
     ``**job`` is any further field of :class:`~repro.oocs.base.OocJob`
     (its Parameters say what each does); ``workdir``, ``verify``,
-    ``collect_trace`` and ``governor`` are :func:`run_job`'s. A run
-    with ``parity=True`` should call ``OocResult.release_durability()``
-    once its output has been read.
+    ``collect_trace`` and ``governor`` are :func:`run_job`'s.
 
     >>> from repro.records import RecordFormat, generate
     >>> from repro.cluster import ClusterConfig

@@ -119,11 +119,6 @@ class OocJob:
         If set, seconds of universal rank silence after which the run
         is aborted with a structured
         :class:`~repro.errors.WatchdogTimeout` instead of hanging.
-    parity:
-        Maintain an XOR parity stripe across the disk array
-        (:class:`~repro.durability.parity.ParityLayer`): corrupt blocks
-        are repaired in place and a disk lost to permanent faults is
-        served in degraded mode from the surviving D−1 disks.
     audit:
         Verify columnsort invariants of every pass's output (sampled,
         on rank 0) before its checkpoint is declared good; violations
@@ -151,8 +146,8 @@ class OocJob:
         failure sweeps the failed attempt's state and relaunches from
         the last pass-boundary checkpoint *within the same call* —
         from pass 0 when the job has no checkpoint directory. Fatal
-        classes (cancellation, admission, budget, unrepairable
-        corruption, config errors …) propagate unchanged; see
+        classes (cancellation, admission, budget, corruption, config
+        errors …) propagate unchanged; see
         :meth:`~repro.resilience.supervisor.RestartPolicy.restartable`.
     group_size:
         g-columnsort's group size ``g`` (column height ``r = g·buffer``);
@@ -179,7 +174,6 @@ class OocJob:
     retry_policy: object = None
     fault_plan: object = None
     watchdog_deadline: float | None = None
-    parity: bool = False
     audit: bool = False
     cancel: object = None
     backend: str = "thread"
@@ -196,12 +190,6 @@ class OocJob:
             raise ConfigError(
                 f"unknown transport backend {self.backend!r}; expected one "
                 f"of {available_backends()}"
-            )
-        if self.backend == "process" and self.parity:
-            raise ConfigError(
-                "parity=True requires the thread backend: the parity "
-                "layer's stripe state lives in one address space and "
-                "would silently diverge across forked rank processes"
             )
         if self.pipeline_depth < 0:
             raise ConfigError(
@@ -244,7 +232,7 @@ class OocResult:
     comm_per_pass: list[dict]  # rank-0 comm deltas per pass
     comm_total: dict  # aggregate across ranks
     copy: dict = field(default_factory=dict)  # data-plane copy accounting
-    durability: dict = field(default_factory=dict)  # checksums/parity/audit
+    durability: dict = field(default_factory=dict)  # audit counts
     governor: dict = field(default_factory=dict)  # budgets/ladder/admission
     supervisor: dict = field(default_factory=dict)  # restarts/causes/wall
     trace: RunTrace | None = None
@@ -253,15 +241,6 @@ class OocResult:
     def output_records(self) -> np.ndarray:
         """Read the whole sorted output back into memory."""
         return self.output.read_all()
-
-    def release_durability(self) -> None:
-        """Retire this run's :class:`~repro.resilience.quarantine.DiskQuarantine`
-        from the global leak-check registry. Call once done reading a
-        degraded workspace (idempotent; a no-op for runs that never
-        attached one)."""
-        quarantine = getattr(self.output.disks[0], "quarantine", None)
-        if quarantine is not None:
-            quarantine.release()
 
     def stage_wall(self) -> dict[str, float]:
         """Measured per-stage wall time (rank 0) summed over all passes:
@@ -292,27 +271,19 @@ def make_workspace(
     s: int,
     workdir: str | Path | None = None,
     group_size: int = 1,
-    parity: bool = False,
 ) -> Workspace:
     """Create the virtual disks and load ``records`` as the input matrix
     (column-major: column ``j`` is ``records[j·r:(j+1)·r]``).
 
     ``group_size`` is the layout :meth:`PassProgram.layout` resolved:
     each column striped over a group of ``g`` processors, whole columns
-    at the default ``g = 1``. With
-    ``parity=True`` a :class:`~repro.durability.parity.ParityLayer` is
-    attached *before* the input is loaded, so every byte of the run —
-    input included — is reconstructable from any D−1 disks.
+    at the default ``g = 1``.
     """
     tmp = None
     if workdir is None:
         tmp = tempfile.TemporaryDirectory(prefix="repro-oocs-")
         workdir = tmp.name
     disks = make_disk_array(workdir, cluster.virtual_disks)
-    if parity:
-        from repro.durability import attach_durability
-
-        attach_durability(disks, parity=True)
     try:
         store = ColumnStore.from_records(
             cluster, fmt, records, r, s, disks, name="input", group_size=group_size
@@ -982,12 +953,11 @@ class PassProgram:
                 stores[spec.dst] = PdmStore(
                     cluster, fmt, job.n, disks,
                     max(1, job.buffer_records // cluster.p), name="output",
-                    parity=job.parity,
                 )
             else:
                 stores[spec.dst] = ColumnStore(
                     cluster, fmt, r, s, disks, name=f"{self.scratch}-{spec.dst}",
-                    parity=job.parity, group_size=g,
+                    group_size=g,
                 )
         return stores
 
@@ -1162,7 +1132,6 @@ def run_pass_program(
     independent: a successful run retires its checkpoints no matter
     what it keeps for debugging).
     """
-    from repro.errors import Cancellation
     from repro.governor import RunGovernor, attach_governor
     from repro.resilience.checkpoint import CheckpointStore
 
@@ -1170,13 +1139,6 @@ def run_pass_program(
     algorithm = program.name.format(g=input_store.g)
     disks = input_store.disks
     attach_resilience(disks, job)
-    if job.parity:
-        from repro.durability import attach_durability
-
-        quarantine, layer = attach_durability(disks, parity=True)
-    else:
-        quarantine = getattr(disks[0], "quarantine", None)
-        layer = getattr(disks[0], "parity_layer", None)
     ckpt = (
         CheckpointStore(job.checkpoint_dir)
         if job.checkpoint_dir is not None
@@ -1193,12 +1155,10 @@ def run_pass_program(
     attach_governor(disks, run_governor)
     pool = get_pool()
     pool.reset_budget_accounting()
-    # One snapshot before *all* attempts: the run's reported I/O and
-    # durability counts include what a crashed attempt wasted, which is
-    # the honest cost of the recovery.
+    # One snapshot before *all* attempts: the run's reported I/O
+    # includes what a crashed attempt wasted, which is the honest cost
+    # of the recovery.
     io_before = _disk_io(disks)
-    quarantine_before = quarantine.snapshot() if quarantine is not None else None
-    parity_before = layer.counters.snapshot() if layer is not None else None
 
     supervisor = None
     if job.restart_policy is not None:
@@ -1248,10 +1208,6 @@ def run_pass_program(
             # just deleted.
             if isinstance(store, ColumnStore):
                 store.reset_cursors()
-        if quarantine is not None:
-            # The relaunched cohort gets fresh (simulated) hardware:
-            # dead-disk state must not be inherited across attempts.
-            quarantine.revive()
         if job.backend == "process":
             from repro.cluster.process_backend import sweep_stale_segments
 
@@ -1262,13 +1218,8 @@ def run_pass_program(
             res, copy = supervisor.run(attempt, on_restart=between_attempts)
         else:
             res, copy = attempt()
-    except BaseException as exc:
+    except BaseException:
         cleanup_failed_run(stores, ckpt)
-        if isinstance(exc, Cancellation) and quarantine is not None:
-            # The caller asked for the stop; nothing is left to read
-            # from a degraded workspace, so retire the quarantine from
-            # the leak registry (cancellation must leak nothing).
-            quarantine.release()
         raise
     finally:
         attach_governor(disks, None)
@@ -1286,23 +1237,6 @@ def run_pass_program(
         ckpt.prune()  # a finished run's checkpoints are garbage
 
     durability: dict = {}
-    if quarantine is not None:
-        # Every count is this run's (the quarantine and the layer may
-        # outlive several runs), and each comes from its one meter.
-        after = quarantine.snapshot()
-        durability = {
-            "degraded_disks": after["degraded_disks"],
-            "permanent_faults": after["permanent_faults"],
-            "checksum_failures": io["checksum_failures"],
-            "reconstructed_blocks": 0,
-            "repaired_blocks": 0,
-            **quarantine.delta(quarantine_before, after),
-            "parity": layer is not None,
-        }
-        if layer is not None:
-            durability.update(
-                layer.counters.delta(parity_before, layer.counters.snapshot())
-            )
     if job.audit:
         durability["audited_passes"] = rank0["audited_passes"]
         durability["audited_units"] = rank0["audited_units"]

@@ -1,6 +1,6 @@
 """Fault tolerance for out-of-core runs: retries, checkpoints, watchdog.
 
-The layer has six pieces, each usable alone:
+The layer has five pieces, each usable alone:
 
 * :class:`~repro.resilience.faults.FaultPlan` — seeded fault injection
   (probabilistic, nth-op, transient vs. permanent, optionally
@@ -12,9 +12,6 @@ The layer has six pieces, each usable alone:
   manifests that let a killed multi-pass sort resume byte-identically;
 * :class:`~repro.resilience.watchdog.RankWatchdog` — converts a hung
   rank into a prompt, structured :class:`~repro.errors.SpmdError`;
-* :class:`~repro.resilience.quarantine.DiskQuarantine` — declares a
-  disk dead after repeated permanent faults, so the durability layer
-  (:mod:`repro.durability`) can switch it to degraded-mode service;
 * :class:`~repro.resilience.supervisor.RunSupervisor` — the in-run
   restart loop above all of the above: when a rank dies or a cohort
   failure escapes the per-op retries, classify it against a
@@ -37,11 +34,6 @@ from repro.resilience.faults import (
     FaultPlan,
     FaultSpec,
 )
-from repro.resilience.quarantine import (
-    DiskQuarantine,
-    active_quarantines,
-    release_all_quarantines,
-)
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.supervisor import (
     RestartPolicy,
@@ -57,7 +49,6 @@ __all__ = [
     "MANIFEST_VERSION",
     "RANK_EXIT_CODE",
     "CheckpointStore",
-    "DiskQuarantine",
     "FaultPlan",
     "FaultSpec",
     "RankWatchdog",
@@ -65,9 +56,7 @@ __all__ = [
     "RetryPolicy",
     "RunSupervisor",
     "SupervisorStats",
-    "active_quarantines",
     "corrupt_blocks",
     "pass_manifest",
-    "release_all_quarantines",
     "store_digest",
 ]

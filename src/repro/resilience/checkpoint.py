@@ -53,9 +53,9 @@ def store_digest(store) -> str:
     filesystem scan of its root: under the process transport backend,
     rank 0 digests the store from a forked worker whose size table only
     tracks its *own* writes, while sibling ranks' files (flushed before
-    the pass-boundary barrier) are only visible on the filesystem. The
-    size table still contributes names a degraded disk serves from
-    parity reconstruction, whose medium files no longer exist.
+    the pass-boundary barrier) are only visible on the filesystem. A
+    name whose file is gone makes the fingerprint raise rather than
+    drop silently out of the digest.
     """
     parts = []
     prefix = f"{store.name}."
@@ -75,8 +75,8 @@ def corrupt_blocks(store) -> list[tuple[int, str, int, int]]:
 
     Returns ``(disk_id, name, offset, length)`` tuples, reading the
     files raw (unmetered, no fault injection) — this is resume-time
-    bookkeeping, not data movement. Objects already rerouted to a spare
-    region are skipped; the store digest covers them.
+    bookkeeping, not data movement. Objects whose file is gone are
+    skipped; the store digest reports them.
     """
     bad: list[tuple[int, str, int, int]] = []
     prefix = f"{store.name}."

@@ -40,8 +40,6 @@ _FATAL_MARKERS = (
     "out of range",
     "cannot access",
     "cannot write",
-    "cannot reconstruct",
-    "quarantined dead",
     "read buffer holds",
 )
 
@@ -101,10 +99,8 @@ class RetryPolicy:
         if transient is not None:
             return bool(transient)
         if isinstance(exc, CorruptionError):
-            # Retryable-with-repair: the disk's op loop rebuilds the
-            # block from parity before the retry; without parity there
-            # is nothing a retry could change.
-            return bool(exc.repairable)
+            # A re-read returns the same bytes.
+            return False
         if isinstance(exc, DiskError):
             msg = str(exc)
             return not any(marker in msg for marker in _FATAL_MARKERS)

@@ -7,7 +7,7 @@ watchdog timeout) aborted the whole ``sort_out_of_core`` call and
 recovery meant a human re-invoking with ``--resume``. The supervisor
 closes that loop in-process: the parent tears down the surviving
 cohort, sweeps leftover state (scratch stores, ``/dev/shm`` segments,
-quarantines, pool leases — the *caller* owns those resets, via the
+pool leases — the *caller* owns those resets, via the
 ``on_restart`` hook), and relaunches the pass program from the last
 pass-boundary checkpoint **within the same call**.
 
@@ -21,7 +21,7 @@ Three pieces:
   to stop (:class:`~repro.errors.Cancellation`), refusing to start
   (:class:`~repro.errors.AdmissionRejected`,
   :class:`~repro.errors.BudgetExceeded`), and failures a relaunch
-  cannot cure (unrepairable corruption, a full disk, a bad config, a
+  cannot cure (corruption, a full disk, a bad config, a
   failed audit or checkpoint) stay fatal; crashes and hangs restart.
 * :class:`SupervisorStats` — restarts taken, wall spent restarting,
   and a per-attempt cause log, surfaced end to end on
@@ -63,8 +63,8 @@ from repro.governor.cancel import maybe_sleep
 
 #: Failure classes a relaunch can never cure: structured refusals and
 #: stop requests (cancellation, admission, budget), configuration and
-#: shape mistakes, data already known bad (failed audit/verification,
-#: untrusted checkpoint), and resource exhaustion that deterministic
+#: shape mistakes, data already known bad (a block failing its
+#: checksum, failed audit/verification, untrusted checkpoint), and resource exhaustion that deterministic
 #: re-execution would simply hit again (a full disk).
 FATAL_TYPES = (
     Cancellation,
@@ -75,6 +75,7 @@ FATAL_TYPES = (
     ConfigError,
     DimensionError,
     VerificationError,
+    CorruptionError,
     DiskFullError,
 )
 
@@ -119,10 +120,9 @@ class RestartPolicy:
         The launcher wraps rank failures as
         :class:`~repro.errors.SpmdError`; classification looks at the
         carried cause. Restartable: killed/vanished ranks, watchdog
-        timeouts, escaped transient faults, repairable corruption, and
-        any ordinary unhandled exception (a crash is exactly what
-        supervision is for). Fatal: every :data:`FATAL_TYPES` class,
-        unrepairable corruption, an injected fault explicitly marked
+        timeouts, escaped transient faults, and any ordinary unhandled
+        exception (a crash is exactly what supervision is for). Fatal:
+        every :data:`FATAL_TYPES` class, an injected fault explicitly marked
         permanent (``transient=False`` — deterministic re-execution
         would hit it again), and non-``Exception`` signals like
         ``KeyboardInterrupt``.
@@ -132,8 +132,6 @@ class RestartPolicy:
             return False
         if isinstance(cause, FATAL_TYPES):
             return False
-        if isinstance(cause, CorruptionError):
-            return cause.repairable
         if getattr(cause, "transient", None) is False:
             return False
         return True
@@ -203,8 +201,8 @@ class RunSupervisor:
     exhausted restart budget, or a cancellation during backoff
     re-raises to the caller's normal failure path. Otherwise
     ``on_restart(restart_number, exc)`` sweeps the world (delete
-    un-checkpointed scratch, revive quarantines, reap stale shared
-    memory — whatever the seam owns), the supervisor backs off
+    un-checkpointed scratch, reap stale shared memory — whatever the
+    seam owns), the supervisor backs off
     cancellably, and the next attempt starts. The attempt callable is
     responsible for re-resolving its resume point (the last trusted
     pass-boundary checkpoint) at the top of every attempt.

@@ -671,11 +671,8 @@ class SortService:
         return self.root / "jobs" / job_id
 
     def _execute(self, job_id: str, token: _ProgressToken, resume: bool) -> None:
-        from repro.cluster.config import ClusterConfig
-        from repro.oocs.api import ALGORITHMS, job_demands, run_job
-        from repro.oocs.base import OocJob
+        from repro.oocs.api import job_demands, job_from_spec, run_job
         from repro.oocs.report import output_digest, result_summary
-        from repro.records.format import RecordFormat
         from repro.records.generators import generate
 
         record = self._jobs[job_id]
@@ -691,24 +688,15 @@ class SortService:
         workdir.mkdir(parents=True, exist_ok=True)
         ticket = None
         try:
-            fmt = RecordFormat(spec["key"], spec["record_size"])
-            cluster = ClusterConfig(
-                p=spec["processors"], mem_per_proc=spec["buffer"] * 2
-            )
-            records = generate(
-                spec["workload"], fmt, spec["records"], seed=spec["seed"]
-            )
-            job = OocJob(
-                cluster=cluster,
-                fmt=fmt,
-                n=spec["records"],
-                buffer_records=spec["buffer"],
-                pipeline_depth=spec["pipeline_depth"],
+            program, job = job_from_spec(
+                spec,
                 cancel=token,
-                backend=spec["backend"],
                 restart_policy=self.restart_policy,
                 checkpoint_dir=ckptdir,
                 resume=resume,
+            )
+            records = generate(
+                spec["workload"], job.fmt, job.n, seed=spec["seed"]
             )
             mem, scratch = job_demands(job)
             policy = self._policy(record.tenant)
@@ -717,8 +705,7 @@ class SortService:
                 priority=policy.priority, cancel=token,
             )
             result = run_job(
-                ALGORITHMS[spec["algorithm"]], job, records,
-                workdir=workdir, verify=spec["verify"],
+                program, job, records, workdir=workdir, verify=spec["verify"]
             )
             digest = output_digest(result)
             summary = result_summary(
@@ -726,7 +713,6 @@ class SortService:
             )
             summary.setdefault("governor", {}).update(ticket.snapshot())
             summary["workdir"] = str(workdir)
-            result.release_durability()
             self._transition(job_id, "done", result=summary)
             self._log(f"{job_id}: done (digest {digest[:12]}…)")
         except Cancellation as exc:

@@ -12,8 +12,9 @@ without double-effects.
 
 Job specs share the ``sort`` CLI's vocabulary (the service runs exactly
 the sorts the CLI runs); :func:`validate_spec` normalizes a request's
-spec against :data:`SPEC_DEFAULTS` and rejects unknown fields or
-illegal values *before* anything is journaled.
+spec against :data:`SPEC_DEFAULTS` and rejects unknown fields, illegal
+values and shapes the algorithm refuses *before* anything is
+journaled.
 """
 
 from __future__ import annotations
@@ -48,12 +49,14 @@ MAX_LINE_BYTES = 1 << 20
 
 def validate_spec(spec: dict) -> dict:
     """Normalize a submitted job spec; raises
-    :class:`~repro.errors.ServiceError` on unknown fields or illegal
-    values. Full shape/bound validation happens when the job runs (the
-    algorithms own those rules); this rejects what can be rejected
-    before a journal record exists."""
+    :class:`~repro.errors.ServiceError` on unknown fields, illegal
+    values, or a shape the algorithm refuses — the same checks the
+    ``sort`` CLI makes, through
+    :func:`~repro.oocs.api.job_from_spec`, before a journal record
+    exists."""
     from repro.cluster.transport import available_backends
-    from repro.oocs.api import ALGORITHMS
+    from repro.errors import ConfigError, DimensionError
+    from repro.oocs.api import ALGORITHMS, job_from_spec
     from repro.records.generators import workload_names
     from repro.records.keys import KEY_DTYPES
 
@@ -86,6 +89,13 @@ def validate_spec(spec: dict) -> dict:
             raise ServiceError(f"spec field {name!r} must be >= 0")
     if not isinstance(out["verify"], bool):
         raise ServiceError("spec field 'verify' must be a boolean")
+    try:
+        job_from_spec(out)
+    except (ConfigError, DimensionError) as exc:
+        raise ServiceError(
+            f"{out['algorithm']} cannot run records={out['records']}, "
+            f"buffer={out['buffer']}, processors={out['processors']}: {exc}"
+        ) from exc
     return out
 
 

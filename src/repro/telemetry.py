@@ -1,9 +1,8 @@
 """Run meters: one counter type for every layer.
 
 Each layer of a run meters what it did — disk I/O, messages, data-plane
-copies, parity upkeep, spare writes, governance, pool budget — and a
-run reports *deltas*: the counters after it minus the counters before
-it. The process backend adds a third operation: each rank meters its
+copies, governance, pool budget — and a run reports *deltas*: the
+counters after it minus the counters before it. The process backend adds a third operation: each rank meters its
 own fork-copied objects and ships the deltas home, where they are
 merged into the parent's meters so that both backends report the same
 numbers. :class:`Counters` is the one implementation of that

@@ -82,23 +82,17 @@ def _lingering_pipeline_threads(deadline_s: float = 2.0) -> list[str]:
 
 
 def pytest_runtest_teardown(item, nextitem):
-    """Buffer-pool, quarantine, and pipeline-thread leak checks after
-    every test.
+    """Buffer-pool and pipeline-thread leak checks after every test.
 
     Every lease taken from the global :class:`~repro.membuf.BufferPool`
     must be recycled (or forgotten by the crash path) by the time a
     test finishes; an outstanding lease here means a pass body dropped
-    a buffer on the floor. Likewise every
-    :class:`~repro.resilience.quarantine.DiskQuarantine` that declared
-    a disk dead must have been released — a leaked quarantine means a
-    degraded run's registry would bleed into the next test — and every
-    pipeline worker thread must have been joined. The pool's byte
+    a buffer on the floor. Likewise every pipeline worker thread must
+    have been joined. The pool's byte
     budget (process-wide state a governor test may have set) is cleared
     unconditionally. Plain hooks, not autouse fixtures — hypothesis
     rejects function-scoped fixtures around its tests.
     """
-    from repro.resilience import release_all_quarantines
-
     pool = get_pool()
     leaked = pool.outstanding()
     if leaked:
@@ -109,13 +103,6 @@ def pytest_runtest_teardown(item, nextitem):
             pytrace=False,
         )
     pool.set_budget(None)
-    leaked_quarantines = release_all_quarantines()
-    if leaked_quarantines:
-        pytest.fail(
-            f"{item.nodeid} leaked {leaked_quarantines} quarantined-disk "
-            f"registr{'y' if leaked_quarantines == 1 else 'ies'}",
-            pytrace=False,
-        )
     lingering = _lingering_pipeline_threads()
     if lingering:
         pytest.fail(

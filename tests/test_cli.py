@@ -98,9 +98,9 @@ class TestBadShape:
         (["--algorithm", "subblock", "--records", "4096", "--buffer", "64"],
          "relaxed height restriction violated"),
         # --buffer sets mem_per_proc to twice its value; a bad one is
-        # still named as --buffer, with the value the user gave.
-        (["--buffer", "3"], "error: --buffer must be a power of 2 records, got 3"),
-        (["--buffer", "96"], "error: --buffer must be a power of 2 records, got 96"),
+        # still named as the buffer, with the value the user gave.
+        (["--buffer", "3"], "error: buffer must be a power of 2 records, got 3"),
+        (["--buffer", "96"], "error: buffer must be a power of 2 records, got 96"),
     ])
     def test_sort_reports_a_bad_shape_in_one_line(self, capsys, argv, message):
         assert main(["sort", *argv]) == 1
@@ -136,6 +136,35 @@ class TestCopyStats:
         lines = self._report(capsys, tmp_path, "process")
         assert re.fullmatch(self.COPIES, lines["copies"])
         assert re.fullmatch(self.ARENA, lines["arena"])
+
+
+class TestDurabilityReport:
+    """``sort --durability-report`` prints the checksum rows on every
+    run — block CRCs are always on — and the audit row when audited."""
+
+    ARGS = ["sort", "--records", "2048", "--buffer", "256", "-p", "2",
+            "--durability-report"]
+
+    def _rows(self, capsys, argv) -> dict:
+        assert main(self.ARGS + argv) == 0
+        rows = {}
+        for line in capsys.readouterr().out.splitlines():
+            for metric in ("bytes hashed", "checksum failures", "audited passes"):
+                if line.strip().startswith(metric):
+                    rows[metric] = int(line.split()[len(metric.split())])
+        return rows
+
+    def test_without_audit_reports_the_checksums(self, capsys, tmp_path):
+        rows = self._rows(capsys, ["--workdir", str(tmp_path)])
+        # each of the 3 passes hashes what it writes and verifies what
+        # it reads: 2 x 3 x N x 64 B
+        assert rows == {"bytes hashed": 2 * 3 * 2048 * 64,
+                        "checksum failures": 0}
+
+    def test_audit_adds_the_audited_passes(self, capsys, tmp_path):
+        rows = self._rows(capsys, ["--workdir", str(tmp_path), "--audit"])
+        assert rows["audited passes"] == 3
+        assert rows["checksum failures"] == 0
 
 
 class TestJsonOutput:
@@ -212,11 +241,6 @@ class TestGroupSize:
         assert summary["pipeline_depth"] == 2
         assert summary["stage_wall_s"]
         assert summary["comm"]["retries"] == 0
-
-    def test_parity_on_the_process_backend_is_refused(self, capsys):
-        rc = main(self.ARGS + ["--parity", "--backend", "process"])
-        assert rc == 1
-        assert "parity=True requires the thread" in capsys.readouterr().err
 
 
 class TestCheckpointFlags:

@@ -55,7 +55,7 @@ def test_metadata_scenarios_have_zero_violations(scenario, tmp_path):
     assert summary["states_total"] > 0
 
 
-@pytest.mark.parametrize("scenario", ["sidecar", "parity"])
+@pytest.mark.parametrize("scenario", ["sidecar"])
 def test_data_plane_scenarios_have_zero_violations(scenario, tmp_path):
     summary = run_sweep(tmp_path, scenarios=[scenario], quick=True)
     assert summary["violations_total"] == 0, _violations(summary)
@@ -93,7 +93,6 @@ def test_scenario_registry_is_complete():
         "checkpoint_save",
         "checkpoint_prune",
         "sidecar",
-        "parity",
         "daemon_restart",
         "resume_e2e",
     ]

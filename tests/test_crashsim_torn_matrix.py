@@ -1,11 +1,11 @@
-"""Torn-write matrices for the two byte-plane artifacts power loss can
-tear: block-checksum sidecars and XOR parity rows.
+"""Torn-write matrix for the byte-plane artifact power loss can tear:
+block-checksum sidecars.
 
-The crashsim sweep enumerates torn states organically; these matrices
-pin the exhaustive cut-point behavior down deterministically — every
-prefix length of a sidecar and every sector cut of a parity row — and
-assert the one claim that matters: torn metadata degrades to *detection
-or refusal*, never to silently wrong bytes.
+The crashsim sweep enumerates torn states organically; this matrix
+pins the exhaustive cut-point behavior down deterministically — every
+prefix length of a sidecar — and asserts the one claim that matters:
+torn metadata degrades to *detection or refusal*, never to silently
+wrong bytes.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ import pytest
 from repro.crashsim.cache import SECTOR
 from repro.disks.virtual_disk import VirtualDisk
 from repro.durability.checksums import BlockChecksums
-from repro.durability.parity import attach_durability
-from repro.errors import CorruptionError, DiskError, ReproError
+from repro.errors import CorruptionError, DiskError
 
 
 def _fresh_copy(src, dst):
@@ -90,102 +89,3 @@ class TestSidecarTornMatrix:
         assert disk.checksums.sync() == 2
         assert disk.checksums.sync() == 0  # barrier drained the dirty set
 
-
-# ---------------------------------------------------------------------------
-# parity-row matrix
-# ---------------------------------------------------------------------------
-
-
-class TestParityTornMatrix:
-    EXTENT = 600
-
-    @pytest.fixture
-    def array(self, tmp_path):
-        disks = [VirtualDisk(tmp_path / f"d{i}", disk_id=i) for i in range(3)]
-        attach_durability(disks, parity=True)
-        for i, disk in enumerate(disks):
-            disk.write_at(f"obj.{i}", 0, bytes([65 + i]) * self.EXTENT)
-        return disks
-
-    def _corrupt_member(self, disks) -> tuple:
-        """Flip bytes of one member extent on disk, bypassing the
-        catalog, and return ``(disk, name)``."""
-        victim = disks[1]
-        path = victim.root / "obj.1"
-        blob = bytearray(path.read_bytes())
-        blob[: self.EXTENT] = b"!" * self.EXTENT
-        path.write_bytes(bytes(blob))
-        return victim, "obj.1"
-
-    def _parity_row_of(self, disks, disk_id: int, name: str):
-        layer = disks[0].parity_layer
-        ext = layer._extents[(disk_id, name)][0]
-        return layer._parity_path(ext.row)
-
-    def test_intact_parity_repairs_the_member(self, array):
-        """With an intact parity row the read self-heals: ``_run_op``
-        catches the repairable CorruptionError, rebuilds the extent from
-        parity, and retries — the caller sees the true bytes."""
-        victim, name = self._corrupt_member(array)
-        assert victim.read_at(name, 0, self.EXTENT) == b"B" * self.EXTENT
-        assert victim.stats.checksum_failures >= 1  # detection happened
-        # and the repair landed on the medium, not just in the response
-        assert (victim.root / name).read_bytes()[: self.EXTENT] == (
-            b"B" * self.EXTENT
-        )
-
-    def test_torn_parity_row_refuses_instead_of_fabricating(self, array):
-        victim, name = self._corrupt_member(array)
-        row_path = self._parity_row_of(array, victim.disk_id, name)
-        original = row_path.read_bytes()
-        layer = array[0].parity_layer
-        cuts = sorted(
-            {0, 1, len(original) // 2, len(original) - 1}
-            | set(range(SECTOR, len(original), SECTOR))
-        )
-        for cut in (c for c in cuts if c < len(original)):
-            row_path.write_bytes(original[:cut])
-            with pytest.raises((DiskError, CorruptionError)):
-                layer.repair(victim, name, [(0, self.EXTENT)])
-            # the member was not silently "repaired" with garbage
-            assert (victim.root / name).read_bytes()[: self.EXTENT] == (
-                b"!" * self.EXTENT
-            )
-        row_path.write_bytes(original)
-        assert layer.repair(victim, name, [(0, self.EXTENT)]) == 1
-
-    def test_bitflipped_parity_row_fails_the_crc_not_the_data(self, array):
-        """Same length, wrong bytes: reconstruction XORs to garbage and
-        the catalog CRC must refuse it before anything is written."""
-        victim, name = self._corrupt_member(array)
-        row_path = self._parity_row_of(array, victim.disk_id, name)
-        blob = bytearray(row_path.read_bytes())
-        blob[0] ^= 0xFF
-        row_path.write_bytes(bytes(blob))
-        layer = array[0].parity_layer
-        with pytest.raises(CorruptionError) as err:
-            layer.repair(victim, name, [(0, self.EXTENT)])
-        assert not err.value.repairable
-        assert (victim.root / name).read_bytes()[: self.EXTENT] == (
-            b"!" * self.EXTENT
-        )
-
-    def test_fresh_attach_clears_stale_parity(self, array, tmp_path):
-        """A restarted process must not trust (or trip over) parity rows
-        from the previous life — crash states leave them torn."""
-        row = self._parity_row_of(array, 1, "obj.1")
-        copy = tmp_path / "copy"
-        for i in range(3):
-            shutil.copytree(array[i].root, copy / f"d{i}")
-        torn = copy / "d0" / ".parity" / row.name
-        if torn.exists():
-            torn.write_bytes(torn.read_bytes()[:7])
-        disks = [VirtualDisk(copy / f"d{i}", disk_id=i) for i in range(3)]
-        attach_durability(disks, parity=True)
-        for i in range(3):
-            pdir = copy / f"d{i}" / ".parity"
-            assert not pdir.is_dir() or list(pdir.iterdir()) == []
-        for i, disk in enumerate(disks):
-            assert disk.read_at(f"obj.{i}", 0, self.EXTENT) == (
-                bytes([65 + i]) * self.EXTENT
-            )

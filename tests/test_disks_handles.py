@@ -18,7 +18,6 @@ from repro.cluster.config import ClusterConfig
 from repro.disks import virtual_disk
 from repro.disks.virtual_disk import VirtualDisk, make_disk_array
 from repro.durability.hashing import block_checksum
-from repro.durability.parity import attach_durability
 from repro.errors import Cancellation, DiskError, SpmdError
 from repro.governor import CancelToken
 from repro.oocs.api import run_baseline_io, sort_out_of_core
@@ -112,7 +111,6 @@ class TestNothingLeftOpen:
         )
         assert res.supervisor["restarts"] >= 1
         assert open_under(tmp_path) == []
-        res.release_durability()
 
 
 class TestHandleTable:
@@ -293,32 +291,3 @@ class TestTightBudget:
         assert tight.io == free.io
         assert open_under(tmp_path) == []
 
-
-class TestDegradedDisk:
-    def test_a_disk_that_dies_mid_pass_writes_only_to_its_spare(self, tmp_path):
-        disks = [VirtualDisk(tmp_path / f"d{i}", disk_id=i) for i in range(3)]
-        quarantine, _layer = attach_durability(disks, parity=True)
-        try:
-            for i, disk in enumerate(disks):
-                disk.write_at("obj", 0, bytes([65 + i]) * 512)
-            victim = disks[1]
-            assert list(victim._handles) == ["obj"]
-            primary = victim.root / "obj"
-            before = primary.read_bytes()
-
-            quarantine.mark_dead(1)
-            victim.write_at("obj", 512, b"z" * 512)  # same pass, same object
-            assert not victim._handles
-            assert open_under(victim.root) == []
-            assert primary.read_bytes() == before  # the lost medium is not touched
-            assert (victim.root / ".spare" / "obj").read_bytes() == (
-                b"B" * 512 + b"z" * 512
-            )
-            assert victim.read_at("obj", 0, 1024) == b"B" * 512 + b"z" * 512
-            victim.write_at("obj", 1024, b"y" * 16)
-            assert not victim._handles  # still open/close per spare write
-            assert open_under(tmp_path / "d1") == []
-        finally:
-            quarantine.release()
-            for disk in disks:
-                disk.flush()

@@ -239,8 +239,6 @@ UNCALLED_ON_PURPOSE = {
     "repro.crashsim.interpose.TracedFile.writelines": "§14",
     "repro.resilience.faults.FaultPlan": "seam: tests/test_resilience_faultplan.py",
     "repro.resilience.faults.FaultPlan.arm_once": "seam: tests/conftest.py",
-    "repro.resilience.quarantine.DiskQuarantine.mark_dead": "seam: tests/test_supervisor.py",
-    "repro.resilience.quarantine.release_all_quarantines": "seam: tests/conftest.py",
     "repro.membuf.pool.BufferPool.free_buffers": "seam: tests/test_membuf.py",
     "repro.cluster.arena.ShmArena.slab_count": "seam: tests/test_shm_arena.py",
 }

@@ -149,12 +149,6 @@ class TestCatalog:
         sidecar.write_text(json.dumps(doc))
         assert BlockChecksums(tmp_path).extents("obj") == []
 
-    def test_expected_crc_exact_extent_only(self, tmp_path):
-        cat = BlockChecksums(tmp_path)
-        cat.record("obj", 8, b"data")
-        assert cat.expected_crc("obj", 8, 4) == block_checksum(b"data")
-        assert cat.expected_crc("obj", 8, 2) is None
-
 
 class TestDiskIntegration:
     def test_clean_read_verifies_and_meters(self, disk):
@@ -178,7 +172,6 @@ class TestDiskIntegration:
         assert err.value.disk_id == 0
         assert err.value.name == "obj"
         assert err.value.extents == [(0, 8)]
-        assert not err.value.repairable  # no parity layer attached
         assert disk.stats.snapshot()["checksum_failures"] == 1
 
     def test_unrepairable_corruption_not_retried(self, disk):
@@ -192,12 +185,7 @@ class TestDiskIntegration:
 
     def test_corruption_error_is_disk_error(self):
         assert issubclass(CorruptionError, DiskError)
-        assert not RetryPolicy.retryable(
-            CorruptionError(0, "obj", [(0, 8)], repairable=False)
-        )
-        assert RetryPolicy.retryable(
-            CorruptionError(0, "obj", [(0, 8)], repairable=True)
-        )
+        assert not RetryPolicy.retryable(CorruptionError(0, "obj", [(0, 8)]))
 
     def test_short_pwrite_still_lands_all_bytes(self, disk, monkeypatch):
         import os

@@ -1,5 +1,5 @@
-"""Degraded-mode execution: a disk lost permanently mid-pass, with and
-without parity, plus the online pass audits."""
+"""A disk lost permanently mid-pass fails the run and names the disk;
+plus the online pass audits."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from repro.cluster.config import ClusterConfig
 from repro.disks.matrixfile import ColumnStore
 from repro.disks.virtual_disk import make_disk_array
 from repro.durability.audit import PassAuditor
-from repro.errors import AuditError, SpmdError
+from repro.errors import AuditError, DiskError, SpmdError
 from repro.oocs.api import sort_out_of_core
 from repro.records.format import RecordFormat
 from repro.records.generators import generate
@@ -51,112 +51,28 @@ def disk_kill_plan(seed: int = 1) -> FaultPlan:
 
 
 class TestDiskKill:
-    @pytest.mark.parametrize("depth", [0, 2])
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_parity_degrades_byte_identically(self, algorithm, depth, tmp_path):
-        fmt, records = records_for(algorithm)
-        expected = run_sort(algorithm, fmt, records, depth,
-                            workdir=tmp_path / "clean")
-        expected_bytes = expected.output_records().tobytes()
-        expected.output.delete()
-
-        res = run_sort(
-            algorithm, fmt, records, depth, workdir=tmp_path / "kill",
-            fault_plan=disk_kill_plan(),
-            retry_policy=RetryPolicy(max_attempts=4, base_delay_s=0.0),
-            watchdog_deadline=10.0, parity=True,
-        )
-        try:
-            assert res.output_records().tobytes() == expected_bytes
-            dur = res.durability
-            assert dur["parity"] is True
-            assert dur["degraded_disks"] == [1]
-            assert dur["reconstructed_blocks"] >= 1
-            assert dur["spare_writes"] >= 0
-            res.output.delete()
-        finally:
-            res.release_durability()
-
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_no_parity_fails_structurally(self, algorithm, tmp_path):
-        """Without parity a dead disk fails the run with a structured
-        error, well inside the watchdog deadline, at either depth."""
+    def test_dead_disk_fails_structurally(self, algorithm, tmp_path):
+        """A dead disk fails the run with a structured error that names
+        the disk as permanently failed, well inside the watchdog
+        deadline, at either depth."""
         import time
-
-        from repro.resilience import release_all_quarantines
 
         fmt, records = records_for(algorithm)
         for depth in (0, 2):
             started = time.monotonic()
-            try:
-                with pytest.raises(SpmdError) as err:
-                    run_sort(
-                        algorithm, fmt, records, depth=depth,
-                        workdir=tmp_path / f"d{depth}",
-                        fault_plan=disk_kill_plan(),
-                        retry_policy=RetryPolicy(max_attempts=4,
-                                                 base_delay_s=0.0),
-                        watchdog_deadline=10.0,
-                    )
-                assert err.value.rank is not None
-                assert time.monotonic() - started < 15.0
-            finally:
-                release_all_quarantines()
-
-    def test_clean_parity_run_reports_overhead(self, tmp_path):
-        fmt, records = records_for("threaded")
-        res = run_sort("threaded", fmt, records, workdir=tmp_path, parity=True)
-        try:
-            dur = res.durability
-            assert dur["parity"] is True
-            assert dur["degraded_disks"] == []
-            assert dur["parity_bytes_written"] > 0
-            assert dur["checksum_failures"] == 0
-            res.output.delete()
-        finally:
-            res.release_durability()
-
-
-    def test_a_repair_before_the_run_is_not_counted_by_it(self, tmp_path):
-        """Durability counts are the run's and each fact has one meter:
-        a corrupt input block that a read repaired *before* the run
-        shows up in neither ``io`` nor ``durability``."""
-        from repro.oocs.api import ALGORITHMS
-        from repro.oocs.base import OocJob, make_workspace, run_pass_program
-        from repro.oocs.verify import verify_output
-
-        fmt, records = records_for("threaded")
-        p, buf, _, _, _ = CONFIGS["threaded"]
-        job = OocJob(
-            cluster=ClusterConfig(p=p, mem_per_proc=2**12), fmt=fmt,
-            n=len(records), buffer_records=buf, parity=True,
-        )
-        program = ALGORITHMS["threaded"]
-        r, s, g = program.layout(job)
-        ws = make_workspace(
-            job.cluster, fmt, records, r, s, workdir=tmp_path, group_size=g,
-            parity=True,
-        )
-        disk = ws.disks[0]
-        victim = disk.root / disk.files()[0]
-        payload = victim.read_bytes()
-        blob = bytearray(payload)
-        blob[7] ^= 0xFF
-        victim.write_bytes(bytes(blob))
-        disk.retry_policy = RetryPolicy(max_attempts=3, base_delay_s=0.0)
-        assert disk.read_at(victim.name, 0, len(payload)) == payload
-        assert disk.stats.snapshot()["checksum_failures"] == 1
-
-        res = run_pass_program(program, job, ws.input)
-        try:
-            assert res.io["checksum_failures"] == 0
-            assert res.durability["checksum_failures"] == 0
-            assert res.durability["repaired_blocks"] == 0
-            assert res.durability["reconstructed_blocks"] == 0
-            verify_output(res.output, records)
-            res.output.delete()
-        finally:
-            res.release_durability()
+            with pytest.raises(SpmdError) as err:
+                run_sort(
+                    algorithm, fmt, records, depth=depth,
+                    workdir=tmp_path / f"d{depth}",
+                    fault_plan=disk_kill_plan(),
+                    retry_policy=RetryPolicy(max_attempts=4, base_delay_s=0.0),
+                    watchdog_deadline=10.0,
+                )
+            assert isinstance(err.value.cause, DiskError)
+            assert "disk 1" in str(err.value)
+            assert "permanent" in str(err.value)
+            assert time.monotonic() - started < 15.0
 
 
 class TestAudit:

@@ -5,8 +5,8 @@ The cancel-then-resume matrix mirrors the kill-and-resume checkpoint
 tests, but the interruption is a :class:`~repro.governor.CancelToken`
 instead of a simulated crash: the run must stop with a *bare*
 :class:`~repro.errors.Cancellation` (not an ``SpmdError`` wrapper),
-leak no pool leases / pipeline threads / quarantines (the conftest
-teardown asserts all three), and leave the last pass-boundary
+leak no pool leases / pipeline threads (the conftest teardown asserts
+both), and leave the last pass-boundary
 checkpoint valid.
 """
 
@@ -259,8 +259,8 @@ class TestCancellationNeverLeaks:
     @given(nth=st.integers(min_value=2, max_value=600))
     def test_cancel_at_any_poll_leaks_nothing(self, nth):
         """Property: wherever a cancel lands — any poll of any seam, or
-        after the run already finished — no pool lease, pipeline worker
-        thread, or quarantine registration survives the unwind. (The
+        after the run already finished — no pool lease or pipeline worker
+        thread survives the unwind. (The
         conftest teardown re-asserts the same invariants after the
         whole test.)"""
         records = records_for("threaded")
@@ -282,6 +282,3 @@ class TestCancellationNeverLeaks:
                 break
             time.sleep(0.02)
         assert lingering == []
-        from repro.resilience import active_quarantines
-
-        assert not active_quarantines()

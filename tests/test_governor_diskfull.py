@@ -1,6 +1,5 @@
-"""Disk-full handling: fault-spec validation, retry classification, the
-run governor's reclaim/degrade ladder, and the capacity accounting of
-degraded-mode spare materializations.
+"""Disk-full handling: fault-spec validation, retry classification, and
+the run governor's reclaim/degrade ladder.
 
 ENOSPC is deliberately *not* a retryable fault — backing off cannot
 conjure free space — so the path under test here is the
@@ -9,12 +8,10 @@ scratch stores and retry the write once, else degrade the run and let
 the error surface structurally, naming the disk.
 """
 
-import numpy as np
 import pytest
 
 from repro.cluster.config import ClusterConfig
-from repro.disks.virtual_disk import VirtualDisk, make_disk_array
-from repro.durability import attach_durability
+from repro.disks.virtual_disk import VirtualDisk
 from repro.errors import DiskFullError, ResilienceError, SpmdError
 from repro.experiments.breakdown import governance_breakdown_table
 from repro.oocs.api import sort_out_of_core
@@ -24,15 +21,6 @@ from repro.resilience import FaultPlan, FaultSpec
 from repro.resilience.retry import RetryPolicy
 
 FMT = RecordFormat("u8", 16)
-
-
-def kill_disk(disk: VirtualDisk) -> None:
-    """Destroy a disk's primary data (dot-dirs — parity, spare,
-    checksums — live on 'other media') and declare it dead."""
-    for path in disk.root.iterdir():
-        if path.is_file():
-            path.unlink()
-    disk.quarantine.mark_dead(disk.disk_id)
 
 
 def run_sort(records, depth=0, **kwargs):
@@ -137,82 +125,3 @@ class TestReclaimLadder:
         assert isinstance(err.value.cause, DiskFullError)
         assert "disk 0" in str(err.value.cause)
 
-
-class TestSpareCapacityAccounting:
-    """Degraded-mode regression: a reconstructed spare copy occupies
-    real capacity, so near-full disks must fail structurally *before*
-    spare bytes land instead of silently exceeding the limit."""
-
-    PAYLOAD = bytes(range(256)) * 4  # 1024 B
-
-    def _array(self, tmp_path, capacity):
-        disks = make_disk_array(tmp_path, 2, capacity_bytes=capacity)
-        quarantine, layer = attach_durability(disks, parity=True)
-        return disks, quarantine
-
-    def test_spare_counts_toward_used_bytes(self, tmp_path):
-        disks, quarantine, = self._array(tmp_path, capacity=None)
-        disks[0].write_at("obj", 0, self.PAYLOAD)
-        assert disks[0].used_bytes() == len(self.PAYLOAD)
-        kill_disk(disks[0])
-        assert disks[0].read_at("obj", 0, len(self.PAYLOAD)) == self.PAYLOAD
-        # catalog entry + its spare materialization both occupy capacity
-        assert disks[0].used_bytes() == 2 * len(self.PAYLOAD)
-        quarantine.release()
-
-    def test_reconstruction_near_capacity_fails_structurally(self, tmp_path):
-        # room for the object but not for a second (spare) copy
-        disks, quarantine = self._array(
-            tmp_path, capacity=len(self.PAYLOAD) + 64
-        )
-        disks[0].write_at("obj", 0, self.PAYLOAD)
-        kill_disk(disks[0])
-        with pytest.raises(DiskFullError, match="cannot materialize spare"):
-            disks[0].read_at("obj", 0, len(self.PAYLOAD))
-        quarantine.release()
-
-    def test_reserve_raises_before_any_spare_bytes_land(self, tmp_path):
-        disks, quarantine = self._array(
-            tmp_path, capacity=len(self.PAYLOAD) + 64
-        )
-        disks[0].write_at("obj", 0, self.PAYLOAD)
-        kill_disk(disks[0])
-        with pytest.raises(DiskFullError):
-            disks[0].read_at("obj", 0, len(self.PAYLOAD))
-        spare = disks[0].root / ".spare" / "obj"
-        assert not spare.exists()
-        assert disks[0].used_bytes() == len(self.PAYLOAD)  # nothing reserved
-        quarantine.release()
-
-    def test_degraded_write_growth_is_capacity_checked(self, tmp_path):
-        # 2 copies fit (reconstruction succeeds) but growing the object
-        # in degraded mode would need a third portion: must raise.
-        b = len(self.PAYLOAD)
-        disks, quarantine = self._array(tmp_path, capacity=2 * b + 64)
-        disks[0].write_at("obj", 0, self.PAYLOAD)
-        kill_disk(disks[0])
-        assert disks[0].read_at("obj", 0, b) == self.PAYLOAD
-        with pytest.raises(DiskFullError, match="disk 0 full"):
-            disks[0].write_at("obj", b, self.PAYLOAD)
-        quarantine.release()
-
-    def test_degraded_write_within_capacity_succeeds(self, tmp_path):
-        b = len(self.PAYLOAD)
-        disks, quarantine = self._array(tmp_path, capacity=4 * b)
-        disks[0].write_at("obj", 0, self.PAYLOAD)
-        kill_disk(disks[0])
-        disks[0].write_at("obj", b, self.PAYLOAD)
-        got = disks[0].read_at("obj", 0, 2 * b)
-        assert got == self.PAYLOAD * 2
-        assert quarantine.snapshot()["spare_writes"] == 1
-        quarantine.release()
-
-    def test_delete_releases_spare_reservation(self, tmp_path):
-        disks, quarantine = self._array(tmp_path, capacity=None)
-        disks[0].write_at("obj", 0, self.PAYLOAD)
-        kill_disk(disks[0])
-        disks[0].read_at("obj", 0, len(self.PAYLOAD))
-        assert disks[0].used_bytes() == 2 * len(self.PAYLOAD)
-        disks[0].delete("obj")
-        assert disks[0].used_bytes() == 0
-        quarantine.release()

@@ -24,10 +24,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cluster.config import ClusterConfig
-from repro.oocs.api import sort_out_of_core
+from repro.oocs.api import job_from_spec, run_job
 from repro.oocs.report import output_digest
-from repro.records.format import RecordFormat
 from repro.records.generators import generate
 from repro.service import ServiceClient
 from repro.service.jobs import replay_jobs
@@ -59,16 +57,12 @@ def service_root():
 def digests(tmp_path_factory):
     """Output digest of an uninterrupted run, per job seed."""
     spec = {**SPEC_DEFAULTS, **SPEC}
-    fmt = RecordFormat(spec["key"], spec["record_size"])
-    cluster = ClusterConfig(p=spec["processors"],
-                            mem_per_proc=spec["buffer"] * 2)
+    program, job = job_from_spec(spec)
     out = {}
     for seed in range(K):
-        records = generate(spec["workload"], fmt, spec["records"], seed=seed)
-        res = sort_out_of_core(
-            spec["algorithm"], records, cluster, fmt,
-            buffer_records=spec["buffer"],
-            pipeline_depth=spec["pipeline_depth"],
+        records = generate(spec["workload"], job.fmt, job.n, seed=seed)
+        res = run_job(
+            program, job, records,
             workdir=tmp_path_factory.mktemp(f"digest{seed}"),
         )
         out[seed] = output_digest(res)

@@ -114,6 +114,34 @@ def test_invalid_spec_rejected_and_not_journaled(service_root):
     journal.close()
 
 
+def test_unrunnable_shape_rejected_before_journaling(service_root):
+    """A spec the sort would only refuse once running — a buffer that
+    is no power of 2, N that is none, a shape threaded columnsort's
+    height restriction forbids — is refused at submit, naming the
+    field, and leaves no journal record."""
+    service = _start(service_root)
+    try:
+        with ServiceClient(service.socket_path) as client:
+            for spec, message in (
+                ({"records": 4096, "buffer": 96, "processors": 2},
+                 "buffer must be a power of 2 records, got 96"),
+                ({"records": 1000, "buffer": 512, "processors": 2},
+                 "N must be a power of 2 records, got 1000"),
+                ({"records": 65536, "buffer": 512, "processors": 4},
+                 "records=65536, buffer=512, processors=4: "
+                 "height restriction violated"),
+            ):
+                with pytest.raises(ServiceError, match=message):
+                    client.submit(spec, key=f"bad-{spec['records']}")
+            assert client.health()["jobs"] == {}
+    finally:
+        service.stop()
+    journal = JobJournal(service_root / "journal.log")
+    events, _ = journal.replay()
+    assert events == []
+    journal.close()
+
+
 def test_cancel_queued_job_never_runs(service_root):
     service = _start(service_root, workers=1)
     try:
@@ -201,6 +229,12 @@ def test_drain_rejects_new_submits_and_finishes_inflight(service_root):
     try:
         with ServiceClient(service.socket_path) as client:
             job = client.submit(SPEC)["job"]
+            # A drain finishes started jobs and leaves queued ones
+            # queued: let the executor start this one first.
+            deadline = time.monotonic() + 60
+            while client.status(job)["state"] == "admitted":
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
             drained = client.drain(deadline_s=120)
             assert drained["drained_clean"] is True
             assert drained["interrupted"] == []

@@ -11,12 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.cluster.config import ClusterConfig
 from repro.errors import Cancellation
 from repro.governor import CancelToken
-from repro.oocs.api import sort_out_of_core
+from repro.oocs.api import job_from_spec, run_job
 from repro.oocs.report import output_digest
-from repro.records.format import RecordFormat
 from repro.records.generators import generate
 from repro.service import ServiceClient, SortService
 from repro.service.journal import JobJournal
@@ -32,14 +30,9 @@ def service_root():
 
 
 def _expected_digest(spec) -> str:
-    fmt = RecordFormat(spec["key"], spec["record_size"])
-    cluster = ClusterConfig(p=spec["processors"], mem_per_proc=spec["buffer"] * 2)
-    records = generate(spec["workload"], fmt, spec["records"], seed=spec["seed"])
-    result = sort_out_of_core(
-        spec["algorithm"], records, cluster, fmt,
-        buffer_records=spec["buffer"], pipeline_depth=spec["pipeline_depth"],
-    )
-    return output_digest(result)
+    program, job = job_from_spec(spec)
+    records = generate(spec["workload"], job.fmt, job.n, seed=spec["seed"])
+    return output_digest(run_job(program, job, records))
 
 
 class _CrashAtPass(CancelToken):
@@ -61,17 +54,13 @@ def _fabricate_crashed_job(root: Path, job_id: str, spec: dict,
     """Run the job into the service's directory layout and kill it at
     ``at_pass``, then journal the history a crashed daemon would leave:
     submitted/admitted/running/checkpointed with no terminal event."""
-    fmt = RecordFormat(spec["key"], spec["record_size"])
-    cluster = ClusterConfig(p=spec["processors"], mem_per_proc=spec["buffer"] * 2)
-    records = generate(spec["workload"], fmt, spec["records"], seed=spec["seed"])
     jobdir = root / "jobs" / job_id
+    program, job = job_from_spec(
+        spec, checkpoint_dir=jobdir / "ckpt", cancel=_CrashAtPass(at_pass)
+    )
+    records = generate(spec["workload"], job.fmt, job.n, seed=spec["seed"])
     with pytest.raises(Cancellation):
-        sort_out_of_core(
-            spec["algorithm"], records, cluster, fmt,
-            buffer_records=spec["buffer"], pipeline_depth=spec["pipeline_depth"],
-            workdir=jobdir / "work", checkpoint_dir=jobdir / "ckpt",
-            cancel=_CrashAtPass(at_pass),
-        )
+        run_job(program, job, records, workdir=jobdir / "work")
     journal = JobJournal(root / "journal.log")
     journal.replay()  # continue the existing sequence, if any
     journal.append("submitted", job=job_id, tenant="default", spec=spec,

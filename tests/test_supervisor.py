@@ -5,7 +5,7 @@ SIGKILL on the process backend — at any pass boundary or mid-pass must
 complete byte-identically to an unkilled run *without re-invocation*,
 on both backends, with ``SupervisorStats.restarts >= 1`` and nothing
 leaked. The conftest teardown independently enforces the "nothing
-leaked" half (leases, quarantines, pipeline threads, child processes,
+leaked" half (leases, pipeline threads, child processes,
 ``/dev/shm`` segments) after every test here.
 """
 
@@ -40,12 +40,10 @@ from repro.oocs.api import sort_out_of_core
 from repro.records.format import RecordFormat
 from repro.resilience import (
     CheckpointStore,
-    DiskQuarantine,
     FaultPlan,
     FaultSpec,
     RestartPolicy,
     RunSupervisor,
-    active_quarantines,
 )
 from repro.records.generators import generate
 
@@ -103,7 +101,6 @@ class TestRestartPolicyClassification:
             RuntimeError("unhandled bug"),
             CommError("mailbox shut down"),
             DiskError("injected read fault (transient)"),
-            CorruptionError(0, "x", [(0, 8)], repairable=True),
         ],
         ids=lambda e: type(e).__name__,
     )
@@ -122,7 +119,7 @@ class TestRestartPolicyClassification:
             AuditError("invariant violated"),
             ConfigError("bad shape"),
             DiskFullError("out of space"),
-            CorruptionError(0, "x", [(0, 8)], repairable=False),
+            CorruptionError(0, "x", [(0, 8)]),
             KeyboardInterrupt(),
         ],
         ids=lambda e: type(e).__name__,
@@ -245,7 +242,7 @@ FATAL_EXAMPLES = [
     BudgetExceeded(1, 1, 1, "x"),
     CheckpointError("untrusted"),
     DiskFullError("full"),
-    CorruptionError(0, "x", [(0, 8)], repairable=False),
+    CorruptionError(0, "x", [(0, 8)]),
 ]
 RESTARTABLE_EXAMPLES = [
     RankKilled("killed"),
@@ -392,7 +389,6 @@ class TestKillAndAutoRecover:
             )
             assert res.supervisor["restarts"] >= 1
             assert res.supervisor["attempts"][0]["resumed_from_pass"] == kill_at
-            res.release_durability()
 
     def test_midpass_sigkill_recovers(self, algorithm, depth, backend, tmp_path):
         """A rank really dies mid-pass on its nth disk write (SIGKILL,
@@ -408,7 +404,6 @@ class TestKillAndAutoRecover:
             algorithm, recs, depth, workdir=tmp_path / "cal",
             fault_plan=counting,
         )
-        res.release_durability()
         writes = counting.snapshot()["ops"]["write"]
         for frac, kind in ((0.35, "rank_kill"), (0.85, "rank_exit")):
             nth = max(1, int(writes * frac))
@@ -432,7 +427,6 @@ class TestKillAndAutoRecover:
             )
             assert res.supervisor["restarts"] >= 1
             assert plan.snapshot()["rank_kills"] >= 1
-            res.release_durability()
 
 
 class TestSupervisedRunWithoutCheckpoints:
@@ -447,13 +441,11 @@ class TestSupervisedRunWithoutCheckpoints:
         assert res.output_records().tobytes() == expected_bytes(recs)
         assert res.supervisor["restarts"] == 1
         assert res.supervisor["attempts"][0]["resumed_from_pass"] == 0
-        res.release_durability()
 
     def test_unsupervised_result_has_empty_record(self, tmp_path):
         recs = records_for("threaded")
         res = run_sort("threaded", recs, 0, workdir=tmp_path / "w")
         assert res.supervisor == {}
-        res.release_durability()
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +468,6 @@ class TestGovernorInteraction:
         assert snap["admitted"] == 1  # the restart was not re-admitted
         assert snap["completed"] == 1
         assert snap["running"] == 0
-        res.release_durability()
 
     def test_cancellation_is_fatal_and_leaks_nothing(self, tmp_path):
         recs = records_for("threaded")
@@ -486,39 +477,12 @@ class TestGovernorInteraction:
                 "threaded", recs, 0, workdir=tmp_path / "w",
                 cancel=cancel, restart_policy=quick_policy(),
             )
-        # conftest teardown asserts no leases/quarantines/threads leaked
+        # conftest teardown asserts no leases/threads leaked
 
 
 # ---------------------------------------------------------------------------
-# Satellites: quarantine revive, rank-kill plan hygiene, error pickling
+# Satellites: rank-kill plan hygiene, error pickling
 # ---------------------------------------------------------------------------
-
-
-class TestQuarantineRevive:
-    def test_revive_clears_dead_state_but_stays_armed(self):
-        q = DiskQuarantine()
-        q.mark_dead(1)
-        q.record_spare_write()
-        assert q in active_quarantines()
-        assert q.revive() == [1]
-        assert not q.is_dead(1)
-        assert q.degraded_disks() == []
-        assert q not in active_quarantines()
-        # the spare-write count covers the whole run
-        assert q.snapshot()["spare_writes"] == 1
-        # unlike release(), revive leaves the registry armed
-        q.mark_dead(2)
-        assert q in active_quarantines()
-        q.release()
-
-    def test_released_quarantine_stays_released_after_revive(self):
-        q = DiskQuarantine()
-        q.mark_dead(0)
-        q.release()
-        q.revive()
-        q.mark_dead(1)
-        assert q not in active_quarantines()
-        q.release()
 
 
 class TestRankKillFaultSpecs:

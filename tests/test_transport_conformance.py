@@ -434,7 +434,7 @@ class TestFailures:
 
 
 ERROR_SAMPLES = [
-    CorruptionError(2, "col-3", [(0, 4096), (8192, 4096)], repairable=True),
+    CorruptionError(2, "col-3", [(0, 4096), (8192, 4096)]),
     SpmdError(3, ValueError("inner")),
     WatchdogTimeout(1, 12.5, 10.0),
     CancelledError("user said stop"),
