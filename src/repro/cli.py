@@ -202,14 +202,14 @@ def _cmd_sort(args: argparse.Namespace) -> int:
         from repro.experiments.breakdown import durability_breakdown_table
         from repro.experiments.tables import render_table
 
-        print(render_table(durability_breakdown_table(result)))
+        print(render_table(durability_breakdown_table(result), exact=True))
     if args.governance_report:
         from repro.experiments.breakdown import governance_breakdown_table
         from repro.experiments.tables import render_table
 
         rows = governance_breakdown_table(result)
         if rows:
-            print(render_table(rows))
+            print(render_table(rows, exact=True))
         else:
             print("  governance: no counters recorded")
     sup = result.supervisor or {}
@@ -226,7 +226,7 @@ def _cmd_sort(args: argparse.Namespace) -> int:
 
         rows = supervisor_breakdown_table(result)
         if rows:
-            print(render_table(rows))
+            print(render_table(rows, exact=True))
         else:
             print(
                 "  supervision: no restart policy armed "

@@ -259,14 +259,23 @@ class Comm:
         (§3 properties 1-3), so the stats must match that accounting.
 
         Fast path (1-D arrays sharing one dtype; anything else is sent
-        per destination): all outgoing parts are packed
-        once into a single fresh contiguous buffer and each destination
-        receives a disjoint *view* of it — one copy total instead of one
-        ``_isolate`` copy per destination. The packed buffer is never
-        mutated by the sender and never pooled (receivers may hold their
-        views indefinitely), so MPI mutation semantics are preserved:
-        receivers can write into their slice without affecting anyone
-        else's.
+        per destination): all outgoing parts are packed once into a
+        single contiguous buffer and each destination receives a
+        disjoint *view* of it — one copy total instead of one
+        ``_isolate`` copy per destination. The sender never touches the
+        packed buffer again, so MPI mutation semantics hold: receivers
+        can write into their slice without affecting anyone else's.
+
+        Ownership: a receiver owns what it receives until it releases it
+        with :meth:`~repro.membuf.BufferPool.recycle` (directly, or
+        through a :class:`~repro.membuf.LeaseScope`). On the thread
+        fabric the packed buffer goes back to the buffer pool once every
+        receiver has released its view; on the process fabric a
+        receiver gets a landed pool buffer, and the shared-memory slab
+        it came from is recycled by the landing's acknowledgement. A
+        receiver that keeps its slice and never releases it keeps the
+        bytes as long as it likes: the buffer then falls to the garbage
+        collector instead of being reused.
         """
         if len(arrays) != self._size:
             raise CommError(
@@ -297,26 +306,37 @@ class Comm:
         buffer, one offset per destination, views out.
 
         The buffer comes from the router (``alloc_packed``) so each
-        transport can choose its backing store: plain heap memory on the
-        thread fabric, a ``multiprocessing.shared_memory`` segment on
+        transport can choose its backing store: a buffer-pool array on
+        the thread fabric, a ``multiprocessing.shared_memory`` slab on
         the process fabric. Allocation is unmetered on every backend, so
-        the copy accounting below is byte-identical either way.
+        the copy accounting below is byte-identical either way. Every
+        view is lent (``lend_packed``) before the first one leaves, so a
+        receiver's release always finds its view registered.
         """
         total = sum(len(a) for a in arrays)
-        packed = self._router.alloc_packed(arrays[0].dtype, total)
+        packed = None
+        if total:
+            packed = self._router.alloc_packed(arrays[0].dtype, total)
+        parts = []
         offset = 0
-        for dest in range(self._size):
-            arr = arrays[dest]
+        for arr in arrays:
             n = len(arr)
             if n == 0:
-                self._coll_put_unmetered(dest, tag, "alltoallv", arr.copy())
+                parts.append(None)
                 continue
             part = packed[offset : offset + n]
             np.copyto(RecordFormat.items(part), RecordFormat.items(arr))
             offset += n
             copy_stats().record_copy(part.nbytes)
             copy_stats().record_zero_copy(part.nbytes)
-            self._coll_send_view(dest, tag, "alltoallv", part)
+            parts.append(part)
+        if packed is not None:
+            self._router.lend_packed(packed, [p for p in parts if p is not None])
+        for dest, part in enumerate(parts):
+            if part is None:
+                self._coll_put_unmetered(dest, tag, "alltoallv", arrays[dest].copy())
+            else:
+                self._coll_send_view(dest, tag, "alltoallv", part)
 
     def allreduce(self, value, op: Callable = None):
         """Combine one value per rank with ``op`` (default: sum) and

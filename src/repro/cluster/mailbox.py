@@ -34,6 +34,7 @@ from collections import defaultdict
 import numpy as np
 
 from repro.errors import CommError
+from repro.membuf import get_pool
 
 #: Default seconds a receive waits before declaring deadlock. Rank
 #: programs in this package exchange messages promptly; a stuck receive
@@ -179,14 +180,21 @@ class MailboxRouter(SendAdmission):
     # -- data-plane hooks ----------------------------------------------
 
     def alloc_packed(self, dtype: np.dtype, total: int) -> np.ndarray:
-        """A fresh buffer for the packed single-buffer ``alltoallv``.
+        """A buffer for the packed single-buffer ``alltoallv``, served by
+        the buffer pool (unmetered, like a transport's landing buffer).
 
-        The thread fabric shares one address space, so plain heap memory
-        works: receivers get disjoint views of this buffer. The process
-        fabric overrides this to hand out a ``shared_memory``-backed
-        array instead (same contract: fresh, contiguous, never pooled).
-        """
-        return np.empty(total, dtype=dtype)
+        The thread fabric shares one address space, so receivers get
+        disjoint views of this buffer; :meth:`lend_packed` returns it to
+        the pool once every receiver has released its view. The process
+        fabric hands out a slab of its shared-memory arena instead,
+        which its acknowledgements recycle."""
+        return get_pool().land(dtype, total)
+
+    def lend_packed(self, packed: np.ndarray, views) -> None:
+        """``views`` of ``packed`` go to their receivers: the buffer
+        returns to the pool when the last of them is recycled
+        (:meth:`~repro.membuf.BufferPool.lend`)."""
+        get_pool().lend(packed, views)
 
     # ------------------------------------------------------------------
 

@@ -329,6 +329,11 @@ class ProcessRouter(SendAdmission):
         slab = self._arena.lease(total * dtype.itemsize)
         return np.ndarray((total,), dtype=dtype, buffer=slab.shm.buf)
 
+    def lend_packed(self, packed: np.ndarray, views) -> None:
+        """Nothing to register: each view leaves as a slice descriptor
+        (:meth:`_outbound`), and the receiver's landing acknowledgement
+        returns the slab to the arena."""
+
     def _slice_of(self, arr: np.ndarray) -> _ShmSlice | None:
         """The descriptor of ``arr`` if its memory lives inside a slab
         this rank created (i.e. it is a packed-alltoallv view) —

@@ -22,9 +22,20 @@ Two acquisition modes:
   reclaims them as before.
 
 :meth:`recycle` adopts any 1-D, C-contiguous, exclusively-owned array
-of a pooled dtype — recycling a *view* (a slice of a packed alltoallv
-buffer, say) is deliberately a no-op, because handing out a buffer that
-aliases live data would corrupt records in flight.
+of a pooled dtype — recycling any other *view* is a no-op, because
+handing out a buffer that aliases live data would corrupt records in
+flight. The one exception is a view the pool *lent* (:meth:`lend`):
+the slices of a packed alltoallv buffer, one per receiver. Recycling
+such a slice releases it, and the buffer itself returns to its freelist
+once every slice has been released — the rule the process fabric's
+shared-memory arena follows for its slabs. A slice that is never
+released falls to the garbage collector with its buffer, which is then
+never reused under a reader.
+
+A freelist keeps as many arrays of its key as were ever out of the pool
+at once (at least :data:`MAX_FREE_PER_KEY`), so a pass whose rounds
+each need the same buffers takes them all from the pool after its first
+round, whatever its pipeline depth and rank count.
 
 Byte budget (:meth:`set_budget`): the pool tracks its *held bytes* —
 freelist arrays plus open tracked leases — and, with a budget set, a
@@ -42,6 +53,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from functools import partial
 
 import numpy as np
@@ -50,9 +62,10 @@ from repro.errors import BudgetExceeded
 from repro.membuf.copystats import copy_stats
 from repro.telemetry import Counters
 
-#: Freelist depth per (dtype, rows) key. Deep enough for one in-flight
-#: buffer per pipeline slot at the depths we benchmark; beyond that the
-#: allocator is cheaper than hoarding memory.
+#: Least freelist depth per (dtype, rows) key. A key keeps more when
+#: more of its arrays were out of the pool at once (see
+#: :meth:`BufferPool.recycle`); arrays the pool never handed out are
+#: adopted only up to this depth.
 MAX_FREE_PER_KEY = 8
 
 #: Seconds between wakeups of a budget-blocked lease (matches the
@@ -85,6 +98,15 @@ class BufferPool:
         # reference is what makes id() safe as a key: the array cannot
         # be collected (and its id reused) while the lease is open.
         self._tracked: dict[int, np.ndarray] = {}
+        # Arrays of each key out of the pool now, and the most at once.
+        self._out: dict[tuple[np.dtype, int], int] = {}
+        self._most_out: dict[tuple[np.dtype, int], int] = {}
+        # Lent slices, by id(): a weak reference to the slice (checked
+        # on release, so a reused id cannot pass for it). Lent buffers,
+        # by id(): a weak reference and the number of slices still out.
+        self._lent: dict[int, weakref.ref] = {}
+        self._loans: dict[int, list] = {}
+        self._sweep_at = 64
         self._cv = threading.Condition()
         self._budget = budget_bytes
         self._budget_timeout = budget_timeout_s
@@ -109,8 +131,8 @@ class BufferPool:
         self._held += delta
         if self._held > self.budget_counters.peak_held_bytes:
             self.budget_counters.peak_held_bytes = self._held
-        if delta < 0:
-            self._cv.notify_all()
+        if delta < 0 and self._budget is not None:
+            self._cv.notify_all()  # only a budgeted lease waits
 
     def _evict_until(self, target: int) -> None:
         """Drop idle freelist arrays until held bytes <= ``target`` (or
@@ -166,6 +188,9 @@ class BufferPool:
         key = (dtype, rows)
         need = dtype.itemsize * rows
         with self._cv:
+            out = self._out[key] = self._out.get(key, 0) + 1
+            if out > self._most_out.get(key, 0):
+                self._most_out[key] = out
             stack = self._free.get(key)
             if stack:
                 arr = stack.pop()
@@ -221,41 +246,101 @@ class BufferPool:
 
     # -- release -------------------------------------------------------
 
+    def lend(self, base: np.ndarray, views) -> None:
+        """Hand ``views`` — disjoint slices of ``base``, an untracked
+        array this pool served (a packed alltoallv buffer) — to their
+        readers. Each reader releases its slice with :meth:`recycle`;
+        ``base`` returns to its freelist with the last release. The
+        pool holds no strong reference: a slice never released falls to
+        the garbage collector, and ``base`` with it."""
+        views = list(views)
+        if not views:
+            self.recycle(base)
+            return
+        with self._cv:
+            if len(self._lent) >= self._sweep_at:
+                self._sweep_loans()
+            self._loans[id(base)] = [weakref.ref(base), len(views)]
+            for view in views:
+                self._lent[id(view)] = weakref.ref(view)
+
+    def _sweep_loans(self) -> None:
+        """Drop the entries of slices and buffers the garbage collector
+        has taken. Call with ``self._cv`` held."""
+        self._lent = {k: r for k, r in self._lent.items() if r() is not None}
+        self._loans = {
+            k: loan for k, loan in self._loans.items() if loan[0]() is not None
+        }
+        self._sweep_at = 2 * len(self._lent) + 64
+
+    def _release_slice(self, arr: np.ndarray) -> np.ndarray | None:
+        """Release ``arr`` if it is a lent slice; returns its buffer when
+        this was the last slice out. Call with ``self._cv`` held."""
+        ref = self._lent.get(id(arr))
+        if ref is None or ref() is not arr:
+            return None
+        del self._lent[id(arr)]
+        base = arr.base
+        loan = self._loans.get(id(base))
+        if loan is None or loan[0]() is not base:
+            return None
+        loan[1] -= 1
+        if loan[1]:
+            return None
+        del self._loans[id(base)]
+        return base
+
+    def _returned(self, key: tuple[np.dtype, int]) -> None:
+        """One array of ``key`` is back. Call with ``self._cv`` held."""
+        out = self._out.get(key, 0)
+        if out > 0:
+            self._out[key] = out - 1
+
     def recycle(self, arr: np.ndarray) -> bool:
         """Return ``arr`` to the pool. Closes its lease if tracked;
-        adopts untracked arrays that exclusively own their memory.
-        Views and foreign objects are ignored (returns False)."""
+        releases it if it is a lent slice (:meth:`lend`); adopts
+        untracked arrays that exclusively own their memory. Other views
+        and foreign objects are ignored (returns False).
+
+        A key's freelist takes an array while it holds fewer than the
+        most arrays of that key ever out of the pool at once (and at
+        least ``max_free_per_key``), and, with a budget set, an
+        untracked array only while it fits under the budget."""
         if not isinstance(arr, np.ndarray):
             return False
-        poolable = (
-            arr.ndim == 1 and arr.flags.c_contiguous and arr.flags.owndata
-        )
         with self._cv:
+            if arr.base is not None:
+                # A lent slice's release may return its whole buffer; any
+                # other view's memory belongs to someone else, and
+                # pooling it would alias live records.
+                base = self._release_slice(arr)
+                arr = arr if base is None else base
             tracked = self._tracked.pop(id(arr), None) is not None
-            if not poolable:
-                # A view's memory belongs to someone else; pooling it
-                # would alias live records. Dropping it here is correct:
-                # the lease (if any) is closed and GC handles the base.
-                if tracked:
-                    self._bump_held(-arr.nbytes)
-            else:
+            flags = arr.flags
+            poolable = arr.ndim == 1 and flags.c_contiguous and flags.owndata
+            if poolable:
                 key = (arr.dtype, arr.shape[0])
+                self._returned(key)
                 stack = self._free.setdefault(key, [])
-                fits = len(stack) < self._max_free and (
+                depth = max(self._max_free, self._most_out.get(key, 0))
+                fits = len(stack) < depth and (
                     tracked
                     or self._budget is None
                     or self._held + arr.nbytes <= self._budget
                 )
                 if fits:
                     stack.append(arr)
-                    if tracked:
-                        self._cv.notify_all()  # lease closed: bytes moved
-                    else:
+                    if not tracked:
                         self._bump_held(arr.nbytes)
+                    elif self._budget is not None:
+                        self._cv.notify_all()  # lease closed: bytes moved
                 else:
                     poolable = False
                     if tracked:
                         self._bump_held(-arr.nbytes)
+            elif tracked:
+                self._bump_held(-arr.nbytes)
+                self._returned((arr.dtype, arr.shape[0]))
         if tracked:
             copy_stats().record_return()
         return poolable
@@ -275,11 +360,20 @@ class BufferPool:
             n = len(self._tracked)
             for arr in self._tracked.values():
                 self._bump_held(-arr.nbytes)
+                self._returned((arr.dtype, arr.shape[0]))
             self._tracked.clear()
             self._cv.notify_all()
         for _ in range(n):
             copy_stats().record_return()
         return n
+
+    def lent(self) -> int:
+        """Lent buffers (:meth:`lend`) still alive with a slice not yet
+        released."""
+        with self._cv:
+            return sum(
+                1 for loan in self._loans.values() if loan[0]() is not None
+            )
 
     def free_buffers(self) -> int:
         """Total arrays currently sitting in freelists."""
@@ -294,6 +388,7 @@ class BufferPool:
                 for arr in stack:
                     self._bump_held(-arr.nbytes)
             self._free.clear()
+            self._most_out.clear()
         return self.forget_leases()
 
     def held_bytes(self) -> int:

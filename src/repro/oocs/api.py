@@ -83,16 +83,20 @@ def job_demands(job: OocJob) -> tuple[int, int]:
 
     Memory: per rank, ``depth`` column buffers prefetched plus the one
     in the reader's hand, ``depth`` round buffers queued for writing
-    plus the one being written, and the pass body's own two (sorted
-    column and assembly buffer, or column and window): ``2·depth + 4``.
-    The measured peak (``OocResult.governor["peak_held_bytes"]``,
-    ``copy["peak_leases"]``) stays within it at every depth —
+    plus the one being written, the pass body's own two (sorted column
+    and assembly buffer, or column and window), the round's packed
+    ``alltoallv`` buffer (back in the pool once every receiver has
+    released its slice) and two half-column copies in flight to the
+    neighbour: ``2·depth + 6``. Every one of them is a buffer-pool
+    array, so the pool's measured peak
+    (``OocResult.governor["peak_held_bytes"]``) is the run's record
+    memory, and it stays within this at every depth —
     ``tests/test_governor_budget.py`` holds it there. Scratch: a pass
     program keeps at most input + two generations of intermediates on
     disk at once, ≈ ``3·N`` records (the paper's experiments were
     disk-space limited at exactly this multiple — footnote 7).
     """
-    mem = job.buffer_bytes * job.cluster.p * (2 * job.pipeline_depth + 4)
+    mem = job.buffer_bytes * job.cluster.p * (2 * job.pipeline_depth + 6)
     scratch = 3 * job.n * job.fmt.record_size
     return mem, scratch
 

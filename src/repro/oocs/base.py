@@ -382,20 +382,18 @@ def sort_stage(
     clock: StageClock,
 ) -> np.ndarray:
     """A pass's column sort of one round's ``raw`` portion (a held lease,
-    recycled here). Without an ``incore`` plan (``g = 1``) it is a local
-    sort into a pool lease, charged to COMPUTE; otherwise the pass's
-    distributed in-core columnsort over the group, charged to INCORE,
-    whose result — the plan's slices of the sorted column — is a plain
-    array, not a lease."""
+    recycled as soon as it is sorted) into a lease of ``leases``.
+    Without an ``incore`` plan (``g = 1``) it is a local sort, charged to
+    COMPUTE; otherwise the pass's distributed in-core columnsort over
+    the group, charged to INCORE, whose result is the plan's slices of
+    the sorted column."""
     if incore is None:
         with clock.stage(COMPUTE):
             col = fmt.sort(raw, out=leases.lease(fmt.dtype, len(raw)))
             leases.recycle(raw)
         return col
     with clock.stage(INCORE):
-        col = incore.sort(raw, fmt)
-        leases.recycle(raw)  # the unsorted portion is dead
-    return col
+        return incore.sort(raw, fmt, leases)
 
 
 def _deal_pass(
@@ -439,7 +437,7 @@ def _deal_pass(
         ranges = None  # the balanced delivery
 
         def split(col):
-            return [col[q::groups] for q in range(groups)]
+            return [col[q::groups] for q in range(groups)], None
 
         def land(got):
             return got.reshape(band, mine).T
@@ -453,8 +451,14 @@ def _deal_pass(
         ]
 
         def split(col):
-            chunks = fmt.items(col).reshape(s, band)
-            return [chunks[q::groups].reshape(-1).view(col.dtype) for q in range(groups)]
+            # Group q's chunks (every G-th), gathered into one lease in
+            # destination order: one transposing copy, no temporaries.
+            dealt = leases.lease(fmt.dtype, portion)
+            fmt.items(dealt).reshape(groups, mine, band)[:] = (
+                fmt.items(col).reshape(mine, groups, band).transpose(1, 0, 2)
+            )
+            per = portion // groups
+            return [dealt[q * per : (q + 1) * per] for q in range(groups)], dealt
 
         def land(got):
             return got.reshape(mine, band)
@@ -467,11 +471,12 @@ def _deal_pass(
             col = sort_stage(incore, leases.hold(reader.get()), fmt, leases, clock)
             if member is not None:
                 with clock.stage(COMPUTE):
-                    parts = split(col)
+                    parts, dealt = split(col)
                 with clock.stage(COMM):
                     recv = member.alltoallv(parts)
-                if incore is None:
-                    leases.recycle(col)  # the sorted lease is dead after the send
+                leases.recycle(col)  # the sorted lease is dead after the send
+                if dealt is not None:
+                    leases.recycle(dealt)
             out = None
             with clock.stage(COMPUTE):
                 if member is None and step == 4:
@@ -483,10 +488,11 @@ def _deal_pass(
                     rows = fmt.items(out).reshape(mine, groups, band)  # [l, q]: group q's band for target l
                     if member is None:
                         rows[:, 0, :] = fmt.items(land(col))  # one transposing copy
+                        leases.recycle(col)
                     else:
                         for q, got in enumerate(recv):
                             rows[:, q, :] = fmt.items(land(got))
-                            leases.recycle(got)  # a landed buffer (process backend); a view is ignored
+                            leases.recycle(got)  # landed: the sender's buffer may be reused
                     segs = out.reshape(mine, groups * band)
             writer.put(
                 partial(
@@ -494,7 +500,7 @@ def _deal_pass(
                     rank,
                     [(gid + l * groups, segs[l]) for l in range(mine)],
                 ),
-                release=None if out is None else leases.hand_off(out),
+                release=leases.hand_off(col if out is None else out),
             )
 
 
@@ -542,24 +548,37 @@ def route_to_pdm(
     writer: WriteBehind,
     clock: StageClock,
     leases: LeaseScope,
+    piece_lease: np.ndarray | None = None,
 ) -> None:
     """The last pass's second communicate + permute + write: each rank
     splits its (globally positioned) sorted piece by PDM disk owner;
     receivers reconstruct every sender's range from the deterministic
     ``piece_range_of(q) -> (gstart, length) | None`` — no metadata
     crosses the network — and retire what they received as one
-    write-behind item."""
+    write-behind item. ``piece_lease`` (the lease the piece lies in, if
+    any) is recycled as soon as the piece has been gathered."""
     p = comm.size
     with clock.stage(COMPUTE):
         parts = [fmt.empty(0) for _ in range(p)]
+        grouped = None
         if my_piece is not None:
+            # Each owner's pieces, gathered into one lease in owner order.
             gstart, arr = my_piece
-            for q, pieces in pdm.split_by_owner(gstart, len(arr)).items():
+            grouped = leases.lease(fmt.dtype, len(arr))
+            at = 0
+            for q, pieces in sorted(pdm.split_by_owner(gstart, len(arr)).items()):
+                n = sum(nn for (_d, _o, _rel, nn) in pieces)
                 parts[q] = concat_records(
-                    [arr[rel : rel + nn] for (_d, _o, rel, nn) in pieces]
+                    [arr[rel : rel + nn] for (_d, _o, rel, nn) in pieces],
+                    out=grouped[at : at + n],
                 )
+                at += n
+    if piece_lease is not None:
+        leases.recycle(piece_lease)
     with clock.stage(COMM):
         recv = comm.alltoallv(parts)
+    if grouped is not None:
+        leases.recycle(grouped)
     writes = []
     for q_src in range(p):
         rng = piece_range_of(q_src)
@@ -626,19 +645,21 @@ def pass_final_windows(
             with clock.stage(COMM):
                 # First communicate: bottom half → owner of window c+1.
                 comm.send(col[half:], right, tag=WINDOW_TAG)
-                if t == 0 and comm.rank == 0:
-                    upper = fmt.pad_low(half)  # window 0's −∞ padding
-                else:
+                upper = None  # window 0's top: −∞ padding
+                if t or comm.rank:
                     upper = comm.recv(left, tag=WINDOW_TAG)  # bottom of col c−1
             with clock.stage(COMPUTE):
                 merged = leases.lease(fmt.dtype, r)
                 halves = fmt.items(merged)
-                halves[:half] = fmt.items(upper)
+                if upper is None:
+                    fmt.pad_low(half, out=merged[:half])
+                else:
+                    halves[:half] = fmt.items(upper)
+                    # Dead; adopting it feeds the grabs of the next
+                    # round's half-column sends.
+                    leases.recycle(upper)
                 halves[half:] = fmt.items(col[:half])
-                # col/upper are dead; adopting upper feeds the grabs of
-                # the next round's half-column sends.
                 leases.recycle(col)
-                leases.recycle(upper)
                 window = fmt.merge_runs(merged, out=leases.lease(fmt.dtype, r))  # step 7
                 leases.recycle(merged)
             # Rank q holds window t·P+q this round.
@@ -646,20 +667,19 @@ def pass_final_windows(
                 comm, pdm, fmt,
                 (window_range(c)[0], window[half:] if c == 0 else window),
                 lambda q, t=t: window_range(t * p + q),
-                writer, clock, leases,
+                writer, clock, leases, piece_lease=window,
             )
-            leases.recycle(window)
 
         # Window s: the bottom half of the last column followed by +∞
         # padding — already sorted, so rank 0 (its owner) writes it directly.
         tail = None
         if comm.rank == 0:
             with clock.stage(COMM):
-                tail = (window_range(s)[0], comm.recv(left, tag=WINDOW_TAG))
+                tail = leases.hold(comm.recv(left, tag=WINDOW_TAG))
         route_to_pdm(
-            comm, pdm, fmt, tail,
+            comm, pdm, fmt, None if tail is None else (window_range(s)[0], tail),
             lambda q: window_range(s) if q == 0 else None,
-            writer, clock, leases,
+            writer, clock, leases, piece_lease=tail,
         )
 
 
@@ -705,8 +725,9 @@ def _final_windows_grouped(
         return w * r - r // 2 + mq * portion, portion
 
     def route(w: int, piece: np.ndarray | None, held) -> None:
-        """Route this rank's ``piece`` of window ``w``; ``held(k)`` is
-        the window group ``k`` holds (None: none)."""
+        """Route this rank's ``piece`` of window ``w`` (a lease, recycled
+        once gathered); ``held(k)`` is the window group ``k`` holds
+        (None: none)."""
         rng = piece_range(w, comm.rank) if piece is not None else None
 
         def range_of(q: int) -> tuple[int, int] | None:
@@ -715,7 +736,7 @@ def _final_windows_grouped(
 
         route_to_pdm(
             comm, pdm, fmt, None if rng is None else (rng[0], piece),
-            range_of, writer, clock, leases,
+            range_of, writer, clock, leases, piece_lease=piece,
         )
 
     kept = None  # a bottom-half slice this member holds over to a later window
@@ -732,16 +753,18 @@ def _final_windows_grouped(
                 with clock.stage(COMM):
                     if c + 1 < s:
                         comm.send(mine, next_rank, tag=WINDOW_TAG)
+                        leases.recycle(mine)
                     else:
                         kept = mine
                     contribution = (
-                        comm.recv(prev_rank, tag=WINDOW_TAG) if c else None
+                        leases.hold(comm.recv(prev_rank, tag=WINDOW_TAG))
+                        if c else None
                     )
             if c == 0:
                 window = contribution
             else:
                 with clock.stage(INCORE):
-                    window = incore.sort(contribution, fmt)  # step 7
+                    window = incore.sort(contribution, fmt, leases)  # step 7
             route(c, window, lambda k, t=t: t * groups + k)
         route(s, kept, lambda k: s if k == groups - 1 else None)
 

@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.cluster.comm import Comm
 from repro.errors import CommError, ConfigError, DimensionError
+from repro.membuf import LeaseScope
 from repro.oocs.incore.common import (
     IC_TAG,
     Ranges,
@@ -43,7 +44,7 @@ from repro.oocs.incore.common import (
     validate_equal_lengths,
     validate_ranges,
 )
-from repro.records.format import RecordFormat, concat_records
+from repro.records.format import RecordFormat, concat_records, take_records
 
 
 def _overlap(slices: list[tuple[int, int]], lo: int, hi: int) -> list[tuple[int, int]]:
@@ -98,28 +99,45 @@ class ColumnsortPlan:
             for q in range(p)
         ]
         lo, hi = held[comm.rank]
-        # Per destination, what to send of the held buffer: one slice (a
-        # view) or, for scattered ranges, a gather index.
+        # Per destination, what to send: a slice of the held buffer (a
+        # view) or, for scattered ranges, a slice of one gather of every
+        # scattered destination's records (``self._gather`` indexes it).
         self._take = []
+        gather = []
+        at = 0
         for q in range(p):
             parts = _overlap(target_ranges[q], lo, hi)
             if len(parts) > 1:
-                self._take.append(
-                    np.concatenate([np.arange(a - lo, b - lo) for a, b in parts])
-                )
+                n = sum(b - a for a, b in parts)
+                gather += [np.arange(a - lo, b - lo) for a, b in parts]
+                self._take.append((True, slice(at, at + n)))
+                at += n
             else:
                 a, b = parts[0] if parts else (lo, lo)
-                self._take.append(slice(a - lo, b - lo))
+                self._take.append((False, slice(a - lo, b - lo)))
+        self._gather = np.concatenate(gather) if gather else None
         # Records each source owes this rank.
         self._owed = [
             sum(b - a for a, b in _overlap(target_ranges[comm.rank], *held[q]))
             for q in range(p)
         ]
 
-    def sort(self, local: np.ndarray, fmt: RecordFormat) -> np.ndarray:
+    def sort(
+        self,
+        local: np.ndarray,
+        fmt: RecordFormat,
+        leases: LeaseScope | None = None,
+    ) -> np.ndarray:
         """Sort the union of all ranks' ``local`` arrays (in-core column
         ``rank`` of the ``r' × P`` matrix); return this rank's planned
-        slices of the sorted sequence."""
+        slices of the sorted sequence — a lease held by ``leases`` when
+        given (the caller recycles it), else an array the caller owns.
+        With ``leases``, ``local`` (one of its leases) is consumed: it is
+        recycled as soon as step 1 has sorted it.
+
+        Every record-sized array a round needs is a pool lease, recycled
+        as soon as it is dead, and every slice received is released once
+        it has landed, so a warm pass allocates no record arrays."""
         comm, rr = self.comm, self.rr
         p = comm.size
         if len(local) != rr:
@@ -127,53 +145,113 @@ class ColumnsortPlan:
                 f"rank {comm.rank} planned a distributed columnsort of r'={rr} "
                 f"records per rank, got {len(local)}"
             )
+        scope = LeaseScope() if leases is None else leases
+        try:
+            held, dead = self._sort_held(local, fmt, scope, leases is not None)
+            n_owed = sum(self._owed)
+            if leases is None:
+                out = fmt.empty(n_owed)
+            else:
+                out = scope.lease(fmt.dtype, n_owed)
+            # Final communication step: deliver the requested slices.
+            gathered = None
+            if self._gather is not None:
+                gathered = scope.lease(fmt.dtype, len(self._gather))
+                take_records(held, self._gather, gathered)
+                dead.append(gathered)
+            parts = [
+                (gathered if scattered else held)[cut]
+                for scattered, cut in self._take
+            ]
+            if p == 1:
+                concat_records(parts, out=out)
+            else:
+                recv = comm.alltoallv(parts)
+                for q, (got, owed) in enumerate(zip(recv, self._owed)):
+                    if len(got) != owed:
+                        raise CommError(
+                            f"rank {comm.rank} expected {owed} records from "
+                            f"rank {q} in the delivery, got {len(got)} — held "
+                            f"ranges and target ranges disagree"
+                        )
+                concat_records(recv, out=out)
+                _release(scope, recv)
+            _release(scope, dead)
+            return out
+        finally:
+            if leases is None:
+                scope.close()
+
+    def _sort_held(
+        self,
+        local: np.ndarray,
+        fmt: RecordFormat,
+        scope: LeaseScope,
+        consume: bool,
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Steps 1-8: this rank's held range of the sorted union, and
+        the leases to recycle once it has been delivered (the held range
+        may be a view of one of them). ``consume``: recycle ``local``
+        once it is sorted.
+
+        Two leases carry the column through every step, each step's
+        output landing in the one its input is not in: every exchange
+        has copied its input out by the time it returns."""
+        comm, rr = self.comm, self.rr
+        p = comm.size
+        dtype = fmt.dtype
+        a = scope.lease(dtype, rr)
         # Step 1: sort own column.
-        col = fmt.sort(local)
+        fmt.sort(local, out=a)
+        if consume:
+            scope.recycle(local)
         if p == 1:
-            return col[self._take[0]]
+            return a, [a]
         chunk = rr // p
+        b = scope.lease(dtype, rr)
         # Step 2 (transpose & reshape): row i of column q → column i mod P.
-        recv = comm.alltoallv([col[q::p] for q in range(p)])
-        col = concat_records(recv)  # sources ascending == target rows ascending
+        recv = comm.alltoallv([a[q::p] for q in range(p)])
+        # Sources ascending == target rows ascending.
+        concat_records(recv, out=b)
+        _release(scope, recv)
         # Step 3: the P received slices are sorted runs.
-        col = fmt.merge_runs(col)
+        fmt.merge_runs(b, out=a)
         # Step 4 (reshape & transpose): chunk m → column m, interleaved rows.
-        recv = comm.alltoallv(
-            [col[m * chunk : (m + 1) * chunk] for m in range(p)]
-        )
-        col = fmt.empty(rr)
-        rows = fmt.items(col)
+        recv = comm.alltoallv([a[m * chunk : (m + 1) * chunk] for m in range(p)])
+        rows = fmt.items(b)
         for q, piece in enumerate(recv):
             rows[q::p] = fmt.items(piece)
+        _release(scope, recv)
         # Step 5.
-        col = fmt.sort(col)
+        fmt.sort(b, out=a)
 
         # Steps 6-8: neighbor merge into windows.
         half = rr // 2
         if comm.rank < p - 1:
-            comm.send(col[half:], comm.rank + 1, tag=IC_TAG)
+            comm.send(a[half:], comm.rank + 1, tag=IC_TAG)
         if comm.rank == 0:
-            held = col[:half]  # window 0 minus its −∞ padding
-        else:
-            upper = comm.recv(comm.rank - 1, tag=IC_TAG)
-            held = fmt.merge_runs(concat_records([upper, col[:half]]))
-            if comm.rank == p - 1:
-                # Window P minus its +∞ padding starts where window P−1 stops.
-                held = concat_records([held, col[half:]])
+            scope.recycle(b)
+            return a[:half], [a]  # window 0 minus its −∞ padding
+        upper = comm.recv(comm.rank - 1, tag=IC_TAG)
+        concat_records([upper, a[:half]], out=b)
+        scope.recycle(upper)
+        if comm.rank < p - 1:
+            fmt.merge_runs(b, out=a)
+            scope.recycle(b)
+            return a, [a]
+        # Window P minus its +∞ padding starts where window P−1 stops.
+        held = scope.lease(dtype, rr + half)
+        fmt.merge_runs(b, out=held[:rr])
+        fmt.items(held)[rr:] = fmt.items(a[half:])
+        scope.recycle(a)
+        scope.recycle(b)
+        return held, [held]
 
-        # Final communication step: deliver the requested slices.
-        items = fmt.items(held)
-        recv = comm.alltoallv(
-            [items[take].view(held.dtype) for take in self._take]
-        )
-        for q, (got, owed) in enumerate(zip(recv, self._owed)):
-            if len(got) != owed:
-                raise CommError(
-                    f"rank {comm.rank} expected {owed} records from rank {q} in "
-                    f"the delivery, got {len(got)} — held ranges and target "
-                    f"ranges disagree"
-                )
-        return concat_records(recv)
+
+def _release(scope: LeaseScope, arrays) -> None:
+    """Recycle each of ``arrays`` (received slices, or dead leases)."""
+    for arr in arrays:
+        scope.recycle(arr)
 
 
 def distributed_columnsort(

@@ -22,12 +22,23 @@ import numpy as np
 
 from repro.cluster.comm import Comm
 from repro.errors import CommError, ConfigError
+from repro.membuf import get_pool
 from repro.records.format import RecordFormat
 
 #: Tag for the neighbor half-exchange inside distributed columnsort.
 IC_TAG = 91
 
 Ranges = list[list[tuple[int, int]]]
+
+
+def exchange_concat(comm: Comm, parts: list[np.ndarray]) -> np.ndarray:
+    """``np.concatenate(comm.alltoallv(parts))``, releasing each slice
+    received once it is copied (the ``alltoallv`` ownership rule)."""
+    received = comm.alltoallv(parts)
+    out = np.concatenate(received)
+    for got in received:
+        get_pool().recycle(got)
+    return out
 
 
 def balanced_ranges(n_total: int, p: int) -> Ranges:

@@ -22,6 +22,7 @@ from repro.errors import ConfigError
 from repro.oocs.incore.common import (
     Ranges,
     balanced_ranges,
+    exchange_concat,
     redistribute,
     validate_equal_lengths,
     validate_ranges,
@@ -116,9 +117,9 @@ def distributed_radix_sort(
         # Records, their encodings, and their destination slots travel
         # together; arrivals from different sources interleave in global
         # order, so the receiver re-places them by destination slot.
-        block = np.concatenate(comm.alltoallv(parts))
-        encoded = np.concatenate(comm.alltoallv(eparts))
-        dest_got = np.concatenate(comm.alltoallv(dparts))
+        block = exchange_concat(comm, parts)
+        encoded = exchange_concat(comm, eparts)
+        dest_got = exchange_concat(comm, dparts)
         place = np.argsort(dest_got, kind="stable")
         block, encoded = block[place], encoded[place]
 

@@ -18,6 +18,7 @@ from repro.errors import ConfigError
 from repro.oocs.incore.common import (
     Ranges,
     balanced_ranges,
+    exchange_concat,
     redistribute,
     validate_equal_lengths,
     validate_ranges,
@@ -66,8 +67,7 @@ def distributed_sample_sort(
     cuts = np.searchsorted(block["key"], splitters, side="left")
     bounds = np.concatenate([[0], cuts, [n_local]])
     parts = [block[bounds[q] : bounds[q + 1]] for q in range(p)]
-    received = comm.alltoallv(parts)
-    merged = fmt.merge_runs(np.concatenate(received))
+    merged = fmt.merge_runs(exchange_concat(comm, parts))
 
     # Ranks now hold variable-length sorted runs; global offsets follow
     # from an exclusive prefix sum of the run lengths.

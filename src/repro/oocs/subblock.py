@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from functools import partial
 
-import numpy as np
-
 from repro.cluster.comm import Comm
 from repro.disks.matrixfile import ColumnStore
 from repro.errors import ConfigError
@@ -95,26 +93,27 @@ def pass_subblock(
             c = rnd * groups + gid
             col = sort_stage(incore, leases.hold(reader.get()), fmt, leases, clock)
             with clock.stage(COMPUTE):
-                classes = col.reshape(share, t)  # col x = rows i ≡ x (mod √s)
-                if member is None:
-                    grouped = leases.lease(fmt.dtype, portion)
-                    fmt.items(grouped).reshape(t, share)[:] = fmt.items(classes).T
-                    recv = [grouped]
-                else:
-                    routing = tables[c % t]
-                    parts = [
-                        np.ascontiguousarray(fmt.items(classes)[:, routing[q]].T)
-                        .reshape(-1)
-                        .view(fmt.dtype)
-                        if q in routing
-                        else fmt.empty(0)
-                        for q in range(groups)
-                    ]
-            if member is not None:
+                # The round's classes, one row each, in destination order:
+                # one lease filled by one strided copy per class.
+                routing = tables[c % t]
+                order = [x for q in range(groups) for x in routing.get(q, [])]
+                classes = fmt.items(col).reshape(share, t)  # col x = rows i ≡ x (mod √s)
+                grouped = leases.lease(fmt.dtype, portion)
+                rows = fmt.items(grouped).reshape(t, share)
+                for i, x in enumerate(order):
+                    rows[i] = classes[:, x]
+                leases.recycle(col)
+            if member is None:
+                recv = [grouped]
+            else:
+                parts, at = [], 0
+                for q in range(groups):
+                    n = len(routing.get(q, ())) * share
+                    parts.append(grouped[at : at + n])
+                    at += n
                 with clock.stage(COMM):
                     recv = member.alltoallv(parts)
-                if incore is None:
-                    leases.recycle(col)
+                leases.recycle(grouped)
             segments = []
             for q_src, got in enumerate(recv):
                 c_src = rnd * groups + q_src

@@ -133,9 +133,14 @@ class RecordFormat:
         )
         return out
 
-    def pad_low(self, n: int) -> np.ndarray:
-        """``n`` records of ``-inf`` keys (columnsort step-6 top padding)."""
-        out = np.zeros(n, dtype=self._dtype)
+    def pad_low(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """``n`` records of ``-inf`` keys (columnsort step-6 top padding),
+        in ``out`` (``n`` contiguous records, e.g. part of a pool lease)
+        when given."""
+        if out is None:
+            out = np.zeros(n, dtype=self._dtype)
+        else:
+            out.view(np.uint8)[:] = 0
         out["key"] = self.key_min
         return out
 
@@ -270,11 +275,17 @@ def stable_argsort(values: np.ndarray) -> np.ndarray:
     return packed.view(np.intp)
 
 
-def concat_records(arrays: list[np.ndarray]) -> np.ndarray:
+def concat_records(
+    arrays: list[np.ndarray], out: np.ndarray | None = None
+) -> np.ndarray:
     """``np.concatenate(arrays)`` for arrays of one record dtype, each
-    record moved as one item (:meth:`RecordFormat.items`)."""
-    out = np.concatenate([RecordFormat.items(a) for a in arrays])
-    return out.view(arrays[0].dtype)
+    record moved as one item (:meth:`RecordFormat.items`) — into ``out``
+    (e.g. a pool lease of the total length) when given."""
+    items = [RecordFormat.items(a) for a in arrays]
+    if out is None:
+        return np.concatenate(items).view(arrays[0].dtype)
+    np.concatenate(items, out=RecordFormat.items(out))
+    return out
 
 
 def take_records(

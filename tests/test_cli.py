@@ -166,6 +166,16 @@ class TestDurabilityReport:
         assert rows["audited passes"] == 3
         assert rows["checksum failures"] == 0
 
+    def test_byte_counts_print_in_full(self, capsys, tmp_path):
+        """Counts of 2^20 and more print exactly, not as ``2^k`` or in
+        e-notation: 4 passes hash 2 x 4 x N x 64 B = 2^21, and the
+        audit's 8 sampled units 114,688 B more."""
+        argv = ["--algorithm", "subblock", "--records", "4096", "--audit",
+                "--workdir", str(tmp_path)]
+        rows = self._rows(capsys, argv)
+        assert rows["bytes hashed"] == 2_211_840
+        assert rows["audited passes"] == 4
+
 
 class TestJsonOutput:
     def test_sort_json_emits_result_schema(self, capsys, tmp_path):

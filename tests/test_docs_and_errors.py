@@ -240,6 +240,7 @@ UNCALLED_ON_PURPOSE = {
     "repro.resilience.faults.FaultPlan": "seam: tests/test_resilience_faultplan.py",
     "repro.resilience.faults.FaultPlan.arm_once": "seam: tests/conftest.py",
     "repro.membuf.pool.BufferPool.free_buffers": "seam: tests/test_membuf.py",
+    "repro.membuf.pool.BufferPool.lent": "seam: tests/test_round_allocations.py",
     "repro.cluster.arena.ShmArena.slab_count": "seam: tests/test_shm_arena.py",
 }
 

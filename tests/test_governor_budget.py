@@ -267,10 +267,12 @@ class TestBudgetedRun:
     ])
     @pytest.mark.parametrize("depth", [0, 1, 2, 4])
     def test_peak_stays_within_the_admitted_demand(self, algorithm, n, buf, p, depth):
-        """What admission charges (`job_demands`: 2·depth + 4 buffers per
+        """What admission charges (`job_demands`: 2·depth + 6 buffers per
         rank) bounds what a run pins, now that the write-behind queue
         holds `depth` whole round buffers: `depth` prefetched + 1 in the
-        reader's hand, `depth` queued + 1 being written, 2 in the body."""
+        reader's hand, `depth` queued + 1 being written, 2 in the body,
+        the round's packed alltoallv buffer and two half-column copies.
+        Tracked leases alone stay within 2·depth + 4."""
         self._check_peak(algorithm, n, buf, p, depth, "thread")
 
     def test_peak_stays_within_the_admitted_demand_on_process_ranks(self):

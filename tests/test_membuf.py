@@ -136,6 +136,86 @@ class TestBufferPool:
         pool.clear()
 
 
+class TestLend:
+    """Slices of a lent buffer: the buffer returns to its freelist when
+    the last slice is released, and never while one is out."""
+
+    def _lend(self, pool, rows=12, parts=3):
+        base = pool.land(np.int64, rows)
+        step = rows // parts
+        views = [base[i * step : (i + 1) * step] for i in range(parts)]
+        pool.lend(base, views)
+        return base, views
+
+    def test_buffer_returns_with_the_last_release(self):
+        pool = BufferPool()
+        base, views = self._lend(pool)
+        for view in views[:-1]:
+            assert not pool.recycle(view)
+            assert pool.lent() == 1 and pool.free_buffers() == 0
+        assert pool.recycle(views[-1])  # the last release adopts the buffer
+        assert pool.lent() == 0
+        assert pool.land(np.int64, 12) is base
+
+    def test_a_slice_released_twice_counts_once(self):
+        pool = BufferPool()
+        base, views = self._lend(pool)
+        pool.recycle(views[0])
+        pool.recycle(views[0])
+        pool.recycle(views[1])
+        assert pool.lent() == 1 and pool.free_buffers() == 0
+        assert pool.land(np.int64, 12) is not base
+
+    def test_a_slice_never_released_keeps_its_buffer_out(self):
+        pool = BufferPool()
+        base, views = self._lend(pool)
+        kept = views.pop()
+        pool.recycle(views[0])
+        pool.recycle(views[1])
+        kept[:] = 7
+        assert pool.land(np.int64, 12) is not base  # never reused under kept
+        assert (kept == 7).all()
+        del base, views, kept  # the garbage collector takes the buffer
+        assert pool.lent() == 0
+
+    def test_dropped_slices_do_not_grow_the_tables(self):
+        pool = BufferPool()
+        for _ in range(500):
+            self._lend(pool)  # every slice dropped unreleased
+        assert pool.lent() == 0
+        assert len(pool._lent) < 200 and len(pool._loans) < 200
+
+    def test_only_lent_views_release(self):
+        pool = BufferPool()
+        base, views = self._lend(pool)
+        assert not pool.recycle(base[1:3])  # a view of the buffer, not lent
+        assert pool.lent() == 1
+
+    def test_lending_nothing_returns_the_buffer(self):
+        pool = BufferPool()
+        base = pool.land(np.int64, 5)
+        pool.lend(base, [])
+        assert pool.land(np.int64, 5) is base
+
+
+class TestFreelistDepth:
+    def test_a_key_keeps_what_was_out_at_once(self):
+        """More arrays of a key out at once than ``MAX_FREE_PER_KEY``
+        all come back to the pool: the next round takes them again
+        without allocating."""
+        pool = BufferPool()
+        n = MAX_FREE_PER_KEY + 4
+        first = [pool.lease(np.int64, 16) for _ in range(n)]
+        for arr in first:
+            assert pool.recycle(arr)
+        assert pool.free_buffers() == n
+        again = [pool.lease(np.int64, 16) for _ in range(n)]
+        assert {id(a) for a in again} == {id(a) for a in first}
+        for arr in again:
+            pool.recycle(arr)
+        pool.clear()
+
+
 class TestLeaseScope:
     def test_close_recycles_what_is_still_held(self):
         pool = BufferPool()

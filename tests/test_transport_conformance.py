@@ -136,6 +136,62 @@ class TestAlltoallv:
         assert all(r == [1, 2] for r in res.returns)
 
 
+class TestReceivedSliceOwnership:
+    """A receiver owns its ``alltoallv`` slice until it recycles it; the
+    sender's buffer is reused only once every slice is released."""
+
+    ROWS = 4099  # a size no other test leases, so the freelists are this test's
+
+    def _parts(self, comm, round_no):
+        return [
+            np.full(self.ROWS, 1_000 * round_no + 10 * comm.rank + d, dtype=np.int64)
+            for d in range(comm.size)
+        ]
+
+    def test_a_kept_slice_outlives_three_collectives(self, backend):
+        def program(comm):
+            kept = comm.alltoallv(self._parts(comm, 0))
+            for round_no in (1, 2, 3):
+                for got in comm.alltoallv(self._parts(comm, round_no)):
+                    get_pool().recycle(got)
+            return [(int(k.min()), int(k.max())) for k in kept]
+
+        res = run_spmd(3, program, backend=backend)
+        for dest, kept in enumerate(res.returns):
+            assert kept == [(10 * src + dest, 10 * src + dest) for src in range(3)]
+
+    def test_one_unreleased_slice_pins_its_buffer(self, backend):
+        def program(comm):
+            first = comm.alltoallv(self._parts(comm, 0))
+            kept = first[1] if comm.rank == 0 else None
+            for got in first:
+                if got is not kept:
+                    get_pool().recycle(got)
+            for round_no in (1, 2, 3):
+                for got in comm.alltoallv(self._parts(comm, round_no)):
+                    get_pool().recycle(got)
+            return None if kept is None else (int(kept.min()), int(kept.max()))
+
+        res = run_spmd(3, program, backend=backend)
+        assert res.returns[0] == (10, 10)  # rank 1's slice for rank 0
+
+    def test_released_slices_serve_the_next_collective(self, backend):
+        def program(comm):
+            seen = []
+            for round_no in (0, 1):
+                got = comm.alltoallv(self._parts(comm, round_no))
+                seen.append(sorted(g.__array_interface__["data"][0] for g in got))
+                for arr in got:
+                    get_pool().recycle(arr)
+                comm.barrier()  # every release lands before the next pack
+            return seen
+
+        res = run_spmd(2, program, backend=backend)
+        first = sorted(a for r in res.returns for a in r[0])
+        second = sorted(a for r in res.returns for a in r[1])
+        assert second == first  # the same memory, from the pool
+
+
 # ---------------------------------------------------------------------------
 # Point-to-point and collective semantics
 # ---------------------------------------------------------------------------
