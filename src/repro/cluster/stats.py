@@ -62,6 +62,24 @@ class CommStats(Counters):
                 self.network_messages += 1
                 self.network_bytes += size
 
+    def record_sends(self, op: str, sends) -> None:
+        """:meth:`record_send` for each ``(dest, nbytes)`` of one
+        collective's ``op``, under one hold of the lock."""
+        if not sends:
+            return
+        nbytes = network = network_bytes = 0
+        for dest, size in sends:
+            nbytes += size
+            if dest != self.rank:
+                network += 1
+                network_bytes += size
+        with self._lock:
+            self.messages += len(sends)
+            self.bytes += nbytes
+            self.by_op[op] += len(sends)
+            self.network_messages += network
+            self.network_bytes += network_bytes
+
     def _state(self) -> dict:
         return {"rank": self.rank, "by_op": dict(self.by_op)}
 

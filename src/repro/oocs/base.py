@@ -381,8 +381,8 @@ def sort_stage(
     leases: LeaseScope,
     clock: StageClock,
 ) -> np.ndarray:
-    """A pass's column sort of one round's ``raw`` portion (a held lease,
-    recycled as soon as it is sorted) into a lease of ``leases``.
+    """A pass's column sort of one round's ``raw`` portion (a held lease
+    the sort consumes) into a lease of ``leases``.
     Without an ``incore`` plan (``g = 1``) it is a local sort, charged to
     COMPUTE; otherwise the pass's distributed in-core columnsort over
     the group, charged to INCORE, whose result is the plan's slices of

@@ -62,12 +62,77 @@ def _overlap(slices: list[tuple[int, int]], lo: int, hi: int) -> list[tuple[int,
     return parts
 
 
+class _WorkingSet:
+    """What one rank's rounds of a plan keep for the pass, leased once
+    from one scope, with the fixed views of it every round sends from.
+
+    ``a`` is where step 1 sorts the column and where every later step's
+    output lands; the round's second buffer ``b`` (the consumed input,
+    see :meth:`ColumnsortPlan.sort`) takes what each exchange delivers.
+    After steps 6-8 the rank's ``held`` range is ``a[:r'/2]`` on rank 0
+    and ``a`` on every other rank — on rank ``P−1``, whose ``a`` is
+    ``r' + r'/2`` long, window ``P−1`` followed by the tail.
+    ``gathered`` collects the scattered destinations' records, when
+    there are any. What crosses the fabric is record views; what a rank
+    copies into its own arrays lands in their item views
+    (:meth:`RecordFormat.items`)."""
+
+    def __init__(self, plan: "ColumnsortPlan", dtype: np.dtype, scope: LeaseScope):
+        comm, rr = plan.comm, plan.rr
+        p, rank = comm.size, comm.rank
+        half = rr // 2
+        self.scope, self.dtype = scope, dtype
+        # Leased as opaque items: out of the pool for the whole pass, the
+        # set sits on a freelist of its own and leaves the round buffers'
+        # freelist (which keeps as many as a run had out at once) as it was.
+        items = np.dtype((np.void, dtype.itemsize))
+        last = p > 1 and rank == p - 1
+        self.lease = scope.lease(items, rr + half if last else rr)
+        self.held = self.lease.view(dtype)
+        a = self.held[:rr]
+        self.a_items = self.lease[:rr]
+        if p > 1:
+            chunk = rr // p
+            # Step 2: row i of the sorted column goes to column i mod P.
+            self.step2 = [a[q::p] for q in range(p)]
+            # Step 4: chunk m goes to column m.
+            self.step4 = [a[m * chunk : (m + 1) * chunk] for m in range(p)]
+            self.bottom = a[half:]  # sent to rank q+1 (steps 6-8)
+            self.top = a[:half]  # merged with rank q−1's bottom half
+            if rank == 0:
+                self.held = a[:half]  # window 0 minus its −∞ padding
+        self.gathered = None
+        gathered = None
+        if plan._gather is not None:
+            self.gathered = scope.lease(items, len(plan._gather))
+            gathered = self.gathered.view(dtype)
+        self.deliver = [
+            (gathered if scattered else self.held)[cut]
+            for scattered, cut in plan._take
+        ]
+
+    def bound_to(self, dtype: np.dtype, scope: LeaseScope) -> bool:
+        """Whether this set serves a round of ``dtype`` records under
+        ``scope``: leased from it and not yet returned by its close."""
+        return self.scope is scope and self.dtype == dtype and scope.holds(self.lease)
+
+
 class ColumnsortPlan:
     """What is fixed for a pass of distributed columnsorts: every rank
     contributes ``rr = r' = M/P`` records a round and rank ``q`` gets
     back its ``target_ranges[q]`` slices of the sorted union, ascending
     (balanced contiguous slices by default). Construction is collective
     (the one ``allgather``: every rank plans the same ``r'``).
+
+    The plan's working set — the array every step's output lands in
+    (``r' + r'/2`` long on rank ``P−1``, whose held range it becomes)
+    and the gather of scattered deliveries — is leased from the
+    ``leases`` scope of the first :meth:`sort` given one and kept for
+    every later round under that scope, until the scope closes (the
+    pass's end). The column's other ping-pong buffer is the round's
+    consumed input, so a round leases only the slice it returns.
+    Nothing returned aliases the working set: the delivery copies out
+    of it.
     """
 
     def __init__(
@@ -99,9 +164,9 @@ class ColumnsortPlan:
             for q in range(p)
         ]
         lo, hi = held[comm.rank]
-        # Per destination, what to send: a slice of the held buffer (a
-        # view) or, for scattered ranges, a slice of one gather of every
-        # scattered destination's records (``self._gather`` indexes it).
+        # Per destination, what to send: a slice of the held range or,
+        # for scattered ranges, a slice of one gather of every scattered
+        # destination's records (``self._gather`` indexes it).
         self._take = []
         gather = []
         at = 0
@@ -121,6 +186,8 @@ class ColumnsortPlan:
             sum(b - a for a, b in _overlap(target_ranges[comm.rank], *held[q]))
             for q in range(p)
         ]
+        self._n_owed = sum(self._owed)
+        self._working: _WorkingSet | None = None
 
     def sort(
         self,
@@ -132,14 +199,15 @@ class ColumnsortPlan:
         ``rank`` of the ``r' × P`` matrix); return this rank's planned
         slices of the sorted sequence — a lease held by ``leases`` when
         given (the caller recycles it), else an array the caller owns.
-        With ``leases``, ``local`` (one of its leases) is consumed: it is
-        recycled as soon as step 1 has sorted it.
+        With ``leases``, ``local`` (one of its leases) is consumed: once
+        step 1 has sorted it, it is the round's second buffer, and it is
+        recycled before the delivery.
 
-        Every record-sized array a round needs is a pool lease, recycled
-        as soon as it is dead, and every slice received is released once
-        it has landed, so a warm pass allocates no record arrays."""
+        Every record-sized array a round needs is the plan's working set,
+        ``local`` or the returned lease, and every slice received is
+        released once it has landed, so a warm pass allocates no record
+        arrays."""
         comm, rr = self.comm, self.rr
-        p = comm.size
         if len(local) != rr:
             raise ConfigError(
                 f"rank {comm.rank} planned a distributed columnsort of r'={rr} "
@@ -147,111 +215,83 @@ class ColumnsortPlan:
             )
         scope = LeaseScope() if leases is None else leases
         try:
-            held, dead = self._sort_held(local, fmt, scope, leases is not None)
-            n_owed = sum(self._owed)
+            ws = self._working
+            if ws is None or not ws.bound_to(fmt.dtype, scope):
+                ws = _WorkingSet(self, fmt.dtype, scope)
+                self._working = ws if leases is not None else None
+            # Step 1: sort own column.
+            fmt.sort(local, out=ws.a_items)
+            if comm.size > 1:
+                b = local if leases is not None else scope.lease(fmt.dtype, rr)
+                self._steps_2_to_8(ws, b, fmt)
+                scope.recycle(b)
+            elif leases is not None:
+                scope.recycle(local)
+            if ws.gathered is not None:
+                take_records(ws.held, self._gather, ws.gathered)
             if leases is None:
-                out = fmt.empty(n_owed)
+                out = fmt.empty(self._n_owed)
             else:
-                out = scope.lease(fmt.dtype, n_owed)
+                out = scope.lease(fmt.dtype, self._n_owed)
             # Final communication step: deliver the requested slices.
-            gathered = None
-            if self._gather is not None:
-                gathered = scope.lease(fmt.dtype, len(self._gather))
-                take_records(held, self._gather, gathered)
-                dead.append(gathered)
-            parts = [
-                (gathered if scattered else held)[cut]
-                for scattered, cut in self._take
-            ]
-            if p == 1:
-                concat_records(parts, out=out)
-            else:
-                recv = comm.alltoallv(parts)
-                for q, (got, owed) in enumerate(zip(recv, self._owed)):
-                    if len(got) != owed:
-                        raise CommError(
-                            f"rank {comm.rank} expected {owed} records from "
-                            f"rank {q} in the delivery, got {len(got)} — held "
-                            f"ranges and target ranges disagree"
-                        )
-                concat_records(recv, out=out)
-                _release(scope, recv)
-            _release(scope, dead)
+            if comm.size == 1:
+                return concat_records(ws.deliver, out=out)
+            recv = comm.alltoallv(ws.deliver)
+            for q, (got, owed) in enumerate(zip(recv, self._owed)):
+                if len(got) != owed:
+                    raise CommError(
+                        f"rank {comm.rank} expected {owed} records from "
+                        f"rank {q} in the delivery, got {len(got)} — held "
+                        f"ranges and target ranges disagree"
+                    )
+            concat_records(recv, out=out)
+            scope.recycle_all(recv)
             return out
         finally:
             if leases is None:
                 scope.close()
 
-    def _sort_held(
-        self,
-        local: np.ndarray,
-        fmt: RecordFormat,
-        scope: LeaseScope,
-        consume: bool,
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Steps 1-8: this rank's held range of the sorted union, and
-        the leases to recycle once it has been delivered (the held range
-        may be a view of one of them). ``consume``: recycle ``local``
-        once it is sorted.
-
-        Two leases carry the column through every step, each step's
-        output landing in the one its input is not in: every exchange
-        has copied its input out by the time it returns."""
-        comm, rr = self.comm, self.rr
-        p = comm.size
-        dtype = fmt.dtype
-        a = scope.lease(dtype, rr)
-        # Step 1: sort own column.
-        fmt.sort(local, out=a)
-        if consume:
-            scope.recycle(local)
-        if p == 1:
-            return a, [a]
-        chunk = rr // p
-        b = scope.lease(dtype, rr)
-        # Step 2 (transpose & reshape): row i of column q → column i mod P.
-        recv = comm.alltoallv([a[q::p] for q in range(p)])
-        # Sources ascending == target rows ascending.
-        concat_records(recv, out=b)
-        _release(scope, recv)
+    def _steps_2_to_8(
+        self, ws: _WorkingSet, b: np.ndarray, fmt: RecordFormat
+    ) -> None:
+        """Steps 2-8 on the sorted column in ``ws.a_items``, each
+        exchange landing in ``b`` and each step's output in
+        ``ws.a_items`` (every exchange has copied its input out by the
+        time it returns):
+        afterwards the rank's held range (``ws.held``) is its contiguous
+        slice of the sorted union."""
+        comm, scope = self.comm, ws.scope
+        p, rank = comm.size, comm.rank
+        landing = RecordFormat.items(b)
+        # Step 2 (transpose & reshape). Sources ascending == target rows
+        # ascending.
+        recv = comm.alltoallv(ws.step2)
+        concat_records(recv, out=landing)
+        scope.recycle_all(recv)
         # Step 3: the P received slices are sorted runs.
-        fmt.merge_runs(b, out=a)
+        fmt.merge_runs(b, out=ws.a_items)
         # Step 4 (reshape & transpose): chunk m → column m, interleaved rows.
-        recv = comm.alltoallv([a[m * chunk : (m + 1) * chunk] for m in range(p)])
-        rows = fmt.items(b)
+        recv = comm.alltoallv(ws.step4)
         for q, piece in enumerate(recv):
-            rows[q::p] = fmt.items(piece)
-        _release(scope, recv)
+            landing[q::p] = RecordFormat.items(piece)
+        scope.recycle_all(recv)
         # Step 5.
-        fmt.sort(b, out=a)
-
+        fmt.sort(b, out=ws.a_items)
         # Steps 6-8: neighbor merge into windows.
-        half = rr // 2
-        if comm.rank < p - 1:
-            comm.send(a[half:], comm.rank + 1, tag=IC_TAG)
-        if comm.rank == 0:
-            scope.recycle(b)
-            return a[:half], [a]  # window 0 minus its −∞ padding
-        upper = comm.recv(comm.rank - 1, tag=IC_TAG)
-        concat_records([upper, a[:half]], out=b)
+        if rank < p - 1:
+            comm.send(ws.bottom, rank + 1, tag=IC_TAG)
+        if rank == 0:
+            return
+        upper = comm.recv(rank - 1, tag=IC_TAG)
+        concat_records([upper, ws.top], out=landing)
         scope.recycle(upper)
-        if comm.rank < p - 1:
-            fmt.merge_runs(b, out=a)
-            scope.recycle(b)
-            return a, [a]
-        # Window P minus its +∞ padding starts where window P−1 stops.
-        held = scope.lease(dtype, rr + half)
-        fmt.merge_runs(b, out=held[:rr])
-        fmt.items(held)[rr:] = fmt.items(a[half:])
-        scope.recycle(a)
-        scope.recycle(b)
-        return held, [held]
-
-
-def _release(scope: LeaseScope, arrays) -> None:
-    """Recycle each of ``arrays`` (received slices, or dead leases)."""
-    for arr in arrays:
-        scope.recycle(arr)
+        if rank < p - 1:
+            fmt.merge_runs(b, out=ws.a_items)
+            return
+        # Window P minus its +∞ padding starts where window P−1 stops:
+        # the tail moves past window P−1 before the merge overwrites it.
+        ws.lease[self.rr :] = ws.lease[self.rr // 2 : self.rr]
+        fmt.merge_runs(b, out=ws.a_items)
 
 
 def distributed_columnsort(

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster.spmd import run_spmd
 from repro.errors import ConfigError, DimensionError, SpmdError
+from repro.membuf import LeaseScope, copy_stats, get_pool
 from repro.oocs.incore.bitonic import bitonic_exchange_count, distributed_bitonic_sort
 from repro.oocs.incore.columnsort_dist import ColumnsortPlan, distributed_columnsort
 from repro.oocs.incore.common import balanced_ranges, validate_ranges
@@ -260,6 +261,50 @@ class TestColumnsortPlan:
         with pytest.raises(SpmdError) as exc_info:
             run_spmd(4, short, timeout=5)
         assert isinstance(exc_info.value.cause, DimensionError)
+
+
+class TestPlanWorkingSet:
+    """A plan leases its working set once per scope: a warm round under
+    ``leases`` leases only the slice it returns."""
+
+    ROUNDS = 3
+
+    @pytest.mark.parametrize("case", ["balanced", "m-pass2-scattered", "empty-share"])
+    def test_a_warm_round_leases_only_its_result(self, case):
+        # The process backend gives every rank its own copy meter and pool.
+        p, g, rr, ranges = PLAN_CASES[case]
+        rounds = [
+            generate("uniform", FMT, p * rr, seed=60 + t) for t in range(self.ROUNDS)
+        ]
+
+        def prog(comm):
+            pool, meter = get_pool(), copy_stats()
+            mine = slice(comm.rank * rr, (comm.rank + 1) * rr)
+            plan = ColumnsortPlan(comm, rr, ranges)
+            before = pool.outstanding()
+            scope = LeaseScope()
+            kept, leased = [], []
+            for recs in rounds:
+                local = scope.lease(FMT.dtype, rr)
+                local[:] = recs[mine]
+                start = meter.leases
+                kept.append(plan.sort(local, FMT, scope))
+                leased.append(meter.leases - start)
+            kept = [out.tobytes() for out in kept]  # read after the last round
+            scope.close()
+            after_pass = pool.outstanding()
+            one_shot = [
+                distributed_columnsort(comm, recs[mine], FMT, target_ranges=ranges)
+                .tobytes()
+                for recs in rounds
+            ]
+            return leased, kept == one_shot, before, after_pass, pool.outstanding()
+
+        res = run_spmd(p, prog, backend="process")
+        for rank, (leased, same, before, after_pass, after) in enumerate(res.returns):
+            assert leased[1:] == [1] * (self.ROUNDS - 1), (rank, leased)
+            assert same, rank
+            assert after_pass == before == after, rank
 
 
 class TestColumnsortSpecifics:

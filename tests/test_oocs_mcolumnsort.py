@@ -78,6 +78,118 @@ class TestEndToEnd:
         )
 
 
+def _overlap(lo, hi, ranges):
+    """Records of ``[lo, hi)`` inside the union of ``ranges``."""
+    return sum(max(0, min(b, hi) - max(a, lo)) for a, b in ranges)
+
+
+def _rank0_sort_sends(p, rr, ranges):
+    """Rank 0's sends in one distributed columnsort of ``r' = rr``
+    records per rank: ``(op, dest, records)`` per message. Steps 2 and 4
+    are full all-to-alls (``rr/P`` records to every rank); steps 6-8
+    send the bottom half to rank 1; the delivery sends rank 0's held
+    range ``[0, rr/2)`` to each destination whose target ranges it
+    meets."""
+    sends = [("alltoallv", q, rr // p) for q in range(p)] * 2
+    sends.append(("send", 1, rr // 2))
+    for q in range(p):
+        n = _overlap(0, rr // 2, ranges[q])
+        if n:
+            sends.append(("alltoallv", q, n))
+    return sends
+
+
+def _closed_form_per_pass(p, portion, s, record_size):
+    """Rank 0's ``comm_per_pass`` of M-columnsort (``g = P``, so the
+    in-core sort is the whole pass's communication but for the last
+    pass's PDM routing), with ``by_op``. Every pass plans once (one
+    ``allgather`` of ``P`` payload-free messages); a pass boundary is a
+    metered ``barrier`` on either side of the counters' snapshot, so
+    pass 1 counts one and every later pass two. Pass 1 sorts each of the ``s`` columns with the
+    balanced delivery; pass 2 with step 4's scattered one (member ``m``
+    gets the ``m``-th ``portion/s`` band of each ``r/s`` chunk); pass 3
+    sorts ``2s − 1`` times (step 5 per column, step 7 per window but
+    window 0) and routes each of rank 0's ``s`` window pieces to the
+    ``P`` PDM owners, ``portion/P`` records each."""
+    r = p * portion
+    balanced = [[(q * portion, (q + 1) * portion)] for q in range(p)]
+    chunk, band = r // s, portion // s
+    dealt = [
+        [(k * chunk + m * band, k * chunk + (m + 1) * band) for k in range(s)]
+        for m in range(p)
+    ]
+    plan = [("allgather", q, 0) for q in range(p)]
+    barrier = [("barrier", q, 0) for q in range(p)]
+    routing = [("alltoallv", q, portion // p) for q in range(p)] * s
+    per_pass = [
+        plan + barrier + _rank0_sort_sends(p, portion, balanced) * s,
+        plan + barrier * 2 + _rank0_sort_sends(p, portion, dealt) * s,
+        plan + barrier * 2
+        + _rank0_sort_sends(p, portion, balanced) * (2 * s - 1) + routing,
+    ]
+    out = []
+    for sends in per_pass:
+        net = [(op, n) for op, q, n in sends if q != 0]
+        by_op = {}
+        for op, _q, _n in sends:
+            by_op[op] = by_op.get(op, 0) + 1
+        out.append({
+            "messages": len(sends),
+            "bytes": sum(n for _op, _q, n in sends) * record_size,
+            "network_messages": len(net),
+            "network_bytes": sum(n for _op, n in net) * record_size,
+            "by_op": by_op,
+        })
+    return out
+
+
+@pytest.fixture
+def per_pass_ops(monkeypatch):
+    """``comm_per_pass`` entries carry their pass's ``by_op`` as well
+    (rank 0's, like the rest of the entry). A forked rank inherits the
+    patch."""
+    from repro.cluster.stats import CommStats
+    from repro.oocs.base import PassMarker
+
+    def comm_deltas(self):
+        deltas = []
+        for before, after in zip(self.comm_marks, self.comm_marks[1:]):
+            ops = {
+                op: n - before["by_op"].get(op, 0)
+                for op, n in after["by_op"].items()
+            }
+            deltas.append({
+                **CommStats.delta(before, after),
+                "by_op": {op: n for op, n in ops.items() if n},
+            })
+        return deltas
+
+    monkeypatch.setattr(PassMarker, "comm_deltas", comm_deltas)
+
+
+class TestMetering:
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("p,portion,s", [(2, 1024, 2), (4, 256, 8)])
+    def test_comm_per_pass_is_the_in_core_sorts_exchanges(
+        self, per_pass_ops, backend, p, portion, s
+    ):
+        """Every message M-columnsort sends is one of its distributed
+        in-core sorts' (two full all-to-alls, the neighbour half, the
+        delivery's non-empty parts) or the last pass's PDM routing —
+        counted, sized and split by network exactly."""
+        cluster = ClusterConfig(p=p, mem_per_proc=2 * portion)
+        recs = generate("zipf", FMT, p * portion * s, seed=3)
+        res = sort_out_of_core(
+            "m", recs, cluster, FMT, buffer_records=portion, backend=backend
+        )
+        got = [
+            {k: d[k] for k in ("messages", "bytes", "network_messages",
+                                "network_bytes", "by_op")}
+            for d in res.comm_per_pass
+        ]
+        assert got == _closed_form_per_pass(p, portion, s, FMT.record_size)
+
+
 class TestValidation:
     def test_shape_derivation(self):
         cluster = ClusterConfig(p=4, mem_per_proc=2**8)
