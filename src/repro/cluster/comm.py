@@ -31,7 +31,7 @@ from repro.cluster.mailbox import MailboxRouter
 from repro.cluster.stats import CommStats
 from repro.errors import CommError
 from repro.membuf import copy_stats, get_pool
-from repro.records.format import RecordFormat, concat_records
+from repro.records.format import RecordFormat
 
 
 def _isolate(payload: object, fabric_isolates: bool = False) -> object:
@@ -79,9 +79,6 @@ class Comm:
         self._router = router
         self.stats = stats if stats is not None else CommStats(rank=rank)
         self._epoch = 0
-        # Each rank's address on the fabric (a split group's are its
-        # members' world ranks).
-        self._tops = list(range(size))
         # True when the router captures payload bytes inside put()
         # (process backend's eager pickle); _isolate then only meters.
         self._fabric_isolates = getattr(router, "isolating_fabric", False)
@@ -158,6 +155,12 @@ class Comm:
 
     def _coll_put_unmetered(self, dest: int, tag: tuple, op: str, payload) -> None:
         """Deliver without counting as a message (empty alltoallv slots)."""
+        self._router.put(self._rank, dest, tag, (op, payload))
+
+    def _coll_send_view(self, dest: int, tag: tuple, op: str, payload) -> None:
+        """Metered delivery of an *already isolated* payload — a disjoint
+        view of a fresh packed buffer — skipping the ``_isolate`` copy."""
+        self.stats.record_send(dest, payload, op)
         self._router.put(self._rank, dest, tag, (op, payload))
 
     def _coll_recv(self, source: int, tag: tuple, op: str) -> object:
@@ -261,14 +264,11 @@ class Comm:
         disjoint *view* of it — one copy total instead of one
         ``_isolate`` copy per destination. The sender never touches the
         packed buffer again, so MPI mutation semantics hold: receivers
-        can write into their slice without affecting anyone else's. The
-        sender books the collective once (:meth:`_alltoallv_packed`);
-        each non-empty part is still one metered message.
+        can write into their slice without affecting anyone else's.
 
         Ownership: a receiver owns what it receives until it releases it
         with :meth:`~repro.membuf.BufferPool.recycle` (directly, or
-        through a :class:`~repro.membuf.LeaseScope`; ``recycle_all``
-        releases a collective's slices in one pool call). On the thread
+        through a :class:`~repro.membuf.LeaseScope`). On the thread
         fabric the packed buffer goes back to the buffer pool once every
         receiver has released its view; on the process fabric a
         receiver gets a landed pool buffer, and the shared-memory slab
@@ -313,34 +313,35 @@ class Comm:
         view is lent (``lend_packed``) before the first one leaves, so a
         receiver's release always finds its view registered.
 
-        The collective is booked once, not once per part: one packing
-        copy of every part, one copy-meter update, one ``lend_packed``,
-        one :meth:`CommStats.record_sends` and one router ``put_many``
-        for the ``P`` deliveries (on the thread fabric, one lock hold and
-        one activity stamp). Each delivery is still one message, admitted
-        on its own (fault injection counts it as before)."""
-        total = sum(map(len, arrays))
+        Each part is booked on its own: its copy, its copy-meter
+        updates, its ``record_send`` and its router ``put``. Booking the
+        collective once measured inside the noise of a warm in-core sort
+        (DESIGN.md §11).
+        """
+        total = sum(len(a) for a in arrays)
         packed = None
         if total:
             packed = self._router.alloc_packed(arrays[0].dtype, total)
-            concat_records(arrays, out=packed)
-            copy_stats().record_lent_copy(packed.nbytes)
-        views, sends, deliveries = [], [], []
+        parts = []
         offset = 0
-        for dest, arr in zip(self._tops, arrays):
+        for arr in arrays:
             n = len(arr)
-            if n:
-                view = packed[offset : offset + n]
-                offset += n
-                views.append(view)
-                sends.append((dest, view.nbytes))
-                deliveries.append((dest, ("alltoallv", view)))
-            else:
-                deliveries.append((dest, ("alltoallv", arr.copy())))
+            if n == 0:
+                parts.append(None)
+                continue
+            part = packed[offset : offset + n]
+            np.copyto(RecordFormat.items(part), RecordFormat.items(arr))
+            offset += n
+            copy_stats().record_copy(part.nbytes)
+            copy_stats().record_zero_copy(part.nbytes)
+            parts.append(part)
         if packed is not None:
-            self._router.lend_packed(packed, views)
-        self.stats.record_sends("alltoallv", sends)
-        self._router.put_many(self._tops[self._rank], tag, deliveries)
+            self._router.lend_packed(packed, [p for p in parts if p is not None])
+        for dest, part in enumerate(parts):
+            if part is None:
+                self._coll_put_unmetered(dest, tag, "alltoallv", arrays[dest].copy())
+            else:
+                self._coll_send_view(dest, tag, "alltoallv", part)
 
     def allreduce(self, value, op: Callable = None):
         """Combine one value per rank with ``op`` (default: sum) and
@@ -413,7 +414,6 @@ class _SubComm(Comm):
             router=parent._router,
             stats=parent.stats,
         )
-        self._tops = top_ranks
 
     def _top_rank(self) -> int:
         return self._my_top
@@ -450,6 +450,11 @@ class _SubComm(Comm):
 
     def _coll_put_unmetered(self, dest: int, tag: tuple, op: str, payload) -> None:
         self._router.put(self._my_top, self._top_of(dest), tag, (op, payload))
+
+    def _coll_send_view(self, dest: int, tag: tuple, op: str, payload) -> None:
+        top_dest = self._top_of(dest)
+        self.stats.record_send(top_dest, payload, op)
+        self._router.put(self._my_top, top_dest, tag, (op, payload))
 
     def _coll_recv(self, source: int, tag: tuple, op: str) -> object:
         got_op, payload = self._router.get(

@@ -51,8 +51,7 @@ class SendAdmission:
     The sequence every ``put`` must run before a payload may enter the
     fabric — closed check, cancellation check, fault injection, retry
     with backoff — lives here once, so the thread and process routers
-    cannot drift. :meth:`put_many` (a collective's sends) defaults to
-    one ``put`` each. Subclasses provide the backend-specific state:
+    cannot drift. Subclasses provide the backend-specific state:
 
     * :meth:`_is_closed` — whether the world has been shut down;
     * :meth:`_count_retry` — account one retried send (surfaces as
@@ -112,13 +111,6 @@ class SendAdmission:
                     time.sleep(policy.delay_s(attempt))
                 attempt += 1
 
-    def put_many(self, source: int, tag: object, deliveries) -> None:
-        """One collective's ``(dest, payload)`` deliveries from
-        ``source``, in order: one :meth:`put` each unless the router
-        books them together."""
-        for dest, payload in deliveries:
-            self.put(source, dest, tag, payload)
-
 
 class MailboxRouter(SendAdmission):
     """The shared message fabric of one SPMD world (thread transport).
@@ -126,10 +118,6 @@ class MailboxRouter(SendAdmission):
     ``shared_fabric`` is True: every rank runs in the same address
     space, so payloads cross the fabric by reference, stats objects are
     shared, and rank 0 can see every disk's counters directly.
-
-    One lock guards the queue table and the activity stamps. A
-    collective's sends arrive together (:meth:`put_many`): one lock
-    hold enqueues all ``P`` of them and stamps the sender once.
     """
 
     #: All ranks share one address space (see ``Comm.shared_fabric``).
@@ -180,13 +168,9 @@ class MailboxRouter(SendAdmission):
         """
         now = time.monotonic() if stamp is None else stamp
         with self._lock:
-            self._stamp(rank, now)
-
-    def _stamp(self, rank: int, now: float) -> None:
-        """:meth:`touch`'s update. Call under ``self._lock``."""
-        prev = self._activity.get(rank)
-        if prev is None or now > prev:
-            self._activity[rank] = now
+            prev = self._activity.get(rank)
+            if prev is None or now > prev:
+                self._activity[rank] = now
 
     def activity(self) -> dict[int, float]:
         """Latest progress stamp (``time.monotonic()``) per rank."""
@@ -219,23 +203,6 @@ class MailboxRouter(SendAdmission):
         with self._lock:
             self._queue_for((source, dest, tag)).put(payload)
         self.touch(source)
-
-    def put_many(self, source: int, tag: object, deliveries) -> None:
-        """Every delivery is admitted first, in order (a send the fault
-        plan fails leaves none of the collective enqueued), then all are
-        enqueued under one lock hold with one activity stamp."""
-        if self.fault_plan is None:
-            # Admission is the closed and cancel checks alone.
-            self._check_closed()
-            self._check_cancel()
-        else:
-            for dest, _ in deliveries:
-                self._admit_send(source, dest, tag)
-        now = time.monotonic()
-        with self._lock:
-            for dest, payload in deliveries:
-                self._queue_for((source, dest, tag)).put(payload)
-            self._stamp(source, now)
 
     def get(self, source: int, dest: int, tag: object) -> object:
         # Poll in short slices so that a world shutdown (another rank

@@ -42,7 +42,8 @@ class CommStats(Counters):
     included); the ``network_*`` variants exclude messages addressed to
     the sender itself. ``by_op`` breaks messages down by the operation
     that produced them (``"send"``, ``"alltoallv"``, …); it rides along
-    in :meth:`snapshot` and :meth:`merge` but not in deltas and totals.
+    in :meth:`snapshot`, :meth:`merge` and :meth:`delta` (so a pass's
+    ``comm_per_pass`` entry names its operations) but not in totals.
     """
 
     KEYS = ("messages", "bytes", "network_messages", "network_bytes")
@@ -62,26 +63,20 @@ class CommStats(Counters):
                 self.network_messages += 1
                 self.network_bytes += size
 
-    def record_sends(self, op: str, sends) -> None:
-        """:meth:`record_send` for each ``(dest, nbytes)`` of one
-        collective's ``op``, under one hold of the lock."""
-        if not sends:
-            return
-        nbytes = network = network_bytes = 0
-        for dest, size in sends:
-            nbytes += size
-            if dest != self.rank:
-                network += 1
-                network_bytes += size
-        with self._lock:
-            self.messages += len(sends)
-            self.bytes += nbytes
-            self.by_op[op] += len(sends)
-            self.network_messages += network
-            self.network_bytes += network_bytes
-
     def _state(self) -> dict:
         return {"rank": self.rank, "by_op": dict(self.by_op)}
+
+    @classmethod
+    def delta(cls, before: dict, after: dict) -> dict:
+        """The counters' delta, plus ``by_op``: the messages of each
+        operation sent between the two snapshots (operations with none
+        left out)."""
+        ops = Counter(after["by_op"])
+        ops.subtract(before["by_op"])
+        return {
+            **super().delta(before, after),
+            "by_op": {op: n for op, n in ops.items() if n},
+        }
 
     def merge(self, delta: dict) -> None:
         super().merge(delta)

@@ -95,19 +95,9 @@ class CopyStats(Counters):
             if outstanding > self.peak_leases:
                 self.peak_leases = outstanding
 
-    def record_return(self, n: int = 1) -> None:
-        """``n`` tracked leases were returned."""
+    def record_return(self) -> None:
         with self._lock:
-            self.lease_returns += n
-
-    def record_lent_copy(self, nbytes: int) -> None:
-        """``nbytes`` were packed once into a buffer whose slices are
-        lent to their receivers: copied once, and crossing to each
-        receiver as a view (``bytes_copied`` and ``bytes_zero_copy``
-        both)."""
-        with self._lock:
-            self.bytes_copied += nbytes
-            self.bytes_zero_copy += nbytes
+            self.lease_returns += 1
 
     def record_arena(self, hit: bool) -> None:
         """One ``alloc_packed`` served by the shared-memory arena:

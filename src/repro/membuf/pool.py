@@ -309,61 +309,41 @@ class BufferPool:
         if not isinstance(arr, np.ndarray):
             return False
         with self._cv:
-            poolable, tracked = self._recycle_locked(arr)
+            if arr.base is not None:
+                # A lent slice's release may return its whole buffer; any
+                # other view's memory belongs to someone else, and
+                # pooling it would alias live records.
+                base = self._release_slice(arr)
+                arr = arr if base is None else base
+            tracked = self._tracked.pop(id(arr), None) is not None
+            flags = arr.flags
+            poolable = arr.ndim == 1 and flags.c_contiguous and flags.owndata
+            if poolable:
+                key = (arr.dtype, arr.shape[0])
+                self._returned(key)
+                stack = self._free.setdefault(key, [])
+                depth = max(self._max_free, self._most_out.get(key, 0))
+                fits = len(stack) < depth and (
+                    tracked
+                    or self._budget is None
+                    or self._held + arr.nbytes <= self._budget
+                )
+                if fits:
+                    stack.append(arr)
+                    if not tracked:
+                        self._bump_held(arr.nbytes)
+                    elif self._budget is not None:
+                        self._cv.notify_all()  # lease closed: bytes moved
+                else:
+                    poolable = False
+                    if tracked:
+                        self._bump_held(-arr.nbytes)
+            elif tracked:
+                self._bump_held(-arr.nbytes)
+                self._returned((arr.dtype, arr.shape[0]))
         if tracked:
             copy_stats().record_return()
         return poolable
-
-    def recycle_all(self, arrays) -> None:
-        """:meth:`recycle` each of ``arrays`` under one hold of the
-        pool's lock — the ``P`` slices a collective delivered, released
-        together once landed."""
-        returned = 0
-        with self._cv:
-            for arr in arrays:
-                if isinstance(arr, np.ndarray):
-                    returned += self._recycle_locked(arr)[1]
-        if returned:
-            copy_stats().record_return(returned)
-
-    def _recycle_locked(self, arr: np.ndarray) -> tuple[bool, bool]:
-        """:meth:`recycle`'s work; returns whether ``arr`` (or the buffer
-        its release returned) was pooled and whether it closed a tracked
-        lease. Call with ``self._cv`` held."""
-        if arr.base is not None:
-            # A lent slice's release may return its whole buffer; any
-            # other view's memory belongs to someone else, and pooling
-            # it would alias live records (a lease is never a view).
-            arr = self._release_slice(arr)
-            if arr is None:
-                return False, False
-        tracked = self._tracked.pop(id(arr), None) is not None
-        flags = arr.flags
-        poolable = arr.ndim == 1 and flags.c_contiguous and flags.owndata
-        if poolable:
-            key = (arr.dtype, arr.shape[0])
-            self._returned(key)
-            stack = self._free.setdefault(key, [])
-            depth = max(self._max_free, self._most_out.get(key, 0))
-            fits = len(stack) < depth and (
-                tracked
-                or self._budget is None
-                or self._held + arr.nbytes <= self._budget
-            )
-            if fits:
-                stack.append(arr)
-                if not tracked:
-                    self._bump_held(arr.nbytes)
-                elif self._budget is not None:
-                    self._cv.notify_all()  # lease closed: bytes moved
-            else:
-                poolable = False
-                if tracked:
-                    self._bump_held(-arr.nbytes)
-        elif tracked:
-            self._bump_held(-arr.nbytes)
-            self._returned((arr.dtype, arr.shape[0]))
-        return poolable, tracked
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -478,13 +458,6 @@ class LeaseScope:
         """Return ``arr`` to the pool now; it need not be held here."""
         self._held.pop(id(arr), None)
         self._pool.recycle(arr)
-
-    def recycle_all(self, arrays) -> None:
-        """:meth:`recycle` each of ``arrays`` in one pool call
-        (:meth:`BufferPool.recycle_all`)."""
-        for arr in arrays:
-            self._held.pop(id(arr), None)
-        self._pool.recycle_all(arrays)
 
     def holds(self, arr: np.ndarray) -> bool:
         """Whether ``arr`` is still one of this scope's arrays (not yet

@@ -245,7 +245,7 @@ class ColumnsortPlan:
                         f"ranges and target ranges disagree"
                     )
             concat_records(recv, out=out)
-            scope.recycle_all(recv)
+            _release(scope, recv)
             return out
         finally:
             if leases is None:
@@ -267,14 +267,14 @@ class ColumnsortPlan:
         # ascending.
         recv = comm.alltoallv(ws.step2)
         concat_records(recv, out=landing)
-        scope.recycle_all(recv)
+        _release(scope, recv)
         # Step 3: the P received slices are sorted runs.
         fmt.merge_runs(b, out=ws.a_items)
         # Step 4 (reshape & transpose): chunk m → column m, interleaved rows.
         recv = comm.alltoallv(ws.step4)
         for q, piece in enumerate(recv):
             landing[q::p] = RecordFormat.items(piece)
-        scope.recycle_all(recv)
+        _release(scope, recv)
         # Step 5.
         fmt.sort(b, out=ws.a_items)
         # Steps 6-8: neighbor merge into windows.
@@ -292,6 +292,12 @@ class ColumnsortPlan:
         # the tail moves past window P−1 before the merge overwrites it.
         ws.lease[self.rr :] = ws.lease[self.rr // 2 : self.rr]
         fmt.merge_runs(b, out=ws.a_items)
+
+
+def _release(scope: LeaseScope, arrays) -> None:
+    """Recycle each of ``arrays`` (received slices)."""
+    for arr in arrays:
+        scope.recycle(arr)
 
 
 def distributed_columnsort(

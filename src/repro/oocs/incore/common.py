@@ -32,11 +32,12 @@ Ranges = list[list[tuple[int, int]]]
 
 
 def exchange_concat(comm: Comm, parts: list[np.ndarray]) -> np.ndarray:
-    """``np.concatenate(comm.alltoallv(parts))``, releasing the slices
-    received once they are copied (the ``alltoallv`` ownership rule)."""
+    """``np.concatenate(comm.alltoallv(parts))``, releasing each slice
+    received once it is copied (the ``alltoallv`` ownership rule)."""
     received = comm.alltoallv(parts)
     out = np.concatenate(received)
-    get_pool().recycle_all(received)
+    for got in received:
+        get_pool().recycle(got)
     return out
 
 

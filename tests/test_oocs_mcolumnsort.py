@@ -143,35 +143,11 @@ def _closed_form_per_pass(p, portion, s, record_size):
     return out
 
 
-@pytest.fixture
-def per_pass_ops(monkeypatch):
-    """``comm_per_pass`` entries carry their pass's ``by_op`` as well
-    (rank 0's, like the rest of the entry). A forked rank inherits the
-    patch."""
-    from repro.cluster.stats import CommStats
-    from repro.oocs.base import PassMarker
-
-    def comm_deltas(self):
-        deltas = []
-        for before, after in zip(self.comm_marks, self.comm_marks[1:]):
-            ops = {
-                op: n - before["by_op"].get(op, 0)
-                for op, n in after["by_op"].items()
-            }
-            deltas.append({
-                **CommStats.delta(before, after),
-                "by_op": {op: n for op, n in ops.items() if n},
-            })
-        return deltas
-
-    monkeypatch.setattr(PassMarker, "comm_deltas", comm_deltas)
-
-
 class TestMetering:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     @pytest.mark.parametrize("p,portion,s", [(2, 1024, 2), (4, 256, 8)])
     def test_comm_per_pass_is_the_in_core_sorts_exchanges(
-        self, per_pass_ops, backend, p, portion, s
+        self, backend, p, portion, s
     ):
         """Every message M-columnsort sends is one of its distributed
         in-core sorts' (two full all-to-alls, the neighbour half, the
@@ -182,12 +158,9 @@ class TestMetering:
         res = sort_out_of_core(
             "m", recs, cluster, FMT, buffer_records=portion, backend=backend
         )
-        got = [
-            {k: d[k] for k in ("messages", "bytes", "network_messages",
-                                "network_bytes", "by_op")}
-            for d in res.comm_per_pass
-        ]
-        assert got == _closed_form_per_pass(p, portion, s, FMT.record_size)
+        assert res.comm_per_pass == _closed_form_per_pass(
+            p, portion, s, FMT.record_size
+        )
 
 
 class TestValidation:
