@@ -17,10 +17,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.cluster.transport import available_backends
 from repro.errors import ConfigError
-from repro.records.generators import generate, workload_names
-from repro.records.keys import KEY_DTYPES
+from repro.records.generators import generate
 
 
 def _cmd_figure2(args: argparse.Namespace) -> int:
@@ -73,173 +71,75 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_copy_stats(result) -> None:
-    from repro.membuf import ARENA_KEYS
-
-    copy = result.copy or {}
-    moved = copy.get("bytes_copied", 0) + copy.get("bytes_zero_copy", 0)
-    frac = 100 * copy.get("bytes_copied", 0) / moved if moved else 0.0
-    print(
-        f"  copies: {copy.get('bytes_copied', 0):,} B copied / "
-        f"{copy.get('bytes_zero_copy', 0):,} B zero-copy "
-        f"({frac:.1f}% copied)"
-    )
-    print(
-        f"  pool: {copy.get('pool_hits', 0)} hits, "
-        f"{copy.get('pool_misses', 0)} misses, "
-        f"peak {copy.get('peak_leases', 0)} leases outstanding"
-    )
-    # Only the process backend has shared-memory segments; all-zero
-    # arena counters on the thread backend would read as a disabled
-    # feature, not a fact.
-    hits, misses, attaches, landed = (copy.get(k, 0) for k in ARENA_KEYS)
-    if hits + misses:
-        print(
-            f"  arena: {hits} slab reuses / {misses} creates "
-            f"({100 * hits / (hits + misses):.1f}% hit), "
-            f"{attaches} attaches, {landed:,} B landed zero-extra-copy"
-        )
-
-
-def _print_json_summary(result) -> None:
+def _cmd_sort(args: argparse.Namespace) -> int:
+    import dataclasses
     import json
 
-    from repro.oocs.report import result_summary
+    from repro.oocs.api import SPEC_FIELDS, job_from_spec, run_job
+    from repro.oocs.base import OocJob
+    from repro.oocs.report import render_report, result_summary
 
-    print(json.dumps(result_summary(result, verified=True),
-                     indent=2, sort_keys=True))
-
-
-def _cmd_sort(args: argparse.Namespace) -> int:
-    from repro.oocs.api import job_from_spec, run_job
-
-    retry_policy = None
+    given = vars(args)
+    spec = {name: given[name] for name in SPEC_FIELDS if name in given}
+    if args.group_size is not None:
+        spec["algorithm"] = "g"
+    # Every other OocJob field the parser has, under its own name; the
+    # policies and the cancel token are built from CLI-only inputs.
+    run_fields = {
+        f.name: given[f.name]
+        for f in dataclasses.fields(OocJob)
+        if f.name in given and f.name not in spec
+    }
     if args.retries > 1:
         from repro.resilience import RetryPolicy
 
-        retry_policy = RetryPolicy(max_attempts=args.retries, seed=args.seed)
-    cancel = None
+        run_fields["retry_policy"] = RetryPolicy(
+            max_attempts=args.retries, seed=args.seed
+        )
     if args.deadline is not None:
         from repro.governor import CancelToken
 
-        cancel = CancelToken(deadline_s=args.deadline)
-    restart_policy = None
+        run_fields["cancel"] = CancelToken(deadline_s=args.deadline)
     if args.max_restarts > 0:
         from repro.resilience import RestartPolicy
 
-        restart_policy = RestartPolicy(
+        run_fields["restart_policy"] = RestartPolicy(
             max_restarts=args.max_restarts,
             base_backoff_s=args.restart_backoff,
             seed=args.seed,
         )
-    spec = {
-        "algorithm": "g" if args.group_size is not None else args.algorithm,
-        "records": args.records,
-        "buffer": args.buffer,
-        "processors": args.processors,
-        "record_size": args.record_size,
-        "key": args.key,
-        "pipeline_depth": args.pipeline_depth,
-        "backend": args.backend,
-    }
-    program, job = job_from_spec(
-        spec,
-        checkpoint_dir=args.checkpoint_dir, resume=args.resume,
-        keep_checkpoints=args.keep_checkpoints,
-        retry_policy=retry_policy,
-        audit=args.audit,
-        cancel=cancel,
-        restart_policy=restart_policy,
-        group_size=args.group_size,
-    )
+    program, job = job_from_spec(spec, **run_fields)
     if args.mem_budget is not None:
         from repro.membuf import get_pool
 
         get_pool().set_budget(args.mem_budget)
     records = generate(args.workload, job.fmt, job.n, seed=args.seed)
     result = run_job(program, job, records, workdir=args.workdir)
-    if args.json:
-        _print_json_summary(result)
-        return 0
-    io = result.io
+    summary = result_summary(result, verified=True)
     print(
-        f"{result.algorithm}: sorted {args.records} records on P={args.processors} "
-        f"in {result.passes} passes (pipeline depth {args.pipeline_depth}) "
-        f"— verified"
+        json.dumps(summary, indent=2, sort_keys=True)
+        if args.json
+        else render_report(summary)
     )
-    print(
-        f"  disk I/O: {io['bytes_read']:,} B read / {io['bytes_written']:,} B "
-        f"written ({io['reads']} reads, {io['writes']} writes)"
-    )
-    print(
-        f"  network: {result.comm_total['network_bytes']:,} B in "
-        f"{result.comm_total['network_messages']} messages"
-    )
-    retries = (
-        io.get("read_retries", 0)
-        + io.get("write_retries", 0)
-        + result.comm_total.get("retries", 0)
-    )
-    if retries:
-        print(
-            f"  retries: {io.get('read_retries', 0)} read, "
-            f"{io.get('write_retries', 0)} write, "
-            f"{result.comm_total.get('retries', 0)} comm "
-            f"(all transient faults recovered)"
-        )
-    wall = result.stage_wall()
-    if wall:
-        from repro.pipeline.timing import CATEGORIES
-
-        total = sum(wall.values())
-        breakdown = "  ".join(
-            f"{cat} {wall[cat] * 1000:.1f} ms" for cat in CATEGORIES if cat in wall
-        )
-        print(f"  stage wall (rank 0, {total * 1000:.1f} ms): {breakdown}")
-    if args.copy_stats:
-        _print_copy_stats(result)
-    if args.durability_report:
-        from repro.experiments.breakdown import durability_breakdown_table
-        from repro.experiments.tables import render_table
-
-        print(render_table(durability_breakdown_table(result), exact=True))
-    if args.governance_report:
-        from repro.experiments.breakdown import governance_breakdown_table
-        from repro.experiments.tables import render_table
-
-        rows = governance_breakdown_table(result)
-        if rows:
-            print(render_table(rows, exact=True))
-        else:
-            print("  governance: no counters recorded")
-    sup = result.supervisor or {}
-    if sup.get("restarts"):
-        print(
-            f"  supervision: {sup['restarts']} restart"
-            f"{'s' if sup['restarts'] != 1 else ''} "
-            f"(of {sup.get('max_restarts', 0)} allowed), "
-            f"{sup.get('restart_wall', 0.0):.3f}s recovering"
-        )
-    if args.supervision_report:
-        from repro.experiments.breakdown import supervisor_breakdown_table
-        from repro.experiments.tables import render_table
-
-        rows = supervisor_breakdown_table(result)
-        if rows:
-            print(render_table(rows, exact=True))
-        else:
-            print(
-                "  supervision: no restart policy armed "
-                "(run with --max-restarts)"
-            )
     return 0
 
 
-def _non_negative_int(text: str) -> int:
-    """argparse type for ``--seed``: NumPy rejects a negative seed."""
-    if not text.isdigit():
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return int(text)
+def _at_least(minimum: int):
+    """argparse type for an integer field with a least legal value
+    (NumPy rejects a negative ``--seed``)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}, got {text!r}"
+            )
+        return value
+
+    return parse
 
 
 def _parse_tenant(spec: str):
@@ -333,8 +233,8 @@ def _cmd_client(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.oocs.api import ALGORITHMS
-    from repro.service.protocol import OPS, SPEC_DEFAULTS
+    from repro.oocs.api import ALGORITHMS, SPEC_FIELDS
+    from repro.service.protocol import OPS
 
     parser = argparse.ArgumentParser(
         prog="repro-columnsort",
@@ -360,38 +260,22 @@ def build_parser() -> argparse.ArgumentParser:
         t.set_defaults(fn=_cmd_table)
 
     srt = sub.add_parser("sort", help="run and verify a real out-of-core sort")
-    # The daemon's job specs share these fields; their defaults live in
-    # SPEC_DEFAULTS alone.
-    srt.set_defaults(**{k: v for k, v in SPEC_DEFAULTS.items() if k != "verify"})
-    srt.add_argument("--algorithm", choices=tuple(ALGORITHMS))
-    srt.add_argument("--records", type=int)
-    srt.add_argument("--buffer", type=int,
-                     help="per-processor buffer in records")
-    srt.add_argument("--processors", "-p", type=int)
-    srt.add_argument("--record-size", type=int)
-    srt.add_argument("--key", choices=tuple(KEY_DTYPES))
-    srt.add_argument("--workload", choices=workload_names())
-    srt.add_argument("--seed", type=_non_negative_int)
+    # One option per job-spec field (the service's vocabulary); `sort`
+    # always verifies.
+    for name, (default, legal, help_text) in SPEC_FIELDS.items():
+        if name == "verify":
+            continue
+        flags = ["--" + name.replace("_", "-")]
+        if name == "processors":
+            flags.append("-p")
+        if isinstance(legal, tuple):
+            srt.add_argument(*flags, default=default, choices=legal, help=help_text)
+        else:
+            srt.add_argument(
+                *flags, default=default, help=help_text,
+                type=int if legal is None else _at_least(legal),
+            )
     srt.add_argument("--workdir", default=None)
-    srt.add_argument(
-        "--pipeline-depth", type=int,
-        help="read-ahead/write-behind depth per pass (0 = synchronous); "
-             "output is byte-identical at every depth",
-    )
-    srt.add_argument(
-        "--backend", choices=available_backends(),
-        help="SPMD transport: 'thread' (one thread per rank, shared "
-             "address space) or 'process' (one forked process per rank "
-             "with shared-memory alltoallv buffers — rank compute escapes "
-             "the GIL); output and accounting are identical on both",
-    )
-    srt.add_argument(
-        "--copy-stats", action="store_true",
-        help="print data-plane copy accounting (bytes copied vs zero-copy, "
-             "buffer-pool hit rate, peak leases; on the process backend "
-             "also the shared-memory arena's slab hit rate, attaches, and "
-             "bytes landed without an extra copy)",
-    )
     srt.add_argument(
         "--group-size", "-g", type=int, default=None,
         help="adjustable height interpretation: selects algorithm g "
@@ -433,11 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
              "at the pass boundary, before its checkpoint is trusted",
     )
     srt.add_argument(
-        "--durability-report", action="store_true",
-        help="print the durability breakdown (bytes hashed, checksum "
-             "failures, and audited passes with --audit)",
-    )
-    srt.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
         help="wall-clock deadline for the whole sort; on expiry every rank "
              "unwinds within one poll interval into DeadlineExceeded, and "
@@ -450,11 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
              "pressure persists",
     )
     srt.add_argument(
-        "--governance-report", action="store_true",
-        help="print the governance breakdown (cancel checks, budget "
-             "stalls/evictions, disk-full reclaims, depth downshifts)",
-    )
-    srt.add_argument(
         "--max-restarts", type=int, default=0, metavar="N",
         help="supervised recovery: automatically relaunch the run up to N "
              "times from its last pass-boundary checkpoint when a rank "
@@ -465,11 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--restart-backoff", type=float, default=0.05, metavar="SECONDS",
         help="base backoff before the first supervised restart (doubles "
              "per restart, seeded jitter; only with --max-restarts)",
-    )
-    srt.add_argument(
-        "--supervision-report", action="store_true",
-        help="print the supervision breakdown (restarts taken, wall spent "
-             "recovering, per-attempt failure causes and resume points)",
     )
     srt.set_defaults(fn=_cmd_sort)
 

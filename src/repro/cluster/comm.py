@@ -65,7 +65,15 @@ def _isolate(payload: object, fabric_isolates: bool = False) -> object:
 
 
 class Comm:
-    """One rank's endpoint of the SPMD world."""
+    """One rank's endpoint of the SPMD world, or of a group split from
+    it (:meth:`split`).
+
+    Every message goes through one routing path: ``members`` maps the
+    communicator's ranks to the fabric's (the identity for the world),
+    and a split's member list namespaces its tags, so its traffic never
+    collides with its parent's or a sibling's. Sends are metered by
+    fabric rank.
+    """
 
     def __init__(
         self,
@@ -73,10 +81,14 @@ class Comm:
         size: int,
         router: MailboxRouter,
         stats: CommStats | None = None,
+        members: tuple[int, ...] | None = None,
     ) -> None:
         self._rank = rank
         self._size = size
         self._router = router
+        self._members = members if members is not None else tuple(range(size))
+        self._group = members  # the tag namespace: None for the world
+        self._me = self._members[rank]
         self.stats = stats if stats is not None else CommStats(rank=rank)
         self._epoch = 0
         # True when the router captures payload bytes inside put()
@@ -86,11 +98,6 @@ class Comm:
     @property
     def rank(self) -> int:
         """This rank's index, ``0 .. size-1``."""
-        return self._rank
-
-    def _top_rank(self) -> int:
-        """This rank's index in the top-level world (sub-communicators
-        override; used to give split groups globally unique identity)."""
         return self._rank
 
     @property
@@ -117,16 +124,19 @@ class Comm:
     def send(self, payload: object, dest: int, tag: int = 0) -> None:
         """Send ``payload`` to ``dest``. Never blocks (buffered)."""
         self._check_rank(dest)
-        self.stats.record_send(dest, payload, "send")
+        to = self._members[dest]
+        self.stats.record_send(to, payload, "send")
         self._router.put(
-            self._rank, dest, ("p2p", tag),
+            self._me, to, ("p2p", self._group, tag),
             _isolate(payload, self._fabric_isolates),
         )
 
     def recv(self, source: int, tag: int = 0) -> object:
         """Receive the next message from ``source`` on ``tag``."""
         self._check_rank(source)
-        return self._router.get(source, self._rank, ("p2p", tag))
+        return self._router.get(
+            self._members[source], self._me, ("p2p", self._group, tag)
+        )
 
     def sendrecv(
         self, payload: object, dest: int, source: int | None = None, tag: int = 0
@@ -142,29 +152,28 @@ class Comm:
     # ------------------------------------------------------------------
 
     def _coll_tag(self) -> tuple:
-        tag = ("coll", self._epoch)
+        tag = ("coll", self._group, self._epoch)
         self._epoch += 1
         return tag
 
+    def _coll_put(
+        self, dest: int, tag: tuple, op: str, payload, metered: bool = True
+    ) -> None:
+        """Deliver ``(op, payload)`` to ``dest`` as it is: the caller has
+        isolated the payload (:meth:`_coll_send`) or sends a disjoint
+        view of a fresh packed buffer. ``metered=False`` delivers
+        without counting a message (empty alltoallv slots, out-of-band
+        bookkeeping)."""
+        to = self._members[dest]
+        if metered:
+            self.stats.record_send(to, payload, op)
+        self._router.put(self._me, to, tag, (op, payload))
+
     def _coll_send(self, dest: int, tag: tuple, op: str, payload: object) -> None:
-        self.stats.record_send(dest, payload, op)
-        self._router.put(
-            self._rank, dest, tag,
-            (op, _isolate(payload, self._fabric_isolates)),
-        )
-
-    def _coll_put_unmetered(self, dest: int, tag: tuple, op: str, payload) -> None:
-        """Deliver without counting as a message (empty alltoallv slots)."""
-        self._router.put(self._rank, dest, tag, (op, payload))
-
-    def _coll_send_view(self, dest: int, tag: tuple, op: str, payload) -> None:
-        """Metered delivery of an *already isolated* payload — a disjoint
-        view of a fresh packed buffer — skipping the ``_isolate`` copy."""
-        self.stats.record_send(dest, payload, op)
-        self._router.put(self._rank, dest, tag, (op, payload))
+        self._coll_put(dest, tag, op, _isolate(payload, self._fabric_isolates))
 
     def _coll_recv(self, source: int, tag: tuple, op: str) -> object:
-        got_op, payload = self._router.get(source, self._rank, tag)
+        got_op, payload = self._router.get(self._members[source], self._me, tag)
         if got_op != op:
             raise CommError(
                 f"collective mismatch on rank {self._rank}: expected {op!r} "
@@ -217,7 +226,7 @@ class Comm:
         """
         self._check_rank(root)
         tag = self._coll_tag()
-        self._coll_put_unmetered(root, tag, "gather_oob", payload)
+        self._coll_put(root, tag, "gather_oob", payload, metered=False)
         if self._rank != root:
             return None
         return [
@@ -232,7 +241,7 @@ class Comm:
         communication accounting."""
         tag = self._coll_tag()
         for dest in range(self._size):
-            self._coll_put_unmetered(dest, tag, "barrier_oob", None)
+            self._coll_put(dest, tag, "barrier_oob", None, metered=False)
         for source in range(self._size):
             self._coll_recv(source, tag, "barrier_oob")
 
@@ -294,7 +303,7 @@ class Comm:
             for dest in range(self._size):
                 arr = arrays[dest]
                 if len(arr) == 0:
-                    self._coll_put_unmetered(dest, tag, "alltoallv", arr.copy())
+                    self._coll_put(dest, tag, "alltoallv", arr.copy(), metered=False)
                     continue
                 self._coll_send(dest, tag, "alltoallv", arr)
         return [
@@ -339,9 +348,11 @@ class Comm:
             self._router.lend_packed(packed, [p for p in parts if p is not None])
         for dest, part in enumerate(parts):
             if part is None:
-                self._coll_put_unmetered(dest, tag, "alltoallv", arrays[dest].copy())
+                self._coll_put(
+                    dest, tag, "alltoallv", arrays[dest].copy(), metered=False
+                )
             else:
-                self._coll_send_view(dest, tag, "alltoallv", part)
+                self._coll_put(dest, tag, "alltoallv", part)
 
     def allreduce(self, value, op: Callable = None):
         """Combine one value per rank with ``op`` (default: sum) and
@@ -382,87 +393,26 @@ class Comm:
         """
         if key is None:
             key = self._rank
-        membership = self.allgather((color, key, self._top_rank()))
-        members = sorted(
-            (k, top) for (c, k, top) in membership if c == color
-        )
-        top_ranks = [top for _, top in members]
-        return _SubComm(self, top_ranks)
+        membership = self.allgather((color, key, self._me))
+        members = sorted((k, me) for (c, k, me) in membership if c == color)
+        return _SubComm(self, [me for _, me in members])
 
 
 class _SubComm(Comm):
-    """A communicator over a subset of the world's ranks.
+    """A communicator over a subset of the world's ranks: the parent's
+    fabric and :class:`CommStats` (communication is communication), with
+    the member list, in fabric ranks, as its rank map and tag namespace
+    (so nested splits can never collide)."""
 
-    Routes through the top-level mailbox fabric using *top-level* rank
-    indices, with tags namespaced by the member list (itself expressed
-    in top-level ranks, so nested splits can never collide). Shares the
-    parent's :class:`CommStats` — communication is communication.
-    """
-
-    def __init__(self, parent: Comm, top_ranks: list[int]) -> None:
-        my_top = parent._top_rank()
-        if my_top not in top_ranks:
+    def __init__(self, parent: Comm, members: list[int]) -> None:
+        if parent._me not in members:
             raise CommError(
-                f"rank {my_top} is not a member of the split group {top_ranks}"
+                f"rank {parent._me} is not a member of the split group {members}"
             )
-        self._top_ranks = top_ranks
-        self._my_top = my_top
-        self._group_id = tuple(top_ranks)
         super().__init__(
-            rank=top_ranks.index(my_top),
-            size=len(top_ranks),
+            rank=members.index(parent._me),
+            size=len(members),
             router=parent._router,
             stats=parent.stats,
+            members=tuple(members),
         )
-
-    def _top_rank(self) -> int:
-        return self._my_top
-
-    def _top_of(self, rank: int) -> int:
-        self._check_rank(rank)
-        return self._top_ranks[rank]
-
-    def send(self, payload: object, dest: int, tag: int = 0) -> None:
-        top_dest = self._top_of(dest)
-        self.stats.record_send(top_dest, payload, "send")
-        self._router.put(
-            self._my_top, top_dest, ("sub-p2p", self._group_id, tag),
-            _isolate(payload, self._fabric_isolates),
-        )
-
-    def recv(self, source: int, tag: int = 0) -> object:
-        return self._router.get(
-            self._top_of(source), self._my_top, ("sub-p2p", self._group_id, tag)
-        )
-
-    def _coll_tag(self) -> tuple:
-        tag = ("sub-coll", self._group_id, self._epoch)
-        self._epoch += 1
-        return tag
-
-    def _coll_send(self, dest: int, tag: tuple, op: str, payload: object) -> None:
-        top_dest = self._top_of(dest)
-        self.stats.record_send(top_dest, payload, op)
-        self._router.put(
-            self._my_top, top_dest, tag,
-            (op, _isolate(payload, self._fabric_isolates)),
-        )
-
-    def _coll_put_unmetered(self, dest: int, tag: tuple, op: str, payload) -> None:
-        self._router.put(self._my_top, self._top_of(dest), tag, (op, payload))
-
-    def _coll_send_view(self, dest: int, tag: tuple, op: str, payload) -> None:
-        top_dest = self._top_of(dest)
-        self.stats.record_send(top_dest, payload, op)
-        self._router.put(self._my_top, top_dest, tag, (op, payload))
-
-    def _coll_recv(self, source: int, tag: tuple, op: str) -> object:
-        got_op, payload = self._router.get(
-            self._top_of(source), self._my_top, tag
-        )
-        if got_op != op:
-            raise CommError(
-                f"collective mismatch on sub-rank {self.rank}: expected "
-                f"{op!r} from sub-rank {source}, found {got_op!r}"
-            )
-        return payload

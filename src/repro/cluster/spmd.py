@@ -42,11 +42,6 @@ class SpmdResult:
     returns: list
     stats: list[CommStats]
     comm_retries: int = field(default=0)
-    #: Supervision record (see
-    #: :class:`~repro.resilience.supervisor.SupervisorStats.as_dict`)
-    #: when the run was launched with a ``restart_policy``; empty dict
-    #: otherwise.
-    supervisor: dict = field(default_factory=dict)
 
 
 def run_spmd(
@@ -61,7 +56,6 @@ def run_spmd(
     cancel=None,
     backend: str = "thread",
     disks=None,
-    restart_policy=None,
     **kwargs,
 ) -> SpmdResult:
     """Run ``program(comm, *args, **kwargs)`` on ``size`` ranks.
@@ -106,19 +100,6 @@ def run_spmd(
         (the caller's) stats objects after the join and to refresh
         their sizes and checksum catalogs from what the ranks left on
         disk.
-    restart_policy:
-        Optional :class:`~repro.resilience.supervisor.RestartPolicy`.
-        When set, the whole launch runs under a
-        :class:`~repro.resilience.supervisor.RunSupervisor`: a
-        restartable cohort failure (a killed or vanished rank, a
-        watchdog timeout, an escaped transient fault) relaunches the
-        *entire program from rank 0* on the same transport — identical
-        supervision seam on every backend, so the conformance suite
-        holds. The supervision record lands on
-        ``SpmdResult.supervisor``. Programs launched this way must be
-        idempotent (or resolve their own resume point); the
-        checkpoint-aware seam in ``run_pass_program`` is the one the
-        sorts use.
 
     Returns
     -------
@@ -134,31 +115,16 @@ def run_spmd(
         raise ConfigError(
             f"rank_args must have one entry per rank ({size}), got {len(rank_args)}"
         )
-    transport = get_transport(backend)
-
-    def launch() -> SpmdResult:
-        return transport.run(
-            size,
-            program,
-            *args,
-            rank_args=rank_args,
-            timeout=timeout,
-            watchdog_deadline=watchdog_deadline,
-            fault_plan=fault_plan,
-            retry_policy=retry_policy,
-            cancel=cancel,
-            disks=disks,
-            **kwargs,
-        )
-
-    if restart_policy is None:
-        return launch()
-    # Transport.run fully tears its cohort down before raising
-    # (join/terminate every rank, sweep fabric and segments), so the
-    # bare seam needs no between-attempt hook.
-    from repro.resilience.supervisor import RunSupervisor
-
-    supervisor = RunSupervisor(restart_policy, cancel=cancel)
-    result = supervisor.run(launch)
-    result.supervisor = supervisor.stats.as_dict()
-    return result
+    return get_transport(backend).run(
+        size,
+        program,
+        *args,
+        rank_args=rank_args,
+        timeout=timeout,
+        watchdog_deadline=watchdog_deadline,
+        fault_plan=fault_plan,
+        retry_policy=retry_policy,
+        cancel=cancel,
+        disks=disks,
+        **kwargs,
+    )

@@ -106,8 +106,8 @@ class Transport(ABC):
       state that would poison an immediate re-``run`` on the same
       transport. This is what lets a
       :class:`~repro.resilience.supervisor.RunSupervisor` relaunch a
-      crashed run inside the same call, on either backend, through the
-      single seam in :func:`~repro.cluster.spmd.run_spmd`.
+      crashed run inside the same call, on either backend: the one
+      supervised caller is :func:`~repro.oocs.base.run_pass_program`.
     """
 
     #: Registry key (``"thread"`` / ``"process"``).

@@ -20,19 +20,14 @@ from repro.oocs.subblock import expected_messages_per_round
 from repro.matrix.bits import sqrt_pow4
 
 
-def render_table(
-    rows: Sequence[dict],
-    columns: Sequence[str] | None = None,
-    exact: bool = False,
-) -> str:
+def render_table(rows: Sequence[dict], columns: Sequence[str] | None = None) -> str:
     """Plain-text table of row dicts. Integers of 2^20 and more print
     as ``2^k`` or in e-notation — the form of the paper's N and M
-    columns — unless ``exact``, which prints every integer in full (the
-    byte and event counts of a run's reports)."""
+    columns."""
     if not rows:
         return "(no rows)"
     columns = list(columns or rows[0].keys())
-    cells = [[_fmt(row.get(c), exact) for c in columns] for row in rows]
+    cells = [[_fmt(row.get(c)) for c in columns] for row in rows]
     widths = [
         max(len(str(c)), *(len(line[i]) for line in cells))
         for i, c in enumerate(columns)
@@ -45,12 +40,12 @@ def render_table(
     return "\n".join([head, sep, *body])
 
 
-def _fmt(value, exact: bool = False) -> str:
+def _fmt(value) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, float):
         return f"{value:.3g}"
-    if isinstance(value, int) and abs(value) >= 1 << 20 and not exact:
+    if isinstance(value, int) and abs(value) >= 1 << 20:
         return f"2^{value.bit_length() - 1}" if value & (value - 1) == 0 else f"{value:.3e}"
     return str(value)
 

@@ -6,8 +6,9 @@ optionally verifies the output — the entry point the examples and most
 tests use. It and :func:`run_baseline_io` name a program and build its
 :class:`~repro.oocs.base.OocJob`; :func:`run_job` runs a job over
 records, and :func:`job_from_spec` builds the program and job a
-``sort`` spec names (the CLI's and the service's). For long-lived
-stores or repeated runs over the same data, hand
+``sort`` spec names — :data:`SPEC_FIELDS` is that vocabulary, the one
+the CLI's ``sort`` options and the service's job specs are built from.
+For long-lived stores or repeated runs over the same data, hand
 :func:`~repro.oocs.base.run_pass_program` a record of
 :data:`ALGORITHMS` and your own input store.
 """
@@ -15,10 +16,12 @@ stores or repeated runs over the same data, hand
 from __future__ import annotations
 
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.cluster.config import ClusterConfig
+from repro.cluster.transport import available_backends
 from repro.errors import ConfigError
 from repro.matrix.bits import is_power_of_two
 from repro.oocs.base import (
@@ -32,6 +35,8 @@ from repro.oocs.baseline_io import baseline_program
 from repro.oocs.grid import WHOLE_CLUSTER, columnsort_program
 from repro.oocs.verify import verify_output
 from repro.records.format import RecordFormat
+from repro.records.generators import workload_names
+from repro.records.keys import KEY_DTYPES
 from repro.simulate.trace import RunTrace
 
 #: algorithm name → the program record :func:`run_pass_program` runs:
@@ -77,9 +82,9 @@ def analytic_trace(
     return program.trace(job)
 
 
-def job_demands(job: OocJob) -> tuple[int, int]:
-    """Declared ``(mem_bytes, scratch_bytes)`` demand of a job, for
-    admission control.
+def job_demands(program: PassProgram, job: OocJob) -> tuple[int, int]:
+    """Declared ``(mem_bytes, scratch_bytes)`` demand of running
+    ``program`` on ``job``, for admission control.
 
     Memory: per rank, ``depth`` column buffers prefetched plus the one
     in the reader's hand, ``depth`` round buffers queued for writing
@@ -87,26 +92,80 @@ def job_demands(job: OocJob) -> tuple[int, int]:
     and assembly buffer, or column and window), the round's packed
     ``alltoallv`` buffer (back in the pool once every receiver has
     released its slice) and two half-column copies in flight to the
-    neighbour: ``2·depth + 6``. Every one of them is a buffer-pool
-    array, so the pool's measured peak
-    (``OocResult.governor["peak_held_bytes"]``) is the run's record
-    memory, and it stays within this at every depth —
-    ``tests/test_governor_budget.py`` holds it there. Scratch: a pass
-    program keeps at most input + two generations of intermediates on
-    disk at once, ≈ ``3·N`` records (the paper's experiments were
-    disk-space limited at exactly this multiple — footnote 7).
+    neighbour: ``2·depth + 6`` buffers. At group size g > 1 a pass also
+    keeps its in-core plan's working set (see
+    :class:`~repro.oocs.incore.columnsort_dist.ColumnsortPlan`): the
+    array every step's output lands in, ``r' = r/g`` records or
+    ``r' + r'/2`` on a group's last rank, and the gather of scattered
+    deliveries, at most the rank's held range, ``r' + r'/2`` again —
+    ``3·r'`` records more. Every one of them is a buffer-pool array, so
+    the pool's measured peak (``OocResult.governor["peak_held_bytes"]``)
+    is the run's record memory, and it stays within this at every depth
+    — ``tests/test_governor_budget.py`` holds it there. Measured
+    peak/declared on P = 4 over depths 0, 1, 2 and 4, 20–60 runs each
+    (the peak moves with thread timing by a few buffers): hybrid
+    (N = 2^14, buffer 256) 0.69–0.90, g at g = 2 (N = 2^13, buffer 512)
+    0.51–0.86; without the working set they reached 1.25 and 1.12.
+
+    Scratch: a pass program keeps at most input + two generations of
+    intermediates on disk at once, ≈ ``3·N`` records (the paper's
+    experiments were disk-space limited at exactly this multiple —
+    footnote 7).
     """
     mem = job.buffer_bytes * job.cluster.p * (2 * job.pipeline_depth + 6)
+    r, _s, g = program.layout(job)
+    if g > 1:
+        mem += job.cluster.p * 3 * (r // g) * job.fmt.record_size
     scratch = 3 * job.n * job.fmt.record_size
     return mem, scratch
 
 
+class SpecField(NamedTuple):
+    """One field of a ``sort`` spec: its default, what is legal (a
+    tuple of choices, the least integer allowed, or None when any
+    value of the default's type may be tried — :func:`job_from_spec`
+    refuses a shape the program cannot run), and the CLI's help."""
+
+    default: object
+    legal: tuple | int | None = None
+    help: str | None = None
+
+
+#: The ``sort`` spec vocabulary, declared once: the ``sort`` CLI adds
+#: one option per field but ``verify`` (it always verifies), and the
+#: service's :func:`~repro.service.protocol.validate_spec` checks a
+#: submitted spec against it. :func:`job_from_spec` reads the fields
+#: that shape the job; ``workload`` and ``seed`` make the input, and
+#: ``verify`` says whether the output is checked.
+SPEC_FIELDS: dict[str, SpecField] = {
+    "algorithm": SpecField("threaded", tuple(ALGORITHMS)),
+    "records": SpecField(8192),
+    "buffer": SpecField(512, help="per-processor buffer in records"),
+    "processors": SpecField(4),
+    "record_size": SpecField(64),
+    "key": SpecField("u8", tuple(KEY_DTYPES)),
+    "workload": SpecField("uniform", tuple(workload_names())),
+    "seed": SpecField(0, 0),
+    "pipeline_depth": SpecField(
+        2, 0,
+        "read-ahead/write-behind depth per pass (0 = synchronous); "
+        "output is byte-identical at every depth",
+    ),
+    "backend": SpecField(
+        "thread", available_backends(),
+        "SPMD transport: 'thread' (one thread per rank, shared address "
+        "space) or 'process' (one forked process per rank with "
+        "shared-memory alltoallv buffers — rank compute escapes the "
+        "GIL); output and accounting are identical on both",
+    ),
+    "verify": SpecField(True),
+}
+
+
 def job_from_spec(spec: dict, **run_fields) -> tuple[PassProgram, OocJob]:
-    """The program and job a sort spec names, in the ``sort`` CLI's and
-    the service's vocabulary (``algorithm``, ``records``, ``buffer``,
-    ``processors``, ``record_size``, ``key``, ``pipeline_depth``,
-    ``backend``); ``run_fields`` are further :class:`OocJob` fields.
-    The cluster gets twice the buffer as per-processor memory.
+    """The program and job a sort spec names, in the vocabulary of
+    :data:`SPEC_FIELDS`; ``run_fields`` are further :class:`OocJob`
+    fields. The cluster gets twice the buffer as per-processor memory.
 
     Touches no disk: the program's layout is resolved here, so a shape
     it refuses raises :class:`~repro.errors.ConfigError` or
@@ -155,7 +214,7 @@ def run_job(
         )
     ticket = None
     if governor is not None:
-        mem_demand, scratch_demand = job_demands(job)
+        mem_demand, scratch_demand = job_demands(program, job)
         ticket = governor.admit(
             mem_bytes=mem_demand, scratch_bytes=scratch_demand, cancel=job.cancel
         )

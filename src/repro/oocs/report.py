@@ -1,10 +1,11 @@
-"""One machine-readable result schema for scripts and the service.
+"""One result schema for scripts, the service and people.
 
 The ``sort --json`` CLI flag and the service daemon's ``result``
 responses both emit :func:`result_summary`'s shape, so a script that
 parses one parses the other — and the service's crash-recovery proof
 (byte-identical output after a ``kill -9``) rests on the same
-``output_digest`` field a plain CLI run reports.
+``output_digest`` field a plain CLI run reports. A plain ``sort``
+prints :func:`render_report` of the same dict.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import hashlib
 
 from repro.disks.matrixfile import PdmStore
-from repro.durability.hashing import DIGEST_ALGO, hexdigest
+from repro.durability.hashing import CHECKSUM_ALGO, DIGEST_ALGO, hexdigest
 
 #: Bump on incompatible changes to the summary shape.
 RESULT_SCHEMA = "repro.sort-result/1"
@@ -69,3 +70,133 @@ def result_summary(result, verified: bool | None = None,
     if result.supervisor:
         summary["supervisor"] = dict(result.supervisor)
     return summary
+
+
+def render_report(summary: dict) -> str:
+    """The human report of a :func:`result_summary`: every section the
+    run has — I/O, network, retries when any, stage walls when traced,
+    copies and pool (and the shared-memory arena on the process
+    backend, the only one with segments), checksums (and the audit when
+    audited), governance when a deadline or budget was armed or a
+    counter moved, supervision when a restart policy was armed."""
+    from repro.pipeline.timing import CATEGORIES
+
+    io, comm = summary["io"], summary["comm"]
+    verified = " — verified" if summary.get("verified") else ""
+    lines = [
+        f"{summary['algorithm']}: sorted {summary['n']} records on "
+        f"P={summary['processors']} in {summary['passes']} passes "
+        f"(pipeline depth {summary['pipeline_depth']}){verified}",
+        f"  disk I/O: {io['bytes_read']:,} B read / {io['bytes_written']:,} B "
+        f"written ({io['reads']} reads, {io['writes']} writes)",
+        f"  network: {comm['network_bytes']:,} B in "
+        f"{comm['network_messages']} messages",
+        f"  output digest: {summary['output_digest']} ({summary['digest_algo']})",
+    ]
+    if io["read_retries"] + io["write_retries"] + comm["retries"]:
+        lines.append(
+            f"  retries: {io['read_retries']} read, {io['write_retries']} "
+            f"write, {comm['retries']} comm (all transient faults recovered)"
+        )
+    wall = summary["stage_wall_s"]
+    if wall:
+        stages = "  ".join(
+            f"{cat} {wall[cat] * 1000:.1f} ms" for cat in CATEGORIES if cat in wall
+        )
+        lines.append(
+            f"  stage wall (rank 0, {sum(wall.values()) * 1000:.1f} ms): {stages}"
+        )
+    copy = summary.get("copy")
+    if copy:
+        copied, zero = copy["bytes_copied"], copy["bytes_zero_copy"]
+        lines += [
+            f"  copies: {copied:,} B copied / {zero:,} B zero-copy "
+            f"({100 * copied / (copied + zero) if copied + zero else 0.0:.1f}% "
+            f"copied)",
+            f"  pool: {copy['pool_hits']} hits, {copy['pool_misses']} misses, "
+            f"peak {copy['peak_leases']} leases outstanding",
+        ]
+        if summary["backend"] == "process":
+            hits, creates = copy["arena_hits"], copy["arena_misses"]
+            lines.append(
+                f"  arena: {hits} slab reuses / {creates} creates "
+                f"({100 * hits / (hits + creates) if hits + creates else 0.0:.1f}"
+                f"% hit), {copy['attach_count']} attaches, "
+                f"{copy['bytes_landed_zero_extra_copy']:,} B landed "
+                f"zero-extra-copy"
+            )
+    lines.append(
+        f"  checksums: {io['bytes_hashed']:,} bytes hashed ({CHECKSUM_ALGO} "
+        f"over writes + read verification), {io['checksum_failures']} failures"
+    )
+    durability = summary.get("durability", {})
+    if "audited_passes" in durability:
+        lines.append(
+            f"  audit: {durability['audited_passes']} audited passes, "
+            f"{durability['audited_units']} sampled units verified"
+        )
+    lines += _governance_lines(summary.get("governor", {}))
+    lines += _supervision_lines(summary.get("supervisor", {}))
+    return "\n".join(lines)
+
+
+#: Governor counters whose moving makes the governance section show.
+_GOVERNANCE_MOVES = (
+    "cancel_checks", "budget_stalls", "budget_evictions", "disk_full_events",
+    "depth_downshifts", "degraded", "admission_wait_s",
+)
+
+
+def _governance_lines(gov: dict) -> list[str]:
+    armed = gov.get("deadline_s") is not None or gov.get("budget_bytes") is not None
+    if not (armed or any(gov.get(key) for key in _GOVERNANCE_MOVES)):
+        return []
+    budget = gov.get("budget_bytes")
+    deadline = gov.get("deadline_s")
+    downshifts = gov["depth_downshifts"] + (1 if gov["degraded"] else 0)
+    lines = [
+        f"  governance: budget "
+        f"{'unlimited' if budget is None else f'{budget:,} B'}, peak held "
+        f"{gov['peak_held_bytes']:,} B, {gov['budget_stalls']} stalls, "
+        f"{gov['budget_evictions']} evictions",
+        f"  cancellation: {gov.get('cancel_checks', 0)} checks, "
+        f"{'no deadline' if deadline is None else f'deadline {deadline:.1f}s'}",
+        f"  disk full: {gov['disk_full_events']} events, "
+        f"{gov['scratch_reclaims']} reclaims freed {gov['reclaimed_bytes']:,} B; "
+        f"{downshifts} depth downshifts"
+        + (" (degraded: read-ahead off)" if gov["degraded"] else ""),
+    ]
+    if "admission_wait_s" in gov:
+        lines.append(
+            f"  admission: waited {gov['admission_wait_s']:.3f}s, admitted "
+            f"{gov['admitted_mem_bytes']:,} B mem / "
+            f"{gov['admitted_scratch_bytes']:,} B scratch"
+        )
+    return lines
+
+
+def _supervision_lines(sup: dict) -> list[str]:
+    if not sup:
+        return []
+    restarts = sup["restarts"]
+    lines = [
+        f"  supervision: {restarts} restart{'' if restarts == 1 else 's'} "
+        f"(of {sup['max_restarts']} allowed), {sup['restart_wall']:.3f}s "
+        f"recovering"
+    ]
+    for entry in sup["attempts"]:
+        cause = entry["cause"]
+        if entry["rank"] is not None:
+            cause += f" (rank {entry['rank']})"
+        if entry["restarted"]:
+            resumed = entry.get("resumed_from_pass")
+            outcome = (
+                "restarted from scratch" if not resumed
+                else f"restarted after pass {resumed}"
+            ) + f" (backoff {entry['backoff_s']:.3f}s)"
+        elif entry["restartable"]:
+            outcome = "restart budget exhausted"
+        else:
+            outcome = "fatal class — not restartable"
+        lines.append(f"    attempt {entry['attempt']}: {cause}, {outcome}")
+    return lines

@@ -25,8 +25,9 @@ Three pieces:
   failed audit or checkpoint) stay fatal; crashes and hangs restart.
 * :class:`SupervisorStats` — restarts taken, wall spent restarting,
   and a per-attempt cause log, surfaced end to end on
-  ``SpmdResult.supervisor`` / ``OocResult.supervisor`` and rendered by
-  ``breakdown.supervisor_breakdown_table``.
+  ``OocResult.supervisor`` (the ``supervisor`` section of
+  :func:`~repro.oocs.report.result_summary`, which a plain ``sort``
+  prints).
 * :class:`RunSupervisor` — the loop itself: run the attempt, classify
   the failure, reset the world through ``on_restart``, back off
   (cancellably — a governor deadline expiring during backoff wins),
@@ -34,10 +35,12 @@ Three pieces:
 
 The supervisor deliberately knows nothing about stores, transports, or
 checkpoints: the attempt callable re-resolves the resume point itself
-and the ``on_restart`` hook does the domain-specific sweeping. That
-keeps one supervisor correct above both seams — bare ``run_spmd`` (the
-transport-conformance seam) and the checkpoint-aware
-``run_pass_program``.
+and the ``on_restart`` hook does the domain-specific sweeping. Its one
+caller is the checkpoint-aware ``run_pass_program``, which serves the
+CLI and the daemon; because every transport tears its cohort down
+before ``run`` raises, ``RunSupervisor(policy).run(lambda:
+run_spmd(...))`` also relaunches a bare SPMD program, on either backend
+(``tests/test_supervisor.py::TestRunSpmdSeam``).
 """
 
 from __future__ import annotations

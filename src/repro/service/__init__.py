@@ -32,13 +32,12 @@ from repro.service.client import ServiceClient
 from repro.service.daemon import SortService, TenantPolicy
 from repro.service.jobs import JOB_STATES, TERMINAL_STATES, JobRecord, replay_jobs
 from repro.service.journal import JobJournal
-from repro.service.protocol import SPEC_DEFAULTS, validate_spec
+from repro.service.protocol import validate_spec
 
 __all__ = [
     "JOB_STATES",
     "JobJournal",
     "JobRecord",
-    "SPEC_DEFAULTS",
     "ServiceClient",
     "SortService",
     "TERMINAL_STATES",

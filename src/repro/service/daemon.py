@@ -698,7 +698,7 @@ class SortService:
             records = generate(
                 spec["workload"], job.fmt, job.n, seed=spec["seed"]
             )
-            mem, scratch = job_demands(job)
+            mem, scratch = job_demands(program, job)
             policy = self._policy(record.tenant)
             ticket = self.governor.admit(
                 mem_bytes=mem, scratch_bytes=scratch,

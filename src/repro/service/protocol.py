@@ -10,10 +10,10 @@ key, ``cancel``/``drain`` are level-triggered, and the reads are pure —
 which is what lets the client retry any request after a reconnect
 without double-effects.
 
-Job specs share the ``sort`` CLI's vocabulary (the service runs exactly
-the sorts the CLI runs); :func:`validate_spec` normalizes a request's
-spec against :data:`SPEC_DEFAULTS` and rejects unknown fields, illegal
-values and shapes the algorithm refuses *before* anything is
+Job specs are the ``sort`` CLI's specs (the service runs exactly the
+sorts the CLI runs): :func:`validate_spec` normalizes a request's spec
+against :data:`~repro.oocs.api.SPEC_FIELDS` and rejects unknown fields,
+illegal values and shapes the algorithm refuses *before* anything is
 journaled.
 """
 
@@ -27,21 +27,6 @@ from repro.errors import ServiceError
 #: Ops the daemon serves.
 OPS = ("submit", "status", "cancel", "result", "health", "drain")
 
-#: Job-spec fields and their defaults (the ``sort`` CLI's defaults).
-SPEC_DEFAULTS = {
-    "algorithm": "threaded",
-    "records": 8192,
-    "buffer": 512,
-    "processors": 4,
-    "record_size": 64,
-    "key": "u8",
-    "workload": "uniform",
-    "seed": 0,
-    "pipeline_depth": 2,
-    "backend": "thread",
-    "verify": True,
-}
-
 #: Maximum accepted request line (a spec is a few hundred bytes; a
 #: megabyte means a confused or hostile peer).
 MAX_LINE_BYTES = 1 << 20
@@ -49,46 +34,34 @@ MAX_LINE_BYTES = 1 << 20
 
 def validate_spec(spec: dict) -> dict:
     """Normalize a submitted job spec; raises
-    :class:`~repro.errors.ServiceError` on unknown fields, illegal
-    values, or a shape the algorithm refuses — the same checks the
-    ``sort`` CLI makes, through
-    :func:`~repro.oocs.api.job_from_spec`, before a journal record
-    exists."""
-    from repro.cluster.transport import available_backends
+    :class:`~repro.errors.ServiceError` on a field
+    :data:`~repro.oocs.api.SPEC_FIELDS` does not declare, a value of
+    another type than the field's default or outside its legal values,
+    or a shape the algorithm refuses — the same check the ``sort`` CLI
+    makes, through :func:`~repro.oocs.api.job_from_spec`, before a
+    journal record exists."""
     from repro.errors import ConfigError, DimensionError
-    from repro.oocs.api import ALGORITHMS, job_from_spec
-    from repro.records.generators import workload_names
-    from repro.records.keys import KEY_DTYPES
+    from repro.oocs.api import SPEC_FIELDS, job_from_spec
 
     if not isinstance(spec, dict):
         raise ServiceError(f"job spec must be an object, got {type(spec).__name__}")
-    unknown = set(spec) - set(SPEC_DEFAULTS)
+    unknown = set(spec) - set(SPEC_FIELDS)
     if unknown:
         raise ServiceError(f"unknown job-spec field(s): {sorted(unknown)}")
-    out = dict(SPEC_DEFAULTS)
+    out = {name: field.default for name, field in SPEC_FIELDS.items()}
     out.update(spec)
-    for name, choices in (
-        ("algorithm", ALGORITHMS),
-        ("workload", workload_names()),
-        ("key", KEY_DTYPES),
-        ("backend", available_backends()),
-    ):
-        if not isinstance(out[name], str) or out[name] not in choices:
+    for name, (default, legal, _help) in SPEC_FIELDS.items():
+        value = out[name]
+        if type(value) is not type(default):
             raise ServiceError(
-                f"unknown {name} {out[name]!r}; expected one of {sorted(choices)}"
+                f"spec field {name!r} must be of type {type(default).__name__}"
             )
-    for name in ("records", "buffer", "processors", "record_size", "seed",
-                 "pipeline_depth"):
-        if not isinstance(out[name], int) or isinstance(out[name], bool):
-            raise ServiceError(f"spec field {name!r} must be an integer")
-    for name in ("records", "buffer", "processors", "record_size"):
-        if out[name] < 1:
-            raise ServiceError(f"spec field {name!r} must be >= 1")
-    for name in ("seed", "pipeline_depth"):
-        if out[name] < 0:
-            raise ServiceError(f"spec field {name!r} must be >= 0")
-    if not isinstance(out["verify"], bool):
-        raise ServiceError("spec field 'verify' must be a boolean")
+        if isinstance(legal, tuple) and value not in legal:
+            raise ServiceError(
+                f"unknown {name} {value!r}; expected one of {sorted(legal)}"
+            )
+        if isinstance(legal, int) and value < legal:
+            raise ServiceError(f"spec field {name!r} must be >= {legal}")
     try:
         job_from_spec(out)
     except (ConfigError, DimensionError) as exc:

@@ -32,15 +32,15 @@ class TestParser:
 
     def test_sort_defaults_are_the_service_spec_defaults(self):
         """One default table: the ten fields a daemon job spec shares
-        with ``sort`` default to SPEC_DEFAULTS, not to a restatement."""
-        from repro.service.protocol import SPEC_DEFAULTS
+        with ``sort`` default to SPEC_FIELDS, not to a restatement."""
+        from repro.oocs.api import SPEC_FIELDS
+        from repro.service.protocol import validate_spec
 
         args = vars(build_parser().parse_args(["sort"]))
-        shared = set(SPEC_DEFAULTS) & set(args)
-        assert shared == set(SPEC_DEFAULTS) - {"verify"}
-        assert {k: args[k] for k in shared} == {
-            k: SPEC_DEFAULTS[k] for k in shared
-        }
+        shared = set(SPEC_FIELDS) & set(args)
+        assert shared == set(SPEC_FIELDS) - {"verify"}
+        defaults = validate_spec({})
+        assert {k: args[k] for k in shared} == {k: defaults[k] for k in shared}
 
 
 class TestCommands:
@@ -110,11 +110,12 @@ class TestBadShape:
 
 
 class TestCopyStats:
-    """``sort --copy-stats`` is the one rendering of ``OocResult.copy``
-    (the README's example run)."""
+    """Plain ``sort`` renders ``OocResult.copy`` (the README's example
+    run): copies and pool on every backend, the arena on the process
+    backend only."""
 
     ARGS = ["sort", "--algorithm", "subblock", "--records", "4096",
-            "--buffer", "256", "-p", "2", "--copy-stats"]
+            "--buffer", "256", "-p", "2"]
     COPIES = r"  copies: [\d,]+ B copied / [\d,]+ B zero-copy \(\d+\.\d% copied\)"
     POOL = r"  pool: \d+ hits, \d+ misses, peak \d+ leases outstanding"
     ARENA = (r"  arena: \d+ slab reuses / \d+ creates \(\d+\.\d% hit\), "
@@ -139,19 +140,23 @@ class TestCopyStats:
 
 
 class TestDurabilityReport:
-    """``sort --durability-report`` prints the checksum rows on every
-    run — block CRCs are always on — and the audit row when audited."""
+    """Plain ``sort`` prints the checksums of every run — block CRCs
+    are always on — and the audit when audited."""
 
-    ARGS = ["sort", "--records", "2048", "--buffer", "256", "-p", "2",
-            "--durability-report"]
+    ARGS = ["sort", "--records", "2048", "--buffer", "256", "-p", "2"]
+    CHECKSUMS = (r"  checksums: ([\d,]+) bytes hashed \(\w+ over writes \+ "
+                 r"read verification\), (\d+) failures")
+    AUDIT = r"  audit: (\d+) audited passes, \d+ sampled units verified"
 
     def _rows(self, capsys, argv) -> dict:
         assert main(self.ARGS + argv) == 0
         rows = {}
         for line in capsys.readouterr().out.splitlines():
-            for metric in ("bytes hashed", "checksum failures", "audited passes"):
-                if line.strip().startswith(metric):
-                    rows[metric] = int(line.split()[len(metric.split())])
+            if match := re.fullmatch(self.CHECKSUMS, line):
+                rows["bytes hashed"] = int(match[1].replace(",", ""))
+                rows["checksum failures"] = int(match[2])
+            if match := re.fullmatch(self.AUDIT, line):
+                rows["audited passes"] = int(match[1])
         return rows
 
     def test_without_audit_reports_the_checksums(self, capsys, tmp_path):
@@ -291,7 +296,6 @@ class TestGovernanceFlags:
         try:
             rc = main(self.ARGS + [
                 "--workdir", str(tmp_path), "--mem-budget", "268435456",
-                "--governance-report",
             ])
         finally:
             get_pool().set_budget(None)

@@ -192,12 +192,24 @@ def test_one_declaration_of_each_run_knob():
     """``OocJob`` is the only place a run knob is declared: the entry
     points take the job (or forward ``**job`` to it) and restate only
     the machine, record format and buffer they build it from; the job
-    is frozen, so no caller can reset a knob after it was validated."""
+    is frozen, so no caller can reset a knob after it was validated.
+    ``SPEC_FIELDS`` is the only place a job-spec field is declared:
+    every ``sort`` option is one of its fields, an ``OocJob`` field
+    under its own name, or a named CLI-only input, and the service
+    accepts exactly its fields."""
     import dataclasses
     import inspect
 
-    from repro.oocs.api import run_baseline_io, run_job, sort_out_of_core
+    from repro.cli import build_parser
+    from repro.errors import ServiceError
+    from repro.oocs.api import (
+        SPEC_FIELDS,
+        run_baseline_io,
+        run_job,
+        sort_out_of_core,
+    )
     from repro.oocs.base import OocJob, run_pass_program
+    from repro.service.protocol import validate_spec
 
     knobs = {f.name for f in dataclasses.fields(OocJob)}
     for entry in (sort_out_of_core, run_baseline_io, run_pass_program, run_job):
@@ -208,6 +220,19 @@ def test_one_declaration_of_each_run_knob():
                  buffer_records=64)
     with pytest.raises(dataclasses.FrozenInstanceError):
         job.pipeline_depth = 2
+
+    # The CLI's inputs from which it builds retry_policy, cancel and
+    # restart_policy, its output switch, and the pool budget.
+    cli_only = {"workdir", "json", "mem_budget", "retries", "deadline",
+                "max_restarts", "restart_backoff"}
+    command = next(a for a in build_parser()._actions if a.dest == "command")
+    options = {a.dest for a in command.choices["sort"]._actions} - {"help"}
+    assert options <= set(SPEC_FIELDS) | knobs | cli_only
+    assert options >= (set(SPEC_FIELDS) - {"verify"}) | cli_only
+    assert set(validate_spec({})) == set(SPEC_FIELDS)
+    for name in sorted(knobs - set(SPEC_FIELDS)):
+        with pytest.raises(ServiceError, match="unknown job-spec field"):
+            validate_spec({name: None})
 
 
 #: Public ``src/`` definitions that nothing in ``src/``, ``bench/`` or

@@ -15,7 +15,7 @@ import pytest
 from repro.cluster.config import ClusterConfig
 from repro.errors import AdmissionRejected, CancelledError, ConfigError
 from repro.governor import CancelToken, JobGovernor
-from repro.oocs.api import job_demands, sort_out_of_core
+from repro.oocs.api import ALGORITHMS, job_demands, sort_out_of_core
 from repro.oocs.base import OocJob
 from repro.records.format import RecordFormat
 from repro.records.generators import generate
@@ -175,8 +175,8 @@ class TestProcessGovernor:
                          buffer_records=512, pipeline_depth=0)
         deep = OocJob(cluster=cluster, fmt=FMT, n=8192,
                       buffer_records=512, pipeline_depth=2)
-        mem0, scratch0 = job_demands(shallow)
-        mem2, scratch2 = job_demands(deep)
+        mem0, scratch0 = job_demands(ALGORITHMS["threaded"], shallow)
+        mem2, scratch2 = job_demands(ALGORITHMS["threaded"], deep)
         assert mem2 > mem0 > 0
         assert scratch0 == scratch2 == 3 * 8192 * FMT.record_size
 

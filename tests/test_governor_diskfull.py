@@ -8,13 +8,15 @@ scratch stores and retry the write once, else degrade the run and let
 the error surface structurally, naming the disk.
 """
 
+import re
+
 import pytest
 
 from repro.cluster.config import ClusterConfig
 from repro.disks.virtual_disk import VirtualDisk
 from repro.errors import DiskFullError, ResilienceError, SpmdError
-from repro.experiments.breakdown import governance_breakdown_table
 from repro.oocs.api import sort_out_of_core
+from repro.oocs.report import render_report, result_summary
 from repro.records.format import RecordFormat
 from repro.records.generators import generate
 from repro.resilience import FaultPlan, FaultSpec
@@ -106,9 +108,8 @@ class TestReclaimLadder:
         assert gov["scratch_reclaims"] == 1
         assert gov["reclaimed_bytes"] > 0
         assert not gov.get("degraded")
-        rows = {r["metric"]: r for r in governance_breakdown_table(res)}
-        assert rows["disk-full events"]["value"] == 1
-        assert "reclaims" in rows["disk-full events"]["note"]
+        report = render_report(result_summary(res))
+        assert re.search(r"  disk full: 1 events, 1 reclaims freed [\d,]+ B", report)
         res.output.delete()
 
     def test_nothing_to_reclaim_fails_naming_the_disk(self, depth):

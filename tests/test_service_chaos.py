@@ -30,7 +30,7 @@ from repro.records.generators import generate
 from repro.service import ServiceClient
 from repro.service.jobs import replay_jobs
 from repro.service.journal import JobJournal
-from repro.service.protocol import SPEC_DEFAULTS
+from repro.service.protocol import validate_spec
 
 K = 4
 SPEC = {"records": 4096, "buffer": 512, "processors": 4}
@@ -56,7 +56,7 @@ def service_root():
 @pytest.fixture(scope="module")
 def digests(tmp_path_factory):
     """Output digest of an uninterrupted run, per job seed."""
-    spec = {**SPEC_DEFAULTS, **SPEC}
+    spec = validate_spec(SPEC)
     program, job = job_from_spec(spec)
     out = {}
     for seed in range(K):

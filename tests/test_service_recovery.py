@@ -18,9 +18,9 @@ from repro.oocs.report import output_digest
 from repro.records.generators import generate
 from repro.service import ServiceClient, SortService
 from repro.service.journal import JobJournal
-from repro.service.protocol import SPEC_DEFAULTS
+from repro.service.protocol import validate_spec
 
-SPEC = {**SPEC_DEFAULTS, "records": 4096, "buffer": 512, "processors": 4}
+SPEC = validate_spec({"records": 4096, "buffer": 512, "processors": 4})
 
 
 @pytest.fixture

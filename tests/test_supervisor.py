@@ -294,7 +294,8 @@ class TestRestartBoundsProperty:
 
 
 # ---------------------------------------------------------------------------
-# The bare run_spmd seam (transport conformance for supervision)
+# A bare run_spmd under the supervisor (transport conformance for
+# supervision: every backend tears its cohort down before it raises)
 # ---------------------------------------------------------------------------
 
 
@@ -313,28 +314,24 @@ class TestRunSpmdSeam:
 
     def test_rank_kill_with_policy_recovers(self, backend):
         plan = FaultPlan([FaultSpec(op="comm", nth=1, count=1, kind="rank_kill")])
-        res = run_spmd(
-            2, _killable_program, plan,
-            backend=backend, timeout=10.0, restart_policy=quick_policy(),
-        )
+        sup = RunSupervisor(quick_policy())
+        res = sup.run(lambda: run_spmd(
+            2, _killable_program, plan, backend=backend, timeout=10.0,
+        ))
         assert res.returns == [0, 1]
-        assert res.supervisor["restarts"] == 1
+        assert sup.stats.restarts == 1
         assert plan.snapshot()["rank_kills"] == 1
-        [entry] = res.supervisor["attempts"]
+        [entry] = sup.stats.attempts
         assert entry["restarted"] is True
 
     def test_rank_exit_with_policy_recovers(self, backend):
         plan = FaultPlan([FaultSpec(op="comm", nth=1, count=1, kind="rank_exit")])
-        res = run_spmd(
-            2, _killable_program, plan,
-            backend=backend, timeout=10.0, restart_policy=quick_policy(),
-        )
+        sup = RunSupervisor(quick_policy())
+        res = sup.run(lambda: run_spmd(
+            2, _killable_program, plan, backend=backend, timeout=10.0,
+        ))
         assert res.returns == [0, 1]
-        assert res.supervisor["restarts"] == 1
-
-    def test_unsupervised_result_has_empty_record(self, backend):
-        res = run_spmd(2, lambda comm: comm.rank, backend=backend, timeout=10.0)
-        assert res.supervisor == {}
+        assert sup.stats.restarts == 1
 
 
 # ---------------------------------------------------------------------------
