@@ -106,6 +106,10 @@ def job_demands(program: PassProgram, job: OocJob) -> tuple[int, int]:
     (the peak moves with thread timing by a few buffers): hybrid
     (N = 2^14, buffer 256) 0.69–0.90, g at g = 2 (N = 2^13, buffer 512)
     0.51–0.86; without the working set they reached 1.25 and 1.12.
+    ``m`` (g = P; N = 2^14, buffer 1024) holds the working set as well
+    and is declared it: 0.43–0.73 (20 runs a depth), where under
+    ``2·depth + 6`` alone its peak met the declaration exactly at
+    depth 1 (0.52–1.00 over the four depths).
 
     Scratch: a pass program keeps at most input + two generations of
     intermediates on disk at once, ≈ ``3·N`` records (the paper's
