@@ -427,15 +427,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from repro.errors import Cancellation, DimensionError, ServiceError
+    from repro.errors import DimensionError, GovernorError, ServiceError, SpmdError
 
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (Cancellation, ServiceError, ConfigError, DimensionError) as exc:
+    except (
+        GovernorError, SpmdError, ServiceError, ConfigError, DimensionError
+    ) as exc:
         # An orderly outcome, not a crash: a bad shape or setting, a
-        # refused service call, or a cancelled/deadlined run (whose
-        # last pass-boundary checkpoint is valid for --resume).
+        # refused service call, a run its governance stopped (a cancel
+        # or deadline, whose last pass-boundary checkpoint is valid for
+        # --resume, or a memory budget below its reservation), or a
+        # rank that failed — named with its cause.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

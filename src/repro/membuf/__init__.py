@@ -8,14 +8,13 @@ rules at each seam.
 """
 
 from repro.membuf.copystats import ARENA_KEYS, CopyStats, copy_stats
-from repro.membuf.pool import MAX_FREE_PER_KEY, BufferPool, LeaseScope, get_pool
+from repro.membuf.pool import BufferPool, LeaseScope, get_pool
 
 __all__ = [
     "ARENA_KEYS",
     "BufferPool",
     "CopyStats",
     "LeaseScope",
-    "MAX_FREE_PER_KEY",
     "copy_stats",
     "get_pool",
 ]

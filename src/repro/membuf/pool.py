@@ -1,59 +1,88 @@
 """Reusable record-buffer pool.
 
-Every pass of every out-of-core algorithm allocates the same handful of
-array shapes over and over: one column (``buffer_records`` rows) per
+Every pass of every out-of-core algorithm takes the same handful of
+buffer sizes over and over: one column (``buffer_records`` rows) per
 read, one packed send buffer per ``alltoallv``, one staging array per
-write. :class:`BufferPool` keeps freelists of those arrays keyed by
-``(dtype, rows)`` so steady-state passes stop churning the allocator
-and reads can land via ``readinto`` in place of ``bytes`` round-trips.
+write. :class:`BufferPool` keeps freelists of those buffers keyed by
+their *byte size* — a record array and its item view
+(:meth:`~repro.records.format.RecordFormat.items`) are one buffer — so
+steady-state passes stop churning the allocator and reads can land via
+``readinto`` in place of ``bytes`` round-trips.
 
-Two acquisition modes:
+Three acquisition modes:
 
 * :meth:`BufferPool.lease` — *tracked*: the pool holds a strong
-  reference until :meth:`BufferPool.recycle` returns the array.
+  reference until :meth:`BufferPool.recycle` returns the buffer.
   Used by pass bodies whose buffer lifetime ends inside the pass
   (read → sort → send/write → recycle); :meth:`outstanding` exposes
   the balance so the test suite can assert nothing is held past a
   pass's end.
 * :meth:`BufferPool.grab` — *untracked*: ownership transfers to the
   caller (e.g. ``Comm._isolate`` handing an array to a receiver that
-  may keep it indefinitely). Untracked arrays re-enter the pool only
+  may keep it indefinitely). Untracked buffers re-enter the pool only
   if someone explicitly recycles them; otherwise the garbage collector
-  reclaims them as before.
+  reclaims them.
+* :meth:`BufferPool.land` — a grab for a transport's inbound bytes,
+  unmetered by the copy meter.
 
-:meth:`recycle` adopts any 1-D, C-contiguous, exclusively-owned array
-of a pooled dtype — recycling any other *view* is a no-op, because
-handing out a buffer that aliases live data would corrupt records in
-flight. The one exception is a view the pool *lent* (:meth:`lend`):
-the slices of a packed alltoallv buffer, one per receiver. Recycling
-such a slice releases it, and the buffer itself returns to its freelist
-once every slice has been released — the rule the process fabric's
-shared-memory arena follows for its slabs. A slice that is never
-released falls to the garbage collector with its buffer, which is then
-never reused under a reader.
+**Reservations.** A run states its buffers before it starts
+(:meth:`BufferPool.reserve`: so many buffers of each byte size, the
+declaration :meth:`~repro.oocs.base.PassProgram.buffers` makes) and the
+pool makes that declaration its contents: idle buffers that no running
+reservation needs are released, and each reserved size is topped up
+with *spares* — buffers mapped but never used, which hold no memory
+until a take first touches them. Every take of the run is served from
+the reserved buffers, and they stay idle in the pool for the next run.
+A take past the reservations of its size is still served (a fresh
+buffer when none is idle) and is counted (``uncovered_takes``), as is
+every buffer the pool maps (``fresh_buffers``): a run of a correctly
+declared program takes nothing uncovered, and a warm run of the same
+shape maps nothing. Concurrent runs' reservations add up. Nothing else
+bounds a freelist: the pool maps a buffer only when a size has none
+idle, so it never holds more of a size than were reserved or out at
+once.
 
-A freelist keeps as many arrays of its key as were ever out of the pool
-at once (at least :data:`MAX_FREE_PER_KEY`), so a pass whose rounds
-each need the same buffers takes them all from the pool after its first
-round, whatever its pipeline depth and rank count.
+**Released memory leaves the process.** Each buffer the pool allocates
+is its own anonymous *private* memory mapping, so dropping it unmaps
+its pages: a released buffer leaves the resident set, where a heap
+allocator keeps freed chunks of this size for reuse. The mapping must
+be private: forked process-backend ranks inherit the pool, and with a
+shared mapping every rank would write into one set of pages.
+
+:meth:`recycle` returns any whole, 1-D, C-contiguous view of a pool
+buffer (the array handed out, or any other view of all its bytes);
+a partial view is never pooled, because handing out a buffer that
+aliases live data would corrupt records in flight. The one exception is
+a view the pool *lent* (:meth:`lend`): the slices of a packed alltoallv
+buffer, one per receiver. Recycling such a slice releases it, and the
+buffer itself returns to its freelist once every slice has been
+released — the rule the process fabric's shared-memory arena follows
+for its slabs. A slice that is never released falls to the garbage
+collector with its buffer, which is then never reused under a reader.
+An array the pool did not make is adopted only when it owns its memory
+and no idle buffer of its size is on hand.
 
 Byte budget (:meth:`set_budget`): the pool tracks its *held bytes* —
-freelist arrays plus open tracked leases — and, with a budget set, a
-:meth:`lease` that would allocate past it first evicts idle freelist
-arrays, then blocks (budget backpressure) until other leases are
-recycled, and finally raises :class:`~repro.errors.BudgetExceeded` if
-the bytes never materialize. Backpressure stalls are counted and
-consumed by the run governor's adaptive pipeline-depth downshift
-(:meth:`consume_pressure`). :meth:`grab` is exempt: its arrays leave
-the pool's ownership at the call, so charging them would double-count
-the consumer's own accounting.
+freelist buffers plus open tracked leases (a spare holds none) — and,
+with a budget set, a reservation larger than it raises
+:class:`~repro.errors.BudgetExceeded` before the run starts, and a
+:meth:`lease` that would use fresh memory past it first evicts idle
+freelist buffers, then blocks (budget backpressure) until other leases are
+recycled, and finally raises if the bytes never materialize.
+Backpressure stalls are counted and consumed by the run governor's
+adaptive pipeline-depth downshift (:meth:`consume_pressure`).
+:meth:`grab` is exempt: its buffers leave the pool's ownership at the
+call, so charging them would double-count the consumer's own
+accounting.
 """
 
 from __future__ import annotations
 
+import mmap
 import threading
 import time
 import weakref
+from collections import Counter, deque
 from functools import partial
 
 import numpy as np
@@ -62,48 +91,115 @@ from repro.errors import BudgetExceeded
 from repro.membuf.copystats import copy_stats
 from repro.telemetry import Counters
 
-#: Least freelist depth per (dtype, rows) key. A key keeps more when
-#: more of its arrays were out of the pool at once (see
-#: :meth:`BufferPool.recycle`); arrays the pool never handed out are
-#: adopted only up to this depth.
-MAX_FREE_PER_KEY = 8
-
 #: Seconds between wakeups of a budget-blocked lease (matches the
 #: pipeline pools' poll interval, so cancellation latency is uniform).
 _BUDGET_POLL = 0.05
 
+# A buffer's state: on a freelist, out of the pool (leased, grabbed,
+# landed or lent), or out but no longer counted (a forgotten lease).
+_FREE, _OUT, _FORGOTTEN = range(3)
+
 
 class BudgetCounters(Counters):
-    """A pool's budget accounting since its last
+    """A pool's accounting since its last
     :meth:`BufferPool.reset_budget_accounting`: the high-water mark of
-    held bytes, backpressure stalls and evicted freelist arrays."""
+    held bytes, backpressure stalls, evicted freelist buffers, the
+    buffers the pool allocated, the takes no reservation covered and
+    the idle buffers reservations released."""
 
-    KEYS = ("peak_held_bytes", "budget_stalls", "budget_evictions")
+    KEYS = (
+        "peak_held_bytes",
+        "budget_stalls",
+        "budget_evictions",
+        "fresh_buffers",
+        "uncovered_takes",
+        "released_buffers",
+    )
     PEAKS = ("peak_held_bytes",)
 
 
+class _Buffer(weakref.ref):
+    """The pool's record of one buffer: a weak reference to its raw
+    bytes (the array every view of it has as ``base``), its size and
+    state. The pool holds the buffer itself only while it is idle or
+    leased."""
+
+    __slots__ = ("key", "nbytes", "state")
+
+    def __init__(self, raw: np.ndarray, callback) -> None:
+        super().__init__(raw, callback)
+        self.key = id(raw)
+        self.nbytes = raw.nbytes
+        self.state = _OUT
+
+
+def _raw_of(arr: np.ndarray) -> np.ndarray:
+    """The array holding ``arr``'s bytes: NumPy points every view's
+    ``base`` at the first array that owns its memory or wraps a foreign
+    buffer (a pool buffer's mapping) — a pool buffer's raw bytes."""
+    base = arr.base
+    return base if isinstance(base, np.ndarray) else arr
+
+
+def _map(nbytes: int) -> np.ndarray:
+    """``nbytes`` of fresh private anonymous memory, as raw bytes."""
+    if nbytes == 0:
+        return np.empty(0, dtype=np.uint8)  # mmap cannot map nothing
+    return np.frombuffer(
+        mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS),
+        dtype=np.uint8,
+    )
+
+
+class Reservation:
+    """One run's share of the pool (:meth:`BufferPool.reserve`): held
+    until :meth:`release` (or the end of a ``with`` block)."""
+
+    def __init__(self, pool: "BufferPool", buffers: Counter) -> None:
+        self._pool = pool
+        self.buffers = buffers
+
+    def release(self) -> None:
+        """Give the share back. Idempotent. The buffers stay idle in the
+        pool for the next reservation to take or release."""
+        buffers, self.buffers = self.buffers, Counter()
+        self._pool._unreserve(buffers)
+
+    def __enter__(self) -> "Reservation":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.release()
+
+
 class BufferPool:
-    """Thread-safe freelist of dtyped record arrays keyed by
-    ``(dtype, rows)``, with an optional hard byte budget."""
+    """Thread-safe freelists of record buffers keyed by byte size, sized
+    by the running reservations, with an optional hard byte budget."""
 
     def __init__(
         self,
-        max_free_per_key: int = MAX_FREE_PER_KEY,
         budget_bytes: int | None = None,
         budget_timeout_s: float = 30.0,
     ) -> None:
-        self._max_free = int(max_free_per_key)
-        self._free: dict[tuple[np.dtype, int], list[np.ndarray]] = {}
-        # Strong references to tracked leases, keyed by id(). The strong
-        # reference is what makes id() safe as a key: the array cannot
-        # be collected (and its id reused) while the lease is open.
+        self._free: dict[int, list[np.ndarray]] = {}
+        # Reserved buffers no take has used yet: mapped, but their
+        # pages are not, so they hold no memory (and no held bytes).
+        self._spare: dict[int, list[np.ndarray]] = {}
+        # Every buffer the pool knows, by id() of its raw bytes. An
+        # entry whose referent died is reaped (its id may be reused).
+        self._buffers: dict[int, _Buffer] = {}
+        self._dead: deque = deque()  # entries whose buffer died
+        # Strong references to tracked leases, by id() of their raw
+        # bytes: the reference keeps the id from being reused while the
+        # lease is open.
         self._tracked: dict[int, np.ndarray] = {}
-        # Arrays of each key out of the pool now, and the most at once.
-        self._out: dict[tuple[np.dtype, int], int] = {}
-        self._most_out: dict[tuple[np.dtype, int], int] = {}
+        # Buffers of each size out of the pool now, and reserved.
+        self._out: Counter = Counter()
+        self._reserved: Counter = Counter()
         # Lent slices, by id(): a weak reference to the slice (checked
         # on release, so a reused id cannot pass for it). Lent buffers,
-        # by id(): a weak reference and the number of slices still out.
+        # by id() of their raw bytes: weak references to the array lent
+        # and to its raw bytes, and the number of slices still out.
         self._lent: dict[int, weakref.ref] = {}
         self._loans: dict[int, list] = {}
         self._sweep_at = 64
@@ -134,17 +230,32 @@ class BufferPool:
         if delta < 0 and self._budget is not None:
             self._cv.notify_all()  # only a budgeted lease waits
 
+    def _drop_idle(self, nbytes: int, keep: int, table=None) -> int:
+        """Drop idle buffers of ``nbytes`` from ``table`` (the freelists,
+        or the spares) until ``keep`` remain, the least recently used
+        first; returns how many went. Call with ``self._cv`` held."""
+        table = self._free if table is None else table
+        stack = table.get(nbytes)
+        if not stack or len(stack) <= keep:
+            return 0
+        gone = len(stack) - keep
+        for arr in stack[:gone]:
+            del self._buffers[id(_raw_of(arr))]
+        if table is self._free:
+            self._bump_held(-nbytes * gone)
+        del stack[:gone]
+        if not stack:
+            del table[nbytes]
+        return gone
+
     def _evict_until(self, target: int) -> None:
-        """Drop idle freelist arrays until held bytes <= ``target`` (or
+        """Drop idle freelist buffers until held bytes <= ``target`` (or
         the freelists are empty). Call with ``self._cv`` held."""
-        for key in list(self._free):
-            stack = self._free[key]
-            while stack and self._held > target:
-                arr = stack.pop()
-                self._bump_held(-arr.nbytes)
+        for nbytes in list(self._free):
+            while self._held > target and self._drop_idle(
+                nbytes, len(self._free.get(nbytes, ())) - 1
+            ):
                 self.budget_counters.budget_evictions += 1
-            if not stack:
-                del self._free[key]
             if self._held <= target:
                 return
 
@@ -178,40 +289,111 @@ class BufferPool:
                 return
             self._evict_until(self._budget - need)
 
+    # -- reservations ----------------------------------------------------
+
+    def reserve(self, buffers: dict[int, int]) -> Reservation:
+        """Reserve ``buffers`` (byte size → count) for one run and make
+        them the pool's contents: idle buffers no running reservation
+        needs are released (never-used spares first, then the least
+        recently used), the peak of held bytes restarts from what the
+        pool still holds, and each reserved size is topped up with fresh
+        spare buffers. Raises :class:`BudgetExceeded`, reserving
+        nothing, when the reservation alone is larger than the budget.
+        """
+        share = Counter({n: k for n, k in buffers.items() if k > 0})
+        need = sum(nbytes * count for nbytes, count in share.items())
+        with self._cv:
+            if self._budget is not None and need > self._budget:
+                raise BudgetExceeded(
+                    need, self._budget, self._held,
+                    "the run's reserved buffers are larger than the whole "
+                    "budget",
+                )
+            self._reap()
+            self._reserved.update(share)
+            counters = self.budget_counters
+            for nbytes in set(self._free) | set(self._spare):
+                # Keep what the reservations still need of this size,
+                # used buffers before spares.
+                keep = max(0, self._reserved[nbytes] - self._out[nbytes])
+                used = len(self._free.get(nbytes, ()))
+                gone = self._drop_idle(nbytes, max(0, keep - used), self._spare)
+                gone += self._drop_idle(nbytes, keep)
+                counters.released_buffers += gone
+            # The run holds from here: what it released was never its.
+            counters.peak_held_bytes = self._held
+            for nbytes in share:
+                idle = len(self._free.get(nbytes, ()))
+                idle += len(self._spare.get(nbytes, ()))
+                short = self._reserved[nbytes] - self._out[nbytes] - idle
+                if short > 0:
+                    self._spare.setdefault(nbytes, []).extend(
+                        self._register(_map(nbytes), _FREE) for _ in range(short)
+                    )
+                    counters.fresh_buffers += short
+        return Reservation(self, share)
+
+    def _unreserve(self, share: Counter) -> None:
+        with self._cv:
+            self._reserved.subtract(share)
+            self._reserved = +self._reserved  # drop sizes at zero
+
     # -- acquisition ---------------------------------------------------
+
+    def _register(self, raw: np.ndarray, state: int = _OUT) -> np.ndarray:
+        """Start answering for ``raw``. Call with ``self._cv`` held."""
+        entry = self._buffers[id(raw)] = _Buffer(raw, self._dead.append)
+        entry.state = state
+        return raw
+
+    def _reap(self) -> None:
+        """Forget buffers the garbage collector took; one that was out
+        is no longer out. Call with ``self._cv`` held."""
+        while self._dead:
+            entry = self._dead.popleft()
+            if self._buffers.get(entry.key) is entry:
+                del self._buffers[entry.key]
+            if entry.state == _OUT:
+                self._out[entry.nbytes] -= 1
 
     def _take(
         self, dtype: np.dtype, rows: int, track: bool, meter: bool = True
     ) -> np.ndarray:
         dtype = np.dtype(dtype)
         rows = int(rows)
-        key = (dtype, rows)
-        need = dtype.itemsize * rows
+        nbytes = dtype.itemsize * rows
         with self._cv:
-            out = self._out[key] = self._out.get(key, 0) + 1
-            if out > self._most_out.get(key, 0):
-                self._most_out[key] = out
-            stack = self._free.get(key)
-            if stack:
+            self._reap()
+            stack = self._free.get(nbytes)
+            hit = bool(stack)
+            if not hit and track and self._budget is not None:
+                self._wait_for_budget(nbytes)  # may raise: nothing taken yet
+            self._out[nbytes] += 1
+            if self._out[nbytes] > self._reserved[nbytes]:
+                self.budget_counters.uncovered_takes += 1
+            if hit:
                 arr = stack.pop()
+                raw = _raw_of(arr)
+                if not track:
+                    # Ownership leaves the pool with the buffer.
+                    self._bump_held(-nbytes)
+            else:
+                # A first use: of a reserved spare, or of a fresh buffer.
                 if track:
-                    self._tracked[id(arr)] = arr
+                    self._bump_held(nbytes)
+                spares = self._spare.get(nbytes)
+                if spares:
+                    arr = raw = spares.pop()
                 else:
-                    # Ownership leaves the pool with the array.
-                    self._bump_held(-arr.nbytes)
-                if meter:
-                    copy_stats().record_pool(hit=True)
-                return arr
+                    arr = raw = self._register(_map(nbytes))
+                    self.budget_counters.fresh_buffers += 1
+            self._buffers[id(raw)].state = _OUT
+            if arr.dtype != dtype or arr.shape != (rows,):
+                arr = raw.view(dtype)
             if track:
-                if self._budget is not None:
-                    self._wait_for_budget(need)
-                self._bump_held(need)
+                self._tracked[id(raw)] = arr
         if meter:
-            copy_stats().record_pool(hit=False)
-        arr = np.empty(rows, dtype=dtype)
-        if track:
-            with self._cv:
-                self._tracked[id(arr)] = arr
+            copy_stats().record_pool(hit=hit)
         return arr
 
     def lease(self, dtype: np.dtype, rows: int) -> np.ndarray:
@@ -260,7 +442,10 @@ class BufferPool:
         with self._cv:
             if len(self._lent) >= self._sweep_at:
                 self._sweep_loans()
-            self._loans[id(base)] = [weakref.ref(base), len(views)]
+            raw = _raw_of(base)
+            self._loans[id(raw)] = [
+                weakref.ref(base), weakref.ref(raw), len(views)
+            ]
             for view in views:
                 self._lent[id(view)] = weakref.ref(view)
 
@@ -269,81 +454,83 @@ class BufferPool:
         has taken. Call with ``self._cv`` held."""
         self._lent = {k: r for k, r in self._lent.items() if r() is not None}
         self._loans = {
-            k: loan for k, loan in self._loans.items() if loan[0]() is not None
+            k: loan for k, loan in self._loans.items() if loan[1]() is not None
         }
         self._sweep_at = 2 * len(self._lent) + 64
 
     def _release_slice(self, arr: np.ndarray) -> np.ndarray | None:
-        """Release ``arr`` if it is a lent slice; returns its buffer when
+        """Release ``arr``, a lent slice; returns the lent buffer when
         this was the last slice out. Call with ``self._cv`` held."""
-        ref = self._lent.get(id(arr))
-        if ref is None or ref() is not arr:
-            return None
         del self._lent[id(arr)]
-        base = arr.base
-        loan = self._loans.get(id(base))
-        if loan is None or loan[0]() is not base:
+        raw = _raw_of(arr)
+        loan = self._loans.get(id(raw))
+        if loan is None or loan[1]() is not raw:
             return None
-        loan[1] -= 1
-        if loan[1]:
+        loan[2] -= 1
+        if loan[2]:
             return None
-        del self._loans[id(base)]
-        return base
-
-    def _returned(self, key: tuple[np.dtype, int]) -> None:
-        """One array of ``key`` is back. Call with ``self._cv`` held."""
-        out = self._out.get(key, 0)
-        if out > 0:
-            self._out[key] = out - 1
+        del self._loans[id(raw)]
+        # The array lent, or — once its sender dropped it — the raw
+        # bytes its slices kept alive.
+        base = loan[0]()
+        return raw if base is None else base
 
     def recycle(self, arr: np.ndarray) -> bool:
         """Return ``arr`` to the pool. Closes its lease if tracked;
-        releases it if it is a lent slice (:meth:`lend`); adopts
-        untracked arrays that exclusively own their memory. Other views
-        and foreign objects are ignored (returns False).
+        releases it if it is a lent slice (:meth:`lend`); takes back any
+        whole view of a buffer it made, and adopts an untracked array
+        that owns its memory when no idle buffer of its size is on hand.
+        Partial views and foreign objects are ignored (returns False).
 
-        A key's freelist takes an array while it holds fewer than the
-        most arrays of that key ever out of the pool at once (and at
-        least ``max_free_per_key``), and, with a budget set, an
-        untracked array only while it fits under the budget."""
+        With a budget set, an untracked buffer comes back only while it
+        fits under the budget."""
         if not isinstance(arr, np.ndarray):
             return False
         with self._cv:
-            if arr.base is not None:
-                # A lent slice's release may return its whole buffer; any
-                # other view's memory belongs to someone else, and
-                # pooling it would alias live records.
-                base = self._release_slice(arr)
-                arr = arr if base is None else base
-            tracked = self._tracked.pop(id(arr), None) is not None
+            self._reap()
+            ref = self._lent.get(id(arr))
+            if ref is not None and ref() is arr:
+                # A lent slice's release may return its whole buffer.
+                arr = self._release_slice(arr)
+                if arr is None:
+                    return False
+            raw = _raw_of(arr)
             flags = arr.flags
-            poolable = arr.ndim == 1 and flags.c_contiguous and flags.owndata
-            if poolable:
-                key = (arr.dtype, arr.shape[0])
-                self._returned(key)
-                stack = self._free.setdefault(key, [])
-                depth = max(self._max_free, self._most_out.get(key, 0))
-                fits = len(stack) < depth and (
-                    tracked
-                    or self._budget is None
-                    or self._held + arr.nbytes <= self._budget
-                )
-                if fits:
-                    stack.append(arr)
-                    if not tracked:
-                        self._bump_held(arr.nbytes)
-                    elif self._budget is not None:
-                        self._cv.notify_all()  # lease closed: bytes moved
-                else:
-                    poolable = False
-                    if tracked:
-                        self._bump_held(-arr.nbytes)
-            elif tracked:
-                self._bump_held(-arr.nbytes)
-                self._returned((arr.dtype, arr.shape[0]))
+            if not (
+                arr.ndim == 1 and flags.c_contiguous and arr.nbytes == raw.nbytes
+            ):
+                return False  # a part of a buffer aliases the rest
+            nbytes = arr.nbytes
+            entry = self._buffers.get(id(raw))
+            if entry is not None and entry() is not raw:
+                entry = None
+            tracked = self._tracked.pop(id(raw), None) is not None
+            if entry is None:
+                if arr.base is not None or self._free.get(nbytes):
+                    return False  # not the pool's, and not wanted
+                # Adopted: out of no count.
+                entry = self._buffers[id(self._register(raw, _FORGOTTEN))]
+            if entry.state == _FREE:
+                return False  # already back: pooling it twice would alias
+            if entry.state == _OUT:
+                self._out[nbytes] -= 1
+            fits = (
+                tracked
+                or self._budget is None
+                or self._held + nbytes <= self._budget
+            )
+            if fits:
+                entry.state = _FREE
+                self._free.setdefault(nbytes, []).append(arr)
+                if not tracked:
+                    self._bump_held(nbytes)
+                elif self._budget is not None:
+                    self._cv.notify_all()  # lease closed: bytes moved
+            else:
+                del self._buffers[id(raw)]
         if tracked:
             copy_stats().record_return()
-        return poolable
+        return fits
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -358,9 +545,12 @@ class BufferPool:
         number forgotten."""
         with self._cv:
             n = len(self._tracked)
-            for arr in self._tracked.values():
+            for key, arr in self._tracked.items():
                 self._bump_held(-arr.nbytes)
-                self._returned((arr.dtype, arr.shape[0]))
+                entry = self._buffers.get(key)
+                if entry is not None and entry.state == _OUT:
+                    entry.state = _FORGOTTEN
+                    self._out[entry.nbytes] -= 1
             self._tracked.clear()
             self._cv.notify_all()
         for _ in range(n):
@@ -372,11 +562,11 @@ class BufferPool:
         released."""
         with self._cv:
             return sum(
-                1 for loan in self._loans.values() if loan[0]() is not None
+                1 for loan in self._loans.values() if loan[1]() is not None
             )
 
     def free_buffers(self) -> int:
-        """Total arrays currently sitting in freelists."""
+        """Total buffers currently sitting in freelists."""
         with self._cv:
             return sum(len(stack) for stack in self._free.values())
 
@@ -384,11 +574,9 @@ class BufferPool:
         """Empty the freelists and forget every tracked lease; returns
         the number of leases that were still outstanding."""
         with self._cv:
-            for stack in self._free.values():
-                for arr in stack:
-                    self._bump_held(-arr.nbytes)
-            self._free.clear()
-            self._most_out.clear()
+            for table in (self._free, self._spare):
+                for nbytes in list(table):
+                    self._drop_idle(nbytes, 0, table)
         return self.forget_leases()
 
     def held_bytes(self) -> int:
@@ -416,12 +604,13 @@ class BufferPool:
             }
 
     def reset_budget_accounting(self) -> None:
-        """Rebase the peak/stall counters to the current state (between
-        runs sharing the global pool)."""
+        """Rebase the peak to the current state and zero the other
+        counters (between runs sharing the global pool)."""
         with self._cv:
             counters = self.budget_counters
+            for key in counters.KEYS:
+                setattr(counters, key, 0)
             counters.peak_held_bytes = self._held
-            counters.budget_stalls = counters.budget_evictions = 0
             self._pressure_mark = 0
 
 

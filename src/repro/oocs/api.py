@@ -86,40 +86,31 @@ def job_demands(program: PassProgram, job: OocJob) -> tuple[int, int]:
     """Declared ``(mem_bytes, scratch_bytes)`` demand of running
     ``program`` on ``job``, for admission control.
 
-    Memory: per rank, ``depth`` column buffers prefetched plus the one
-    in the reader's hand, ``depth`` round buffers queued for writing
-    plus the one being written, the pass body's own two (sorted column
-    and assembly buffer, or column and window), the round's packed
-    ``alltoallv`` buffer (back in the pool once every receiver has
-    released its slice) and two half-column copies in flight to the
-    neighbour: ``2·depth + 6`` buffers. At group size g > 1 a pass also
-    keeps its in-core plan's working set (see
-    :class:`~repro.oocs.incore.columnsort_dist.ColumnsortPlan`): the
-    array every step's output lands in, ``r' = r/g`` records or
-    ``r' + r'/2`` on a group's last rank, and the gather of scattered
-    deliveries, at most the rank's held range, ``r' + r'/2`` again —
-    ``3·r'`` records more. Every one of them is a buffer-pool array, so
-    the pool's measured peak (``OocResult.governor["peak_held_bytes"]``)
-    is the run's record memory, and it stays within this at every depth
-    — ``tests/test_governor_budget.py`` holds it there. Measured
-    peak/declared on P = 4 over depths 0, 1, 2 and 4, 20–60 runs each
-    (the peak moves with thread timing by a few buffers): hybrid
-    (N = 2^14, buffer 256) 0.69–0.90, g at g = 2 (N = 2^13, buffer 512)
-    0.51–0.86; without the working set they reached 1.25 and 1.12.
-    ``m`` (g = P; N = 2^14, buffer 1024) holds the working set as well
-    and is declared it: 0.43–0.73 (20 runs a depth), where under
-    ``2·depth + 6`` alone its peak met the declaration exactly at
-    depth 1 (0.52–1.00 over the four depths).
+    Memory: the bytes of the buffers the run reserves in the pool
+    before any rank starts (:meth:`~repro.oocs.base.PassProgram.buffers`,
+    by byte size): the program's one statement of its memory, so
+    admission charges exactly what the pool then holds for the run.
+    A columnsort program declares per rank ``2·depth + 6`` portions of
+    round buffers and its half-column traffic, and at group size
+    g > 1 its in-core plan's pass-long working set apart from them
+    (:func:`~repro.oocs.base.columnsort_buffers`); the I/O-only
+    baseline declares ``2·depth + 3`` columns a rank
+    (:func:`~repro.oocs.base.io_only_buffers`). Every record buffer of
+    a run is a pool buffer, so the pool's measured peak
+    (``OocResult.governor["peak_held_bytes"]``) stays within this —
+    ``tests/test_governor_budget.py`` holds it there — and a run that
+    keeps to its declaration takes no buffer past it
+    (``OocResult.governor["uncovered_takes"]`` is 0;
+    ``tests/test_warm_run_reservation.py``).
 
     Scratch: a pass program keeps at most input + two generations of
     intermediates on disk at once, ≈ ``3·N`` records (the paper's
     experiments were disk-space limited at exactly this multiple —
     footnote 7).
     """
-    mem = job.buffer_bytes * job.cluster.p * (2 * job.pipeline_depth + 6)
-    r, _s, g = program.layout(job)
-    if g > 1:
-        mem += job.cluster.p * 3 * (r // g) * job.fmt.record_size
+    mem = sum(
+        nbytes * count for nbytes, count in program.buffers(job).items()
+    )
     scratch = 3 * job.n * job.fmt.record_size
     return mem, scratch
 

@@ -47,6 +47,7 @@ columns. Only the final pass writes exact (PDM) positions.
 from __future__ import annotations
 
 import tempfile
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -846,6 +847,7 @@ class PassMarker:
     def __init__(self, comm: Comm, disks: list[VirtualDisk]) -> None:
         self.comm = comm
         self.disks = disks
+        self.owned = disks[comm.rank :: comm.size]  # the disks it writes
         self.comm_marks = [comm.stats.snapshot()]
         self._local_io = not comm.shared_fabric
         self.io_marks = (
@@ -864,7 +866,7 @@ class PassMarker:
         # it owns (the only ones it wrote) before the boundary, so
         # behind the barrier every object of the finished pass has its
         # sidecar on disk.
-        for disk in self.disks[self.comm.rank :: self.comm.size]:
+        for disk in self.owned:
             disk.flush()
         self.comm.barrier()
         self.comm_marks.append(self.comm.stats.snapshot())
@@ -923,6 +925,54 @@ class PassSpec:
     dst: str
 
 
+def columnsort_buffers(job: OocJob, g: int) -> Counter:
+    """The pool buffers a columnsort program at group size ``g`` holds
+    at most at once, by byte size, summed over the ranks — what its run
+    reserves (:meth:`PassProgram.buffers`).
+
+    Round buffers: per rank ``2·depth + 6`` of a rank's portion
+    (``b = buffer_records`` records) — ``depth`` prefetched plus the
+    one the reader holds, ``depth`` round items queued for writing plus
+    the one being written (the assembled output, or the lent slices of
+    other ranks' packed ``alltoallv`` buffers), and at most four in the
+    round itself: the sorted column, the dealt or grouped copy, the
+    round's packed ``alltoallv`` buffer and the previous round's, still
+    lent to a receiver that has not landed it.
+
+    Half columns (``b/2``): at ``g = 1`` one in flight per rank to its
+    neighbour, and rank 0's window 0 and tail — their gathers and two
+    packed buffers lent to writers. At ``g ≥ 2`` each pass also keeps
+    its in-core plan's working set
+    (:class:`~repro.oocs.incore.columnsort_dist.ColumnsortPlan`): on a
+    group's first rank a portion and a half-portion gather, on each
+    middle rank a portion and a portion gather, on its last rank
+    ``3b/2`` records of each, plus two ``3b/2`` delivery buffers;
+    ``g − 1`` half portions travel to a neighbour per group, and the
+    first rank's two delivery buffers are half portions too."""
+    p, depth, size = job.cluster.p, job.pipeline_depth, job.fmt.record_size
+    b = job.buffer_records
+    half = b // 2
+    buffers = Counter({b * size: p * (2 * depth + 6)})
+    if g == 1:
+        buffers[half * size] += p + 3
+    else:
+        groups = p // g
+        buffers[b * size] += groups * (1 + 2 * (g - 2))
+        buffers[half * size] += groups * (g + 2)
+        buffers[3 * half * size] += groups * 4
+    return buffers
+
+
+def io_only_buffers(job: OocJob, g: int) -> Counter:
+    """The pool buffers :func:`pass_io_only` holds at most at once: per
+    rank ``depth`` prefetched plus the one the reader holds, the one
+    handed to the writer and ``depth`` queued behind the one being
+    written — ``2·depth + 3`` columns."""
+    return Counter(
+        {job.buffer_bytes: job.cluster.p * (2 * job.pipeline_depth + 3)}
+    )
+
+
 @dataclass(frozen=True)
 class PassProgram:
     """One out-of-core program, as :func:`run_pass_program` needs it.
@@ -935,7 +985,8 @@ class PassProgram:
     and ``"output"``. The column stores stripe each column over a group
     of ``g = r / buffer`` processors (``r = g·M/P``; whole columns at
     ``g = 1``). The output is PDM-ordered unless ``pdm_output`` is off
-    (the I/O-only baseline writes columns).
+    (the I/O-only baseline writes columns). ``demand(job, g)`` declares
+    the pool buffers a run holds at most at once (see :meth:`buffers`).
     """
 
     name: str
@@ -943,6 +994,7 @@ class PassProgram:
     derive_shape: object
     scratch: str
     pdm_output: bool = True
+    demand: object = columnsort_buffers
 
     def layout(self, job: OocJob) -> tuple[int, int, int]:
         """``(r, s, group size)`` of the program's column stores for
@@ -955,6 +1007,13 @@ class PassProgram:
                 f"{job.group_size}"
             )
         return r, s, g
+
+    def buffers(self, job: OocJob) -> dict[int, int]:
+        """The run's statement of its memory: pool buffers by byte size
+        (over all ranks) that no moment of a run of ``job`` exceeds.
+        :func:`run_pass_program` reserves exactly these, and admission
+        charges their bytes (:func:`repro.oocs.api.job_demands`)."""
+        return dict(self.demand(job, self.layout(job)[2]))
 
     def stores(self, job: OocJob, input_store) -> dict:
         """The run's store dict: ``input_store`` (checked against the
@@ -1078,6 +1137,13 @@ def execute_passes(
         marker.mark()
         if job.audit:
             if auditor is not None:
+                if not comm.shared_fabric:
+                    # The other ranks wrote their disks in their own
+                    # processes and flushed sizes and sidecars at the
+                    # boundary: this process's copies are stale.
+                    for disk in marker.disks:
+                        if disk not in marker.owned:
+                            disk.refresh()
                 auditor.audit_pass(algorithm, stores[spec.dst], index, total)
             comm.barrier()  # no rank outruns a failed audit
         if checkpoint is not None:
@@ -1154,6 +1220,11 @@ def run_pass_program(
     pruned (unless ``job.keep_checkpoints`` — the two lifecycles are
     independent: a successful run retires its checkpoints no matter
     what it keeps for debugging).
+
+    The run first reserves its declared buffers in the process's pool
+    (:meth:`PassProgram.buffers`); every take of the run is served
+    from them, and a budget (``--mem-budget``) too small to hold them
+    raises :class:`~repro.errors.BudgetExceeded` before any rank starts.
     """
     from repro.governor import RunGovernor, attach_governor
     from repro.resilience.checkpoint import CheckpointStore
@@ -1236,7 +1307,9 @@ def run_pass_program(
 
             sweep_stale_segments()
 
+    reservation = None
     try:
+        reservation = pool.reserve(program.buffers(job))
         if supervisor is not None:
             res, copy = supervisor.run(attempt, on_restart=between_attempts)
         else:
@@ -1245,6 +1318,8 @@ def run_pass_program(
         cleanup_failed_run(stores, ckpt)
         raise
     finally:
+        if reservation is not None:
+            reservation.release()
         attach_governor(disks, None)
         for disk in disks:
             # A pass that died mid-way never reached its boundary.

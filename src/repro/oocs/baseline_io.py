@@ -11,7 +11,13 @@ from __future__ import annotations
 
 from repro.columnsort.validation import column_layout
 from repro.errors import ConfigError
-from repro.oocs.base import OocJob, PassProgram, PassSpec, pass_io_only
+from repro.oocs.base import (
+    OocJob,
+    PassProgram,
+    PassSpec,
+    io_only_buffers,
+    pass_io_only,
+)
 from repro.simulate.trace import io_only_pipeline
 from repro.simulate.traces import io_round_work
 
@@ -36,5 +42,5 @@ def baseline_program(passes: int = 3) -> PassProgram:
     ]
     return PassProgram(
         f"baseline-io-{passes}", specs, derive_shape, scratch="io",
-        pdm_output=False,
+        pdm_output=False, demand=io_only_buffers,
     )

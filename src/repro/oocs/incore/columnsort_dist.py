@@ -82,9 +82,9 @@ class _WorkingSet:
         p, rank = comm.size, comm.rank
         half = rr // 2
         self.scope, self.dtype = scope, dtype
-        # Leased as opaque items: out of the pool for the whole pass, the
-        # set sits on a freelist of its own and leaves the round buffers'
-        # freelist (which keeps as many as a run had out at once) as it was.
+        # Leased as opaque items; out of the pool for the whole pass, so
+        # the run's declaration counts it apart from the round buffers
+        # (repro.oocs.base.columnsort_buffers).
         items = np.dtype((np.void, dtype.itemsize))
         last = p > 1 and rank == p - 1
         self.lease = scope.lease(items, rr + half if last else rr)

@@ -5,6 +5,9 @@ import re
 import pytest
 
 from repro.cli import build_parser, main
+from repro.disks.matrixfile import ColumnStore
+from repro.errors import DiskError
+from repro.membuf import get_pool
 
 
 class TestParser:
@@ -107,6 +110,33 @@ class TestBadShape:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
+
+
+class TestFailedRun:
+    """A run that fails is one ``error:`` line naming what failed and
+    exit status 1, no traceback."""
+
+    def test_a_budget_below_the_reservation_fails_before_any_rank(self, capsys):
+        try:
+            rc = main(["sort", "--records", "2048", "--buffer", "256", "-p", "2",
+                       "--mem-budget", "1000"])
+        finally:
+            get_pool().set_budget(None)  # the CLI's budget is process-wide
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: buffer-pool budget exceeded")
+        assert "reserved buffers" in err and err.count("\n") == 1
+
+    def test_a_failure_inside_a_rank_names_the_rank(self, capsys, monkeypatch):
+        def refuse(store, rank, segments):
+            raise DiskError(f"injected write failure on rank {rank}")
+
+        monkeypatch.setattr(ColumnStore, "append_segments", refuse)
+        rc = main(["sort", "--records", "2048", "--buffer", "256", "-p", "2"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert re.match(r"error: rank \d failed: DiskError\(", err)
+        assert "injected write failure" in err and err.count("\n") == 1
 
 
 class TestCopyStats:

@@ -84,6 +84,20 @@ class TestAudit:
         assert dur["audited_units"] > 0
         res.output.delete()
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_every_pass_is_audited_on_process_ranks(self, algorithm, tmp_path):
+        """Rank 0 audits disks the other forked ranks wrote: it takes
+        their sizes and sidecars from the directories their owners
+        flushed at the boundary, and audits what a thread run does."""
+        fmt, records = records_for(algorithm)
+        res = run_sort(
+            algorithm, fmt, records, workdir=tmp_path, audit=True,
+            backend="process",
+        )
+        assert res.durability["audited_passes"] == res.passes
+        assert res.durability["audited_units"] > 0
+        res.output.delete()
+
     def test_audit_failure_surfaces_as_spmd_error(self, monkeypatch, tmp_path):
         def poisoned(self, algorithm, store, index, total):
             raise AuditError(f"{algorithm} pass {index}/{total}: poisoned")

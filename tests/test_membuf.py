@@ -13,7 +13,6 @@ from repro.membuf import (
     copy_stats,
     get_pool,
 )
-from repro.membuf.pool import MAX_FREE_PER_KEY
 from repro.records.format import RecordFormat
 
 
@@ -85,14 +84,6 @@ class TestBufferPool:
         assert pool.recycle(a)
         assert pool.outstanding() == 0
         pool.clear()
-
-    def test_freelist_capped_per_key(self):
-        pool = BufferPool(max_free_per_key=2)
-        arrays = [np.empty(5, dtype=np.int64) for _ in range(4)]
-        for arr in arrays:
-            pool.recycle(arr)
-        assert pool.free_buffers() == 2
-        assert MAX_FREE_PER_KEY == 8  # documented default
 
     def test_forget_leases_crash_cleanup(self):
         pool = BufferPool()
@@ -200,11 +191,11 @@ class TestLend:
 
 class TestFreelistDepth:
     def test_a_key_keeps_what_was_out_at_once(self):
-        """More arrays of a key out at once than ``MAX_FREE_PER_KEY``
-        all come back to the pool: the next round takes them again
-        without allocating."""
+        """However many buffers of a size were out at once, all come
+        back to the pool: the next round takes them again without
+        allocating."""
         pool = BufferPool()
-        n = MAX_FREE_PER_KEY + 4
+        n = 12
         first = [pool.lease(np.int64, 16) for _ in range(n)]
         for arr in first:
             assert pool.recycle(arr)
