@@ -324,9 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srt.add_argument(
         "--mem-budget", type=int, default=None, metavar="BYTES",
-        help="hard byte budget for the buffer pool: leases block under "
-             "backpressure and the run downshifts its pipeline depth when "
-             "pressure persists",
+        help="byte ceiling on the buffer pool's reservations: a run whose "
+             "declared buffers do not fit fails before it starts",
     )
     srt.add_argument(
         "--max-restarts", type=int, default=0, metavar="N",

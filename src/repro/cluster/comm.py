@@ -394,25 +394,13 @@ class Comm:
         if key is None:
             key = self._rank
         membership = self.allgather((color, key, self._me))
-        members = sorted((k, me) for (c, k, me) in membership if c == color)
-        return _SubComm(self, [me for _, me in members])
-
-
-class _SubComm(Comm):
-    """A communicator over a subset of the world's ranks: the parent's
-    fabric and :class:`CommStats` (communication is communication), with
-    the member list, in fabric ranks, as its rank map and tag namespace
-    (so nested splits can never collide)."""
-
-    def __init__(self, parent: Comm, members: list[int]) -> None:
-        if parent._me not in members:
-            raise CommError(
-                f"rank {parent._me} is not a member of the split group {members}"
-            )
-        super().__init__(
-            rank=members.index(parent._me),
+        members = tuple(
+            me for _, me in sorted((k, me) for c, k, me in membership if c == color)
+        )
+        return Comm(
+            rank=members.index(self._me),
             size=len(members),
-            router=parent._router,
-            stats=parent.stats,
-            members=tuple(members),
+            router=self._router,
+            stats=self.stats,
+            members=members,
         )

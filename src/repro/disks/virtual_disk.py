@@ -100,7 +100,7 @@ class VirtualDisk:
     governance layers: ``scratch_governor`` (a
     :class:`~repro.governor.RunGovernor` consulted on
     :class:`~repro.errors.DiskFullError` — reclaim dead scratch and
-    retry, or degrade and fail), ``cancel_token`` (a
+    retry, or fail), ``cancel_token`` (a
     :class:`~repro.governor.CancelToken` making every op attempt a
     cancellation point), ``fault_plan`` (a
     :class:`~repro.resilience.faults.FaultPlan` consulted before each
@@ -228,8 +228,8 @@ class VirtualDisk:
         :class:`~repro.errors.DiskFullError` never reaches the retry
         policy (backoff cannot free space); instead an attached
         ``scratch_governor`` (the run's
-        :class:`~repro.governor.RunGovernor`) walks its reclaim/degrade
-        ladder and says whether one metered retry is warranted. An
+        :class:`~repro.governor.RunGovernor`) reclaims dead scratch
+        and says whether one metered retry is warranted. An
         attached ``cancel_token`` makes every attempt (and every
         backoff sleep) a cancellation point.
         """
@@ -246,8 +246,8 @@ class VirtualDisk:
                 if position is not None and position() != failed_at:
                     failed_at = position()
                     attempt = 1
-                # ENOSPC: hand the run governor one shot at its ladder
-                # (reclaim dead scratch → retry; else degrade → raise).
+                # ENOSPC: hand the run governor one shot at reclaiming
+                # dead scratch (reclaimed → retry; else raise).
                 if isinstance(exc, DiskFullError):
                     governor = self.scratch_governor
                     if governor is not None and governor.handle_disk_full(self):

@@ -210,9 +210,9 @@ class DeadlineExceeded(Cancellation):
 
 
 class BudgetExceeded(GovernorError):
-    """A memory-budget wait could not be satisfied: the request is
-    larger than the whole budget, or backpressure blocked past the
-    budget timeout without enough bytes being recycled."""
+    """The buffer pool's budget cannot hold a request: a run's reserved
+    buffers with the running reservations, or a take no reservation
+    covers. Raised at once; nothing waits for memory."""
 
     def __init__(self, requested: int, budget: int, held: int, why: str) -> None:
         self.requested = requested

@@ -1,43 +1,29 @@
-"""Per-run governance: scratch accounting and the disk-full ladder.
+"""Per-run governance: scratch accounting and the disk-full reclaim.
 
 One :class:`RunGovernor` is shared by all ranks of one pass program. It
 knows the run's store graph (which stores each remaining pass still
 reads or writes), so when a disk raises
-:class:`~repro.errors.DiskFullError` mid-pass it can walk a degradation
-ladder instead of aborting outright:
+:class:`~repro.errors.DiskFullError` mid-pass it can reclaim before the
+run fails: it deletes *dead* scratch stores (stores no remaining pass
+touches, excluding the input, the output, and the previous pass's
+output — the live resume point) and, if that freed any bytes, lets the
+disk retry the failed operation once. With nothing left to reclaim the
+error propagates with the failing disk named.
 
-1. **reclaim** — delete *dead* scratch stores (stores no remaining pass
-   touches, excluding the input, the output, and the previous pass's
-   output — the live resume point) and, if that freed any bytes, let the
-   disk retry the failed operation once;
-2. **degrade** — with nothing left to reclaim, disable read-ahead for
-   the remaining passes (effective pipeline depth 0 — fewer buffers in
-   flight), then the error propagates with the failing disk named — the
-   degraded mode bounds the *next* attempt, it does not rescue this one.
-
-The governor also owns the run's adaptive **depth downshift**: when the
-:class:`~repro.membuf.BufferPool` reports sustained budget backpressure
-(allocation stalls since the last pass boundary), the effective pipeline
-depth for subsequent passes is reduced one step at a time, trading
-overlap for headroom. Correctness is unaffected — every pass program is
-byte-identical at any depth — so the downshift needs no coordination
-beyond the shared counter.
-
-Everything the ladder and downshift do is counted and surfaced on
-``OocResult.governor`` (see :attr:`RunGovernor.KEYS`).
+What the reclaim does is counted and surfaced on ``OocResult.governor``
+(see :attr:`RunGovernor.KEYS`). A run's memory is not governed here: it
+is the reservation the run makes before any rank starts
+(:meth:`~repro.membuf.BufferPool.reserve`), and every pass runs at the
+job's pipeline depth.
 """
 
 from __future__ import annotations
 
-from repro.pipeline import SYNCHRONOUS, PipelinePlan
 from repro.telemetry import Counters
-
-#: Pool allocation stalls within one pass that trigger a depth downshift.
-PRESSURE_STALLS = 2
 
 
 class RunGovernor(Counters):
-    """Scratch-space and pipeline-depth governance for one run.
+    """Scratch-space governance for one run.
 
     Parameters
     ----------
@@ -49,65 +35,30 @@ class RunGovernor(Counters):
     cancel:
         Optional :class:`~repro.governor.CancelToken` observed by the
         run (carried here so disks and pools can reach it).
-    pool:
-        Optional :class:`~repro.membuf.BufferPool` whose backpressure
-        drives the depth downshift (the global pool by default).
     """
 
-    KEYS = (
-        "disk_full_events",
-        "scratch_reclaims",
-        "reclaimed_bytes",
-        "depth_downshifts",
-    )
+    KEYS = ("disk_full_events", "scratch_reclaims", "reclaimed_bytes")
 
-    def __init__(self, stores: dict, specs: list, cancel=None, pool=None) -> None:
+    def __init__(self, stores: dict, specs: list, cancel=None) -> None:
         super().__init__()
         self.stores = stores
         self.specs = list(specs)
         self.cancel = cancel
-        self._pool = pool
         self._pass_index = 0  # 1-based index of the pass in flight
         self._reclaimed = False
-        self.degraded = False
-        self._depth_penalty = 0
 
     # -- pass-boundary bookkeeping ---------------------------------------
 
     def begin_pass(self, index: int) -> None:
         """Called by every rank as pass ``index`` (1-based) starts;
         idempotent — the highest index wins. Each new pass re-arms the
-        reclaim stage (earlier passes may have died since) and samples
-        pool pressure for the depth downshift."""
+        reclaim (earlier passes may have died since)."""
         with self._lock:
             if index > self._pass_index:
                 self._pass_index = index
                 self._reclaimed = False
-                pool = self._effective_pool()
-                if pool is not None and pool.consume_pressure() >= PRESSURE_STALLS:
-                    self._depth_penalty += 1
-                    self.depth_downshifts += 1
 
-    def _effective_pool(self):
-        if self._pool is not None:
-            return self._pool
-        from repro.membuf import get_pool
-
-        return get_pool()
-
-    def effective_plan(self, plan: PipelinePlan) -> PipelinePlan:
-        """The plan a pass should actually run with: the job's plan,
-        minus the accumulated downshift, forced to depth 0 once the run
-        is degraded (read-ahead disabled)."""
-        with self._lock:
-            depth = 0 if self.degraded else max(0, plan.depth - self._depth_penalty)
-        if depth == plan.depth:
-            return plan
-        if depth == 0 and plan.cancel is None:
-            return SYNCHRONOUS
-        return PipelinePlan(depth=depth, timeout=plan.timeout, cancel=plan.cancel)
-
-    # -- the disk-full ladder --------------------------------------------
+    # -- disk full: reclaim dead scratch ----------------------------------
 
     def _dead_store_keys(self) -> list[str]:
         """Store keys no remaining pass touches (and that are not the
@@ -123,23 +74,21 @@ class RunGovernor(Counters):
         return [key for key in self.stores if key not in live]
 
     def handle_disk_full(self, disk) -> bool:
-        """One rung of the ladder, called by a disk's retry loop when a
-        write raises :class:`~repro.errors.DiskFullError`. Returns True
-        when the disk should retry the operation (dead scratch was
-        reclaimed), False when the error must propagate — after
-        degrading the run so the remaining passes need less space."""
+        """Called by a disk's retry loop when a write raises
+        :class:`~repro.errors.DiskFullError`. Returns True when the disk
+        should retry the operation (dead scratch was reclaimed), False
+        when the error must propagate."""
         with self._lock:
             self.disk_full_events += 1
-            if not self._reclaimed:
-                self._reclaimed = True
-                freed = self._reclaim_locked()
-                if freed > 0:
-                    self.scratch_reclaims += 1
-                    self.reclaimed_bytes += freed
-                    return True
-            # Degrade: the remaining passes run without read-ahead.
-            self.degraded = True
-            return False
+            if self._reclaimed:
+                return False
+            self._reclaimed = True
+            freed = self._reclaim_locked()
+            if freed <= 0:
+                return False
+            self.scratch_reclaims += 1
+            self.reclaimed_bytes += freed
+            return True
 
     def _reclaim_locked(self) -> int:
         """Delete every dead scratch store; returns the bytes freed
@@ -152,12 +101,6 @@ class RunGovernor(Counters):
             except Exception:
                 pass  # reclaim is best-effort; the retry will re-check
         return before - sum(d.used_bytes() for d in disks)
-
-    # -- observation -----------------------------------------------------
-
-    def _state(self) -> dict:
-        # The degradation flags, beside the counters in ``OocResult.governor``.
-        return {"degraded": self.degraded, "depth_penalty": self._depth_penalty}
 
 
 def attach_governor(disks: list, governor: "RunGovernor | None") -> None:

@@ -63,16 +63,13 @@ An array the pool did not make is adopted only when it owns its memory
 and no idle buffer of its size is on hand.
 
 Byte budget (:meth:`set_budget`): the pool tracks its *held bytes* —
-freelist buffers plus open tracked leases (a spare holds none) — and,
-with a budget set, a reservation larger than it raises
-:class:`~repro.errors.BudgetExceeded` before the run starts, and a
-:meth:`lease` that would use fresh memory past it first evicts idle
-freelist buffers, then blocks (budget backpressure) until other leases are
-recycled, and finally raises if the bytes never materialize.
-Backpressure stalls are counted and consumed by the run governor's
-adaptive pipeline-depth downshift (:meth:`consume_pressure`).
-:meth:`grab` is exempt: its buffers leave the pool's ownership at the
-call, so charging them would double-count the consumer's own
+freelist buffers plus open tracked leases (a spare holds none) — and a
+budget is a hard ceiling on the runs' reservations. A reservation that
+would take the running reservations past it raises
+:class:`~repro.errors.BudgetExceeded` before its run starts; a tracked
+take no reservation covers, that would hold fresh bytes past it, raises
+at once. :meth:`grab` is exempt: its buffers leave the pool's ownership
+at the call, so charging them would double-count the consumer's own
 accounting.
 """
 
@@ -80,7 +77,6 @@ from __future__ import annotations
 
 import mmap
 import threading
-import time
 import weakref
 from collections import Counter, deque
 from functools import partial
@@ -91,10 +87,6 @@ from repro.errors import BudgetExceeded
 from repro.membuf.copystats import copy_stats
 from repro.telemetry import Counters
 
-#: Seconds between wakeups of a budget-blocked lease (matches the
-#: pipeline pools' poll interval, so cancellation latency is uniform).
-_BUDGET_POLL = 0.05
-
 # A buffer's state: on a freelist, out of the pool (leased, grabbed,
 # landed or lent), or out but no longer counted (a forgotten lease).
 _FREE, _OUT, _FORGOTTEN = range(3)
@@ -103,14 +95,11 @@ _FREE, _OUT, _FORGOTTEN = range(3)
 class BudgetCounters(Counters):
     """A pool's accounting since its last
     :meth:`BufferPool.reset_budget_accounting`: the high-water mark of
-    held bytes, backpressure stalls, evicted freelist buffers, the
-    buffers the pool allocated, the takes no reservation covered and
-    the idle buffers reservations released."""
+    held bytes, the buffers the pool allocated, the takes no reservation
+    covered and the idle buffers reservations released."""
 
     KEYS = (
         "peak_held_bytes",
-        "budget_stalls",
-        "budget_evictions",
         "fresh_buffers",
         "uncovered_takes",
         "released_buffers",
@@ -151,6 +140,11 @@ def _map(nbytes: int) -> np.ndarray:
     )
 
 
+def _bytes_of(buffers: Counter) -> int:
+    """The bytes of ``buffers`` (byte size → count)."""
+    return sum(nbytes * count for nbytes, count in buffers.items())
+
+
 class Reservation:
     """One run's share of the pool (:meth:`BufferPool.reserve`): held
     until :meth:`release` (or the end of a ``with`` block)."""
@@ -176,11 +170,7 @@ class BufferPool:
     """Thread-safe freelists of record buffers keyed by byte size, sized
     by the running reservations, with an optional hard byte budget."""
 
-    def __init__(
-        self,
-        budget_bytes: int | None = None,
-        budget_timeout_s: float = 30.0,
-    ) -> None:
+    def __init__(self, budget_bytes: int | None = None) -> None:
         self._free: dict[int, list[np.ndarray]] = {}
         # Reserved buffers no take has used yet: mapped, but their
         # pages are not, so they hold no memory (and no held bytes).
@@ -203,37 +193,29 @@ class BufferPool:
         self._lent: dict[int, weakref.ref] = {}
         self._loans: dict[int, list] = {}
         self._sweep_at = 64
-        self._cv = threading.Condition()
+        # Re-entrant: budget_snapshot reads the counters under it.
+        self._lock = threading.RLock()
         self._budget = budget_bytes
-        self._budget_timeout = budget_timeout_s
         self._held = 0
-        self.budget_counters = BudgetCounters(lock=self._cv)
-        self._pressure_mark = 0
+        self.budget_counters = BudgetCounters(lock=self._lock)
 
     # -- budget ---------------------------------------------------------
 
-    def set_budget(
-        self, budget_bytes: int | None, timeout_s: float | None = None
-    ) -> None:
+    def set_budget(self, budget_bytes: int | None) -> None:
         """Install (or with None, remove) the hard byte budget."""
-        with self._cv:
+        with self._lock:
             self._budget = budget_bytes
-            if timeout_s is not None:
-                self._budget_timeout = timeout_s
-            self._cv.notify_all()
 
     def _bump_held(self, delta: int) -> None:
-        """Adjust held bytes (call with ``self._cv`` held)."""
+        """Adjust held bytes (call with ``self._lock`` held)."""
         self._held += delta
         if self._held > self.budget_counters.peak_held_bytes:
             self.budget_counters.peak_held_bytes = self._held
-        if delta < 0 and self._budget is not None:
-            self._cv.notify_all()  # only a budgeted lease waits
 
     def _drop_idle(self, nbytes: int, keep: int, table=None) -> int:
         """Drop idle buffers of ``nbytes`` from ``table`` (the freelists,
         or the spares) until ``keep`` remain, the least recently used
-        first; returns how many went. Call with ``self._cv`` held."""
+        first; returns how many went. Call with ``self._lock`` held."""
         table = self._free if table is None else table
         stack = table.get(nbytes)
         if not stack or len(stack) <= keep:
@@ -248,47 +230,6 @@ class BufferPool:
             del table[nbytes]
         return gone
 
-    def _evict_until(self, target: int) -> None:
-        """Drop idle freelist buffers until held bytes <= ``target`` (or
-        the freelists are empty). Call with ``self._cv`` held."""
-        for nbytes in list(self._free):
-            while self._held > target and self._drop_idle(
-                nbytes, len(self._free.get(nbytes, ())) - 1
-            ):
-                self.budget_counters.budget_evictions += 1
-            if self._held <= target:
-                return
-
-    def _wait_for_budget(self, need: int) -> None:
-        """Block until ``need`` fresh bytes fit under the budget. Call
-        with ``self._cv`` held; raises :class:`BudgetExceeded` when the
-        request can never fit or backpressure outlasts the timeout."""
-        budget = self._budget
-        if self._held + need <= budget:
-            return
-        if need > budget:
-            raise BudgetExceeded(
-                need, budget, self._held,
-                "the request is larger than the whole budget",
-            )
-        self._evict_until(budget - need)
-        if self._held + need <= budget:
-            return
-        self.budget_counters.budget_stalls += 1
-        deadline = time.monotonic() + self._budget_timeout
-        while self._held + need > self._budget:
-            left = deadline - time.monotonic()
-            if left <= 0:
-                raise BudgetExceeded(
-                    need, self._budget, self._held,
-                    f"backpressure blocked for {self._budget_timeout:.1f}s "
-                    "without enough leases being recycled",
-                )
-            self._cv.wait(min(left, _BUDGET_POLL))
-            if self._budget is None:
-                return
-            self._evict_until(self._budget - need)
-
     # -- reservations ----------------------------------------------------
 
     def reserve(self, buffers: dict[int, int]) -> Reservation:
@@ -298,16 +239,18 @@ class BufferPool:
         recently used), the peak of held bytes restarts from what the
         pool still holds, and each reserved size is topped up with fresh
         spare buffers. Raises :class:`BudgetExceeded`, reserving
-        nothing, when the reservation alone is larger than the budget.
+        nothing, when the running reservations and this one together are
+        larger than the budget.
         """
         share = Counter({n: k for n, k in buffers.items() if k > 0})
-        need = sum(nbytes * count for nbytes, count in share.items())
-        with self._cv:
-            if self._budget is not None and need > self._budget:
+        need = _bytes_of(share)
+        with self._lock:
+            reserved = _bytes_of(self._reserved)
+            if self._budget is not None and reserved + need > self._budget:
                 raise BudgetExceeded(
-                    need, self._budget, self._held,
-                    "the run's reserved buffers are larger than the whole "
-                    "budget",
+                    need, self._budget, reserved,
+                    "the run's reserved buffers and the running "
+                    "reservations are larger than the whole budget",
                 )
             self._reap()
             self._reserved.update(share)
@@ -334,21 +277,21 @@ class BufferPool:
         return Reservation(self, share)
 
     def _unreserve(self, share: Counter) -> None:
-        with self._cv:
+        with self._lock:
             self._reserved.subtract(share)
             self._reserved = +self._reserved  # drop sizes at zero
 
     # -- acquisition ---------------------------------------------------
 
     def _register(self, raw: np.ndarray, state: int = _OUT) -> np.ndarray:
-        """Start answering for ``raw``. Call with ``self._cv`` held."""
+        """Start answering for ``raw``. Call with ``self._lock`` held."""
         entry = self._buffers[id(raw)] = _Buffer(raw, self._dead.append)
         entry.state = state
         return raw
 
     def _reap(self) -> None:
         """Forget buffers the garbage collector took; one that was out
-        is no longer out. Call with ``self._cv`` held."""
+        is no longer out. Call with ``self._lock`` held."""
         while self._dead:
             entry = self._dead.popleft()
             if self._buffers.get(entry.key) is entry:
@@ -362,15 +305,24 @@ class BufferPool:
         dtype = np.dtype(dtype)
         rows = int(rows)
         nbytes = dtype.itemsize * rows
-        with self._cv:
+        with self._lock:
             self._reap()
             stack = self._free.get(nbytes)
             hit = bool(stack)
-            if not hit and track and self._budget is not None:
-                self._wait_for_budget(nbytes)  # may raise: nothing taken yet
-            self._out[nbytes] += 1
-            if self._out[nbytes] > self._reserved[nbytes]:
+            covered = self._out[nbytes] < self._reserved[nbytes]
+            if not covered:
+                budget = self._budget
+                if (
+                    track and not hit and budget is not None
+                    and self._held + nbytes > budget
+                ):
+                    raise BudgetExceeded(
+                        nbytes, budget, self._held,
+                        "no reservation covers the take, and with what the "
+                        "pool holds it is larger than the whole budget",
+                    )
                 self.budget_counters.uncovered_takes += 1
+            self._out[nbytes] += 1
             if hit:
                 arr = stack.pop()
                 raw = _raw_of(arr)
@@ -398,10 +350,11 @@ class BufferPool:
 
     def lease(self, dtype: np.dtype, rows: int) -> np.ndarray:
         """Acquire a tracked ``rows``-long array of ``dtype``; pair with
-        :meth:`recycle`. With a budget set, a lease that needs a fresh
-        allocation blocks while the pool is at its byte ceiling."""
+        :meth:`recycle`. With a budget set, a lease no reservation
+        covers that needs fresh bytes past it raises
+        :class:`BudgetExceeded`."""
         arr = self._take(dtype, rows, track=True)
-        with self._cv:
+        with self._lock:
             outstanding = len(self._tracked)
         copy_stats().record_lease(outstanding)
         return arr
@@ -439,7 +392,7 @@ class BufferPool:
         if not views:
             self.recycle(base)
             return
-        with self._cv:
+        with self._lock:
             if len(self._lent) >= self._sweep_at:
                 self._sweep_loans()
             raw = _raw_of(base)
@@ -451,7 +404,7 @@ class BufferPool:
 
     def _sweep_loans(self) -> None:
         """Drop the entries of slices and buffers the garbage collector
-        has taken. Call with ``self._cv`` held."""
+        has taken. Call with ``self._lock`` held."""
         self._lent = {k: r for k, r in self._lent.items() if r() is not None}
         self._loans = {
             k: loan for k, loan in self._loans.items() if loan[1]() is not None
@@ -460,7 +413,7 @@ class BufferPool:
 
     def _release_slice(self, arr: np.ndarray) -> np.ndarray | None:
         """Release ``arr``, a lent slice; returns the lent buffer when
-        this was the last slice out. Call with ``self._cv`` held."""
+        this was the last slice out. Call with ``self._lock`` held."""
         del self._lent[id(arr)]
         raw = _raw_of(arr)
         loan = self._loans.get(id(raw))
@@ -486,7 +439,7 @@ class BufferPool:
         fits under the budget."""
         if not isinstance(arr, np.ndarray):
             return False
-        with self._cv:
+        with self._lock:
             self._reap()
             ref = self._lent.get(id(arr))
             if ref is not None and ref() is arr:
@@ -524,8 +477,6 @@ class BufferPool:
                 self._free.setdefault(nbytes, []).append(arr)
                 if not tracked:
                     self._bump_held(nbytes)
-                elif self._budget is not None:
-                    self._cv.notify_all()  # lease closed: bytes moved
             else:
                 del self._buffers[id(raw)]
         if tracked:
@@ -536,14 +487,14 @@ class BufferPool:
 
     def outstanding(self) -> int:
         """Number of tracked leases not yet recycled."""
-        with self._cv:
+        with self._lock:
             return len(self._tracked)
 
     def forget_leases(self) -> int:
         """Drop all tracked leases without pooling them (crash cleanup:
         a failed rank cannot recycle its in-flight buffers). Returns the
         number forgotten."""
-        with self._cv:
+        with self._lock:
             n = len(self._tracked)
             for key, arr in self._tracked.items():
                 self._bump_held(-arr.nbytes)
@@ -552,7 +503,6 @@ class BufferPool:
                     entry.state = _FORGOTTEN
                     self._out[entry.nbytes] -= 1
             self._tracked.clear()
-            self._cv.notify_all()
         for _ in range(n):
             copy_stats().record_return()
         return n
@@ -560,20 +510,20 @@ class BufferPool:
     def lent(self) -> int:
         """Lent buffers (:meth:`lend`) still alive with a slice not yet
         released."""
-        with self._cv:
+        with self._lock:
             return sum(
                 1 for loan in self._loans.values() if loan[1]() is not None
             )
 
     def free_buffers(self) -> int:
         """Total buffers currently sitting in freelists."""
-        with self._cv:
+        with self._lock:
             return sum(len(stack) for stack in self._free.values())
 
     def clear(self) -> int:
         """Empty the freelists and forget every tracked lease; returns
         the number of leases that were still outstanding."""
-        with self._cv:
+        with self._lock:
             for table in (self._free, self._spare):
                 for nbytes in list(table):
                     self._drop_idle(nbytes, 0, table)
@@ -582,21 +532,12 @@ class BufferPool:
     def held_bytes(self) -> int:
         """Bytes the pool currently answers for: freelists plus open
         tracked leases."""
-        with self._cv:
+        with self._lock:
             return self._held
-
-    def consume_pressure(self) -> int:
-        """Backpressure stalls since the previous call (the run
-        governor's downshift signal)."""
-        with self._cv:
-            stalls = self.budget_counters.budget_stalls
-            since = stalls - self._pressure_mark
-            self._pressure_mark = stalls
-            return since
 
     def budget_snapshot(self) -> dict:
         """Budget accounting for reports and tests."""
-        with self._cv:
+        with self._lock:
             return {
                 "budget_bytes": self._budget,
                 "held_bytes": self._held,
@@ -606,12 +547,11 @@ class BufferPool:
     def reset_budget_accounting(self) -> None:
         """Rebase the peak to the current state and zero the other
         counters (between runs sharing the global pool)."""
-        with self._cv:
+        with self._lock:
             counters = self.budget_counters
             for key in counters.KEYS:
                 setattr(counters, key, 0)
             counters.peak_held_bytes = self._held
-            self._pressure_mark = 0
 
 
 def _recycle_each(pool: BufferPool, arrays) -> None:

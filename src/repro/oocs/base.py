@@ -234,7 +234,7 @@ class OocResult:
     comm_total: dict  # aggregate across ranks
     copy: dict = field(default_factory=dict)  # data-plane copy accounting
     durability: dict = field(default_factory=dict)  # audit counts
-    governor: dict = field(default_factory=dict)  # budgets/ladder/admission
+    governor: dict = field(default_factory=dict)  # budget/reclaim/admission
     supervisor: dict = field(default_factory=dict)  # restarts/causes/wall
     trace: RunTrace | None = None
     workspace: object = None  # set by the convenience API to pin disks alive
@@ -1100,11 +1100,10 @@ def execute_passes(
     of becoming a resume point. (Audit reads are metered store reads;
     the byte-exact pass-count tests therefore run with auditing off.)
 
-    With ``governor`` (the run's
-    :class:`~repro.governor.RunGovernor`) set, each pass start updates
-    the governor's live-store bookkeeping and runs under its
-    *effective* plan — the job's plan minus any pressure downshift,
-    depth 0 once degraded. ``job.cancel`` makes every pass boundary a
+    Every pass runs at the job's plan (``job.pipeline_plan()``). With
+    ``governor`` (the run's :class:`~repro.governor.RunGovernor`) set,
+    each pass start updates the governor's live-store bookkeeping.
+    ``job.cancel`` makes every pass boundary a
     cancellation point, checked *after* the boundary's checkpoint is
     persisted so a cancelled run always resumes from the pass it
     finished last.
@@ -1126,14 +1125,10 @@ def execute_passes(
             continue
         if job.cancel is not None:
             job.cancel.check()
-        effective = plan
         if governor is not None:
             governor.begin_pass(index)
-            effective = governor.effective_plan(plan)
         trace = run_trace.passes[index - 1] if run_trace is not None else None
-        spec.body(
-            comm, stores[spec.src], stores[spec.dst], fmt, trace, plan=effective
-        )
+        spec.body(comm, stores[spec.src], stores[spec.dst], fmt, trace, plan=plan)
         marker.mark()
         if job.audit:
             if auditor is not None:

@@ -141,10 +141,7 @@ def render_report(summary: dict) -> str:
 
 
 #: Governor counters whose moving makes the governance section show.
-_GOVERNANCE_MOVES = (
-    "cancel_checks", "budget_stalls", "budget_evictions", "disk_full_events",
-    "depth_downshifts", "degraded", "admission_wait_s",
-)
+_GOVERNANCE_MOVES = ("cancel_checks", "disk_full_events", "admission_wait_s")
 
 
 def _governance_lines(gov: dict) -> list[str]:
@@ -153,18 +150,14 @@ def _governance_lines(gov: dict) -> list[str]:
         return []
     budget = gov.get("budget_bytes")
     deadline = gov.get("deadline_s")
-    downshifts = gov["depth_downshifts"] + (1 if gov["degraded"] else 0)
     lines = [
         f"  governance: budget "
         f"{'unlimited' if budget is None else f'{budget:,} B'}, peak held "
-        f"{gov['peak_held_bytes']:,} B, {gov['budget_stalls']} stalls, "
-        f"{gov['budget_evictions']} evictions",
+        f"{gov['peak_held_bytes']:,} B",
         f"  cancellation: {gov.get('cancel_checks', 0)} checks, "
         f"{'no deadline' if deadline is None else f'deadline {deadline:.1f}s'}",
         f"  disk full: {gov['disk_full_events']} events, "
-        f"{gov['scratch_reclaims']} reclaims freed {gov['reclaimed_bytes']:,} B; "
-        f"{downshifts} depth downshifts"
-        + (" (degraded: read-ahead off)" if gov["degraded"] else ""),
+        f"{gov['scratch_reclaims']} reclaims freed {gov['reclaimed_bytes']:,} B",
     ]
     if "admission_wait_s" in gov:
         lines.append(

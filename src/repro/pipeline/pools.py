@@ -6,9 +6,10 @@ one pass. Both are backed by a single thread and a bounded queue of
 buffer: a prefetched column going in, a round's assembled output (with
 all the writes that retire it) going out. A pass therefore pins at most
 ``2·depth + O(1)`` column buffers beyond the synchronous baseline — the
-buffer-pool budget the prediction model
-(:func:`repro.simulate.predict.buffers_per_round`) and admission control
-(:func:`repro.oocs.api.job_demands`) already reason about.
+buffers a run reserves in the buffer pool before it starts, which the
+prediction model (:func:`repro.simulate.predict.buffers_per_round`) and
+admission control (:func:`repro.oocs.api.job_demands`) reason about. The
+depth is the job's, for every pass.
 
 Contracts, shared by both pools:
 

@@ -92,7 +92,7 @@ class RetryPolicy:
             # Non-retryable-without-reclaim, whatever its transient flag
             # says: backing off cannot conjure free space, so ENOSPC must
             # not burn the backoff budget. Space recovery is the run
-            # governor's job (reclaim dead scratch, then degrade); its
+            # governor's job (reclaim dead scratch); its
             # retry happens in the disk's op loop, outside this policy.
             return False
         transient = getattr(exc, "transient", None)

@@ -1,11 +1,11 @@
 """Disk-full handling: fault-spec validation, retry classification, and
-the run governor's reclaim/degrade ladder.
+the run governor's reclaim.
 
 ENOSPC is deliberately *not* a retryable fault — backing off cannot
 conjure free space — so the path under test here is the
-:class:`~repro.governor.RunGovernor` ladder instead: reclaim dead
-scratch stores and retry the write once, else degrade the run and let
-the error surface structurally, naming the disk.
+:class:`~repro.governor.RunGovernor` instead: reclaim dead scratch
+stores and retry the write once, else let the error surface
+structurally, naming the disk.
 """
 
 import re
@@ -107,14 +107,13 @@ class TestReclaimLadder:
         assert gov["disk_full_events"] == 1
         assert gov["scratch_reclaims"] == 1
         assert gov["reclaimed_bytes"] > 0
-        assert not gov.get("degraded")
         report = render_report(result_summary(res))
         assert re.search(r"  disk full: 1 events, 1 reclaims freed [\d,]+ B", report)
         res.output.delete()
 
     def test_nothing_to_reclaim_fails_naming_the_disk(self, depth):
         """The very first write fails: no dead scratch exists yet, so
-        the ladder degrades and the error must surface structurally with
+        the error must surface structurally with
         the failing disk named."""
         records = generate("uniform", FMT, 512, seed=7)
         plan = FaultPlan(

@@ -11,7 +11,7 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.spmd import run_spmd
 from repro.disks.matrixfile import ColumnStore
 from repro.disks.virtual_disk import make_disk_array
-from repro.errors import CommError, ConfigError, DimensionError, DiskError
+from repro.errors import ConfigError, DimensionError, DiskError
 from repro.oocs.api import ALGORITHMS, sort_out_of_core
 from repro.oocs.base import OocJob, make_workspace, run_pass_program
 from repro.records.format import RecordFormat
@@ -72,15 +72,6 @@ class TestCommSplit:
 
         res = run_spmd(4, prog)
         assert res.returns == [(1, 0), (1, 1), (1, 2), (1, 3)]
-
-    def test_singleton_group_membership_error(self):
-        from repro.cluster.comm import _SubComm
-        from repro.cluster.mailbox import MailboxRouter
-        from repro.cluster.comm import Comm
-
-        comm = Comm(0, 2, MailboxRouter(timeout=1))
-        with pytest.raises(CommError, match="not a member"):
-            _SubComm(comm, [1])
 
     def test_sub_stats_feed_parent_counters(self):
         def prog(comm):

@@ -5,6 +5,7 @@ against their declarations: ``tests/test_warm_run_reservation.py``.)"""
 from __future__ import annotations
 
 import gc
+import time
 import weakref
 
 import numpy as np
@@ -131,6 +132,30 @@ class TestReservation:
         with pool.reserve({512: 1}):
             pool.grab(np.uint8, 512)
         assert _counters(pool)["uncovered_takes"] == 1
+
+    def test_reservations_past_the_budget_fail_and_the_running_one_holds(self):
+        pool = BufferPool(budget_bytes=1000)
+        first = pool.reserve({512: 1})
+        with pytest.raises(BudgetExceeded, match="running reservations"):
+            pool.reserve({256: 2})  # 512 + 512 > 1000
+        taken = pool.lease(np.uint8, 512)  # the first run's buffer
+        assert _counters(pool)["uncovered_takes"] == 0
+        pool.recycle(taken)
+        first.release()
+        with pool.reserve({256: 2}):  # fits once the first is gone
+            pass
+
+    def test_an_uncovered_take_past_the_budget_raises_at_once(self):
+        pool = BufferPool(budget_bytes=1000)
+        with pool.reserve({512: 1}):
+            held = pool.lease(np.uint8, 512)
+            before = pool.outstanding()
+            t0 = time.monotonic()
+            with pytest.raises(BudgetExceeded, match="no reservation covers"):
+                pool.lease(np.uint8, 512)
+            assert time.monotonic() - t0 < 0.1
+            assert pool.outstanding() == before
+            pool.recycle(held)
 
     def test_a_dropped_grab_is_no_longer_out(self):
         pool = BufferPool()
