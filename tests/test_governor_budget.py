@@ -110,6 +110,39 @@ SHAPES = {
 
 
 class TestBudgetedRun:
+    def test_budgeted_sort_verifies_and_respects_budget(self):
+        records = generate("uniform", FMT, 8192, seed=3)
+        cluster = ClusterConfig(p=4, mem_per_proc=2**12)
+        budget = 2**26
+        get_pool().set_budget(budget)
+        try:
+            res = sort_out_of_core(
+                "threaded", records, cluster, FMT, buffer_records=512,
+                pipeline_depth=2,
+            )
+            gov = res.governor
+            assert gov["budget_bytes"] == budget
+            assert 0 < gov["peak_held_bytes"] <= budget
+            res.output.delete()
+        finally:
+            get_pool().set_budget(None)
+
+    def test_budget_is_surfaced_even_without_stalls(self):
+        """A budget the run never comes near is still reported, with no
+        take past the reservation."""
+        records = generate("uniform", FMT, 8192, seed=3)
+        cluster = ClusterConfig(p=4, mem_per_proc=2**12)
+        get_pool().set_budget(2**28)
+        try:
+            res = sort_out_of_core(
+                "threaded", records, cluster, FMT, buffer_records=512,
+            )
+            assert res.governor["budget_bytes"] == 2**28
+            assert res.governor["uncovered_takes"] == 0
+            res.output.delete()
+        finally:
+            get_pool().set_budget(None)
+
     @pytest.mark.parametrize(
         "algorithm,n,buf,p", [(name, *shape) for name, shape in SHAPES.items()]
     )
