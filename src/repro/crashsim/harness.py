@@ -17,6 +17,10 @@ Each scenario is one durability claim exercised end to end:
   reordered data, and a :meth:`VirtualDisk.sync
   <repro.disks.virtual_disk.VirtualDisk.sync>` barrier makes extents
   crash-proof;
+* ``appends`` — a column portion's appends, chained into one
+  checksum extent, taken through ``flush()`` and ``sync()``: a verified
+  read of the chained extent never false-passes, and the barriered
+  portion survives;
 * ``daemon_restart`` — :meth:`SortService._recover
   <repro.service.daemon.SortService._recover>` on the materialized
   root loses no acknowledged job, duplicates none, resurrects none;
@@ -248,6 +252,17 @@ def scenario_sidecar(scratch: Path, quick: bool):
                 [("obj.a", 0, 1024, b"D" * 1024), ("obj.c", 0, 600, b"E" * 600)],
             )
         )
+    return _sweep_disk(rec, written, barriers, scratch, quick, "sidecar")
+
+
+def _sweep_disk(rec, written, barriers, scratch: Path, quick: bool, scenario: str):
+    """Recover the disk ``d0`` of a traced disk workload in every crash
+    state (every ~60th when ``quick``): verified reads must never
+    false-pass (:func:`check_disk_reads`), and each ``(op count,
+    expectations)`` barrier must hold in every state that crashed after
+    it (:func:`check_barriered_reads`)."""
+    from repro.disks.virtual_disk import VirtualDisk
+
     states = enumerate_crash_states(rec.ops)
     if quick:
         states = states[:: max(1, len(states) // 60)]
@@ -257,14 +272,49 @@ def scenario_sidecar(scratch: Path, quick: bool):
         recovered = VirtualDisk(dest / "d0", disk_id=0)
         label = state.label or f"s{i}"
         violations += check_disk_reads(
-            [recovered], written, scenario="sidecar", state=label
+            [recovered], written, scenario=scenario, state=label
         )
         for barrier, expectations in barriers:
             if state.crash_index >= barrier:
                 violations += check_barriered_reads(
-                    recovered, expectations, scenario="sidecar", state=label
+                    recovered, expectations, scenario=scenario, state=label
                 )
     return len(states), violations
+
+
+def scenario_appends(scratch: Path, quick: bool):
+    """A column portion written by cursor appends (one chained checksum
+    extent), a ``flush()``, more appends — one of them a two-segment
+    batch — and a ``sync()``: crashes land before the first sidecar,
+    with the sidecar describing a shorter chain than the data, and
+    after the barrier. Verified reads must never false-pass, and the
+    barriered portion must survive bit-for-bit."""
+    from repro.disks.virtual_disk import VirtualDisk
+
+    work = scratch / "work"
+    written: dict[tuple[int, str, int, int], list[bytes]] = {}
+    portion = bytearray()
+    with trace(work) as rec:
+        disk = VirtualDisk(work / "d0", disk_id=0)
+
+        def append(*segments: bytes) -> None:
+            extents = []
+            for data in segments:
+                key = (0, "obj.col", len(portion), len(data))
+                written.setdefault(key, []).append(data)
+                extents.append(("obj.col", len(portion), data))
+                portion.extend(data)
+            disk.write_extents(extents, append=True)
+
+        append(b"A" * 512)
+        append(b"B" * 512)
+        append(b"C" * 300)
+        disk.flush()
+        append(b"D" * 400, b"E" * 500)
+        append(b"F" * 212)
+        disk.sync()
+        barriers = [(len(rec.ops), [("obj.col", 0, len(portion), bytes(portion))])]
+    return _sweep_disk(rec, written, barriers, scratch, quick, "appends")
 
 
 def scenario_daemon_restart(scratch: Path, quick: bool):
@@ -387,6 +437,7 @@ SCENARIOS = {
     "checkpoint_save": scenario_checkpoint_save,
     "checkpoint_prune": scenario_checkpoint_prune,
     "sidecar": scenario_sidecar,
+    "appends": scenario_appends,
     "daemon_restart": scenario_daemon_restart,
     "resume_e2e": scenario_resume_e2e,
 }

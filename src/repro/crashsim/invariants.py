@@ -157,6 +157,26 @@ def check_checkpoints(
     return out
 
 
+def _pieces_were_written(data: bytes, offset: int, writes) -> bool:
+    """Whether every piece of ``data`` (read from ``offset``) between
+    recorded write boundaries equals what some write that covered the
+    piece put there. ``writes`` lists ``(offset, bytes)`` of every write
+    to the object."""
+    end = offset + len(data)
+    cuts = {offset, end}
+    for at, blob in writes:
+        cuts.update(p for p in (at, at + len(blob)) if offset < p < end)
+    cuts = sorted(cuts)
+    for lo, hi in zip(cuts, cuts[1:]):
+        piece = data[lo - offset : hi - offset]
+        if not any(
+            at <= lo and hi <= at + len(blob) and blob[lo - at : hi - at] == piece
+            for at, blob in writes
+        ):
+            return False
+    return True
+
+
 def check_disk_reads(
     disks: list,
     written: dict[tuple[int, str, int, int], list[bytes]],
@@ -164,29 +184,37 @@ def check_disk_reads(
     state: str,
 ) -> list[Violation]:
     """The no-false-pass claim: a CRC-verified read of a materialized
-    state must either return bytes the workload actually wrote to that
-    extent at some point, or raise a structured error
+    state must either return bytes the workload actually wrote there at
+    some point, or raise a structured error
     (:class:`~repro.errors.CorruptionError` on a CRC mismatch,
     :class:`~repro.errors.DiskError` on a short file) — never silently
     hand back torn or reordered garbage.
 
     ``written`` maps ``(disk_id, name, offset, length)`` to every byte
-    string ever written to that extent, in order.
+    string ever written to that extent, in order. A cataloged extent
+    need not be one write — contiguous appends chain into one extent —
+    so each read is cut at every recorded write boundary inside it, and
+    every piece must match a write that covered it.
     """
     out: list[Violation] = []
 
     def bad(message: str) -> None:
         out.append(Violation(scenario=scenario, state=state, message=message))
 
+    history: dict[tuple[int, str], list[tuple[int, bytes]]] = {}
+    for (disk_id, name, offset, _length), blobs in written.items():
+        history.setdefault((disk_id, name), []).extend(
+            (offset, blob) for blob in blobs
+        )
     for disk in disks:
         for name in disk.files():
+            writes = history.get((disk.disk_id, name), [])
             for offset, length, _crc in disk.checksums.extents(name):
                 try:
                     data = disk.read_at(name, offset, length)
                 except (DiskError, ReproError):
                     continue  # structured detection is a pass
-                history = written.get((disk.disk_id, name, offset, length), [])
-                if bytes(data) not in history:
+                if not _pieces_were_written(bytes(data), offset, writes):
                     bad(
                         f"CRC-verified read of {name!r}@{offset}+{length} on "
                         f"disk {disk.disk_id} returned bytes that were never "

@@ -6,11 +6,14 @@ counters: threaded columnsort must move exactly ``3·N`` records through
 read and write, subblock columnsort ``4·N``, M-columnsort ``3·N``.
 Counters are thread-safe because each rank runs on its own thread.
 
-``bytes_hashed`` and ``checksum_failures`` meter the durability layer's
-verification overhead: bytes fed through the block-checksum CRC on both
-the write (compute) and read (verify) sides, and reads whose stored CRC
-did not match. They deliberately do not perturb ``reads``/``writes`` or
-the byte totals — hashing is not data movement, so the pass-count
+``bytes_hashed``, ``checksum_failures`` and ``extents_verified`` meter
+the durability layer's verification overhead: bytes fed through the
+block-checksum CRC on both the write (compute) and read (verify) sides,
+cataloged extents whose stored CRC did not match, and the cataloged
+extents the successful reads checked (one per read when every read
+covers exactly one extent — a column portion's appends are one chained
+extent). They deliberately do not perturb ``reads``/``writes`` or the
+byte totals — hashing is not data movement, so the pass-count
 invariants stay exact with checksums on.
 """
 
@@ -31,12 +34,17 @@ class IoStats(Counters):
         "write_retries",
         "bytes_hashed",
         "checksum_failures",
+        "extents_verified",
     )
 
-    def record_read(self, nbytes: int) -> None:
+    def record_read(self, nbytes: int, hashed: int = 0, verified: int = 0) -> None:
+        """Count one read of ``nbytes``, ``hashed`` of them verified
+        against ``verified`` cataloged extents."""
         with self._lock:
             self.reads += 1
             self.bytes_read += nbytes
+            self.bytes_hashed += hashed
+            self.extents_verified += verified
 
     def record_write(self, nbytes: int, count: int = 1, hashed: int = 0) -> None:
         """Count ``count`` written extents of ``nbytes`` in all, ``hashed``
@@ -58,12 +66,9 @@ class IoStats(Counters):
             else:
                 self.write_retries += 1
 
-    def record_hashed(self, nbytes: int) -> None:
-        """Count bytes run through the block checksum (write-side
-        compute and read-side verify alike)."""
-        with self._lock:
-            self.bytes_hashed += nbytes
-
-    def record_checksum_failure(self, n: int = 1) -> None:
+    def record_checksum_failure(self, n: int, hashed: int) -> None:
+        """Count a refused read: ``n`` mismatched extents, found by
+        hashing ``hashed`` bytes."""
         with self._lock:
             self.checksum_failures += n
+            self.bytes_hashed += hashed

@@ -81,13 +81,14 @@ class _StoreBase:
         copy_stats().record_zero_copy(nbytes)
         return out
 
-    def _write(self, extents) -> None:
+    def _write(self, extents, append: bool = False) -> None:
         """Write ``(disk, file, record offset, records)`` extents in
         list order: one :meth:`VirtualDisk.write_extents` call per run
         of consecutive extents on one disk — one per round at one disk
         per processor, the paper's testbed — and one zero-copy meter
         update. Splitting only at disk changes keeps the ``pwrite`` and
-        fault-plan order of the list."""
+        fault-plan order of the list. ``append`` passes through: the
+        disk chains an append onto the checksum extent it continues."""
         size = self.fmt.record_size
         views = self.fmt.wire_views([extent[3] for extent in extents])
         run: list = []
@@ -95,11 +96,11 @@ class _StoreBase:
         for (disk, file, at, _records), view in zip(extents, views):
             if disk is not run_disk:
                 if run:
-                    run_disk.write_extents(run)
+                    run_disk.write_extents(run, append=append)
                 run, run_disk = [], disk
             run.append((file, at * size, view))
         if run:
-            run_disk.write_extents(run)
+            run_disk.write_extents(run, append=append)
 
 
 class ColumnStore(_StoreBase):
@@ -206,7 +207,12 @@ class ColumnStore(_StoreBase):
         Thread-safe: every cursor range is reserved under one lock hold,
         so concurrent appenders (the rank thread plus a write-behind
         flusher) land in disjoint rows; a list with an overflowing
-        segment reserves nothing."""
+        segment reserves nothing.
+
+        An append that continues the portion's last checksum extent
+        extends it (the CRC runs on), so a portion written in order is
+        one cataloged extent and :meth:`read_portion` verifies it with
+        one call; an append that lands out of order is its own extent."""
         try:
             where = [self._where[rank, j] for j, _records in segments]
         except KeyError:
@@ -229,7 +235,7 @@ class ColumnStore(_StoreBase):
                 extents.append((disk, file, cursor, records))
                 reserved[key] = cursor + len(records)
             self._cursors.update(reserved)
-        self._write(extents)
+        self._write(extents, append=True)
 
     def reset_cursors(self) -> None:
         """Clear append cursors (before re-running a pass that appends)."""

@@ -44,7 +44,7 @@ from pathlib import Path
 
 from repro.disks.iostats import IoStats
 from repro.durability.checksums import BlockChecksums
-from repro.durability.hashing import block_checksum, file_digest
+from repro.durability.hashing import file_digest
 from repro.errors import CorruptionError, DiskError, DiskFullError
 
 
@@ -204,20 +204,14 @@ class VirtualDisk:
         self.close_handles()
         self.checksums.flush()
 
-    def _consume_fault(self, op: str) -> None:
-        plan = self.fault_plan
-        if plan is not None:
-            plan.check(op, where=f"on disk {self.disk_id}", disk_id=self.disk_id)
-
     def _run_op(self, op: str, fn, position=None):
         """Run one read/write body under the fault plan and retry
         policy.
 
         ``fn()`` runs once per attempt. Its body consults the fault
-        plan (:meth:`_consume_fault`) *before* each extent's side
-        effects, so an injected fault never leaves a half-applied
-        extent behind and a retried extent is indistinguishable from a
-        fresh one.
+        plan *before* each extent's side effects, so an injected fault
+        never leaves a half-applied extent behind and a retried extent
+        is indistinguishable from a fresh one.
 
         A batch body reports through ``position()`` the extent it has
         reached, and its next attempt resumes there. A failure at a
@@ -286,14 +280,14 @@ class VirtualDisk:
 
     # ------------------------------------------------------------------
 
-    def _verify(self, name: str, offset: int, view) -> None:
-        """Check the read bytes against the block-checksum catalog."""
-        bad, hashed = self.checksums.verify(name, offset, view)
-        if hashed:
-            self.stats.record_hashed(hashed)
+    def _verify(self, name: str, offset: int, view, nbytes: int) -> None:
+        """Check the read bytes against the block-checksum catalog and
+        meter the read (one :class:`IoStats` update)."""
+        bad, hashed, checked = self.checksums.verify(name, offset, view)
         if bad:
-            self.stats.record_checksum_failure(len(bad))
+            self.stats.record_checksum_failure(len(bad), hashed)
             raise CorruptionError(self.disk_id, name, bad)
+        self.stats.record_read(nbytes, hashed, checked)
 
     def write_at(
         self, name: str, offset: int, data: bytes | bytearray | memoryview
@@ -303,18 +297,25 @@ class VirtualDisk:
         needed: the one-extent spelling of :meth:`write_extents`."""
         self.write_extents([(name, offset, data)])
 
-    def write_extents(self, extents) -> None:
+    def write_extents(self, extents, append: bool = False) -> None:
         """Write each ``(name, offset, data)`` extent, in order, as one
         disk operation — a round's segments bound for this disk.
 
         Once per call: the cancel check, the disk lock, the
         :class:`IoStats` update and the checksum-catalog insert. Per
-        extent, in list order: the fault-plan check, the descriptor
-        lookup, the capacity check, the gap zero-fill, the ``pwrite``,
-        the size update and the CRC. So ``IoStats.writes`` counts
-        extents, the fault plan counts extent attempts, and a retried
-        or reclaimed call resumes at the extent that failed (:meth:`_run_op`); the extents before it
-        have landed and are counted."""
+        extent, in list order, inline: the fault-plan check (when a plan
+        is attached), the capacity check, the descriptor lookup, the gap
+        zero-fill, the ``pwrite`` and the size update; the catalog
+        insert hashes each landed extent once. So ``IoStats.writes``
+        counts extents, the fault plan counts extent attempts, and a
+        retried or reclaimed call resumes at the extent that failed
+        (:meth:`_run_op`); the extents before it have landed and are
+        counted.
+
+        ``append`` marks a column store's cursor appends: an extent
+        landing where its object's last cataloged extent ends extends
+        that extent (:meth:`BlockChecksums.insert
+        <repro.durability.checksums.BlockChecksums.insert>`)."""
         if self.read_only:
             raise DiskError(f"disk {self.disk_id} is read-only")
         batch = []
@@ -326,46 +327,52 @@ class VirtualDisk:
 
         def body() -> None:
             nonlocal done
-            landed = []  # (name, offset, length, crc), for the catalog
+            start = done
+            plan, capacity = self.fault_plan, self.capacity_bytes
             with self._lock:
+                sizes, handles = self._sizes, self._handles
                 try:
-                    for i in range(done, len(batch)):
-                        name, offset, data, nbytes = batch[i]
-                        self._consume_fault("write")
-                        self._write_extent(name, offset, data, nbytes)
-                        landed.append((name, offset, nbytes, block_checksum(data)))
-                        done = i + 1
+                    for name, offset, data, nbytes in batch[start:]:
+                        if plan is not None:
+                            plan.check(
+                                "write",
+                                where=f"on disk {self.disk_id}",
+                                disk_id=self.disk_id,
+                            )
+                        old_size = sizes.get(name, 0)
+                        end = offset + nbytes
+                        grow = end - old_size
+                        if (
+                            capacity is not None
+                            and grow > 0
+                            and self._used + grow > capacity
+                        ):
+                            raise DiskFullError(
+                                f"disk {self.disk_id} full: cannot grow {name!r} "
+                                f"by {grow} bytes (capacity {capacity})"
+                            )
+                        fd = handles.get(name)
+                        if fd is None:
+                            fd = self._open_handle(name)
+                        else:
+                            handles.move_to_end(name)
+                        if offset > old_size:
+                            # Explicitly zero-fill the gap so reads are defined.
+                            gap = offset - old_size
+                            _pwrite_all(fd, bytes(gap), old_size, gap)
+                        _pwrite_all(fd, data, offset, nbytes)
+                        sizes[name] = max(old_size, end)
+                        if grow > 0:
+                            self._used += grow
+                        done += 1
                 finally:
-                    if landed:
-                        self.checksums.insert(landed)
-                        nbytes = sum(extent[2] for extent in landed)
-                        self.stats.record_write(nbytes, len(landed), hashed=nbytes)
+                    if done > start:
+                        landed = batch[start:done]
+                        self.checksums.insert(landed, append=append)
+                        nbytes = sum(extent[3] for extent in landed)
+                        self.stats.record_write(nbytes, done - start, hashed=nbytes)
 
         self._run_op("write", body, position=lambda: done)
-
-    def _write_extent(self, name: str, offset: int, data, nbytes: int) -> None:
-        """Land one extent of :meth:`write_extents`. Caller holds the
-        lock."""
-        old_size = self._sizes.get(name, 0)
-        new_size = max(old_size, offset + nbytes)
-        if self.capacity_bytes is not None:
-            grow = new_size - old_size
-            if grow > 0 and self._used + grow > self.capacity_bytes:
-                raise DiskFullError(
-                    f"disk {self.disk_id} full: cannot grow {name!r} by "
-                    f"{grow} bytes (capacity {self.capacity_bytes})"
-                )
-        fd = self._handles.get(name)
-        if fd is None:
-            fd = self._open_handle(name)
-        else:
-            self._handles.move_to_end(name)
-        if offset > old_size:
-            # Explicitly zero-fill the gap so reads are defined.
-            _pwrite_all(fd, bytes(offset - old_size), old_size, offset - old_size)
-        _pwrite_all(fd, data, offset, nbytes)
-        self._sizes[name] = new_size
-        self._used += new_size - old_size
 
     def read_at(
         self, name: str, offset: int, nbytes: int, out: "object | None" = None
@@ -382,7 +389,9 @@ class VirtualDisk:
         path = self._path(name)
 
         def body() -> object:
-            self._consume_fault("read")
+            plan = self.fault_plan
+            if plan is not None:
+                plan.check("read", where=f"on disk {self.disk_id}", disk_id=self.disk_id)
             if not path.exists():
                 raise DiskError(f"no object {name!r} on disk {self.disk_id}")
             if out is not None:
@@ -399,8 +408,7 @@ class VirtualDisk:
                         f"short read of {name!r} on disk {self.disk_id}: wanted "
                         f"{nbytes} bytes at offset {offset}, got {got}"
                     )
-                self._verify(name, offset, mv)
-                self.stats.record_read(nbytes)
+                self._verify(name, offset, mv, nbytes)
                 return out
             with open(path, "rb") as fh:
                 fh.seek(offset)
@@ -410,8 +418,7 @@ class VirtualDisk:
                     f"short read of {name!r} on disk {self.disk_id}: wanted "
                     f"{nbytes} bytes at offset {offset}, got {len(data)}"
                 )
-            self._verify(name, offset, data)
-            self.stats.record_read(nbytes)
+            self._verify(name, offset, data, nbytes)
             return data
 
         return self._run_op("read", body)

@@ -14,6 +14,18 @@ exactly. An extent only partially covered by a later write is dropped
 from the catalog (its old checksum no longer describes the file), which
 matches the raw-disk semantics the disk unit tests pin down.
 
+Appends chain. A column store's cursor appends are marked
+(``insert(..., append=True)``), and an appended extent that starts
+exactly where its object's last cataloged extent ends extends that
+extent: the length grows and the CRC runs on,
+``crc = block_checksum(segment, crc)`` — a CRC chained over contiguous
+bytes is the CRC of the whole. So a portion written in order is one
+extent, and a read of the portion verifies it with one call. Only
+appends chain: every reader of a column store reads whole portions,
+while a PDM chunk read can end inside a longer extent, and
+:meth:`BlockChecksums.verify` skips an extent that straddles its read.
+The sidecar format (``[offset, length, crc]``) does not change.
+
 Sidecar persistence is *batched*, sidecar durability *barriered* —
 neither is per-write. :meth:`BlockChecksums.insert` only updates the
 in-memory catalog; :meth:`BlockChecksums.flush` rewrites the sidecar of
@@ -148,24 +160,53 @@ class BlockChecksums:
 
         Returns the number of bytes hashed (for ``IoStats`` metering).
         """
-        view = memoryview(data)
-        self.insert([(name, offset, view.nbytes, block_checksum(view))])
-        return view.nbytes
+        nbytes = memoryview(data).nbytes
+        self.insert([(name, offset, data, nbytes)])
+        return nbytes
 
-    def insert(self, extents) -> None:
-        """Catalog written ``(name, offset, length, crc)`` extents, in
-        order, under one lock hold, folding out any stale overlaps — in
-        memory only; :meth:`flush` persists them."""
+    def insert(self, landed, append: bool = False) -> None:
+        """Checksum written ``(name, offset, data, nbytes)`` extents and
+        catalog them, in order, under one lock hold, folding out any
+        stale overlaps — in memory only; :meth:`flush` persists them.
+
+        With ``append`` an extent that starts exactly where the object's
+        last written extent ends extends that extent instead: the
+        length grows and the CRC runs on over the new bytes
+        (``block_checksum(data, crc)``), so a run of contiguous appends
+        is one extent, verified by one call.
+
+        The hashing runs before the lock is taken, so a concurrent
+        :meth:`verify` never waits on it. Inserts into one catalog come
+        one at a time (a disk's writes hold its lock), so the extents
+        read for chaining cannot change before they are replaced."""
+        placed = []
+        tails: dict[str, list[int]] = {}  # name -> its latest extent
+        for name, offset, data, nbytes in landed:
+            if append:
+                tail = tails.get(name)
+                if tail is None:
+                    extents_of = self._extents.get(name)
+                    tail = extents_of[-1] if extents_of else None
+                if tail is not None and tail[0] + tail[1] == offset:
+                    new = [tail[0], tail[1] + nbytes, block_checksum(data, tail[2])]
+                else:
+                    new = [offset, nbytes, block_checksum(data)]
+                tails[name] = new
+            else:
+                new = [offset, nbytes, block_checksum(data)]
+            placed.append((name, new))
         with self._lock:
-            for name, offset, length, crc in extents:
-                end = offset + length
-                new = [offset, length, crc]
+            for name, new in placed:
+                offset, end = new[0], new[0] + new[1]
                 extents_of = self._extents.setdefault(name, [])
                 last = extents_of[-1] if extents_of else None
-                if last is None or last[0] < offset >= last[0] + last[1]:
-                    # Past every cataloged extent (a cursor append): where
-                    # bisection would put it, without the search.
+                if last is None or last[0] + last[1] <= offset:
+                    # Past every cataloged extent (a cursor append).
                     extents_of.append(new)
+                elif last[0] <= offset < end:
+                    # Overlaps the last extent and nothing before it (a
+                    # chained append extends it).
+                    extents_of[-1] = new
                 else:
                     i = bisect_left(extents_of, [offset])
                     before = extents_of[i - 1] if i else (0, 0)
@@ -203,18 +244,19 @@ class BlockChecksums:
 
     def verify(
         self, name: str, offset: int, view
-    ) -> tuple[list[tuple[int, int]], int]:
+    ) -> tuple[list[tuple[int, int]], int, int]:
         """Verify the cataloged extents fully contained in a read.
 
         ``view`` holds the bytes just read from ``offset``. Returns
-        ``(mismatched (offset, length) extents, bytes hashed)``.
-        Extents straddling the read boundary are skipped — in practice
-        the stores' reads are tiled exactly by their writes.
+        ``(mismatched (offset, length) extents, bytes hashed, extents
+        checked)``. Extents straddling the read boundary are skipped —
+        in practice a column store's reads are whole portions, and a
+        PDM read covers whole pieces.
         """
         mv = memoryview(view).cast("B")
         end = offset + mv.nbytes
         bad: list[tuple[int, int]] = []
-        hashed = 0
+        hashed = checked = 0
         with self._lock:
             extents = list(self._extents.get(name, []))
         for off, ln, crc in extents:
@@ -222,6 +264,7 @@ class BlockChecksums:
                 continue
             lo = off - offset
             hashed += ln
+            checked += 1
             if block_checksum(mv[lo : lo + ln]) != crc:
                 bad.append((off, ln))
-        return bad, hashed
+        return bad, hashed, checked

@@ -25,17 +25,21 @@ from pathlib import Path
 try:  # pragma: no cover - depends on the environment
     import crc32c as _crc32c_mod
 
-    def block_checksum(data) -> int:
-        """32-bit checksum of one block (any C-contiguous buffer)."""
-        return _crc32c_mod.crc32c(bytes(data))
+    def block_checksum(data, crc: int = 0) -> int:
+        """32-bit checksum of one block (any C-contiguous buffer, hashed
+        in place), run on from ``crc``: the checksum of contiguous
+        blocks chained in order is the checksum of their concatenation."""
+        return _crc32c_mod.crc32c(memoryview(data), crc)
 
     CHECKSUM_ALGO = "crc32c"
 except ImportError:  # pragma: no cover - the baked-in toolchain path
-    def block_checksum(data) -> int:
+    def block_checksum(data, crc: int = 0) -> int:
         """32-bit checksum of one block (any C-contiguous buffer, read
         in place: a ``memoryview`` of a record array would cost more
-        than hashing a 4 KB segment)."""
-        return zlib.crc32(data) & 0xFFFFFFFF
+        than hashing a 4 KB segment), run on from ``crc``: the checksum
+        of contiguous blocks chained in order is the checksum of their
+        concatenation."""
+        return zlib.crc32(data, crc) & 0xFFFFFFFF
 
     CHECKSUM_ALGO = "crc32"
 

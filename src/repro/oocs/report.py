@@ -127,7 +127,9 @@ def render_report(summary: dict) -> str:
             )
     lines.append(
         f"  checksums: {io['bytes_hashed']:,} bytes hashed ({CHECKSUM_ALGO} "
-        f"over writes + read verification), {io['checksum_failures']} failures"
+        f"over writes + read verification), {io['extents_verified']:,} "
+        f"extents verified in {io['reads']:,} reads, "
+        f"{io['checksum_failures']} failures"
     )
     durability = summary.get("durability", {})
     if "audited_passes" in durability:

@@ -175,7 +175,8 @@ class TestDurabilityReport:
 
     ARGS = ["sort", "--records", "2048", "--buffer", "256", "-p", "2"]
     CHECKSUMS = (r"  checksums: ([\d,]+) bytes hashed \(\w+ over writes \+ "
-                 r"read verification\), (\d+) failures")
+                 r"read verification\), ([\d,]+) extents verified in "
+                 r"([\d,]+) reads, (\d+) failures")
     AUDIT = r"  audit: (\d+) audited passes, \d+ sampled units verified"
 
     def _rows(self, capsys, argv) -> dict:
@@ -184,7 +185,9 @@ class TestDurabilityReport:
         for line in capsys.readouterr().out.splitlines():
             if match := re.fullmatch(self.CHECKSUMS, line):
                 rows["bytes hashed"] = int(match[1].replace(",", ""))
-                rows["checksum failures"] = int(match[2])
+                rows["extents verified"] = int(match[2].replace(",", ""))
+                rows["reads"] = int(match[3].replace(",", ""))
+                rows["checksum failures"] = int(match[4])
             if match := re.fullmatch(self.AUDIT, line):
                 rows["audited passes"] = int(match[1])
         return rows
@@ -192,8 +195,10 @@ class TestDurabilityReport:
     def test_without_audit_reports_the_checksums(self, capsys, tmp_path):
         rows = self._rows(capsys, ["--workdir", str(tmp_path)])
         # each of the 3 passes hashes what it writes and verifies what
-        # it reads: 2 x 3 x N x 64 B
+        # it reads: 2 x 3 x N x 64 B; each reads s = 8 columns, each
+        # column one verified extent
         assert rows == {"bytes hashed": 2 * 3 * 2048 * 64,
+                        "extents verified": 3 * 8, "reads": 3 * 8,
                         "checksum failures": 0}
 
     def test_audit_adds_the_audited_passes(self, capsys, tmp_path):

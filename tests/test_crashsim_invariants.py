@@ -19,10 +19,12 @@ import repro.service.journal as journal_mod
 from repro.crashsim import run_sweep
 from repro.crashsim.harness import (
     SCENARIOS,
+    scenario_appends,
     scenario_checkpoint_save,
     scenario_journal_append,
     scenario_sidecar,
 )
+from repro.crashsim.invariants import check_disk_reads
 from repro.disks.virtual_disk import VirtualDisk
 
 
@@ -55,7 +57,7 @@ def test_metadata_scenarios_have_zero_violations(scenario, tmp_path):
     assert summary["states_total"] > 0
 
 
-@pytest.mark.parametrize("scenario", ["sidecar"])
+@pytest.mark.parametrize("scenario", ["sidecar", "appends"])
 def test_data_plane_scenarios_have_zero_violations(scenario, tmp_path):
     summary = run_sweep(tmp_path, scenarios=[scenario], quick=True)
     assert summary["violations_total"] == 0, _violations(summary)
@@ -93,6 +95,7 @@ def test_scenario_registry_is_complete():
         "checkpoint_save",
         "checkpoint_prune",
         "sidecar",
+        "appends",
         "daemon_restart",
         "resume_e2e",
     ]
@@ -122,6 +125,30 @@ def test_harness_catches_unfsynced_sidecar_barrier(tmp_path, monkeypatch):
     states, violations = scenario_sidecar(tmp_path, quick=True)
     assert states > 0
     assert any("barriered extent" in v.message for v in violations)
+
+
+def test_harness_catches_unbarriered_appends(tmp_path, monkeypatch):
+    """The same teeth for a chained portion: with ``sync`` a no-op the
+    appended portion is not crash-proof, and the sweep must say so."""
+    monkeypatch.setattr(VirtualDisk, "sync", lambda self: 0)
+    states, violations = scenario_appends(tmp_path, quick=True)
+    assert states > 0
+    assert any("barriered extent" in v.message for v in violations)
+
+
+def test_a_chained_extent_is_checked_piece_by_piece(tmp_path):
+    """A chained extent is no single write: each piece between write
+    boundaries is matched against the writes that covered it — a legal
+    portion passes, a piece no write put there is flagged."""
+    disk = VirtualDisk(tmp_path / "d0", disk_id=0)
+    pieces = [(0, b"A" * 64), (64, b"B" * 32), (96, b"C" * 100)]
+    disk.write_extents([("obj", at, data) for at, data in pieces], append=True)
+    assert [e[:2] for e in disk.checksums.extents("obj")] == [(0, 196)]
+    written = {(0, "obj", at, len(data)): [data] for at, data in pieces}
+    assert check_disk_reads([disk], written, "appends", "s0") == []
+    written[(0, "obj", 64, 32)] = [b"X" * 32]  # B never landed there
+    flagged = check_disk_reads([disk], written, "appends", "s0")
+    assert len(flagged) == 1 and "never" in flagged[0].message
 
 
 def test_harness_catches_non_atomic_manifest_writes(tmp_path, monkeypatch):

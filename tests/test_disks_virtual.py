@@ -95,8 +95,8 @@ class TestAccounting:
             "reads": 1, "writes": 2, "bytes_read": 6, "bytes_written": 6,
             "read_retries": 0, "write_retries": 0,
             # Each write hashes its extent (4 + 2 bytes) and the read
-            # verifies both extents again.
-            "bytes_hashed": 12, "checksum_failures": 0,
+            # verifies both extents again: write_at never chains.
+            "bytes_hashed": 12, "checksum_failures": 0, "extents_verified": 2,
         }
 
     def test_combine(self, tmp_path):

@@ -37,6 +37,50 @@ class TestHashing:
         # way the module must say which one it is using.
         assert CHECKSUM_ALGO in ("crc32c", "crc32")
 
+    @pytest.mark.parametrize("module", ["zlib", "crc32c"])
+    def test_chunked_checksum_equals_whole(self, module, monkeypatch):
+        """Both branches of :func:`block_checksum`: the CRC run on over
+        contiguous chunks is the CRC of their concatenation. The
+        ``crc32c`` branch runs against a stub module, which refuses a
+        ``bytes`` copy: the buffer is hashed in place."""
+        import importlib
+        import sys
+        import types
+        import zlib
+
+        import numpy as np
+
+        import repro.durability.hashing as hashing
+
+        if module == "crc32c":
+            def crc32c(data, value=0):
+                assert not isinstance(data, bytes), "a bytes copy was hashed"
+                return zlib.crc32(data, value) & 0xFFFFFFFF
+
+            stub = types.ModuleType("crc32c")
+            stub.crc32c = crc32c
+            monkeypatch.setitem(sys.modules, "crc32c", stub)
+        else:
+            monkeypatch.setitem(sys.modules, "crc32c", None)  # ImportError
+        try:
+            importlib.reload(hashing)
+            assert hashing.CHECKSUM_ALGO == {"zlib": "crc32", "crc32c": "crc32c"}[module]
+            blob = bytes(range(256)) * 40 + b"tail"
+            whole = hashing.block_checksum(blob)
+            for chunks in (
+                [blob[:1], blob[1:]],
+                [blob[k : k + 777] for k in range(0, len(blob), 777)],
+                [bytearray(blob[:4096]), memoryview(blob)[4096:]],
+                [np.frombuffer(blob, dtype=np.uint8)[:100], blob[100:]],
+            ):
+                crc = 0
+                for chunk in chunks:
+                    crc = hashing.block_checksum(chunk, crc)
+                assert crc == whole
+        finally:
+            monkeypatch.undo()
+            importlib.reload(hashing)
+
     def test_file_digest_matches_hexdigest(self, tmp_path):
         path = tmp_path / "blob"
         path.write_bytes(b"x" * (3 * 2**20 + 17))  # crosses chunk boundaries
@@ -48,13 +92,13 @@ class TestCatalog:
         cat = BlockChecksums(tmp_path)
         cat.record("obj", 0, b"aaaa")
         cat.record("obj", 4, b"bbbb")
-        bad, hashed = cat.verify("obj", 0, b"aaaabbbb")
-        assert bad == [] and hashed == 8
+        bad, hashed, checked = cat.verify("obj", 0, b"aaaabbbb")
+        assert bad == [] and hashed == 8 and checked == 2
 
     def test_verify_flags_mismatch(self, tmp_path):
         cat = BlockChecksums(tmp_path)
         cat.record("obj", 0, b"aaaa")
-        bad, _ = cat.verify("obj", 0, b"aaXa")
+        bad, _, _ = cat.verify("obj", 0, b"aaXa")
         assert bad == [(0, 4)]
 
     def test_overwrite_folds_out_stale_extents(self, tmp_path):
@@ -262,6 +306,184 @@ class TestStoreLevel:
         victim.write_bytes(bytes(blob))
         with pytest.raises(CorruptionError):
             store.read_portion(0, 0)
+
+
+# ---------------------------------------------------------------------------
+# Chained appends: a portion written by cursor appends is one extent
+# ---------------------------------------------------------------------------
+
+
+class TestChainedAppends:
+    SEGMENTS = [(0, 10), (10, 25), (25, 40), (40, 64)]
+
+    @pytest.fixture
+    def stores(self, tmp_path, small_fmt):
+        from repro.cluster.config import ClusterConfig
+        from repro.disks.matrixfile import ColumnStore
+        from repro.records.generators import generate
+
+        cluster = ClusterConfig(p=2, mem_per_proc=2**10)
+        disks = make_disk_array(tmp_path, cluster.virtual_disks)
+
+        def store():
+            return ColumnStore(cluster, small_fmt, 64, 4, disks, name="m")
+
+        recs = generate("uniform", small_fmt, 64, seed=5)
+        return store, recs
+
+    @staticmethod
+    def portion_file(store):
+        disk, file = store._where[0, 0]
+        return disk, file, (disk.root / file)
+
+    def append_all(self, store, recs):
+        for lo, hi in self.SEGMENTS:
+            store.append_segments(0, [(0, recs[lo:hi])])
+
+    def test_k_appends_leave_one_extent_with_the_whole_crc(self, stores):
+        import numpy as np
+
+        make, recs = stores
+        store = make()
+        self.append_all(store, recs)
+        disk, file, path = self.portion_file(store)
+        whole = path.read_bytes()
+        assert whole == recs.tobytes()
+        assert disk.checksums.extents(file) == [
+            (0, len(whole), block_checksum(whole))
+        ]
+        before = disk.stats.snapshot()
+        assert np.array_equal(store.read_portion(0, 0), recs)
+        delta = disk.stats.delta(before, disk.stats.snapshot())
+        assert (delta["reads"], delta["extents_verified"]) == (1, 1)
+        assert delta["bytes_hashed"] == len(whole)
+
+    @pytest.mark.parametrize("segment", range(4))
+    def test_a_flipped_byte_in_any_segment_is_caught(self, stores, segment):
+        make, recs = stores
+        store = make()
+        self.append_all(store, recs)
+        disk, _file, path = self.portion_file(store)
+        lo, hi = self.SEGMENTS[segment]
+        blob = bytearray(path.read_bytes())
+        blob[store.fmt.nbytes((lo + hi) // 2)] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptionError):
+            store.read_portion(0, 0)
+        assert disk.stats.snapshot()["checksum_failures"] == 1
+
+    def test_out_of_order_appends_are_two_extents_both_verified(
+        self, stores, monkeypatch
+    ):
+        """Reserve A, reserve B, land B first (a flusher overtaking the
+        rank thread): B cannot continue an extent, A lands before it."""
+        import numpy as np
+
+        make, recs = stores
+        store = make()
+        real, held = store._write, []
+
+        def write(extents, append=False):
+            if not held:
+                held.append(extents)  # A: reserved, not yet landed
+                return
+            real(extents, append=append)
+
+        monkeypatch.setattr(store, "_write", write)
+        store.append_segments(0, [(0, recs[:20])])
+        store.append_segments(0, [(0, recs[20:])])
+        real(held[0], append=True)
+        disk, file, path = self.portion_file(store)
+        a, b = store.fmt.nbytes(20), store.fmt.nbytes(44)
+        data = path.read_bytes()
+        assert disk.checksums.extents(file) == [
+            (0, a, block_checksum(data[:a])),
+            (a, b, block_checksum(data[a:])),
+        ]
+        before = disk.stats.snapshot()
+        assert np.array_equal(store.read_portion(0, 0), recs)
+        assert disk.stats.delta(before, disk.stats.snapshot())["extents_verified"] == 2
+        for at in (a // 2, a + b // 2):
+            blob = bytearray(data)
+            blob[at] ^= 0x01
+            path.write_bytes(bytes(blob))
+            with pytest.raises(CorruptionError):
+                store.read_portion(0, 0)
+        path.write_bytes(data)
+
+    def test_a_rerun_folds_the_old_extent_out(self, stores, small_fmt):
+        import numpy as np
+
+        from repro.records.generators import generate
+
+        make, recs = stores
+        store = make()
+        self.append_all(store, recs)
+        again = generate("uniform", small_fmt, 64, seed=6)
+        for rerun in (store, make()):  # reset cursors / a fresh store object
+            if rerun is store:
+                store.reset_cursors()
+            rerun.append_segments(0, [(0, again[:30])])
+            rerun.append_segments(0, [(0, again[30:])])
+            disk, file, path = self.portion_file(rerun)
+            assert disk.checksums.extents(file) == [
+                (0, small_fmt.nbytes(64), block_checksum(again.tobytes()))
+            ]
+            assert np.array_equal(rerun.read_portion(0, 0), again)
+
+    def test_pdm_pieces_stay_one_extent_each(self, tmp_path, small_fmt):
+        """Only appends chain: PDM pieces contiguous on one disk (two
+        halves of a block, then the disk's next block) stay separate
+        extents, so a chunk read that ends inside one never skips it."""
+        from repro.cluster.config import ClusterConfig
+        from repro.disks.matrixfile import PdmStore
+        from repro.records.generators import generate
+
+        cluster = ClusterConfig(p=2, mem_per_proc=2**10)
+        disks = make_disk_array(tmp_path, cluster.virtual_disks)
+        store = PdmStore(cluster, small_fmt, 128, disks, block_records=8)
+        recs = generate("uniform", small_fmt, 128, seed=7)
+        stripe = 8 * cluster.virtual_disks
+        store.write_pieces(0, [(0, recs[0:4]), (4, recs[4:8])])
+        store.write_pieces(0, [(stripe, recs[stripe : stripe + 8])])
+        disk = disks[0]
+        size = small_fmt.record_size
+        assert [e[:2] for e in disk.checksums.extents(store._file(0))] == [
+            (0, 4 * size), (4 * size, 4 * size), (8 * size, 8 * size),
+        ]
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_a_fault_on_extent_k_resumes_there_and_the_chain_holds(
+        self, stores, monkeypatch, k
+    ):
+        import os
+
+        from repro.resilience.faults import FaultPlan, FaultSpec
+
+        make, recs = stores
+        store = make()
+        disk, file, path = self.portion_file(store)
+        disk.fault_plan = FaultPlan([FaultSpec(op="write", nth=k, transient=True)])
+        disk.retry_policy = RetryPolicy(max_attempts=2, base_delay_s=0.0)
+        landed = []
+        real_pwrite = os.pwrite
+
+        def pwrite(fd, data, offset):
+            landed.append(offset)
+            return real_pwrite(fd, data, offset)
+
+        monkeypatch.setattr(os, "pwrite", pwrite)
+        store.append_segments(0, [(0, recs[lo:hi]) for lo, hi in self.SEGMENTS])
+        monkeypatch.undo()
+        # Every segment landed once, in order: the retry resumed at k.
+        assert landed == [store.fmt.nbytes(lo) for lo, _hi in self.SEGMENTS]
+        snap = disk.stats.snapshot()
+        assert (snap["writes"], snap["write_retries"]) == (4, 1)
+        whole = path.read_bytes()
+        assert whole == recs.tobytes()
+        assert disk.checksums.extents(file) == [
+            (0, len(whole), block_checksum(whole))
+        ]
 
 
 # ---------------------------------------------------------------------------
