@@ -285,10 +285,12 @@ class ColumnStore(_StoreBase):
             out[rows] = self.read_portion(rank, j)
         return out
 
-    def delete(self) -> None:
-        """Remove all portion files (frees simulated disk space)."""
+    def delete(self, disks: list[VirtualDisk] | None = None) -> None:
+        """Remove the portion files on ``disks`` (all of them by
+        default; frees simulated disk space)."""
         for disk, file in self._where.values():
-            disk.delete(file)
+            if disks is None or disk in disks:
+                disk.delete(file)
 
 
 class PdmStore(_StoreBase):

@@ -97,10 +97,7 @@ class VirtualDisk:
         otherwise.
 
     Optional attributes hook in the resilience, durability, and
-    governance layers: ``scratch_governor`` (a
-    :class:`~repro.governor.RunGovernor` consulted on
-    :class:`~repro.errors.DiskFullError` — reclaim dead scratch and
-    retry, or fail), ``cancel_token`` (a
+    governance layers: ``cancel_token`` (a
     :class:`~repro.governor.CancelToken` making every op attempt a
     cancellation point), ``fault_plan`` (a
     :class:`~repro.resilience.faults.FaultPlan` consulted before each
@@ -125,7 +122,6 @@ class VirtualDisk:
         self.read_only = False
         self.fault_plan = None
         self.retry_policy = None
-        self.scratch_governor = None
         self.cancel_token = None
         # Re-entrant: refresh and _open_handle call close_handles with
         # the lock held.
@@ -216,14 +212,11 @@ class VirtualDisk:
         A batch body reports through ``position()`` the extent it has
         reached, and its next attempt resumes there. A failure at a
         later extent than the last failure starts that extent's retry
-        budget afresh, so every extent is retried and reclaimed for
-        exactly as a one-extent op would be.
+        budget afresh, so every extent is retried exactly as a
+        one-extent op would be.
 
-        :class:`~repro.errors.DiskFullError` never reaches the retry
-        policy (backoff cannot free space); instead an attached
-        ``scratch_governor`` (the run's
-        :class:`~repro.governor.RunGovernor`) reclaims dead scratch
-        and says whether one metered retry is warranted. An
+        The retry policy refuses :class:`~repro.errors.DiskFullError`
+        (backoff cannot free space), so ENOSPC fails the op at once. An
         attached ``cancel_token`` makes every attempt (and every
         backoff sleep) a cancellation point.
         """
@@ -240,14 +233,6 @@ class VirtualDisk:
                 if position is not None and position() != failed_at:
                     failed_at = position()
                     attempt = 1
-                # ENOSPC: hand the run governor one shot at reclaiming
-                # dead scratch (reclaimed → retry; else raise).
-                if isinstance(exc, DiskFullError):
-                    governor = self.scratch_governor
-                    if governor is not None and governor.handle_disk_full(self):
-                        self.stats.record_retry(op)
-                        continue
-                    raise
                 if (
                     policy is None
                     or attempt >= policy.max_attempts
@@ -262,11 +247,6 @@ class VirtualDisk:
                 attempt += 1
 
     # ------------------------------------------------------------------
-
-    def used_bytes(self) -> int:
-        """Total bytes currently stored on this disk."""
-        with self._lock:
-            return self._used
 
     def size(self, name: str) -> int:
         """Current size of an object (0 if absent)."""
@@ -308,7 +288,7 @@ class VirtualDisk:
         zero-fill, the ``pwrite`` and the size update; the catalog
         insert hashes each landed extent once. So ``IoStats.writes``
         counts extents, the fault plan counts extent attempts, and a
-        retried or reclaimed call resumes at the extent that failed
+        retried call resumes at the extent that failed
         (:meth:`_run_op`); the extents before it have landed and are
         counted.
 
@@ -459,8 +439,8 @@ class VirtualDisk:
             path = self._path(name)
             if not path.exists():
                 # Deleted through another process's copy of this disk (a
-                # process-backend rank's, by a scratch reclaim): this
-                # size table is stale, and nothing is left to flush.
+                # process-backend rank's, at a pass boundary): this size
+                # table is stale, and nothing is left to flush.
                 continue
             fd = os.open(path, os.O_RDONLY)
             try:

@@ -13,8 +13,8 @@ written) and verifies, against the structural claims of
   is a bounded interleaving of sorted chunks, so its number of maximal
   sorted runs is bounded (``s·g`` per portion: ``s`` for whole columns,
   ``s·P`` at ``g = P`` — see the paper's §3 run-structure argument);
-* **output order** — sampled ranges of the PDM store, spanning block
-  boundaries, must be globally nondecreasing.
+* **output order** — sampled two-block ranges of the PDM store,
+  starting on a block boundary, must be globally nondecreasing.
 
 A violation raises :class:`~repro.errors.AuditError` on rank 0, which
 surfaces as a structured SPMD failure *before* ``save_pass`` runs — a
@@ -114,9 +114,13 @@ class PassAuditor:
                 f"{ctx}: output holds {total} bytes across its stripes, "
                 f"expected {want} (N={store.n} records)"
             )
+        # Each sample starts on a block boundary: a stored extent never
+        # crosses one, so the read covers whole extents and verifies
+        # every byte it reads; two blocks still span a block boundary.
         span = min(store.n, 2 * store.block)
         for _ in range(self.samples):
-            start = self._rng.randrange(max(1, store.n - span + 1))
+            blocks = (store.n - span) // store.block + 1
+            start = self._rng.randrange(blocks) * store.block
             ranged = store.read_global(start, span)
             if count_sorted_runs(ranged) > 1:
                 raise AuditError(

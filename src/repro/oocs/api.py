@@ -103,10 +103,12 @@ def job_demands(program: PassProgram, job: OocJob) -> tuple[int, int]:
     (``OocResult.governor["uncovered_takes"]`` is 0;
     ``tests/test_warm_run_reservation.py``).
 
-    Scratch: a pass program keeps at most input + two generations of
-    intermediates on disk at once, ≈ ``3·N`` records (the paper's
-    experiments were disk-space limited at exactly this multiple —
-    footnote 7).
+    Scratch: ``3·N`` records — the input, a pass's source and its
+    destination, as each intermediate is deleted at the boundary after
+    its last reader (:meth:`~repro.oocs.base.PassProgram.deletions`;
+    the paper's experiments were disk-space limited at exactly this
+    multiple — footnote 7). ``tests/test_scratch_lifecycle.py`` runs
+    every program with each disk capped there.
     """
     mem = sum(
         nbytes * count for nbytes, count in program.buffers(job).items()

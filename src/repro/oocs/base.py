@@ -234,7 +234,7 @@ class OocResult:
     comm_total: dict  # aggregate across ranks
     copy: dict = field(default_factory=dict)  # data-plane copy accounting
     durability: dict = field(default_factory=dict)  # audit counts
-    governor: dict = field(default_factory=dict)  # budget/reclaim/admission
+    governor: dict = field(default_factory=dict)  # pool budget/cancellation/admission
     supervisor: dict = field(default_factory=dict)  # restarts/causes/wall
     trace: RunTrace | None = None
     workspace: object = None  # set by the convenience API to pin disks alive
@@ -1043,6 +1043,22 @@ class PassProgram:
                 )
         return stores
 
+    def deletions(self) -> dict[int, list[str]]:
+        """Pass index (1-based) → the intermediate store keys deleted
+        at that pass's boundary, the one after the last pass that reads
+        them. Each intermediate is the next pass's source, so it lives
+        through that pass's boundary (until then it is the resume
+        point); ``"input"`` and ``"output"`` are never deleted."""
+        last_read = {
+            spec.src: index
+            for index, spec in enumerate(self.passes, start=1)
+            if spec.src != "input"
+        }
+        schedule: dict[int, list[str]] = {}
+        for key, index in last_read.items():
+            schedule.setdefault(index, []).append(key)
+        return schedule
+
     def trace(self, job: OocJob) -> RunTrace:
         """The structural trace of ``job`` — the only source of traces:
         every pass has ``s / (P/g)`` rounds (each group takes one of its
@@ -1076,7 +1092,7 @@ def execute_passes(
     collect_trace: bool = True,
     checkpoint=None,
     start_pass: int = 0,
-    governor=None,
+    deletions: dict[int, list[str]] | None = None,
 ) -> dict:
     """The shared SPMD rank program: run ``program``'s passes in order
     over ``stores``, with per-pass accounting and optional pass-boundary
@@ -1100,13 +1116,18 @@ def execute_passes(
     of becoming a resume point. (Audit reads are metered store reads;
     the byte-exact pass-count tests therefore run with auditing off.)
 
-    Every pass runs at the job's plan (``job.pipeline_plan()``). With
-    ``governor`` (the run's :class:`~repro.governor.RunGovernor`) set,
-    each pass start updates the governor's live-store bookkeeping.
+    At each boundary, after the audit and the checkpoint, each rank
+    deletes the stores ``deletions`` (:meth:`PassProgram.deletions`)
+    names there from the disks it owns, so a durable manifest always
+    precedes the unlink of the store it replaces; a resumed run deletes
+    at the boundaries it skips too (a crash may have come between a
+    checkpoint and its unlinks).
+
+    Every pass runs at the job's plan (``job.pipeline_plan()``).
     ``job.cancel`` makes every pass boundary a
     cancellation point, checked *after* the boundary's checkpoint is
-    persisted so a cancelled run always resumes from the pass it
-    finished last.
+    persisted and its dead stores deleted, so a cancelled run always
+    resumes from the pass it finished last.
     """
     fmt = job.fmt
     plan = job.pipeline_plan()
@@ -1120,13 +1141,14 @@ def execute_passes(
 
         auditor = PassAuditor()
     total = len(specs)
+    deletions = deletions or {}
     for index, spec in enumerate(specs, start=1):
         if index <= start_pass:
+            for key in deletions.get(index, ()):
+                stores[key].delete(marker.owned)
             continue
         if job.cancel is not None:
             job.cancel.check()
-        if governor is not None:
-            governor.begin_pass(index)
         trace = run_trace.passes[index - 1] if run_trace is not None else None
         spec.body(comm, stores[spec.src], stores[spec.dst], fmt, trace, plan=plan)
         marker.mark()
@@ -1145,6 +1167,8 @@ def execute_passes(
             if comm.rank == 0:
                 checkpoint.save_pass(job, algorithm, index, total, stores[spec.dst])
             comm.barrier()
+        for key in deletions.get(index, ()):
+            stores[key].delete(marker.owned)
         if job.cancel is not None:
             # Boundary cancellation point — after the checkpoint is
             # durable, so a cancelled run resumes from this pass.
@@ -1163,8 +1187,11 @@ def execute_passes(
 
 def attach_resilience(disks: list[VirtualDisk], job: OocJob) -> None:
     """Install the job's retry policy / fault plan on every disk (without
-    clobbering a plan a test armed directly on a disk)."""
+    clobbering a plan a test armed directly on a disk), and its cancel
+    token (every disk op a cancellation point; cleared when the run
+    ends)."""
     for disk in disks:
+        disk.cancel_token = job.cancel
         if job.retry_policy is not None:
             disk.retry_policy = job.retry_policy
         if job.fault_plan is not None:
@@ -1204,14 +1231,14 @@ def run_pass_program(
     (differently for success and failure), and assemble the
     :class:`OocResult` — whose ``output`` is, for a sort, a PDM-ordered
     :class:`~repro.disks.matrixfile.PdmStore` on the same disks.
-    Intermediate stores are deleted unless ``keep_intermediates`` (the
-    paper's disk budget was 3× the input size: input + temporary +
-    output, footnote 7).
+    Each intermediate store is deleted at the pass boundary after its
+    last reader (:meth:`PassProgram.deletions`) unless
+    ``keep_intermediates`` (the paper's disk budget was 3× the input
+    size: input + temporary + output, footnote 7).
 
     Checkpointing follows the job's ``checkpoint_dir`` / ``resume`` /
     ``keep_checkpoints``. On failure, scratch stores not referenced by
-    a manifest are deleted; on success the intermediates are deleted
-    (unless ``keep_intermediates``) and the checkpoint directory is
+    a manifest are deleted; on success the checkpoint directory is
     pruned (unless ``job.keep_checkpoints`` — the two lifecycles are
     independent: a successful run retires its checkpoints no matter
     what it keeps for debugging).
@@ -1221,13 +1248,11 @@ def run_pass_program(
     from them, and a budget (``--mem-budget``) too small to hold them
     raises :class:`~repro.errors.BudgetExceeded` before any rank starts.
     """
-    from repro.governor import RunGovernor, attach_governor
     from repro.resilience.checkpoint import CheckpointStore
 
     stores = program.stores(job, input_store)
     algorithm = program.name.format(g=input_store.g)
     disks = input_store.disks
-    attach_resilience(disks, job)
     ckpt = (
         CheckpointStore(job.checkpoint_dir)
         if job.checkpoint_dir is not None
@@ -1240,8 +1265,7 @@ def run_pass_program(
         else:
             ckpt.clear()
 
-    run_governor = RunGovernor(stores, program.passes, cancel=job.cancel)
-    attach_governor(disks, run_governor)
+    attach_resilience(disks, job)
     pool = get_pool()
     pool.reset_budget_accounting()
     # One snapshot before *all* attempts: the run's reported I/O
@@ -1276,7 +1300,7 @@ def run_pass_program(
             collect_trace=collect_trace,
             checkpoint=ckpt,
             start_pass=start_pass,
-            governor=run_governor,
+            deletions={} if keep_intermediates else program.deletions(),
             watchdog_deadline=job.watchdog_deadline,
             fault_plan=job.fault_plan,
             retry_policy=job.retry_policy,
@@ -1315,17 +1339,13 @@ def run_pass_program(
     finally:
         if reservation is not None:
             reservation.release()
-        attach_governor(disks, None)
         for disk in disks:
+            disk.cancel_token = None
             # A pass that died mid-way never reached its boundary.
             disk.close_handles()
     io = IoStats.delta(io_before, _disk_io(disks))
 
     rank0 = res.returns[0]
-    if not keep_intermediates:
-        for key, store in stores.items():
-            if key not in ("input", "output"):
-                store.delete()
     if ckpt is not None and not job.keep_checkpoints:
         ckpt.prune()  # a finished run's checkpoints are garbage
 
@@ -1334,8 +1354,7 @@ def run_pass_program(
         durability["audited_passes"] = rank0["audited_passes"]
         durability["audited_units"] = rank0["audited_units"]
 
-    governance = run_governor.snapshot()
-    governance.update(pool.budget_snapshot())
+    governance = pool.budget_snapshot()
     if job.cancel is not None:
         governance["cancel_checks"] = job.cancel.checks
         governance["deadline_s"] = job.cancel.deadline_s

@@ -143,7 +143,7 @@ def render_report(summary: dict) -> str:
 
 
 #: Governor counters whose moving makes the governance section show.
-_GOVERNANCE_MOVES = ("cancel_checks", "disk_full_events", "admission_wait_s")
+_GOVERNANCE_MOVES = ("cancel_checks", "admission_wait_s")
 
 
 def _governance_lines(gov: dict) -> list[str]:
@@ -158,8 +158,6 @@ def _governance_lines(gov: dict) -> list[str]:
         f"{gov['peak_held_bytes']:,} B",
         f"  cancellation: {gov.get('cancel_checks', 0)} checks, "
         f"{'no deadline' if deadline is None else f'deadline {deadline:.1f}s'}",
-        f"  disk full: {gov['disk_full_events']} events, "
-        f"{gov['scratch_reclaims']} reclaims freed {gov['reclaimed_bytes']:,} B",
     ]
     if "admission_wait_s" in gov:
         lines.append(

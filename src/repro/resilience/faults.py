@@ -92,8 +92,8 @@ class FaultSpec:
     kind:
         ``"fault"`` (default) injects a medium error; ``"disk_full"``
         injects :class:`~repro.errors.DiskFullError` — the disk ran out
-        of space at exactly this op, the precision tool for exercising
-        the governor's disk-full reclaim mid-pass. ``disk_full``
+        of space at exactly this op, which fails the run naming the
+        disk (ENOSPC is never retried). ``disk_full``
         rules must target write-side ops (``"write"`` or ``"any"``):
         reads never allocate space. ``"rank_kill"`` / ``"rank_exit"``
         kill the *rank* performing the op: a real forked rank dies on

@@ -89,11 +89,11 @@ class RetryPolicy:
     def retryable(exc: BaseException) -> bool:
         """True when retrying ``exc``'s operation could plausibly help."""
         if isinstance(exc, DiskFullError):
-            # Non-retryable-without-reclaim, whatever its transient flag
-            # says: backing off cannot conjure free space, so ENOSPC must
-            # not burn the backoff budget. Space recovery is the run
-            # governor's job (reclaim dead scratch); its
-            # retry happens in the disk's op loop, outside this policy.
+            # Never retryable, whatever its transient flag says:
+            # backing off cannot conjure free space, so ENOSPC must not
+            # burn the backoff budget. A run's scratch is planned up
+            # front instead: each intermediate is deleted at the pass
+            # boundary after its last reader.
             return False
         transient = getattr(exc, "transient", None)
         if transient is not None:

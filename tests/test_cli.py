@@ -209,11 +209,11 @@ class TestDurabilityReport:
     def test_byte_counts_print_in_full(self, capsys, tmp_path):
         """Counts of 2^20 and more print exactly, not as ``2^k`` or in
         e-notation: 4 passes hash 2 x 4 x N x 64 B = 2^21, and the
-        audit's 8 sampled units 114,688 B more."""
+        audit's 8 sampled units 131,072 B more — every byte they read."""
         argv = ["--algorithm", "subblock", "--records", "4096", "--audit",
                 "--workdir", str(tmp_path)]
         rows = self._rows(capsys, argv)
-        assert rows["bytes hashed"] == 2_211_840
+        assert rows["bytes hashed"] == 2_228_224
         assert rows["audited passes"] == 4
 
 

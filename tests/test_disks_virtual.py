@@ -34,7 +34,7 @@ class TestBasicIO:
         assert disk.size("obj") == 5
         disk.write_at("obj", 3, b"67890")
         assert disk.size("obj") == 8
-        assert disk.used_bytes() == 8
+        assert disk._used == 8
 
     def test_short_read_raises(self, disk):
         disk.write_at("obj", 0, b"123")
@@ -72,7 +72,7 @@ class TestBasicIO:
 
     def test_sync_skips_an_object_deleted_through_another_copy(self, tmp_path):
         """Each process-backend rank holds its own copy of a disk; when
-        one copy deletes an object (a scratch reclaim), the others'
+        one copy deletes an object (at a pass boundary), the others'
         size tables still list it, and their sync barrier must flush
         what is left rather than fail on the missing file."""
         mine = VirtualDisk(tmp_path / "d", disk_id=0)
@@ -124,10 +124,10 @@ class TestCapacityAndFaults:
         d.write_at("b", 0, b"abcdefghij")
 
     def test_used_bytes_total_tracks_every_mutation(self, tmp_path):
-        """`used_bytes` is a running total, not a sum over the catalog:
-        it must agree with the files after growth, in-place overwrite, a
-        gap write, a refused write, delete, and a refresh from the
-        directory."""
+        """The used-bytes total the capacity check reads is a running
+        total, not a sum over the catalog: it must agree with the files
+        after growth, in-place overwrite, a gap write, a refused write,
+        delete, and a refresh from the directory."""
         d = VirtualDisk(tmp_path / "d", capacity_bytes=64)
 
         def on_disk() -> int:
@@ -137,17 +137,17 @@ class TestCapacityAndFaults:
         d.write_at("a", 2, b"xy")  # inside: no growth
         d.write_at("a", 3, b"1234567")  # grows to 10
         d.write_at("b", 4, b"zz")  # gap write: 6 bytes incl. the zero fill
-        assert d.used_bytes() == on_disk() == 16
+        assert d._used == on_disk() == 16
         with pytest.raises(DiskFullError):
             d.write_at("c", 0, bytes(49))
-        assert d.used_bytes() == 16
+        assert d._used == 16
         d.refresh()
-        assert d.used_bytes() == on_disk() == 16
+        assert d._used == on_disk() == 16
         d.delete("a")
-        assert d.used_bytes() == on_disk() == 6
+        assert d._used == on_disk() == 6
         d.delete("missing")
         d.write_at("c", 0, bytes(58))  # exactly full
-        assert d.used_bytes() == 64
+        assert d._used == 64
 
     def test_read_only(self, disk):
         disk.write_at("obj", 0, b"x")

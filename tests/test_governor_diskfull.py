@@ -1,14 +1,12 @@
 """Disk-full handling: fault-spec validation, retry classification, and
-the run governor's reclaim.
+a run's failure on ENOSPC.
 
 ENOSPC is deliberately *not* a retryable fault — backing off cannot
-conjure free space — so the path under test here is the
-:class:`~repro.governor.RunGovernor` instead: reclaim dead scratch
-stores and retry the write once, else let the error surface
-structurally, naming the disk.
+conjure free space — so the error surfaces structurally, naming the
+disk. A run's scratch is planned instead: each intermediate is deleted
+at the pass boundary after its last reader
+(``tests/test_scratch_lifecycle.py``).
 """
-
-import re
 
 import pytest
 
@@ -16,7 +14,6 @@ from repro.cluster.config import ClusterConfig
 from repro.disks.virtual_disk import VirtualDisk
 from repro.errors import DiskFullError, ResilienceError, SpmdError
 from repro.oocs.api import sort_out_of_core
-from repro.oocs.report import render_report, result_summary
 from repro.records.format import RecordFormat
 from repro.records.generators import generate
 from repro.resilience import FaultPlan, FaultSpec
@@ -86,35 +83,9 @@ class TestRetryClassification:
 
 @pytest.mark.parametrize("depth", [0, 2])
 class TestReclaimLadder:
-    def test_reclaim_completes_byte_identically(self, depth):
-        """ENOSPC in the last pass, where earlier intermediates are dead
-        scratch: the governor reclaims them, retries the write once, and
-        the run completes byte-identically with the ladder metered."""
-        records = generate("uniform", FMT, 512, seed=7)
-        clean = run_sort(records, depth)
-        expected = clean.output.read_all().tobytes()
-        writes_per_pass = [io["writes"] for io in clean.io_per_pass]
-        clean.output.delete()
-
-        nth = sum(writes_per_pass[:-1]) + max(2, writes_per_pass[-1] // 2)
-        plan = FaultPlan(
-            [FaultSpec(op="write", kind="disk_full", nth=nth, count=1,
-                       transient=False)]
-        )
-        res = run_sort(records, depth, fault_plan=plan)
-        assert res.output.read_all().tobytes() == expected
-        gov = res.governor
-        assert gov["disk_full_events"] == 1
-        assert gov["scratch_reclaims"] == 1
-        assert gov["reclaimed_bytes"] > 0
-        report = render_report(result_summary(res))
-        assert re.search(r"  disk full: 1 events, 1 reclaims freed [\d,]+ B", report)
-        res.output.delete()
-
     def test_nothing_to_reclaim_fails_naming_the_disk(self, depth):
-        """The very first write fails: no dead scratch exists yet, so
-        the error must surface structurally with
-        the failing disk named."""
+        """The very first write fails: the error surfaces structurally,
+        with the failing disk named."""
         records = generate("uniform", FMT, 512, seed=7)
         plan = FaultPlan(
             [FaultSpec(op="write", kind="disk_full", nth=1, count=1,

@@ -40,3 +40,20 @@ def test_each_read_verifies_one_extent_and_every_byte(algorithm, depth, backend)
     assert io["extents_verified"] == io["reads"]
     assert io["bytes_hashed"] == io["bytes_read"] + io["bytes_written"]
     assert io["checksum_failures"] == 0
+
+
+@pytest.mark.parametrize("algorithm", SHAPES)
+def test_audit_reads_verify_every_byte(algorithm):
+    """An audit's output samples start on a block boundary, so they read
+    whole stored extents and verify every byte they read."""
+    n, buf, p = SHAPES[algorithm]
+    records = generate("zipf", FMT, n, seed=3)
+    res = sort_out_of_core(
+        algorithm, records, ClusterConfig(p=p, mem_per_proc=2**12), FMT,
+        buffer_records=buf, audit=True,
+    )
+    res.output.delete()
+    io = res.io
+    assert res.durability["audited_passes"] == res.passes
+    assert io["bytes_hashed"] == io["bytes_read"] + io["bytes_written"]
+    assert io["checksum_failures"] == 0
